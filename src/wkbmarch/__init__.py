@@ -12,8 +12,7 @@ supplies reference solutions for the two analytic benchmarks.
 from .control import (SolverConfig, StepRecord, Trajectory, estimate_error,
                       estimator_h_sweep, estimator_study, integrate,
                       march_fixed_grid, proposal_factor, select_method)
-from .phase import PhaseProvider, clenshaw_curtis, phase_increment, \
-    reduced_exponential
+from .phase import PhaseProvider, clenshaw_curtis
 from .problem import (CoefficientField, Problem, make_airy_problem,
                       make_pcf_problem, make_polynomial_problem,
                       polynomial_field, problem_from_json)
@@ -25,8 +24,8 @@ from .rk45 import RKPair, rkf45_step
 from .rkwkb import WKBBasis, rkwkb_step, wkb_basis
 from .state import ContinuationError, SolverError, WaveState, \
     WKBInadmissibleError
-from .wkb_core import (BkTable, ZState, eval_b, eval_bk, from_U, from_Z,
-                       osc_kernels, to_U, to_Z, wkb_step, wkb_step_pair)
+from .wkb_core import (BkTable, ZState, eval_bk, from_U, from_Z, osc_kernels,
+                       to_U, to_Z, wkb_step_pair)
 
 __version__ = "0.1.0"
 
@@ -36,12 +35,11 @@ __all__ = [
     "StepRecord", "Trajectory", "WKBBasis", "WKBInadmissibleError",
     "WaveState", "ZState", "airy_asymptotic", "airy_pair",
     "asymptotic_coeffs", "clenshaw_curtis", "estimate_error",
-    "estimator_h_sweep", "estimator_study", "eval_b", "eval_bk",
-    "exact_solution", "from_U", "from_Z", "gamma_fn", "global_error",
-    "integrate", "make_airy_problem", "make_pcf_problem",
-    "make_polynomial_problem", "march_fixed_grid", "osc_kernels", "pcf_U",
-    "phase_increment", "polynomial_field", "problem_from_json",
-    "proposal_factor", "reduced_exponential", "rkf45_step", "rkwkb_step",
+    "estimator_h_sweep", "estimator_study", "eval_bk", "exact_solution",
+    "from_U", "from_Z", "gamma_fn", "global_error", "integrate",
+    "make_airy_problem", "make_pcf_problem", "make_polynomial_problem",
+    "march_fixed_grid", "osc_kernels", "pcf_U", "polynomial_field",
+    "problem_from_json", "proposal_factor", "rkf45_step", "rkwkb_step",
     "select_method", "taylor_continuation", "to_U", "to_Z",
-    "transmission_map", "wkb_basis", "wkb_step", "wkb_step_pair",
+    "transmission_map", "wkb_basis", "wkb_step_pair",
 ]

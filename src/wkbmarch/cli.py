@@ -115,7 +115,7 @@ def _trajectory_rows(traj, problem):
     has_exact = problem.exact is not None
     rows = []
     for rec in traj.records:
-        row = [rec.index, rec.x, rec.h, rec.method, int(rec.accepted),
+        row = [rec.index, rec.x, rec.h, rec.method, 1,
                rec.est, rec.theta, rec.state.phi.real, rec.state.phi.imag,
                rec.state.dphi.real, rec.state.dphi.imag]
         if has_exact:

@@ -13,7 +13,9 @@ both resizes the step and arbitrates between methods: among accepted
 candidates the larger theta wins; if none is accepted the trial is redone
 with the shrunken step. A candidate whose transforms are inadmissible
 (turning-point guards) scores as rejected with theta 0.5, which is what
-pushes the march onto the Runge-Kutta branch near turning points.
+pushes the march onto the Runge-Kutta branch near turning points. A pair
+with a non-finite member or estimate scores the same way, so a NaN or Inf
+is never accepted and never enlarges the step.
 
 The "original" rival controller differs deliberately: relative tolerance
 only, switching by the smaller relative estimate, and no ratio clamps.
@@ -21,7 +23,7 @@ only, switching by the smaller relative estimate, and no ratio clamps.
 
 from __future__ import annotations
 
-import logging
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -31,8 +33,6 @@ from .rk45 import rkf45_step
 from .rkwkb import rkwkb_step
 from .state import SolverError, WaveState, WKBInadmissibleError
 from .wkb_core import from_Z, to_U, to_Z, wkb_step_pair
-
-logger = logging.getLogger(__name__)
 
 METHODS = ("wkb+rkf45", "rkwkbmod", "rkwkb", "rkf45")
 
@@ -56,8 +56,6 @@ class SolverConfig:
     phase: str = "auto"
     cc_nodes: int = 15
     max_rejections: int = 25
-    clamp_to_end: bool = True
-    x_ref: Optional[float] = None
 
     def __post_init__(self):
         if self.tol <= 0.0 or self.eta <= 0.0 or self.h0 <= 0.0:
@@ -94,7 +92,6 @@ class StepRecord:
     x: float
     h: float
     method: str
-    accepted: bool
     est: float
     theta: float
     state: WaveState
@@ -141,7 +138,7 @@ def estimate_error(y_low: WaveState, y_high: WaveState) -> float:
 def proposal_factor(est: float, y_norm: float, config: SolverConfig,
                     k: int) -> float:
     """Clamped elementary-controller factor for a pair of orders (k, k+1)."""
-    if est < 0.0:
+    if not est >= 0.0:
         raise ValueError("estimate must be non-negative")
     if est == 0.0:
         return config.theta_max
@@ -152,7 +149,8 @@ def proposal_factor(est: float, y_norm: float, config: SolverConfig,
 
 @dataclass(frozen=True)
 class Candidate:
-    """One method's scored trial result (state is None when inadmissible)."""
+    """One method's scored trial result (state is None when rejected
+    as inadmissible or non-finite)."""
 
     method: str
     accepted: bool
@@ -182,9 +180,16 @@ def select_method(candidates) -> tuple[float, Optional[int]]:
 # Candidate evaluation
 # ---------------------------------------------------------------------------
 
+def _finite(y: WaveState) -> bool:
+    return cmath.isfinite(y.phi) and cmath.isfinite(y.dphi)
+
+
 def _score(method: str, y_low: WaveState, y_high: WaveState,
            config: SolverConfig, k: int) -> Candidate:
+    """Score a pair; a non-finite member or estimate scores as rejected."""
     est = estimate_error(y_low, y_high)
+    if not (math.isfinite(est) and _finite(y_low) and _finite(y_high)):
+        return _rejected(method)
     y_norm = y_high.sup_norm()
     accepted = est <= config.atol + config.rtol * y_norm
     theta = proposal_factor(est, y_norm, config, k)
@@ -208,8 +213,7 @@ def _wkb_candidate(problem, provider, zn, x1, config) -> Candidate:
 
 def _rkwkb_candidate(problem, provider, state, h, config) -> Candidate:
     try:
-        y_low = rkwkb_step(problem, provider, state, h, order=2)
-        y_high = rkwkb_step(problem, provider, state, h, order=3)
+        y_low, y_high = rkwkb_step(problem, provider, state, h)
     except WKBInadmissibleError:
         return _rejected(TAG_RKWKB)
     return _score(TAG_RKWKB, y_low, y_high, config, k=1)
@@ -262,7 +266,7 @@ def integrate(problem, config: SolverConfig) -> Trajectory:
     provider = None
     if use_wkb:
         provider = PhaseProvider(problem, mode=config.phase_mode(problem),
-                                 nodes=config.cc_nodes, x_ref=config.x_ref)
+                                 nodes=config.cc_nodes)
         _anchor_provider(provider, problem.x_start)
     x = problem.x_start
     state = problem.initial
@@ -273,7 +277,7 @@ def integrate(problem, config: SolverConfig) -> Trajectory:
     consecutive = 0
     zn = None
     while x < problem.x_end:
-        clamped = config.clamp_to_end and h_trial >= problem.x_end - x
+        clamped = h_trial >= problem.x_end - x
         h = problem.x_end - x if clamped else h_trial
         if h <= h_floor:
             raise SolverError(f"step size underflow at x={x} (h={h})")
@@ -305,7 +309,7 @@ def integrate(problem, config: SolverConfig) -> Trajectory:
                 _anchor_provider(provider, x)
             traj.records.append(StepRecord(
                 index=len(traj.records), x=x, h=h, method=cand.method,
-                accepted=True, est=cand.est, theta=theta, state=state))
+                est=cand.est, theta=theta, state=state))
             consecutive = 0
             zn = None
         else:
@@ -375,8 +379,7 @@ def _exact_restart_pair(problem, method: str, x0: float, h: float,
         z1, z2 = wkb_step_pair(zn, x0 + h, problem, provider)
         return (from_Z(problem, provider, z1), from_Z(problem, provider, z2))
     if method == TAG_RKWKB:
-        return (rkwkb_step(problem, provider, y_start, h, order=2),
-                rkwkb_step(problem, provider, y_start, h, order=3))
+        return rkwkb_step(problem, provider, y_start, h)
     pair = rkf45_step(problem, y_start, h)
     return pair.y4, pair.y5
 

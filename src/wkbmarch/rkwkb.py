@@ -7,7 +7,9 @@ the extra real factor exp(eps^2 phi3) with phi3 = b / (2 sqrt(a)), obtained
 from the next power of the eikonal recursion (any additive constant in phi3
 is absorbed by the fitted coefficients). Whatever the basis order, the
 procedure is first order in the step size; its error estimate therefore
-differences two basis orders rather than two h-orders.
+differences two basis orders rather than two h-orders. Both orders are
+built from the same jets of a, sqrt(a) and b, so `wkb_basis` returns the
+two bases at a point and `rkwkb_step` the two steps (order 2, order 3).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 from .phase import PhaseProvider
 from .state import WaveState, WKBInadmissibleError
-from .wkb_core import b_jet, eval_b, jet_div, jet_sqrt, _a_jet
+from .wkb_core import b_jet, jet_div
 
 # Below this magnitude the 2x2 fit denominators count as degenerate and the
 # step is rejected rather than evaluated.
@@ -37,28 +39,16 @@ class WKBBasis:
     d2f_minus: complex
 
 
-def phi3(problem, x: float) -> float:
-    """Third-order phase correction b / (2 sqrt(a)) (real either branch)."""
-    a = problem.field(x)
-    if a < problem.tau_guard:
-        raise WKBInadmissibleError(f"a({x}) = {a} below tau guard")
-    return eval_b(problem, x) / (2.0 * math.sqrt(a))
-
-
-def wkb_basis(problem, provider: PhaseProvider, order: int,
-              x: float) -> WKBBasis:
-    """Basis pair and derivatives at x for WKB order 2 or 3.
+def wkb_basis(problem, provider: PhaseProvider,
+              x: float) -> tuple[WKBBasis, WKBBasis]:
+    """Basis pairs and derivatives at x for WKB orders 2 and 3.
 
     Derivatives are produced analytically: with f = exp(L),
     f' = L' f and f'' = (L'^2 + L'') f, where L collects the amplitude
     log, the oscillatory phase and (order 3) the eps^2 phi3 correction.
     """
-    if order not in (2, 3):
-        raise ValueError("basis order must be 2 or 3")
     eps = problem.epsilon
-    a = _a_jet(problem, x)
-    s = jet_sqrt(a)            # sqrt(a), valid to order 5
-    bj = b_jet(problem, x)     # valid to order 3
+    a, s, bj = b_jet(problem, x)  # b valid to order 3, sqrt(a) to order 5
     # Amplitude log: -(1/4) log a; only its derivatives are needed.
     a1 = a[1]
     a2 = 2.0 * a[2]
@@ -70,30 +60,28 @@ def wkb_basis(problem, provider: PhaseProvider, order: int,
     ph2 = s[1] - eps2 * bj[1]  # jet index 1 holds the first derivative
     amp = a[0] ** -0.25
     osc = provider.exponential(x, 1)
-    if order == 2:
-        corr = 1.0
-        c1 = 0.0
-        c2 = 0.0
-    else:
-        p3 = jet_div(bj, 2.0 * s)  # phi3 jet, valid to order 3
-        corr = math.exp(eps2 * p3[0])
-        c1 = eps2 * p3[1]
-        c2 = eps2 * 2.0 * p3[2]
-    f_plus = amp * corr * osc
-    f_minus = amp * corr / osc
-    lp_plus = amp1 + c1 + 1j * ph1 / eps
-    lp_minus = amp1 + c1 - 1j * ph1 / eps
-    lpp_plus = amp2 + c2 + 1j * ph2 / eps
-    lpp_minus = amp2 + c2 - 1j * ph2 / eps
-    return WKBBasis(
-        order=order,
-        f_plus=f_plus,
-        f_minus=f_minus,
-        df_plus=lp_plus * f_plus,
-        df_minus=lp_minus * f_minus,
-        d2f_plus=(lp_plus * lp_plus + lpp_plus) * f_plus,
-        d2f_minus=(lp_minus * lp_minus + lpp_minus) * f_minus,
-    )
+
+    def basis(order, corr, c1, c2):
+        f_plus = amp * corr * osc
+        f_minus = amp * corr / osc
+        lp_plus = amp1 + c1 + 1j * ph1 / eps
+        lp_minus = amp1 + c1 - 1j * ph1 / eps
+        lpp_plus = amp2 + c2 + 1j * ph2 / eps
+        lpp_minus = amp2 + c2 - 1j * ph2 / eps
+        return WKBBasis(
+            order=order,
+            f_plus=f_plus,
+            f_minus=f_minus,
+            df_plus=lp_plus * f_plus,
+            df_minus=lp_minus * f_minus,
+            d2f_plus=(lp_plus * lp_plus + lpp_plus) * f_plus,
+            d2f_minus=(lp_minus * lp_minus + lpp_minus) * f_minus,
+        )
+
+    p3 = jet_div(bj, 2.0 * s)  # phi3 jet, valid to order 3
+    return (basis(2, 1.0, 0.0, 0.0),
+            basis(3, math.exp(eps2 * p3[0]), eps2 * p3[1],
+                  eps2 * 2.0 * p3[2]))
 
 
 def _fit_pair(v0: complex, v1: complex, b0: WKBBasis, use_derivs: bool):
@@ -114,21 +102,25 @@ def _fit_pair(v0: complex, v1: complex, b0: WKBBasis, use_derivs: bool):
     return coef_plus, coef_minus
 
 
-def rkwkb_step(problem, provider: PhaseProvider, state: WaveState, h: float,
-               order: int = 3) -> WaveState:
-    """One basis-fit step of size h from `state` at the given WKB order.
+def rkwkb_step(problem, provider: PhaseProvider, state: WaveState,
+               h: float) -> tuple[WaveState, WaveState]:
+    """One basis-fit step of size h from `state` with each basis order.
 
-    phi'' at the start is taken from the differential equation itself.
+    Returns (order-2 result, order-3 result). phi'' at the start is taken
+    from the differential equation itself.
     """
     if h <= 0.0:
         raise ValueError("step size must be positive")
     x0 = state.x
     x1 = x0 + h
-    basis0 = wkb_basis(problem, provider, order, x0)
-    basis1 = wkb_basis(problem, provider, order, x1)
+    bases0 = wkb_basis(problem, provider, x0)
+    bases1 = wkb_basis(problem, provider, x1)
     ddphi = -problem.field(x0) * state.phi / problem.epsilon ** 2
-    gamma_p, gamma_m = _fit_pair(state.phi, state.dphi, basis0, False)
-    delta_p, delta_m = _fit_pair(state.dphi, ddphi, basis0, True)
-    phi_next = gamma_p * basis1.f_plus + gamma_m * basis1.f_minus
-    dphi_next = delta_p * basis1.df_plus + delta_m * basis1.df_minus
-    return WaveState(x1, complex(phi_next), complex(dphi_next))
+    out = []
+    for basis0, basis1 in zip(bases0, bases1):
+        gamma_p, gamma_m = _fit_pair(state.phi, state.dphi, basis0, False)
+        delta_p, delta_m = _fit_pair(state.dphi, ddphi, basis0, True)
+        phi_next = gamma_p * basis1.f_plus + gamma_m * basis1.f_minus
+        dphi_next = delta_p * basis1.df_plus + delta_m * basis1.df_minus
+        out.append(WaveState(x1, complex(phi_next), complex(dphi_next)))
+    return out[0], out[1]

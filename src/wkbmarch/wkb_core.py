@@ -36,10 +36,6 @@ SQRT2 = math.sqrt(2.0)
 # Entries beyond each quantity's valid order are carried but never read.
 # ---------------------------------------------------------------------------
 
-def jet_from_tower(derivs) -> np.ndarray:
-    return np.asarray(derivs, dtype=float) / _FACTORIALS
-
-
 def jet_mul(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     out = np.zeros(6)
     for k in range(6):
@@ -72,8 +68,9 @@ def jet_deriv(u: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BkTable:
-    """Values b_0(x)..b_3(x) entering the marching matrices."""
+    """Values b(x) and b_0(x)..b_3(x) entering the marching matrices."""
 
+    b: float
     b0: float
     b1: float
     b2: float
@@ -90,20 +87,16 @@ class ZState:
     phase_at_x: float
 
 
-def _a_jet(problem, x: float) -> np.ndarray:
-    jet = jet_from_tower(problem.field.jet(x))
-    if jet[0] < problem.tau_guard:
-        raise WKBInadmissibleError(f"a({x}) = {jet[0]} below tau guard")
-    return jet
+def b_jet(problem, x: float):
+    """The jets (a, sqrt(a), b) at x: one jet pass per point.
 
-
-def b_jet(problem, x: float) -> np.ndarray:
-    """Taylor jet of b(x) = -(a^(-1/4))'' / (2 a^(1/4)), valid to order 3.
-
-    Expanded through the chain rule as
-    b = -(5/32) a'^2 a^(-5/2) + (1/8) a'' a^(-3/2).
+    b(x) = -(a^(-1/4))'' / (2 a^(1/4)) is expanded through the chain rule as
+    b = -(5/32) a'^2 a^(-5/2) + (1/8) a'' a^(-3/2); its jet is valid to
+    order 3, those of a and sqrt(a) to order 5.
     """
-    a = _a_jet(problem, x)
+    a = np.asarray(problem.field.jet(x), dtype=float) / _FACTORIALS
+    if a[0] < problem.tau_guard:
+        raise WKBInadmissibleError(f"a({x}) = {a[0]} below tau guard")
     a1 = jet_deriv(a)
     a2 = jet_deriv(a1)
     s = jet_sqrt(a)
@@ -111,41 +104,28 @@ def b_jet(problem, x: float) -> np.ndarray:
     a2_s = jet_mul(jet_mul(a, a), s)  # a^(5/2)
     term1 = jet_div(jet_mul(a1, a1), a2_s)
     term2 = jet_div(a2, a_s)
-    return -(5.0 / 32.0) * term1 + 0.125 * term2
+    return a, s, -(5.0 / 32.0) * term1 + 0.125 * term2
 
 
-def eval_b(problem, x: float) -> float:
-    """Second-order correction density b(x)."""
-    return float(b_jet(problem, x)[0])
-
-
-def _phase_deriv_jet(problem, x: float, epsilon: float):
-    """Jets of sqrt(a) and of the phase derivative sqrt(a) - eps^2 b."""
-    a = _a_jet(problem, x)
-    s = jet_sqrt(a)
-    bj = b_jet(problem, x)
-    phase = s - epsilon * epsilon * bj
-    if phase[0] < PHASE_DERIV_GUARD * s[0]:
-        raise WKBInadmissibleError(
-            f"phase derivative {phase[0]} degenerate at x={x}")
-    return a, s, bj, phase
-
-
-def eval_bk(problem, x: float, epsilon: float | None = None) -> BkTable:
-    """The derived coefficients b_0..b_3 at x.
+def eval_bk(problem, x: float) -> BkTable:
+    """b and the derived coefficients b_0..b_3 at x.
 
     b_0 = b / (2 (sqrt(a) - eps^2 b)), and each next b_{k+1} is the
     derivative of b_k over twice the phase derivative, expanded analytically
     over the derivative tower of a (which is why the tower reaches a^(5)).
     """
-    eps = problem.epsilon if epsilon is None else epsilon
-    _, _, bj, phase = _phase_deriv_jet(problem, x, eps)
+    eps = problem.epsilon
+    _, s, bj = b_jet(problem, x)
+    phase = s - eps * eps * bj
+    if phase[0] < PHASE_DERIV_GUARD * s[0]:
+        raise WKBInadmissibleError(
+            f"phase derivative {phase[0]} degenerate at x={x}")
     two_phase = 2.0 * phase
     b0 = jet_div(bj, two_phase)
     b1 = jet_div(jet_deriv(b0), two_phase)
     b2 = jet_div(jet_deriv(b1), two_phase)
     b3 = jet_div(jet_deriv(b2), two_phase)
-    return BkTable(b0=float(b0[0]), b1=float(b1[0]),
+    return BkTable(b=float(bj[0]), b0=float(b0[0]), b1=float(b1[0]),
                    b2=float(b2[0]), b3=float(b3[0]))
 
 
@@ -238,8 +218,6 @@ def assemble_step_matrices(problem, provider: PhaseProvider, x0: float,
     controller turns that into a rejected trial.
     """
     eps = problem.epsilon
-    b_val0 = eval_b(problem, x0)
-    b_val1 = eval_b(problem, x1)
     t0 = eval_bk(problem, x0)
     t1 = eval_bk(problem, x1)
     s = provider.increment(x0, x1)
@@ -280,7 +258,7 @@ def assemble_step_matrices(problem, provider: PhaseProvider, x0: float,
          0.0],
     ], dtype=complex)
 
-    trap = 0.5 * (b_val1 * t1.b0 + b_val0 * t0.b0)
+    trap = 0.5 * (t1.b * t1.b0 + t0.b * t0.b0)
     d_top = (-1j * eps3 * (x1 - x0) * trap
              - eps4 * t0.b0 * t1.b0 * h1m
              + eps5 * t1.b1 * (t0.b0 - t1.b0) * h2m)
@@ -305,12 +283,3 @@ def wkb_step_pair(zn: ZState, x1: float, problem,
     z_second = zn.z + (a1mod + a2) @ zn.z
     return (ZState(x=x1, z=z_first, phase_at_x=phase1),
             ZState(x=x1, z=z_second, phase_at_x=phase1))
-
-
-def wkb_step(order: int, zn: ZState, x1: float, problem,
-             provider: PhaseProvider) -> ZState:
-    """One marching step of the requested h-order (1 or 2)."""
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
-    first, second = wkb_step_pair(zn, x1, problem, provider)
-    return first if order == 1 else second

@@ -15,7 +15,7 @@ from wkbmarch import (PhaseProvider, SolverConfig, airy_pair,
                       global_error, integrate, make_airy_problem,
                       make_polynomial_problem, march_fixed_grid,
                       estimator_h_sweep, estimator_study, taylor_continuation,
-                      to_U, to_Z, wkb_step)
+                      to_U, to_Z, wkb_step_pair)
 from wkbmarch.reference import airy_origin_values
 
 EPS_MACH = 2.220446049250313e-16
@@ -307,7 +307,7 @@ def test_criterion_10_transforms_and_gauge(airy1, airy_runs):
         z = to_Z(prov, to_U(p, p.initial), 1.0)
         out = []
         for x1 in xs[1:]:
-            z = wkb_step(2, z, float(x1), p, prov)
+            z = wkb_step_pair(z, float(x1), p, prov)[1]
             out.append(from_Z(p, prov, z))
             prov.advance(float(x1))
         return out

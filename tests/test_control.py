@@ -10,7 +10,7 @@ from wkbmarch import (SolverConfig, SolverError, WaveState,
                       global_error, integrate, make_airy_problem,
                       make_polynomial_problem, march_fixed_grid,
                       proposal_factor, select_method)
-from wkbmarch.control import Candidate
+from wkbmarch.control import Candidate, _rejected, _score
 from wkbmarch.problem import CoefficientField, Problem
 
 
@@ -53,6 +53,32 @@ def test_proposal_factor_clamps():
     assert proposal_factor(0.0, 1.0, c, 1) == 2.0
     big = 1e6 * (c.atol + c.rtol * 1.0)
     assert proposal_factor(big, 1.0, c, 1) == 0.5
+
+
+def test_proposal_factor_rejects_nan():
+    with pytest.raises(ValueError):
+        proposal_factor(math.nan, 1.0, cfg(), 1)
+
+
+@pytest.mark.parametrize("bad", [complex(math.inf, 0.0),
+                                 complex(math.nan, 0.0),
+                                 complex(0.0, -math.inf)])
+@pytest.mark.parametrize("member", ["low", "high"])
+def test_non_finite_pair_scores_as_rejected(bad, member):
+    # A non-finite member is never accepted and never enlarges the step:
+    # it scores like an inadmissible candidate (rejected, theta 0.5).
+    good = WaveState(1.0, 0.3 + 0.4j, -1.0j)
+    broken = WaveState(1.0, bad, -1.0j)
+    y_low, y_high = (broken, good) if member == "low" else (good, broken)
+    cand = _score("M", y_low, y_high, cfg(), k=1)
+    assert cand == _rejected("M")
+    assert not cand.accepted and cand.theta == 0.5 and cand.state is None
+
+
+def test_overflowing_estimate_scores_as_rejected():
+    big = WaveState(1.0, 1.5e308 + 0j, 0j)
+    cand = _score("M", big, WaveState(1.0, -1.5e308 + 0j, 0j), cfg(), k=4)
+    assert cand == _rejected("M")
 
 
 def test_select_method_case_table():

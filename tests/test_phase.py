@@ -9,9 +9,9 @@ import scipy.integrate as si
 from hypothesis import given, settings, strategies as st
 
 from wkbmarch import (PhaseProvider, WaveState, WKBInadmissibleError,
-                      clenshaw_curtis, make_airy_problem, make_pcf_problem,
-                      make_polynomial_problem, phase_increment,
-                      reduced_exponential)
+                      clenshaw_curtis, eval_bk, make_airy_problem,
+                      make_pcf_problem, make_polynomial_problem)
+from wkbmarch.phase import _eval_b
 
 # Closed-form pieces for the linear benchmark, written out independently of
 # the package internals.
@@ -70,12 +70,12 @@ def test_cc_rejects_bad_input():
 
 def test_increment_empty_interval(airy1):
     prov = PhaseProvider(airy1, "exact")
-    assert phase_increment(prov, airy1, 0.7, 0.7) == 0.0
+    assert prov.increment(0.7, 0.7) == 0.0
 
 
 def test_airy_increment_closed_form(airy1):
     prov = PhaseProvider(airy1, "exact")
-    s = phase_increment(prov, airy1, 0.1, 1.0)
+    s = prov.increment(0.1, 1.0)
     # Independent oracle: adaptive quadrature of the integrand.
     oracle, _ = si.quad(airy_integrand, 0.1, 1.0, epsabs=1e-13, epsrel=1e-13)
     assert s == pytest.approx(oracle, rel=1e-12)
@@ -116,6 +116,18 @@ def test_guard_violation_signals_inadmissible():
         prov.increment(-0.5, 0.5)
 
 
+def test_integrand_b_matches_jet_pass():
+    # The cc integrand's closed-form b agrees with the jet pass.
+    quartic = make_polynomial_problem([2.0, -1.0, 0.5, 0.3, -0.05], 0.1,
+                                      (0.0, 3.0))
+    cases = ((make_airy_problem(1.0), (0.1, 1.0, 7.5, 49.0)),
+             (make_pcf_problem(2.0 ** -6), (0.01, 0.5, 1.0, 1.99)),
+             (quartic, (0.0, 0.8, 1.7, 2.9)))
+    for p, xs in cases:
+        for x in xs:
+            assert _eval_b(p, x) == pytest.approx(eval_bk(p, x).b, rel=1e-14)
+
+
 def test_exact_mode_requires_antiderivative():
     p = make_polynomial_problem([1.0], 1.0, (0.0, 1.0))
     with pytest.raises(ValueError):
@@ -149,18 +161,18 @@ def test_additivity_quadrature_polynomial():
 
 def test_reduced_exponential_reference_point(airy1):
     prov = PhaseProvider(airy1, "exact")
-    assert reduced_exponential(prov, 0.1) == pytest.approx(1.0 + 0.0j, abs=1e-15)
+    assert prov.exponential(0.1) == pytest.approx(1.0 + 0.0j, abs=1e-15)
 
 
 def test_reduced_exponential_unit_modulus(airy1):
     prov = PhaseProvider(airy1, "exact")
     for x in (0.5, 5.0, 49.0):
-        assert abs(abs(reduced_exponential(prov, x)) - 1.0) < 1e-15
+        assert abs(abs(prov.exponential(x)) - 1.0) < 1e-15
 
 
 def test_reduced_exponential_argument(airy1):
     prov = PhaseProvider(airy1, "exact")
-    arg = cmath.phase(reduced_exponential(prov, 1.0))
+    arg = cmath.phase(prov.exponential(1.0))
     expect = AIRY_S_01_TO_1
     expect -= 2.0 * math.pi * round(expect / (2.0 * math.pi))
     assert arg == pytest.approx(expect, abs=1e-12)
@@ -171,7 +183,7 @@ def test_rebase_resets_gauge(airy1):
     prov.advance(5.0)
     prov.rebase(5.0)
     assert prov.accumulated == 0.0
-    assert reduced_exponential(prov, 5.0) == 1.0 + 0.0j
+    assert prov.exponential(5.0) == 1.0 + 0.0j
 
 
 def test_pcf_provider_modes_agree():

@@ -64,9 +64,9 @@ def test_poly_reproduces_benchmarks():
 
 
 def test_constant_field_b_vanishes():
-    from wkbmarch import eval_b
+    from wkbmarch import eval_bk
     p = make_polynomial_problem([1.0], 1.0, (0.0, 1.0))
-    assert eval_b(p, 0.5) == 0.0
+    assert eval_bk(p, 0.5).b == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +87,7 @@ def test_airy_initial_data_at_origin():
 
 def test_airy_b_at_one():
     # Independent oracle: Richardson finite differences of a^(-1/4).
-    from wkbmarch import eval_b
+    from wkbmarch import eval_bk
     p = make_airy_problem(1.0)
 
     def quarter(x):
@@ -96,7 +96,7 @@ def test_airy_b_at_one():
     second = fd_derivative(lambda x: fd_derivative(quarter, x, 1e-3), 1.0, 1e-3)
     oracle = -second / (2.0 * 1.0 ** 0.25)
     assert oracle == pytest.approx(-0.15625, rel=1e-6)
-    assert eval_b(p, 1.0) == pytest.approx(-5.0 / 32.0, rel=1e-12)
+    assert eval_bk(p, 1.0).b == pytest.approx(-5.0 / 32.0, rel=1e-12)
 
 
 def test_airy_phase_antiderivative_consistency():
@@ -140,7 +140,7 @@ def test_pcf_parameter_values():
 
 
 def test_pcf_b_at_center():
-    from wkbmarch import eval_b
+    from wkbmarch import eval_bk
     p = make_pcf_problem(2.0 ** -6)
 
     def quarter(x):
@@ -149,7 +149,7 @@ def test_pcf_b_at_center():
     second = fd_derivative(lambda x: fd_derivative(quarter, x, 1e-3), 1.0, 1e-3)
     oracle = -second / (2.0 * 0.5 ** 0.25)
     assert oracle == pytest.approx(-math.sqrt(2.0) / 4.0, rel=1e-6)
-    assert eval_b(p, 1.0) == pytest.approx(-math.sqrt(2.0) / 4.0, rel=1e-12)
+    assert eval_bk(p, 1.0).b == pytest.approx(-math.sqrt(2.0) / 4.0, rel=1e-12)
 
 
 def test_pcf_phase_antiderivative_consistency():

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from wkbmarch import (PhaseProvider, WaveState, make_airy_problem,
+from wkbmarch import (PhaseProvider, WaveState, eval_bk, make_airy_problem,
                       make_polynomial_problem, rkwkb_step, wkb_basis)
-from wkbmarch.rkwkb import _fit_pair, phi3
+from wkbmarch.rkwkb import _fit_pair
 
 
 def reference_flow(problem, state, x1):
@@ -32,14 +32,17 @@ def reference_flow(problem, state, x1):
 # ---------------------------------------------------------------------------
 
 def test_phi3_airy_value(airy1):
-    # Eikonal chain: phi3 = b/(2 sqrt(a)) = -5/(64 x^3) on a(x) = x.
-    assert phi3(airy1, 2.0) == pytest.approx(-5.0 / 512.0, rel=1e-13)
+    # Eikonal chain: phi3 = b/(2 sqrt(a)) = -5/(64 x^3) on a(x) = x; the
+    # order-3 basis is the order-2 basis times exp(eps^2 phi3).
+    prov = PhaseProvider(airy1, "exact", x_ref=2.0)
+    b2, b3 = wkb_basis(airy1, prov, 2.0)
+    phi3 = math.log(abs(b3.f_plus) / abs(b2.f_plus)) / airy1.epsilon ** 2
+    assert phi3 == pytest.approx(-5.0 / 512.0, rel=1e-13)
 
 
 def test_basis_conjugate_symmetry(airy1):
     prov = PhaseProvider(airy1, "exact", x_ref=5.0)
-    for order in (2, 3):
-        b = wkb_basis(airy1, prov, order, 5.0)
+    for b in wkb_basis(airy1, prov, 5.0):
         assert b.f_minus == b.f_plus.conjugate()
         assert b.df_minus == b.df_plus.conjugate()
         assert b.d2f_minus == b.d2f_plus.conjugate()
@@ -50,9 +53,9 @@ def test_basis_constant_coefficient_proportionality():
     # exp(eps^2 phi3), and both satisfy the equation exactly.
     p = make_polynomial_problem([4.0], 1.0, (0.0, 10.0))
     prov = PhaseProvider(p, "cc")
-    b2 = wkb_basis(p, prov, 2, 1.0)
-    b3 = wkb_basis(p, prov, 3, 1.0)
-    factor = math.exp(phi3(p, 1.0))
+    b2, b3 = wkb_basis(p, prov, 1.0)
+    assert (b2.order, b3.order) == (2, 3)
+    factor = math.exp(eval_bk(p, 1.0).b / (2.0 * math.sqrt(4.0)))
     assert b3.f_plus == pytest.approx(factor * b2.f_plus, rel=1e-14)
     for b in (b2, b3):
         residual = abs(b.d2f_plus + 4.0 * b.f_plus)
@@ -63,13 +66,12 @@ def test_basis_residual_epsilon_orders():
     """ODE residual decays one eps power faster for the order-3 basis."""
     res = {2: [], 3: []}
     eps_list = (1e-1, 1e-2, 1e-3)
-    for order in (2, 3):
-        for eps in eps_list:
-            p = make_airy_problem(eps)
-            prov = PhaseProvider(p, "exact", x_ref=10.0)
-            b = wkb_basis(p, prov, order, 10.0)
+    for eps in eps_list:
+        p = make_airy_problem(eps)
+        prov = PhaseProvider(p, "exact", x_ref=10.0)
+        for b in wkb_basis(p, prov, 10.0):
             r = abs(eps ** 2 * b.d2f_plus + 10.0 * b.f_plus) / (10.0 * abs(b.f_plus))
-            res[order].append(r)
+            res[b.order].append(r)
     slope2 = math.log10(res[2][0] / res[2][1])
     slope3 = math.log10(res[3][0] / res[3][1])
     assert slope2 == pytest.approx(3.0, abs=0.3)
@@ -78,12 +80,6 @@ def test_basis_residual_epsilon_orders():
     # rounding floor, so compare where both are clean).
     assert res[3][0] < 0.05 * res[2][0]
     assert res[3][1] < 0.05 * res[2][1]
-
-
-def test_basis_order_validation(airy1):
-    prov = PhaseProvider(airy1, "exact")
-    with pytest.raises(ValueError):
-        wkb_basis(airy1, prov, 4, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -95,8 +91,7 @@ def test_exact_on_ansatz_span():
     p = make_polynomial_problem([4.0], 1.0, (0.0, 30.0),
                                 initial=WaveState(0.0, 1.0 + 0.0j, 2.0j))
     prov = PhaseProvider(p, "cc")
-    for order in (2, 3):
-        out = rkwkb_step(p, prov, p.initial, 7.3, order)
+    for out in rkwkb_step(p, prov, p.initial, 7.3):
         exact = cmath.exp(2j * 7.3)
         assert abs(out.phi - exact) < 5e-15
         assert abs(out.dphi - 2j * exact) < 1e-14
@@ -106,7 +101,7 @@ def test_interpolation_property(airy1):
     # gamma+ f+ + gamma- f- reproduces phi at the step start.
     prov = PhaseProvider(airy1, "exact", x_ref=5.0)
     st = airy1.exact(5.0)
-    basis = wkb_basis(airy1, prov, 3, 5.0)
+    _, basis = wkb_basis(airy1, prov, 5.0)
     gp, gm = _fit_pair(st.phi, st.dphi, basis, False)
     recon = gp * basis.f_plus + gm * basis.f_minus
     assert abs(recon - st.phi) / abs(st.phi) < 1e-12
@@ -118,7 +113,7 @@ def test_one_step_local_error_order(airy1):
     prov = PhaseProvider(airy1, "exact", x_ref=10.0)
     errs = []
     for h in (0.5, 0.25, 0.125):
-        out = rkwkb_step(airy1, prov, st, h, 3)
+        _, out = rkwkb_step(airy1, prov, st, h)
         ref = reference_flow(airy1, st, 10.0 + h)
         errs.append(max(abs(out.phi - ref[0]), abs(out.dphi - ref[1])))
     assert errs[0] / errs[1] > 2.8
@@ -133,7 +128,7 @@ def test_consistency_expansion(airy1):
     rem_phi, rem_dphi = [], []
     ddphi = -10.0 * st.phi
     for h in hs:
-        out = rkwkb_step(airy1, prov, st, h, 3)
+        _, out = rkwkb_step(airy1, prov, st, h)
         rem_phi.append(abs(out.phi - st.phi - h * st.dphi))
         rem_dphi.append(abs(out.dphi - st.dphi - h * ddphi))
     for rem in (rem_phi, rem_dphi):
@@ -149,8 +144,7 @@ def test_order_gap_shrinks_with_epsilon():
         p = make_airy_problem(eps)
         prov = PhaseProvider(p, "exact", x_ref=10.0)
         st = p.exact(10.0)
-        o2 = rkwkb_step(p, prov, st, 0.25, 2)
-        o3 = rkwkb_step(p, prov, st, 0.25, 3)
+        o2, o3 = rkwkb_step(p, prov, st, 0.25)
         scale = max(abs(o3.phi), abs(o3.dphi))
         diffs.append(max(abs(o2.phi - o3.phi), abs(o2.dphi - o3.dphi)) / scale)
     assert diffs[0] > diffs[1] > diffs[2]
@@ -159,4 +153,4 @@ def test_order_gap_shrinks_with_epsilon():
 def test_step_guards(airy1):
     prov = PhaseProvider(airy1, "exact")
     with pytest.raises(ValueError):
-        rkwkb_step(airy1, prov, airy1.exact(1.0), -0.5, 3)
+        rkwkb_step(airy1, prov, airy1.exact(1.0), -0.5)

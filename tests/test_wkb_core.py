@@ -13,11 +13,11 @@ import sympy
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
-from wkbmarch import (PhaseProvider, WaveState, WKBInadmissibleError, eval_b,
+from wkbmarch import (PhaseProvider, WaveState, WKBInadmissibleError,
                       eval_bk, from_U, from_Z, make_airy_problem,
                       make_pcf_problem, make_polynomial_problem, osc_kernels,
-                      to_U, to_Z, wkb_step, wkb_step_pair)
-from wkbmarch.wkb_core import assemble_step_matrices
+                      to_U, to_Z, wkb_step_pair)
+from wkbmarch.wkb_core import assemble_step_matrices, b_jet
 
 finite_complex = st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3,
                                     allow_nan=False, allow_infinity=False)
@@ -49,23 +49,33 @@ def sympy_bk_tables(a_expr, x0, eps_val):
 # ---------------------------------------------------------------------------
 
 def test_b_airy_values(airy1):
-    assert eval_b(airy1, 1.0) == pytest.approx(-0.15625, rel=1e-14)
-    assert eval_b(airy1, 4.0) == pytest.approx(-5.0 / 1024.0, rel=1e-14)
+    assert eval_bk(airy1, 1.0).b == pytest.approx(-0.15625, rel=1e-14)
+    assert eval_bk(airy1, 4.0).b == pytest.approx(-5.0 / 1024.0, rel=1e-14)
 
 
 def test_b_pcf_center(pcf6):
-    assert eval_b(pcf6, 1.0) == pytest.approx(-math.sqrt(2.0) / 4.0, rel=1e-14)
+    assert eval_bk(pcf6, 1.0).b == pytest.approx(-math.sqrt(2.0) / 4.0, rel=1e-14)
+
+
+def test_b_jet_carries_a_and_sqrt_a(pcf6):
+    # One jet pass per point: the a- and sqrt(a)-jets come with the b-jet.
+    a, s, bj = b_jet(pcf6, 0.7)
+    assert a[0] == pcf6.field(0.7) and a[1] == pcf6.a(0.7, 1)
+    assert a[2] == 0.5 * pcf6.a(0.7, 2)
+    assert s[0] == pytest.approx(math.sqrt(a[0]), rel=1e-15)
+    assert np.allclose(np.convolve(s, s)[:6], a, rtol=1e-14, atol=1e-15)
+    assert bj[0] == eval_bk(pcf6, 0.7).b
 
 
 def test_b_constant_zero():
     p = make_polynomial_problem([7.0], 1.0, (0.0, 1.0))
-    assert eval_b(p, 0.3) == 0.0
+    assert eval_bk(p, 0.3).b == 0.0
 
 
 def test_bk_constant_zero():
     p = make_polynomial_problem([7.0], 1.0, (0.0, 1.0))
     t = eval_bk(p, 0.3)
-    assert (t.b0, t.b1, t.b2, t.b3) == (0.0, 0.0, 0.0, 0.0)
+    assert (t.b, t.b0, t.b1, t.b2, t.b3) == (0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 def test_bk_airy_b0_value(airy1):
@@ -82,7 +92,7 @@ def test_bk_small_eps_limit():
 def test_bk_airy_vs_sympy(airy1, x0):
     oracle = sympy_bk_tables(lambda x: x, x0, 1.0)
     t = eval_bk(airy1, x0)
-    assert eval_b(airy1, x0) == pytest.approx(oracle[0], rel=1e-12)
+    assert t.b == pytest.approx(oracle[0], rel=1e-12)
     for got, want in zip((t.b0, t.b1, t.b2, t.b3), oracle[1:]):
         assert got == pytest.approx(want, rel=1e-11, abs=1e-18)
 
@@ -91,14 +101,16 @@ def test_bk_airy_vs_sympy(airy1, x0):
 def test_bk_pcf_vs_sympy(pcf6, x0):
     oracle = sympy_bk_tables(lambda x: -x ** 2 / 2 + x, x0, 2.0 ** -6)
     t = eval_bk(pcf6, x0)
-    assert eval_b(pcf6, x0) == pytest.approx(oracle[0], rel=1e-12)
+    assert t.b == pytest.approx(oracle[0], rel=1e-12)
     for got, want in zip((t.b0, t.b1, t.b2, t.b3), oracle[1:]):
         assert got == pytest.approx(want, rel=1e-11, abs=1e-18)
 
 
 def test_guards_raise_inadmissible(airy1):
     with pytest.raises(WKBInadmissibleError):
-        eval_b(airy1, -1.0)
+        b_jet(airy1, -1.0)
+    with pytest.raises(WKBInadmissibleError):
+        eval_bk(airy1, -1.0)
     with pytest.raises(WKBInadmissibleError):
         eval_bk(airy1, 0.0)
 
@@ -258,16 +270,6 @@ def test_one_step_defect_orders(airy1):
         assert coarse / fine >= 7.0
 
 
-def test_wkb_step_selects_order(airy1):
-    prov = PhaseProvider(airy1, "exact", x_ref=2.0)
-    z0 = to_Z(prov, to_U(airy1, airy1.exact(2.0)), 2.0)
-    first, second = wkb_step_pair(z0, 2.5, airy1, prov)
-    assert np.allclose(wkb_step(1, z0, 2.5, airy1, prov).z, first.z)
-    assert np.allclose(wkb_step(2, z0, 2.5, airy1, prov).z, second.z)
-    with pytest.raises(ValueError):
-        wkb_step(3, z0, 2.5, airy1, prov)
-
-
 def march(problem, x_ref, xs, order=2):
     prov = PhaseProvider(problem, "exact", x_ref=x_ref)
     if x_ref != xs[0]:
@@ -275,7 +277,7 @@ def march(problem, x_ref, xs, order=2):
     z = to_Z(prov, to_U(problem, problem.exact(xs[0])), xs[0])
     out = []
     for x1 in xs[1:]:
-        z = wkb_step(order, z, float(x1), problem, prov)
+        z = wkb_step_pair(z, float(x1), problem, prov)[order - 1]
         out.append(from_Z(problem, prov, z))
         prov.advance(float(x1))
     return out
