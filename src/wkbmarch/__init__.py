@@ -20,7 +20,7 @@ from .reference import (AiryQuad, airy_asymptotic, airy_pair,
                         asymptotic_coeffs, exact_solution, gamma_fn,
                         global_error, pcf_U, taylor_continuation,
                         transmission_map)
-from .rk45 import RKPair, rkf45_step
+from .rk45 import rkf45_step
 from .rkwkb import WKBBasis, rkwkb_step, wkb_basis
 from .state import ContinuationError, SolverError, WaveState, \
     WKBInadmissibleError
@@ -31,7 +31,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AiryQuad", "BkTable", "CoefficientField", "ContinuationError",
-    "PhaseProvider", "Problem", "RKPair", "SolverConfig", "SolverError",
+    "PhaseProvider", "Problem", "SolverConfig", "SolverError",
     "StepRecord", "Trajectory", "WKBBasis", "WKBInadmissibleError",
     "WaveState", "ZState", "airy_asymptotic", "airy_pair",
     "asymptotic_coeffs", "clenshaw_curtis", "estimate_error",

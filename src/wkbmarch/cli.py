@@ -17,7 +17,8 @@ import time
 from pathlib import Path
 
 from . import reference
-from .control import SolverConfig, estimator_h_sweep, estimator_study, integrate
+from .control import (ETA, SolverConfig, estimator_h_sweep, estimator_study,
+                      integrate)
 from .problem import make_airy_problem, make_pcf_problem, \
     make_polynomial_problem, problem_from_json
 from .state import SolverError
@@ -105,7 +106,7 @@ def _config_manifest(config: SolverConfig) -> dict:
         "tol": config.tol,
         "h0": config.h0,
         "method": config.method,
-        "eta": config.eta,
+        "eta": ETA,
         "phase": config.phase,
         "cc_nodes": config.cc_nodes,
     }

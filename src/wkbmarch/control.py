@@ -1,21 +1,23 @@
 """Adaptive step-size control, method switching, and the marching driver.
 
-Each trial step evaluates an embedded pair per active method: the transform
-marching orders one and two (h-orders, exponent k = 1), the basis-fit
-procedure at WKB orders two and three (also k = 1), or Fehlberg 4(5)
-(k = 4). A step is accepted when the pair difference stays below the
-blended tolerance ATol + RTol * ||Y||_inf with ATol = eta * Tol and
-RTol = Tol (error per step). The proposal factor
+Each trial step evaluates one embedded pair (low, high) per candidate of
+the method (`CANDIDATES`): the transform marching orders one and two
+(h-orders, exponent k = 1), the basis-fit procedure at WKB orders two and
+three (also k = 1), or Fehlberg 4(5) (k = 4). Every pair is scored by one
+rule: a step is accepted when the pair difference stays below the blended
+tolerance ATol + RTol * ||Y||_inf with ATol = ETA * Tol and RTol = Tol
+(error per step). The proposal factor
 
-    theta = clamp(0.5, 2, 0.9 * (tolerance / est)^(1/(k+1)))
+    theta = clamp(THETA_MIN, THETA_MAX, SAFETY * (tolerance / est)^(1/(k+1)))
 
 both resizes the step and arbitrates between methods: among accepted
 candidates the larger theta wins; if none is accepted the trial is redone
-with the shrunken step. A candidate whose transforms are inadmissible
-(turning-point guards) scores as rejected with theta 0.5, which is what
-pushes the march onto the Runge-Kutta branch near turning points. A pair
-with a non-finite member or estimate scores the same way, so a NaN or Inf
-is never accepted and never enlarges the step.
+with the shrunken step, at most MAX_REJECTIONS times in a row. A candidate
+whose transforms are inadmissible (turning-point guards) scores as rejected
+with theta THETA_MIN, which is what pushes the march onto the Runge-Kutta
+branch near turning points. A pair with a non-finite member or estimate
+scores the same way, so a NaN or Inf is never accepted and never enlarges
+the step. The controller constants are the paper's fixed values.
 
 The "original" rival controller differs deliberately: relative tolerance
 only, switching by the smaller relative estimate, and no ratio clamps.
@@ -23,7 +25,6 @@ only, switching by the smaller relative estimate, and no ratio clamps.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -34,12 +35,28 @@ from .rkwkb import rkwkb_step
 from .state import SolverError, WaveState, WKBInadmissibleError
 from .wkb_core import from_Z, to_U, to_Z, wkb_step_pair
 
-METHODS = ("wkb+rkf45", "rkwkbmod", "rkwkb", "rkf45")
-
 # Tag strings recorded per accepted step.
 TAG_WKB = "WKB"
 TAG_RKWKB = "RKWKB"
 TAG_RKF45 = "RKF45"
+
+# Candidate tags of each method, in arbitration order.
+CANDIDATES = {
+    "wkb+rkf45": (TAG_WKB, TAG_RKF45),
+    "rkwkbmod": (TAG_RKWKB, TAG_RKF45),
+    "rkwkb": (TAG_RKWKB, TAG_RKF45),
+    "rkf45": (TAG_RKF45,),
+}
+METHODS = tuple(CANDIDATES)
+
+# Controller exponent k of each tag's pair of orders (k, k+1).
+ORDER_K = {TAG_WKB: 1, TAG_RKWKB: 1, TAG_RKF45: 4}
+
+ETA = 1e-2           # ATol = ETA * Tol
+THETA_MIN = 0.5      # proposal-factor clamps
+THETA_MAX = 2.0
+SAFETY = 0.9
+MAX_REJECTIONS = 25  # consecutive rejected trials before SolverError
 
 
 @dataclass
@@ -49,21 +66,12 @@ class SolverConfig:
     tol: float
     h0: float
     method: str = "wkb+rkf45"
-    eta: float = 1e-2
-    theta_min: float = 0.5
-    theta_max: float = 2.0
-    safety: float = 0.9
     phase: str = "auto"
     cc_nodes: int = 15
-    max_rejections: int = 25
 
     def __post_init__(self):
-        if self.tol <= 0.0 or self.eta <= 0.0 or self.h0 <= 0.0:
-            raise ValueError("tol, eta and h0 must be positive")
-        if not 0.0 < self.theta_min < 1.0 < self.theta_max:
-            raise ValueError("need 0 < theta_min < 1 < theta_max")
-        if not 0.0 < self.safety < 1.0:
-            raise ValueError("safety factor must sit in (0, 1)")
+        if self.tol <= 0.0 or self.h0 <= 0.0:
+            raise ValueError("tol and h0 must be positive")
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         if self.phase not in ("auto", "exact", "cc"):
@@ -77,11 +85,7 @@ class SolverConfig:
 
     @property
     def atol(self) -> float:
-        return self.eta * self.tol
-
-    @property
-    def rtol(self) -> float:
-        return self.tol
+        return ETA * self.tol
 
 
 @dataclass(frozen=True)
@@ -132,7 +136,11 @@ def estimate_error(y_low: WaveState, y_high: WaveState) -> float:
     """Local truncation estimate: sup norm of the pair difference."""
     if y_low.x != y_high.x:
         raise ValueError("estimator needs both results at the same point")
-    return max(abs(y_low.phi - y_high.phi), abs(y_low.dphi - y_high.dphi))
+    d_phi = abs(y_low.phi - y_high.phi)
+    d_dphi = abs(y_low.dphi - y_high.dphi)
+    if math.isnan(d_phi) or math.isnan(d_dphi):
+        return math.nan
+    return max(d_phi, d_dphi)
 
 
 def proposal_factor(est: float, y_norm: float, config: SolverConfig,
@@ -141,10 +149,10 @@ def proposal_factor(est: float, y_norm: float, config: SolverConfig,
     if not est >= 0.0:
         raise ValueError("estimate must be non-negative")
     if est == 0.0:
-        return config.theta_max
-    tol = config.atol + config.rtol * y_norm
-    theta = config.safety * (tol / est) ** (1.0 / (k + 1))
-    return max(config.theta_min, min(config.theta_max, theta))
+        return THETA_MAX
+    tol = config.atol + config.tol * y_norm
+    theta = SAFETY * (tol / est) ** (1.0 / (k + 1))
+    return max(THETA_MIN, min(THETA_MAX, theta))
 
 
 @dataclass(frozen=True)
@@ -180,51 +188,51 @@ def select_method(candidates) -> tuple[float, Optional[int]]:
 # Candidate evaluation
 # ---------------------------------------------------------------------------
 
-def _finite(y: WaveState) -> bool:
-    return cmath.isfinite(y.phi) and cmath.isfinite(y.dphi)
-
-
 def _score(method: str, y_low: WaveState, y_high: WaveState,
            config: SolverConfig, k: int) -> Candidate:
-    """Score a pair; a non-finite member or estimate scores as rejected."""
+    """Score a pair; a non-finite member or estimate scores as rejected.
+
+    A non-finite member always makes the estimate non-finite (Inf or NaN),
+    so checking the estimate covers both.
+    """
     est = estimate_error(y_low, y_high)
-    if not (math.isfinite(est) and _finite(y_low) and _finite(y_high)):
+    if not math.isfinite(est):
         return _rejected(method)
     y_norm = y_high.sup_norm()
-    accepted = est <= config.atol + config.rtol * y_norm
+    accepted = est <= config.atol + config.tol * y_norm
     theta = proposal_factor(est, y_norm, config, k)
     rel = est / y_norm if y_norm > 0.0 else math.inf
     return Candidate(method, accepted, theta, est, y_high, rel)
 
 
 def _rejected(method: str) -> Candidate:
-    return Candidate(method, False, 0.5, math.inf, None)
+    return Candidate(method, False, THETA_MIN, math.inf, None)
 
 
-def _wkb_candidate(problem, provider, zn, x1, config) -> Candidate:
+def _pair(tag: str, problem, provider, state: WaveState, h: float,
+          x1: float) -> tuple[WaveState, WaveState]:
+    """The (low, high) members of one method's embedded pair from `state`.
+
+    The transform scheme lands on x1, the other two on state.x + h.
+    """
+    if tag == TAG_WKB:
+        zn = to_Z(provider, to_U(problem, state), state.x)
+        z_low, z_high = wkb_step_pair(zn, x1, problem, provider)
+        return (from_Z(problem, provider, z_low),
+                from_Z(problem, provider, z_high))
+    if tag == TAG_RKWKB:
+        return rkwkb_step(problem, provider, state, h)
+    return rkf45_step(problem, state, h)
+
+
+def _candidate(tag: str, problem, provider, state: WaveState, h: float,
+               x1: float, config: SolverConfig) -> Candidate:
+    """Score one method's pair; an inadmissible or failed step is rejected."""
     try:
-        z1, z2 = wkb_step_pair(zn, x1, problem, provider)
-        y_low = from_Z(problem, provider, z1)
-        y_high = from_Z(problem, provider, z2)
-    except WKBInadmissibleError:
-        return _rejected(TAG_WKB)
-    return _score(TAG_WKB, y_low, y_high, config, k=1)
-
-
-def _rkwkb_candidate(problem, provider, state, h, config) -> Candidate:
-    try:
-        y_low, y_high = rkwkb_step(problem, provider, state, h)
-    except WKBInadmissibleError:
-        return _rejected(TAG_RKWKB)
-    return _score(TAG_RKWKB, y_low, y_high, config, k=1)
-
-
-def _rkf45_candidate(problem, state, h, config) -> Candidate:
-    try:
-        pair = rkf45_step(problem, state, h)
-    except SolverError:
-        return _rejected(TAG_RKF45)
-    return _score(TAG_RKF45, pair.y4, pair.y5, config, k=4)
+        y_low, y_high = _pair(tag, problem, provider, state, h, x1)
+    except (WKBInadmissibleError, SolverError):
+        return _rejected(tag)
+    return _score(tag, y_low, y_high, config, ORDER_K[tag])
 
 
 # ---------------------------------------------------------------------------
@@ -237,12 +245,12 @@ def _original_rescore(cand: Candidate, config: SolverConfig) -> Candidate:
     if cand.state is None:
         return cand
     y_norm = cand.state.sup_norm()
-    tol = config.rtol * y_norm
+    tol = config.tol * y_norm
     accepted = cand.est <= tol
     if cand.est == 0.0:
         theta = 10.0
     else:
-        theta = config.safety * (tol / cand.est) ** 0.5
+        theta = SAFETY * (tol / cand.est) ** 0.5
     return Candidate(cand.method, accepted, theta, cand.est, cand.state,
                      cand.rel_est)
 
@@ -259,15 +267,13 @@ def _select_original(candidates) -> tuple[float, Optional[int]]:
 def integrate(problem, config: SolverConfig) -> Trajectory:
     """March from x_start to x_end under the configured controller.
 
-    Raises SolverError after `max_rejections` consecutive rejected trials
+    Raises SolverError after MAX_REJECTIONS consecutive rejected trials
     or when the trial step underflows.
     """
-    use_wkb = config.method in ("wkb+rkf45", "rkwkbmod", "rkwkb")
     provider = None
-    if use_wkb:
+    if config.method != "rkf45":
         provider = PhaseProvider(problem, mode=config.phase_mode(problem),
                                  nodes=config.cc_nodes)
-        _anchor_provider(provider, problem.x_start)
     x = problem.x_start
     state = problem.initial
     span = problem.x_end - problem.x_start
@@ -275,7 +281,6 @@ def integrate(problem, config: SolverConfig) -> Trajectory:
     h_trial = config.h0
     traj = Trajectory(initial=problem.initial)
     consecutive = 0
-    zn = None
     while x < problem.x_end:
         clamped = h_trial >= problem.x_end - x
         h = problem.x_end - x if clamped else h_trial
@@ -283,18 +288,8 @@ def integrate(problem, config: SolverConfig) -> Trajectory:
             raise SolverError(f"step size underflow at x={x} (h={h})")
         x1 = problem.x_end if clamped else x + h
 
-        candidates = []
-        if config.method in ("wkb+rkf45",):
-            if zn is None:
-                zn = _make_z(problem, provider, state)
-            cand = (_wkb_candidate(problem, provider, zn, x1, config)
-                    if zn is not None else _rejected(TAG_WKB))
-            candidates.append(cand)
-        elif config.method in ("rkwkbmod", "rkwkb"):
-            candidates.append(
-                _rkwkb_candidate(problem, provider, state, h, config))
-        candidates.append(_rkf45_candidate(problem, state, h, config))
-
+        candidates = [_candidate(tag, problem, provider, state, h, x1, config)
+                      for tag in CANDIDATES[config.method]]
         if config.method == "rkwkb":
             candidates = [_original_rescore(c, config) for c in candidates]
             theta, choice = _select_original(candidates)
@@ -311,23 +306,14 @@ def integrate(problem, config: SolverConfig) -> Trajectory:
                 index=len(traj.records), x=x, h=h, method=cand.method,
                 est=cand.est, theta=theta, state=state))
             consecutive = 0
-            zn = None
         else:
             traj.rejected += 1
             consecutive += 1
-            if consecutive > config.max_rejections:
+            if consecutive > MAX_REJECTIONS:
                 raise SolverError(
                     f"{consecutive} consecutive rejections at x={x}")
         h_trial = theta * h
     return traj
-
-
-def _make_z(problem, provider, state):
-    """Z-state at the current node, or None when the transform is barred."""
-    try:
-        return to_Z(provider, to_U(problem, state), state.x)
-    except WKBInadmissibleError:
-        return None
 
 
 def _anchor_provider(provider, x_new):
@@ -374,14 +360,7 @@ def _exact_restart_pair(problem, method: str, x0: float, h: float,
     y_start = problem.exact(x0)
     provider = PhaseProvider(problem, mode=phase, nodes=cc_nodes)
     provider.rebase(x0)
-    if method == TAG_WKB:
-        zn = to_Z(provider, to_U(problem, y_start), x0)
-        z1, z2 = wkb_step_pair(zn, x0 + h, problem, provider)
-        return (from_Z(problem, provider, z1), from_Z(problem, provider, z2))
-    if method == TAG_RKWKB:
-        return rkwkb_step(problem, provider, y_start, h)
-    pair = rkf45_step(problem, y_start, h)
-    return pair.y4, pair.y5
+    return _pair(method, problem, provider, y_start, h, x0 + h)
 
 
 def estimator_study(problem, config: SolverConfig):

@@ -6,7 +6,7 @@ exp(i k phase / eps) at step endpoints. Increments come either from a
 closed-form antiderivative or from Clenshaw-Curtis quadrature on each
 interval. Because the raw phase grows without bound (about x^(3/2)/eps on
 the linear benchmark, ~1e12 at the far end of the long runs), a provider
-keeps a compensated running sum and reduces arguments modulo 2*pi before
+keeps a compensated running sum of phase/eps reduced modulo 2*pi before
 exponentiating; evaluating exp(i * huge) from a single float would throw
 away every digit of locality.
 """
@@ -96,13 +96,13 @@ class PhaseProvider:
     """Phase state of one solve: increments plus reduced exponentials.
 
     A provider is anchored at the last accepted grid point. It advances by
-    per-step increments, accumulated twice: once as a plain compensated sum
-    (reporting), once reduced modulo 2*pi in units of phase/eps (for the
-    exponentials). Single-solver state; share nothing between solves.
+    per-step increments, accumulated in units of phase/eps as a compensated
+    sum reduced modulo 2*pi (for the exponentials); the gauge is the phase
+    at the point of the last `rebase`, initially x_start. Single-solver
+    state; share nothing between solves.
     """
 
-    def __init__(self, problem, mode: str = "exact", nodes: int = 15,
-                 x_ref: float | None = None):
+    def __init__(self, problem, mode: str = "exact", nodes: int = 15):
         if mode not in ("exact", "cc"):
             raise ValueError(f"unknown phase mode {mode!r}")
         if mode == "exact" and problem.phase_antiderivative is None:
@@ -110,16 +110,7 @@ class PhaseProvider:
         self.problem = problem
         self.mode = mode
         self.nodes = nodes
-        self.x_ref = problem.x_start if x_ref is None else float(x_ref)
-        self._memo: tuple[float, float, float] | None = None
-        self.reset()
-
-    def reset(self) -> None:
-        self.anchor = self.x_ref
-        self._acc = 0.0   # running phase(anchor) - phase(x_ref)
-        self._acc_c = 0.0
-        self._red = 0.0   # same thing over eps, reduced mod 2*pi
-        self._red_c = 0.0
+        self.rebase(problem.x_start)
 
     # -- increments ---------------------------------------------------------
 
@@ -156,19 +147,10 @@ class PhaseProvider:
 
     # -- anchored state -----------------------------------------------------
 
-    @property
-    def accumulated(self) -> float:
-        """phase(anchor) - phase(x_ref), compensated."""
-        return self._acc - self._acc_c
-
     def advance(self, x_new: float) -> None:
         """Move the anchor to x_new, accumulating the increment."""
-        s = self.increment(self.anchor, x_new)
-        y = s - self._acc_c
-        t = self._acc + y
-        self._acc_c = (t - self._acc) - y
-        self._acc = t
-        self._advance_reduced(s / self.problem.epsilon)
+        self._advance_reduced(self.increment(self.anchor, x_new)
+                              / self.problem.epsilon)
         self.anchor = x_new
 
     def rebase(self, x_new: float) -> None:
@@ -179,12 +161,9 @@ class PhaseProvider:
         under the constant phase offset this introduces.
         """
         self.anchor = x_new
-        self.x_ref = x_new
-        self._acc = 0.0
-        self._acc_c = 0.0
-        self._red = 0.0
+        self._red = 0.0   # (phase(anchor) - phase(gauge))/eps, mod 2*pi
         self._red_c = 0.0
-        self._memo = None
+        self._memo: tuple[float, float, float] | None = None
 
     def _advance_reduced(self, dtheta: float) -> None:
         d = math.fmod(dtheta, TWO_PI)
@@ -198,7 +177,7 @@ class PhaseProvider:
             self._red += TWO_PI
 
     def reduced_phase(self, x: float) -> float:
-        """(phase(x) - phase(x_ref))/eps modulo 2*pi, for x at or reachable
+        """(phase(x) - phase(gauge))/eps modulo 2*pi, for x at or reachable
         from the anchor."""
         theta = self._red - self._red_c
         if x != self.anchor:
@@ -207,5 +186,5 @@ class PhaseProvider:
         return theta
 
     def exponential(self, x: float, k: int = 1) -> complex:
-        """exp(i k (phase(x) - phase(x_ref)) / eps) with |result| = 1."""
+        """exp(i k (phase(x) - phase(gauge)) / eps) with |result| = 1."""
         return cmath.exp(1j * math.fmod(k * self.reduced_phase(x), TWO_PI))

@@ -9,9 +9,7 @@ oscillatory regime the controller hands over to the transformed steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
+import cmath
 
 from .state import SolverError, WaveState
 
@@ -30,43 +28,36 @@ _B5 = (16.0 / 135.0, 0.0, 6656.0 / 12825.0, 28561.0 / 56430.0,
        -9.0 / 50.0, 2.0 / 55.0)
 
 
-@dataclass(frozen=True)
-class RKPair:
-    """Embedded results at x + h: 4th order and 5th order."""
-
-    y4: WaveState
-    y5: WaveState
-
-
-def rkf45_step(problem, state: WaveState, h: float) -> RKPair:
+def rkf45_step(problem, state: WaveState,
+               h: float) -> tuple[WaveState, WaveState]:
     """One Fehlberg 4(5) step of size h from `state`.
 
-    Raises SolverError on a non-finite right-hand side (overflow or an
-    invalid coefficient evaluation).
+    Returns (4th-order result, 5th-order result) at x + h. Raises
+    SolverError on a non-finite right-hand side (overflow or an invalid
+    coefficient evaluation).
     """
     if h <= 0.0:
         raise ValueError("step size must be positive")
-    eps2 = problem.epsilon ** 2
+    inv_eps2 = 1.0 / problem.epsilon ** 2
     field = problem.field
-
-    def rhs(x: float, y: np.ndarray) -> np.ndarray:
-        return np.array([y[1], -field(x) * y[0] / eps2], dtype=complex)
-
-    y0 = state.as_vector()
-    x0 = state.x
-    ks = []
+    x0, phi0, dphi0 = state.x, state.phi, state.dphi
+    k_phi, k_dphi = [], []   # stage slopes of phi and phi'
     for i in range(6):
-        yi = y0.copy()
+        phi, dphi = phi0, dphi0
         for j, aij in enumerate(_A[i]):
-            yi += h * aij * ks[j]
-        ki = rhs(x0 + _C[i] * h, yi)
-        if not np.all(np.isfinite(ki.view(float))):
-            raise SolverError(f"non-finite right-hand side near x={x0 + _C[i] * h}")
-        ks.append(ki)
-    y4 = y0 + h * sum(b * k for b, k in zip(_B4, ks))
-    y5 = y0 + h * sum(b * k for b, k in zip(_B5, ks))
-    x1 = x0 + h
-    return RKPair(
-        y4=WaveState(x1, complex(y4[0]), complex(y4[1])),
-        y5=WaveState(x1, complex(y5[0]), complex(y5[1])),
-    )
+            phi += h * aij * k_phi[j]
+            dphi += h * aij * k_dphi[j]
+        xi = x0 + _C[i] * h
+        ddphi = -field(xi) * phi * inv_eps2
+        if not (cmath.isfinite(dphi) and cmath.isfinite(ddphi)):
+            raise SolverError(f"non-finite right-hand side near x={xi}")
+        k_phi.append(dphi)
+        k_dphi.append(ddphi)
+
+    def combine(weights):
+        return WaveState(
+            x0 + h,
+            complex(phi0 + h * sum(b * k for b, k in zip(weights, k_phi))),
+            complex(dphi0 + h * sum(b * k for b, k in zip(weights, k_dphi))))
+
+    return combine(_B4), combine(_B5)

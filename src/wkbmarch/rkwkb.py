@@ -79,9 +79,13 @@ def wkb_basis(problem, provider: PhaseProvider,
         )
 
     p3 = jet_div(bj, 2.0 * s)  # phi3 jet, valid to order 3
+    try:
+        corr = math.exp(eps2 * p3[0])
+    except OverflowError as exc:  # large b over a tiny sqrt(a)
+        raise WKBInadmissibleError(
+            f"order-3 basis factor exp({eps2 * p3[0]}) overflows") from exc
     return (basis(2, 1.0, 0.0, 0.0),
-            basis(3, math.exp(eps2 * p3[0]), eps2 * p3[1],
-                  eps2 * 2.0 * p3[2]))
+            basis(3, corr, eps2 * p3[1], eps2 * 2.0 * p3[2]))
 
 
 def _fit_pair(v0: complex, v1: complex, b0: WKBBasis, use_derivs: bool):

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 
 class WKBInadmissibleError(Exception):
     """Raised when a WKB quantity is requested where the method breaks down.
@@ -47,9 +45,6 @@ class WaveState:
     def scaled_dphi(self, epsilon: float) -> complex:
         """Derivative in the eps*phi' convention."""
         return epsilon * self.dphi
-
-    def as_vector(self) -> np.ndarray:
-        return np.array([self.phi, self.dphi], dtype=complex)
 
     def sup_norm(self) -> float:
         return max(abs(self.phi), abs(self.dphi))

@@ -79,12 +79,10 @@ class BkTable:
 
 @dataclass(frozen=True)
 class ZState:
-    """Transformed solution sample: x, the 2-vector z, and the accumulated
-    phase (relative to the provider's reference) at x."""
+    """Transformed solution sample: x and the 2-vector z."""
 
     x: float
     z: np.ndarray
-    phase_at_x: float
 
 
 def b_jet(problem, x: float):
@@ -189,10 +187,7 @@ def to_Z(provider: PhaseProvider, U: np.ndarray, x: float) -> ZState:
     rot = np.exp(-1j * theta)
     z1 = rot * (1j * U[0] + U[1]) / SQRT2
     z2 = (1j * U[1] + U[0]) / (rot * SQRT2)
-    phase = provider.accumulated
-    if x != provider.anchor:
-        phase += provider.increment(provider.anchor, x)
-    return ZState(x=x, z=np.array([z1, z2], dtype=complex), phase_at_x=phase)
+    return ZState(x=x, z=np.array([z1, z2], dtype=complex))
 
 
 def from_Z(problem, provider: PhaseProvider, zstate: ZState) -> WaveState:
@@ -277,9 +272,5 @@ def wkb_step_pair(zn: ZState, x1: float, problem,
     differences them for the error estimate and propagates the second.
     """
     a1, a1mod, a2 = assemble_step_matrices(problem, provider, zn.x, x1)
-    s = provider.increment(zn.x, x1)
-    phase1 = zn.phase_at_x + s
-    z_first = zn.z + a1 @ zn.z
-    z_second = zn.z + (a1mod + a2) @ zn.z
-    return (ZState(x=x1, z=z_first, phase_at_x=phase1),
-            ZState(x=x1, z=z_second, phase_at_x=phase1))
+    return (ZState(x=x1, z=zn.z + a1 @ zn.z),
+            ZState(x=x1, z=zn.z + (a1mod + a2) @ zn.z))

@@ -1,13 +1,15 @@
 """The benchmark tracer must find every name it patches in the package.
 
 `bench/tracing.py` wraps layer entry points by name at their lookup sites;
-a refactor that removes or renames one of them fails here.
+a refactor that removes or renames one of them, or routes a stepper around
+the lookup site so that its span is never recorded, fails here.
 """
 
 import importlib.util
 from pathlib import Path
 
-from wkbmarch import SolverConfig, integrate, make_pcf_problem
+from wkbmarch import (SolverConfig, integrate, make_airy_problem,
+                      make_pcf_problem)
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -40,10 +42,18 @@ def test_tracer_installs_and_uninstalls():
             assert getattr(target, attr) is not original
         p = make_pcf_problem(2.0 ** -6, 0.9, 1.1)
         integrate(p, SolverConfig(tol=1e-6, h0=0.05, method="rkwkbmod"))
+        # Runge-Kutta near the turning point, then transform steps.
+        airy = make_airy_problem(1.0, 0.1, 10.0)
+        traj = integrate(airy, SolverConfig(tol=1e-6, h0=0.5,
+                                            method="wkb+rkf45",
+                                            phase="exact"))
+        assert set(traj.method_counts()) == {"RKF45", "WKB"}
+        integrate(airy, SolverConfig(tol=1e-6, h0=0.5, phase="cc"))
     finally:
         uninstall()
     for (target, attr), original in zip(sites, originals):
         assert getattr(target, attr) is original
     names = {span[0] for span in tracer.spans}
-    assert {"rkwkb.rkwkb_step", "rkwkb.wkb_basis",
-            "wkb_core.b_jet"} <= names
+    expected = {name for *_, name in tracing.TRACE_POINTS
+                if not name.startswith("reference.")}
+    assert expected - names == set()

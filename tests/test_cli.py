@@ -127,6 +127,16 @@ def test_bad_flags_exit_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_rival_near_minimum_of_a_exits_cleanly(tmp_path):
+    # At the minimum of a = 1e-10 + x^2 the order-3 basis factor
+    # exp(eps^2 b / (2 sqrt(a))) overflows; the rival candidate is rejected
+    # as inadmissible and the run ends with a documented exit code.
+    code = run_cli(["solve", "--problem", "poly:1e-10,0,1", "--eps", "1",
+                    "--tol", "1e-6", "--interval=-1,1", "--h0", "1",
+                    "--method", "rkwkbmod", "--out", str(tmp_path / "run")])
+    assert code in (0, 2, 3)
+
+
 def test_solver_failure_exit_three(tmp_path, monkeypatch):
     from wkbmarch import cli as cli_mod
     from wkbmarch.state import SolverError

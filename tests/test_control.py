@@ -35,6 +35,16 @@ def test_estimate_complex_modulus():
     assert estimate_error(a, b) == 5.0
 
 
+@pytest.mark.parametrize("slot", ["phi", "dphi"])
+def test_estimate_propagates_nan(slot):
+    # A NaN difference in either component makes the estimate NaN, never 0.
+    good = WaveState(1.0, 0j, 0j)
+    bad = WaveState(1.0, math.nan if slot == "phi" else 0j,
+                    math.nan if slot == "dphi" else 0j)
+    assert math.isnan(estimate_error(good, bad))
+    assert math.isnan(estimate_error(bad, good))
+
+
 def test_estimate_requires_same_point():
     with pytest.raises(ValueError):
         estimate_error(WaveState(1.0, 0j, 0j), WaveState(2.0, 0j, 0j))
@@ -44,14 +54,14 @@ def test_proposal_factor_unit_ratio():
     c = cfg(tol=1e-6)
     # est equal to the blended tolerance leaves only the safety factor.
     ynorm = 2.0
-    est = c.atol + c.rtol * ynorm
+    est = c.atol + c.tol * ynorm
     assert proposal_factor(est, ynorm, c, 1) == pytest.approx(0.9)
 
 
 def test_proposal_factor_clamps():
     c = cfg(tol=1e-6)
     assert proposal_factor(0.0, 1.0, c, 1) == 2.0
-    big = 1e6 * (c.atol + c.rtol * 1.0)
+    big = 1e6 * (c.atol + c.tol * 1.0)
     assert proposal_factor(big, 1.0, c, 1) == 0.5
 
 
@@ -97,8 +107,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(tol=1e-6, h0=0.5, method="euler")
     with pytest.raises(ValueError):
-        SolverConfig(tol=1e-6, h0=0.5, theta_min=1.5)
-    with pytest.raises(ValueError):
         SolverConfig(tol=1e-6, h0=0.5, phase="spectral")
 
 
@@ -116,7 +124,7 @@ def test_trajectory_monotone_and_clamped(airy_runs):
 def test_eps_acceptance_inequality(airy_runs):
     c = cfg(tol=1e-6)
     for rec in airy_runs[1e-6].records:
-        blend = c.atol + c.rtol * rec.state.sup_norm()
+        blend = c.atol + c.tol * rec.state.sup_norm()
         assert rec.est <= blend * (1.0 + 1e-12)
 
 
