@@ -188,10 +188,17 @@ def make_pcf_problem(epsilon: float, x_start: float = 0.01,
     nu = -1.0 / (math.sqrt(8.0) * epsilon)
     z_scale = 2.0 ** 0.25 / math.sqrt(epsilon)
 
-    u0, du0 = reference.pcf_origin_values(nu)
+    try:
+        u0, du0 = reference.pcf_origin_values(nu)
+    except ArithmeticError:
+        # Gamma overflows (or a quotient by an underflowed factor) once
+        # epsilon falls below about 1.3e-3.
+        raise ValueError(
+            f"PCF origin values overflow for epsilon={epsilon!r} "
+            f"(nu={nu!r})") from None
     kappa = 2.0 / complex(u0, -math.sqrt(epsilon) * 2.0 ** 0.75 * du0)
     table = reference._ContinuationTable(
-        [nu, 0.0, 0.25], 0.0, (u0, du0), spacing=0.5)
+        [nu, 0.0, 0.25], 0.0, (u0, du0))
 
     def exact(x: float) -> WaveState:
         z = z_scale * (1.0 - x)

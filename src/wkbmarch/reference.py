@@ -18,7 +18,9 @@ their ranges overlap.
 
 from __future__ import annotations
 
+import bisect
 import math
+import threading
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -190,12 +192,14 @@ def _dd_shift_poly(coeffs: Sequence[float], x0: float):
     return hi, lo
 
 
-def _dd_taylor_step(qhi, qlo, wh, wl, dh, dl, h: float, terms: int):
-    """One double-double series step of length h for w'' = q(x0 + t) w.
+def _dd_series(qhi, qlo, wh, wl, dh, dl, terms: int):
+    """Double-double Taylor coefficients of w(x0 + t) for w'' = q(x0 + t) w.
 
-    The state may be float or complex (componentwise error-free transforms
-    stay exact because the multipliers q_j and h are real). Returns the new
-    state plus tail/bulk magnitudes for the convergence certificate.
+    (qhi, qlo) are the coefficients of the shifted polynomial and
+    (wh + wl, dh + dl) the state at x0. The state may be float or complex
+    (componentwise error-free transforms stay exact because the multipliers
+    q_j are real). Returns the lists (chi, clo) of the `terms` coefficients
+    c_m and (ghi, glo) of the derivative's coefficients g_m = (m+1) c_(m+1).
     """
     chi = [wh, dh]
     clo = [wl, dl]
@@ -210,63 +214,104 @@ def _dd_taylor_step(qhi, qlo, wh, wl, dh, dl, h: float, terms: int):
         sh, sl = _dd_mul_dd(sh, sl, rh, rl)
         chi.append(sh)
         clo.append(sl)
-    # Horner evaluation of the series and its h-derivative.
-    n = len(chi)
-    vh = chi[0] * 0.0
-    vl = vh
-    gh = vh
-    gl = vh
-    for m in range(n - 1, 0, -1):
-        vh, vl = _dd_mul_d(vh, vl, h)
-        vh, vl = _dd_add(vh, vl, chi[m], clo[m])
-        gh, gl = _dd_mul_d(gh, gl, h)
+    ghi = []
+    glo = []
+    for m in range(1, terms):
         th, tl = _dd_mul_d(chi[m], clo[m], float(m))
-        gh, gl = _dd_add(gh, gl, th, tl)
-    vh, vl = _dd_mul_d(vh, vl, h)
-    vh, vl = _dd_add(vh, vl, chi[0], clo[0])
-    # Convergence certificate magnitudes.
+        ghi.append(th)
+        glo.append(tl)
+    return chi, clo, ghi, glo
+
+
+def _dd_horner(chi, clo, ghi, glo, h: float):
+    """State (wh, wl, dh, dl) at t = h of the series c and its derivative g.
+
+    One double-double Horner pass serves both series. It is _dd_mul_d by h
+    followed by _dd_add of the next coefficient, written out with h split
+    once, so the result is bit-identical to composing those helpers.
+    """
+    t = _SPLIT * h
+    hh = t - (t - h)
+    hl = h - hh
+    vh = chi[0] * 0.0  # zero of the state's dtype
+    vl = gh = gl = vh
+    for m in range(len(chi) - 1, -1, -1):
+        # v = v * h + c_m
+        p = vh * h
+        t = _SPLIT * vh
+        ahi = t - (t - vh)
+        alo = vh - ahi
+        e = ((ahi * hh - p) + ahi * hl + alo * hh) + alo * hl + vl * h
+        s = p + e
+        z = s - p
+        e = (p - (s - z)) + (e - z)
+        yh = chi[m]
+        p = s + yh
+        z = p - s
+        e = ((s - (p - z)) + (yh - z)) + (e + clo[m])
+        vh = p + e
+        z = vh - p
+        vl = (p - (vh - z)) + (e - z)
+        if m == 0:
+            break
+        # g = g * h + g_(m-1)
+        p = gh * h
+        t = _SPLIT * gh
+        ahi = t - (t - gh)
+        alo = gh - ahi
+        e = ((ahi * hh - p) + ahi * hl + alo * hh) + alo * hl + gl * h
+        s = p + e
+        z = s - p
+        e = (p - (s - z)) + (e - z)
+        yh = ghi[m - 1]
+        p = s + yh
+        z = p - s
+        e = ((s - (p - z)) + (yh - z)) + (e + glo[m - 1])
+        gh = p + e
+        z = gh - p
+        gl = (p - (gh - z)) + (e - z)
+    return vh, vl, gh, gl
+
+
+def _check_tail(chi, h: float, x: float) -> None:
+    """Convergence certificate of one substep: the last two terms of the
+    series at t = h must stay below 1e-16 of the term-magnitude sum."""
     bulk = 0.0
     hpow = 1.0
     prev_mag = 0.0
     last_mag = 0.0
-    for m in range(n):
-        mag = abs(chi[m]) * hpow
+    for c in chi:
+        mag = abs(c) * hpow
         bulk += mag
         prev_mag, last_mag = last_mag, mag
         hpow *= abs(h)
-    return vh, vl, gh, gl, last_mag + prev_mag, bulk
+    tail = last_mag + prev_mag
+    if bulk > 0.0 and tail > 1e-16 * bulk:
+        raise ContinuationError(
+            f"series tail {tail:.2e} above 1e-16 of partial sum at x={x}")
 
 
-def _dd_march(q_coeffs, x0: float, state, x1: float,
-              step: float = 1.0, terms: int = 30):
-    """March the double-double state (wh, wl, dh, dl) of w'' = q(x) w from
-    x0 to x1. Substeps shrink where |q| is large so the truncated series
-    stays certified; every substep checks the tail against 1e-16 of the
-    term-magnitude sum."""
-    x = float(x0)
-    wh, wl, dh, dl = state
-    direction = 1.0 if x1 >= x0 else -1.0
-    phase_cap = _series_phase_cap(terms)
-    qpoly = [float(c) for c in q_coeffs]
-    while x != x1:
-        qhi, qlo = _dd_shift_poly(qpoly, x)
-        # Coefficient-magnitude sum bounds |q| on the unit neighbourhood.
-        qmag = sum(abs(qc) for qc in qhi)
-        h_max = min(step, phase_cap / math.sqrt(1.0 + qmag))
-        if abs(x1 - x) <= h_max:
-            h = x1 - x
-            x_next = x1
-        else:
-            # Keep substep endpoints exactly representable.
-            x_next = x + direction * h_max
-            h = x_next - x
-        wh, wl, dh, dl, tail, bulk = _dd_taylor_step(
-            qhi, qlo, wh, wl, dh, dl, h, terms)
-        if bulk > 0.0 and tail > 1e-16 * bulk:
-            raise ContinuationError(
-                f"series tail {tail:.2e} above 1e-16 of partial sum at x={x}")
-        x = x_next
-    return wh, wl, dh, dl
+def _dd_substep(qpoly, x: float, state, x1: float, step: float,
+                phase_cap: float, terms: int):
+    """One certified series substep of w'' = q(x) w from x towards x1.
+
+    The substep is as long as the series allows, min(step, phase_cap /
+    sqrt(1 + |q|)), or shorter if x1 is nearer. Returns (x_next, state at
+    x_next) with the state in double-double form (wh, wl, dh, dl).
+    """
+    qhi, qlo = _dd_shift_poly(qpoly, x)
+    # Coefficient-magnitude sum bounds |q| on the unit neighbourhood.
+    qmag = sum(abs(qc) for qc in qhi)
+    h_max = min(step, phase_cap / math.sqrt(1.0 + qmag))
+    if abs(x1 - x) <= h_max:
+        x_next = x1
+    else:
+        # Keep substep endpoints exactly representable.
+        x_next = x + math.copysign(h_max, x1 - x)
+    h = x_next - x
+    series = _dd_series(qhi, qlo, *state, terms)
+    _check_tail(series[0], h, x)
+    return x_next, _dd_horner(*series, h)
 
 
 def taylor_continuation(q_coeffs: Sequence[float], x0: float, w0, dw0,
@@ -306,49 +351,79 @@ def taylor_continuation(q_coeffs: Sequence[float], x0: float, w0, dw0,
         raise ValueError("step must lie in (0, 1]")
     if terms < 25:
         raise ValueError("need at least 25 series terms")
+    qpoly = [float(c) for c in q_coeffs]
+    phase_cap = _series_phase_cap(terms)
     zero = w0 * 0.0
-    wh, wl, dh, dl = _dd_march(q_coeffs, x0, (w0, zero, dw0, zero), x1,
-                               step=step, terms=terms)
+    x = float(x0)
+    state = (w0, zero, dw0, zero)
+    while x != x1:
+        x, state = _dd_substep(qpoly, x, state, x1, step, phase_cap, terms)
+    wh, wl, dh, dl = state
     return wh + wl, dh + dl
 
 
 class _ContinuationTable:
-    """Lazily extended double-double checkpoints of w'' = q w.
+    """Double-double checkpoints of w'' = q w, grown lazily from x0.
 
-    Checkpoints sit on a uniform grid around x0 and are only appended, never
-    mutated, so concurrent readers at worst redo one unit of work.
+    Each side of x0 is one march away from x0 in full substeps of
+    min(1, _series_phase_cap(terms) / sqrt(1 + |q|)), and the table keeps
+    the state at every substep end. A checkpoint therefore depends only on
+    its position, never on the order of earlier queries. A query evaluates
+    the series of the checkpoint at or below x on its side once, for the
+    value and the derivative; the coefficients of the last checkpoint used
+    are memoized, since trajectory nodes arrive in order. Checkpoints hold
+    states only: keeping every checkpoint's coefficients costs tens of MiB.
+
+    Growth runs under a lock and publishes each state before its key, so a
+    concurrent reader only ever finds complete checkpoints.
     """
 
-    def __init__(self, q_coeffs, x0: float, state, spacing: float = 1.0,
-                 terms: int = 30):
+    def __init__(self, q_coeffs, x0: float, state, terms: int = 30):
         self.q = [float(c) for c in q_coeffs]
         self.x0 = float(x0)
-        self.spacing = float(spacing)
         self.terms = terms
+        self._phase_cap = _series_phase_cap(terms)
         zero = state[0] * 0.0
         seed = (state[0], zero, state[1], zero)
-        self._up = [seed]    # states at x0 + k*spacing
-        self._down = [seed]  # states at x0 - k*spacing
-    def _grid(self, k: int) -> float:
-        return self.x0 + k * self.spacing
+        # Direction d -> (keys d*x in ascending order, states at those x).
+        self._sides = {1.0: ([self.x0], [seed]), -1.0: ([-self.x0], [seed])}
+        self._lock = threading.Lock()
+        # (direction, checkpoint index, series coefficients), replaced whole.
+        self._memo = (0.0, -1, None)
+
+    def _grow(self, d: float, key: float) -> None:
+        keys, states = self._sides[d]
+        with self._lock:
+            while keys[-1] < key:
+                x, state = _dd_substep(self.q, d * keys[-1], states[-1],
+                                       d * math.inf, 1.0, self._phase_cap,
+                                       self.terms)
+                # State before key: readers bisect the keys unlocked.
+                states.append(state)
+                keys.append(d * x)
 
     def state_at(self, x: float):
-        """Double-double state at x, resumed from the nearest checkpoint."""
-        k = int(math.floor((x - self.x0) / self.spacing)) if x >= self.x0 \
-            else -int(math.floor((self.x0 - x) / self.spacing))
-        side = self._up if k >= 0 else self._down
-        idx = abs(k)
-        while len(side) <= idx:
-            j = len(side) - 1
-            sign = 1 if side is self._up else -1
-            grown = _dd_march(self.q, self._grid(sign * j), side[j],
-                              self._grid(sign * (j + 1)), terms=self.terms)
-            side.append(grown)
-        state = side[idx]
-        anchor = self._grid(k)
-        if x != anchor:
-            state = _dd_march(self.q, anchor, state, x, terms=self.terms)
-        return state
+        """Double-double state (wh, wl, dh, dl) at x."""
+        if not math.isfinite(x):
+            raise ValueError(f"continuation point must be finite, got {x!r}")
+        d = 1.0 if x >= self.x0 else -1.0
+        keys, states = self._sides[d]
+        key = d * x
+        if keys[-1] < key:
+            self._grow(d, key)
+        i = bisect.bisect_right(keys, key) - 1
+        if keys[i] == key:
+            return states[i]
+        memo_d, memo_i, series = self._memo
+        if memo_d != d or memo_i != i:
+            qhi, qlo = _dd_shift_poly(self.q, d * keys[i])
+            series = _dd_series(qhi, qlo, *states[i], self.terms)
+            self._memo = (d, i, series)
+        # The tail certificate was checked for the full substep from this
+        # checkpoint when the table grew. It covers this shorter hop too,
+        # because tail/bulk rises with |h|: every tail term gains on every
+        # bulk term by a positive power of |h|.
+        return _dd_horner(*series, x - d * keys[i])
 
 
 # ---------------------------------------------------------------------------
@@ -433,20 +508,20 @@ def airy_asymptotic(t: float, terms: int = AIRY_ASYM_TERMS) -> AiryQuad:
     )
 
 
-# Continuation checkpoints in the Airy variable y = -t at unit spacing. Both
+# Continuation checkpoints in the Airy variable y = -t, one per series
+# substep of the march from the origin (see _ContinuationTable). Both
 # real solutions ride in one complex channel, w = Ai + i Bi, which is valid
-# because the series recurrence is linear with real coefficients.
-_AIRY_TABLE: list[_ContinuationTable] = []
+# because the series recurrence is linear with real coefficients. The table
+# grows on first use; building it here costs only the origin values.
+_AIRY_Q0 = airy_origin_values()
+_AIRY_TABLE = _ContinuationTable(
+    [0.0, 1.0], 0.0,
+    (complex(_AIRY_Q0.ai, _AIRY_Q0.bi), complex(_AIRY_Q0.aip, _AIRY_Q0.bip)))
 
 
 def _airy_continued(t: float) -> AiryQuad:
     """Airy quad at -t by checkpointed continuation of w'' = y w."""
-    if not _AIRY_TABLE:
-        q0 = airy_origin_values()
-        _AIRY_TABLE.append(_ContinuationTable(
-            [0.0, 1.0], 0.0,
-            (complex(q0.ai, q0.bi), complex(q0.aip, q0.bip))))
-    wh, wl, dh, dl = _AIRY_TABLE[0].state_at(-t)
+    wh, wl, dh, dl = _AIRY_TABLE.state_at(-t)
     w = wh + wl
     dw = dh + dl
     return AiryQuad(ai=w.real, aip=dw.real, bi=w.imag, bip=dw.imag)
@@ -481,8 +556,11 @@ def pcf_U(nu: float, z: float) -> tuple[float, float]:
     """Parabolic cylinder pair (U(nu, z), U'(nu, z)).
 
     Continuation of w'' = (z^2/4 + nu) w from the closed-form origin values.
-    Intended for the oscillatory span of the quadratic benchmark; very large
-    |nu| runs into gamma overflow at the origin and raises OverflowError.
+    Intended for the oscillatory span of the quadratic benchmark. For |nu|
+    above about 283 the gamma factors of the origin values overflow and
+    this raises OverflowError or ZeroDivisionError (make_pcf_problem
+    reports either as ValueError); where 3/4 + nu/2 or 1/4 + nu/2 is a
+    pole of gamma, gamma_fn raises ValueError.
     """
     u0, du0 = pcf_origin_values(nu)
     if z == 0.0:

@@ -127,6 +127,14 @@ def test_bad_flags_exit_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("eps", ["1e-3", "1e-4"])
+def test_pcf_origin_overflow_exits_two(tmp_path, capsys, eps):
+    code = run_cli(["solve", "--problem", "pcf", "--eps", eps,
+                    "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert "overflow" in capsys.readouterr().err
+
+
 def test_rival_near_minimum_of_a_exits_cleanly(tmp_path):
     # At the minimum of a = 1e-10 + x^2 the order-3 basis factor
     # exp(eps^2 b / (2 sqrt(a))) overflows; the rival candidate is rejected

@@ -173,6 +173,53 @@ def test_pcf_domain_validation():
         make_pcf_problem(0.1, x_start=0.5, x_end=2.5)
 
 
+@pytest.mark.parametrize("eps", [1e-3, 1e-4])
+def test_pcf_origin_overflow_is_value_error(eps):
+    # Below eps of about 1.3e-3 the gamma factors of U(nu, 0) overflow.
+    with pytest.raises(ValueError, match=f"epsilon={eps!r}"):
+        make_pcf_problem(eps)
+
+
+# Reference values at a few nodes, pinned to their float reprs: any change
+# to the continuation that loses double-double precision moves them.
+AIRY_PINNED = [
+    (0.1, 0.3808486681201217+0.5699990430029551j,
+     0.2569581123236461-0.45121336229346115j),
+    (1.7, 0.3886070373963288-0.2962026576104955j,
+     -0.4461245546360752-0.4790613384734482j),
+    (7.3, 0.33577037051514735+0.07087411376989668j,
+     0.18009580448329351-0.9099842704363246j),
+    (23.9, -0.03534764315588533-0.2527059972835695j,
+     -1.2350640508438835+0.17545140078651744j),
+    (49.5, 0.09875396351033588+0.1883884114801695j,
+     1.3249329151788827-0.6957480645144916j),
+]
+PCF_PINNED = [
+    (0.01, -2.3173806110822452-0.47016624442725125j,
+     -23.94785307023603-4.858706457749373j),
+    (0.37, 0.8748715779088764+0.17750001107908692j,
+     71.44390899839449+14.495035567459182j),
+    (1.0, 1.9209286091224222+0.3897313137276002j,
+     -17.637225905761788-3.5783626679927987j),
+    (1.42, 2.0104168556691913+0.4078873095955492j,
+     18.459504258763005+3.7451922009817094j),
+    (1.99, -0.897089517825164-0.18200774076293577j,
+     38.5103211759048+7.813240946426389j),
+]
+
+
+@pytest.mark.parametrize("x, phi, dphi", AIRY_PINNED)
+def test_airy_exact_pinned(airy1, x, phi, dphi):
+    s = airy1.exact(x)
+    assert (repr(s.phi), repr(s.dphi)) == (repr(phi), repr(dphi))
+
+
+@pytest.mark.parametrize("x, phi, dphi", PCF_PINNED)
+def test_pcf_exact_pinned(pcf6, x, phi, dphi):
+    s = pcf6.exact(x)
+    assert (repr(s.phi), repr(s.dphi)) == (repr(phi), repr(dphi))
+
+
 # ---------------------------------------------------------------------------
 # general problems and JSON
 # ---------------------------------------------------------------------------

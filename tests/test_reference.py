@@ -7,17 +7,21 @@ path beyond float arithmetic.
 """
 
 import math
+import sys
+import threading
 
 import mpmath
 import numpy as np
 import pytest
 import scipy.special as sp
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from wkbmarch import (WaveState, airy_asymptotic,
                       airy_pair, asymptotic_coeffs, gamma_fn, global_error,
                       pcf_U, taylor_continuation, transmission_map)
-from wkbmarch.reference import _airy_continued, airy_origin_values
+from wkbmarch.reference import (_airy_continued, _ContinuationTable,
+                                airy_origin_values, pcf_origin_values)
 
 EPS_MACH = 2.220446049250313e-16
 
@@ -249,6 +253,88 @@ def test_pcf_agrees_with_tight_ivp():
     u, du = pcf_U(NU, 9.42)
     assert u == pytest.approx(sol.y[0, -1], rel=1e-10)
     assert du == pytest.approx(sol.y[1, -1], rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# Continuation table
+# ---------------------------------------------------------------------------
+
+def _airy_seed():
+    q0 = airy_origin_values()
+    return complex(q0.ai, q0.bi), complex(q0.aip, q0.bip)
+
+
+# name -> (q coefficients, (w, w') at 0, query range)
+TABLES = {
+    "airy": ([0.0, 1.0], _airy_seed(), (-20.0, 3.0)),
+    "pcf": ([NU, 0.0, 0.25], pcf_origin_values(NU), (-9.5, 9.5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
+@settings(deadline=None, derandomize=True, max_examples=10)
+@given(data=st.data())
+def test_table_independent_of_query_order(name, data):
+    q, (w0, dw0), (lo, hi) = TABLES[name]
+    xs = data.draw(st.lists(st.floats(lo, hi), min_size=1, max_size=6))
+    shuffled = data.draw(st.permutations(xs))
+
+    def states(order, grow_first=()):
+        table = _ContinuationTable(q, 0.0, (w0, dw0))
+        for x in grow_first:
+            table.state_at(x)
+        return {x: repr(table.state_at(x)) for x in order}
+
+    ascending = states(sorted(xs))
+    assert states(sorted(xs, reverse=True)) == ascending
+    assert states(shuffled) == ascending
+    assert states(xs, grow_first=(lo - 0.5, hi + 0.5)) == ascending
+    table = _ContinuationTable(q, 0.0, (w0, dw0))
+    for x in xs:
+        wh, wl, dh, dl = table.state_at(x)
+        w, dw = taylor_continuation(q, 0.0, w0, dw0, x)
+        scale = max(abs(w), abs(dw))
+        assert abs(wh + wl - w) <= 1e-14 * scale
+        assert abs(dh + dl - dw) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+def test_table_rejects_non_finite_point(x):
+    # A march towards an infinite point would never end.
+    table = _ContinuationTable([0.0, 1.0], 0.0, _airy_seed())
+    with pytest.raises(ValueError):
+        table.state_at(x)
+
+
+def test_table_concurrent_growth_matches_serial():
+    """Two threads growing one fresh table from opposite ends see the
+    serial table's states bit for bit."""
+    q, seed = [0.0, 1.0], _airy_seed()
+    ys = [-float(t) for t in range(1, 59)]
+    serial = _ContinuationTable(q, 0.0, seed)
+    expect = {y: repr(serial.state_at(y)) for y in ys}
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            table = _ContinuationTable(q, 0.0, seed)
+            got = ({}, {})
+
+            def run(order, out):
+                for y in order:
+                    out[y] = repr(table.state_at(y))
+
+            threads = [threading.Thread(target=run, args=(order, out))
+                       for order, out in zip((ys, ys[::-1]), got)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+            assert got == (expect, expect)
+    finally:
+        sys.setswitchinterval(old)
 
 
 # ---------------------------------------------------------------------------
