@@ -18,8 +18,7 @@ from .problem import (CoefficientField, Problem, make_airy_problem,
                       polynomial_field, problem_from_json)
 from .reference import (AiryQuad, airy_asymptotic, airy_pair,
                         asymptotic_coeffs, exact_solution, gamma_fn,
-                        global_error, pcf_U, taylor_continuation,
-                        transmission_map)
+                        global_error, pcf_U, taylor_continuation)
 from .rk45 import rkf45_step
 from .rkwkb import WKBBasis, rkwkb_step, wkb_basis
 from .state import ContinuationError, SolverError, WaveState, \
@@ -41,5 +40,5 @@ __all__ = [
     "march_fixed_grid", "osc_kernels", "pcf_U", "polynomial_field",
     "problem_from_json", "proposal_factor", "rkf45_step", "rkwkb_step",
     "select_method", "taylor_continuation", "to_U", "to_Z",
-    "transmission_map", "wkb_basis", "wkb_step_pair",
+    "wkb_basis", "wkb_step_pair",
 ]

@@ -20,6 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .state import WKBInadmissibleError
+from .wkb_core import b_jet
 
 TWO_PI = 2.0 * math.pi
 
@@ -77,21 +78,6 @@ def clenshaw_curtis(integrand: Callable[[float], float], a: float, b: float,
     return half * total
 
 
-def _eval_b(problem, x: float) -> float:
-    """b(x) from a, a', a'' in closed form, for the cc phase integrand.
-
-    This deliberately duplicates b from `wkb_core.b_jet` (the tests check
-    that the two agree): the integrand needs only the value of b at every
-    quadrature node, and the closed form costs about 3 us per call against
-    about 130 us for the full jet pass, which would roughly triple the solve
-    time of a cc-phase run.
-    """
-    a, a1, a2 = problem.field.jet(x)[:3]
-    if a < problem.tau_guard:
-        raise WKBInadmissibleError(f"a({x}) = {a} below tau guard")
-    return -(5.0 / 32.0) * a ** -2.5 * a1 * a1 + 0.125 * a ** -1.5 * a2
-
-
 class PhaseProvider:
     """Phase state of one solve: increments plus reduced exponentials.
 
@@ -135,11 +121,8 @@ class PhaseProvider:
             eps2 = problem.epsilon ** 2
 
             def integrand(y: float) -> float:
-                a = problem.field(y)
-                if a < problem.tau_guard:
-                    raise WKBInadmissibleError(
-                        f"a({y}) = {a} below tau guard at quadrature node")
-                return math.sqrt(a) - eps2 * _eval_b(problem, y)
+                _, sqrt_a, b = b_jet(problem, y, 0)
+                return sqrt_a[0] - eps2 * b[0]
 
             s = clenshaw_curtis(integrand, x0, x1, self.nodes)
         self._memo = (x0, x1, s)

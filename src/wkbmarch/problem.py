@@ -36,12 +36,6 @@ class CoefficientField:
             raise ValueError("derivative tower must have six entries")
         return vals
 
-    def eval(self, x: float, order: int = 0) -> float:
-        if not 0 <= order <= MAX_DERIVATIVE_ORDER:
-            raise ValueError(
-                f"derivative order {order} outside 0..{MAX_DERIVATIVE_ORDER}")
-        return self.jet(x)[order]
-
     def __call__(self, x: float) -> float:
         return self.jet(x)[0]
 
@@ -98,9 +92,6 @@ class Problem:
             raise ValueError("need x_start < x_end")
         if self.tau_guard <= 0.0:
             raise ValueError("tau_guard must be positive")
-
-    def a(self, x: float, order: int = 0) -> float:
-        return self.field.eval(x, order)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,7 @@ no external special-function dependency:
   analytic continuation of the Airy ODE for moderate arguments, classical
   large-argument asymptotic expansions beyond,
 * parabolic cylinder values U(nu, z) by continuation of w'' = (z^2/4 + nu) w,
-* global error norms over a trajectory and the transmission map that turns
-  an initial-value solution into the scattering-normalized wave.
+* global error norms over a trajectory.
 
 The Taylor continuation doubles as the independent cross-check for the
 asymptotic expansions: both routes must reproduce the same values where
@@ -545,10 +544,23 @@ def airy_pair(t: float) -> AiryQuad:
 # Parabolic cylinder function U(nu, z)
 # ---------------------------------------------------------------------------
 
+def _over_gamma(num: float, scale: float, x: float) -> float:
+    """num / (scale * Gamma(x)), written with the reciprocal gamma so that
+    it is exactly 0 at the poles of Gamma, where 1/Gamma(x) vanishes."""
+    if x <= 0.0 and x == math.floor(x):
+        return 0.0
+    return num / (scale * gamma_fn(x))
+
+
 def pcf_origin_values(nu: float) -> tuple[float, float]:
-    """Closed-form (U(nu, 0), U'(nu, 0))."""
-    u0 = SQRT_PI / (2.0 ** (0.5 * nu + 0.25) * gamma_fn(0.75 + 0.5 * nu))
-    du0 = -SQRT_PI / (2.0 ** (0.5 * nu - 0.25) * gamma_fn(0.25 + 0.5 * nu))
+    """Closed-form (U(nu, 0), U'(nu, 0)).
+
+    U(nu, 0) = sqrt(pi) / (2^(nu/2 + 1/4) Gamma(3/4 + nu/2)) and
+    U'(nu, 0) = -sqrt(pi) / (2^(nu/2 - 1/4) Gamma(1/4 + nu/2)); either is 0
+    where its gamma argument is a pole (nu = -1/2, -3/2, -5/2, ...).
+    """
+    u0 = _over_gamma(SQRT_PI, 2.0 ** (0.5 * nu + 0.25), 0.75 + 0.5 * nu)
+    du0 = _over_gamma(-SQRT_PI, 2.0 ** (0.5 * nu - 0.25), 0.25 + 0.5 * nu)
     return u0, du0
 
 
@@ -559,8 +571,9 @@ def pcf_U(nu: float, z: float) -> tuple[float, float]:
     Intended for the oscillatory span of the quadratic benchmark. For |nu|
     above about 283 the gamma factors of the origin values overflow and
     this raises OverflowError or ZeroDivisionError (make_pcf_problem
-    reports either as ValueError); where 3/4 + nu/2 or 1/4 + nu/2 is a
-    pole of gamma, gamma_fn raises ValueError.
+    reports either as ValueError). At nu = -1/2, -3/2, -5/2, ..., where
+    3/4 + nu/2 or 1/4 + nu/2 is a pole of gamma, the matching origin value
+    is exactly 0.
     """
     u0, du0 = pcf_origin_values(nu)
     if z == 0.0:
@@ -569,7 +582,7 @@ def pcf_U(nu: float, z: float) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# Error metrics and the transmission map
+# Error metrics
 # ---------------------------------------------------------------------------
 
 def exact_solution(problem, x: float) -> WaveState:
@@ -614,24 +627,3 @@ def global_error(trajectory, problem, norm: str = "sup",
         err = float(np.linalg.norm(num - ref) / denom)
         return (err, 0) if return_details else err
     raise ValueError(f"unknown norm {norm!r}")
-
-
-def transmission_map(states, k1: float) -> np.ndarray:
-    """Scattering-normalized wave from an initial-value trajectory.
-
-    Rescales phi so that the outgoing boundary row at x = 1 holds:
-    psi(x) = -2i k1 / (phi'(1) - i k1 phi(1)) * phi(x). The trajectory must
-    contain a node at x = 1 (clamped runs on [x0, 1] end there).
-    """
-    if k1 <= 0.0:
-        raise ValueError("k1 must be positive")
-    states = _iter_states(states)
-    at_one = [s for s in states if abs(s.x - 1.0) <= 1e-12]
-    if not at_one:
-        raise ValueError("trajectory has no node at x = 1")
-    end = at_one[-1]
-    denom = end.dphi - 1j * k1 * end.phi
-    if abs(denom) < 1e-300:
-        raise ValueError("vanishing transmission denominator")
-    scale = -2j * k1 / denom
-    return np.array([scale * s.phi for s in states], dtype=complex)

@@ -48,7 +48,7 @@ def wkb_basis(problem, provider: PhaseProvider,
     log, the oscillatory phase and (order 3) the eps^2 phi3 correction.
     """
     eps = problem.epsilon
-    a, s, bj = b_jet(problem, x)  # b valid to order 3, sqrt(a) to order 5
+    a, s, bj = b_jet(problem, x, 2)
     # Amplitude log: -(1/4) log a; only its derivatives are needed.
     a1 = a[1]
     a2 = 2.0 * a[2]
@@ -78,7 +78,7 @@ def wkb_basis(problem, provider: PhaseProvider,
             d2f_minus=(lp_minus * lp_minus + lpp_minus) * f_minus,
         )
 
-    p3 = jet_div(bj, 2.0 * s)  # phi3 jet, valid to order 3
+    p3 = jet_div(bj, [2.0 * sk for sk in s], 2)  # phi3 jet
     try:
         corr = math.exp(eps2 * p3[0])
     except OverflowError as exc:  # large b over a tiny sqrt(a)

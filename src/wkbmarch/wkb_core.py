@@ -3,67 +3,76 @@
 The pipeline: (phi, phi') -> U (amplitude-normalized first-order system)
 -> Z (dominant oscillation factored out). In Z variables one step of the
 first-order scheme is Z_{n+1} = (I + A1) Z_n; the second-order scheme uses
-Z_{n+1} = (I + A1_mod + A2) Z_n. Every matrix entry carries a factor built
-from the correction density b(x) and the derived coefficients b_k, so for
-constant a(x) both schemes propagate Z exactly.
+Z_{n+1} = (I + A1_mod + A2) Z_n. A1 and A1_mod are off-diagonal and A2 is
+diagonal, so a step is four complex products per order; U and Z are kept as
+pairs of complex scalars. Every matrix entry carries a factor built from the
+correction density b(x) and the derived coefficients b_k, so for constant
+a(x) both schemes propagate Z exactly.
 
-All b_k derivatives are expanded analytically through truncated Taylor jets
-over the coefficient field's derivative tower; numerical differentiation is
-never used here (the schemes multiply b_3 by eps^5 h_2(2s/eps), so noise in
-the tower would be amplified badly at small eps).
+b and all b_k derivatives are expanded analytically through truncated
+Taylor jets over the coefficient field's derivative tower; numerical
+differentiation is never used here (the schemes multiply b_3 by
+eps^5 h_2(2s/eps), so noise in the tower would be amplified badly at small
+eps). `b_jet` is the only place b is built from the derivatives of a.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .phase import PhaseProvider, TWO_PI
 from .state import WaveState, WKBInadmissibleError
 
 # Relative floor for the transformed frequency sqrt(a) - eps^2 b.
 PHASE_DERIV_GUARD = 1e-10
 
-_FACTORIALS = np.array([math.factorial(j) for j in range(6)], dtype=float)
+_FACTORIALS = tuple(float(math.factorial(j)) for j in range(6))
 
 SQRT2 = math.sqrt(2.0)
 
 
 # ---------------------------------------------------------------------------
-# Taylor jets: arrays c[0..5] with c[j] = f^(j)(x)/j!.
-# Entries beyond each quantity's valid order are carried but never read.
+# Taylor jets: lists c[0..n] of floats with c[j] = f^(j)(x)/j!, truncated
+# at the order n each quantity is read to.
 # ---------------------------------------------------------------------------
 
-def jet_mul(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    out = np.zeros(6)
-    for k in range(6):
-        out[k] = np.dot(u[:k + 1], v[k::-1])
+def jet_mul(u, v, n: int) -> list[float]:
+    """u * v to order n."""
+    out = []
+    for k in range(n + 1):
+        acc = 0.0
+        for j in range(k + 1):
+            acc += u[j] * v[k - j]
+        out.append(acc)
     return out
 
 
-def jet_div(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    out = np.zeros(6)
-    out[0] = u[0] / v[0]
-    for k in range(1, 6):
-        out[k] = (u[k] - np.dot(v[1:k + 1], out[k - 1::-1])) / v[0]
+def jet_div(u, v, n: int) -> list[float]:
+    """u / v to order n."""
+    out = [u[0] / v[0]]
+    for k in range(1, n + 1):
+        acc = 0.0
+        for j in range(1, k + 1):
+            acc += v[j] * out[k - j]
+        out.append((u[k] - acc) / v[0])
     return out
 
 
-def jet_sqrt(u: np.ndarray) -> np.ndarray:
-    out = np.zeros(6)
-    out[0] = math.sqrt(u[0])
-    for k in range(1, 6):
-        acc = u[k] - np.dot(out[1:k], out[k - 1:0:-1])
-        out[k] = acc / (2.0 * out[0])
+def jet_sqrt(u, n: int) -> list[float]:
+    """sqrt(u) to order n."""
+    out = [math.sqrt(u[0])]
+    for k in range(1, n + 1):
+        acc = 0.0
+        for j in range(1, k):
+            acc += out[j] * out[k - j]
+        out.append((u[k] - acc) / (2.0 * out[0]))
     return out
 
 
-def jet_deriv(u: np.ndarray) -> np.ndarray:
-    out = np.zeros(6)
-    out[:5] = u[1:] * np.arange(1, 6)
-    return out
+def jet_deriv(u, n: int) -> list[float]:
+    """u' to order n (reads u to order n + 1)."""
+    return [u[j + 1] * (j + 1) for j in range(n + 1)]
 
 
 @dataclass(frozen=True)
@@ -79,52 +88,55 @@ class BkTable:
 
 @dataclass(frozen=True)
 class ZState:
-    """Transformed solution sample: x and the 2-vector z."""
+    """Transformed solution sample: x and the components z1, z2 of Z."""
 
     x: float
-    z: np.ndarray
+    z1: complex
+    z2: complex
 
 
-def b_jet(problem, x: float):
-    """The jets (a, sqrt(a), b) at x: one jet pass per point.
+def b_jet(problem, x: float, order: int):
+    """The jets (a, sqrt(a), b) at x, each to `order` (at most 3).
 
     b(x) = -(a^(-1/4))'' / (2 a^(1/4)) is expanded through the chain rule as
-    b = -(5/32) a'^2 a^(-5/2) + (1/8) a'' a^(-3/2); its jet is valid to
-    order 3, those of a and sqrt(a) to order 5.
+    b = -(5/32) a'^2 a^(-5/2) + (1/8) a'' a^(-3/2), which reads a to
+    order + 2; the derivative tower reaches a^(5), hence the cap.
     """
-    a = np.asarray(problem.field.jet(x), dtype=float) / _FACTORIALS
-    if a[0] < problem.tau_guard:
-        raise WKBInadmissibleError(f"a({x}) = {a[0]} below tau guard")
-    a1 = jet_deriv(a)
-    a2 = jet_deriv(a1)
-    s = jet_sqrt(a)
-    a_s = jet_mul(a, s)            # a^(3/2)
-    a2_s = jet_mul(jet_mul(a, a), s)  # a^(5/2)
-    term1 = jet_div(jet_mul(a1, a1), a2_s)
-    term2 = jet_div(a2, a_s)
-    return a, s, -(5.0 / 32.0) * term1 + 0.125 * term2
+    tower = problem.field.jet(x)
+    if tower[0] < problem.tau_guard:
+        raise WKBInadmissibleError(f"a({x}) = {tower[0]} below tau guard")
+    n = order
+    a = [tower[k] / _FACTORIALS[k] for k in range(n + 3)]
+    a1 = jet_deriv(a, n + 1)
+    a2 = jet_deriv(a1, n)
+    s = jet_sqrt(a, n)
+    a_s = jet_mul(a, s, n)                  # a^(3/2)
+    a2_s = jet_mul(jet_mul(a, a, n), s, n)  # a^(5/2)
+    term1 = jet_div(jet_mul(a1, a1, n), a2_s, n)
+    term2 = jet_div(a2, a_s, n)
+    b = [-(5.0 / 32.0) * t1 + 0.125 * t2 for t1, t2 in zip(term1, term2)]
+    return a[:n + 1], s, b
 
 
 def eval_bk(problem, x: float) -> BkTable:
     """b and the derived coefficients b_0..b_3 at x.
 
     b_0 = b / (2 (sqrt(a) - eps^2 b)), and each next b_{k+1} is the
-    derivative of b_k over twice the phase derivative, expanded analytically
-    over the derivative tower of a (which is why the tower reaches a^(5)).
+    derivative of b_k over twice the phase derivative, so b_k is needed to
+    order 3 - k and b to order 3.
     """
-    eps = problem.epsilon
-    _, s, bj = b_jet(problem, x)
-    phase = s - eps * eps * bj
+    eps2 = problem.epsilon * problem.epsilon
+    _, s, bj = b_jet(problem, x, 3)
+    phase = [sk - eps2 * bk for sk, bk in zip(s, bj)]
     if phase[0] < PHASE_DERIV_GUARD * s[0]:
         raise WKBInadmissibleError(
             f"phase derivative {phase[0]} degenerate at x={x}")
-    two_phase = 2.0 * phase
-    b0 = jet_div(bj, two_phase)
-    b1 = jet_div(jet_deriv(b0), two_phase)
-    b2 = jet_div(jet_deriv(b1), two_phase)
-    b3 = jet_div(jet_deriv(b2), two_phase)
-    return BkTable(b=float(bj[0]), b0=float(b0[0]), b1=float(b1[0]),
-                   b2=float(b2[0]), b3=float(b3[0]))
+    two_phase = [2.0 * p for p in phase]
+    b0 = jet_div(bj, two_phase, 3)
+    b1 = jet_div(jet_deriv(b0, 2), two_phase, 2)
+    b2 = jet_div(jet_deriv(b1, 1), two_phase, 1)
+    b3 = jet_div(jet_deriv(b2, 0), two_phase, 0)
+    return BkTable(b=bj[0], b0=b0[0], b1=b1[0], b2=b2[0], b3=b3[0])
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +169,7 @@ def osc_kernels(y: float) -> tuple[complex, complex]:
 # U and Z transforms
 # ---------------------------------------------------------------------------
 
-def to_U(problem, state: WaveState) -> np.ndarray:
+def to_U(problem, state: WaveState) -> tuple[complex, complex]:
     """(phi, phi') -> U = (a^(1/4) phi, eps (a^(1/4) phi)' / sqrt(a))."""
     a, a1 = problem.field.jet(state.x)[:2]
     if a < problem.tau_guard:
@@ -166,50 +178,49 @@ def to_U(problem, state: WaveState) -> np.ndarray:
     root4 = a ** 0.25
     u1 = root4 * state.phi
     u2 = eps * (0.25 * a1 * a ** -1.25 * state.phi + state.dphi / root4)
-    return np.array([u1, u2], dtype=complex)
+    return u1, u2
 
 
-def from_U(problem, x: float, U: np.ndarray) -> WaveState:
+def from_U(problem, x: float, U) -> WaveState:
     """Inverse of to_U."""
     a, a1 = problem.field.jet(x)[:2]
     if a < problem.tau_guard:
         raise WKBInadmissibleError(f"a({x}) = {a} below tau guard")
     eps = problem.epsilon
     root4 = a ** 0.25
-    phi = U[0] / root4
-    dphi = U[1] * root4 / eps - 0.25 * a1 * a ** -1.25 * U[0]
+    u1, u2 = U
+    phi = u1 / root4
+    dphi = u2 * root4 / eps - 0.25 * a1 * a ** -1.25 * u1
     return WaveState(x, complex(phi), complex(dphi))
 
 
-def to_Z(provider: PhaseProvider, U: np.ndarray, x: float) -> ZState:
+def to_Z(provider, U, x: float) -> ZState:
     """U -> Z = exp(-i Phi/eps) P U with P = [[i, 1], [1, i]]/sqrt(2)."""
-    theta = provider.reduced_phase(x)
-    rot = np.exp(-1j * theta)
-    z1 = rot * (1j * U[0] + U[1]) / SQRT2
-    z2 = (1j * U[1] + U[0]) / (rot * SQRT2)
-    return ZState(x=x, z=np.array([z1, z2], dtype=complex))
+    rot = cmath.exp(-1j * provider.reduced_phase(x))
+    u1, u2 = U
+    return ZState(x, rot * (1j * u1 + u2) / SQRT2,
+                  (1j * u2 + u1) / (rot * SQRT2))
 
 
-def from_Z(problem, provider: PhaseProvider, zstate: ZState) -> WaveState:
+def from_Z(problem, provider, zstate: ZState) -> WaveState:
     """Z -> (phi, phi'), using U = P^H exp(i Phi/eps) Z (P is unitary)."""
-    theta = provider.reduced_phase(zstate.x)
-    rot = np.exp(1j * theta)
-    w1 = rot * zstate.z[0]
-    w2 = zstate.z[1] / rot
-    u1 = (-1j * w1 + w2) / SQRT2
-    u2 = (w1 - 1j * w2) / SQRT2
-    return from_U(problem, zstate.x, np.array([u1, u2], dtype=complex))
+    rot = cmath.exp(1j * provider.reduced_phase(zstate.x))
+    w1 = rot * zstate.z1
+    w2 = zstate.z2 / rot
+    return from_U(problem, zstate.x,
+                  ((-1j * w1 + w2) / SQRT2, (w1 - 1j * w2) / SQRT2))
 
 
 # ---------------------------------------------------------------------------
 # Marching steps
 # ---------------------------------------------------------------------------
 
-def assemble_step_matrices(problem, provider: PhaseProvider, x0: float,
-                           x1: float):
-    """The update matrices (A1, A1_mod, A2) for the step [x0, x1].
+def assemble_step_matrices(problem, provider, x0: float, x1: float):
+    """The nonzero entries of (A1, A1_mod, A2) for the step [x0, x1].
 
-    Raises WKBInadmissibleError when any guard fails on the interval; the
+    Returns ((A1_12, A1_21), (A1_mod_12, A1_mod_21), (A2_11, A2_22)): the
+    off-diagonals of A1 and A1_mod and the diagonal of A2. Raises
+    WKBInadmissibleError when any guard fails on the interval; the
     controller turns that into a rejected trial.
     """
     eps = problem.epsilon
@@ -217,15 +228,14 @@ def assemble_step_matrices(problem, provider: PhaseProvider, x0: float,
     t1 = eval_bk(problem, x1)
     s = provider.increment(x0, x1)
     theta0 = provider.reduced_phase(x0)
-    theta1 = theta0 + math.fmod(s / eps, TWO_PI)
-    e0p = np.exp(2j * theta0)
-    e1p = np.exp(2j * theta1)
-    e0m = np.conj(e0p)
-    e1m = np.conj(e1p)
-    y = 2.0 * s / eps
-    h1p, h2p = osc_kernels(y)
-    h1m = np.conj(h1p)
-    h2m = np.conj(h2p)
+    theta1 = theta0 + math.fmod(s / eps, math.tau)
+    e0p = cmath.exp(2j * theta0)
+    e1p = cmath.exp(2j * theta1)
+    e0m = e0p.conjugate()
+    e1m = e1p.conjugate()
+    h1p, h2p = osc_kernels(2.0 * s / eps)
+    h1m = h1p.conjugate()
+    h2m = h2p.conjugate()
 
     eps2 = eps * eps
     eps3 = eps2 * eps
@@ -235,42 +245,38 @@ def assemble_step_matrices(problem, provider: PhaseProvider, x0: float,
     delta12 = -1j * eps2 * (t0.b0 * e0m - t1.b0 * e1m)
     delta21 = -1j * eps2 * (t1.b0 * e1p - t0.b0 * e0p)
 
-    a1 = np.array([
-        [0.0, eps3 * t1.b1 * e0m * h1m + delta12],
-        [eps3 * t1.b1 * e0p * h1p + delta21, 0.0],
-    ], dtype=complex)
+    a1 = (eps3 * t1.b1 * e0m * h1m + delta12,
+          eps3 * t1.b1 * e0p * h1p + delta21)
 
-    a1mod = np.array([
-        [0.0,
-         delta12
-         + eps3 * (t1.b1 * e1m - t0.b1 * e0m)
-         - 1j * eps4 * t1.b2 * e0m * h1m
-         - eps5 * t1.b3 * e0m * h2m],
-        [delta21
-         + eps3 * (t1.b1 * e1p - t0.b1 * e0p)
-         + 1j * eps4 * t1.b2 * e0p * h1p
-         - eps5 * t1.b3 * e0p * h2p,
-         0.0],
-    ], dtype=complex)
+    a1mod = (delta12
+             + eps3 * (t1.b1 * e1m - t0.b1 * e0m)
+             - 1j * eps4 * t1.b2 * e0m * h1m
+             - eps5 * t1.b3 * e0m * h2m,
+             delta21
+             + eps3 * (t1.b1 * e1p - t0.b1 * e0p)
+             + 1j * eps4 * t1.b2 * e0p * h1p
+             - eps5 * t1.b3 * e0p * h2p)
 
     trap = 0.5 * (t1.b * t1.b0 + t0.b * t0.b0)
-    d_top = (-1j * eps3 * (x1 - x0) * trap
-             - eps4 * t0.b0 * t1.b0 * h1m
-             + eps5 * t1.b1 * (t0.b0 - t1.b0) * h2m)
-    d_bot = (1j * eps3 * (x1 - x0) * trap
-             - eps4 * t0.b0 * t1.b0 * h1p
-             - eps5 * t1.b1 * (t0.b0 - t1.b0) * h2p)
-    a2 = np.array([[d_top, 0.0], [0.0, d_bot]], dtype=complex)
+    a2 = (-1j * eps3 * (x1 - x0) * trap
+          - eps4 * t0.b0 * t1.b0 * h1m
+          + eps5 * t1.b1 * (t0.b0 - t1.b0) * h2m,
+          1j * eps3 * (x1 - x0) * trap
+          - eps4 * t0.b0 * t1.b0 * h1p
+          - eps5 * t1.b1 * (t0.b0 - t1.b0) * h2p)
     return a1, a1mod, a2
 
 
 def wkb_step_pair(zn: ZState, x1: float, problem,
-                  provider: PhaseProvider) -> tuple[ZState, ZState]:
+                  provider) -> tuple[ZState, ZState]:
     """Both marching orders from the same Z_n over [zn.x, x1].
 
     Returns (first-order result, second-order result); the controller
     differences them for the error estimate and propagates the second.
     """
-    a1, a1mod, a2 = assemble_step_matrices(problem, provider, zn.x, x1)
-    return (ZState(x=x1, z=zn.z + a1 @ zn.z),
-            ZState(x=x1, z=zn.z + (a1mod + a2) @ zn.z))
+    (a12, a21), (m12, m21), (d11, d22) = assemble_step_matrices(
+        problem, provider, zn.x, x1)
+    z1, z2 = zn.z1, zn.z2
+    return (ZState(x1, z1 + a12 * z2, z2 + a21 * z1),
+            ZState(x1, z1 + (d11 * z1 + m12 * z2),
+                   z2 + (m21 * z1 + d22 * z2)))

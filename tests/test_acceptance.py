@@ -56,12 +56,14 @@ def test_criterion_1_airy_step_counts(airy_runs, rkwkb_runs):
 def test_criterion_2_long_interval(long_run, airy_long):
     """Linear benchmark on [0.1, 1e8] at Tol=1e-5.
 
-    Known red: with this controller (Fehlberg pair, EPS acceptance,
-    safety 0.9, eta 1e-2, propagated 5th-order member) the error committed
-    across the pre-oscillatory segment plateaus near 4e-5, four times the
-    1e-5 bound asserted here; the rival method plateaus near 6e-5 on the
-    same interval. The plateau then dominates the floor comparison up to
-    x of a few 1e6. Step count and floor tracking at the far end pass.
+    Known red, in two asserts. With this controller (Fehlberg pair, EPS
+    acceptance, safety 0.9, eta 1e-2, propagated 5th-order member) the
+    error committed across the pre-oscillatory segment plateaus near 4e-5:
+    the sup error over x <= 1e6 reads 4.07e-5 against the 1e-5 bound, and
+    beyond 1e6 the worst ratio of error to 10 eps x^1.5 reads about 12.7
+    against 1, because the plateau still sits above that floor at the nodes
+    near x = 1.2e6, 2.5e6 and 4.9e6. Only the step count (58 <= 80) passes.
+    The rival method plateaus near 6e-5 on the same interval.
     """
     assert long_run.accepted <= 80
     worst_low = 0.0
@@ -231,7 +233,7 @@ def test_criterion_8_special_functions(pcf6):
         d2 = (2 * stencil[0] - 27 * stencil[1] + 270 * stencil[2]
               - 490 * stencil[3] + 270 * stencil[4] - 27 * stencil[5]
               + 2 * stencil[6]) / (180 * h * h)
-        target = -pcf6.a(x) * stencil[3] / pcf6.epsilon ** 2
+        target = -pcf6.field.jet(x)[0] * stencil[3] / pcf6.epsilon ** 2
         assert abs(d2 - target) / abs(target) <= 1e-10
     report(8, f"hybrid vs continuation oracle {worst:.1e} <= 1e-9 on 100 "
               f"points; Wronskian {wronskian_err:.1e} <= 1e-10; u1, v1 exact; "
@@ -285,14 +287,15 @@ def test_criterion_10_transforms_and_gauge(airy1, airy_runs):
     worst_norm = 0.0
     for _ in range(50):
         x = float(rng.uniform(0.3, 45.0))
-        U = np.array([complex(*rng.standard_normal(2)),
-                      complex(*rng.standard_normal(2))])
-        z = to_Z(prov, U, x)
+        u1 = complex(*rng.standard_normal(2))
+        u2 = complex(*rng.standard_normal(2))
+        z = to_Z(prov, (u1, u2), x)
         back = to_U(airy1, from_Z(airy1, prov, z))
-        scale = np.linalg.norm(U)
-        worst_rt = max(worst_rt, float(np.max(np.abs(back - U))) / scale)
+        scale = math.hypot(abs(u1), abs(u2))
+        worst_rt = max(worst_rt,
+                       max(abs(back[0] - u1), abs(back[1] - u2)) / scale)
         worst_norm = max(worst_norm,
-                         abs(np.linalg.norm(z.z) - scale) / scale)
+                         abs(math.hypot(abs(z.z1), abs(z.z2)) - scale) / scale)
     assert worst_rt <= 1e-14
     assert worst_norm <= 1e-13
 

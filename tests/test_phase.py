@@ -9,9 +9,10 @@ import scipy.integrate as si
 from hypothesis import given, settings, strategies as st
 
 from wkbmarch import (PhaseProvider, WaveState, WKBInadmissibleError,
-                      clenshaw_curtis, eval_bk, make_airy_problem,
+                      clenshaw_curtis, make_airy_problem,
                       make_pcf_problem, make_polynomial_problem)
-from wkbmarch.phase import TWO_PI, _eval_b
+from wkbmarch.phase import TWO_PI
+from wkbmarch.wkb_core import b_jet
 
 # Closed-form pieces for the linear benchmark, written out independently of
 # the package internals.
@@ -116,8 +117,14 @@ def test_guard_violation_signals_inadmissible():
         prov.increment(-0.5, 0.5)
 
 
+def closed_form_b(p, x):
+    a, a1, a2 = p.field.jet(x)[:3]
+    return -(5.0 / 32.0) * a ** -2.5 * a1 * a1 + 0.125 * a ** -1.5 * a2
+
+
 def test_integrand_b_matches_jet_pass():
-    # The cc integrand's closed-form b agrees with the jet pass.
+    # The cc integrand reads b from the jet pass at order 0; it agrees with
+    # b = -(5/32) a'^2 a^(-5/2) + (1/8) a'' a^(-3/2) in closed form.
     quartic = make_polynomial_problem([2.0, -1.0, 0.5, 0.3, -0.05], 0.1,
                                       (0.0, 3.0))
     cases = ((make_airy_problem(1.0), (0.1, 1.0, 7.5, 49.0)),
@@ -125,7 +132,8 @@ def test_integrand_b_matches_jet_pass():
              (quartic, (0.0, 0.8, 1.7, 2.9)))
     for p, xs in cases:
         for x in xs:
-            assert _eval_b(p, x) == pytest.approx(eval_bk(p, x).b, rel=1e-14)
+            got = b_jet(p, x, 0)[2][0]
+            assert got == pytest.approx(closed_form_b(p, x), rel=1e-14)
 
 
 def test_exact_mode_requires_antiderivative():

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from wkbmarch import (WaveState, gamma_fn, make_airy_problem,
+from wkbmarch import (CoefficientField, WaveState, gamma_fn, make_airy_problem,
                       make_pcf_problem, make_polynomial_problem,
                       polynomial_field, problem_from_json)
 
@@ -33,8 +33,8 @@ def test_polynomial_tower_matches_finite_differences():
     fld = polynomial_field(coeffs)
     for x in rng.uniform(-3.0, 3.0, 100):
         for order in range(1, 6):
-            fd = fd_derivative(lambda y: fld.eval(y, order - 1), float(x), 1e-3)
-            exact = fld.eval(float(x), order)
+            fd = fd_derivative(lambda y: fld.jet(y)[order - 1], float(x), 1e-3)
+            exact = fld.jet(float(x))[order]
             assert fd == pytest.approx(exact, rel=1e-6, abs=1e-7)
 
 
@@ -44,9 +44,11 @@ def test_empty_coefficients_rejected():
 
 
 def test_derivative_order_limit():
+    # The tower stops at a^(5); a longer tower is rejected.
     fld = polynomial_field([1.0, 1.0])
+    assert len(fld.jet(0.5)) == 6
     with pytest.raises(ValueError):
-        fld.eval(0.5, 6)
+        CoefficientField(lambda x: [1.0] * 7).jet(0.5)
 
 
 def test_airy_field_is_linear():
@@ -118,7 +120,7 @@ def test_initial_state_satisfies_equation():
         d2 = (2 * stencil[0] - 27 * stencil[1] + 270 * stencil[2]
               - 490 * stencil[3] + 270 * stencil[4] - 27 * stencil[5]
               + 2 * stencil[6]) / (180 * h * h)
-        target = -p.a(x) * stencil[3] / p.epsilon ** 2
+        target = -p.field.jet(x)[0] * stencil[3] / p.epsilon ** 2
         assert abs(d2 - target) / abs(target) < 1e-8
 
 
@@ -135,8 +137,8 @@ def test_pcf_parameter_values():
     # z(1) = 0 for every eps: phi(1) = kappa U(nu, 0) is the center value.
     z_scale = 2.0 ** 0.25 / math.sqrt(eps)
     assert z_scale * (1.0 - 1.0) == 0.0
-    assert p.a(1.0) == pytest.approx(0.5)
-    assert p.a(1.0, 1) == pytest.approx(0.0)
+    assert p.field.jet(1.0)[0] == pytest.approx(0.5)
+    assert p.field.jet(1.0)[1] == pytest.approx(0.0)
 
 
 def test_pcf_b_at_center():

@@ -19,7 +19,7 @@ from scipy.integrate import solve_ivp
 
 from wkbmarch import (WaveState, airy_asymptotic,
                       airy_pair, asymptotic_coeffs, gamma_fn, global_error,
-                      pcf_U, taylor_continuation, transmission_map)
+                      pcf_U, taylor_continuation)
 from wkbmarch.reference import (_airy_continued, _ContinuationTable,
                                 airy_origin_values, pcf_origin_values)
 
@@ -231,6 +231,17 @@ def test_pcf_matches_mpmath(z):
     assert u == pytest.approx(ref, rel=1e-12)
 
 
+@pytest.mark.parametrize("nu", [-0.5, -1.5])
+@pytest.mark.parametrize("z", [0.0, 1.0, -2.5, 4.0])
+def test_pcf_at_gamma_pole_matches_mpmath(nu, z):
+    # One origin value sits on a pole of gamma here; 1/Gamma vanishes there.
+    u, du = pcf_U(nu, z)
+    ref = float(mpmath.pcfu(nu, z))
+    dref = float(mpmath.diff(lambda t: mpmath.pcfu(nu, t), z))
+    assert u == pytest.approx(ref, rel=1e-12, abs=1e-15)
+    assert du == pytest.approx(dref, rel=1e-12, abs=1e-15)
+
+
 def test_pcf_round_trip_residual():
     # Continue out and back; the return must hit the closed-form start.
     u0, du0 = pcf_U(NU, 0.0)
@@ -376,44 +387,3 @@ def test_global_error_single_node_scaling(airy1):
 def test_global_error_unknown_norm(airy1):
     with pytest.raises(ValueError):
         global_error([airy1.exact(1.0)], airy1, "max")
-
-
-# ---------------------------------------------------------------------------
-# Transmission map
-# ---------------------------------------------------------------------------
-
-def test_transmission_identity_when_outgoing():
-    k1 = 2.0
-    states = [WaveState(0.5, 0.3 + 0.1j, 0.0), WaveState(1.0, 1.0, -1j * k1)]
-    psi = transmission_map(states, k1)
-    assert abs(psi[1] - 1.0) < 1e-14
-    assert abs(psi[0] - states[0].phi) < 1e-14
-
-
-def test_transmission_plane_wave():
-    # V = 0, eps = 1, E = k^2: phi = e^{-ikx} maps to psi = e^{ik(1-x)}.
-    k = 3.0
-    xs = [0.0, 0.25, 0.5, 1.0]
-    states = [WaveState(x, complex(np.exp(-1j * k * x)),
-                        complex(-1j * k * np.exp(-1j * k * x))) for x in xs]
-    psi = transmission_map(states, k)
-    for x, val in zip(xs, psi):
-        assert abs(val - np.exp(1j * k * (1 - x))) < 1e-13
-    # Outgoing boundary row at x = 1: with psi = e^{ik(1-x)}, psi' = -ik psi,
-    # so psi'(1) - ik psi(1) = -2ik psi(1).
-    boundary = -1j * k * psi[-1] - 1j * k * psi[-1]
-    assert abs(boundary - (-2j * k)) < 1e-12
-
-
-def test_transmission_projective_invariance():
-    k1 = 1.7
-    base = [WaveState(0.2, 0.4 - 0.3j, 1.1j), WaveState(1.0, 0.8 + 0.1j, -0.6)]
-    scaled = [WaveState(s.x, 5.5j * s.phi, 5.5j * s.dphi) for s in base]
-    psi_a = transmission_map(base, k1)
-    psi_b = transmission_map(scaled, k1)
-    assert np.allclose(psi_a, psi_b, rtol=1e-12, atol=1e-14)
-
-
-def test_transmission_needs_node_at_one():
-    with pytest.raises(ValueError):
-        transmission_map([WaveState(0.5, 1.0, 0.0)], 1.0)
