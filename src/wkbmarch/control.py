@@ -70,8 +70,8 @@ class SolverConfig:
     cc_nodes: int = 15
 
     def __post_init__(self):
-        if self.tol <= 0.0 or self.h0 <= 0.0:
-            raise ValueError("tol and h0 must be positive")
+        if not (0.0 < self.tol < math.inf and 0.0 < self.h0 < math.inf):
+            raise ValueError("tol and h0 must be finite and positive")
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         if self.phase not in ("auto", "exact", "cc"):
@@ -216,10 +216,9 @@ def _pair(tag: str, problem, provider, state: WaveState, h: float,
     The transform scheme lands on x1, the other two on state.x + h.
     """
     if tag == TAG_WKB:
-        zn = to_Z(provider, to_U(problem, state), state.x)
+        zn = to_Z(to_U(problem, state), state.x)
         z_low, z_high = wkb_step_pair(zn, x1, problem, provider)
-        return (from_Z(problem, provider, z_low),
-                from_Z(problem, provider, z_high))
+        return from_Z(problem, z_low), from_Z(problem, z_high)
     if tag == TAG_RKWKB:
         return rkwkb_step(problem, provider, state, h)
     return rkf45_step(problem, state, h)
@@ -300,8 +299,6 @@ def integrate(problem, config: SolverConfig) -> Trajectory:
             cand = candidates[choice]
             state = cand.state
             x = x1
-            if provider is not None:
-                _anchor_provider(provider, x)
             traj.records.append(StepRecord(
                 index=len(traj.records), x=x, h=h, method=cand.method,
                 est=cand.est, theta=theta, state=state))
@@ -316,17 +313,6 @@ def integrate(problem, config: SolverConfig) -> Trajectory:
     return traj
 
 
-def _anchor_provider(provider, x_new):
-    """Advance the phase anchor, re-gauging when the increment cannot be
-    evaluated (for instance after crossing a region with a <= 0)."""
-    if provider.anchor == x_new:
-        return
-    try:
-        provider.advance(x_new)
-    except WKBInadmissibleError:
-        provider.rebase(x_new)
-
-
 # ---------------------------------------------------------------------------
 # Fixed-grid marching (controller disabled)
 # ---------------------------------------------------------------------------
@@ -335,18 +321,17 @@ def march_fixed_grid(problem, xs, order: int = 2, phase: str = "exact",
                      cc_nodes: int = 15) -> list[WaveState]:
     """Propagate the transform scheme of the given h-order over a fixed
     grid starting at problem.x_start (= xs[0]); used for convergence-order
-    measurements."""
+    measurements. Z is gauged once at xs[0] and stepped across the grid."""
     xs = list(map(float, xs))
     if xs[0] != problem.x_start:
         raise ValueError("grid must start at problem.x_start")
     provider = PhaseProvider(problem, mode=phase, nodes=cc_nodes)
-    z = to_Z(provider, to_U(problem, problem.initial), xs[0])
+    z = to_Z(to_U(problem, problem.initial), xs[0])
     out = []
     for x1 in xs[1:]:
         z1, z2 = wkb_step_pair(z, x1, problem, provider)
         z = z1 if order == 1 else z2
-        out.append(from_Z(problem, provider, z))
-        provider.advance(x1)
+        out.append(from_Z(problem, z))
     return out
 
 
@@ -359,7 +344,6 @@ def _exact_restart_pair(problem, method: str, x0: float, h: float,
     """Both pair members over [x0, x0+h], restarted from the exact solution."""
     y_start = problem.exact(x0)
     provider = PhaseProvider(problem, mode=phase, nodes=cc_nodes)
-    provider.rebase(x0)
     return _pair(method, problem, provider, y_start, h, x0 + h)
 
 
@@ -397,6 +381,8 @@ def estimator_h_sweep(problem, x0: float, h_values, method: str = TAG_WKB,
     Returns rows (h, est, lte, deviation); the step restarts at the exact
     solution for every h.
     """
+    if method not in ORDER_K:
+        raise ValueError(f"unknown method tag {method!r}")
     if problem.exact is None:
         raise ValueError("estimator sweep needs an exact solution")
     rows = []

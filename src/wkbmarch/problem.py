@@ -21,6 +21,12 @@ from .state import WaveState
 MAX_DERIVATIVE_ORDER = 5
 
 
+def _check_epsilon(epsilon: float) -> None:
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError(
+            f"epsilon must be finite and positive, got {epsilon!r}")
+
+
 class CoefficientField:
     """Real coefficient function a(x) with derivatives up to order five."""
 
@@ -86,10 +92,9 @@ class Problem:
     label: str = ""
 
     def __post_init__(self):
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
-        if not self.x_start < self.x_end:
-            raise ValueError("need x_start < x_end")
+        _check_epsilon(self.epsilon)
+        if not -math.inf < self.x_start < self.x_end < math.inf:
+            raise ValueError("need finite x_start < x_end")
         if self.tau_guard <= 0.0:
             raise ValueError("tau_guard must be positive")
 
@@ -118,8 +123,7 @@ def make_airy_problem(epsilon: float, x_start: float = 0.1,
     evaluated at x_start. The closed-form phase antiderivative
     (2/3) x^(3/2) - (5 eps^2 / 48) x^(-3/2) is attached for exact-phase runs.
     """
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
+    _check_epsilon(epsilon)
     eps2 = epsilon * epsilon
 
     def phase_F(x: float) -> float:
@@ -172,8 +176,7 @@ def make_pcf_problem(epsilon: float, x_start: float = 0.01,
     rule, phi' = -kappa 2^(1/4) eps^(-1/2) U'(nu, z). Values come from a
     checkpointed continuation of w'' = (z^2/4 + nu) w built once here.
     """
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
+    _check_epsilon(epsilon)
     if not 0.0 < x_start < x_end < 2.0:
         raise ValueError("domain must sit strictly inside (0, 2)")
     nu = -1.0 / (math.sqrt(8.0) * epsilon)

@@ -23,8 +23,6 @@ import threading
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .state import ContinuationError, WaveState
 
 SQRT_PI = math.sqrt(math.pi)
@@ -529,8 +527,9 @@ def _airy_continued(t: float) -> AiryQuad:
 def airy_pair(t: float) -> AiryQuad:
     """Hybrid Airy quad at -t: continuation for moderate t, asymptotics
     beyond (values switch at 500, derivatives at 400)."""
-    if t < 0.0:
-        raise ValueError("only the oscillatory side t >= 0 is supported")
+    if not t >= 0.0:
+        raise ValueError(
+            f"only the oscillatory side t >= 0 is supported, got {t!r}")
     need_cont = t <= AIRY_VALUE_SWITCH
     need_asym = t > AIRY_DERIV_SWITCH
     cont = _airy_continued(t) if need_cont else None
@@ -619,11 +618,11 @@ def global_error(trajectory, problem, norm: str = "sup",
             worst = max(worst, abs(s.phi - ref) / abs(ref))
         return (worst, skipped) if return_details else worst
     if norm == "l2rel":
-        num = np.array([s.phi for s in states])
-        ref = np.array([exact_solution(problem, s.x).phi for s in states])
-        denom = np.linalg.norm(ref)
+        refs = [exact_solution(problem, s.x).phi for s in states]
+        denom = math.hypot(*(abs(r) for r in refs))
         if denom == 0.0:
             raise ValueError("exact solution vanishes on all nodes")
-        err = float(np.linalg.norm(num - ref) / denom)
+        err = math.hypot(*(abs(s.phi - r) for s, r in zip(states, refs)))
+        err /= denom
         return (err, 0) if return_details else err
     raise ValueError(f"unknown norm {norm!r}")

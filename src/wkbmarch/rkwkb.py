@@ -10,10 +10,13 @@ procedure is first order in the step size; its error estimate therefore
 differences two basis orders rather than two h-orders. Both orders are
 built from the same jets of a, sqrt(a) and b, so `wkb_basis` returns the
 two bases at a point and `rkwkb_step` the two steps (order 2, order 3).
+Each step gauges the phase at its start point; the fitted coefficients
+absorb the constant offset, so only the step's own increment is needed.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -39,9 +42,10 @@ class WKBBasis:
     d2f_minus: complex
 
 
-def wkb_basis(problem, provider: PhaseProvider,
-              x: float) -> tuple[WKBBasis, WKBBasis]:
-    """Basis pairs and derivatives at x for WKB orders 2 and 3.
+def wkb_basis(problem, x: float,
+              theta: float) -> tuple[WKBBasis, WKBBasis]:
+    """Basis pairs and derivatives at x for WKB orders 2 and 3, where
+    theta is phase(x)/eps (modulo 2*pi) in the caller's gauge.
 
     Derivatives are produced analytically: with f = exp(L),
     f' = L' f and f'' = (L'^2 + L'') f, where L collects the amplitude
@@ -59,7 +63,7 @@ def wkb_basis(problem, provider: PhaseProvider,
     ph1 = s[0] - eps2 * bj[0]
     ph2 = s[1] - eps2 * bj[1]  # jet index 1 holds the first derivative
     amp = a[0] ** -0.25
-    osc = provider.exponential(x, 1)
+    osc = cmath.exp(1j * theta)
 
     def basis(order, corr, c1, c2):
         f_plus = amp * corr * osc
@@ -117,8 +121,9 @@ def rkwkb_step(problem, provider: PhaseProvider, state: WaveState,
         raise ValueError("step size must be positive")
     x0 = state.x
     x1 = x0 + h
-    bases0 = wkb_basis(problem, provider, x0)
-    bases1 = wkb_basis(problem, provider, x1)
+    bases0 = wkb_basis(problem, x0, 0.0)
+    theta1 = math.fmod(provider.increment(x0, x1) / problem.epsilon, math.tau)
+    bases1 = wkb_basis(problem, x1, theta1)
     ddphi = -problem.field(x0) * state.phi / problem.epsilon ** 2
     out = []
     for basis0, basis1 in zip(bases0, bases1):

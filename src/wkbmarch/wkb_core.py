@@ -9,6 +9,13 @@ pairs of complex scalars. Every matrix entry carries a factor built from the
 correction density b(x) and the derived coefficients b_k, so for constant
 a(x) both schemes propagate Z exactly.
 
+The factored-out oscillation exp(-i phase/eps) is gauged where Z is formed:
+`to_Z` sets the phase there to 0, each step adds its own increment s/eps
+modulo 2*pi, and `from_Z` rotates back by the phase the Z sample carries
+(`ZState.theta`). The result does not depend on the gauge point, so the
+driver gauges Z afresh at the start of every step and no phase is carried
+from one step to the next.
+
 b and all b_k derivatives are expanded analytically through truncated
 Taylor jets over the coefficient field's derivative tower; numerical
 differentiation is never used here (the schemes multiply b_3 by
@@ -88,11 +95,14 @@ class BkTable:
 
 @dataclass(frozen=True)
 class ZState:
-    """Transformed solution sample: x and the components z1, z2 of Z."""
+    """Transformed solution sample: x, the components z1, z2 of Z, and
+    theta = (phase(x) - phase(gauge point))/eps modulo 2*pi, the phase
+    that Z has factored out since it was formed."""
 
     x: float
     z1: complex
     z2: complex
+    theta: float
 
 
 def b_jet(problem, x: float, order: int):
@@ -194,17 +204,16 @@ def from_U(problem, x: float, U) -> WaveState:
     return WaveState(x, complex(phi), complex(dphi))
 
 
-def to_Z(provider, U, x: float) -> ZState:
-    """U -> Z = exp(-i Phi/eps) P U with P = [[i, 1], [1, i]]/sqrt(2)."""
-    rot = cmath.exp(-1j * provider.reduced_phase(x))
+def to_Z(U, x: float) -> ZState:
+    """U -> Z = P U with P = [[i, 1], [1, i]]/sqrt(2), gauged at x
+    (theta = 0, so the oscillation factor is 1 there)."""
     u1, u2 = U
-    return ZState(x, rot * (1j * u1 + u2) / SQRT2,
-                  (1j * u2 + u1) / (rot * SQRT2))
+    return ZState(x, (1j * u1 + u2) / SQRT2, (1j * u2 + u1) / SQRT2, 0.0)
 
 
-def from_Z(problem, provider, zstate: ZState) -> WaveState:
-    """Z -> (phi, phi'), using U = P^H exp(i Phi/eps) Z (P is unitary)."""
-    rot = cmath.exp(1j * provider.reduced_phase(zstate.x))
+def from_Z(problem, zstate: ZState) -> WaveState:
+    """Z -> (phi, phi'), using U = P^H exp(i theta) Z (P is unitary)."""
+    rot = cmath.exp(1j * zstate.theta)
     w1 = rot * zstate.z1
     w2 = zstate.z2 / rot
     return from_U(problem, zstate.x,
@@ -215,11 +224,14 @@ def from_Z(problem, provider, zstate: ZState) -> WaveState:
 # Marching steps
 # ---------------------------------------------------------------------------
 
-def assemble_step_matrices(problem, provider, x0: float, x1: float):
-    """The nonzero entries of (A1, A1_mod, A2) for the step [x0, x1].
+def assemble_step_matrices(problem, provider, x0: float, x1: float,
+                           theta0: float):
+    """The nonzero entries of (A1, A1_mod, A2) for the step [x0, x1], with
+    the phase theta0 (phase/eps modulo 2*pi) at x0.
 
-    Returns ((A1_12, A1_21), (A1_mod_12, A1_mod_21), (A2_11, A2_22)): the
-    off-diagonals of A1 and A1_mod and the diagonal of A2. Raises
+    Returns ((A1_12, A1_21), (A1_mod_12, A1_mod_21), (A2_11, A2_22),
+    theta1): the off-diagonals of A1 and A1_mod, the diagonal of A2, and
+    the phase at x1, theta0 + s/eps reduced to [-pi, pi]. Raises
     WKBInadmissibleError when any guard fails on the interval; the
     controller turns that into a rejected trial.
     """
@@ -227,8 +239,7 @@ def assemble_step_matrices(problem, provider, x0: float, x1: float):
     t0 = eval_bk(problem, x0)
     t1 = eval_bk(problem, x1)
     s = provider.increment(x0, x1)
-    theta0 = provider.reduced_phase(x0)
-    theta1 = theta0 + math.fmod(s / eps, math.tau)
+    theta1 = math.remainder(theta0 + math.fmod(s / eps, math.tau), math.tau)
     e0p = cmath.exp(2j * theta0)
     e1p = cmath.exp(2j * theta1)
     e0m = e0p.conjugate()
@@ -264,19 +275,20 @@ def assemble_step_matrices(problem, provider, x0: float, x1: float):
           1j * eps3 * (x1 - x0) * trap
           - eps4 * t0.b0 * t1.b0 * h1p
           - eps5 * t1.b1 * (t0.b0 - t1.b0) * h2p)
-    return a1, a1mod, a2
+    return a1, a1mod, a2, theta1
 
 
 def wkb_step_pair(zn: ZState, x1: float, problem,
                   provider) -> tuple[ZState, ZState]:
     """Both marching orders from the same Z_n over [zn.x, x1].
 
-    Returns (first-order result, second-order result); the controller
-    differences them for the error estimate and propagates the second.
+    Returns (first-order result, second-order result), both carrying the
+    phase zn.theta + s/eps at x1; the controller differences them for the
+    error estimate and propagates the second.
     """
-    (a12, a21), (m12, m21), (d11, d22) = assemble_step_matrices(
-        problem, provider, zn.x, x1)
+    (a12, a21), (m12, m21), (d11, d22), theta1 = assemble_step_matrices(
+        problem, provider, zn.x, x1, zn.theta)
     z1, z2 = zn.z1, zn.z2
-    return (ZState(x1, z1 + a12 * z2, z2 + a21 * z1),
+    return (ZState(x1, z1 + a12 * z2, z2 + a21 * z1, theta1),
             ZState(x1, z1 + (d11 * z1 + m12 * z2),
-                   z2 + (m21 * z1 + d22 * z2)))
+                   z2 + (m21 * z1 + d22 * z2), theta1))

@@ -4,13 +4,14 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines. Expensive trajectories come from session fixtures in conftest.py.
 """
 
+import cmath
 import math
 import time
 
 import numpy as np
 import pytest
 
-from wkbmarch import (PhaseProvider, SolverConfig, airy_pair,
+from wkbmarch import (PhaseProvider, SolverConfig, ZState, airy_pair,
                       asymptotic_coeffs, clenshaw_curtis, from_Z, from_U,
                       global_error, integrate, make_airy_problem,
                       make_polynomial_problem, march_fixed_grid,
@@ -282,15 +283,14 @@ def test_criterion_9_phase_quadrature(long_run, long_run_cc, airy_long):
 
 def test_criterion_10_transforms_and_gauge(airy1, airy_runs):
     rng = np.random.default_rng(11)
-    prov = PhaseProvider(airy1, "exact")
     worst_rt = 0.0
     worst_norm = 0.0
     for _ in range(50):
         x = float(rng.uniform(0.3, 45.0))
         u1 = complex(*rng.standard_normal(2))
         u2 = complex(*rng.standard_normal(2))
-        z = to_Z(prov, (u1, u2), x)
-        back = to_U(airy1, from_Z(airy1, prov, z))
+        z = to_Z((u1, u2), x)
+        back = to_U(airy1, from_Z(airy1, z))
         scale = math.hypot(abs(u1), abs(u2))
         worst_rt = max(worst_rt,
                        max(abs(back[0] - u1), abs(back[1] - u2)) / scale)
@@ -303,17 +303,19 @@ def test_criterion_10_transforms_and_gauge(airy1, airy_runs):
     p = make_airy_problem(1.0, 1.0, 2.0)
     xs = np.linspace(1.0, 2.0, 9)
 
+    prov = PhaseProvider(p, "exact")
+
     def march_ref(x_ref):
-        prov = PhaseProvider(p, "exact")
-        prov.rebase(x_ref)
-        if x_ref != 1.0:
-            prov.advance(1.0)
-        z = to_Z(prov, to_U(p, p.initial), 1.0)
+        # Phase gauged at x_ref: Z starts at 1.0 with theta = phase(1.0)/eps
+        # in that gauge, rotated to match so that U is the same.
+        theta = math.fmod(prov.increment(x_ref, 1.0) / p.epsilon, math.tau)
+        z = to_Z(to_U(p, p.initial), 1.0)
+        rot = cmath.exp(-1j * theta)
+        z = ZState(z.x, rot * z.z1, z.z2 / rot, theta)
         out = []
         for x1 in xs[1:]:
             z = wkb_step_pair(z, float(x1), p, prov)[1]
-            out.append(from_Z(p, prov, z))
-            prov.advance(float(x1))
+            out.append(from_Z(p, z))
         return out
 
     shift = max(abs(a.phi - b.phi) / abs(a.phi)

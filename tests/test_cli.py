@@ -135,6 +135,19 @@ def test_pcf_origin_overflow_exits_two(tmp_path, capsys, eps):
     assert "overflow" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value", [("--eps", "nan"), ("--eps", "inf"),
+                                        ("--tol", "nan"), ("--h0", "nan"),
+                                        ("--interval", "0.1,inf")])
+def test_non_finite_input_exits_two(tmp_path, capsys, flag, value):
+    args = {"--eps": "1", "--tol": "1e-6", "--h0": "0.5",
+            "--interval": "0.1,50", flag: value}
+    code = run_cli(["solve", "--problem", "airy",
+                    *(item for pair in args.items() for item in pair),
+                    "--out", str(tmp_path / "run")])
+    assert code == 2
+    capsys.readouterr()
+
+
 def test_rival_near_minimum_of_a_exits_cleanly(tmp_path):
     # At the minimum of a = 1e-10 + x^2 the order-3 basis factor
     # exp(eps^2 b / (2 sqrt(a))) overflows; the rival candidate is rejected

@@ -104,6 +104,10 @@ def test_select_method_case_table():
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(tol=-1.0, h0=0.5)
+    for tol, h0 in ((math.nan, 0.5), (1e-6, math.nan), (math.inf, 0.5),
+                    (1e-6, math.inf)):
+        with pytest.raises(ValueError):
+            SolverConfig(tol=tol, h0=h0)
     with pytest.raises(ValueError):
         SolverConfig(tol=1e-6, h0=0.5, method="euler")
     with pytest.raises(ValueError):
@@ -170,9 +174,9 @@ def test_max_rejections_raises():
 
 
 def test_run_starting_at_turning_point():
-    # x_start = 0 makes the closed-form phase singular at the reference
-    # point; the provider re-gauges after the first accepted steps and the
-    # run still finishes on oscillatory steps.
+    # x_start = 0 makes the closed-form phase singular at the start, so the
+    # first steps are RKF45; each WKB step gauges the phase at its own start
+    # point, never at x_start, and the run finishes on oscillatory steps.
     p = make_airy_problem(1.0, 0.0, 20.0)
     traj = integrate(p, cfg(tol=1e-5))
     assert traj.final_state.x == 20.0
@@ -261,6 +265,13 @@ def test_estimator_h_sweep_converges(airy1):
     devs = [r[3] for r in rows]
     assert devs[0] < 0.5
     assert min(devs[-4:]) < 1e-2
+
+
+@pytest.mark.parametrize("tag", ["wkb+rkf45", "bogus"])
+def test_estimator_h_sweep_rejects_unknown_tag(airy1, tag):
+    # Only candidate tags name a pair; a method name is not one.
+    with pytest.raises(ValueError):
+        estimator_h_sweep(airy1, 10.0, [0.5], tag)
 
 
 def test_estimator_study_needs_exact():

@@ -182,6 +182,13 @@ def test_pcf_origin_overflow_is_value_error(eps):
         make_pcf_problem(eps)
 
 
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -0.5])
+def test_non_finite_epsilon_is_value_error(eps):
+    for make in (make_airy_problem, make_pcf_problem):
+        with pytest.raises(ValueError, match="epsilon"):
+            make(eps)
+
+
 # Reference values at a few nodes, pinned to their float reprs: any change
 # to the continuation that loses double-double precision moves them.
 AIRY_PINNED = [

@@ -13,7 +13,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
-from wkbmarch import (PhaseProvider, WaveState, WKBInadmissibleError,
+from wkbmarch import (PhaseProvider, WaveState, WKBInadmissibleError, ZState,
                       eval_bk, from_U, from_Z, make_airy_problem,
                       make_pcf_problem, make_polynomial_problem, osc_kernels,
                       to_U, to_Z, wkb_step_pair)
@@ -198,10 +198,9 @@ def test_U_round_trip(phi, dphi, x):
     assert abs(back.dphi - dphi) <= 1e-14 * scale
 
 
-def test_to_Z_zero_phase(airy1):
-    prov = PhaseProvider(airy1, "exact")
-    prov.rebase(1.0)
-    z = to_Z(prov, (1.0 + 0.0j, 0.0j), 1.0)
+def test_to_Z_zero_phase():
+    z = to_Z((1.0 + 0.0j, 0.0j), 1.0)
+    assert z.theta == 0.0
     assert z.z1 == pytest.approx(1j / math.sqrt(2.0), abs=1e-15)
     assert z.z2 == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-15)
 
@@ -210,11 +209,10 @@ def test_to_Z_zero_phase(airy1):
 @given(finite_complex, finite_complex, st.floats(min_value=0.5, max_value=30.0))
 def test_Z_norm_and_round_trip(u1, u2, x):
     p = make_airy_problem(1.0)
-    prov = PhaseProvider(p, "exact")
-    z = to_Z(prov, (u1, u2), x)
+    z = to_Z((u1, u2), x)
     norm = math.hypot(abs(u1), abs(u2))
     assert math.hypot(abs(z.z1), abs(z.z2)) == pytest.approx(norm, rel=1e-13)
-    back = to_U(p, from_Z(p, prov, z))
+    back = to_U(p, from_Z(p, z))
     assert max(abs(back[0] - u1), abs(back[1] - u2)) <= 1e-13 * norm
 
 
@@ -228,8 +226,7 @@ def test_step_matrices_hermitian(airy1):
         x0 = float(rng.uniform(0.5, 30.0))
         x1 = x0 + float(rng.uniform(0.01, 3.0))
         prov = PhaseProvider(airy1, "exact")
-        prov.rebase(x0)
-        a1, a1m, _ = assemble_step_matrices(airy1, prov, x0, x1)
+        a1, a1m, _, _ = assemble_step_matrices(airy1, prov, x0, x1, 0.0)
         # Off-diagonal entries (upper, lower) of A1 and A1_mod.
         assert a1[1] == pytest.approx(a1[0].conjugate(), abs=1e-18)
         assert a1m[1] == pytest.approx(a1m[0].conjugate(), abs=1e-18)
@@ -239,7 +236,7 @@ def test_constant_coefficient_step_is_identity():
     p = make_polynomial_problem([4.0], 1.0, (0.0, 10.0))
     prov = PhaseProvider(p, "cc")
     st_ = WaveState(0.0, 0.3 + 0.4j, -0.2 + 0.9j)
-    z0 = to_Z(prov, to_U(p, st_), 0.0)
+    z0 = to_Z(to_U(p, st_), 0.0)
     z1, z2 = wkb_step_pair(z0, 7.0, p, prov)
     assert (z1.z1, z1.z2) == (z0.z1, z0.z2)
     assert (z2.z1, z2.z2) == (z0.z1, z0.z2)
@@ -268,8 +265,7 @@ def z_reference(problem, z0, x0, x1):
 def test_one_step_defect_orders(airy1):
     x0 = 1.0
     prov = PhaseProvider(airy1, "exact")
-    prov.rebase(x0)
-    z0 = to_Z(prov, to_U(airy1, airy1.exact(x0)), x0)
+    z0 = to_Z(to_U(airy1, airy1.exact(x0)), x0)
     defects = {1: [], 2: []}
     for h in (0.0625, 0.03125, 0.015625):
         zref = z_reference(airy1, np.array([z0.z1, z0.z2]), x0, x0 + h)
@@ -283,17 +279,17 @@ def test_one_step_defect_orders(airy1):
         assert coarse / fine >= 7.0
 
 
-def march(problem, x_ref, xs, order=2):
+def march(problem, xs, order=2, theta=0.0):
+    """March Z over xs from the exact solution, starting with phase theta
+    (Z rotated to match, so the same U)."""
     prov = PhaseProvider(problem, "exact")
-    prov.rebase(x_ref)
-    if x_ref != xs[0]:
-        prov.advance(xs[0])
-    z = to_Z(prov, to_U(problem, problem.exact(xs[0])), xs[0])
+    z = to_Z(to_U(problem, problem.exact(xs[0])), xs[0])
+    rot = cmath.exp(-1j * theta)
+    z = ZState(z.x, rot * z.z1, z.z2 / rot, theta)
     out = []
     for x1 in xs[1:]:
         z = wkb_step_pair(z, float(x1), problem, prov)[order - 1]
-        out.append(from_Z(problem, prov, z))
-        prov.advance(float(x1))
+        out.append(from_Z(problem, z))
     return out
 
 
@@ -301,8 +297,8 @@ def test_gauge_invariance():
     # Shifting the phase reference must leave the reconstruction unchanged.
     p = make_airy_problem(1.0, 1.0, 2.0)
     xs = np.linspace(1.0, 2.0, 9)
-    a = march(p, 1.0, xs)
-    b = march(p, 1.3, xs)
+    a = march(p, xs)
+    b = march(p, xs, theta=2.9)
     for sa, sb in zip(a, b):
         assert abs(sa.phi - sb.phi) / abs(sa.phi) < 1e-12
         assert abs(sa.dphi - sb.dphi) / abs(sa.dphi) < 1e-12
@@ -314,7 +310,7 @@ def test_epsilon_asymptotic_trend():
     for eps in (1e-1, 1e-2, 1e-3):
         p = make_airy_problem(eps, 1.0, 2.0)
         xs = np.linspace(1.0, 2.0, 17)
-        end = march(p, 1.0, xs)[-1]
+        end = march(p, xs)[-1]
         ex = p.exact(2.0)
         errs.append(abs(end.phi - ex.phi) / abs(ex.phi))
     assert errs[0] > errs[1] > errs[2]
@@ -324,10 +320,9 @@ def test_pcf_step_matches_reference(pcf6):
     # One second-order step against DOP853 on the original equation.
     st0 = pcf6.exact(0.9)
     prov = PhaseProvider(pcf6, "exact")
-    prov.rebase(0.9)
-    z0 = to_Z(prov, to_U(pcf6, st0), 0.9)
+    z0 = to_Z(to_U(pcf6, st0), 0.9)
     _, z2 = wkb_step_pair(z0, 1.0, pcf6, prov)
-    got = from_Z(pcf6, prov, z2)
+    got = from_Z(pcf6, z2)
     ex = pcf6.exact(1.0)
     assert abs(got.phi - ex.phi) / abs(ex.phi) < 1e-5
     assert abs(got.dphi - ex.dphi) / abs(ex.dphi) < 1e-5
