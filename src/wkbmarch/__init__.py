@@ -23,13 +23,13 @@ from .rk45 import rkf45_step
 from .rkwkb import WKBBasis, rkwkb_step, wkb_basis
 from .state import ContinuationError, SolverError, WaveState, \
     WKBInadmissibleError
-from .wkb_core import (BkTable, ZState, eval_bk, from_U, from_Z, osc_kernels,
+from .wkb_core import (Endpoint, ZState, eval_bk, from_U, from_Z, osc_kernels,
                        to_U, to_Z, wkb_step_pair)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AiryQuad", "BkTable", "CoefficientField", "ContinuationError",
+    "AiryQuad", "CoefficientField", "ContinuationError", "Endpoint",
     "PhaseProvider", "Problem", "SolverConfig", "SolverError",
     "StepRecord", "Trajectory", "WKBBasis", "WKBInadmissibleError",
     "WaveState", "ZState", "airy_asymptotic", "airy_pair",

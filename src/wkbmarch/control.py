@@ -21,6 +21,10 @@ the step. The controller constants are the paper's fixed values.
 
 The "original" rival controller differs deliberately: relative tolerance
 only, switching by the smaller relative estimate, and no ratio clamps.
+
+The run owns one endpoint record per grid point (`_endpoint`): the left
+one is kept across rejected trials, and each trial's right one becomes
+the next left one when the step is accepted.
 """
 
 from __future__ import annotations
@@ -29,11 +33,12 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
+from . import rkwkb, wkb_core
 from .phase import PhaseProvider
 from .rk45 import rkf45_step
 from .rkwkb import rkwkb_step
 from .state import SolverError, WaveState, WKBInadmissibleError
-from .wkb_core import from_Z, to_U, to_Z, wkb_step_pair
+from .wkb_core import Endpoint, from_Z, to_U, to_Z, wkb_step_pair
 
 # Tag strings recorded per accepted step.
 TAG_WKB = "WKB"
@@ -209,26 +214,39 @@ def _rejected(method: str) -> Candidate:
     return Candidate(method, False, THETA_MIN, math.inf, None)
 
 
-def _pair(tag: str, problem, provider, state: WaveState, h: float,
-          x1: float) -> tuple[WaveState, WaveState]:
-    """The (low, high) members of one method's embedded pair from `state`.
+def _endpoint(problem, tag: str, x: float) -> Optional[Endpoint]:
+    """The record at x of what method `tag` reads there (None for RKF45);
+    a guard failure at x is recorded, not raised. `eval_bk` and `wkb_basis`
+    are looked up in their modules, where a profiler that wraps them sees
+    the calls."""
+    if tag == TAG_RKF45:
+        return None
+    try:
+        if tag == TAG_WKB:
+            return wkb_core.eval_bk(problem, x)
+        return rkwkb.wkb_basis(problem, x)
+    except WKBInadmissibleError as exc:
+        return Endpoint(x, math.nan, error=exc)
 
-    The transform scheme lands on x1, the other two on state.x + h.
-    """
+
+def _pair(tag: str, problem, provider, state: WaveState, h: float, left,
+          right) -> tuple[WaveState, WaveState]:
+    """The (low, high) members of one method's embedded pair from `state`:
+    the oscillatory schemes step from record `left` to `right`, RKF45 by h."""
     if tag == TAG_WKB:
-        zn = to_Z(to_U(problem, state), state.x)
-        z_low, z_high = wkb_step_pair(zn, x1, problem, provider)
-        return from_Z(problem, z_low), from_Z(problem, z_high)
+        zn = to_Z(to_U(problem, left, state), state.x)
+        z_low, z_high = wkb_step_pair(problem, provider, left, right, zn)
+        return from_Z(problem, right, z_low), from_Z(problem, right, z_high)
     if tag == TAG_RKWKB:
-        return rkwkb_step(problem, provider, state, h)
+        return rkwkb_step(problem, provider, left, right, state)
     return rkf45_step(problem, state, h)
 
 
 def _candidate(tag: str, problem, provider, state: WaveState, h: float,
-               x1: float, config: SolverConfig) -> Candidate:
+               left, right, config: SolverConfig) -> Candidate:
     """Score one method's pair; an inadmissible or failed step is rejected."""
     try:
-        y_low, y_high = _pair(tag, problem, provider, state, h, x1)
+        y_low, y_high = _pair(tag, problem, provider, state, h, left, right)
     except (WKBInadmissibleError, SolverError):
         return _rejected(tag)
     return _score(tag, y_low, y_high, config, ORDER_K[tag])
@@ -269,14 +287,13 @@ def integrate(problem, config: SolverConfig) -> Trajectory:
     Raises SolverError after MAX_REJECTIONS consecutive rejected trials
     or when the trial step underflows.
     """
-    provider = None
-    if config.method != "rkf45":
-        provider = PhaseProvider(problem, mode=config.phase_mode(problem),
-                                 nodes=config.cc_nodes)
+    provider = None if config.method == "rkf45" else PhaseProvider(
+        problem, mode=config.phase_mode(problem), nodes=config.cc_nodes)
+    lead = CANDIDATES[config.method][0]  # the tag whose records are kept
     x = problem.x_start
     state = problem.initial
-    span = problem.x_end - problem.x_start
-    h_floor = 1e-14 * span
+    left = _endpoint(problem, lead, x)
+    h_floor = 1e-14 * (problem.x_end - problem.x_start)
     h_trial = config.h0
     traj = Trajectory(initial=problem.initial)
     consecutive = 0
@@ -286,8 +303,10 @@ def integrate(problem, config: SolverConfig) -> Trajectory:
         if h <= h_floor:
             raise SolverError(f"step size underflow at x={x} (h={h})")
         x1 = problem.x_end if clamped else x + h
+        right = _endpoint(problem, lead, x1)
 
-        candidates = [_candidate(tag, problem, provider, state, h, x1, config)
+        candidates = [_candidate(tag, problem, provider, state, h, left,
+                                 right, config)
                       for tag in CANDIDATES[config.method]]
         if config.method == "rkwkb":
             candidates = [_original_rescore(c, config) for c in candidates]
@@ -299,6 +318,7 @@ def integrate(problem, config: SolverConfig) -> Trajectory:
             cand = candidates[choice]
             state = cand.state
             x = x1
+            left = right
             traj.records.append(StepRecord(
                 index=len(traj.records), x=x, h=h, method=cand.method,
                 est=cand.est, theta=theta, state=state))
@@ -326,12 +346,15 @@ def march_fixed_grid(problem, xs, order: int = 2, phase: str = "exact",
     if xs[0] != problem.x_start:
         raise ValueError("grid must start at problem.x_start")
     provider = PhaseProvider(problem, mode=phase, nodes=cc_nodes)
-    z = to_Z(to_U(problem, problem.initial), xs[0])
+    left = _endpoint(problem, TAG_WKB, xs[0])
+    z = to_Z(to_U(problem, left, problem.initial), xs[0])
     out = []
     for x1 in xs[1:]:
-        z1, z2 = wkb_step_pair(z, x1, problem, provider)
+        right = _endpoint(problem, TAG_WKB, x1)
+        z1, z2 = wkb_step_pair(problem, provider, left, right, z)
         z = z1 if order == 1 else z2
-        out.append(from_Z(problem, z))
+        out.append(from_Z(problem, right, z))
+        left = right
     return out
 
 
@@ -339,22 +362,26 @@ def march_fixed_grid(problem, xs, order: int = 2, phase: str = "exact",
 # Estimator studies
 # ---------------------------------------------------------------------------
 
-def _exact_restart_pair(problem, method: str, x0: float, h: float,
-                        phase: str, cc_nodes: int):
-    """Both pair members over [x0, x0+h], restarted from the exact solution."""
-    y_start = problem.exact(x0)
+def _audit(problem, tag: str, x0: float, h: float, phase: str,
+           cc_nodes: int) -> tuple[float, float, float]:
+    """(est, lte, deviation) of one pair over [x0, x0+h] restarted from the
+    exact solution: lte is the lower member's defect against the exact
+    solution at x0 + h, and deviation is |est - lte| / lte."""
     provider = PhaseProvider(problem, mode=phase, nodes=cc_nodes)
-    return _pair(method, problem, provider, y_start, h, x0 + h)
+    y_low, y_high = _pair(tag, problem, provider, problem.exact(x0), h,
+                          _endpoint(problem, tag, x0),
+                          _endpoint(problem, tag, x0 + h))
+    est = estimate_error(y_low, y_high)
+    lte = estimate_error(y_low, problem.exact(x0 + h))
+    return est, lte, abs(est - lte) / lte if lte > 0.0 else math.inf
 
 
 def estimator_study(problem, config: SolverConfig):
     """Estimate-versus-truth audit of the oscillatory steps of one run.
 
     For each accepted non-RKF45 step the pair is recomputed from the exact
-    solution at the step start; the true local truncation error is the
-    lower-order member's defect against the exact solution at the landing
-    point. Returns rows (x, h, method, est, lte, deviation) where deviation
-    is |est - lte| / lte. Needs an exact-solution provider.
+    solution at the step start (`_audit`). Returns rows (x, h, method, est,
+    lte, deviation). Needs an exact-solution provider.
     """
     if problem.exact is None:
         raise ValueError("estimator study needs an exact solution")
@@ -363,13 +390,10 @@ def estimator_study(problem, config: SolverConfig):
     x_prev = problem.x_start
     for rec in traj.records:
         if rec.method != TAG_RKF45:
-            y_low, y_high = _exact_restart_pair(
-                problem, rec.method, x_prev, rec.x - x_prev,
-                config.phase_mode(problem), config.cc_nodes)
-            est = estimate_error(y_low, y_high)
-            lte = estimate_error(y_low, problem.exact(rec.x))
-            dev = abs(est - lte) / lte if lte > 0.0 else math.inf
-            rows.append((x_prev, rec.x - x_prev, rec.method, est, lte, dev))
+            h = rec.x - x_prev
+            rows.append((x_prev, h, rec.method, *_audit(
+                problem, rec.method, x_prev, h, config.phase_mode(problem),
+                config.cc_nodes)))
         x_prev = rec.x
     return rows
 
@@ -385,12 +409,5 @@ def estimator_h_sweep(problem, x0: float, h_values, method: str = TAG_WKB,
         raise ValueError(f"unknown method tag {method!r}")
     if problem.exact is None:
         raise ValueError("estimator sweep needs an exact solution")
-    rows = []
-    for h in h_values:
-        y_low, y_high = _exact_restart_pair(problem, method, x0, float(h),
-                                            phase, cc_nodes)
-        est = estimate_error(y_low, y_high)
-        lte = estimate_error(y_low, problem.exact(x0 + float(h)))
-        dev = abs(est - lte) / lte if lte > 0.0 else math.inf
-        rows.append((float(h), est, lte, dev))
-    return rows
+    return [(float(h), *_audit(problem, method, x0, float(h), phase,
+                               cc_nodes)) for h in h_values]

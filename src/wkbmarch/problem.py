@@ -95,8 +95,11 @@ class Problem:
         _check_epsilon(self.epsilon)
         if not -math.inf < self.x_start < self.x_end < math.inf:
             raise ValueError("need finite x_start < x_end")
-        if self.tau_guard <= 0.0:
-            raise ValueError("tau_guard must be positive")
+        if self.initial.x != self.x_start:
+            raise ValueError(f"initial state at x={self.initial.x!r}, "
+                             f"not at x_start={self.x_start!r}")
+        if not 0.0 < self.tau_guard < math.inf:
+            raise ValueError("tau_guard must be finite and positive")
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,11 @@ from the next power of the eikonal recursion (any additive constant in phi3
 is absorbed by the fitted coefficients). Whatever the basis order, the
 procedure is first order in the step size; its error estimate therefore
 differences two basis orders rather than two h-orders. Both orders are
-built from the same jets of a, sqrt(a) and b, so `wkb_basis` returns the
-two bases at a point and `rkwkb_step` the two steps (order 2, order 3).
-Each step gauges the phase at its start point; the fitted coefficients
-absorb the constant offset, so only the step's own increment is needed.
+built from the same jets of a, sqrt(a) and b, so `wkb_basis` puts both
+bases, without their phase factor, in a point's endpoint record and
+`rkwkb_step` returns the two steps (order 2, order 3). Each step gauges
+the phase at its start point; the fitted coefficients absorb the constant
+offset, so only the step's own increment is applied.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 from .phase import PhaseProvider
 from .state import WaveState, WKBInadmissibleError
-from .wkb_core import b_jet, jet_div
+from .wkb_core import Endpoint, b_jet, jet_div
 
 # Below this magnitude the 2x2 fit denominators count as degenerate and the
 # step is rejected rather than evaluated.
@@ -31,21 +32,32 @@ DEGENERATE_DENOM = 1e-30
 
 @dataclass(frozen=True)
 class WKBBasis:
-    """Basis pair evaluations at one point: f+-, f+-', f+-''."""
+    """One basis pair f+- = exp(L+-) at a point, without its phase factor:
+    the real amplitude (a^(-1/4) times the order-3 correction) and the
+    log-derivatives L+-' and L+-''."""
 
     order: int
-    f_plus: complex
-    f_minus: complex
-    df_plus: complex
-    df_minus: complex
-    d2f_plus: complex
-    d2f_minus: complex
+    amp: float
+    lp_plus: complex
+    lp_minus: complex
+    lpp_plus: complex
+    lpp_minus: complex
+
+    def at(self, osc: complex):
+        """(f, f', f'') as (plus, minus) pairs, where osc = exp(i theta)
+        and theta is phase/eps at the point in the caller's gauge:
+        f+- = amp osc^(+-1), f' = L' f and f'' = (L'^2 + L'') f."""
+        f_plus = self.amp * osc
+        f_minus = self.amp / osc
+        return ((f_plus, f_minus),
+                (self.lp_plus * f_plus, self.lp_minus * f_minus),
+                ((self.lp_plus * self.lp_plus + self.lpp_plus) * f_plus,
+                 (self.lp_minus * self.lp_minus + self.lpp_minus) * f_minus))
 
 
-def wkb_basis(problem, x: float,
-              theta: float) -> tuple[WKBBasis, WKBBasis]:
-    """Basis pairs and derivatives at x for WKB orders 2 and 3, where
-    theta is phase(x)/eps (modulo 2*pi) in the caller's gauge.
+def wkb_basis(problem, x: float) -> Endpoint:
+    """The basis-fit scheme's record at x: a(x) and the basis pairs of WKB
+    orders 2 and 3, from one jet pass.
 
     Derivatives are produced analytically: with f = exp(L),
     f' = L' f and f'' = (L'^2 + L'') f, where L collects the amplitude
@@ -63,24 +75,11 @@ def wkb_basis(problem, x: float,
     ph1 = s[0] - eps2 * bj[0]
     ph2 = s[1] - eps2 * bj[1]  # jet index 1 holds the first derivative
     amp = a[0] ** -0.25
-    osc = cmath.exp(1j * theta)
 
     def basis(order, corr, c1, c2):
-        f_plus = amp * corr * osc
-        f_minus = amp * corr / osc
-        lp_plus = amp1 + c1 + 1j * ph1 / eps
-        lp_minus = amp1 + c1 - 1j * ph1 / eps
-        lpp_plus = amp2 + c2 + 1j * ph2 / eps
-        lpp_minus = amp2 + c2 - 1j * ph2 / eps
-        return WKBBasis(
-            order=order,
-            f_plus=f_plus,
-            f_minus=f_minus,
-            df_plus=lp_plus * f_plus,
-            df_minus=lp_minus * f_minus,
-            d2f_plus=(lp_plus * lp_plus + lpp_plus) * f_plus,
-            d2f_minus=(lp_minus * lp_minus + lpp_minus) * f_minus,
-        )
+        return WKBBasis(order, amp * corr,
+                        amp1 + c1 + 1j * ph1 / eps, amp1 + c1 - 1j * ph1 / eps,
+                        amp2 + c2 + 1j * ph2 / eps, amp2 + c2 - 1j * ph2 / eps)
 
     p3 = jet_div(bj, [2.0 * sk for sk in s], 2)  # phi3 jet
     try:
@@ -88,20 +87,15 @@ def wkb_basis(problem, x: float,
     except OverflowError as exc:  # large b over a tiny sqrt(a)
         raise WKBInadmissibleError(
             f"order-3 basis factor exp({eps2 * p3[0]}) overflows") from exc
-    return (basis(2, 1.0, 0.0, 0.0),
-            basis(3, corr, eps2 * p3[1], eps2 * 2.0 * p3[2]))
+    return Endpoint(x, a[0], basis=(basis(2, 1.0, 0.0, 0.0), basis(
+        3, corr, eps2 * p3[1], eps2 * 2.0 * p3[2])))
 
 
-def _fit_pair(v0: complex, v1: complex, b0: WKBBasis, use_derivs: bool):
-    """Solve the 2x2 system matching (v0, v1) to the basis at the step start.
-
-    use_derivs=False matches (f, f'); True matches (f', f'')."""
-    if use_derivs:
-        gp, gm = b0.df_plus, b0.df_minus
-        hp, hm = b0.d2f_plus, b0.d2f_minus
-    else:
-        gp, gm = b0.f_plus, b0.f_minus
-        hp, hm = b0.df_plus, b0.df_minus
+def _fit_pair(v0: complex, v1: complex, g, h):
+    """Coefficients (c+, c-) with c+ (g+, h+) + c- (g-, h-) = (v0, v1), for
+    basis values g and derivatives h given as (plus, minus) pairs."""
+    gp, gm = g
+    hp, hm = h
     denom = hp * gm - hm * gp
     if abs(denom) < DEGENERATE_DENOM:
         raise WKBInadmissibleError("degenerate basis fit denominator")
@@ -110,26 +104,29 @@ def _fit_pair(v0: complex, v1: complex, b0: WKBBasis, use_derivs: bool):
     return coef_plus, coef_minus
 
 
-def rkwkb_step(problem, provider: PhaseProvider, state: WaveState,
-               h: float) -> tuple[WaveState, WaveState]:
-    """One basis-fit step of size h from `state` with each basis order.
+def rkwkb_step(problem, provider: PhaseProvider, left: Endpoint,
+               right: Endpoint,
+               state: WaveState) -> tuple[WaveState, WaveState]:
+    """One basis-fit step from `state` at left.x to right.x, per order.
 
     Returns (order-2 result, order-3 result). phi'' at the start is taken
-    from the differential equation itself.
+    from the differential equation itself, with a(x0) from `left`.
     """
-    if h <= 0.0:
+    x0, x1 = left.x, right.x
+    if x1 <= x0:
         raise ValueError("step size must be positive")
-    x0 = state.x
-    x1 = x0 + h
-    bases0 = wkb_basis(problem, x0, 0.0)
+    bases0 = left.check().basis
     theta1 = math.fmod(provider.increment(x0, x1) / problem.epsilon, math.tau)
-    bases1 = wkb_basis(problem, x1, theta1)
-    ddphi = -problem.field(x0) * state.phi / problem.epsilon ** 2
+    bases1 = right.check().basis
+    osc1 = cmath.exp(1j * theta1)
+    ddphi = -left.a * state.phi / problem.epsilon ** 2
     out = []
     for basis0, basis1 in zip(bases0, bases1):
-        gamma_p, gamma_m = _fit_pair(state.phi, state.dphi, basis0, False)
-        delta_p, delta_m = _fit_pair(state.dphi, ddphi, basis0, True)
-        phi_next = gamma_p * basis1.f_plus + gamma_m * basis1.f_minus
-        dphi_next = delta_p * basis1.df_plus + delta_m * basis1.df_minus
+        f0, df0, d2f0 = basis0.at(1.0)
+        gamma_p, gamma_m = _fit_pair(state.phi, state.dphi, f0, df0)
+        delta_p, delta_m = _fit_pair(state.dphi, ddphi, df0, d2f0)
+        f1, df1, _ = basis1.at(osc1)
+        phi_next = gamma_p * f1[0] + gamma_m * f1[1]
+        dphi_next = delta_p * df1[0] + delta_m * df1[1]
         out.append(WaveState(x1, complex(phi_next), complex(dphi_next)))
     return out[0], out[1]

@@ -16,6 +16,9 @@ modulo 2*pi, and `from_Z` rotates back by the phase the Z sample carries
 driver gauges Z afresh at the start of every step and no phase is carried
 from one step to the next.
 
+Everything a step reads at a grid point x sits in one `Endpoint` record,
+which `control.integrate` builds once per run (`eval_bk` for this scheme).
+
 b and all b_k derivatives are expanded analytically through truncated
 Taylor jets over the coefficient field's derivative tower; numerical
 differentiation is never used here (the schemes multiply b_3 by
@@ -94,6 +97,28 @@ class BkTable:
 
 
 @dataclass(frozen=True)
+class Endpoint:
+    """What a step reads at x: a(x), plus the U factors a^(1/4) and
+    a'/(4 a^(5/4)) with the b_k table (transform scheme) or the basis
+    pairs (basis-fit scheme). Guards are pure functions of x, so a guard
+    failure there is kept as `error` and raised again by `check`."""
+
+    x: float
+    a: float
+    root4: float = math.nan
+    shift: float = math.nan
+    bk: BkTable | None = None
+    basis: tuple = ()
+    error: WKBInadmissibleError | None = None
+
+    def check(self) -> "Endpoint":
+        """This record, or raise the guard failure recorded at x."""
+        if self.error is not None:
+            raise self.error.with_traceback(None)
+        return self
+
+
+@dataclass(frozen=True)
 class ZState:
     """Transformed solution sample: x, the components z1, z2 of Z, and
     theta = (phase(x) - phase(gauge point))/eps modulo 2*pi, the phase
@@ -128,15 +153,16 @@ def b_jet(problem, x: float, order: int):
     return a[:n + 1], s, b
 
 
-def eval_bk(problem, x: float) -> BkTable:
-    """b and the derived coefficients b_0..b_3 at x.
+def eval_bk(problem, x: float) -> Endpoint:
+    """The transform scheme's record at x: a, the U factors, and b with the
+    derived coefficients b_0..b_3, all from one jet pass.
 
     b_0 = b / (2 (sqrt(a) - eps^2 b)), and each next b_{k+1} is the
     derivative of b_k over twice the phase derivative, so b_k is needed to
     order 3 - k and b to order 3.
     """
     eps2 = problem.epsilon * problem.epsilon
-    _, s, bj = b_jet(problem, x, 3)
+    a, s, bj = b_jet(problem, x, 3)
     phase = [sk - eps2 * bk for sk, bk in zip(s, bj)]
     if phase[0] < PHASE_DERIV_GUARD * s[0]:
         raise WKBInadmissibleError(
@@ -146,7 +172,8 @@ def eval_bk(problem, x: float) -> BkTable:
     b1 = jet_div(jet_deriv(b0, 2), two_phase, 2)
     b2 = jet_div(jet_deriv(b1, 1), two_phase, 1)
     b3 = jet_div(jet_deriv(b2, 0), two_phase, 0)
-    return BkTable(b=bj[0], b0=b0[0], b1=b1[0], b2=b2[0], b3=b3[0])
+    return Endpoint(x, a[0], a[0] ** 0.25, 0.25 * a[1] * a[0] ** -1.25,
+                    BkTable(bj[0], b0[0], b1[0], b2[0], b3[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -179,29 +206,21 @@ def osc_kernels(y: float) -> tuple[complex, complex]:
 # U and Z transforms
 # ---------------------------------------------------------------------------
 
-def to_U(problem, state: WaveState) -> tuple[complex, complex]:
+def to_U(problem, end: Endpoint, state: WaveState) -> tuple[complex, complex]:
     """(phi, phi') -> U = (a^(1/4) phi, eps (a^(1/4) phi)' / sqrt(a))."""
-    a, a1 = problem.field.jet(state.x)[:2]
-    if a < problem.tau_guard:
-        raise WKBInadmissibleError(f"a({state.x}) = {a} below tau guard")
-    eps = problem.epsilon
-    root4 = a ** 0.25
-    u1 = root4 * state.phi
-    u2 = eps * (0.25 * a1 * a ** -1.25 * state.phi + state.dphi / root4)
+    end.check()
+    u1 = end.root4 * state.phi
+    u2 = problem.epsilon * (end.shift * state.phi + state.dphi / end.root4)
     return u1, u2
 
 
-def from_U(problem, x: float, U) -> WaveState:
-    """Inverse of to_U."""
-    a, a1 = problem.field.jet(x)[:2]
-    if a < problem.tau_guard:
-        raise WKBInadmissibleError(f"a({x}) = {a} below tau guard")
-    eps = problem.epsilon
-    root4 = a ** 0.25
+def from_U(problem, end: Endpoint, U) -> WaveState:
+    """Inverse of to_U at end.x."""
+    end.check()
     u1, u2 = U
-    phi = u1 / root4
-    dphi = u2 * root4 / eps - 0.25 * a1 * a ** -1.25 * u1
-    return WaveState(x, complex(phi), complex(dphi))
+    phi = u1 / end.root4
+    dphi = u2 * end.root4 / problem.epsilon - end.shift * u1
+    return WaveState(end.x, complex(phi), complex(dphi))
 
 
 def to_Z(U, x: float) -> ZState:
@@ -211,12 +230,12 @@ def to_Z(U, x: float) -> ZState:
     return ZState(x, (1j * u1 + u2) / SQRT2, (1j * u2 + u1) / SQRT2, 0.0)
 
 
-def from_Z(problem, zstate: ZState) -> WaveState:
-    """Z -> (phi, phi'), using U = P^H exp(i theta) Z (P is unitary)."""
+def from_Z(problem, end: Endpoint, zstate: ZState) -> WaveState:
+    """Z at end.x -> (phi, phi'), using U = P^H exp(i theta) Z."""
     rot = cmath.exp(1j * zstate.theta)
     w1 = rot * zstate.z1
     w2 = zstate.z2 / rot
-    return from_U(problem, zstate.x,
+    return from_U(problem, end,
                   ((-1j * w1 + w2) / SQRT2, (w1 - 1j * w2) / SQRT2))
 
 
@@ -224,10 +243,11 @@ def from_Z(problem, zstate: ZState) -> WaveState:
 # Marching steps
 # ---------------------------------------------------------------------------
 
-def assemble_step_matrices(problem, provider, x0: float, x1: float,
-                           theta0: float):
-    """The nonzero entries of (A1, A1_mod, A2) for the step [x0, x1], with
-    the phase theta0 (phase/eps modulo 2*pi) at x0.
+def assemble_step_matrices(problem, provider, left: Endpoint,
+                           right: Endpoint, theta0: float):
+    """The nonzero entries of (A1, A1_mod, A2) for the step [x0, x1]
+    between the records `left` and `right`, with the phase theta0
+    (phase/eps modulo 2*pi) at x0.
 
     Returns ((A1_12, A1_21), (A1_mod_12, A1_mod_21), (A2_11, A2_22),
     theta1): the off-diagonals of A1 and A1_mod, the diagonal of A2, and
@@ -236,8 +256,9 @@ def assemble_step_matrices(problem, provider, x0: float, x1: float,
     controller turns that into a rejected trial.
     """
     eps = problem.epsilon
-    t0 = eval_bk(problem, x0)
-    t1 = eval_bk(problem, x1)
+    t0 = left.check().bk
+    t1 = right.check().bk
+    x0, x1 = left.x, right.x
     s = provider.increment(x0, x1)
     theta1 = math.remainder(theta0 + math.fmod(s / eps, math.tau), math.tau)
     e0p = cmath.exp(2j * theta0)
@@ -278,16 +299,18 @@ def assemble_step_matrices(problem, provider, x0: float, x1: float,
     return a1, a1mod, a2, theta1
 
 
-def wkb_step_pair(zn: ZState, x1: float, problem,
-                  provider) -> tuple[ZState, ZState]:
-    """Both marching orders from the same Z_n over [zn.x, x1].
+def wkb_step_pair(problem, provider, left: Endpoint, right: Endpoint,
+                  zn: ZState) -> tuple[ZState, ZState]:
+    """Both marching orders from the same Z_n at left.x over [left.x, x1],
+    x1 = right.x.
 
     Returns (first-order result, second-order result), both carrying the
     phase zn.theta + s/eps at x1; the controller differences them for the
     error estimate and propagates the second.
     """
     (a12, a21), (m12, m21), (d11, d22), theta1 = assemble_step_matrices(
-        problem, provider, zn.x, x1, zn.theta)
+        problem, provider, left, right, zn.theta)
+    x1 = right.x
     z1, z2 = zn.z1, zn.z2
     return (ZState(x1, z1 + a12 * z2, z2 + a21 * z1, theta1),
             ZState(x1, z1 + (d11 * z1 + m12 * z2),

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from wkbmarch import (PhaseProvider, SolverConfig, ZState, airy_pair,
-                      asymptotic_coeffs, clenshaw_curtis, from_Z, from_U,
-                      global_error, integrate, make_airy_problem,
+                      asymptotic_coeffs, clenshaw_curtis, eval_bk, from_Z,
+                      from_U, global_error, integrate, make_airy_problem,
                       make_polynomial_problem, march_fixed_grid,
                       estimator_h_sweep, estimator_study, taylor_continuation,
                       to_U, to_Z, wkb_step_pair)
@@ -290,7 +290,8 @@ def test_criterion_10_transforms_and_gauge(airy1, airy_runs):
         u1 = complex(*rng.standard_normal(2))
         u2 = complex(*rng.standard_normal(2))
         z = to_Z((u1, u2), x)
-        back = to_U(airy1, from_Z(airy1, z))
+        end = eval_bk(airy1, x)
+        back = to_U(airy1, end, from_Z(airy1, end, z))
         scale = math.hypot(abs(u1), abs(u2))
         worst_rt = max(worst_rt,
                        max(abs(back[0] - u1), abs(back[1] - u2)) / scale)
@@ -309,13 +310,16 @@ def test_criterion_10_transforms_and_gauge(airy1, airy_runs):
         # Phase gauged at x_ref: Z starts at 1.0 with theta = phase(1.0)/eps
         # in that gauge, rotated to match so that U is the same.
         theta = math.fmod(prov.increment(x_ref, 1.0) / p.epsilon, math.tau)
-        z = to_Z(to_U(p, p.initial), 1.0)
+        left = eval_bk(p, 1.0)
+        z = to_Z(to_U(p, left, p.initial), 1.0)
         rot = cmath.exp(-1j * theta)
         z = ZState(z.x, rot * z.z1, z.z2 / rot, theta)
         out = []
         for x1 in xs[1:]:
-            z = wkb_step_pair(z, float(x1), p, prov)[1]
-            out.append(from_Z(p, z))
+            right = eval_bk(p, float(x1))
+            z = wkb_step_pair(p, prov, left, right, z)[1]
+            out.append(from_Z(p, right, z))
+            left = right
         return out
 
     shift = max(abs(a.phi - b.phi) / abs(a.phi)

@@ -148,6 +148,24 @@ def test_non_finite_input_exits_two(tmp_path, capsys, flag, value):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("tau", ["NaN", "Infinity", "1e-12"])
+def test_tau_guard_from_json(tmp_path, capsys, tau):
+    # a = 1 - x has a turning point at x = 1: the guard hands the run over
+    # to RKF45 there, and a guard that is not finite and positive exits 2.
+    spec = tmp_path / "problem.json"
+    spec.write_text('{"type": "poly", "epsilon": 0.05, "coeffs": [1, -1], '
+                    f'"domain": [0, 2], "tau_guard": {tau}}}')
+    code = run_cli(["solve", "--problem", f"json:{spec}",
+                    "--out", str(tmp_path / "run")])
+    if tau == "1e-12":
+        assert code == 0
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert set(manifest["counters"]["methods"]) == {"WKB", "RKF45"}
+    else:
+        assert code == 2
+        assert "tau_guard" in capsys.readouterr().err
+
+
 def test_rival_near_minimum_of_a_exits_cleanly(tmp_path):
     # At the minimum of a = 1e-10 + x^2 the order-3 basis factor
     # exp(eps^2 b / (2 sqrt(a))) overflows; the rival candidate is rejected

@@ -8,8 +8,9 @@ import pytest
 from wkbmarch import (SolverConfig, SolverError, WaveState,
                       estimate_error, estimator_h_sweep, estimator_study,
                       global_error, integrate, make_airy_problem,
-                      make_polynomial_problem, march_fixed_grid,
-                      proposal_factor, select_method)
+                      make_pcf_problem, make_polynomial_problem,
+                      march_fixed_grid, proposal_factor, rkwkb, select_method,
+                      wkb_core)
 from wkbmarch.control import Candidate, _rejected, _score
 from wkbmarch.problem import CoefficientField, Problem
 
@@ -183,6 +184,30 @@ def test_run_starting_at_turning_point():
     counts = traj.method_counts()
     assert counts.get("RKF45", 0) > 0 and counts.get("WKB", 0) > 0
     assert global_error(traj, p, "sup") < 1e-3
+
+
+@pytest.mark.parametrize("module,name,problem,config", [
+    (wkb_core, "eval_bk", lambda: make_airy_problem(1.0, 0.1, 50.0),
+     SolverConfig(tol=1e-9, h0=0.5, method="wkb+rkf45", phase="exact")),
+    (rkwkb, "wkb_basis", lambda: make_pcf_problem(2.0 ** -6, 0.01, 1.99),
+     SolverConfig(tol=1e-9, h0=0.05, method="rkwkbmod", phase="exact")),
+], ids=["wkb", "rkwkb"])
+def test_each_grid_point_is_evaluated_once(monkeypatch, module, name,
+                                           problem, config):
+    # integrate keeps the left endpoint record across rejected trials and
+    # promotes the accepted right one, so every x is built at most once.
+    seen = []
+    original = getattr(module, name)
+
+    def counted(problem, x, *args):
+        seen.append(x)
+        return original(problem, x, *args)
+
+    monkeypatch.setattr(module, name, counted)
+    traj = integrate(problem(), config)
+    assert traj.rejected > 0
+    assert len(set(seen)) == len(seen)
+    assert len(seen) <= traj.accepted + traj.rejected + 1
 
 
 def test_airy_global_error_band(airy_runs):

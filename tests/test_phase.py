@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import wkbmarch
 from wkbmarch import (PhaseProvider, WaveState, WKBInadmissibleError,
-                      clenshaw_curtis, make_airy_problem,
+                      clenshaw_curtis, eval_bk, make_airy_problem,
                       make_pcf_problem, make_polynomial_problem, to_U, to_Z,
                       wkb_step_pair)
 from wkbmarch.phase import _cc_nodes_weights
@@ -174,8 +174,9 @@ def test_additivity_quadrature_polynomial():
 def test_reduced_exponential_argument(airy1):
     # A step gauged at 0.1 carries phase(1.0)/eps modulo 2*pi to 1.0.
     prov = PhaseProvider(airy1, "exact")
-    z0 = to_Z(to_U(airy1, airy1.initial), 0.1)
-    arg = wkb_step_pair(z0, 1.0, airy1, prov)[1].theta
+    left = eval_bk(airy1, 0.1)
+    z0 = to_Z(to_U(airy1, left, airy1.initial), 0.1)
+    arg = wkb_step_pair(airy1, prov, left, eval_bk(airy1, 1.0), z0)[1].theta
     expect = AIRY_S_01_TO_1
     expect -= 2.0 * math.pi * round(expect / (2.0 * math.pi))
     assert arg == pytest.approx(expect, abs=1e-12)

@@ -68,7 +68,7 @@ def test_poly_reproduces_benchmarks():
 def test_constant_field_b_vanishes():
     from wkbmarch import eval_bk
     p = make_polynomial_problem([1.0], 1.0, (0.0, 1.0))
-    assert eval_bk(p, 0.5).b == 0.0
+    assert eval_bk(p, 0.5).bk.b == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +98,7 @@ def test_airy_b_at_one():
     second = fd_derivative(lambda x: fd_derivative(quarter, x, 1e-3), 1.0, 1e-3)
     oracle = -second / (2.0 * 1.0 ** 0.25)
     assert oracle == pytest.approx(-0.15625, rel=1e-6)
-    assert eval_bk(p, 1.0).b == pytest.approx(-5.0 / 32.0, rel=1e-12)
+    assert eval_bk(p, 1.0).bk.b == pytest.approx(-5.0 / 32.0, rel=1e-12)
 
 
 def test_airy_phase_antiderivative_consistency():
@@ -151,7 +151,7 @@ def test_pcf_b_at_center():
     second = fd_derivative(lambda x: fd_derivative(quarter, x, 1e-3), 1.0, 1e-3)
     oracle = -second / (2.0 * 0.5 ** 0.25)
     assert oracle == pytest.approx(-math.sqrt(2.0) / 4.0, rel=1e-6)
-    assert eval_bk(p, 1.0).b == pytest.approx(-math.sqrt(2.0) / 4.0, rel=1e-12)
+    assert eval_bk(p, 1.0).bk.b == pytest.approx(-math.sqrt(2.0) / 4.0, rel=1e-12)
 
 
 def test_pcf_phase_antiderivative_consistency():
@@ -238,6 +238,24 @@ def test_problem_invariants():
         make_airy_problem(-1.0)
     with pytest.raises(ValueError):
         make_polynomial_problem([1.0], 1.0, (2.0, 1.0))
+
+
+def test_initial_state_must_sit_at_x_start():
+    # A state elsewhere would be gauged and stepped as if it sat at x_start.
+    with pytest.raises(ValueError, match="x_start"):
+        make_polynomial_problem([1.0, 0.5], 0.05, (0.0, 2.0),
+                                initial=WaveState(5.0, 1.0 + 0.0j, 0.0j))
+
+
+@pytest.mark.parametrize("tau", [math.nan, math.inf, 0.0, -1e-12])
+def test_tau_guard_must_be_finite_and_positive(tau):
+    # A NaN guard would compare false and switch every tau guard off.
+    with pytest.raises(ValueError, match="tau_guard"):
+        make_polynomial_problem([1.0, -1.0], 0.05, (0.0, 2.0), tau_guard=tau)
+    with pytest.raises(ValueError, match="tau_guard"):
+        problem_from_json(json.dumps({"type": "poly", "epsilon": 0.05,
+                                      "coeffs": [1, -1], "domain": [0, 2],
+                                      "tau_guard": tau}))
 
 
 def test_poly_default_initial_is_right_traveling():

@@ -27,6 +27,19 @@ def reference_flow(problem, state, x1):
     return sol.y[:2, -1] + 1j * sol.y[2:, -1]
 
 
+def bases(problem, x, theta):
+    """Both basis orders at x as (order, f, f', f''), each value a (plus,
+    minus) pair, with phase theta at x."""
+    osc = cmath.exp(1j * theta)
+    return [(b.order, *b.at(osc)) for b in wkb_basis(problem, x).basis]
+
+
+def step(problem, provider, state, h):
+    """rkwkb_step from `state` over [state.x, state.x + h]."""
+    return rkwkb_step(problem, provider, wkb_basis(problem, state.x),
+                      wkb_basis(problem, state.x + h), state)
+
+
 # ---------------------------------------------------------------------------
 # basis functions
 # ---------------------------------------------------------------------------
@@ -34,16 +47,15 @@ def reference_flow(problem, state, x1):
 def test_phi3_airy_value(airy1):
     # Eikonal chain: phi3 = b/(2 sqrt(a)) = -5/(64 x^3) on a(x) = x; the
     # order-3 basis is the order-2 basis times exp(eps^2 phi3).
-    b2, b3 = wkb_basis(airy1, 2.0, 0.0)
-    phi3 = math.log(abs(b3.f_plus) / abs(b2.f_plus)) / airy1.epsilon ** 2
+    (_, f2, _, _), (_, f3, _, _) = bases(airy1, 2.0, 0.0)
+    phi3 = math.log(abs(f3[0]) / abs(f2[0])) / airy1.epsilon ** 2
     assert phi3 == pytest.approx(-5.0 / 512.0, rel=1e-13)
 
 
 def test_basis_conjugate_symmetry(airy1):
-    for b in wkb_basis(airy1, 5.0, 0.0):
-        assert b.f_minus == b.f_plus.conjugate()
-        assert b.df_minus == b.df_plus.conjugate()
-        assert b.d2f_minus == b.d2f_plus.conjugate()
+    for _, *values in bases(airy1, 5.0, 0.0):
+        for plus, minus in values:
+            assert minus == plus.conjugate()
 
 
 def test_basis_constant_coefficient_proportionality():
@@ -51,13 +63,13 @@ def test_basis_constant_coefficient_proportionality():
     # exp(eps^2 phi3), and both satisfy the equation exactly.
     p = make_polynomial_problem([4.0], 1.0, (0.0, 10.0))
     # theta = (phase(1) - phase(0))/eps = 2 with the phase gauged at 0.
-    b2, b3 = wkb_basis(p, 1.0, 2.0)
-    assert (b2.order, b3.order) == (2, 3)
-    factor = math.exp(eval_bk(p, 1.0).b / (2.0 * math.sqrt(4.0)))
-    assert b3.f_plus == pytest.approx(factor * b2.f_plus, rel=1e-14)
-    for b in (b2, b3):
-        residual = abs(b.d2f_plus + 4.0 * b.f_plus)
-        assert residual <= 1e-13 * abs(b.f_plus) * 4.0
+    (o2, f2, _, d2f2), (o3, f3, _, d2f3) = bases(p, 1.0, 2.0)
+    assert (o2, o3) == (2, 3)
+    factor = math.exp(eval_bk(p, 1.0).bk.b / (2.0 * math.sqrt(4.0)))
+    assert f3[0] == pytest.approx(factor * f2[0], rel=1e-14)
+    for f, d2f in ((f2, d2f2), (f3, d2f3)):
+        residual = abs(d2f[0] + 4.0 * f[0])
+        assert residual <= 1e-13 * abs(f[0]) * 4.0
 
 
 def test_basis_residual_epsilon_orders():
@@ -66,9 +78,9 @@ def test_basis_residual_epsilon_orders():
     eps_list = (1e-1, 1e-2, 1e-3)
     for eps in eps_list:
         p = make_airy_problem(eps)
-        for b in wkb_basis(p, 10.0, 0.0):
-            r = abs(eps ** 2 * b.d2f_plus + 10.0 * b.f_plus) / (10.0 * abs(b.f_plus))
-            res[b.order].append(r)
+        for order, f, _, d2f in bases(p, 10.0, 0.0):
+            r = abs(eps ** 2 * d2f[0] + 10.0 * f[0]) / (10.0 * abs(f[0]))
+            res[order].append(r)
     slope2 = math.log10(res[2][0] / res[2][1])
     slope3 = math.log10(res[3][0] / res[3][1])
     assert slope2 == pytest.approx(3.0, abs=0.3)
@@ -88,7 +100,7 @@ def test_exact_on_ansatz_span():
     p = make_polynomial_problem([4.0], 1.0, (0.0, 30.0),
                                 initial=WaveState(0.0, 1.0 + 0.0j, 2.0j))
     prov = PhaseProvider(p, "cc")
-    for out in rkwkb_step(p, prov, p.initial, 7.3):
+    for out in step(p, prov, p.initial, 7.3):
         exact = cmath.exp(2j * 7.3)
         assert abs(out.phi - exact) < 5e-15
         assert abs(out.dphi - 2j * exact) < 1e-14
@@ -97,9 +109,9 @@ def test_exact_on_ansatz_span():
 def test_interpolation_property(airy1):
     # gamma+ f+ + gamma- f- reproduces phi at the step start.
     st = airy1.exact(5.0)
-    _, basis = wkb_basis(airy1, 5.0, 0.0)
-    gp, gm = _fit_pair(st.phi, st.dphi, basis, False)
-    recon = gp * basis.f_plus + gm * basis.f_minus
+    _, (_, f, df, _) = bases(airy1, 5.0, 0.0)
+    gp, gm = _fit_pair(st.phi, st.dphi, f, df)
+    recon = gp * f[0] + gm * f[1]
     assert abs(recon - st.phi) / abs(st.phi) < 1e-12
 
 
@@ -109,7 +121,7 @@ def test_one_step_local_error_order(airy1):
     prov = PhaseProvider(airy1, "exact")
     errs = []
     for h in (0.5, 0.25, 0.125):
-        _, out = rkwkb_step(airy1, prov, st, h)
+        _, out = step(airy1, prov, st, h)
         ref = reference_flow(airy1, st, 10.0 + h)
         errs.append(max(abs(out.phi - ref[0]), abs(out.dphi - ref[1])))
     assert errs[0] / errs[1] > 2.8
@@ -124,7 +136,7 @@ def test_consistency_expansion(airy1):
     rem_phi, rem_dphi = [], []
     ddphi = -10.0 * st.phi
     for h in hs:
-        _, out = rkwkb_step(airy1, prov, st, h)
+        _, out = step(airy1, prov, st, h)
         rem_phi.append(abs(out.phi - st.phi - h * st.dphi))
         rem_dphi.append(abs(out.dphi - st.dphi - h * ddphi))
     for rem in (rem_phi, rem_dphi):
@@ -140,7 +152,7 @@ def test_order_gap_shrinks_with_epsilon():
         p = make_airy_problem(eps)
         prov = PhaseProvider(p, "exact")
         st = p.exact(10.0)
-        o2, o3 = rkwkb_step(p, prov, st, 0.25)
+        o2, o3 = step(p, prov, st, 0.25)
         scale = max(abs(o3.phi), abs(o3.dphi))
         diffs.append(max(abs(o2.phi - o3.phi), abs(o2.dphi - o3.dphi)) / scale)
     assert diffs[0] > diffs[1] > diffs[2]
@@ -149,4 +161,4 @@ def test_order_gap_shrinks_with_epsilon():
 def test_step_guards(airy1):
     prov = PhaseProvider(airy1, "exact")
     with pytest.raises(ValueError):
-        rkwkb_step(airy1, prov, airy1.exact(1.0), -0.5)
+        step(airy1, prov, airy1.exact(1.0), -0.5)

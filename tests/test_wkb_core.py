@@ -49,12 +49,12 @@ def sympy_bk_tables(a_expr, x0, eps_val):
 # ---------------------------------------------------------------------------
 
 def test_b_airy_values(airy1):
-    assert eval_bk(airy1, 1.0).b == pytest.approx(-0.15625, rel=1e-14)
-    assert eval_bk(airy1, 4.0).b == pytest.approx(-5.0 / 1024.0, rel=1e-14)
+    assert eval_bk(airy1, 1.0).bk.b == pytest.approx(-0.15625, rel=1e-14)
+    assert eval_bk(airy1, 4.0).bk.b == pytest.approx(-5.0 / 1024.0, rel=1e-14)
 
 
 def test_b_pcf_center(pcf6):
-    assert eval_bk(pcf6, 1.0).b == pytest.approx(-math.sqrt(2.0) / 4.0, rel=1e-14)
+    assert eval_bk(pcf6, 1.0).bk.b == pytest.approx(-math.sqrt(2.0) / 4.0, rel=1e-14)
 
 
 def test_b_jet_carries_a_and_sqrt_a(pcf6):
@@ -65,7 +65,7 @@ def test_b_jet_carries_a_and_sqrt_a(pcf6):
     assert a[2] == 0.5 * tower[2]
     assert s[0] == pytest.approx(math.sqrt(a[0]), rel=1e-15)
     assert np.allclose(np.convolve(s, s)[:4], a, rtol=1e-14, atol=1e-15)
-    assert bj[0] == eval_bk(pcf6, 0.7).b
+    assert bj[0] == eval_bk(pcf6, 0.7).bk.b
 
 
 @pytest.mark.parametrize("x", [0.3, 0.7, 1.6])
@@ -78,29 +78,29 @@ def test_b_jet_truncation_keeps_leading_entries(pcf6, x):
 
 def test_b_constant_zero():
     p = make_polynomial_problem([7.0], 1.0, (0.0, 1.0))
-    assert eval_bk(p, 0.3).b == 0.0
+    assert eval_bk(p, 0.3).bk.b == 0.0
 
 
 def test_bk_constant_zero():
     p = make_polynomial_problem([7.0], 1.0, (0.0, 1.0))
-    t = eval_bk(p, 0.3)
+    t = eval_bk(p, 0.3).bk
     assert (t.b, t.b0, t.b1, t.b2, t.b3) == (0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 def test_bk_airy_b0_value(airy1):
     # b0(1) = b / (2 (sqrt(a) - eps^2 b)) = (-5/32) / (2 (1 + 5/32)).
-    assert eval_bk(airy1, 1.0).b0 == pytest.approx(-5.0 / 74.0, rel=1e-14)
+    assert eval_bk(airy1, 1.0).bk.b0 == pytest.approx(-5.0 / 74.0, rel=1e-14)
 
 
 def test_bk_small_eps_limit():
     p = make_airy_problem(1e-8)
-    assert eval_bk(p, 1.0).b0 == pytest.approx(-5.0 / 64.0, rel=1e-12)
+    assert eval_bk(p, 1.0).bk.b0 == pytest.approx(-5.0 / 64.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("x0", [0.8, 2.5, 17.3])
 def test_bk_airy_vs_sympy(airy1, x0):
     oracle = sympy_bk_tables(lambda x: x, x0, 1.0)
-    t = eval_bk(airy1, x0)
+    t = eval_bk(airy1, x0).bk
     assert t.b == pytest.approx(oracle[0], rel=1e-12)
     for got, want in zip((t.b0, t.b1, t.b2, t.b3), oracle[1:]):
         assert got == pytest.approx(want, rel=1e-11, abs=1e-18)
@@ -109,7 +109,7 @@ def test_bk_airy_vs_sympy(airy1, x0):
 @pytest.mark.parametrize("x0", [0.3, 1.0, 1.6])
 def test_bk_pcf_vs_sympy(pcf6, x0):
     oracle = sympy_bk_tables(lambda x: -x ** 2 / 2 + x, x0, 2.0 ** -6)
-    t = eval_bk(pcf6, x0)
+    t = eval_bk(pcf6, x0).bk
     assert t.b == pytest.approx(oracle[0], rel=1e-12)
     for got, want in zip((t.b0, t.b1, t.b2, t.b3), oracle[1:]):
         assert got == pytest.approx(want, rel=1e-11, abs=1e-18)
@@ -176,13 +176,13 @@ def test_kernel_identities(y):
 def test_to_U_unit_coefficient():
     p = make_polynomial_problem([1.0], 0.25, (0.0, 1.0))
     st_ = WaveState(0.5, 0.3 + 0.4j, -0.2 + 0.9j)
-    U = to_U(p, st_)
+    U = to_U(p, eval_bk(p, 0.5), st_)
     assert U[0] == st_.phi
     assert U[1] == 0.25 * st_.dphi
 
 
 def test_to_U_airy_example(airy1):
-    U = to_U(airy1, WaveState(1.0, 1.0 + 0.0j, 0.0j))
+    U = to_U(airy1, eval_bk(airy1, 1.0), WaveState(1.0, 1.0 + 0.0j, 0.0j))
     assert U[0] == pytest.approx(1.0)
     assert U[1] == pytest.approx(0.25)  # (x^(1/4))' = x^(-3/4)/4 at x = 1
 
@@ -192,7 +192,8 @@ def test_to_U_airy_example(airy1):
 def test_U_round_trip(phi, dphi, x):
     p = make_airy_problem(0.5)
     st_ = WaveState(x, phi, dphi)
-    back = from_U(p, x, to_U(p, st_))
+    end = eval_bk(p, x)
+    back = from_U(p, end, to_U(p, end, st_))
     scale = max(abs(phi), abs(dphi))
     assert abs(back.phi - phi) <= 1e-14 * scale
     assert abs(back.dphi - dphi) <= 1e-14 * scale
@@ -212,7 +213,8 @@ def test_Z_norm_and_round_trip(u1, u2, x):
     z = to_Z((u1, u2), x)
     norm = math.hypot(abs(u1), abs(u2))
     assert math.hypot(abs(z.z1), abs(z.z2)) == pytest.approx(norm, rel=1e-13)
-    back = to_U(p, from_Z(p, z))
+    end = eval_bk(p, x)
+    back = to_U(p, end, from_Z(p, end, z))
     assert max(abs(back[0] - u1), abs(back[1] - u2)) <= 1e-13 * norm
 
 
@@ -226,7 +228,8 @@ def test_step_matrices_hermitian(airy1):
         x0 = float(rng.uniform(0.5, 30.0))
         x1 = x0 + float(rng.uniform(0.01, 3.0))
         prov = PhaseProvider(airy1, "exact")
-        a1, a1m, _, _ = assemble_step_matrices(airy1, prov, x0, x1, 0.0)
+        a1, a1m, _, _ = assemble_step_matrices(
+            airy1, prov, eval_bk(airy1, x0), eval_bk(airy1, x1), 0.0)
         # Off-diagonal entries (upper, lower) of A1 and A1_mod.
         assert a1[1] == pytest.approx(a1[0].conjugate(), abs=1e-18)
         assert a1m[1] == pytest.approx(a1m[0].conjugate(), abs=1e-18)
@@ -236,8 +239,9 @@ def test_constant_coefficient_step_is_identity():
     p = make_polynomial_problem([4.0], 1.0, (0.0, 10.0))
     prov = PhaseProvider(p, "cc")
     st_ = WaveState(0.0, 0.3 + 0.4j, -0.2 + 0.9j)
-    z0 = to_Z(to_U(p, st_), 0.0)
-    z1, z2 = wkb_step_pair(z0, 7.0, p, prov)
+    left = eval_bk(p, 0.0)
+    z0 = to_Z(to_U(p, left, st_), 0.0)
+    z1, z2 = wkb_step_pair(p, prov, left, eval_bk(p, 7.0), z0)
     assert (z1.z1, z1.z2) == (z0.z1, z0.z2)
     assert (z2.z1, z2.z2) == (z0.z1, z0.z2)
 
@@ -265,11 +269,12 @@ def z_reference(problem, z0, x0, x1):
 def test_one_step_defect_orders(airy1):
     x0 = 1.0
     prov = PhaseProvider(airy1, "exact")
-    z0 = to_Z(to_U(airy1, airy1.exact(x0)), x0)
+    left = eval_bk(airy1, x0)
+    z0 = to_Z(to_U(airy1, left, airy1.exact(x0)), x0)
     defects = {1: [], 2: []}
     for h in (0.0625, 0.03125, 0.015625):
         zref = z_reference(airy1, np.array([z0.z1, z0.z2]), x0, x0 + h)
-        z1, z2 = wkb_step_pair(z0, x0 + h, airy1, prov)
+        z1, z2 = wkb_step_pair(airy1, prov, left, eval_bk(airy1, x0 + h), z0)
         defects[1].append(max(abs(z1.z1 - zref[0]), abs(z1.z2 - zref[1])))
         defects[2].append(max(abs(z2.z1 - zref[0]), abs(z2.z2 - zref[1])))
     # Halving h cuts the defect by >= 3.5 (first order) and >= 7 (second).
@@ -283,13 +288,16 @@ def march(problem, xs, order=2, theta=0.0):
     """March Z over xs from the exact solution, starting with phase theta
     (Z rotated to match, so the same U)."""
     prov = PhaseProvider(problem, "exact")
-    z = to_Z(to_U(problem, problem.exact(xs[0])), xs[0])
+    left = eval_bk(problem, xs[0])
+    z = to_Z(to_U(problem, left, problem.exact(xs[0])), xs[0])
     rot = cmath.exp(-1j * theta)
     z = ZState(z.x, rot * z.z1, z.z2 / rot, theta)
     out = []
     for x1 in xs[1:]:
-        z = wkb_step_pair(z, float(x1), problem, prov)[order - 1]
-        out.append(from_Z(problem, z))
+        right = eval_bk(problem, float(x1))
+        z = wkb_step_pair(problem, prov, left, right, z)[order - 1]
+        out.append(from_Z(problem, right, z))
+        left = right
     return out
 
 
@@ -320,9 +328,10 @@ def test_pcf_step_matches_reference(pcf6):
     # One second-order step against DOP853 on the original equation.
     st0 = pcf6.exact(0.9)
     prov = PhaseProvider(pcf6, "exact")
-    z0 = to_Z(to_U(pcf6, st0), 0.9)
-    _, z2 = wkb_step_pair(z0, 1.0, pcf6, prov)
-    got = from_Z(pcf6, z2)
+    left, right = eval_bk(pcf6, 0.9), eval_bk(pcf6, 1.0)
+    z0 = to_Z(to_U(pcf6, left, st0), 0.9)
+    _, z2 = wkb_step_pair(pcf6, prov, left, right, z0)
+    got = from_Z(pcf6, right, z2)
     ex = pcf6.exact(1.0)
     assert abs(got.phi - ex.phi) / abs(ex.phi) < 1e-5
     assert abs(got.dphi - ex.dphi) / abs(ex.dphi) < 1e-5
