@@ -4,7 +4,7 @@ Every command writes plot-ready CSV plus a JSON manifest describing the run.
 Floats are printed with 17 significant digits so replaying a manifest
 reproduces the CSV byte for byte (the solver itself is deterministic).
 
-Exit codes: 0 success, 2 bad flags, 3 solver failure.
+Exit codes: 0 success, 2 bad flags or problem spec, 3 solver failure.
 """
 
 from __future__ import annotations
@@ -17,16 +17,13 @@ import time
 from pathlib import Path
 
 from . import reference
-from .control import (ETA, SolverConfig, estimator_h_sweep, estimator_study,
-                      integrate)
-from .problem import make_airy_problem, make_pcf_problem, \
-    make_polynomial_problem, problem_from_json
+from .control import (CANDIDATES, ETA, METHODS, SolverConfig,
+                      estimator_h_sweep, estimator_study, integrate)
+from .problem import problem_from_json
 from .state import SolverError
 
-_BENCH_DEFAULTS = {
-    "airy": {"interval": (0.1, 50.0), "h0": 0.5},
-    "pcf": {"interval": (0.01, 1.99), "h0": 0.05},
-}
+# First trial step per --problem name; the factories own the intervals.
+_H0 = {"airy": 0.5, "pcf": 0.05}
 
 
 def _fmt(value) -> str:
@@ -36,9 +33,8 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: Path, header, rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines = [",".join(header)] + [",".join(_fmt(v) for v in row)
+                                  for row in rows]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -53,42 +49,41 @@ def _parse_interval(text: str) -> tuple[float, float]:
 
 
 def _parse_phase(text: str) -> tuple[str, int]:
-    if text == "exact":
-        return "exact", 15
-    if text == "auto":
-        return "auto", 15
-    if text.startswith("cc"):
-        nodes = 15
-        if ":" in text:
-            nodes = int(text.split(":", 1)[1])
-        return "cc", nodes
-    raise argparse.ArgumentTypeError("phase must be exact, auto or cc[:N]")
+    mode, colon, nodes = text.partition(":")
+    if mode not in ("exact", "auto", "cc") or colon and mode != "cc":
+        raise argparse.ArgumentTypeError("phase must be exact, auto or cc[:N]")
+    return mode, int(nodes) if colon else 15
 
 
-class SystemExit2(SystemExit):
-    """Flag-level failure: prints the message and carries exit code 2."""
+def _geometric(start: float, stop: float, n: int, name: str) -> list[float]:
+    """n points from start to stop in geometric progression."""
+    if not (0.0 < start < math.inf and 0.0 < stop < math.inf and n >= 1):
+        raise ValueError(f"{name}: need finite bounds > 0 and >= 1 point")
+    return [start * (stop / start) ** (i / (n - 1))
+            for i in range(n)] if n > 1 else [start]
 
-    def __init__(self, message: str):
-        print(f"error: {message}", file=sys.stderr)
-        super().__init__(2)
+
+def _build_problem(name: str, eps, interval):
+    """--problem as a spec, with --eps/--interval overriding epsilon/domain."""
+    if name in ("airy", "pcf"):
+        spec = {"type": name}
+    elif name.startswith("poly:"):
+        spec = {"type": "poly",
+                "coeffs": [float(c) for c in name[len("poly:"):].split(",")]}
+    elif name.startswith("json:"):
+        spec = json.loads(Path(name[len("json:"):]).read_text())
+    else:
+        raise ValueError(f"unknown problem {name!r}")
+    if isinstance(spec, dict):
+        overrides = {"epsilon": eps, "domain": interval}
+        spec.update({k: v for k, v in overrides.items() if v is not None})
+    return problem_from_json(spec)
 
 
-def _build_problem(args):
-    spec = args.problem
-    if spec in ("airy", "pcf"):
-        defaults = _BENCH_DEFAULTS[spec]
-        interval = args.interval or defaults["interval"]
-        maker = make_airy_problem if spec == "airy" else make_pcf_problem
-        return maker(args.eps, interval[0], interval[1]), defaults["h0"]
-    if spec.startswith("poly:"):
-        coeffs = [float(c) for c in spec[len("poly:"):].split(",")]
-        if args.interval is None:
-            raise SystemExit2("poly problems need --interval")
-        return make_polynomial_problem(coeffs, args.eps, args.interval), 0.1
-    if spec.startswith("json:"):
-        payload = Path(spec[len("json:"):]).read_text()
-        return problem_from_json(payload), 0.1
-    raise SystemExit2(f"unknown problem {spec!r}")
+def _config(args, method: str, tol: float) -> SolverConfig:
+    h0 = args.h0 if args.h0 is not None else _H0.get(args.problem, 0.1)
+    return SolverConfig(tol=tol, h0=h0, method=method, phase=args.phase[0],
+                        cc_nodes=args.phase[1])
 
 
 def _problem_manifest(args, problem) -> dict:
@@ -133,10 +128,8 @@ def _trajectory_rows(traj, problem):
 
 
 def cmd_solve(args) -> int:
-    problem, default_h0 = _build_problem(args)
-    config = SolverConfig(
-        tol=args.tol, h0=args.h0 if args.h0 is not None else default_h0,
-        method=args.method, phase=args.phase[0], cc_nodes=args.phase[1])
+    problem = _build_problem(args.problem, args.eps, args.interval)
+    config = _config(args, args.method, args.tol)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
@@ -144,24 +137,18 @@ def cmd_solve(args) -> int:
     elapsed = time.perf_counter() - started
     header, rows = _trajectory_rows(traj, problem)
     _write_csv(out / "steps.csv", header, rows)
+    final = traj.final_state
     manifest = {
         "command": "solve",
         "problem": _problem_manifest(args, problem),
         "config": _config_manifest(config),
         "outputs": {"steps_csv": str(out / "steps.csv")},
         "wall_clock_s": elapsed,
-        "counters": {
-            "accepted": traj.accepted,
-            "rejected": traj.rejected,
-            "methods": traj.method_counts(),
-        },
-        "final": {
-            "x": traj.final_state.x,
-            "re_phi": traj.final_state.phi.real,
-            "im_phi": traj.final_state.phi.imag,
-            "re_dphi": traj.final_state.dphi.real,
-            "im_dphi": traj.final_state.dphi.imag,
-        },
+        "counters": {"accepted": traj.accepted, "rejected": traj.rejected,
+                     "methods": traj.method_counts()},
+        "final": {"x": final.x, "re_phi": final.phi.real,
+                  "im_phi": final.phi.imag, "re_dphi": final.dphi.real,
+                  "im_dphi": final.dphi.imag},
     }
     if problem.exact is not None:
         manifest["error_summary"] = {
@@ -178,22 +165,18 @@ def cmd_solve(args) -> int:
 def cmd_sweep(args) -> int:
     methods = args.methods.split(",")
     eps_list = [float(v) for v in args.eps_list.split(",")]
-    lo, hi = args.tol_range
-    tols = [lo * (hi / lo) ** (i / (args.tol_points - 1))
-            for i in range(args.tol_points)] if args.tol_points > 1 else [lo]
+    tols = _geometric(*args.tol_range, args.tol_points, "tol-range")
+    # Every flag is checked before the first solve; one problem per eps.
+    configs = [[_config(args, method, tol) for tol in tols]
+               for method in methods]
+    problems = [(eps, _build_problem(args.problem, eps, args.interval))
+                for eps in eps_list]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
-    for method in methods:
-        for eps in eps_list:
-            for tol in tols:
-                ns = argparse.Namespace(problem=args.problem, eps=eps,
-                                        interval=args.interval)
-                problem, default_h0 = _build_problem(ns)
-                config = SolverConfig(
-                    tol=tol, h0=args.h0 if args.h0 is not None else default_h0,
-                    method=method, phase=args.phase[0],
-                    cc_nodes=args.phase[1])
+    for method_configs in configs:
+        for eps, problem in problems:
+            for config in method_configs:
                 started = time.perf_counter()
                 traj = integrate(problem, config)
                 elapsed = time.perf_counter() - started
@@ -202,8 +185,8 @@ def cmd_sweep(args) -> int:
                     sup = reference.global_error(traj, problem, "sup")
                 else:
                     l2 = sup = math.nan
-                rows.append([method, args.problem, eps, tol, traj.accepted,
-                             traj.rejected, l2, sup, elapsed])
+                rows.append([config.method, args.problem, eps, config.tol,
+                             traj.accepted, traj.rejected, l2, sup, elapsed])
     rows.sort(key=lambda r: (r[0], -r[2], r[3]))
     header = ["method", "problem", "epsilon", "tol", "steps", "rejected",
               "l2rel", "sup_rel", "wall_clock_s"]
@@ -222,22 +205,17 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_estimator_study(args) -> int:
-    problem, default_h0 = _build_problem(args)
-    if problem.exact is None:
-        raise SystemExit2("estimator study needs a benchmark problem")
-    config = SolverConfig(
-        tol=args.tol, h0=args.h0 if args.h0 is not None else default_h0,
-        method=args.method, phase=args.phase[0], cc_nodes=args.phase[1])
+    problem = _build_problem(args.problem, args.eps, args.interval)
+    config = _config(args, args.method, args.tol)
+    lo, hi, n = args.h_sweep
+    hs = _geometric(hi, lo, n, "h-sweep")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = estimator_study(problem, config)
     _write_csv(out / "study.csv",
                ["x", "h", "method", "est", "true_lte", "deviation"], rows)
-    lo, hi, n = args.h_sweep
-    hs = [hi * (lo / hi) ** (i / (n - 1)) for i in range(int(n))] \
-        if n > 1 else [hi]
-    method_tag = "RKWKB" if config.method in ("rkwkbmod", "rkwkb") else "WKB"
-    sweep_rows = estimator_h_sweep(problem, args.x0, hs, method_tag,
+    sweep_rows = estimator_h_sweep(problem, args.x0, hs,
+                                   CANDIDATES[config.method][0],
                                    config.phase_mode(problem),
                                    config.cc_nodes)
     _write_csv(out / "hsweep.csv",
@@ -263,18 +241,23 @@ def _parse_h_sweep(text: str) -> tuple[float, float, int]:
     return float(parts[0]), float(parts[1]), int(parts[2])
 
 
-def _add_common(sub) -> None:
+def _add_shared(sub) -> None:
     sub.add_argument("--problem", required=True,
                      help="airy | pcf | poly:<c0,c1,..> | json:<file>")
-    sub.add_argument("--eps", type=float, default=1.0)
-    sub.add_argument("--tol", type=float, default=1e-6)
-    sub.add_argument("--interval", type=_parse_interval, default=None)
+    sub.add_argument("--interval", type=_parse_interval, default=None,
+                     help="a,b: overrides the problem's domain")
     sub.add_argument("--h0", type=float, default=None)
-    sub.add_argument("--method", default="wkb+rkf45",
-                     choices=["wkb+rkf45", "rkwkbmod", "rkwkb", "rkf45"])
     sub.add_argument("--phase", type=_parse_phase, default=("auto", 15),
                      help="exact | auto | cc[:N]")
     sub.add_argument("--out", default="out")
+
+
+def _add_single_run(sub) -> None:
+    _add_shared(sub)
+    sub.add_argument("--eps", type=float, default=None,
+                     help="overrides the problem's epsilon")
+    sub.add_argument("--tol", type=float, default=1e-6)
+    sub.add_argument("--method", default="wkb+rkf45", choices=METHODS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -284,26 +267,23 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     solve = subs.add_parser("solve", help="one adaptive run -> steps.csv")
-    _add_common(solve)
+    _add_single_run(solve)
     solve.set_defaults(func=cmd_solve)
 
     sweep = subs.add_parser("sweep", help="(method, eps, tol) grid -> sweep.csv")
-    sweep.add_argument("--problem", required=True)
+    _add_shared(sweep)
     sweep.add_argument("--eps-list", required=True,
                        help="comma-separated epsilon values")
     sweep.add_argument("--tol-range", type=_parse_interval,
                        default=(1e-9, 1e-3))
     sweep.add_argument("--tol-points", type=int, default=10)
-    sweep.add_argument("--methods", default="wkb+rkf45")
-    sweep.add_argument("--interval", type=_parse_interval, default=None)
-    sweep.add_argument("--h0", type=float, default=None)
-    sweep.add_argument("--phase", type=_parse_phase, default=("auto", 15))
-    sweep.add_argument("--out", default="out")
+    sweep.add_argument("--methods", default="wkb+rkf45",
+                       help="comma-separated, from " + ", ".join(METHODS))
     sweep.set_defaults(func=cmd_sweep)
 
     study = subs.add_parser("estimator-study",
                             help="estimate-vs-truth audit -> study.csv")
-    _add_common(study)
+    _add_single_run(study)
     study.add_argument("--x0", type=float, default=10.0,
                        help="start of the single-step h sweep")
     study.add_argument("--h-sweep", type=_parse_h_sweep,
@@ -314,12 +294,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit2 as exc:
-        return int(exc.code)
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3

@@ -77,6 +77,9 @@ class SolverConfig:
     def __post_init__(self):
         if not (0.0 < self.tol < math.inf and 0.0 < self.h0 < math.inf):
             raise ValueError("tol and h0 must be finite and positive")
+        if not isinstance(self.cc_nodes, int) or self.cc_nodes < 2:
+            raise ValueError(
+                f"cc_nodes must be an integer >= 2, got {self.cc_nodes!r}")
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         if self.phase not in ("auto", "exact", "cc"):

@@ -108,11 +108,5 @@ class PhaseProvider:
                 raise WKBInadmissibleError(
                     f"closed-form phase not finite on [{x0}, {x1}]")
             return s
-        problem = self.problem
-        eps2 = problem.epsilon ** 2
-
-        def integrand(y: float) -> float:
-            _, sqrt_a, b = b_jet(problem, y, 0)
-            return sqrt_a[0] - eps2 * b[0]
-
-        return clenshaw_curtis(integrand, x0, x1, self.nodes)
+        return clenshaw_curtis(lambda y: b_jet(self.problem, y, 0)[3][0],
+                               x0, x1, self.nodes)

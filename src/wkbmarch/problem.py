@@ -70,9 +70,7 @@ def polynomial_field(coeffs: Sequence[float],
 
     if not description:
         description = "poly[" + ",".join(repr(float(c)) for c in coeffs) + "]"
-    fld = CoefficientField(derivs, description)
-    fld.coeffs = tuple(float(c) for c in coeffs)
-    return fld
+    return CoefficientField(derivs, description)
 
 
 @dataclass(frozen=True)
@@ -252,39 +250,67 @@ def make_polynomial_problem(coeffs: Sequence[float], epsilon: float,
     )
 
 
+# Keys each spec type takes; any other key is an error, not ignored.
+_SPEC_KEYS = {
+    "airy": {"type", "epsilon", "domain"},
+    "pcf": {"type", "epsilon", "domain"},
+    "poly": {"type", "epsilon", "domain", "coeffs", "initial", "tau_guard"},
+}
+
+
+def _number(value, name: str) -> float:
+    try:
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            return float(value)
+    except OverflowError:  # an integer beyond the float range
+        pass
+    raise ValueError(f"{name} must be a number, got {value!r}")
+
+
+def _numbers(value, name: str, count: int = 0) -> list[float]:
+    """A list of numbers, of exactly `count` entries when count > 0."""
+    if (not isinstance(value, (list, tuple)) or not value
+            or (count and len(value) != count)):
+        size = f"{count} numbers" if count else "a non-empty list of numbers"
+        raise ValueError(f"{name} must be {size}, got {value!r}")
+    return [_number(v, name) for v in value]
+
+
 def problem_from_json(spec) -> Problem:
     """Build a problem from a JSON object or string.
 
     Schema: {"type": "airy"|"pcf"|"poly", "epsilon": number,
-             "coeffs": [..], "domain": [a, b], "initial": [re_phi, im_phi,
-             re_dphi, im_dphi], "tau_guard": number}; coeffs/initial apply
-    to "poly" only, domain is optional for the benchmarks.
+             "domain": [a, b], "coeffs": [..], "initial": [re_phi, im_phi,
+             re_dphi, im_dphi], "tau_guard": number}. coeffs, initial and
+    tau_guard are "poly" keys only; epsilon defaults to 1, and domain to
+    the benchmark's own interval for "airy" and "pcf". A spec that is not
+    an object, an unknown type, a key its type does not take, or a value
+    of the wrong shape raises ValueError.
     """
     if isinstance(spec, str):
         spec = json.loads(spec)
+    if not isinstance(spec, dict):
+        raise ValueError(f"problem spec must be an object, got {spec!r}")
     kind = spec.get("type")
-    epsilon = float(spec.get("epsilon", 1.0))
-    domain = spec.get("domain")
-    if kind == "airy":
-        if domain is None:
-            return make_airy_problem(epsilon)
-        return make_airy_problem(epsilon, float(domain[0]), float(domain[1]))
-    if kind == "pcf":
-        if domain is None:
-            return make_pcf_problem(epsilon)
-        return make_pcf_problem(epsilon, float(domain[0]), float(domain[1]))
-    if kind == "poly":
-        coeffs = spec.get("coeffs")
-        if not coeffs:
-            raise ValueError("poly problems need a non-empty coeffs list")
-        if domain is None:
-            raise ValueError("poly problems need a domain")
-        initial = None
-        if "initial" in spec:
-            re_p, im_p, re_d, im_d = (float(v) for v in spec["initial"])
-            initial = WaveState(float(domain[0]), complex(re_p, im_p),
-                                complex(re_d, im_d))
-        return make_polynomial_problem(
-            coeffs, epsilon, (float(domain[0]), float(domain[1])),
-            initial=initial, tau_guard=float(spec.get("tau_guard", 1e-12)))
-    raise ValueError(f"unknown problem type {kind!r}")
+    if not isinstance(kind, str) or kind not in _SPEC_KEYS:
+        raise ValueError(f"unknown problem type {kind!r}")
+    extra = sorted(set(spec) - _SPEC_KEYS[kind])
+    if extra:
+        raise ValueError(f"{kind} problems take no key {', '.join(extra)}")
+    epsilon = _number(spec.get("epsilon", 1.0), "epsilon")
+    domain = _numbers(spec["domain"], "domain", 2) if "domain" in spec \
+        else None
+    if kind != "poly":
+        maker = make_airy_problem if kind == "airy" else make_pcf_problem
+        return maker(epsilon) if domain is None else maker(epsilon, *domain)
+    coeffs = _numbers(spec.get("coeffs"), "coeffs")
+    if domain is None:
+        raise ValueError("poly problems need a domain")
+    initial = None
+    if "initial" in spec:
+        re_p, im_p, re_d, im_d = _numbers(spec["initial"], "initial", 4)
+        initial = WaveState(domain[0], complex(re_p, im_p),
+                            complex(re_d, im_d))
+    return make_polynomial_problem(
+        coeffs, epsilon, domain, initial=initial,
+        tau_guard=_number(spec.get("tau_guard", 1e-12), "tau_guard"))

@@ -596,8 +596,7 @@ def _iter_states(trajectory_or_states) -> Iterable[WaveState]:
     return list(states)
 
 
-def global_error(trajectory, problem, norm: str = "sup",
-                 return_details: bool = False):
+def global_error(trajectory, problem, norm: str = "sup"):
     """Global error of an accepted trajectory against the exact solution.
 
     norm="sup":   max over nodes of |phi_n - phi(x_n)| / |phi(x_n)|,
@@ -609,20 +608,16 @@ def global_error(trajectory, problem, norm: str = "sup",
         raise ValueError("empty trajectory")
     if norm == "sup":
         worst = 0.0
-        skipped = 0
         for s in states:
             ref = exact_solution(problem, s.x).phi
-            if ref == 0:
-                skipped += 1
-                continue
-            worst = max(worst, abs(s.phi - ref) / abs(ref))
-        return (worst, skipped) if return_details else worst
+            if ref != 0:
+                worst = max(worst, abs(s.phi - ref) / abs(ref))
+        return worst
     if norm == "l2rel":
         refs = [exact_solution(problem, s.x).phi for s in states]
         denom = math.hypot(*(abs(r) for r in refs))
         if denom == 0.0:
             raise ValueError("exact solution vanishes on all nodes")
         err = math.hypot(*(abs(s.phi - r) for s, r in zip(states, refs)))
-        err /= denom
-        return (err, 0) if return_details else err
+        return err / denom
     raise ValueError(f"unknown norm {norm!r}")

@@ -64,16 +64,14 @@ def wkb_basis(problem, x: float) -> Endpoint:
     log, the oscillatory phase and (order 3) the eps^2 phi3 correction.
     """
     eps = problem.epsilon
-    a, s, bj = b_jet(problem, x, 2)
+    # ph1, ph2: the phase derivative sqrt(a) - eps^2 b and its derivative.
+    a, s, bj, (ph1, ph2, _) = b_jet(problem, x, 2)
     # Amplitude log: -(1/4) log a; only its derivatives are needed.
     a1 = a[1]
     a2 = 2.0 * a[2]
     amp1 = -0.25 * a1 / a[0]
     amp2 = -0.25 * (a2 / a[0] - (a1 / a[0]) ** 2)
-    # Oscillatory phase derivative (sqrt(a) - eps^2 b) and its derivative.
     eps2 = eps * eps
-    ph1 = s[0] - eps2 * bj[0]
-    ph2 = s[1] - eps2 * bj[1]  # jet index 1 holds the first derivative
     amp = a[0] ** -0.25
 
     def basis(order, corr, c1, c2):

@@ -23,7 +23,8 @@ b and all b_k derivatives are expanded analytically through truncated
 Taylor jets over the coefficient field's derivative tower; numerical
 differentiation is never used here (the schemes multiply b_3 by
 eps^5 h_2(2s/eps), so noise in the tower would be amplified badly at small
-eps). `b_jet` is the only place b is built from the derivatives of a.
+eps). `b_jet` is the only place b, and the phase derivative
+sqrt(a) - eps^2 b with its guard, are built from the derivatives of a.
 """
 
 from __future__ import annotations
@@ -131,11 +132,14 @@ class ZState:
 
 
 def b_jet(problem, x: float, order: int):
-    """The jets (a, sqrt(a), b) at x, each to `order` (at most 3).
+    """The jets (a, sqrt(a), b, sqrt(a) - eps^2 b) at x, each to `order`
+    (at most 3).
 
     b(x) = -(a^(-1/4))'' / (2 a^(1/4)) is expanded through the chain rule as
     b = -(5/32) a'^2 a^(-5/2) + (1/8) a'' a^(-3/2), which reads a to
-    order + 2; the derivative tower reaches a^(5), hence the cap.
+    order + 2; the derivative tower reaches a^(5), hence the cap. The last
+    jet is the phase derivative of the oscillatory factor; where it falls
+    below PHASE_DERIV_GUARD * sqrt(a), x is inadmissible.
     """
     tower = problem.field.jet(x)
     if tower[0] < problem.tau_guard:
@@ -150,7 +154,12 @@ def b_jet(problem, x: float, order: int):
     term1 = jet_div(jet_mul(a1, a1, n), a2_s, n)
     term2 = jet_div(a2, a_s, n)
     b = [-(5.0 / 32.0) * t1 + 0.125 * t2 for t1, t2 in zip(term1, term2)]
-    return a[:n + 1], s, b
+    eps2 = problem.epsilon * problem.epsilon
+    phase = [sk - eps2 * bk for sk, bk in zip(s, b)]
+    if phase[0] < PHASE_DERIV_GUARD * s[0]:
+        raise WKBInadmissibleError(
+            f"phase derivative {phase[0]} degenerate at x={x}")
+    return a[:n + 1], s, b, phase
 
 
 def eval_bk(problem, x: float) -> Endpoint:
@@ -161,12 +170,7 @@ def eval_bk(problem, x: float) -> Endpoint:
     derivative of b_k over twice the phase derivative, so b_k is needed to
     order 3 - k and b to order 3.
     """
-    eps2 = problem.epsilon * problem.epsilon
-    a, s, bj = b_jet(problem, x, 3)
-    phase = [sk - eps2 * bk for sk, bk in zip(s, bj)]
-    if phase[0] < PHASE_DERIV_GUARD * s[0]:
-        raise WKBInadmissibleError(
-            f"phase derivative {phase[0]} degenerate at x={x}")
+    a, _, bj, phase = b_jet(problem, x, 3)
     two_phase = [2.0 * p for p in phase]
     b0 = jet_div(bj, two_phase, 3)
     b1 = jet_div(jet_deriv(b0, 2), two_phase, 2)

@@ -199,3 +199,118 @@ def test_json_problem_input(tmp_path):
     assert code == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["problem"]["epsilon"] == 0.5
+
+
+def test_json_sweep_solves_at_each_listed_eps(tmp_path):
+    # --eps-list overrides the file's epsilon, as --eps does for solve.
+    from wkbmarch import SolverConfig, integrate, problem_from_json
+
+    spec = {"type": "poly", "epsilon": 0.5, "coeffs": [1, 0.5],
+            "domain": [0, 2]}
+    path = tmp_path / "prob.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "sweep"
+    code = run_cli(["sweep", "--problem", f"json:{path}",
+                    "--eps-list", "1,0.1", "--tol-range", "1e-6,1e-5",
+                    "--tol-points", "1", "--methods", "rkf45",
+                    "--out", str(out)])
+    assert code == 0
+    _, rows = read_csv(out / "sweep.csv")
+    assert [float(r[2]) for r in rows] == [1.0, 0.1]
+    for row in rows:
+        problem = problem_from_json({**spec, "epsilon": float(row[2])})
+        traj = integrate(problem, SolverConfig(tol=1e-6, h0=0.1,
+                                               method="rkf45"))
+        assert int(row[4]) == traj.accepted
+    assert rows[0][4] != rows[1][4]
+
+
+@pytest.mark.parametrize("text", [
+    '{"type": "poly", "coeffs": [1], "domain": [0]}',
+    '{"type": "poly", "coeffs": [1], "domain": 5}',
+    '{"type": "airy", "epsilon": null}',
+    '[{"type": "airy"}]',
+    '{"type": "poly", "coeffs": [1], "domain": [0, 1], "initial": null}',
+    '{"type": "airy", "eps": 0.01}',
+    '{"type": "airy", "tau_guard": 1e-12}',
+    '{"type": "airy"',
+])
+def test_malformed_json_spec_exits_two(tmp_path, capsys, text):
+    path = tmp_path / "prob.json"
+    path.write_text(text)
+    code = run_cli(["solve", "--problem", f"json:{path}",
+                    "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "run").exists()
+
+
+def test_eps_and_interval_override_json_spec(tmp_path):
+    path = tmp_path / "prob.json"
+    path.write_text('{"type": "airy", "epsilon": 0.5, "domain": [0.1, 50]}')
+    out = tmp_path / "run"
+    assert run_cli(["solve", "--problem", f"json:{path}", "--eps", "1",
+                    "--interval", "1,5", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["problem"]["epsilon"] == 1.0
+    assert manifest["problem"]["domain"] == [1.0, 5.0]
+
+
+def test_estimator_study_audits_the_methods_lead_pair(tmp_path):
+    from wkbmarch import estimator_h_sweep, make_airy_problem
+
+    out = tmp_path / "study"
+    code = run_cli(["estimator-study", "--problem", "airy", "--tol", "1e-5",
+                    "--method", "rkf45", "--x0", "10",
+                    "--h-sweep", "1e-2,1,3", "--out", str(out)])
+    assert code == 0
+    _, rows = read_csv(out / "hsweep.csv")
+    want = estimator_h_sweep(make_airy_problem(1.0), 10.0, [1.0, 0.1, 0.01],
+                             "RKF45")
+    assert rows == [[format(v, ".17g") for v in row] for row in want]
+
+
+@pytest.mark.parametrize("args", [
+    ["estimator-study", "--problem", "airy", "--h-sweep=-1,1,3"],
+    ["estimator-study", "--problem", "airy", "--h-sweep", "0,1,3"],
+    ["estimator-study", "--problem", "airy", "--h-sweep", "1e-2,inf,3"],
+    ["estimator-study", "--problem", "airy", "--h-sweep", "1e-2,1,0"],
+    ["sweep", "--problem", "airy", "--eps-list", "1", "--tol-points", "0"],
+    ["sweep", "--problem", "airy", "--eps-list", "1",
+     "--tol-range=-1e-3,1e-3"],
+    ["sweep", "--problem", "airy", "--eps-list", "1",
+     "--methods", "rkf45,euler"],
+    ["solve", "--problem", "airy", "--phase", "cc:0", "--method", "rkf45"],
+])
+def test_bad_sweep_flags_exit_two_before_solving(tmp_path, capsys,
+                                                 monkeypatch, args):
+    from wkbmarch import cli as cli_mod
+
+    def no_solve(*_):
+        raise AssertionError("a solve ran before the flags were checked")
+
+    monkeypatch.setattr(cli_mod, "integrate", no_solve)
+    monkeypatch.setattr(cli_mod, "estimator_study", no_solve)
+    assert run_cli([*args, "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_readme_command_lines_parse():
+    # Every `wkbmarch ...` example in the README's "Command line" section
+    # (backslash continuations joined) is accepted by the parser.
+    import re
+    import shlex
+    from pathlib import Path
+
+    from wkbmarch.cli import build_parser
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    commands = [shlex.split(block.replace("\\\n", " "))
+                for block in re.findall(r"```\n(wkbmarch .*?)```", section,
+                                        re.S)]
+    assert len(commands) >= 3
+    parser = build_parser()
+    for argv in commands:
+        assert argv[0] == "wkbmarch"
+        parser.parse_args(argv[1:])

@@ -113,6 +113,10 @@ def test_config_validation():
         SolverConfig(tol=1e-6, h0=0.5, method="euler")
     with pytest.raises(ValueError):
         SolverConfig(tol=1e-6, h0=0.5, phase="spectral")
+    for nodes in (1, 0, -3, 15.0, 2.5, None):
+        with pytest.raises(ValueError, match="cc_nodes"):
+            SolverConfig(tol=1e-6, h0=0.5, phase="cc", cc_nodes=nodes)
+    assert SolverConfig(tol=1e-6, h0=0.5, phase="cc", cc_nodes=2).cc_nodes == 2
 
 
 # ---------------------------------------------------------------------------

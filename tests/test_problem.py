@@ -289,3 +289,41 @@ def test_problem_from_json_variants():
         problem_from_json({"type": "poly", "epsilon": 1.0, "domain": [0, 1]})
     with pytest.raises(ValueError):
         problem_from_json({"type": "spam"})
+
+
+@pytest.mark.parametrize("spec,match", [
+    ([{"type": "airy"}], "object"),
+    ("null", "object"),
+    ({"epsilon": 0.5}, "unknown problem type"),
+    ({"type": ["airy"]}, "unknown problem type"),
+    ({"type": "airy", "domain": None}, "domain must be 2 numbers"),
+    ({"type": "airy", "eps": 0.01}, "take no key eps"),
+    ({"type": "airy", "tau_guard": 1e-12}, "take no key tau_guard"),
+    ({"type": "pcf", "coeffs": [1.0]}, "take no key coeffs"),
+    ({"type": "airy", "domain": [0.1]}, "domain must be 2 numbers"),
+    ({"type": "airy", "domain": 5}, "domain must be 2 numbers"),
+    ({"type": "airy", "domain": [0.1, "50"]}, "domain must be a number"),
+    ({"type": "airy", "epsilon": None}, "epsilon must be a number"),
+    ({"type": "airy", "epsilon": True}, "epsilon must be a number"),
+    ({"type": "airy", "epsilon": 10 ** 400}, "epsilon must be a number"),
+    ({"type": "poly", "coeffs": [], "domain": [0, 1]}, "coeffs"),
+    ({"type": "poly", "coeffs": [1, None], "domain": [0, 1]}, "coeffs"),
+    ({"type": "poly", "coeffs": [1], "domain": [0, 1], "initial": None},
+     "initial must be 4 numbers"),
+    ({"type": "poly", "coeffs": [1], "domain": [0, 1],
+      "initial": [1, 0, 0]}, "initial must be 4 numbers"),
+    ({"type": "poly", "coeffs": [1], "domain": [0, 1], "tau_guard": "1"},
+     "tau_guard must be a number"),
+])
+def test_problem_from_json_rejects_malformed_specs(spec, match):
+    with pytest.raises(ValueError, match=match):
+        problem_from_json(spec)
+
+
+def test_problem_from_json_defaults_match_factories():
+    # Omitted epsilon and domain fall back to the factories' own defaults.
+    for kind, maker in (("airy", make_airy_problem),
+                        ("pcf", make_pcf_problem)):
+        got, want = problem_from_json({"type": kind}), maker(1.0)
+        assert (got.epsilon, got.x_start, got.x_end, got.initial) == \
+            (want.epsilon, want.x_start, want.x_end, want.initial)
