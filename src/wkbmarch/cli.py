@@ -19,6 +19,7 @@ from pathlib import Path
 from . import reference
 from .control import (CANDIDATES, ETA, METHODS, SolverConfig,
                       estimator_h_sweep, estimator_study, integrate)
+from .phase import CC_NODES
 from .problem import problem_from_json
 from .state import SolverError
 
@@ -48,13 +49,6 @@ def _parse_interval(text: str) -> tuple[float, float]:
     return a, b
 
 
-def _parse_phase(text: str) -> tuple[str, int]:
-    mode, colon, nodes = text.partition(":")
-    if mode not in ("exact", "auto", "cc") or colon and mode != "cc":
-        raise argparse.ArgumentTypeError("phase must be exact, auto or cc[:N]")
-    return mode, int(nodes) if colon else 15
-
-
 def _geometric(start: float, stop: float, n: int, name: str) -> list[float]:
     """n points from start to stop in geometric progression."""
     if not (0.0 < start < math.inf and 0.0 < stop < math.inf and n >= 1):
@@ -82,8 +76,7 @@ def _build_problem(name: str, eps, interval):
 
 def _config(args, method: str, tol: float) -> SolverConfig:
     h0 = args.h0 if args.h0 is not None else _H0.get(args.problem, 0.1)
-    return SolverConfig(tol=tol, h0=h0, method=method, phase=args.phase[0],
-                        cc_nodes=args.phase[1])
+    return SolverConfig(tol=tol, h0=h0, method=method, phase=args.phase)
 
 
 def _problem_manifest(args, problem) -> dict:
@@ -103,7 +96,7 @@ def _config_manifest(config: SolverConfig) -> dict:
         "method": config.method,
         "eta": ETA,
         "phase": config.phase,
-        "cc_nodes": config.cc_nodes,
+        "cc_nodes": CC_NODES,
     }
 
 
@@ -215,9 +208,7 @@ def cmd_estimator_study(args) -> int:
     _write_csv(out / "study.csv",
                ["x", "h", "method", "est", "true_lte", "deviation"], rows)
     sweep_rows = estimator_h_sweep(problem, args.x0, hs,
-                                   CANDIDATES[config.method][0],
-                                   config.phase_mode(problem),
-                                   config.cc_nodes)
+                                   CANDIDATES[config.method][0], config.phase)
     _write_csv(out / "hsweep.csv",
                ["h", "est", "true_lte", "deviation"], sweep_rows)
     manifest = {
@@ -247,8 +238,8 @@ def _add_shared(sub) -> None:
     sub.add_argument("--interval", type=_parse_interval, default=None,
                      help="a,b: overrides the problem's domain")
     sub.add_argument("--h0", type=float, default=None)
-    sub.add_argument("--phase", type=_parse_phase, default=("auto", 15),
-                     help="exact | auto | cc[:N]")
+    sub.add_argument("--phase", default="auto",
+                     choices=("auto", "exact", "cc"))
     sub.add_argument("--out", default="out")
 
 

@@ -24,7 +24,8 @@ only, switching by the smaller relative estimate, and no ratio clamps.
 
 The run owns one endpoint record per grid point (`_endpoint`): the left
 one is kept across rejected trials, and each trial's right one becomes
-the next left one when the step is accepted.
+the next left one when the step is accepted. A point where a guard trips
+gets no record, and a step from or to it is rejected as inadmissible.
 """
 
 from __future__ import annotations
@@ -72,24 +73,14 @@ class SolverConfig:
     h0: float
     method: str = "wkb+rkf45"
     phase: str = "auto"
-    cc_nodes: int = 15
 
     def __post_init__(self):
         if not (0.0 < self.tol < math.inf and 0.0 < self.h0 < math.inf):
             raise ValueError("tol and h0 must be finite and positive")
-        if not isinstance(self.cc_nodes, int) or self.cc_nodes < 2:
-            raise ValueError(
-                f"cc_nodes must be an integer >= 2, got {self.cc_nodes!r}")
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         if self.phase not in ("auto", "exact", "cc"):
             raise ValueError(f"unknown phase mode {self.phase!r}")
-
-    def phase_mode(self, problem) -> str:
-        """Concrete phase mode: auto picks the closed form when present."""
-        if self.phase != "auto":
-            return self.phase
-        return "exact" if problem.phase_antiderivative is not None else "cc"
 
     @property
     def atol(self) -> float:
@@ -115,7 +106,6 @@ class Trajectory:
 
     records: list[StepRecord] = field(default_factory=list)
     rejected: int = 0
-    initial: Optional[WaveState] = None
 
     @property
     def accepted(self) -> int:
@@ -173,7 +163,6 @@ class Candidate:
     theta: float
     est: float
     state: Optional[WaveState]
-    rel_est: float = math.inf
 
 
 def select_method(candidates) -> tuple[float, Optional[int]]:
@@ -209,27 +198,30 @@ def _score(method: str, y_low: WaveState, y_high: WaveState,
     y_norm = y_high.sup_norm()
     accepted = est <= config.atol + config.tol * y_norm
     theta = proposal_factor(est, y_norm, config, k)
-    rel = est / y_norm if y_norm > 0.0 else math.inf
-    return Candidate(method, accepted, theta, est, y_high, rel)
+    return Candidate(method, accepted, theta, est, y_high)
 
 
 def _rejected(method: str) -> Candidate:
     return Candidate(method, False, THETA_MIN, math.inf, None)
 
 
-def _endpoint(problem, tag: str, x: float) -> Optional[Endpoint]:
-    """The record at x of what method `tag` reads there (None for RKF45);
-    a guard failure at x is recorded, not raised. `eval_bk` and `wkb_basis`
-    are looked up in their modules, where a profiler that wraps them sees
-    the calls."""
+def _record(problem, tag: str, x: float) -> Optional[Endpoint]:
+    """The record at x of what method `tag` reads there (None for RKF45).
+    `eval_bk` and `wkb_basis` are looked up in their modules, where a
+    profiler that wraps them sees the calls."""
     if tag == TAG_RKF45:
         return None
+    if tag == TAG_WKB:
+        return wkb_core.eval_bk(problem, x)
+    return rkwkb.wkb_basis(problem, x)
+
+
+def _endpoint(problem, tag: str, x: float) -> Optional[Endpoint]:
+    """`_record`, or None where a guard trips at x."""
     try:
-        if tag == TAG_WKB:
-            return wkb_core.eval_bk(problem, x)
-        return rkwkb.wkb_basis(problem, x)
-    except WKBInadmissibleError as exc:
-        return Endpoint(x, math.nan, error=exc)
+        return _record(problem, tag, x)
+    except WKBInadmissibleError:
+        return None
 
 
 def _pair(tag: str, problem, provider, state: WaveState, h: float, left,
@@ -237,7 +229,7 @@ def _pair(tag: str, problem, provider, state: WaveState, h: float, left,
     """The (low, high) members of one method's embedded pair from `state`:
     the oscillatory schemes step from record `left` to `right`, RKF45 by h."""
     if tag == TAG_WKB:
-        zn = to_Z(to_U(problem, left, state), state.x)
+        zn = to_Z(to_U(problem, left, state))
         z_low, z_high = wkb_step_pair(problem, provider, left, right, zn)
         return from_Z(problem, right, z_low), from_Z(problem, right, z_high)
     if tag == TAG_RKWKB:
@@ -247,7 +239,10 @@ def _pair(tag: str, problem, provider, state: WaveState, h: float, left,
 
 def _candidate(tag: str, problem, provider, state: WaveState, h: float,
                left, right, config: SolverConfig) -> Candidate:
-    """Score one method's pair; an inadmissible or failed step is rejected."""
+    """Score one method's pair; an inadmissible or failed step, or an
+    oscillatory step without a record at either end, is rejected."""
+    if tag != TAG_RKF45 and (left is None or right is None):
+        return _rejected(tag)
     try:
         y_low, y_high = _pair(tag, problem, provider, state, h, left, right)
     except (WKBInadmissibleError, SolverError):
@@ -271,15 +266,17 @@ def _original_rescore(cand: Candidate, config: SolverConfig) -> Candidate:
         theta = 10.0
     else:
         theta = SAFETY * (tol / cand.est) ** 0.5
-    return Candidate(cand.method, accepted, theta, cand.est, cand.state,
-                     cand.rel_est)
+    return Candidate(cand.method, accepted, theta, cand.est, cand.state)
 
 
 def _select_original(candidates) -> tuple[float, Optional[int]]:
-    viable = [i for i, c in enumerate(candidates) if c.state is not None]
-    if not viable:
+    """(theta, index) of the candidate with a state and the least relative
+    estimate est / ||y|| (inf at ||y|| = 0); index None if it was rejected."""
+    rel = {i: c.est / n if (n := c.state.sup_norm()) > 0.0 else math.inf
+           for i, c in enumerate(candidates) if c.state is not None}
+    if not rel:
         return 0.5, None
-    best = min(viable, key=lambda i: candidates[i].rel_est)
+    best = min(rel, key=rel.get)
     cand = candidates[best]
     return cand.theta, (best if cand.accepted else None)
 
@@ -291,14 +288,14 @@ def integrate(problem, config: SolverConfig) -> Trajectory:
     or when the trial step underflows.
     """
     provider = None if config.method == "rkf45" else PhaseProvider(
-        problem, mode=config.phase_mode(problem), nodes=config.cc_nodes)
+        problem, config.phase)
     lead = CANDIDATES[config.method][0]  # the tag whose records are kept
     x = problem.x_start
     state = problem.initial
     left = _endpoint(problem, lead, x)
     h_floor = 1e-14 * (problem.x_end - problem.x_start)
     h_trial = config.h0
-    traj = Trajectory(initial=problem.initial)
+    traj = Trajectory()
     consecutive = 0
     while x < problem.x_end:
         clamped = h_trial >= problem.x_end - x
@@ -340,20 +337,20 @@ def integrate(problem, config: SolverConfig) -> Trajectory:
 # Fixed-grid marching (controller disabled)
 # ---------------------------------------------------------------------------
 
-def march_fixed_grid(problem, xs, order: int = 2, phase: str = "exact",
-                     cc_nodes: int = 15) -> list[WaveState]:
+def march_fixed_grid(problem, xs, order: int = 2,
+                     phase: str = "exact") -> list[WaveState]:
     """Propagate the transform scheme of the given h-order over a fixed
     grid starting at problem.x_start (= xs[0]); used for convergence-order
     measurements. Z is gauged once at xs[0] and stepped across the grid."""
     xs = list(map(float, xs))
     if xs[0] != problem.x_start:
         raise ValueError("grid must start at problem.x_start")
-    provider = PhaseProvider(problem, mode=phase, nodes=cc_nodes)
-    left = _endpoint(problem, TAG_WKB, xs[0])
-    z = to_Z(to_U(problem, left, problem.initial), xs[0])
+    provider = PhaseProvider(problem, phase)
+    left = wkb_core.eval_bk(problem, xs[0])
+    z = to_Z(to_U(problem, left, problem.initial))
     out = []
     for x1 in xs[1:]:
-        right = _endpoint(problem, TAG_WKB, x1)
+        right = wkb_core.eval_bk(problem, x1)
         z1, z2 = wkb_step_pair(problem, provider, left, right, z)
         z = z1 if order == 1 else z2
         out.append(from_Z(problem, right, z))
@@ -365,15 +362,15 @@ def march_fixed_grid(problem, xs, order: int = 2, phase: str = "exact",
 # Estimator studies
 # ---------------------------------------------------------------------------
 
-def _audit(problem, tag: str, x0: float, h: float, phase: str,
-           cc_nodes: int) -> tuple[float, float, float]:
+def _audit(problem, tag: str, x0: float, h: float,
+           phase: str) -> tuple[float, float, float]:
     """(est, lte, deviation) of one pair over [x0, x0+h] restarted from the
     exact solution: lte is the lower member's defect against the exact
     solution at x0 + h, and deviation is |est - lte| / lte."""
-    provider = PhaseProvider(problem, mode=phase, nodes=cc_nodes)
+    provider = PhaseProvider(problem, phase)
     y_low, y_high = _pair(tag, problem, provider, problem.exact(x0), h,
-                          _endpoint(problem, tag, x0),
-                          _endpoint(problem, tag, x0 + h))
+                          _record(problem, tag, x0),
+                          _record(problem, tag, x0 + h))
     est = estimate_error(y_low, y_high)
     lte = estimate_error(y_low, problem.exact(x0 + h))
     return est, lte, abs(est - lte) / lte if lte > 0.0 else math.inf
@@ -395,14 +392,13 @@ def estimator_study(problem, config: SolverConfig):
         if rec.method != TAG_RKF45:
             h = rec.x - x_prev
             rows.append((x_prev, h, rec.method, *_audit(
-                problem, rec.method, x_prev, h, config.phase_mode(problem),
-                config.cc_nodes)))
+                problem, rec.method, x_prev, h, config.phase)))
         x_prev = rec.x
     return rows
 
 
 def estimator_h_sweep(problem, x0: float, h_values, method: str = TAG_WKB,
-                      phase: str = "exact", cc_nodes: int = 15):
+                      phase: str = "exact"):
     """Single-step estimator audit from a fixed start as h varies.
 
     Returns rows (h, est, lte, deviation); the step restarts at the exact
@@ -412,5 +408,5 @@ def estimator_h_sweep(problem, x0: float, h_values, method: str = TAG_WKB,
         raise ValueError(f"unknown method tag {method!r}")
     if problem.exact is None:
         raise ValueError("estimator sweep needs an exact solution")
-    return [(float(h), *_audit(problem, method, x0, float(h), phase,
-                               cc_nodes)) for h in h_values]
+    return [(float(h), *_audit(problem, method, x0, float(h), phase))
+            for h in h_values]

@@ -17,6 +17,9 @@ from typing import Callable
 from .state import WKBInadmissibleError
 from .wkb_core import b_jet
 
+# Clenshaw-Curtis nodes of the cc phase mode.
+CC_NODES = 15
+
 _CC_NODE_CACHE: dict[int, tuple[tuple[float, ...], tuple[float, ...]]] = {}
 
 
@@ -57,7 +60,7 @@ def _cc_nodes_weights(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
 
 
 def clenshaw_curtis(integrand: Callable[[float], float], a: float, b: float,
-                    nodes: int = 15) -> float:
+                    nodes: int = CC_NODES) -> float:
     """Clenshaw-Curtis approximation of int_a^b integrand(x) dx.
 
     `nodes` counts the Chebyshev-Lobatto points; the rule is exact for
@@ -78,20 +81,22 @@ def clenshaw_curtis(integrand: Callable[[float], float], a: float, b: float,
 
 
 class PhaseProvider:
-    """Phase increments of one problem in one mode ("exact" or "cc").
+    """Phase increments of one problem in one mode: "exact", "cc", or
+    "auto", which picks the closed form when the problem has one.
 
     Holds no per-run state: `increment` is a pure function of its
     interval, so one provider may serve any number of steps and solves.
     """
 
-    def __init__(self, problem, mode: str = "exact", nodes: int = 15):
+    def __init__(self, problem, mode: str = "exact"):
+        if mode == "auto":
+            mode = "cc" if problem.phase_antiderivative is None else "exact"
         if mode not in ("exact", "cc"):
             raise ValueError(f"unknown phase mode {mode!r}")
         if mode == "exact" and problem.phase_antiderivative is None:
             raise ValueError("problem has no closed-form phase; use cc mode")
         self.problem = problem
         self.mode = mode
-        self.nodes = nodes
 
     def increment(self, x0: float, x1: float) -> float:
         """s = phase(x1) - phase(x0)."""
@@ -108,5 +113,9 @@ class PhaseProvider:
                 raise WKBInadmissibleError(
                     f"closed-form phase not finite on [{x0}, {x1}]")
             return s
-        return clenshaw_curtis(lambda y: b_jet(self.problem, y, 0)[3][0],
-                               x0, x1, self.nodes)
+        try:
+            return clenshaw_curtis(
+                lambda y: b_jet(self.problem, y, 0)[3][0], x0, x1)
+        except ValueError as exc:  # a non-finite integrand
+            raise WKBInadmissibleError(
+                f"cc phase not finite on [{x0}, {x1}]") from exc

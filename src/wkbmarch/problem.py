@@ -8,6 +8,7 @@ data in the plain-derivative convention, and optional closed-form hooks
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -30,10 +31,8 @@ def _check_epsilon(epsilon: float) -> None:
 class CoefficientField:
     """Real coefficient function a(x) with derivatives up to order five."""
 
-    def __init__(self, derivatives: Callable[[float], Sequence[float]],
-                 description: str = ""):
+    def __init__(self, derivatives: Callable[[float], Sequence[float]]):
         self._derivatives = derivatives
-        self.description = description
 
     def jet(self, x: float) -> tuple[float, ...]:
         """(a(x), a'(x), ..., a^(5)(x))."""
@@ -46,8 +45,7 @@ class CoefficientField:
         return self.jet(x)[0]
 
 
-def polynomial_field(coeffs: Sequence[float],
-                     description: str = "") -> CoefficientField:
+def polynomial_field(coeffs: Sequence[float]) -> CoefficientField:
     """Coefficient field for a polynomial a(x), ascending coefficients.
 
     The derivative tower is produced by exact polynomial differentiation.
@@ -55,6 +53,8 @@ def polynomial_field(coeffs: Sequence[float],
     if len(coeffs) == 0:
         raise ValueError("empty coefficient list")
     towers = [[float(c) for c in coeffs]]
+    if not all(map(math.isfinite, towers[0])):
+        raise ValueError(f"coeffs must be finite, got {towers[0]!r}")
     for _ in range(MAX_DERIVATIVE_ORDER):
         prev = towers[-1]
         towers.append([j * prev[j] for j in range(1, len(prev))])
@@ -68,9 +68,7 @@ def polynomial_field(coeffs: Sequence[float],
             out.append(acc)
         return out
 
-    if not description:
-        description = "poly[" + ",".join(repr(float(c)) for c in coeffs) + "]"
-    return CoefficientField(derivs, description)
+    return CoefficientField(derivs)
 
 
 @dataclass(frozen=True)
@@ -96,6 +94,10 @@ class Problem:
         if self.initial.x != self.x_start:
             raise ValueError(f"initial state at x={self.initial.x!r}, "
                              f"not at x_start={self.x_start!r}")
+        if not (cmath.isfinite(self.initial.phi)
+                and cmath.isfinite(self.initial.dphi)):
+            raise ValueError(f"initial state must be finite, got "
+                             f"{self.initial!r}")
         if not 0.0 < self.tau_guard < math.inf:
             raise ValueError("tau_guard must be finite and positive")
 
@@ -108,7 +110,11 @@ def _airy_exact_provider(epsilon: float) -> Callable[[float], WaveState]:
     scale = epsilon ** (-2.0 / 3.0)
 
     def exact(x: float) -> WaveState:
-        quad = reference.airy_pair(x * scale)
+        try:
+            quad = reference.airy_pair(x * scale)
+        except ArithmeticError:  # the asymptotic series overflows
+            raise ValueError(f"Airy reference overflows at x={x!r}, "
+                             f"epsilon={epsilon!r}") from None
         phi = complex(quad.ai, quad.bi)
         dphi = -scale * complex(quad.aip, quad.bip)
         return WaveState(x, phi, dphi)
@@ -133,7 +139,7 @@ def make_airy_problem(epsilon: float, x_start: float = 0.1,
     exact = _airy_exact_provider(epsilon)
     return Problem(
         epsilon=epsilon,
-        field=polynomial_field([0.0, 1.0], "a(x) = x"),
+        field=polynomial_field([0.0, 1.0]),
         x_start=x_start,
         x_end=x_end,
         initial=exact(x_start),
@@ -206,7 +212,7 @@ def make_pcf_problem(epsilon: float, x_start: float = 0.01,
 
     return Problem(
         epsilon=epsilon,
-        field=polynomial_field([0.0, 1.0, -0.5], "a(x) = -x^2/2 + x"),
+        field=polynomial_field([0.0, 1.0, -0.5]),
         x_start=x_start,
         x_end=x_end,
         initial=exact(x_start),
@@ -237,8 +243,8 @@ def make_polynomial_problem(coeffs: Sequence[float], epsilon: float,
         if a0 <= 0.0:
             raise ValueError(
                 "default initial data needs a(x_start) > 0; pass `initial`")
-        initial = WaveState.from_scaled(
-            x_start, 1.0 + 0.0j, -1j * math.sqrt(a0), epsilon)
+        initial = WaveState(x_start, 1.0 + 0.0j,
+                            -1j * math.sqrt(a0) / epsilon)
     return Problem(
         epsilon=epsilon,
         field=fld,

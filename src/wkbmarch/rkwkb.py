@@ -36,7 +36,6 @@ class WKBBasis:
     the real amplitude (a^(-1/4) times the order-3 correction) and the
     log-derivatives L+-' and L+-''."""
 
-    order: int
     amp: float
     lp_plus: complex
     lp_minus: complex
@@ -74,8 +73,8 @@ def wkb_basis(problem, x: float) -> Endpoint:
     eps2 = eps * eps
     amp = a[0] ** -0.25
 
-    def basis(order, corr, c1, c2):
-        return WKBBasis(order, amp * corr,
+    def basis(corr, c1, c2):
+        return WKBBasis(amp * corr,
                         amp1 + c1 + 1j * ph1 / eps, amp1 + c1 - 1j * ph1 / eps,
                         amp2 + c2 + 1j * ph2 / eps, amp2 + c2 - 1j * ph2 / eps)
 
@@ -85,8 +84,8 @@ def wkb_basis(problem, x: float) -> Endpoint:
     except OverflowError as exc:  # large b over a tiny sqrt(a)
         raise WKBInadmissibleError(
             f"order-3 basis factor exp({eps2 * p3[0]}) overflows") from exc
-    return Endpoint(x, a[0], basis=(basis(2, 1.0, 0.0, 0.0), basis(
-        3, corr, eps2 * p3[1], eps2 * 2.0 * p3[2])))
+    return Endpoint(x, a[0], basis=(basis(1.0, 0.0, 0.0), basis(
+        corr, eps2 * p3[1], eps2 * 2.0 * p3[2])))
 
 
 def _fit_pair(v0: complex, v1: complex, g, h):
@@ -113,13 +112,11 @@ def rkwkb_step(problem, provider: PhaseProvider, left: Endpoint,
     x0, x1 = left.x, right.x
     if x1 <= x0:
         raise ValueError("step size must be positive")
-    bases0 = left.check().basis
     theta1 = math.fmod(provider.increment(x0, x1) / problem.epsilon, math.tau)
-    bases1 = right.check().basis
     osc1 = cmath.exp(1j * theta1)
     ddphi = -left.a * state.phi / problem.epsilon ** 2
     out = []
-    for basis0, basis1 in zip(bases0, bases1):
+    for basis0, basis1 in zip(left.basis, right.basis):
         f0, df0, d2f0 = basis0.at(1.0)
         gamma_p, gamma_m = _fit_pair(state.phi, state.dphi, f0, df0)
         delta_p, delta_m = _fit_pair(state.dphi, ddphi, df0, d2f0)

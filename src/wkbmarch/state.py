@@ -1,9 +1,7 @@
 """Solution state and shared error types.
 
 The solver tracks the wave function and its plain derivative as a complex
-pair (phi, phi') attached to a position x. Several formulas are stated in
-the scaled convention (phi, eps*phi'); conversions between the two are kept
-explicit to avoid silent scale bugs.
+pair (phi, phi') attached to a position x.
 """
 
 from __future__ import annotations
@@ -35,16 +33,6 @@ class WaveState:
     x: float
     phi: complex
     dphi: complex
-
-    @classmethod
-    def from_scaled(cls, x: float, phi: complex, eps_dphi: complex,
-                    epsilon: float) -> "WaveState":
-        """Build a state from the (phi, eps*phi') convention."""
-        return cls(x, phi, eps_dphi / epsilon)
-
-    def scaled_dphi(self, epsilon: float) -> complex:
-        """Derivative in the eps*phi' convention."""
-        return epsilon * self.dphi
 
     def sup_norm(self) -> float:
         return max(abs(self.phi), abs(self.dphi))

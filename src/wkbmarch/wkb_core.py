@@ -17,7 +17,8 @@ driver gauges Z afresh at the start of every step and no phase is carried
 from one step to the next.
 
 Everything a step reads at a grid point x sits in one `Endpoint` record,
-which `control.integrate` builds once per run (`eval_bk` for this scheme).
+which `control.integrate` builds once per run (`eval_bk` for this scheme);
+a point where a guard trips gets no record, so a step never reads one.
 
 b and all b_k derivatives are expanded analytically through truncated
 Taylor jets over the coefficient field's derivative tower; numerical
@@ -101,8 +102,7 @@ class BkTable:
 class Endpoint:
     """What a step reads at x: a(x), plus the U factors a^(1/4) and
     a'/(4 a^(5/4)) with the b_k table (transform scheme) or the basis
-    pairs (basis-fit scheme). Guards are pure functions of x, so a guard
-    failure there is kept as `error` and raised again by `check`."""
+    pairs (basis-fit scheme)."""
 
     x: float
     a: float
@@ -110,22 +110,14 @@ class Endpoint:
     shift: float = math.nan
     bk: BkTable | None = None
     basis: tuple = ()
-    error: WKBInadmissibleError | None = None
-
-    def check(self) -> "Endpoint":
-        """This record, or raise the guard failure recorded at x."""
-        if self.error is not None:
-            raise self.error.with_traceback(None)
-        return self
 
 
 @dataclass(frozen=True)
 class ZState:
-    """Transformed solution sample: x, the components z1, z2 of Z, and
+    """Transformed solution sample: the components z1, z2 of Z, and
     theta = (phase(x) - phase(gauge point))/eps modulo 2*pi, the phase
-    that Z has factored out since it was formed."""
+    that Z has factored out since it was formed at the gauge point."""
 
-    x: float
     z1: complex
     z2: complex
     theta: float
@@ -212,7 +204,6 @@ def osc_kernels(y: float) -> tuple[complex, complex]:
 
 def to_U(problem, end: Endpoint, state: WaveState) -> tuple[complex, complex]:
     """(phi, phi') -> U = (a^(1/4) phi, eps (a^(1/4) phi)' / sqrt(a))."""
-    end.check()
     u1 = end.root4 * state.phi
     u2 = problem.epsilon * (end.shift * state.phi + state.dphi / end.root4)
     return u1, u2
@@ -220,18 +211,17 @@ def to_U(problem, end: Endpoint, state: WaveState) -> tuple[complex, complex]:
 
 def from_U(problem, end: Endpoint, U) -> WaveState:
     """Inverse of to_U at end.x."""
-    end.check()
     u1, u2 = U
     phi = u1 / end.root4
     dphi = u2 * end.root4 / problem.epsilon - end.shift * u1
     return WaveState(end.x, complex(phi), complex(dphi))
 
 
-def to_Z(U, x: float) -> ZState:
-    """U -> Z = P U with P = [[i, 1], [1, i]]/sqrt(2), gauged at x
-    (theta = 0, so the oscillation factor is 1 there)."""
+def to_Z(U) -> ZState:
+    """U -> Z = P U with P = [[i, 1], [1, i]]/sqrt(2), gauged where U is
+    taken (theta = 0, so the oscillation factor is 1 there)."""
     u1, u2 = U
-    return ZState(x, (1j * u1 + u2) / SQRT2, (1j * u2 + u1) / SQRT2, 0.0)
+    return ZState((1j * u1 + u2) / SQRT2, (1j * u2 + u1) / SQRT2, 0.0)
 
 
 def from_Z(problem, end: Endpoint, zstate: ZState) -> WaveState:
@@ -256,12 +246,12 @@ def assemble_step_matrices(problem, provider, left: Endpoint,
     Returns ((A1_12, A1_21), (A1_mod_12, A1_mod_21), (A2_11, A2_22),
     theta1): the off-diagonals of A1 and A1_mod, the diagonal of A2, and
     the phase at x1, theta0 + s/eps reduced to [-pi, pi]. Raises
-    WKBInadmissibleError when any guard fails on the interval; the
-    controller turns that into a rejected trial.
+    WKBInadmissibleError when the phase increment fails on the interval;
+    the controller turns that into a rejected trial.
     """
     eps = problem.epsilon
-    t0 = left.check().bk
-    t1 = right.check().bk
+    t0 = left.bk
+    t1 = right.bk
     x0, x1 = left.x, right.x
     s = provider.increment(x0, x1)
     theta1 = math.remainder(theta0 + math.fmod(s / eps, math.tau), math.tau)
@@ -314,8 +304,7 @@ def wkb_step_pair(problem, provider, left: Endpoint, right: Endpoint,
     """
     (a12, a21), (m12, m21), (d11, d22), theta1 = assemble_step_matrices(
         problem, provider, left, right, zn.theta)
-    x1 = right.x
     z1, z2 = zn.z1, zn.z2
-    return (ZState(x1, z1 + a12 * z2, z2 + a21 * z1, theta1),
-            ZState(x1, z1 + (d11 * z1 + m12 * z2),
+    return (ZState(z1 + a12 * z2, z2 + a21 * z1, theta1),
+            ZState(z1 + (d11 * z1 + m12 * z2),
                    z2 + (m21 * z1 + d22 * z2), theta1))

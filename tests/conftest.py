@@ -58,6 +58,5 @@ def long_run(airy_long):
 
 @pytest.fixture(scope="session")
 def long_run_cc(airy_long):
-    cfg = SolverConfig(tol=1e-5, h0=0.5, method="wkb+rkf45", phase="cc",
-                       cc_nodes=15)
+    cfg = SolverConfig(tol=1e-5, h0=0.5, method="wkb+rkf45", phase="cc")
     return integrate(airy_long, cfg)

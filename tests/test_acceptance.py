@@ -289,7 +289,7 @@ def test_criterion_10_transforms_and_gauge(airy1, airy_runs):
         x = float(rng.uniform(0.3, 45.0))
         u1 = complex(*rng.standard_normal(2))
         u2 = complex(*rng.standard_normal(2))
-        z = to_Z((u1, u2), x)
+        z = to_Z((u1, u2))
         end = eval_bk(airy1, x)
         back = to_U(airy1, end, from_Z(airy1, end, z))
         scale = math.hypot(abs(u1), abs(u2))
@@ -311,9 +311,9 @@ def test_criterion_10_transforms_and_gauge(airy1, airy_runs):
         # in that gauge, rotated to match so that U is the same.
         theta = math.fmod(prov.increment(x_ref, 1.0) / p.epsilon, math.tau)
         left = eval_bk(p, 1.0)
-        z = to_Z(to_U(p, left, p.initial), 1.0)
+        z = to_Z(to_U(p, left, p.initial))
         rot = cmath.exp(-1j * theta)
-        z = ZState(z.x, rot * z.z1, z.z2 / rot, theta)
+        z = ZState(rot * z.z1, z.z2 / rot, theta)
         out = []
         for x1 in xs[1:]:
             right = eval_bk(p, float(x1))
@@ -327,7 +327,7 @@ def test_criterion_10_transforms_and_gauge(airy1, airy_runs):
     assert shift <= 1e-12
 
     traj = airy_runs[1e-5]
-    w0 = (traj.initial.phi.conjugate() * traj.initial.dphi).imag
+    w0 = (airy1.initial.phi.conjugate() * airy1.initial.dphi).imag
     drift = max(abs((s.phi.conjugate() * s.dphi).imag - w0) / abs(w0)
                 for s in traj.states)
     assert drift <= 100.0 * 1e-5

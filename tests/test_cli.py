@@ -3,8 +3,10 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from wkbmarch.cli import main
+from wkbmarch.cli import build_parser, main
+from wkbmarch.control import METHODS
 
 
 def run_cli(args):
@@ -67,11 +69,15 @@ def test_solve_deterministic_bytes(tmp_path):
 def test_solve_phase_flag(tmp_path):
     out = tmp_path / "cc"
     code = run_cli(["solve", "--problem", "airy", "--tol", "1e-5",
-                    "--phase", "cc:15", "--out", str(out)])
+                    "--phase", "cc", "--out", str(out)])
     assert code == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["phase"] == "cc"
     assert manifest["config"]["cc_nodes"] == 15
+    # The node count is a constant, not part of the flag.
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["solve", "--problem", "airy",
+                                   "--phase", "cc:15"])
 
 
 def test_solve_floats_have_full_precision(tmp_path):
@@ -245,6 +251,52 @@ def test_malformed_json_spec_exits_two(tmp_path, capsys, text):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("args,match", [
+    (["--problem", "poly:1,nan", "--interval", "0,1"], "coeffs"),
+    (["--problem", "poly:inf", "--interval", "0,1"], "coeffs"),
+    (["--problem", "json:{path}"], "initial"),
+    (["--problem", "airy", "--eps", "1e-300"], "epsilon=1e-300"),
+])
+def test_non_finite_problem_exits_two(tmp_path, capsys, args, match):
+    path = tmp_path / "prob.json"
+    path.write_text('{"type": "poly", "coeffs": [1], "domain": [0, 1], '
+                    '"initial": [Infinity, 0, 0, 0]}')
+    args = [a.format(path=path) for a in args]
+    assert run_cli(["solve", *args, "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and match in err
+
+
+def test_non_finite_cc_integrand_is_a_solver_failure(tmp_path, capsys):
+    # a = 1e308 (1 + x) overflows: every candidate is rejected, none ends
+    # the run with a spec error.
+    code = run_cli(["solve", "--problem", "poly:1e308,1e308",
+                    "--interval", "0,10", "--out", str(tmp_path / "run")])
+    assert code == 3
+    assert "26 consecutive rejections" in capsys.readouterr().err
+
+
+_POLY_COEFFS = ("nan", "inf", "-inf", "1e308", "-1e308", "0", "1", "-1",
+                "0.5", "3")
+
+
+@settings(deadline=None, derandomize=True, max_examples=40)
+@given(coeffs=st.lists(st.sampled_from(_POLY_COEFFS), min_size=1,
+                       max_size=3),
+       interval=st.sampled_from(("0,1", "-1,1", "0.5,2")),
+       method=st.sampled_from(METHODS),
+       phase=st.sampled_from(("auto", "cc")))
+def test_cli_exit_code_property(tmp_path_factory, coeffs, interval, method,
+                                phase):
+    # Any poly spec, non-finite or overflowing coefficients included, ends
+    # in exit 0, 2 or 3 and never in an exception.
+    out = tmp_path_factory.mktemp("run")
+    code = run_cli(["solve", "--problem", "poly:" + ",".join(coeffs),
+                    f"--interval={interval}", "--method", method,
+                    "--phase", phase, "--tol", "1e-4", "--out", str(out)])
+    assert code in (0, 2, 3)
+
+
 def test_eps_and_interval_override_json_spec(tmp_path):
     path = tmp_path / "prob.json"
     path.write_text('{"type": "airy", "epsilon": 0.5, "domain": [0.1, 50]}')
@@ -280,7 +332,6 @@ def test_estimator_study_audits_the_methods_lead_pair(tmp_path):
      "--tol-range=-1e-3,1e-3"],
     ["sweep", "--problem", "airy", "--eps-list", "1",
      "--methods", "rkf45,euler"],
-    ["solve", "--problem", "airy", "--phase", "cc:0", "--method", "rkf45"],
 ])
 def test_bad_sweep_flags_exit_two_before_solving(tmp_path, capsys,
                                                  monkeypatch, args):

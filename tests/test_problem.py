@@ -84,7 +84,7 @@ def test_airy_initial_data_at_origin():
         expect_scaled = complex(3 ** (-1 / 3), -(3 ** (1 / 6)))
         expect_scaled /= eps ** (-1 / 3) * g13
         assert p.initial.phi == pytest.approx(expect_phi, rel=1e-13)
-        assert p.initial.scaled_dphi(eps) == pytest.approx(expect_scaled, rel=1e-13)
+        assert eps * p.initial.dphi == pytest.approx(expect_scaled, rel=1e-13)
 
 
 def test_airy_b_at_one():
@@ -261,18 +261,24 @@ def test_tau_guard_must_be_finite_and_positive(tau):
 def test_poly_default_initial_is_right_traveling():
     p = make_polynomial_problem([4.0], 0.5, (0.0, 1.0))
     assert p.initial.phi == 1.0
-    assert p.initial.scaled_dphi(0.5) == pytest.approx(-2.0j)
+    assert 0.5 * p.initial.dphi == pytest.approx(-2.0j)
+
+
+def test_finite_overflowing_coefficients_are_allowed():
+    p = make_polynomial_problem([1e308, 1e308], 1.0, (0.0, 10.0))
+    assert p.field(1.0) == math.inf
+
+
+def test_airy_reference_overflow_is_a_value_error():
+    # At eps = 1e-300 the initial state sits at t = 0.1 eps^(-2/3), where
+    # the asymptotic series overflows.
+    with pytest.raises(ValueError, match="epsilon=1e-300"):
+        make_airy_problem(1e-300)
 
 
 def test_poly_default_needs_positive_a():
     with pytest.raises(ValueError):
         make_polynomial_problem([-1.0], 1.0, (0.0, 1.0))
-
-
-def test_scaled_convention_round_trip():
-    # Exact for power-of-two eps.
-    st = WaveState.from_scaled(0.0, 1.0 + 2.0j, 0.5 - 0.25j, 2.0 ** -6)
-    assert st.scaled_dphi(2.0 ** -6) == 0.5 - 0.25j
 
 
 def test_problem_from_json_variants():
@@ -314,6 +320,14 @@ def test_problem_from_json_variants():
       "initial": [1, 0, 0]}, "initial must be 4 numbers"),
     ({"type": "poly", "coeffs": [1], "domain": [0, 1], "tau_guard": "1"},
      "tau_guard must be a number"),
+    ({"type": "poly", "coeffs": [1, math.nan], "domain": [0, 1]},
+     "coeffs must be finite"),
+    ({"type": "poly", "coeffs": [-math.inf], "domain": [0, 1],
+      "initial": [1, 0, 0, 0]}, "coeffs must be finite"),
+    ({"type": "poly", "coeffs": [1], "domain": [0, 1],
+      "initial": [math.inf, 0, 0, 0]}, "initial state must be finite"),
+    ({"type": "poly", "coeffs": [1], "domain": [0, 1],
+      "initial": [1, 0, 0, math.nan]}, "initial state must be finite"),
 ])
 def test_problem_from_json_rejects_malformed_specs(spec, match):
     with pytest.raises(ValueError, match=match):

@@ -90,7 +90,7 @@ def test_linearity(alpha):
 def test_nonfinite_rhs_raises():
     from wkbmarch.problem import CoefficientField, Problem
 
-    bad_field = CoefficientField(lambda x: (math.nan,) * 6, "nan field")
+    bad_field = CoefficientField(lambda x: (math.nan,) * 6)
     p = Problem(epsilon=1.0, field=bad_field, x_start=0.0, x_end=1.0,
                 initial=WaveState(0.0, 1.0 + 0.0j, 0.0j))
     with pytest.raises(SolverError):

@@ -213,7 +213,7 @@ def test_U_round_trip(phi, dphi, x):
 
 
 def test_to_Z_zero_phase():
-    z = to_Z((1.0 + 0.0j, 0.0j), 1.0)
+    z = to_Z((1.0 + 0.0j, 0.0j))
     assert z.theta == 0.0
     assert z.z1 == pytest.approx(1j / math.sqrt(2.0), abs=1e-15)
     assert z.z2 == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-15)
@@ -223,7 +223,7 @@ def test_to_Z_zero_phase():
 @given(finite_complex, finite_complex, st.floats(min_value=0.5, max_value=30.0))
 def test_Z_norm_and_round_trip(u1, u2, x):
     p = make_airy_problem(1.0)
-    z = to_Z((u1, u2), x)
+    z = to_Z((u1, u2))
     norm = math.hypot(abs(u1), abs(u2))
     assert math.hypot(abs(z.z1), abs(z.z2)) == pytest.approx(norm, rel=1e-13)
     end = eval_bk(p, x)
@@ -253,7 +253,7 @@ def test_constant_coefficient_step_is_identity():
     prov = PhaseProvider(p, "cc")
     st_ = WaveState(0.0, 0.3 + 0.4j, -0.2 + 0.9j)
     left = eval_bk(p, 0.0)
-    z0 = to_Z(to_U(p, left, st_), 0.0)
+    z0 = to_Z(to_U(p, left, st_))
     z1, z2 = wkb_step_pair(p, prov, left, eval_bk(p, 7.0), z0)
     assert (z1.z1, z1.z2) == (z0.z1, z0.z2)
     assert (z2.z1, z2.z2) == (z0.z1, z0.z2)
@@ -283,7 +283,7 @@ def test_one_step_defect_orders(airy1):
     x0 = 1.0
     prov = PhaseProvider(airy1, "exact")
     left = eval_bk(airy1, x0)
-    z0 = to_Z(to_U(airy1, left, airy1.exact(x0)), x0)
+    z0 = to_Z(to_U(airy1, left, airy1.exact(x0)))
     defects = {1: [], 2: []}
     for h in (0.0625, 0.03125, 0.015625):
         zref = z_reference(airy1, np.array([z0.z1, z0.z2]), x0, x0 + h)
@@ -302,9 +302,9 @@ def march(problem, xs, order=2, theta=0.0):
     (Z rotated to match, so the same U)."""
     prov = PhaseProvider(problem, "exact")
     left = eval_bk(problem, xs[0])
-    z = to_Z(to_U(problem, left, problem.exact(xs[0])), xs[0])
+    z = to_Z(to_U(problem, left, problem.exact(xs[0])))
     rot = cmath.exp(-1j * theta)
-    z = ZState(z.x, rot * z.z1, z.z2 / rot, theta)
+    z = ZState(rot * z.z1, z.z2 / rot, theta)
     out = []
     for x1 in xs[1:]:
         right = eval_bk(problem, float(x1))
@@ -342,7 +342,7 @@ def test_pcf_step_matches_reference(pcf6):
     st0 = pcf6.exact(0.9)
     prov = PhaseProvider(pcf6, "exact")
     left, right = eval_bk(pcf6, 0.9), eval_bk(pcf6, 1.0)
-    z0 = to_Z(to_U(pcf6, left, st0), 0.9)
+    z0 = to_Z(to_U(pcf6, left, st0))
     _, z2 = wkb_step_pair(pcf6, prov, left, right, z0)
     got = from_Z(pcf6, right, z2)
     ex = pcf6.exact(1.0)
