@@ -36,8 +36,6 @@ def _cc_nodes_weights(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     cached = _CC_NODE_CACHE.get(n)
     if cached is not None:
         return cached
-    if n < 1:
-        raise ValueError("need at least 2 quadrature nodes")
     half = n // 2 + 1
     # cos(j pi / n) written as an odd function of n - 2j.
     nodes = [math.sin(math.pi * (n - 2 * j) / (2 * n)) for j in range(half)]

@@ -1,9 +1,10 @@
 """Problem definitions for eps^2 phi'' + a(x) phi = 0.
 
-A Problem bundles the coefficient field a(x) with a derivative tower up to
-order five, the semiclassical parameter, the integration interval, initial
-data in the plain-derivative convention, and optional closed-form hooks
-(phase antiderivative, exact solution) used by the benchmarks.
+A Problem bundles the polynomial coefficient field a(x) with its derivative
+tower up to order five, the semiclassical parameter, the integration
+interval, initial data in the plain-derivative convention, and optional
+closed-form hooks (phase antiderivative, exact solution) used by the
+benchmarks.
 """
 
 from __future__ import annotations
@@ -29,46 +30,36 @@ def _check_epsilon(epsilon: float) -> None:
 
 
 class CoefficientField:
-    """Real coefficient function a(x) with derivatives up to order five."""
+    """Polynomial coefficient a(x), from its ascending coefficients.
 
-    def __init__(self, derivatives: Callable[[float], Sequence[float]]):
-        self._derivatives = derivatives
-
-    def jet(self, x: float) -> tuple[float, ...]:
-        """(a(x), a'(x), ..., a^(5)(x))."""
-        vals = tuple(self._derivatives(x))
-        if len(vals) != MAX_DERIVATIVE_ORDER + 1:
-            raise ValueError("derivative tower must have six entries")
-        return vals
-
-    def __call__(self, x: float) -> float:
-        return self.jet(x)[0]
-
-
-def polynomial_field(coeffs: Sequence[float]) -> CoefficientField:
-    """Coefficient field for a polynomial a(x), ascending coefficients.
-
-    The derivative tower is produced by exact polynomial differentiation.
+    The derivative tower up to a^(5) is differentiated exactly, once, here;
+    empty or non-finite coefficients raise ValueError.
     """
-    if len(coeffs) == 0:
-        raise ValueError("empty coefficient list")
-    towers = [[float(c) for c in coeffs]]
-    if not all(map(math.isfinite, towers[0])):
-        raise ValueError(f"coeffs must be finite, got {towers[0]!r}")
-    for _ in range(MAX_DERIVATIVE_ORDER):
-        prev = towers[-1]
-        towers.append([j * prev[j] for j in range(1, len(prev))])
 
-    def derivs(x: float) -> list[float]:
+    def __init__(self, coeffs: Sequence[float]):
+        if len(coeffs) == 0:
+            raise ValueError("empty coefficient list")
+        tower = [[float(c) for c in coeffs]]
+        if not all(map(math.isfinite, tower[0])):
+            raise ValueError(f"coeffs must be finite, got {tower[0]!r}")
+        for _ in range(MAX_DERIVATIVE_ORDER):
+            prev = tower[-1]
+            tower.append([j * prev[j] for j in range(1, len(prev))])
+        self._tower = tower
+
+    def jet(self, x: float,
+            n: int = MAX_DERIVATIVE_ORDER) -> tuple[float, ...]:
+        """(a(x), a'(x), ..., a^(n)(x)), n at most five."""
         out = []
-        for poly in towers:
+        for poly in self._tower[:n + 1]:
             acc = 0.0
             for c in reversed(poly):
                 acc = acc * x + c
             out.append(acc)
-        return out
+        return tuple(out)
 
-    return CoefficientField(derivs)
+    def __call__(self, x: float) -> float:
+        return self.jet(x, 0)[0]
 
 
 @dataclass(frozen=True)
@@ -139,7 +130,7 @@ def make_airy_problem(epsilon: float, x_start: float = 0.1,
     exact = _airy_exact_provider(epsilon)
     return Problem(
         epsilon=epsilon,
-        field=polynomial_field([0.0, 1.0]),
+        field=CoefficientField([0.0, 1.0]),
         x_start=x_start,
         x_end=x_end,
         initial=exact(x_start),
@@ -212,7 +203,7 @@ def make_pcf_problem(epsilon: float, x_start: float = 0.01,
 
     return Problem(
         epsilon=epsilon,
-        field=polynomial_field([0.0, 1.0, -0.5]),
+        field=CoefficientField([0.0, 1.0, -0.5]),
         x_start=x_start,
         x_end=x_end,
         initial=exact(x_start),
@@ -236,7 +227,7 @@ def make_polynomial_problem(coeffs: Sequence[float], epsilon: float,
     phi = 1, eps phi' = -i sqrt(a(x_start)) is used; that requires
     a(x_start) > 0.
     """
-    fld = polynomial_field(coeffs)
+    fld = CoefficientField(coeffs)
     x_start, x_end = float(domain[0]), float(domain[1])
     if initial is None:
         a0 = fld(x_start)

@@ -133,9 +133,11 @@ def b_jet(problem, x: float, order: int):
     jet is the phase derivative of the oscillatory factor; where it falls
     below PHASE_DERIV_GUARD * sqrt(a), x is inadmissible.
     """
-    tower = problem.field.jet(x)
-    if tower[0] < problem.tau_guard:
-        raise WKBInadmissibleError(f"a({x}) = {tower[0]} below tau guard")
+    tower = problem.field.jet(x, order + 2)
+    a0 = tower[0]
+    # b divides by a^(5/2), which underflows to 0 where a is still normal.
+    if a0 < problem.tau_guard or a0 * a0 * math.sqrt(a0) == 0.0:
+        raise WKBInadmissibleError(f"a({x}) = {a0} below tau guard")
     n = order
     a = [tower[k] / _FACTORIALS[k] for k in range(n + 3)]
     a1 = jet_deriv(a, n + 1)

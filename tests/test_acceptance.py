@@ -11,13 +11,14 @@ import time
 import numpy as np
 import pytest
 
-from wkbmarch import (PhaseProvider, SolverConfig, ZState, airy_pair,
-                      asymptotic_coeffs, clenshaw_curtis, eval_bk, from_Z,
-                      from_U, global_error, integrate, make_airy_problem,
-                      make_polynomial_problem, march_fixed_grid,
-                      estimator_h_sweep, estimator_study, taylor_continuation,
-                      to_U, to_Z, wkb_step_pair)
-from wkbmarch.reference import airy_origin_values
+from wkbmarch import (PhaseProvider, SolverConfig, airy_pair,
+                      clenshaw_curtis, global_error, integrate,
+                      make_airy_problem, make_polynomial_problem,
+                      march_fixed_grid, estimator_h_sweep, estimator_study)
+from wkbmarch.reference import (airy_origin_values, asymptotic_coeffs,
+                                taylor_continuation)
+from wkbmarch.wkb_core import (ZState, eval_bk, from_Z, to_U, to_Z,
+                               wkb_step_pair)
 
 EPS_MACH = 2.220446049250313e-16
 

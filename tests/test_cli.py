@@ -182,6 +182,20 @@ def test_rival_near_minimum_of_a_exits_cleanly(tmp_path):
     assert code in (0, 2, 3)
 
 
+@pytest.mark.parametrize("phase", ["auto", "cc"])
+@pytest.mark.parametrize("method", METHODS)
+def test_underflowing_a_exits_cleanly(tmp_path, method, phase):
+    # At a = x = 1e-200, above a tau guard of 1e-300, a^(5/2) underflows
+    # to 0; the WKB candidates are inadmissible there and RKF45 carries on.
+    spec = tmp_path / "problem.json"
+    spec.write_text('{"type": "poly", "coeffs": [0, 1], '
+                    '"domain": [1e-200, 1], "initial": [1, 0, 0, 0], '
+                    '"tau_guard": 1e-300}')
+    code = run_cli(["solve", "--problem", f"json:{spec}", "--method", method,
+                    "--phase", phase, "--out", str(tmp_path / "run")])
+    assert code == 0
+
+
 def test_solver_failure_exit_three(tmp_path, monkeypatch):
     from wkbmarch import cli as cli_mod
     from wkbmarch.state import SolverError

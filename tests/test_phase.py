@@ -12,11 +12,10 @@ from hypothesis import given, settings, strategies as st
 
 import wkbmarch
 from wkbmarch import (PhaseProvider, WaveState, WKBInadmissibleError,
-                      clenshaw_curtis, eval_bk, make_airy_problem,
-                      make_pcf_problem, make_polynomial_problem, to_U, to_Z,
-                      wkb_step_pair)
+                      clenshaw_curtis, make_airy_problem, make_pcf_problem,
+                      make_polynomial_problem)
 from wkbmarch.phase import _cc_nodes_weights
-from wkbmarch.wkb_core import b_jet
+from wkbmarch.wkb_core import b_jet, eval_bk, to_U, to_Z, wkb_step_pair
 
 # Closed-form pieces for the linear benchmark, written out independently of
 # the package internals.

@@ -5,10 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from wkbmarch import (CoefficientField, WaveState, gamma_fn, make_airy_problem,
+from wkbmarch import (CoefficientField, WaveState, make_airy_problem,
                       make_pcf_problem, make_polynomial_problem,
-                      polynomial_field, problem_from_json)
+                      problem_from_json)
+from wkbmarch.reference import gamma_fn
+from wkbmarch.wkb_core import eval_bk
 
 
 def fd_derivative(f, x, h):
@@ -23,14 +26,14 @@ def fd_derivative(f, x, h):
 # ---------------------------------------------------------------------------
 
 def test_polynomial_tower_exact():
-    fld = polynomial_field([2.0, -1.0, 3.0])  # 2 - x + 3x^2
+    fld = CoefficientField([2.0, -1.0, 3.0])  # 2 - x + 3x^2
     assert fld.jet(2.0) == (12.0, 11.0, 6.0, 0.0, 0.0, 0.0)
 
 
 def test_polynomial_tower_matches_finite_differences():
     rng = np.random.default_rng(7)
     coeffs = rng.standard_normal(6)
-    fld = polynomial_field(coeffs)
+    fld = CoefficientField(coeffs)
     for x in rng.uniform(-3.0, 3.0, 100):
         for order in range(1, 6):
             fd = fd_derivative(lambda y: fld.jet(y)[order - 1], float(x), 1e-3)
@@ -40,15 +43,24 @@ def test_polynomial_tower_matches_finite_differences():
 
 def test_empty_coefficients_rejected():
     with pytest.raises(ValueError):
-        polynomial_field([])
+        CoefficientField([])
 
 
 def test_derivative_order_limit():
-    # The tower stops at a^(5); a longer tower is rejected.
-    fld = polynomial_field([1.0, 1.0])
+    # The tower stops at a^(5).
+    fld = CoefficientField([1.0, 1.0])
     assert len(fld.jet(0.5)) == 6
-    with pytest.raises(ValueError):
-        CoefficientField(lambda x: [1.0] * 7).jet(0.5)
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(coeffs=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=8),
+       x=st.floats(-10.0, 10.0), n=st.integers(0, 5))
+def test_truncated_jet_is_a_prefix(coeffs, x, n):
+    # A jet to order n is the head of the full tower, bit for bit, and the
+    # field's value is its first entry.
+    fld = CoefficientField(coeffs)
+    assert fld.jet(x, n) == fld.jet(x)[:n + 1]
+    assert fld(x) == fld.jet(x)[0]
 
 
 def test_airy_field_is_linear():
@@ -57,8 +69,8 @@ def test_airy_field_is_linear():
 
 
 def test_poly_reproduces_benchmarks():
-    airy_like = polynomial_field([0.0, 1.0])
-    pcf_like = polynomial_field([0.0, 1.0, -0.5])
+    airy_like = CoefficientField([0.0, 1.0])
+    pcf_like = CoefficientField([0.0, 1.0, -0.5])
     for x in (0.3, 1.4, 5.0):
         assert airy_like.jet(x) == make_airy_problem(1.0).field.jet(x)
     for x in (0.3, 1.4, 1.9):
@@ -66,7 +78,6 @@ def test_poly_reproduces_benchmarks():
 
 
 def test_constant_field_b_vanishes():
-    from wkbmarch import eval_bk
     p = make_polynomial_problem([1.0], 1.0, (0.0, 1.0))
     assert eval_bk(p, 0.5).bk.b == 0.0
 
@@ -89,7 +100,6 @@ def test_airy_initial_data_at_origin():
 
 def test_airy_b_at_one():
     # Independent oracle: Richardson finite differences of a^(-1/4).
-    from wkbmarch import eval_bk
     p = make_airy_problem(1.0)
 
     def quarter(x):
@@ -142,7 +152,6 @@ def test_pcf_parameter_values():
 
 
 def test_pcf_b_at_center():
-    from wkbmarch import eval_bk
     p = make_pcf_problem(2.0 ** -6)
 
     def quarter(x):

@@ -17,11 +17,11 @@ import scipy.special as sp
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
-from wkbmarch import (WaveState, airy_asymptotic,
-                      airy_pair, asymptotic_coeffs, gamma_fn, global_error,
-                      pcf_U, taylor_continuation)
+from wkbmarch import WaveState, airy_pair, global_error
 from wkbmarch.reference import (_airy_continued, _ContinuationTable,
-                                airy_origin_values, pcf_origin_values)
+                                airy_asymptotic, airy_origin_values,
+                                asymptotic_coeffs, gamma_fn, pcf_origin_values,
+                                pcf_U, taylor_continuation)
 
 EPS_MACH = 2.220446049250313e-16
 

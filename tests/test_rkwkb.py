@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from wkbmarch import (PhaseProvider, WaveState, eval_bk, make_airy_problem,
-                      make_polynomial_problem, rkwkb_step, wkb_basis)
-from wkbmarch.rkwkb import _fit_pair
+from wkbmarch import (PhaseProvider, WaveState, make_airy_problem,
+                      make_polynomial_problem)
+from wkbmarch.rkwkb import _fit_pair, rkwkb_step, wkb_basis
+from wkbmarch.wkb_core import eval_bk
 
 
 def reference_flow(problem, state, x1):

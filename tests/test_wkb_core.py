@@ -13,11 +13,12 @@ import sympy
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
-from wkbmarch import (PhaseProvider, WaveState, WKBInadmissibleError, ZState,
-                      eval_bk, from_U, from_Z, make_airy_problem,
-                      make_pcf_problem, make_polynomial_problem, osc_kernels,
-                      to_U, to_Z, wkb_step_pair)
-from wkbmarch.wkb_core import assemble_step_matrices, b_jet
+from wkbmarch import (PhaseProvider, WaveState, WKBInadmissibleError,
+                      make_airy_problem, make_polynomial_problem)
+from wkbmarch.rkwkb import wkb_basis
+from wkbmarch.wkb_core import (ZState, assemble_step_matrices, b_jet, eval_bk,
+                               from_U, from_Z, osc_kernels, to_U, to_Z,
+                               wkb_step_pair)
 
 finite_complex = st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3,
                                     allow_nan=False, allow_infinity=False)
@@ -135,6 +136,20 @@ def test_guards_raise_inadmissible(airy1):
         eval_bk(airy1, -1.0)
     with pytest.raises(WKBInadmissibleError):
         eval_bk(airy1, 0.0)
+
+
+def test_underflowing_a_is_inadmissible():
+    # With the tau guard far below a = 1e-200, a^(5/2) underflows to 0;
+    # every scheme's record and the cc phase treat x as inadmissible.
+    p = make_polynomial_problem(
+        [0.0, 1.0], 1.0, (1e-200, 1.0),
+        initial=WaveState(1e-200, 1.0 + 0.0j, 0.0j), tau_guard=1e-300)
+    with pytest.raises(WKBInadmissibleError):
+        eval_bk(p, 1e-200)
+    with pytest.raises(WKBInadmissibleError):
+        wkb_basis(p, 1e-200)
+    with pytest.raises(WKBInadmissibleError):
+        PhaseProvider(p, "cc").increment(1e-200, 2e-200)
 
 
 # ---------------------------------------------------------------------------
