@@ -100,20 +100,18 @@ class PhaseProvider:
         """s = phase(x1) - phase(x0)."""
         if x1 == x0:
             return 0.0
-        if self.mode == "exact":
+        if self.mode == "cc":
+            # b_jet rejects a non-finite integrand value itself.
+            s = clenshaw_curtis(
+                lambda y: b_jet(self.problem, y, 0)[3][0], x0, x1)
+        else:
             F = self.problem.phase_antiderivative
             try:
                 s = F(x1) - F(x0)
             except (ValueError, ZeroDivisionError, OverflowError) as exc:
                 raise WKBInadmissibleError(
                     f"closed-form phase undefined on [{x0}, {x1}]") from exc
-            if not isinstance(s, float) or not math.isfinite(s):
-                raise WKBInadmissibleError(
-                    f"closed-form phase not finite on [{x0}, {x1}]")
-            return s
-        try:
-            return clenshaw_curtis(
-                lambda y: b_jet(self.problem, y, 0)[3][0], x0, x1)
-        except ValueError as exc:  # a non-finite integrand
+        if not isinstance(s, float) or not math.isfinite(s):
             raise WKBInadmissibleError(
-                f"cc phase not finite on [{x0}, {x1}]") from exc
+                f"phase increment not finite on [{x0}, {x1}]")
+        return s

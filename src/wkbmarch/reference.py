@@ -4,15 +4,16 @@ Everything the benchmarks need to produce reference values lives here, with
 no external special-function dependency:
 
 * a real gamma function (Lanczos approximation plus reflection),
-* oscillatory-side Airy values through a hybrid evaluator: Taylor-series
-  analytic continuation of the Airy ODE for moderate arguments, classical
-  large-argument asymptotic expansions beyond,
+* oscillatory-side Airy values through a hybrid evaluator with one seam
+  at t = 50 in Ai(-t): Taylor-series analytic continuation of the Airy ODE
+  up to it, the large-argument asymptotic expansion (DLMF 9.7) above it,
+  which reaches double accuracy near t = 30 (see airy_pair),
 * parabolic cylinder values U(nu, z) by continuation of w'' = (z^2/4 + nu) w,
 * global error norms over a trajectory.
 
 The Taylor continuation doubles as the independent cross-check for the
-asymptotic expansions: both routes must reproduce the same values where
-their ranges overlap.
+asymptotic expansion: the tests run both routes on the same arguments
+above the seam.
 """
 
 from __future__ import annotations
@@ -21,17 +22,17 @@ import bisect
 import math
 import threading
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .state import ContinuationError, WaveState
 
 SQRT_PI = math.sqrt(math.pi)
 
-# Hybrid evaluator switch points, in the (positive) oscillatory argument t
-# of Ai(-t): values switch later than derivatives.
-AIRY_VALUE_SWITCH = 500.0
-AIRY_DERIV_SWITCH = 400.0
+# The Airy seam in t of Ai(-t), the last index kept in each sum of the
+# asymptotic expansion, and the series length of a table substep.
+AIRY_VALUE_SWITCH = 50.0
 AIRY_ASYM_TERMS = 3
+SERIES_TERMS = 30
 
 # ---------------------------------------------------------------------------
 # double-double helpers
@@ -288,18 +289,18 @@ def _check_tail(chi, h: float, x: float) -> None:
             f"series tail {tail:.2e} above 1e-16 of partial sum at x={x}")
 
 
-def _dd_substep(qpoly, x: float, state, x1: float, step: float,
-                phase_cap: float, terms: int):
+def _dd_substep(qpoly, x: float, state, x1: float, phase_cap: float,
+                terms: int):
     """One certified series substep of w'' = q(x) w from x towards x1.
 
-    The substep is as long as the series allows, min(step, phase_cap /
+    The substep is as long as the series allows, min(1, phase_cap /
     sqrt(1 + |q|)), or shorter if x1 is nearer. Returns (x_next, state at
     x_next) with the state in double-double form (wh, wl, dh, dl).
     """
     qhi, qlo = _dd_shift_poly(qpoly, x)
     # Coefficient-magnitude sum bounds |q| on the unit neighbourhood.
     qmag = sum(abs(qc) for qc in qhi)
-    h_max = min(step, phase_cap / math.sqrt(1.0 + qmag))
+    h_max = min(1.0, phase_cap / math.sqrt(1.0 + qmag))
     if abs(x1 - x) <= h_max:
         x_next = x1
     else:
@@ -312,7 +313,7 @@ def _dd_substep(qpoly, x: float, state, x1: float, step: float,
 
 
 def taylor_continuation(q_coeffs: Sequence[float], x0: float, w0, dw0,
-                        x1: float, step: float = 1.0, terms: int = 30):
+                        x1: float, terms: int = SERIES_TERMS):
     """Continue the solution of w'' = q(x) w from x0 to x1.
 
     Parameters
@@ -323,11 +324,9 @@ def taylor_continuation(q_coeffs: Sequence[float], x0: float, w0, dw0,
         Start and target points.
     w0, dw0 : float or complex
         Initial value and derivative at x0.
-    step : float
-        Maximum substep length (<= 1). Substeps shrink automatically where
-        |q| is large so the truncated series stays converged.
     terms : int
-        Series length per substep (>= 25).
+        Series length per substep (>= 25). Substeps are at most 1 long and
+        shrink where |q| is large so the truncated series stays converged.
 
     Returns
     -------
@@ -344,8 +343,6 @@ def taylor_continuation(q_coeffs: Sequence[float], x0: float, w0, dw0,
     accumulated phase stays accurate to roughly one float64 ulp even after
     tens of thousands of oscillations.
     """
-    if step > 1.0 or step <= 0.0:
-        raise ValueError("step must lie in (0, 1]")
     if terms < 25:
         raise ValueError("need at least 25 series terms")
     qpoly = [float(c) for c in q_coeffs]
@@ -354,7 +351,7 @@ def taylor_continuation(q_coeffs: Sequence[float], x0: float, w0, dw0,
     x = float(x0)
     state = (w0, zero, dw0, zero)
     while x != x1:
-        x, state = _dd_substep(qpoly, x, state, x1, step, phase_cap, terms)
+        x, state = _dd_substep(qpoly, x, state, x1, phase_cap, terms)
     wh, wl, dh, dl = state
     return wh + wl, dh + dl
 
@@ -363,23 +360,23 @@ class _ContinuationTable:
     """Double-double checkpoints of w'' = q w, grown lazily from x0.
 
     Each side of x0 is one march away from x0 in full substeps of
-    min(1, _series_phase_cap(terms) / sqrt(1 + |q|)), and the table keeps
-    the state at every substep end. A checkpoint therefore depends only on
-    its position, never on the order of earlier queries. A query evaluates
-    the series of the checkpoint at or below x on its side once, for the
-    value and the derivative; the coefficients of the last checkpoint used
-    are memoized, since trajectory nodes arrive in order. Checkpoints hold
-    states only: keeping every checkpoint's coefficients costs tens of MiB.
+    min(1, _series_phase_cap(SERIES_TERMS) / sqrt(1 + |q|)), and the table
+    keeps the state at every substep end. A checkpoint therefore depends
+    only on its position, never on the order of earlier queries. A query
+    evaluates the series of the checkpoint at or below x on its side once,
+    for the value and the derivative; the coefficients of the last
+    checkpoint used are memoized, since trajectory nodes arrive in order.
+    Checkpoints hold states only: keeping every checkpoint's coefficients
+    costs tens of MiB.
 
     Growth runs under a lock and publishes each state before its key, so a
     concurrent reader only ever finds complete checkpoints.
     """
 
-    def __init__(self, q_coeffs, x0: float, state, terms: int = 30):
+    def __init__(self, q_coeffs, x0: float, state):
         self.q = [float(c) for c in q_coeffs]
         self.x0 = float(x0)
-        self.terms = terms
-        self._phase_cap = _series_phase_cap(terms)
+        self._phase_cap = _series_phase_cap(SERIES_TERMS)
         zero = state[0] * 0.0
         seed = (state[0], zero, state[1], zero)
         # Direction d -> (keys d*x in ascending order, states at those x).
@@ -393,8 +390,8 @@ class _ContinuationTable:
         with self._lock:
             while keys[-1] < key:
                 x, state = _dd_substep(self.q, d * keys[-1], states[-1],
-                                       d * math.inf, 1.0, self._phase_cap,
-                                       self.terms)
+                                       d * math.inf, self._phase_cap,
+                                       SERIES_TERMS)
                 # State before key: readers bisect the keys unlocked.
                 states.append(state)
                 keys.append(d * x)
@@ -414,7 +411,7 @@ class _ContinuationTable:
         memo_d, memo_i, series = self._memo
         if memo_d != d or memo_i != i:
             qhi, qlo = _dd_shift_poly(self.q, d * keys[i])
-            series = _dd_series(qhi, qlo, *states[i], self.terms)
+            series = _dd_series(qhi, qlo, *states[i], SERIES_TERMS)
             self._memo = (d, i, series)
         # The tail certificate was checked for the full substep from this
         # checkpoint when the table grew. It covers this shorter hop too,
@@ -468,9 +465,9 @@ def asymptotic_coeffs(k: int) -> tuple[float, float]:
     return _UV_CACHE[k]
 
 
-def airy_asymptotic(t: float, terms: int = AIRY_ASYM_TERMS) -> AiryQuad:
+def airy_asymptotic(t: float) -> AiryQuad:
     """Large-argument expansion of the Airy quad at -t, truncated after
-    index `terms` in each of the paired cosine and sine sums.
+    index AIRY_ASYM_TERMS in each of the paired cosine and sine sums.
 
     The phase zeta = (2/3) t^(3/2) is formed and reduced modulo 2*pi in
     compensated arithmetic, so the only irreducible error left is the
@@ -487,7 +484,7 @@ def airy_asymptotic(t: float, terms: int = AIRY_ASYM_TERMS) -> AiryQuad:
     cosz = math.cos(arg)
     sinz = math.sin(arg)
     even_u = odd_u = even_v = odd_v = 0.0
-    for k in range(terms + 1):
+    for k in range(AIRY_ASYM_TERMS + 1):
         sign = -1.0 if k % 2 else 1.0
         u2k, v2k = asymptotic_coeffs(2 * k)
         u2k1, v2k1 = asymptotic_coeffs(2 * k + 1)
@@ -525,18 +522,17 @@ def _airy_continued(t: float) -> AiryQuad:
 
 
 def airy_pair(t: float) -> AiryQuad:
-    """Hybrid Airy quad at -t: continuation for moderate t, asymptotics
-    beyond (values switch at 500, derivatives at 400)."""
+    """Hybrid Airy quad at -t by one route: the continuation table for
+    t <= AIRY_VALUE_SWITCH = 50, the asymptotic expansion above. Against
+    mpmath, relative to the amplitude envelope, the expansion is within
+    5e-16 on 30 <= t <= 500 (as is the table) and 1.8e-14 on 20 <= t <= 30,
+    so the seam leaves a margin and the table stops near t = 50."""
     if not t >= 0.0:
         raise ValueError(
             f"only the oscillatory side t >= 0 is supported, got {t!r}")
-    need_cont = t <= AIRY_VALUE_SWITCH
-    need_asym = t > AIRY_DERIV_SWITCH
-    cont = _airy_continued(t) if need_cont else None
-    asym = airy_asymptotic(t) if need_asym else None
-    values = cont if t <= AIRY_VALUE_SWITCH else asym
-    derivs = cont if t <= AIRY_DERIV_SWITCH else asym
-    return AiryQuad(ai=values.ai, bi=values.bi, aip=derivs.aip, bip=derivs.bip)
+    if t <= AIRY_VALUE_SWITCH:
+        return _airy_continued(t)
+    return airy_asymptotic(t)
 
 
 # ---------------------------------------------------------------------------
@@ -591,11 +587,6 @@ def exact_solution(problem, x: float) -> WaveState:
     return problem.exact(x)
 
 
-def _iter_states(trajectory_or_states) -> Iterable[WaveState]:
-    states = getattr(trajectory_or_states, "states", trajectory_or_states)
-    return list(states)
-
-
 def global_error(trajectory, problem, norm: str = "sup"):
     """Global error of an accepted trajectory against the exact solution.
 
@@ -603,7 +594,7 @@ def global_error(trajectory, problem, norm: str = "sup"):
                   skipping nodes where the exact value vanishes.
     norm="l2rel": ||phi_n - phi(x_n)||_2 / ||phi(x_n)||_2 over the nodes.
     """
-    states = _iter_states(trajectory)
+    states = list(getattr(trajectory, "states", trajectory))
     if not states:
         raise ValueError("empty trajectory")
     if norm == "sup":

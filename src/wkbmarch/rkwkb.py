@@ -74,9 +74,14 @@ def wkb_basis(problem, x: float) -> Endpoint:
     amp = a[0] ** -0.25
 
     def basis(corr, c1, c2):
-        return WKBBasis(amp * corr,
-                        amp1 + c1 + 1j * ph1 / eps, amp1 + c1 - 1j * ph1 / eps,
-                        amp2 + c2 + 1j * ph2 / eps, amp2 + c2 - 1j * ph2 / eps)
+        f = WKBBasis(amp * corr,
+                     amp1 + c1 + 1j * ph1 / eps, amp1 + c1 - 1j * ph1 / eps,
+                     amp2 + c2 + 1j * ph2 / eps, amp2 + c2 - 1j * ph2 / eps)
+        # The minus entries are the conjugates of the plus ones.
+        if not (math.isfinite(f.amp) and cmath.isfinite(f.lp_plus)
+                and cmath.isfinite(f.lpp_plus)):
+            raise WKBInadmissibleError(f"non-finite record entry at x={x}")
+        return f
 
     p3 = jet_div(bj, [2.0 * sk for sk in s], 2)  # phi3 jet
     try:

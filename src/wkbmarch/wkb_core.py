@@ -33,6 +33,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from math import isfinite
 
 from .state import WaveState, WKBInadmissibleError
 
@@ -131,7 +132,7 @@ def b_jet(problem, x: float, order: int):
     b = -(5/32) a'^2 a^(-5/2) + (1/8) a'' a^(-3/2), which reads a to
     order + 2; the derivative tower reaches a^(5), hence the cap. The last
     jet is the phase derivative of the oscillatory factor; where it falls
-    below PHASE_DERIV_GUARD * sqrt(a), x is inadmissible.
+    below PHASE_DERIV_GUARD * sqrt(a) or is not finite, x is inadmissible.
     """
     tower = problem.field.jet(x, order + 2)
     a0 = tower[0]
@@ -150,9 +151,9 @@ def b_jet(problem, x: float, order: int):
     b = [-(5.0 / 32.0) * t1 + 0.125 * t2 for t1, t2 in zip(term1, term2)]
     eps2 = problem.epsilon * problem.epsilon
     phase = [sk - eps2 * bk for sk, bk in zip(s, b)]
-    if phase[0] < PHASE_DERIV_GUARD * s[0]:
+    if not PHASE_DERIV_GUARD * s[0] <= phase[0] < math.inf:
         raise WKBInadmissibleError(
-            f"phase derivative {phase[0]} degenerate at x={x}")
+            f"phase derivative {phase[0]} degenerate or not finite at x={x}")
     return a[:n + 1], s, b, phase
 
 
@@ -170,7 +171,11 @@ def eval_bk(problem, x: float) -> Endpoint:
     b1 = jet_div(jet_deriv(b0, 2), two_phase, 2)
     b2 = jet_div(jet_deriv(b1, 1), two_phase, 1)
     b3 = jet_div(jet_deriv(b2, 0), two_phase, 0)
-    return Endpoint(x, a[0], a[0] ** 0.25, 0.25 * a[1] * a[0] ** -1.25,
+    shift = 0.25 * a[1] * a[0] ** -1.25
+    if not (isfinite(shift) and isfinite(bj[0]) and isfinite(b0[0])
+            and isfinite(b1[0]) and isfinite(b2[0]) and isfinite(b3[0])):
+        raise WKBInadmissibleError(f"non-finite record entry at x={x}")
+    return Endpoint(x, a[0], a[0] ** 0.25, shift,
                     BkTable(bj[0], b0[0], b1[0], b2[0], b3[0]))
 
 

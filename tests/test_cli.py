@@ -379,3 +379,19 @@ def test_readme_command_lines_parse():
     for argv in commands:
         assert argv[0] == "wkbmarch"
         parser.parse_args(argv[1:])
+
+
+def test_readme_public_api_matches_all():
+    # The names listed in the README's "Public API" section are exactly
+    # the package's __all__, each listed once.
+    import re
+    from pathlib import Path
+
+    import wkbmarch
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Public API", 1)[1]
+    bullets = section[section.index("\n- "):].split("\n\n", 1)[0]
+    names = re.findall(r"`(\w+)`", bullets)
+    assert sorted(names) == sorted(wkbmarch.__all__)
+    assert len(wkbmarch.__all__) == len(set(wkbmarch.__all__))

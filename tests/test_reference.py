@@ -17,11 +17,12 @@ import scipy.special as sp
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
-from wkbmarch import WaveState, airy_pair, global_error
-from wkbmarch.reference import (_airy_continued, _ContinuationTable,
-                                airy_asymptotic, airy_origin_values,
-                                asymptotic_coeffs, gamma_fn, pcf_origin_values,
-                                pcf_U, taylor_continuation)
+from wkbmarch import WaveState, airy_pair, global_error, reference
+from wkbmarch.reference import (AIRY_VALUE_SWITCH, _airy_continued,
+                                _ContinuationTable, airy_asymptotic,
+                                airy_origin_values, asymptotic_coeffs,
+                                gamma_fn, pcf_origin_values, pcf_U,
+                                taylor_continuation)
 
 EPS_MACH = 2.220446049250313e-16
 
@@ -122,8 +123,6 @@ def test_continuation_airy_vs_asymptotics_at_600():
 
 def test_continuation_parameter_guards():
     with pytest.raises(ValueError):
-        taylor_continuation([0.0], 0.0, 1.0, 1.0, 1.0, step=1.5)
-    with pytest.raises(ValueError):
         taylor_continuation([0.0], 0.0, 1.0, 1.0, 1.0, terms=10)
 
 
@@ -149,9 +148,10 @@ def test_airy_matches_scipy_moderate(t):
     assert quad.bip == pytest.approx(bip, rel=2e-13)
 
 
-@pytest.mark.parametrize("t", [499.9, 500.1, 400.0, 400.05])
+@pytest.mark.parametrize("t", [49.9, 50.0, 50.1, 499.9, 500.1, 400.0,
+                               400.05])
 def test_airy_seam_agreement(t):
-    """Both branches agree across the value (500) and derivative (400) seams."""
+    """Both branches agree at the one seam (t = 50) and further out."""
     cont = _airy_continued(t)
     asym = airy_asymptotic(t)
     for name in ("ai", "aip", "bi", "bip"):
@@ -161,12 +161,33 @@ def test_airy_seam_agreement(t):
 
 def test_airy_continuation_asymptotics_cross_validation():
     """Above the switch the two methods stay within 1e-12 of each other."""
-    for t in np.geomspace(500.0, 2000.0, 12):
+    ts = np.concatenate((np.geomspace(AIRY_VALUE_SWITCH, 500.0, 12),
+                         np.geomspace(500.0, 2000.0, 12)))
+    for t in ts:
         cont = _airy_continued(float(t))
         asym = airy_asymptotic(float(t))
         for name in ("ai", "aip", "bi", "bip"):
             a, c = getattr(asym, name), getattr(cont, name)
             assert abs(a - c) / abs(c) < 1e-12, (t, name)
+
+
+def test_airy_pair_takes_one_route(monkeypatch):
+    """The continuation serves t <= 50 and the asymptotic expansion t > 50;
+    neither is called outside its range."""
+    def forbidden(t):
+        raise AssertionError(f"wrong route at t={t}")
+
+    low = [0.0, 1.0, 30.0, 49.9, AIRY_VALUE_SWITCH]
+    high = [math.nextafter(AIRY_VALUE_SWITCH, math.inf), 50.1, 400.0, 450.0,
+            500.0, 1e4]
+    with monkeypatch.context() as m:
+        m.setattr(reference, "airy_asymptotic", forbidden)
+        for t in low:
+            assert airy_pair(t) == _airy_continued(t)
+    with monkeypatch.context() as m:
+        m.setattr(reference, "_airy_continued", forbidden)
+        for t in high:
+            assert airy_pair(t) == airy_asymptotic(t)
 
 
 def test_airy_wronskian_identity():

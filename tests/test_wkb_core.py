@@ -152,6 +152,23 @@ def test_underflowing_a_is_inadmissible():
         PhaseProvider(p, "cc").increment(1e-200, 2e-200)
 
 
+@pytest.mark.parametrize("x", [4e-130, 1e-127, 1e-125, 2e-123])
+def test_overflowing_b_is_inadmissible(x):
+    # a = x is tiny but a^(5/2) is not 0: b overflows to -inf (or about
+    # -9e305 at 2e-123, where its derivatives overflow), and the b_k table
+    # and the basis log-derivatives would carry NaN. No record is built.
+    p = make_polynomial_problem(
+        [0.0, 1.0], 1.0, (1e-200, 1.0),
+        initial=WaveState(1e-200, 1.0 + 0.0j, 0.0j), tau_guard=1e-300)
+    with pytest.raises(WKBInadmissibleError):
+        eval_bk(p, x)
+    with pytest.raises(WKBInadmissibleError):
+        wkb_basis(p, x)
+    # The cc nodes of [x/10, x] reach down to where b is -inf.
+    with pytest.raises(WKBInadmissibleError):
+        PhaseProvider(p, "cc").increment(0.1 * x, x)
+
+
 # ---------------------------------------------------------------------------
 # oscillatory kernels
 # ---------------------------------------------------------------------------
