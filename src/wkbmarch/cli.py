@@ -108,7 +108,7 @@ def _trajectory_rows(traj, problem):
                rec.est, rec.theta, rec.state.phi.real, rec.state.phi.imag,
                rec.state.dphi.real, rec.state.dphi.imag]
         if has_exact:
-            ex = problem.exact(rec.x)
+            ex = problem.exact(rec.x, deriv=False)
             rel = abs(rec.state.phi - ex.phi) / abs(ex.phi) \
                 if ex.phi != 0 else math.inf
             row += [ex.phi.real, ex.phi.imag, rel]

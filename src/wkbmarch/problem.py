@@ -74,8 +74,9 @@ class Problem:
     tau_guard: float = 1e-12
     # Optional closed-form antiderivative of sqrt(a) - eps^2 b.
     phase_antiderivative: Optional[Callable[[float], float]] = None
-    # Optional exact-solution provider x -> WaveState.
-    exact: Optional[Callable[[float], WaveState]] = None
+    # Optional exact-solution provider (x, deriv=True) -> WaveState. With
+    # deriv=False it computes only phi and sets dphi to NaN.
+    exact: Optional[Callable[..., WaveState]] = None
     label: str = ""
 
     def __post_init__(self):
@@ -97,12 +98,12 @@ class Problem:
 # Airy benchmark: a(x) = x
 # ---------------------------------------------------------------------------
 
-def _airy_exact_provider(epsilon: float) -> Callable[[float], WaveState]:
+def _airy_exact_provider(epsilon: float) -> Callable[..., WaveState]:
     scale = epsilon ** (-2.0 / 3.0)
 
-    def exact(x: float) -> WaveState:
+    def exact(x: float, deriv: bool = True) -> WaveState:
         try:
-            quad = reference.airy_pair(x * scale)
+            quad = reference.airy_pair(x * scale, deriv)
         except ArithmeticError:  # the asymptotic series overflows
             raise ValueError(f"Airy reference overflows at x={x!r}, "
                              f"epsilon={epsilon!r}") from None
@@ -192,9 +193,9 @@ def make_pcf_problem(epsilon: float, x_start: float = 0.01,
     table = reference._ContinuationTable(
         [nu, 0.0, 0.25], 0.0, (u0, du0))
 
-    def exact(x: float) -> WaveState:
+    def exact(x: float, deriv: bool = True) -> WaveState:
         z = z_scale * (1.0 - x)
-        wh, wl, dh, dl = table.state_at(z)
+        wh, wl, dh, dl = table.state_at(z, deriv)
         u = wh + wl
         du = dh + dl
         phi = kappa * u

@@ -19,6 +19,7 @@ above the seam.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -190,6 +191,18 @@ def _dd_shift_poly(coeffs: Sequence[float], x0: float):
     return hi, lo
 
 
+@functools.lru_cache(maxsize=None)
+def _recip_table(terms: int):
+    """(rh, rl, split of rh) of _dd_recip_int((m+1)(m+2)), m < terms - 2."""
+    table = []
+    for m in range(terms - 2):
+        rh, rl = _dd_recip_int((m + 1) * (m + 2))
+        t = _SPLIT * rh
+        hi = t - (t - rh)
+        table.append((rh, rl, hi, rh - hi))
+    return tuple(table)
+
+
 def _dd_series(qhi, qlo, wh, wl, dh, dl, terms: int):
     """Double-double Taylor coefficients of w(x0 + t) for w'' = q(x0 + t) w.
 
@@ -197,44 +210,93 @@ def _dd_series(qhi, qlo, wh, wl, dh, dl, terms: int):
     (wh + wl, dh + dl) the state at x0. The state may be float or complex
     (componentwise error-free transforms stay exact because the multipliers
     q_j are real). Returns the lists (chi, clo) of the `terms` coefficients
-    c_m and (ghi, glo) of the derivative's coefficients g_m = (m+1) c_(m+1).
+    c_m, with (m+1)(m+2) c_(m+2) = sum_j q_j c_(m-j).
+
+    Each coefficient is that sum of _dd_mul_dd products accumulated with
+    _dd_add from zero, then _dd_mul_dd by the reciprocal, written out with
+    the q_j and the reciprocals split once, so the result is bit-identical
+    to composing those helpers.
     """
+    split = _SPLIT
+    qterms = []
+    for qh, ql in zip(qhi, qlo):
+        t = split * qh
+        a = t - (t - qh)
+        qterms.append((qh, ql, a, qh - a))
     chi = [wh, dh]
     clo = [wl, dl]
-    deg = len(qhi) - 1
-    for m in range(terms - 2):
-        sh = qhi[0] * 0.0  # zero of the state's dtype
-        sl = sh
-        for j in range(min(deg, m) + 1):
-            ph, pl = _dd_mul_dd(chi[m - j], clo[m - j], qhi[j], qlo[j])
-            sh, sl = _dd_add(sh, sl, ph, pl)
-        rh, rl = _dd_recip_int((m + 1) * (m + 2))
-        sh, sl = _dd_mul_dd(sh, sl, rh, rl)
-        chi.append(sh)
-        clo.append(sl)
+    zero = qhi[0] * 0.0
+    for m, (rh, rl, bh, bl) in enumerate(_recip_table(terms)):
+        sh = sl = zero
+        for (yh, yl, qh, ql), xh, xl in zip(qterms, chi[m::-1], clo[m::-1]):
+            # p = c_(m-j) * q_j
+            p = xh * yh
+            t = split * xh
+            ah = t - (t - xh)
+            al = xh - ah
+            e = ((ah * qh - p) + ah * ql + al * qh) + al * ql
+            e = e + (xh * yl + xl * yh)
+            ph = p + e
+            z = ph - p
+            pl = (p - (ph - z)) + (e - z)
+            # s = s + p
+            p = sh + ph
+            z = p - sh
+            e = ((sh - (p - z)) + (ph - z)) + (sl + pl)
+            sh = p + e
+            z = sh - p
+            sl = (p - (sh - z)) + (e - z)
+        # c_(m+2) = s / ((m+1)(m+2))
+        p = sh * rh
+        t = split * sh
+        ah = t - (t - sh)
+        al = sh - ah
+        e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+        e = e + (sh * rl + sl * rh)
+        ch = p + e
+        z = ch - p
+        chi.append(ch)
+        clo.append((p - (ch - z)) + (e - z))
+    return chi, clo
+
+
+def _dd_deriv_coeffs(chi, clo):
+    """Double-double coefficients g_m = (m+1) c_(m+1) of the derivative
+    series: _dd_mul_d by m+1, written out, so bit-identical to it."""
     ghi = []
     glo = []
-    for m in range(1, terms):
-        th, tl = _dd_mul_d(chi[m], clo[m], float(m))
-        ghi.append(th)
-        glo.append(tl)
-    return chi, clo, ghi, glo
+    for m, (xh, xl) in enumerate(zip(chi[1:], clo[1:]), 1):
+        b = float(m)
+        t = _SPLIT * b
+        bh = t - (t - b)
+        bl = b - bh
+        p = xh * b
+        t = _SPLIT * xh
+        ah = t - (t - xh)
+        al = xh - ah
+        e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+        e = e + xl * b
+        gh = p + e
+        z = gh - p
+        ghi.append(gh)
+        glo.append((p - (gh - z)) + (e - z))
+    return ghi, glo
 
 
-def _dd_horner(chi, clo, ghi, glo, h: float):
-    """State (wh, wl, dh, dl) at t = h of the series c and its derivative g.
+def _dd_horner(hi, lo, h: float):
+    """Value (vh, vl) at t = h of the double-double series with
+    coefficients hi_m + lo_m.
 
-    One double-double Horner pass serves both series. It is _dd_mul_d by h
-    followed by _dd_add of the next coefficient, written out with h split
-    once, so the result is bit-identical to composing those helpers.
+    Each Horner step is _dd_mul_d by h followed by _dd_add of the next
+    coefficient, written out with h split once, so the result is
+    bit-identical to composing those helpers.
     """
     t = _SPLIT * h
     hh = t - (t - h)
     hl = h - hh
-    vh = chi[0] * 0.0  # zero of the state's dtype
-    vl = gh = gl = vh
-    for m in range(len(chi) - 1, -1, -1):
-        # v = v * h + c_m
+    vh = hi[0] * 0.0  # zero of the state's dtype
+    vl = vh
+    for yh, yl in zip(reversed(hi), reversed(lo)):
         p = vh * h
         t = _SPLIT * vh
         ahi = t - (t - vh)
@@ -243,32 +305,13 @@ def _dd_horner(chi, clo, ghi, glo, h: float):
         s = p + e
         z = s - p
         e = (p - (s - z)) + (e - z)
-        yh = chi[m]
         p = s + yh
         z = p - s
-        e = ((s - (p - z)) + (yh - z)) + (e + clo[m])
+        e = ((s - (p - z)) + (yh - z)) + (e + yl)
         vh = p + e
         z = vh - p
         vl = (p - (vh - z)) + (e - z)
-        if m == 0:
-            break
-        # g = g * h + g_(m-1)
-        p = gh * h
-        t = _SPLIT * gh
-        ahi = t - (t - gh)
-        alo = gh - ahi
-        e = ((ahi * hh - p) + ahi * hl + alo * hh) + alo * hl + gl * h
-        s = p + e
-        z = s - p
-        e = (p - (s - z)) + (e - z)
-        yh = ghi[m - 1]
-        p = s + yh
-        z = p - s
-        e = ((s - (p - z)) + (yh - z)) + (e + glo[m - 1])
-        gh = p + e
-        z = gh - p
-        gl = (p - (gh - z)) + (e - z)
-    return vh, vl, gh, gl
+    return vh, vl
 
 
 def _check_tail(chi, h: float, x: float) -> None:
@@ -307,9 +350,10 @@ def _dd_substep(qpoly, x: float, state, x1: float, phase_cap: float,
         # Keep substep endpoints exactly representable.
         x_next = x + math.copysign(h_max, x1 - x)
     h = x_next - x
-    series = _dd_series(qhi, qlo, *state, terms)
-    _check_tail(series[0], h, x)
-    return x_next, _dd_horner(*series, h)
+    chi, clo = _dd_series(qhi, qlo, *state, terms)
+    _check_tail(chi, h, x)
+    return x_next, (_dd_horner(chi, clo, h)
+                    + _dd_horner(*_dd_deriv_coeffs(chi, clo), h))
 
 
 def taylor_continuation(q_coeffs: Sequence[float], x0: float, w0, dw0,
@@ -363,9 +407,12 @@ class _ContinuationTable:
     min(1, _series_phase_cap(SERIES_TERMS) / sqrt(1 + |q|)), and the table
     keeps the state at every substep end. A checkpoint therefore depends
     only on its position, never on the order of earlier queries. A query
-    evaluates the series of the checkpoint at or below x on its side once,
-    for the value and the derivative; the coefficients of the last
-    checkpoint used are memoized, since trajectory nodes arrive in order.
+    hops from the checkpoint at or below x on its side by one Horner pass
+    over the value series, and by a second over the derivative series only
+    when the derivative is asked for. The coefficients of the last
+    checkpoint used are memoized, since trajectory nodes arrive in order;
+    its derivative coefficients are formed on the first query that needs
+    them.
     Checkpoints hold states only: keeping every checkpoint's coefficients
     costs tens of MiB.
 
@@ -382,8 +429,9 @@ class _ContinuationTable:
         # Direction d -> (keys d*x in ascending order, states at those x).
         self._sides = {1.0: ([self.x0], [seed]), -1.0: ([-self.x0], [seed])}
         self._lock = threading.Lock()
-        # (direction, checkpoint index, series coefficients), replaced whole.
-        self._memo = (0.0, -1, None)
+        # (direction, checkpoint index, value series, derivative series or
+        # None until a query asks for it), replaced whole.
+        self._memo = (0.0, -1, None, None)
 
     def _grow(self, d: float, key: float) -> None:
         keys, states = self._sides[d]
@@ -396,8 +444,9 @@ class _ContinuationTable:
                 states.append(state)
                 keys.append(d * x)
 
-    def state_at(self, x: float):
-        """Double-double state (wh, wl, dh, dl) at x."""
+    def state_at(self, x: float, deriv: bool = True):
+        """Double-double state (wh, wl, dh, dl) at x. With deriv=False only
+        the value series is evaluated, and dh, dl are NaN."""
         if not math.isfinite(x):
             raise ValueError(f"continuation point must be finite, got {x!r}")
         d = 1.0 if x >= self.x0 else -1.0
@@ -407,17 +456,29 @@ class _ContinuationTable:
             self._grow(d, key)
         i = bisect.bisect_right(keys, key) - 1
         if keys[i] == key:
-            return states[i]
-        memo_d, memo_i, series = self._memo
-        if memo_d != d or memo_i != i:
-            qhi, qlo = _dd_shift_poly(self.q, d * keys[i])
-            series = _dd_series(qhi, qlo, *states[i], SERIES_TERMS)
-            self._memo = (d, i, series)
-        # The tail certificate was checked for the full substep from this
-        # checkpoint when the table grew. It covers this shorter hop too,
-        # because tail/bulk rises with |h|: every tail term gains on every
-        # bulk term by a positive power of |h|.
-        return _dd_horner(*series, x - d * keys[i])
+            state = states[i]
+        else:
+            memo_d, memo_i, series, dseries = self._memo
+            if memo_d != d or memo_i != i:
+                qhi, qlo = _dd_shift_poly(self.q, d * keys[i])
+                series = _dd_series(qhi, qlo, *states[i], SERIES_TERMS)
+                dseries = None
+                self._memo = (d, i, series, None)
+            if deriv and dseries is None:
+                dseries = _dd_deriv_coeffs(*series)
+                self._memo = (d, i, series, dseries)
+            # The tail certificate was checked for the full substep from
+            # this checkpoint when the table grew. It covers this shorter
+            # hop too, because tail/bulk rises with |h|: every tail term
+            # gains on every bulk term by a positive power of |h|.
+            h = x - d * keys[i]
+            state = _dd_horner(*series, h)
+            if deriv:
+                state += _dd_horner(*dseries, h)
+        if deriv:
+            return state
+        nan = state[0] * math.nan
+        return state[0], state[1], nan, nan
 
 
 # ---------------------------------------------------------------------------
@@ -465,13 +526,14 @@ def asymptotic_coeffs(k: int) -> tuple[float, float]:
     return _UV_CACHE[k]
 
 
-def airy_asymptotic(t: float) -> AiryQuad:
+def airy_asymptotic(t: float, deriv: bool = True) -> AiryQuad:
     """Large-argument expansion of the Airy quad at -t, truncated after
     index AIRY_ASYM_TERMS in each of the paired cosine and sine sums.
 
     The phase zeta = (2/3) t^(3/2) is formed and reduced modulo 2*pi in
     compensated arithmetic, so the only irreducible error left is the
-    quantization of t itself.
+    quantization of t itself. With deriv=False the v sums are skipped and
+    aip, bip are NaN.
     """
     if t <= 0.0:
         raise ValueError("asymptotic branch needs t > 0")
@@ -490,15 +552,20 @@ def airy_asymptotic(t: float) -> AiryQuad:
         u2k1, v2k1 = asymptotic_coeffs(2 * k + 1)
         even_u += sign * u2k / zeta ** (2 * k)
         odd_u += sign * u2k1 / zeta ** (2 * k + 1)
-        even_v += sign * v2k / zeta ** (2 * k)
-        odd_v += sign * v2k1 / zeta ** (2 * k + 1)
+        if deriv:
+            even_v += sign * v2k / zeta ** (2 * k)
+            odd_v += sign * v2k1 / zeta ** (2 * k + 1)
     amp = 1.0 / (SQRT_PI * t ** 0.25)
-    damp = t ** 0.25 / SQRT_PI
+    aip = bip = math.nan
+    if deriv:
+        damp = t ** 0.25 / SQRT_PI
+        aip = damp * (sinz * even_v - cosz * odd_v)
+        bip = damp * (cosz * even_v + sinz * odd_v)
     return AiryQuad(
         ai=amp * (cosz * even_u + sinz * odd_u),
-        aip=damp * (sinz * even_v - cosz * odd_v),
+        aip=aip,
         bi=amp * (-sinz * even_u + cosz * odd_u),
-        bip=damp * (cosz * even_v + sinz * odd_v),
+        bip=bip,
     )
 
 
@@ -513,26 +580,28 @@ _AIRY_TABLE = _ContinuationTable(
     (complex(_AIRY_Q0.ai, _AIRY_Q0.bi), complex(_AIRY_Q0.aip, _AIRY_Q0.bip)))
 
 
-def _airy_continued(t: float) -> AiryQuad:
-    """Airy quad at -t by checkpointed continuation of w'' = y w."""
-    wh, wl, dh, dl = _AIRY_TABLE.state_at(-t)
+def _airy_continued(t: float, deriv: bool = True) -> AiryQuad:
+    """Airy quad at -t by checkpointed continuation of w'' = y w; with
+    deriv=False aip and bip are NaN."""
+    wh, wl, dh, dl = _AIRY_TABLE.state_at(-t, deriv)
     w = wh + wl
     dw = dh + dl
     return AiryQuad(ai=w.real, aip=dw.real, bi=w.imag, bip=dw.imag)
 
 
-def airy_pair(t: float) -> AiryQuad:
+def airy_pair(t: float, deriv: bool = True) -> AiryQuad:
     """Hybrid Airy quad at -t by one route: the continuation table for
     t <= AIRY_VALUE_SWITCH = 50, the asymptotic expansion above. Against
     mpmath, relative to the amplitude envelope, the expansion is within
     5e-16 on 30 <= t <= 500 (as is the table) and 1.8e-14 on 20 <= t <= 30,
-    so the seam leaves a margin and the table stops near t = 50."""
+    so the seam leaves a margin and the table stops near t = 50. With
+    deriv=False only Ai and Bi are computed, and aip, bip are NaN."""
     if not t >= 0.0:
         raise ValueError(
             f"only the oscillatory side t >= 0 is supported, got {t!r}")
     if t <= AIRY_VALUE_SWITCH:
-        return _airy_continued(t)
-    return airy_asymptotic(t)
+        return _airy_continued(t, deriv)
+    return airy_asymptotic(t, deriv)
 
 
 # ---------------------------------------------------------------------------
@@ -580,11 +649,12 @@ def pcf_U(nu: float, z: float) -> tuple[float, float]:
 # Error metrics
 # ---------------------------------------------------------------------------
 
-def exact_solution(problem, x: float) -> WaveState:
-    """Exact (phi, phi') of a benchmark problem at x."""
+def exact_solution(problem, x: float, deriv: bool = True) -> WaveState:
+    """Exact (phi, phi') of a benchmark problem at x; with deriv=False only
+    phi is computed, and phi' is NaN."""
     if problem.exact is None:
         raise ValueError("problem has no exact-solution provider")
-    return problem.exact(x)
+    return problem.exact(x, deriv)
 
 
 def global_error(trajectory, problem, norm: str = "sup"):
@@ -600,12 +670,13 @@ def global_error(trajectory, problem, norm: str = "sup"):
     if norm == "sup":
         worst = 0.0
         for s in states:
-            ref = exact_solution(problem, s.x).phi
+            ref = exact_solution(problem, s.x, deriv=False).phi
             if ref != 0:
                 worst = max(worst, abs(s.phi - ref) / abs(ref))
         return worst
     if norm == "l2rel":
-        refs = [exact_solution(problem, s.x).phi for s in states]
+        refs = [exact_solution(problem, s.x, deriv=False).phi
+                for s in states]
         denom = math.hypot(*(abs(r) for r in refs))
         if denom == 0.0:
             raise ValueError("exact solution vanishes on all nodes")

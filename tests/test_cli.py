@@ -5,6 +5,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wkbmarch import cli, reference
 from wkbmarch.cli import build_parser, main
 from wkbmarch.control import METHODS
 
@@ -64,6 +65,49 @@ def test_solve_deterministic_bytes(tmp_path):
         assert run_cli(list(args)) == 0
         outs.append((out / "steps.csv").read_bytes())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("problem, eps, method",
+                         [("airy", "1", "wkb+rkf45"),
+                          ("pcf", "0.015625", "rkwkbmod")])
+def test_solve_reference_columns_read_no_derivative(tmp_path, monkeypatch,
+                                                    problem, eps, method):
+    """Once the solve is done, the derivative series is forbidden: the
+    reference columns and the error summary still come out, equal to the
+    values recomputed from the full exact(x). Checkpoints hold full states,
+    so the reference table is grown over the interval before that."""
+    solve, deriv_coeffs = cli.integrate, reference._dd_deriv_coeffs
+    solved = []
+
+    def solve_then_forbid(problem, config):
+        traj = solve(problem, config)
+        problem.exact(problem.x_start)
+        problem.exact(problem.x_end)
+        solved.append(traj)
+        return traj
+
+    def guarded(*args):
+        assert not solved, "derivative series evaluated"
+        return deriv_coeffs(*args)
+
+    monkeypatch.setattr(cli, "integrate", solve_then_forbid)
+    monkeypatch.setattr(reference, "_dd_deriv_coeffs", guarded)
+    out = tmp_path / problem
+    assert run_cli(["solve", "--problem", problem, "--eps", eps,
+                    "--tol", "1e-6", "--method", method,
+                    "--out", str(out)]) == 0
+    monkeypatch.undo()
+    header, rows = read_csv(out / "steps.csv")
+    assert header == STEP_HEADER and len(rows) == solved[0].accepted
+    exact = cli._build_problem(problem, float(eps), None).exact
+    for row in rows:
+        ref = exact(float(row[1])).phi
+        phi = complex(float(row[7]), float(row[8]))
+        assert row[11:] == [cli._fmt(ref.real), cli._fmt(ref.imag),
+                            cli._fmt(abs(phi - ref) / abs(ref))]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["error_summary"]["sup_rel"] == max(
+        float(row[13]) for row in rows)
 
 
 def test_solve_phase_flag(tmp_path):

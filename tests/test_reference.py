@@ -6,7 +6,9 @@ the asymptotic expansions and the Taylor continuation, which share no code
 path beyond float arithmetic.
 """
 
+import cmath
 import math
+import random
 import sys
 import threading
 
@@ -19,7 +21,10 @@ from scipy.integrate import solve_ivp
 
 from wkbmarch import WaveState, airy_pair, global_error, reference
 from wkbmarch.reference import (AIRY_VALUE_SWITCH, _airy_continued,
-                                _ContinuationTable, airy_asymptotic,
+                                _ContinuationTable, _dd_add,
+                                _dd_deriv_coeffs, _dd_horner, _dd_mul_d,
+                                _dd_mul_dd, _dd_recip_int, _dd_series,
+                                _dd_shift_poly, airy_asymptotic,
                                 airy_origin_values, asymptotic_coeffs,
                                 gamma_fn, pcf_origin_values, pcf_U,
                                 taylor_continuation)
@@ -126,6 +131,71 @@ def test_continuation_parameter_guards():
         taylor_continuation([0.0], 0.0, 1.0, 1.0, 1.0, terms=10)
 
 
+# The series kernels are written out for speed; these compositions of the
+# double-double helpers are the arithmetic they must reproduce bit for bit.
+
+def _oracle_series(qhi, qlo, wh, wl, dh, dl, terms):
+    chi, clo = [wh, dh], [wl, dl]
+    deg = len(qhi) - 1
+    for m in range(terms - 2):
+        sh = sl = qhi[0] * 0.0
+        for j in range(min(deg, m) + 1):
+            ph, pl = _dd_mul_dd(chi[m - j], clo[m - j], qhi[j], qlo[j])
+            sh, sl = _dd_add(sh, sl, ph, pl)
+        sh, sl = _dd_mul_dd(sh, sl, *_dd_recip_int((m + 1) * (m + 2)))
+        chi.append(sh)
+        clo.append(sl)
+    return chi, clo
+
+
+def _oracle_deriv_coeffs(chi, clo):
+    pairs = [_dd_mul_d(chi[m], clo[m], float(m)) for m in range(1, len(chi))]
+    return [p[0] for p in pairs], [p[1] for p in pairs]
+
+
+def _oracle_horner(hi, lo, h):
+    vh = vl = hi[0] * 0.0
+    for yh, yl in zip(reversed(hi), reversed(lo)):
+        vh, vl = _dd_add(*_dd_mul_d(vh, vl, h), yh, yl)
+    return vh, vl
+
+
+def _dd_value(rng, kind):
+    """A normalized double-double pair (hi, lo) of the given type."""
+    if kind is complex:
+        hi = complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
+    else:
+        hi = rng.uniform(-2.0, 2.0)
+    return _dd_add(hi, hi * 0.0, hi * rng.uniform(-1e-16, 1e-16), 0.0)
+
+
+@pytest.mark.parametrize("terms", [25, 30, 40])
+@pytest.mark.parametrize("x0", [0.0, -3.75, 2.3, -17.1])
+@pytest.mark.parametrize("kind", [float, complex])
+@pytest.mark.parametrize(
+    "q", [[0.0, 1.0], [-1.0 / (math.sqrt(8.0) * 2.0 ** -6), 0.0, 0.25]],
+    ids=["airy", "pcf"])
+def test_dd_kernels_match_helper_oracle(q, kind, x0, terms):
+    """Series, derivative coefficients and Horner hops equal the helper
+    compositions in every bit, signed zeros included (at x0 = 0 the Airy
+    polynomial has q_0 = 0, so products vanish)."""
+    rng = random.Random(f"{q}{kind.__name__}{x0}{terms}")
+    qhi, qlo = _dd_shift_poly(q, x0)
+    states = [(*_dd_value(rng, kind), *_dd_value(rng, kind)),
+              (kind(0.7), kind(0.0), kind(-1.3), kind(0.0))]
+    for state in states:
+        chi, clo = _dd_series(qhi, qlo, *state, terms)
+        assert repr((chi, clo)) == repr(
+            _oracle_series(qhi, qlo, *state, terms))
+        ghi, glo = _dd_deriv_coeffs(chi, clo)
+        assert repr((ghi, glo)) == repr(_oracle_deriv_coeffs(chi, clo))
+        for h in (0.0, 0.37, -0.81, rng.uniform(-1.0, 1.0)):
+            assert repr(_dd_horner(chi, clo, h)) == repr(
+                _oracle_horner(chi, clo, h))
+            assert repr(_dd_horner(ghi, glo, h)) == repr(
+                _oracle_horner(ghi, glo, h))
+
+
 # ---------------------------------------------------------------------------
 # Airy hybrid evaluator
 # ---------------------------------------------------------------------------
@@ -188,6 +258,17 @@ def test_airy_pair_takes_one_route(monkeypatch):
         m.setattr(reference, "_airy_continued", forbidden)
         for t in high:
             assert airy_pair(t) == airy_asymptotic(t)
+
+
+@pytest.mark.parametrize("t", [0.0, 0.3, 17.0, AIRY_VALUE_SWITCH,
+                               math.nextafter(AIRY_VALUE_SWITCH, math.inf),
+                               50.1, 400.0, 1e4])
+def test_airy_pair_value_only(t):
+    """deriv=False gives Ai and Bi of the full quad bit for bit on both
+    routes, and NaN, never a stale value, in the derivative slots."""
+    quad, value = airy_pair(t), airy_pair(t, deriv=False)
+    assert repr((value.ai, value.bi)) == repr((quad.ai, quad.bi))
+    assert math.isnan(value.aip) and math.isnan(value.bip)
 
 
 def test_airy_wronskian_identity():
@@ -330,6 +411,33 @@ def test_table_independent_of_query_order(name, data):
         assert abs(dh + dl - dw) <= 1e-14 * scale
 
 
+@pytest.mark.parametrize("name", sorted(TABLES))
+def test_value_only_query_matches_full_state(name):
+    """state_at(x, deriv=False) is the head (wh, wl) of state_at(x) bit for
+    bit, with NaN derivative slots, at checkpoint keys, at x0 and between
+    keys on both sides of x0, in a shuffled order that switches the memo
+    and mixes value-only and full queries on one checkpoint."""
+    q, seed, (lo, hi) = TABLES[name]
+    ref = _ContinuationTable(q, 0.0, seed)
+    ref.state_at(lo)
+    ref.state_at(hi)
+    keys = [d * k for d in (1.0, -1.0) for k in ref._sides[d][0]
+            if lo <= d * k <= hi]
+    assert len(keys) > 10
+    between = [float(x) for x in np.linspace(lo, hi, 57)]
+    xs = keys + between + [0.0]
+    random.Random(name).shuffle(xs)
+    table = _ContinuationTable(q, 0.0, seed)
+    for n, x in enumerate(xs):
+        full = ref.state_at(x)
+        if n % 3 == 0:
+            assert repr(table.state_at(x)) == repr(full)
+        value = table.state_at(x, deriv=False)
+        assert repr(value[:2]) == repr(full[:2])
+        assert cmath.isnan(value[2]) and cmath.isnan(value[3])
+        assert type(value[2]) is type(full[2])
+
+
 @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
 def test_table_rejects_non_finite_point(x):
     # A march towards an infinite point would never end.
@@ -403,6 +511,28 @@ def test_global_error_single_node_scaling(airy1):
     bumped = WaveState(2.0, ex.phi * (1 + 1e-6), ex.dphi)
     assert global_error([bumped], airy1, "sup") == pytest.approx(1e-6, rel=1e-6)
     assert global_error([bumped], airy1, "l2rel") == pytest.approx(1e-6, rel=1e-6)
+
+
+def test_global_error_reads_no_derivative(monkeypatch, airy1, pcf6,
+                                         airy_runs, pcf_runs):
+    """Both norms succeed with the derivative series forbidden, and equal
+    the norms recomputed from the full exact(x). That recomputation also
+    grows the tables, whose checkpoints hold full states, over the nodes."""
+    cases = [(airy_runs[1e-6], airy1), (pcf_runs["wkb+rkf45", 1e-6], pcf6)]
+    expect = []
+    for traj, p in cases:
+        refs = [p.exact(s.x).phi for s in traj.states]
+        errs = [abs(s.phi - r) for s, r in zip(traj.states, refs)]
+        expect.append((max(e / abs(r) for e, r in zip(errs, refs) if r != 0),
+                       math.hypot(*errs) / math.hypot(*map(abs, refs))))
+
+    def forbidden(*args):
+        raise AssertionError("derivative series evaluated")
+
+    monkeypatch.setattr(reference, "_dd_deriv_coeffs", forbidden)
+    for (traj, p), (sup, l2rel) in zip(cases, expect):
+        assert global_error(traj, p, "sup") == sup
+        assert global_error(traj, p, "l2rel") == l2rel
 
 
 def test_global_error_unknown_norm(airy1):
