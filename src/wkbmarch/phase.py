@@ -69,11 +69,13 @@ def clenshaw_curtis(integrand: Callable[[float], float], a: float, b: float,
     xs, ws = _cc_nodes_weights(nodes - 1)
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
+    # The end nodes are b and a themselves; mid -/+ half can round past them.
+    points = [b, *(mid + half * xi for xi in xs[1:-1]), a]
     total = 0.0
-    for xi, wi in zip(xs, ws):
-        val = integrand(mid + half * xi)
+    for x, wi in zip(points, ws):
+        val = integrand(x)
         if not math.isfinite(val):
-            raise ValueError(f"non-finite integrand at x={mid + half * xi}")
+            raise ValueError(f"non-finite integrand at x={x}")
         total += wi * val
     return half * total
 

@@ -184,8 +184,8 @@ def make_pcf_problem(epsilon: float, x_start: float = 0.01,
     try:
         u0, du0 = reference.pcf_origin_values(nu)
     except ArithmeticError:
-        # Gamma overflows (or a quotient by an underflowed factor) once
-        # epsilon falls below about 1.3e-3.
+        # U(nu, 0) overflows below epsilon of about 1.18e-3; its
+        # continuation already does below about 1.23e-3 (see exact).
         raise ValueError(
             f"PCF origin values overflow for epsilon={epsilon!r} "
             f"(nu={nu!r})") from None
@@ -198,6 +198,10 @@ def make_pcf_problem(epsilon: float, x_start: float = 0.01,
         wh, wl, dh, dl = table.state_at(z, deriv)
         u = wh + wl
         du = dh + dl
+        if not math.isfinite(u) or deriv and not math.isfinite(du):
+            # Double-double splits overflow once U passes about 1e300.
+            raise ValueError(f"PCF reference overflows at x={x!r}, "
+                             f"epsilon={epsilon!r}")
         phi = kappa * u
         dphi = -kappa * z_scale * du
         return WaveState(x, phi, dphi)

@@ -1,19 +1,19 @@
-"""Self-contained special-function layer and error metrics.
+"""Special-function layer and error metrics.
 
 Everything the benchmarks need to produce reference values lives here, with
-no external special-function dependency:
+no special-function dependency beyond the standard library's math.gamma:
 
-* a real gamma function (Lanczos approximation plus reflection),
 * oscillatory-side Airy values through a hybrid evaluator with one seam
   at t = 50 in Ai(-t): Taylor-series analytic continuation of the Airy ODE
   up to it, the large-argument asymptotic expansion (DLMF 9.7) above it,
   which reaches double accuracy near t = 30 (see airy_pair),
-* parabolic cylinder values U(nu, z) by continuation of w'' = (z^2/4 + nu) w,
+* the parabolic cylinder origin values U(nu, 0), U'(nu, 0) in closed form,
+  from which make_pcf_problem continues w'' = (z^2/4 + nu) w,
 * global error norms over a trajectory.
 
 The Taylor continuation doubles as the independent cross-check for the
-asymptotic expansion: the tests run both routes on the same arguments
-above the seam.
+asymptotic expansion and for the checkpoint tables: the tests run both
+routes on the same arguments.
 """
 
 from __future__ import annotations
@@ -117,66 +117,15 @@ def _reduce_mod_2pi(xh: float, xl: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# gamma function
-# ---------------------------------------------------------------------------
-
-# Lanczos coefficients, g = 7, n = 9 (double precision classic set).
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def gamma_fn(x: float) -> float:
-    """Real gamma function.
-
-    Lanczos approximation for x >= 0.5, reflection formula below. Accurate
-    to about 1e-13 relative on the ranges the benchmarks touch.
-
-    Raises
-    ------
-    ValueError
-        At the poles (non-positive integers).
-    """
-    if x <= 0.0 and x == math.floor(x):
-        raise ValueError(f"gamma pole at x={x}")
-    if x < 0.5:
-        # Gamma(x) Gamma(1-x) = pi / sin(pi x)
-        return math.pi / (math.sin(math.pi * x) * gamma_fn(1.0 - x))
-    x -= 1.0
-    acc = _LANCZOS_COEFFS[0]
-    for i, c in enumerate(_LANCZOS_COEFFS[1:], start=1):
-        acc += c / (x + i)
-    t = x + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (x + 0.5) * math.exp(-t) * acc
-
-
-# ---------------------------------------------------------------------------
 # Taylor continuation for w'' = q(x) w with polynomial q
 # ---------------------------------------------------------------------------
 
 def _series_phase_cap(terms: int) -> float:
     """Largest per-substep phase sqrt(|q|)*h whose order-`terms` series tail
-    stays below 1e-24 (bisection on phi**terms / terms! = 1e-24; the eight
+    stays below 1e-24, the root of phi**terms / terms! = 1e-24 (the eight
     extra decades over the 1e-16 certificate absorb envelope slop near
     turning points, where the coefficient decay is not a clean power)."""
-    log_fact = math.lgamma(terms + 1)
-    lo, hi = 0.5, float(terms)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if terms * math.log(mid) - log_fact <= math.log(1e-24):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return math.exp((math.lgamma(terms + 1) + math.log(1e-24)) / terms)
 
 
 def _dd_shift_poly(coeffs: Sequence[float], x0: float):
@@ -262,25 +211,10 @@ def _dd_series(qhi, qlo, wh, wl, dh, dl, terms: int):
 
 def _dd_deriv_coeffs(chi, clo):
     """Double-double coefficients g_m = (m+1) c_(m+1) of the derivative
-    series: _dd_mul_d by m+1, written out, so bit-identical to it."""
-    ghi = []
-    glo = []
-    for m, (xh, xl) in enumerate(zip(chi[1:], clo[1:]), 1):
-        b = float(m)
-        t = _SPLIT * b
-        bh = t - (t - b)
-        bl = b - bh
-        p = xh * b
-        t = _SPLIT * xh
-        ah = t - (t - xh)
-        al = xh - ah
-        e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
-        e = e + xl * b
-        gh = p + e
-        z = gh - p
-        ghi.append(gh)
-        glo.append((p - (gh - z)) + (e - z))
-    return ghi, glo
+    series."""
+    pairs = [_dd_mul_d(xh, xl, float(m))
+             for m, (xh, xl) in enumerate(zip(chi[1:], clo[1:]), 1)]
+    return [p[0] for p in pairs], [p[1] for p in pairs]
 
 
 def _dd_horner(hi, lo, h: float):
@@ -500,8 +434,8 @@ class AiryQuad:
 
 def airy_origin_values() -> AiryQuad:
     """Exact values of Ai, Ai', Bi, Bi' at the origin."""
-    g13 = gamma_fn(1.0 / 3.0)
-    g23 = gamma_fn(2.0 / 3.0)
+    g13 = math.gamma(1.0 / 3.0)
+    g23 = math.gamma(2.0 / 3.0)
     return AiryQuad(
         ai=3.0 ** (-2.0 / 3.0) / g23,
         aip=-(3.0 ** (-1.0 / 3.0)) / g13,
@@ -610,10 +544,14 @@ def airy_pair(t: float, deriv: bool = True) -> AiryQuad:
 
 def _over_gamma(num: float, scale: float, x: float) -> float:
     """num / (scale * Gamma(x)), written with the reciprocal gamma so that
-    it is exactly 0 at the poles of Gamma, where 1/Gamma(x) vanishes."""
+    it is exactly 0 at the poles of Gamma, where 1/Gamma(x) vanishes.
+    Raises OverflowError when the quotient is not finite."""
     if x <= 0.0 and x == math.floor(x):
         return 0.0
-    return num / (scale * gamma_fn(x))
+    out = num / (scale * math.gamma(x))
+    if not math.isfinite(out):
+        raise OverflowError(f"{num} / ({scale} * Gamma({x})) overflows")
+    return out
 
 
 def pcf_origin_values(nu: float) -> tuple[float, float]:
@@ -621,28 +559,13 @@ def pcf_origin_values(nu: float) -> tuple[float, float]:
 
     U(nu, 0) = sqrt(pi) / (2^(nu/2 + 1/4) Gamma(3/4 + nu/2)) and
     U'(nu, 0) = -sqrt(pi) / (2^(nu/2 - 1/4) Gamma(1/4 + nu/2)); either is 0
-    where its gamma argument is a pole (nu = -1/2, -3/2, -5/2, ...).
+    where its gamma argument is a pole (nu = -1/2, -3/2, -5/2, ...). Below
+    nu of about -288 they overflow: this raises OverflowError, or
+    ZeroDivisionError once the denominator underflows to 0.
     """
     u0 = _over_gamma(SQRT_PI, 2.0 ** (0.5 * nu + 0.25), 0.75 + 0.5 * nu)
     du0 = _over_gamma(-SQRT_PI, 2.0 ** (0.5 * nu - 0.25), 0.25 + 0.5 * nu)
     return u0, du0
-
-
-def pcf_U(nu: float, z: float) -> tuple[float, float]:
-    """Parabolic cylinder pair (U(nu, z), U'(nu, z)).
-
-    Continuation of w'' = (z^2/4 + nu) w from the closed-form origin values.
-    Intended for the oscillatory span of the quadratic benchmark. For |nu|
-    above about 283 the gamma factors of the origin values overflow and
-    this raises OverflowError or ZeroDivisionError (make_pcf_problem
-    reports either as ValueError). At nu = -1/2, -3/2, -5/2, ..., where
-    3/4 + nu/2 or 1/4 + nu/2 is a pole of gamma, the matching origin value
-    is exactly 0.
-    """
-    u0, du0 = pcf_origin_values(nu)
-    if z == 0.0:
-        return u0, du0
-    return taylor_continuation([nu, 0.0, 0.25], 0.0, u0, du0, z)
 
 
 # ---------------------------------------------------------------------------

@@ -177,7 +177,7 @@ def test_bad_flags_exit_two(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("eps", ["1e-3", "1e-4"])
+@pytest.mark.parametrize("eps", ["1.2e-3", "1e-3", "1e-4"])
 def test_pcf_origin_overflow_exits_two(tmp_path, capsys, eps):
     code = run_cli(["solve", "--problem", "pcf", "--eps", eps,
                     "--out", str(tmp_path / "run")])
@@ -423,6 +423,19 @@ def test_readme_command_lines_parse():
     for argv in commands:
         assert argv[0] == "wkbmarch"
         parser.parse_args(argv[1:])
+
+
+def test_readme_imports_run():
+    # Every `from wkbmarch... import ...` line in the README imports, so a
+    # deleted or renamed name cannot survive in the docs.
+    import re
+    from pathlib import Path
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = re.findall(r"from wkbmarch[\w.]* import \w+(?:, \w+)*", readme)
+    assert len(lines) >= 4
+    for line in lines:
+        exec(line, {})
 
 
 def test_readme_public_api_matches_all():

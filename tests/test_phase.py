@@ -71,6 +71,28 @@ def test_cc_rule_mirror_symmetric():
             assert ws[j] == ws[n - j]
 
 
+@pytest.mark.parametrize("a, b", [(1e-20, 1.0), (0.1, 0.3), (-2.5, 7.0)])
+def test_cc_end_nodes_are_the_interval_ends(a, b):
+    # mid -/+ half rounds to 0.0 instead of a = 1e-20, and 0.1 + 0.2 * 1
+    # overshoots b = 0.3; the rule must sample a and b themselves.
+    seen = []
+
+    def record(x):
+        seen.append(x)
+        return 1.0
+
+    assert clenshaw_curtis(record, a, b) == pytest.approx(b - a)
+    assert (min(seen), max(seen)) == (a, b)
+
+
+def test_cc_increment_stays_inside_admissible_interval():
+    # a = x is above the guard on all of [1e-20, 1], so the cc increment
+    # must not sample a(0.0).
+    p = make_polynomial_problem([0.0, 1.0], 1.0, (1e-20, 1.0),
+                                tau_guard=1e-300)
+    assert math.isfinite(PhaseProvider(p, "cc").increment(1e-20, 1.0))
+
+
 def test_cc_rejects_bad_input():
     with pytest.raises(ValueError):
         clenshaw_curtis(lambda x: x, 0.0, 1.0, 1)

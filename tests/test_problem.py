@@ -3,6 +3,7 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from wkbmarch import (CoefficientField, WaveState, make_airy_problem,
                       make_pcf_problem, make_polynomial_problem,
                       problem_from_json)
-from wkbmarch.reference import gamma_fn
 from wkbmarch.wkb_core import eval_bk
 
 
@@ -87,15 +87,15 @@ def test_constant_field_b_vanishes():
 # ---------------------------------------------------------------------------
 
 def test_airy_initial_data_at_origin():
-    # Closed-form start values in the scaled-derivative convention.
+    # Ai(0) + i Bi(0) and, in the scaled-derivative convention,
+    # eps phi'(0) = -eps^(1/3) (Ai'(0) + i Bi'(0)), against mpmath.
+    ai, bi = mpmath.airyai(0), mpmath.airybi(0)
+    aip, bip = mpmath.airyai(0, 1), mpmath.airybi(0, 1)
     for eps in (1.0, 0.25):
         p = make_airy_problem(eps, x_start=0.0, x_end=50.0)
-        g13, g23 = gamma_fn(1 / 3), gamma_fn(2 / 3)
-        expect_phi = complex(3 ** (-2 / 3), 3 ** (-1 / 6)) / g23
-        expect_scaled = complex(3 ** (-1 / 3), -(3 ** (1 / 6)))
-        expect_scaled /= eps ** (-1 / 3) * g13
-        assert p.initial.phi == pytest.approx(expect_phi, rel=1e-13)
-        assert eps * p.initial.dphi == pytest.approx(expect_scaled, rel=1e-13)
+        expect_scaled = -complex(aip, bip) * eps ** (1 / 3)
+        assert p.initial.phi == pytest.approx(complex(ai, bi), rel=1e-15)
+        assert eps * p.initial.dphi == pytest.approx(expect_scaled, rel=1e-15)
 
 
 def test_airy_b_at_one():
@@ -184,9 +184,9 @@ def test_pcf_domain_validation():
         make_pcf_problem(0.1, x_start=0.5, x_end=2.5)
 
 
-@pytest.mark.parametrize("eps", [1e-3, 1e-4])
+@pytest.mark.parametrize("eps", [1.2e-3, 1e-3, 1e-4])
 def test_pcf_origin_overflow_is_value_error(eps):
-    # Below eps of about 1.3e-3 the gamma factors of U(nu, 0) overflow.
+    # Below eps of about 1.23e-3 U(nu, 0) or its continuation overflows.
     with pytest.raises(ValueError, match=f"epsilon={eps!r}"):
         make_pcf_problem(eps)
 
@@ -199,40 +199,43 @@ def test_non_finite_epsilon_is_value_error(eps):
 
 
 # Reference values at a few nodes, pinned to their float reprs: any change
-# to the continuation that loses double-double precision moves them.
+# to the continuation that loses double-double precision moves them. Test
+# ids name the node only, so a re-pin keeps them.
 AIRY_PINNED = [
-    (0.1, 0.3808486681201217+0.5699990430029551j,
-     0.2569581123236461-0.45121336229346115j),
-    (1.7, 0.3886070373963288-0.2962026576104955j,
-     -0.4461245546360752-0.4790613384734482j),
-    (7.3, 0.33577037051514735+0.07087411376989668j,
-     0.18009580448329351-0.9099842704363246j),
-    (23.9, -0.03534764315588533-0.2527059972835695j,
-     -1.2350640508438835+0.17545140078651744j),
-    (49.5, 0.09875396351033588+0.1883884114801695j,
-     1.3249329151788827-0.6957480645144916j),
+    (0.1, 0.3808486681201215+0.5699990430029548j,
+     0.2569581123236462-0.4512133622934612j),
+    (1.7, 0.3886070373963288-0.2962026576104957j,
+     -0.4461245546360751-0.4790613384734478j),
+    (7.3, 0.3357703705151473+0.07087411376989647j,
+     0.18009580448329368-0.9099842704363245j),
+    (23.9, -0.035347643155885275-0.25270599728356946j,
+     -1.2350640508438833+0.17545140078651814j),
+    (49.5, 0.09875396351033584+0.1883884114801694j,
+     1.3249329151788827-0.6957480645144921j),
 ]
 PCF_PINNED = [
-    (0.01, -2.3173806110822452-0.47016624442725125j,
-     -23.94785307023603-4.858706457749373j),
-    (0.37, 0.8748715779088764+0.17750001107908692j,
-     71.44390899839449+14.495035567459182j),
-    (1.0, 1.9209286091224222+0.3897313137276002j,
-     -17.637225905761788-3.5783626679927987j),
-    (1.42, 2.0104168556691913+0.4078873095955492j,
-     18.459504258763005+3.7451922009817094j),
-    (1.99, -0.897089517825164-0.18200774076293577j,
-     38.5103211759048+7.813240946426389j),
+    (0.01, -2.3173806110822506-0.47016624442725746j,
+     -23.947853070235926-4.858706457749405j),
+    (0.37, 0.87487157790888+0.1775000110790896j,
+     71.44390899839438+14.495035567459318j),
+    (1.0, 1.9209286091224202+0.3897313137276041j,
+     -17.63722590576196-3.5783626679928724j),
+    (1.42, 2.010416855669191+0.40788730959555364j,
+     18.45950425876282+3.745192200981713j),
+    (1.99, -0.8970895178251554-0.18200774076293605j,
+     38.51032117590484+7.813240946426483j),
 ]
 
 
-@pytest.mark.parametrize("x, phi, dphi", AIRY_PINNED)
+@pytest.mark.parametrize("x, phi, dphi", AIRY_PINNED,
+                         ids=[str(row[0]) for row in AIRY_PINNED])
 def test_airy_exact_pinned(airy1, x, phi, dphi):
     s = airy1.exact(x)
     assert (repr(s.phi), repr(s.dphi)) == (repr(phi), repr(dphi))
 
 
-@pytest.mark.parametrize("x, phi, dphi", PCF_PINNED)
+@pytest.mark.parametrize("x, phi, dphi", PCF_PINNED,
+                         ids=[str(row[0]) for row in PCF_PINNED])
 def test_pcf_exact_pinned(pcf6, x, phi, dphi):
     s = pcf6.exact(x)
     assert (repr(s.phi), repr(s.dphi)) == (repr(phi), repr(dphi))

@@ -1,6 +1,6 @@
-"""Special-function layer: gamma, Airy hybrid, parabolic cylinder, metrics.
+"""Special-function layer: Airy hybrid, parabolic cylinder, metrics.
 
-Independent oracles used here: scipy.special (gamma, airy), mpmath (pcfu),
+Independent oracles used here: scipy.special (airy), mpmath (pcfu),
 scipy.integrate.solve_ivp at tight tolerance, and cross-validation between
 the asymptotic expansions and the Taylor continuation, which share no code
 path beyond float arithmetic.
@@ -26,43 +26,9 @@ from wkbmarch.reference import (AIRY_VALUE_SWITCH, _airy_continued,
                                 _dd_mul_dd, _dd_recip_int, _dd_series,
                                 _dd_shift_poly, airy_asymptotic,
                                 airy_origin_values, asymptotic_coeffs,
-                                gamma_fn, pcf_origin_values, pcf_U,
-                                taylor_continuation)
+                                pcf_origin_values, taylor_continuation)
 
 EPS_MACH = 2.220446049250313e-16
-
-
-# ---------------------------------------------------------------------------
-# gamma
-# ---------------------------------------------------------------------------
-
-def test_gamma_trivial_values():
-    assert gamma_fn(1.0) == pytest.approx(1.0, rel=1e-14)
-    assert gamma_fn(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
-
-
-def test_gamma_two_thirds():
-    # Independent oracle: reflection, Gamma(2/3) = 2*pi/(sqrt(3)*Gamma(1/3)).
-    val = gamma_fn(2.0 / 3.0)
-    assert val == pytest.approx(2.0 * math.pi / (math.sqrt(3.0) * gamma_fn(1.0 / 3.0)),
-                                rel=1e-12)
-    assert val == pytest.approx(1.3541179394264005, rel=1e-12)
-
-
-def test_gamma_reflection_product():
-    prod = gamma_fn(1.0 / 3.0) * gamma_fn(2.0 / 3.0)
-    assert prod == pytest.approx(2.0 * math.pi / math.sqrt(3.0), rel=1e-12)
-
-
-@pytest.mark.parametrize("x", [0.1, 0.75, 2.5, 7.25, 9.9, -0.664, -10.56])
-def test_gamma_matches_scipy(x):
-    assert gamma_fn(x) == pytest.approx(float(sp.gamma(x)), rel=1e-13)
-
-
-@pytest.mark.parametrize("x", [0.0, -1.0, -7.0])
-def test_gamma_poles_raise(x):
-    with pytest.raises(ValueError):
-        gamma_fn(x)
 
 
 # ---------------------------------------------------------------------------
@@ -318,12 +284,28 @@ def test_remark_floor_scaling():
 NU = -1.0 / (math.sqrt(8.0) * 2.0 ** -6)
 
 
-def test_pcf_origin_closed_form():
-    u, du = pcf_U(NU, 0.0)
-    expect_u = math.sqrt(math.pi) / (2.0 ** (NU / 2 + 0.25) * gamma_fn(0.75 + NU / 2))
-    expect_du = -math.sqrt(math.pi) / (2.0 ** (NU / 2 - 0.25) * gamma_fn(0.25 + NU / 2))
-    assert u == pytest.approx(expect_u, rel=1e-14)
-    assert du == pytest.approx(expect_du, rel=1e-14)
+def pcf_U(nu, z):
+    """(U(nu, z), U'(nu, z)) from a checkpoint table seeded at the origin
+    values, the route make_pcf_problem takes."""
+    table = _ContinuationTable([nu, 0.0, 0.25], 0.0, pcf_origin_values(nu))
+    wh, wl, dh, dl = table.state_at(z)
+    return wh + wl, dh + dl
+
+
+# eps from the benchmark's 2^-6 down to the overflow onset of make_pcf_problem.
+ORIGIN_EPS = [float(e) for e in np.geomspace(2.0 ** -6, 1.2275e-3, 40)]
+
+
+def test_pcf_origin_values_match_mpmath():
+    # U'(nu, 0) = -(nu + 1/2) U(nu + 1, 0) (DLMF 12.8.2 at z = 0).
+    with mpmath.workdps(40):
+        for eps in ORIGIN_EPS:
+            nu = -1.0 / (math.sqrt(8.0) * eps)
+            u, du = pcf_origin_values(nu)
+            ref = mpmath.pcfu(nu, 0)
+            dref = -(mpmath.mpf(nu) + 0.5) * mpmath.pcfu(mpmath.mpf(nu) + 1, 0)
+            assert abs(u - ref) <= 1e-14 * abs(ref), eps
+            assert abs(du - dref) <= 1e-14 * abs(dref), eps
 
 
 @pytest.mark.parametrize("z", [0.5, 3.0, 9.42, -5.0, -9.42])
@@ -492,7 +474,7 @@ def test_airy_exact_wronskian_constant(airy1):
 def test_pcf_exact_at_center(pcf6):
     # z(1) = 0, so phi(1) = kappa * U(nu, 0).
     s = pcf6.exact(1.0)
-    u0, _ = pcf_U(NU, 0.0)
+    u0, _ = pcf_origin_values(NU)
     kappa = s.phi / u0
     # kappa normalization: phi(1) + i sqrt(2) eps phi'(1) = 2.
     val = s.phi + 1j * math.sqrt(2.0) * pcf6.epsilon * s.dphi
