@@ -250,7 +250,7 @@ def _dd_horner(hi, lo, h: float):
 
 def _check_tail(chi, h: float, x: float) -> None:
     """Convergence certificate of one substep: the last two terms of the
-    series at t = h must stay below 1e-16 of the term-magnitude sum."""
+    series at t = h must stay within 1e-16 of a finite term-magnitude sum."""
     bulk = 0.0
     hpow = 1.0
     prev_mag = 0.0
@@ -261,7 +261,7 @@ def _check_tail(chi, h: float, x: float) -> None:
         prev_mag, last_mag = last_mag, mag
         hpow *= abs(h)
     tail = last_mag + prev_mag
-    if bulk > 0.0 and tail > 1e-16 * bulk:
+    if not (bulk < math.inf and tail <= 1e-16 * bulk):
         raise ContinuationError(
             f"series tail {tail:.2e} above 1e-16 of partial sum at x={x}")
 

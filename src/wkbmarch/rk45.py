@@ -9,23 +9,23 @@ oscillatory regime the controller hands over to the transformed steps.
 
 from __future__ import annotations
 
-import cmath
+from cmath import isfinite
 
 from .state import SolverError, WaveState
 
-# Classical Fehlberg tableau.
-_C = (0.0, 1.0 / 4.0, 3.0 / 8.0, 12.0 / 13.0, 1.0, 1.0 / 2.0)
-_A = (
-    (),
-    (1.0 / 4.0,),
-    (3.0 / 32.0, 9.0 / 32.0),
-    (1932.0 / 2197.0, -7200.0 / 2197.0, 7296.0 / 2197.0),
-    (439.0 / 216.0, -8.0, 3680.0 / 513.0, -845.0 / 4104.0),
-    (-8.0 / 27.0, 2.0, -3544.0 / 2565.0, 1859.0 / 4104.0, -11.0 / 40.0),
-)
-_B4 = (25.0 / 216.0, 0.0, 1408.0 / 2565.0, 2197.0 / 4104.0, -1.0 / 5.0, 0.0)
-_B5 = (16.0 / 135.0, 0.0, 6656.0 / 12825.0, 28561.0 / 56430.0,
-       -9.0 / 50.0, 2.0 / 55.0)
+# Classical Fehlberg tableau: nodes C<i> (C1 = 0, C5 = 1), weights A<i><j>
+# and B4<j>, B5<j>. The weighted sums of the step run left to right, the
+# final ones from 0.0, and leave out the zero weights B42, B46 and B52.
+C2, C3, C4, C6 = 1.0 / 4.0, 3.0 / 8.0, 12.0 / 13.0, 1.0 / 2.0
+A21 = 1.0 / 4.0
+A31, A32 = 3.0 / 32.0, 9.0 / 32.0
+A41, A42, A43 = 1932.0 / 2197.0, -7200.0 / 2197.0, 7296.0 / 2197.0
+A51, A52, A53, A54 = 439.0 / 216.0, -8.0, 3680.0 / 513.0, -845.0 / 4104.0
+A61, A62, A63, A64, A65 = (-8.0 / 27.0, 2.0, -3544.0 / 2565.0,
+                           1859.0 / 4104.0, -11.0 / 40.0)
+B41, B43, B44, B45 = 25.0 / 216.0, 1408.0 / 2565.0, 2197.0 / 4104.0, -0.2
+B51, B53, B54, B55, B56 = (16.0 / 135.0, 6656.0 / 12825.0,
+                           28561.0 / 56430.0, -9.0 / 50.0, 2.0 / 55.0)
 
 
 def rkf45_step(problem, state: WaveState,
@@ -41,23 +41,45 @@ def rkf45_step(problem, state: WaveState,
     inv_eps2 = 1.0 / problem.epsilon ** 2
     field = problem.field
     x0, phi0, dphi0 = state.x, state.phi, state.dphi
-    k_phi, k_dphi = [], []   # stage slopes of phi and phi'
-    for i in range(6):
-        phi, dphi = phi0, dphi0
-        for j, aij in enumerate(_A[i]):
-            phi += h * aij * k_phi[j]
-            dphi += h * aij * k_dphi[j]
-        xi = x0 + _C[i] * h
-        ddphi = -field(xi) * phi * inv_eps2
-        if not (cmath.isfinite(dphi) and cmath.isfinite(ddphi)):
-            raise SolverError(f"non-finite right-hand side near x={xi}")
-        k_phi.append(dphi)
-        k_dphi.append(ddphi)
-
-    def combine(weights):
-        return WaveState(
-            x0 + h,
-            complex(phi0 + h * sum(b * k for b, k in zip(weights, k_phi))),
-            complex(dphi0 + h * sum(b * k for b, k in zip(weights, k_dphi))))
-
-    return combine(_B4), combine(_B5)
+    xi = x0 + 0.0 * h  # C1 = 0, kept: it maps x0 = -0.0 to 0.0
+    k1, l1 = dphi0, -field(xi) * phi0 * inv_eps2
+    if not (isfinite(k1) and isfinite(l1)):
+        raise SolverError(f"non-finite right-hand side near x={xi}")
+    xi, w1 = x0 + C2 * h, h * A21
+    k2, l2 = dphi0 + w1 * l1, -field(xi) * (phi0 + w1 * k1) * inv_eps2
+    if not (isfinite(k2) and isfinite(l2)):
+        raise SolverError(f"non-finite right-hand side near x={xi}")
+    xi, w1, w2 = x0 + C3 * h, h * A31, h * A32
+    k3 = dphi0 + w1 * l1 + w2 * l2
+    l3 = -field(xi) * (phi0 + w1 * k1 + w2 * k2) * inv_eps2
+    if not (isfinite(k3) and isfinite(l3)):
+        raise SolverError(f"non-finite right-hand side near x={xi}")
+    xi, w1, w2, w3 = x0 + C4 * h, h * A41, h * A42, h * A43
+    k4 = dphi0 + w1 * l1 + w2 * l2 + w3 * l3
+    l4 = -field(xi) * (phi0 + w1 * k1 + w2 * k2 + w3 * k3) * inv_eps2
+    if not (isfinite(k4) and isfinite(l4)):
+        raise SolverError(f"non-finite right-hand side near x={xi}")
+    xi, w1, w2, w3, w4 = x0 + h, h * A51, h * A52, h * A53, h * A54
+    k5 = dphi0 + w1 * l1 + w2 * l2 + w3 * l3 + w4 * l4
+    l5 = (-field(xi) * (phi0 + w1 * k1 + w2 * k2 + w3 * k3 + w4 * k4)
+          * inv_eps2)
+    if not (isfinite(k5) and isfinite(l5)):
+        raise SolverError(f"non-finite right-hand side near x={xi}")
+    xi = x0 + C6 * h
+    w1, w2, w3, w4, w5 = h * A61, h * A62, h * A63, h * A64, h * A65
+    k6 = dphi0 + w1 * l1 + w2 * l2 + w3 * l3 + w4 * l4 + w5 * l5
+    l6 = (-field(xi) * (phi0 + w1 * k1 + w2 * k2 + w3 * k3 + w4 * k4
+                        + w5 * k5) * inv_eps2)
+    if not (isfinite(k6) and isfinite(l6)):
+        raise SolverError(f"non-finite right-hand side near x={xi}")
+    x1 = x0 + h
+    return (WaveState(x1, complex(phi0 + h * (0.0 + B41 * k1 + B43 * k3
+                                              + B44 * k4 + B45 * k5)),
+                      complex(dphi0 + h * (0.0 + B41 * l1 + B43 * l3
+                                           + B44 * l4 + B45 * l5))),
+            WaveState(x1, complex(phi0 + h * (0.0 + B51 * k1 + B53 * k3
+                                              + B54 * k4 + B55 * k5
+                                              + B56 * k6)),
+                      complex(dphi0 + h * (0.0 + B51 * l1 + B53 * l3
+                                           + B54 * l4 + B55 * l5
+                                           + B56 * l6))))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .phase import PhaseProvider
 from .state import WaveState, WKBInadmissibleError
-from .wkb_core import Endpoint, b_jet, jet_div
+from .wkb_core import Endpoint, b_jet
 
 # Below this magnitude the 2x2 fit denominators count as degenerate and the
 # step is rejected rather than evaluated.
@@ -64,7 +64,7 @@ def wkb_basis(problem, x: float) -> Endpoint:
     """
     eps = problem.epsilon
     # ph1, ph2: the phase derivative sqrt(a) - eps^2 b and its derivative.
-    a, s, bj, (ph1, ph2, _) = b_jet(problem, x, 2)
+    a, s, bj, (ph1, ph2, _, _) = b_jet(problem, x, 3)
     # Amplitude log: -(1/4) log a; only its derivatives are needed.
     a1 = a[1]
     a2 = 2.0 * a[2]
@@ -83,14 +83,18 @@ def wkb_basis(problem, x: float) -> Endpoint:
             raise WKBInadmissibleError(f"non-finite record entry at x={x}")
         return f
 
-    p3 = jet_div(bj, [2.0 * sk for sk in s], 2)  # phi3 jet
+    # phi3 = b / (2 sqrt(a)) to order 2, the quotient recursion written out.
+    t0, t1, t2 = 2.0 * s[0], 2.0 * s[1], 2.0 * s[2]
+    p0 = bj[0] / t0
+    p1 = (bj[1] - (0.0 + t1 * p0)) / t0
+    p2 = (bj[2] - (0.0 + t1 * p1 + t2 * p0)) / t0
     try:
-        corr = math.exp(eps2 * p3[0])
+        corr = math.exp(eps2 * p0)
     except OverflowError as exc:  # large b over a tiny sqrt(a)
         raise WKBInadmissibleError(
-            f"order-3 basis factor exp({eps2 * p3[0]}) overflows") from exc
+            f"order-3 basis factor exp({eps2 * p0}) overflows") from exc
     return Endpoint(x, a[0], basis=(basis(1.0, 0.0, 0.0), basis(
-        corr, eps2 * p3[1], eps2 * 2.0 * p3[2])))
+        corr, eps2 * p1, eps2 * 2.0 * p2)))
 
 
 def _fit_pair(v0: complex, v1: complex, g, h):

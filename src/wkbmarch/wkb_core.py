@@ -21,8 +21,9 @@ which `control.integrate` builds once per run (`eval_bk` for this scheme);
 a point where a guard trips gets no record, so a step never reads one.
 
 b and all b_k derivatives are expanded analytically through truncated
-Taylor jets over the coefficient field's derivative tower; numerical
-differentiation is never used here (the schemes multiply b_3 by
+Taylor jets over the coefficient field's derivative tower, written out in
+the rounding order of the generic recursions in tests/test_kernels.py;
+numerical differentiation is never used here (the schemes multiply b_3 by
 eps^5 h_2(2s/eps), so noise in the tower would be amplified badly at small
 eps). `b_jet` is the only place b, and the phase derivative
 sqrt(a) - eps^2 b with its guard, are built from the derivatives of a.
@@ -40,52 +41,7 @@ from .state import WaveState, WKBInadmissibleError
 # Relative floor for the transformed frequency sqrt(a) - eps^2 b.
 PHASE_DERIV_GUARD = 1e-10
 
-_FACTORIALS = tuple(float(math.factorial(j)) for j in range(6))
-
 SQRT2 = math.sqrt(2.0)
-
-
-# ---------------------------------------------------------------------------
-# Taylor jets: lists c[0..n] of floats with c[j] = f^(j)(x)/j!, truncated
-# at the order n each quantity is read to.
-# ---------------------------------------------------------------------------
-
-def jet_mul(u, v, n: int) -> list[float]:
-    """u * v to order n."""
-    out = []
-    for k in range(n + 1):
-        acc = 0.0
-        for j in range(k + 1):
-            acc += u[j] * v[k - j]
-        out.append(acc)
-    return out
-
-
-def jet_div(u, v, n: int) -> list[float]:
-    """u / v to order n."""
-    out = [u[0] / v[0]]
-    for k in range(1, n + 1):
-        acc = 0.0
-        for j in range(1, k + 1):
-            acc += v[j] * out[k - j]
-        out.append((u[k] - acc) / v[0])
-    return out
-
-
-def jet_sqrt(u, n: int) -> list[float]:
-    """sqrt(u) to order n."""
-    out = [math.sqrt(u[0])]
-    for k in range(1, n + 1):
-        acc = 0.0
-        for j in range(1, k):
-            acc += out[j] * out[k - j]
-        out.append((u[k] - acc) / (2.0 * out[0]))
-    return out
-
-
-def jet_deriv(u, n: int) -> list[float]:
-    """u' to order n (reads u to order n + 1)."""
-    return [u[j + 1] * (j + 1) for j in range(n + 1)]
 
 
 @dataclass(frozen=True)
@@ -126,35 +82,67 @@ class ZState:
 
 def b_jet(problem, x: float, order: int):
     """The jets (a, sqrt(a), b, sqrt(a) - eps^2 b) at x, each to `order`
-    (at most 3).
+    (at most 3), as lists of Taylor coefficients c_k = f^(k)(x)/k!.
 
     b(x) = -(a^(-1/4))'' / (2 a^(1/4)) is expanded through the chain rule as
     b = -(5/32) a'^2 a^(-5/2) + (1/8) a'' a^(-3/2), which reads a to
     order + 2; the derivative tower reaches a^(5), hence the cap. The last
     jet is the phase derivative of the oscillatory factor; where it falls
     below PHASE_DERIV_GUARD * sqrt(a) or is not finite, x is inadmissible.
+
+    The order-0 heads come first (all the cc phase integrand reads), then
+    every coefficient to order 3; sums keep the generic recursion's 0.0 seed.
     """
-    tower = problem.field.jet(x, order + 2)
-    a0 = tower[0]
+    if order == 0:
+        a0, a1, t2 = problem.field.jet(x, 2)
+    else:
+        a0, a1, t2, t3, t4, t5 = problem.field.jet(x, 5)
     # b divides by a^(5/2), which underflows to 0 where a is still normal.
     if a0 < problem.tau_guard or a0 * a0 * math.sqrt(a0) == 0.0:
         raise WKBInadmissibleError(f"a({x}) = {a0} below tau guard")
-    n = order
-    a = [tower[k] / _FACTORIALS[k] for k in range(n + 3)]
-    a1 = jet_deriv(a, n + 1)
-    a2 = jet_deriv(a1, n)
-    s = jet_sqrt(a, n)
-    a_s = jet_mul(a, s, n)                  # a^(3/2)
-    a2_s = jet_mul(jet_mul(a, a, n), s, n)  # a^(5/2)
-    term1 = jet_div(jet_mul(a1, a1, n), a2_s, n)
-    term2 = jet_div(a2, a_s, n)
-    b = [-(5.0 / 32.0) * t1 + 0.125 * t2 for t1, t2 in zip(term1, term2)]
+    # Jets: s = sqrt(a), w = a^(3/2), aa = a^2, q = a^(5/2), d = a',
+    # e = a'', m = a'^2, f = a'^2 / a^(5/2) and g = a'' / a^(3/2).
+    s0, aa0, a2 = math.sqrt(a0), a0 * a0, t2 / 2.0
+    q0, w0, e0 = aa0 * s0, a0 * s0, a2 * 2
+    f0, g0 = a1 * a1 / q0, e0 / w0
+    b0 = -0.15625 * f0 + 0.125 * g0
     eps2 = problem.epsilon * problem.epsilon
-    phase = [sk - eps2 * bk for sk, bk in zip(s, b)]
-    if not PHASE_DERIV_GUARD * s[0] <= phase[0] < math.inf:
+    p0 = s0 - eps2 * b0
+    if not PHASE_DERIV_GUARD * s0 <= p0 < math.inf:
         raise WKBInadmissibleError(
-            f"phase derivative {phase[0]} degenerate or not finite at x={x}")
-    return a[:n + 1], s, b, phase
+            f"phase derivative {p0} degenerate or not finite at x={x}")
+    if order == 0:
+        return [a0], [s0], [b0], [p0]
+    a3, a4, a5 = t3 / 6.0, t4 / 24.0, t5 / 120.0
+    d1, d2, d3 = e0, a3 * 3, a4 * 4
+    e1, e2, e3 = d2 * 2, d3 * 3, a5 * 5 * 4
+    two_s0 = 2.0 * s0
+    s1 = a1 / two_s0
+    s2 = (a2 - s1 * s1) / two_s0
+    s3 = (a3 - (0.0 + s1 * s2 + s2 * s1)) / two_s0
+    w1 = 0.0 + a0 * s1 + a1 * s0
+    w2 = 0.0 + a0 * s2 + a1 * s1 + a2 * s0
+    w3 = 0.0 + a0 * s3 + a1 * s2 + a2 * s1 + a3 * s0
+    aa1 = 0.0 + a0 * a1 + a1 * a0
+    aa2 = 0.0 + a0 * a2 + a1 * a1 + a2 * a0
+    aa3 = 0.0 + a0 * a3 + a1 * a2 + a2 * a1 + a3 * a0
+    q1 = 0.0 + aa0 * s1 + aa1 * s0
+    q2 = 0.0 + aa0 * s2 + aa1 * s1 + aa2 * s0
+    q3 = 0.0 + aa0 * s3 + aa1 * s2 + aa2 * s1 + aa3 * s0
+    m1 = 0.0 + a1 * d1 + d1 * a1
+    m2 = 0.0 + a1 * d2 + d1 * d1 + d2 * a1
+    m3 = 0.0 + a1 * d3 + d1 * d2 + d2 * d1 + d3 * a1
+    f1 = (m1 - (0.0 + q1 * f0)) / q0
+    f2 = (m2 - (0.0 + q1 * f1 + q2 * f0)) / q0
+    f3 = (m3 - (0.0 + q1 * f2 + q2 * f1 + q3 * f0)) / q0
+    g1 = (e1 - (0.0 + w1 * g0)) / w0
+    g2 = (e2 - (0.0 + w1 * g1 + w2 * g0)) / w0
+    g3 = (e3 - (0.0 + w1 * g2 + w2 * g1 + w3 * g0)) / w0
+    b1, b2, b3 = (-0.15625 * f1 + 0.125 * g1, -0.15625 * f2 + 0.125 * g2,
+                  -0.15625 * f3 + 0.125 * g3)
+    jets = ([a0, a1, a2, a3], [s0, s1, s2, s3], [b0, b1, b2, b3],
+            [p0, s1 - eps2 * b1, s2 - eps2 * b2, s3 - eps2 * b3])
+    return jets if order == 3 else tuple(j[:order + 1] for j in jets)
 
 
 def eval_bk(problem, x: float) -> Endpoint:
@@ -163,20 +151,25 @@ def eval_bk(problem, x: float) -> Endpoint:
 
     b_0 = b / (2 (sqrt(a) - eps^2 b)), and each next b_{k+1} is the
     derivative of b_k over twice the phase derivative, so b_k is needed to
-    order 3 - k and b to order 3.
+    order 3 - k and b to order 3; the quotient recursions are written out.
     """
-    a, _, bj, phase = b_jet(problem, x, 3)
-    two_phase = [2.0 * p for p in phase]
-    b0 = jet_div(bj, two_phase, 3)
-    b1 = jet_div(jet_deriv(b0, 2), two_phase, 2)
-    b2 = jet_div(jet_deriv(b1, 1), two_phase, 1)
-    b3 = jet_div(jet_deriv(b2, 0), two_phase, 0)
-    shift = 0.25 * a[1] * a[0] ** -1.25
-    if not (isfinite(shift) and isfinite(bj[0]) and isfinite(b0[0])
-            and isfinite(b1[0]) and isfinite(b2[0]) and isfinite(b3[0])):
+    (a0, a1, _, _), _, (b, bd1, bd2, bd3), phase = b_jet(problem, x, 3)
+    # ydk is the k-th Taylor coefficient of y; t is the 2 phase' jet.
+    t0, t1, t2, t3 = [2.0 * p for p in phase]
+    b0 = b / t0
+    b0d1 = (bd1 - (0.0 + t1 * b0)) / t0
+    b0d2 = (bd2 - (0.0 + t1 * b0d1 + t2 * b0)) / t0
+    b0d3 = (bd3 - (0.0 + t1 * b0d2 + t2 * b0d1 + t3 * b0)) / t0
+    b1 = b0d1 / t0
+    b1d1 = (b0d2 * 2 - (0.0 + t1 * b1)) / t0
+    b1d2 = (b0d3 * 3 - (0.0 + t1 * b1d1 + t2 * b1)) / t0
+    b2 = b1d1 / t0
+    b3 = (b1d2 * 2 - (0.0 + t1 * b2)) / t0 / t0
+    shift = 0.25 * a1 * a0 ** -1.25
+    if not (isfinite(shift) and isfinite(b) and isfinite(b0)
+            and isfinite(b1) and isfinite(b2) and isfinite(b3)):
         raise WKBInadmissibleError(f"non-finite record entry at x={x}")
-    return Endpoint(x, a[0], a[0] ** 0.25, shift,
-                    BkTable(bj[0], b0[0], b1[0], b2[0], b3[0]))
+    return Endpoint(x, a0, a0 ** 0.25, shift, BkTable(b, b0, b1, b2, b3))
 
 
 # ---------------------------------------------------------------------------

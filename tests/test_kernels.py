@@ -1,0 +1,227 @@
+"""The written-out trial kernels against their generic forms, bit for bit.
+
+The reference implementations here are the generic truncated-Taylor-jet
+recursions (Cauchy products and quotients over lists of any order) and a
+Fehlberg step that loops over its tableau. `b_jet`, `eval_bk`, `wkb_basis`
+and `rkf45_step` unroll the same arithmetic in the same order, so every
+result must carry the same IEEE bits, signed zeros included, and every
+input must raise in both or in neither.
+"""
+
+import cmath
+import math
+from dataclasses import fields, is_dataclass
+
+from hypothesis import assume, example, given, settings, strategies as st
+
+from wkbmarch import WaveState, make_polynomial_problem
+from wkbmarch.rk45 import rkf45_step
+from wkbmarch.rkwkb import WKBBasis, wkb_basis
+from wkbmarch.state import SolverError, WKBInadmissibleError
+from wkbmarch.wkb_core import (PHASE_DERIV_GUARD, BkTable, Endpoint, b_jet,
+                               eval_bk)
+
+FACTORIALS = tuple(float(math.factorial(j)) for j in range(6))
+
+
+# ---------------------------------------------------------------------------
+# Generic jets: lists c[0..n] with c[j] = f^(j)(x)/j!, truncated at order n.
+# ---------------------------------------------------------------------------
+
+def jet_mul(u, v, n):
+    out = []
+    for k in range(n + 1):
+        acc = 0.0
+        for j in range(k + 1):
+            acc += u[j] * v[k - j]
+        out.append(acc)
+    return out
+
+
+def jet_div(u, v, n):
+    out = [u[0] / v[0]]
+    for k in range(1, n + 1):
+        acc = 0.0
+        for j in range(1, k + 1):
+            acc += v[j] * out[k - j]
+        out.append((u[k] - acc) / v[0])
+    return out
+
+
+def jet_sqrt(u, n):
+    out = [math.sqrt(u[0])]
+    for k in range(1, n + 1):
+        acc = 0.0
+        for j in range(1, k):
+            acc += out[j] * out[k - j]
+        out.append((u[k] - acc) / (2.0 * out[0]))
+    return out
+
+
+def jet_deriv(u, n):
+    return [u[j + 1] * (j + 1) for j in range(n + 1)]
+
+
+def generic_b_jet(problem, x, order):
+    tower = problem.field.jet(x, order + 2)
+    a0 = tower[0]
+    if a0 < problem.tau_guard or a0 * a0 * math.sqrt(a0) == 0.0:
+        raise WKBInadmissibleError("below tau guard")
+    n = order
+    a = [tower[k] / FACTORIALS[k] for k in range(n + 3)]
+    a1 = jet_deriv(a, n + 1)
+    a2 = jet_deriv(a1, n)
+    s = jet_sqrt(a, n)
+    a_s = jet_mul(a, s, n)
+    a2_s = jet_mul(jet_mul(a, a, n), s, n)
+    term1 = jet_div(jet_mul(a1, a1, n), a2_s, n)
+    term2 = jet_div(a2, a_s, n)
+    b = [-(5.0 / 32.0) * t1 + 0.125 * t2 for t1, t2 in zip(term1, term2)]
+    eps2 = problem.epsilon * problem.epsilon
+    phase = [sk - eps2 * bk for sk, bk in zip(s, b)]
+    if not PHASE_DERIV_GUARD * s[0] <= phase[0] < math.inf:
+        raise WKBInadmissibleError("phase derivative")
+    return a[:n + 1], s, b, phase
+
+
+def generic_eval_bk(problem, x):
+    a, _, bj, phase = generic_b_jet(problem, x, 3)
+    two_phase = [2.0 * p for p in phase]
+    b0 = jet_div(bj, two_phase, 3)
+    b1 = jet_div(jet_deriv(b0, 2), two_phase, 2)
+    b2 = jet_div(jet_deriv(b1, 1), two_phase, 1)
+    b3 = jet_div(jet_deriv(b2, 0), two_phase, 0)
+    shift = 0.25 * a[1] * a[0] ** -1.25
+    if not all(map(math.isfinite, (shift, bj[0], b0[0], b1[0], b2[0],
+                                   b3[0]))):
+        raise WKBInadmissibleError("non-finite record entry")
+    return Endpoint(x, a[0], a[0] ** 0.25, shift,
+                    BkTable(bj[0], b0[0], b1[0], b2[0], b3[0]))
+
+
+def generic_wkb_basis(problem, x):
+    eps = problem.epsilon
+    a, s, bj, (ph1, ph2, _) = generic_b_jet(problem, x, 2)
+    a1 = a[1]
+    a2 = 2.0 * a[2]
+    amp1 = -0.25 * a1 / a[0]
+    amp2 = -0.25 * (a2 / a[0] - (a1 / a[0]) ** 2)
+    eps2 = eps * eps
+    amp = a[0] ** -0.25
+
+    def basis(corr, c1, c2):
+        f = WKBBasis(amp * corr,
+                     amp1 + c1 + 1j * ph1 / eps, amp1 + c1 - 1j * ph1 / eps,
+                     amp2 + c2 + 1j * ph2 / eps, amp2 + c2 - 1j * ph2 / eps)
+        if not (math.isfinite(f.amp) and cmath.isfinite(f.lp_plus)
+                and cmath.isfinite(f.lpp_plus)):
+            raise WKBInadmissibleError("non-finite record entry")
+        return f
+
+    p3 = jet_div(bj, [2.0 * sk for sk in s], 2)
+    try:
+        corr = math.exp(eps2 * p3[0])
+    except OverflowError as exc:
+        raise WKBInadmissibleError("order-3 basis factor") from exc
+    return Endpoint(x, a[0], basis=(basis(1.0, 0.0, 0.0), basis(
+        corr, eps2 * p3[1], eps2 * 2.0 * p3[2])))
+
+
+# Fehlberg 4(5) tableau, looped over.
+C = (0.0, 1.0 / 4.0, 3.0 / 8.0, 12.0 / 13.0, 1.0, 1.0 / 2.0)
+A = (
+    (),
+    (1.0 / 4.0,),
+    (3.0 / 32.0, 9.0 / 32.0),
+    (1932.0 / 2197.0, -7200.0 / 2197.0, 7296.0 / 2197.0),
+    (439.0 / 216.0, -8.0, 3680.0 / 513.0, -845.0 / 4104.0),
+    (-8.0 / 27.0, 2.0, -3544.0 / 2565.0, 1859.0 / 4104.0, -11.0 / 40.0),
+)
+B4 = (25.0 / 216.0, 0.0, 1408.0 / 2565.0, 2197.0 / 4104.0, -1.0 / 5.0, 0.0)
+B5 = (16.0 / 135.0, 0.0, 6656.0 / 12825.0, 28561.0 / 56430.0,
+      -9.0 / 50.0, 2.0 / 55.0)
+
+
+def tableau_rkf45_step(problem, state, h):
+    inv_eps2 = 1.0 / problem.epsilon ** 2
+    x0, phi0, dphi0 = state.x, state.phi, state.dphi
+    k_phi, k_dphi = [], []
+    for i in range(6):
+        phi, dphi = phi0, dphi0
+        for j, aij in enumerate(A[i]):
+            phi += h * aij * k_phi[j]
+            dphi += h * aij * k_dphi[j]
+        xi = x0 + C[i] * h
+        ddphi = -problem.field.jet(xi, 0)[0] * phi * inv_eps2
+        if not (cmath.isfinite(dphi) and cmath.isfinite(ddphi)):
+            raise SolverError("non-finite right-hand side")
+        k_phi.append(dphi)
+        k_dphi.append(ddphi)
+
+    def combine(weights):
+        return WaveState(
+            x0 + h,
+            complex(phi0 + h * sum(b * k for b, k in zip(weights, k_phi))),
+            complex(dphi0 + h * sum(b * k for b, k in zip(weights, k_dphi))))
+
+    return combine(B4), combine(B5)
+
+
+# ---------------------------------------------------------------------------
+# The property
+# ---------------------------------------------------------------------------
+
+def bits(value):
+    """Every float in `value` as float.hex, real and imaginary parts apart,
+    so -0.0 and 0.0 differ."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, complex):
+        return value.real.hex(), value.imag.hex()
+    if is_dataclass(value):
+        return tuple(bits(getattr(value, f.name)) for f in fields(value))
+    if isinstance(value, (list, tuple)):
+        return type(value).__name__, tuple(bits(v) for v in value)
+    return value
+
+
+def outcome(fn, *args):
+    try:
+        return bits(fn(*args))
+    except (WKBInadmissibleError, SolverError, ArithmeticError) as exc:
+        return type(exc).__name__
+
+
+coefficient = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-4.0, 4.0))
+# Zero states and zero x make -0.0 products; the largest states overflow
+# the right-hand side, which both steps must reject.
+complex_state = st.one_of(
+    st.sampled_from([0j, complex(-0.0, 0.0), complex(0.0, -0.0),
+                     complex(1e300, -1e300)]),
+    st.complex_numbers(max_magnitude=1e300, allow_nan=False,
+                       allow_infinity=False))
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(coeffs=st.integers(1, 5).flatmap(
+           lambda d: st.lists(coefficient, min_size=d + 1, max_size=d + 1)),
+       x=st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-3.0, 3.0)),
+       eps=st.floats(2.0 ** -10, 1.0),
+       phi=complex_state, dphi=complex_state,
+       h=st.floats(1e-6, 2.0))
+# At x = -0.0 these coefficients give jets with -0.0 entries, where a sum
+# that drops its 0.0 seed changes the sign of a zero.
+@example(coeffs=[1.0, -0.0, -1.0, -0.0], x=-0.0, eps=0.5, phi=0j, dphi=0j,
+         h=0.5)
+def test_kernels_match_generic_forms_bit_for_bit(coeffs, x, eps, phi, dphi,
+                                                 h):
+    p = make_polynomial_problem(coeffs, eps, (x, x + 10.0),
+                                initial=WaveState(x, phi, dphi))
+    assume(p.field(x) > 0.0)
+    for order in (0, 2, 3):
+        assert outcome(b_jet, p, x, order) == outcome(generic_b_jet, p, x,
+                                                      order)
+    assert outcome(eval_bk, p, x) == outcome(generic_eval_bk, p, x)
+    assert outcome(wkb_basis, p, x) == outcome(generic_wkb_basis, p, x)
+    assert outcome(rkf45_step, p, p.initial, h) == outcome(
+        tableau_rkf45_step, p, p.initial, h)

@@ -19,7 +19,8 @@ import scipy.special as sp
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
-from wkbmarch import WaveState, airy_pair, global_error, reference
+from wkbmarch import (ContinuationError, WaveState, airy_pair,
+                      global_error, make_pcf_problem, reference)
 from wkbmarch.reference import (AIRY_VALUE_SWITCH, _airy_continued,
                                 _ContinuationTable, _dd_add,
                                 _dd_deriv_coeffs, _dd_horner, _dd_mul_d,
@@ -95,6 +96,22 @@ def test_continuation_airy_vs_asymptotics_at_600():
 def test_continuation_parameter_guards():
     with pytest.raises(ValueError):
         taylor_continuation([0.0], 0.0, 1.0, 1.0, 1.0, terms=10)
+
+
+@pytest.mark.parametrize("w0, dw0", [(1e305, 1e305), (math.nan, 1.0)])
+def test_continuation_non_finite_series_is_not_certified(w0, dw0):
+    # Past about 1.3e300 the double-double split (2^27 + 1) w overflows and
+    # the series coefficients turn NaN; a NaN start is NaN at once. The
+    # tail certificate fails on a non-finite term sum instead of passing it.
+    with pytest.raises(ContinuationError):
+        taylor_continuation([1.0], 0.0, w0, dw0, 3.0)
+
+
+def test_pcf_reference_overflow_names_x_and_epsilon():
+    # At eps = 1.2e-3 U(nu, 0) is finite but its continuation overflows:
+    # the provider turns the failed certificate into a ValueError.
+    with pytest.raises(ValueError, match=r"x=0\.01, epsilon=0\.0012"):
+        make_pcf_problem(1.2e-3)
 
 
 # The series kernels are written out for speed; these compositions of the
