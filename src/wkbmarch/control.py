@@ -87,9 +87,10 @@ class SolverConfig:
         return ETA * self.tol
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class StepRecord:
-    """One accepted step: landing point, size, method tag, controller data."""
+    """One accepted step: landing point, size, method tag, controller data.
+    A plain slotted record like `WaveState`: not written to, not hashable."""
 
     index: int
     x: float
@@ -141,19 +142,18 @@ def estimate_error(y_low: WaveState, y_high: WaveState) -> float:
     return max(d_phi, d_dphi)
 
 
-def proposal_factor(est: float, y_norm: float, config: SolverConfig,
-                    k: int) -> float:
-    """Clamped elementary-controller factor for a pair of orders (k, k+1)."""
+def proposal_factor(est: float, tol: float, k: int) -> float:
+    """Clamped elementary-controller factor for a pair of orders (k, k+1),
+    given the pair's tolerance ATol + RTol * ||y||."""
     if not est >= 0.0:
         raise ValueError("estimate must be non-negative")
     if est == 0.0:
         return THETA_MAX
-    tol = config.atol + config.tol * y_norm
     theta = SAFETY * (tol / est) ** (1.0 / (k + 1))
     return max(THETA_MIN, min(THETA_MAX, theta))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Candidate:
     """One method's scored trial result (state is None when rejected
     as inadmissible or non-finite)."""
@@ -195,10 +195,9 @@ def _score(method: str, y_low: WaveState, y_high: WaveState,
     est = estimate_error(y_low, y_high)
     if not math.isfinite(est):
         return _rejected(method)
-    y_norm = y_high.sup_norm()
-    accepted = est <= config.atol + config.tol * y_norm
-    theta = proposal_factor(est, y_norm, config, k)
-    return Candidate(method, accepted, theta, est, y_high)
+    tol = config.atol + config.tol * y_high.sup_norm()
+    return Candidate(method, est <= tol, proposal_factor(est, tol, k), est,
+                     y_high)
 
 
 def _rejected(method: str) -> Candidate:

@@ -32,8 +32,10 @@ def _check_epsilon(epsilon: float) -> None:
 class CoefficientField:
     """Polynomial coefficient a(x), from its ascending coefficients.
 
-    The derivative tower up to a^(5) is differentiated exactly, once, here;
-    empty or non-finite coefficients raise ValueError.
+    The derivative tower up to a^(5) is differentiated exactly, once, here,
+    and kept in Horner order (highest power first), with the leading
+    n + 1 polynomials of the tower stored for each jet order n; empty or
+    non-finite coefficients raise ValueError.
     """
 
     def __init__(self, coeffs: Sequence[float]):
@@ -45,22 +47,24 @@ class CoefficientField:
         for _ in range(MAX_DERIVATIVE_ORDER):
             prev = tower[-1]
             tower.append([j * prev[j] for j in range(1, len(prev))])
-        self._tower = tower
+        horner = tuple(tuple(reversed(poly)) for poly in tower)
+        self._value = horner[0]
+        self._jets = tuple(horner[:n + 1] for n in range(len(horner)))
 
     def jet(self, x: float,
             n: int = MAX_DERIVATIVE_ORDER) -> tuple[float, ...]:
         """(a(x), a'(x), ..., a^(n)(x)), n at most five."""
         out = []
-        for poly in self._tower[:n + 1]:
+        for poly in self._jets[n]:
             acc = 0.0
-            for c in reversed(poly):
+            for c in poly:
                 acc = acc * x + c
             out.append(acc)
         return tuple(out)
 
     def __call__(self, x: float) -> float:
         acc = 0.0
-        for c in reversed(self._tower[0]):
+        for c in self._value:
             acc = acc * x + c
         return acc
 

@@ -11,9 +11,9 @@ no special-function dependency beyond the standard library's math.gamma:
   from which make_pcf_problem continues w'' = (z^2/4 + nu) w,
 * global error norms over a trajectory.
 
-The Taylor continuation doubles as the independent cross-check for the
-asymptotic expansion and for the checkpoint tables: the tests run both
-routes on the same arguments.
+The tests march the same certified series substeps point to point, as an
+independent cross-check for the asymptotic expansion and for the
+checkpoint tables.
 """
 
 from __future__ import annotations
@@ -288,50 +288,6 @@ def _dd_substep(qpoly, x: float, state, x1: float, phase_cap: float,
     _check_tail(chi, h, x)
     return x_next, (_dd_horner(chi, clo, h)
                     + _dd_horner(*_dd_deriv_coeffs(chi, clo), h))
-
-
-def taylor_continuation(q_coeffs: Sequence[float], x0: float, w0, dw0,
-                        x1: float, terms: int = SERIES_TERMS):
-    """Continue the solution of w'' = q(x) w from x0 to x1.
-
-    Parameters
-    ----------
-    q_coeffs : sequence of float
-        Real polynomial coefficients of q, ascending powers.
-    x0, x1 : float
-        Start and target points.
-    w0, dw0 : float or complex
-        Initial value and derivative at x0.
-    terms : int
-        Series length per substep (>= 25). Substeps are at most 1 long and
-        shrink where |q| is large so the truncated series stays converged.
-
-    Returns
-    -------
-    (w, dw) at x1.
-
-    Raises
-    ------
-    ContinuationError
-        If the series tail fails the convergence certificate.
-
-    Notes
-    -----
-    The state is carried in compensated (double-double) arithmetic, so the
-    accumulated phase stays accurate to roughly one float64 ulp even after
-    tens of thousands of oscillations.
-    """
-    if terms < 25:
-        raise ValueError("need at least 25 series terms")
-    qpoly = [float(c) for c in q_coeffs]
-    phase_cap = _series_phase_cap(terms)
-    zero = w0 * 0.0
-    x = float(x0)
-    state = (w0, zero, dw0, zero)
-    while x != x1:
-        x, state = _dd_substep(qpoly, x, state, x1, phase_cap, terms)
-    wh, wl, dh, dl = state
-    return wh + wl, dh + dl
 
 
 class _ContinuationTable:

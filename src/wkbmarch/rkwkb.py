@@ -30,7 +30,7 @@ from .wkb_core import Endpoint, b_jet
 DEGENERATE_DENOM = 1e-30
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class WKBBasis:
     """One basis pair f+- = exp(L+-) at a point, without its phase factor:
     the real amplitude (a^(-1/4) times the order-3 correction) and the

@@ -26,9 +26,12 @@ class ContinuationError(Exception):
     """Taylor continuation refused to certify its result."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class WaveState:
-    """Wave function sample: position, phi and the plain derivative phi'."""
+    """Wave function sample: position, phi and the plain derivative phi'.
+
+    A plain slotted record: the solver never writes to one it has made,
+    and it is not hashable."""
 
     x: float
     phi: complex

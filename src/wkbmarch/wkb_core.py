@@ -12,9 +12,9 @@ a(x) both schemes propagate Z exactly.
 The factored-out oscillation exp(-i phase/eps) is gauged where Z is formed:
 `to_Z` sets the phase there to 0, each step adds its own increment s/eps
 modulo 2*pi, and `from_Z` rotates back by the phase the Z sample carries
-(`ZState.theta`). The result does not depend on the gauge point, so the
-driver gauges Z afresh at the start of every step and no phase is carried
-from one step to the next.
+(`ZState.rot` = exp(i theta), formed once per step pair). The result does
+not depend on the gauge point, so the driver gauges Z afresh at the start
+of every step and no phase is carried from one step to the next.
 
 Everything a step reads at a grid point x sits in one `Endpoint` record,
 which `control.integrate` builds once per run (`eval_bk` for this scheme);
@@ -44,7 +44,7 @@ PHASE_DERIV_GUARD = 1e-10
 SQRT2 = math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BkTable:
     """Values b(x) and b_0(x)..b_3(x) entering the marching matrices."""
 
@@ -55,7 +55,7 @@ class BkTable:
     b3: float
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Endpoint:
     """What a step reads at x: a(x), plus the U factors a^(1/4) and
     a'/(4 a^(5/4)) with the b_k table (transform scheme) or the basis
@@ -69,15 +69,17 @@ class Endpoint:
     basis: tuple = ()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ZState:
-    """Transformed solution sample: the components z1, z2 of Z, and
+    """Transformed solution sample: the components z1, z2 of Z,
     theta = (phase(x) - phase(gauge point))/eps modulo 2*pi, the phase
-    that Z has factored out since it was formed at the gauge point."""
+    that Z has factored out since it was formed at the gauge point, and
+    rot = exp(i theta)."""
 
     z1: complex
     z2: complex
     theta: float
+    rot: complex
 
 
 def b_jet(problem, x: float, order: int):
@@ -221,12 +223,12 @@ def to_Z(U) -> ZState:
     """U -> Z = P U with P = [[i, 1], [1, i]]/sqrt(2), gauged where U is
     taken (theta = 0, so the oscillation factor is 1 there)."""
     u1, u2 = U
-    return ZState((1j * u1 + u2) / SQRT2, (1j * u2 + u1) / SQRT2, 0.0)
+    return ZState((1j * u1 + u2) / SQRT2, (1j * u2 + u1) / SQRT2, 0.0, 1 + 0j)
 
 
 def from_Z(problem, end: Endpoint, zstate: ZState) -> WaveState:
     """Z at end.x -> (phi, phi'), using U = P^H exp(i theta) Z."""
-    rot = cmath.exp(1j * zstate.theta)
+    rot = zstate.rot
     w1 = rot * zstate.z1
     w2 = zstate.z2 / rot
     return from_U(problem, end,
@@ -299,12 +301,14 @@ def wkb_step_pair(problem, provider, left: Endpoint, right: Endpoint,
     x1 = right.x.
 
     Returns (first-order result, second-order result), both carrying the
-    phase zn.theta + s/eps at x1; the controller differences them for the
-    error estimate and propagates the second.
+    phase theta1 = zn.theta + s/eps at x1 and its one rotation
+    exp(i theta1); the controller differences them for the error estimate
+    and propagates the second.
     """
     (a12, a21), (m12, m21), (d11, d22), theta1 = assemble_step_matrices(
         problem, provider, left, right, zn.theta)
+    rot = cmath.exp(1j * theta1)
     z1, z2 = zn.z1, zn.z2
-    return (ZState(z1 + a12 * z2, z2 + a21 * z1, theta1),
+    return (ZState(z1 + a12 * z2, z2 + a21 * z1, theta1, rot),
             ZState(z1 + (d11 * z1 + m12 * z2),
-                   z2 + (m21 * z1 + d22 * z2), theta1))
+                   z2 + (m21 * z1 + d22 * z2), theta1, rot))

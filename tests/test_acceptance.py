@@ -15,10 +15,11 @@ from wkbmarch import (PhaseProvider, SolverConfig, airy_pair,
                       clenshaw_curtis, global_error, integrate,
                       make_airy_problem, make_polynomial_problem,
                       march_fixed_grid, estimator_h_sweep, estimator_study)
-from wkbmarch.reference import (airy_origin_values, asymptotic_coeffs,
-                                taylor_continuation)
+from wkbmarch.reference import airy_origin_values, asymptotic_coeffs
 from wkbmarch.wkb_core import (ZState, eval_bk, from_Z, to_U, to_Z,
                                wkb_step_pair)
+
+from test_reference import taylor_continuation
 
 EPS_MACH = 2.220446049250313e-16
 
@@ -314,7 +315,7 @@ def test_criterion_10_transforms_and_gauge(airy1, airy_runs):
         left = eval_bk(p, 1.0)
         z = to_Z(to_U(p, left, p.initial))
         rot = cmath.exp(-1j * theta)
-        z = ZState(rot * z.z1, z.z2 / rot, theta)
+        z = ZState(rot * z.z1, z.z2 / rot, theta, cmath.exp(1j * theta))
         out = []
         for x1 in xs[1:]:
             right = eval_bk(p, float(x1))

@@ -56,21 +56,20 @@ def test_estimate_requires_same_point():
 def test_proposal_factor_unit_ratio():
     c = cfg(tol=1e-6)
     # est equal to the blended tolerance leaves only the safety factor.
-    ynorm = 2.0
-    est = c.atol + c.tol * ynorm
-    assert proposal_factor(est, ynorm, c, 1) == pytest.approx(0.9)
+    tol = c.atol + c.tol * 2.0
+    assert proposal_factor(tol, tol, 1) == pytest.approx(0.9)
 
 
 def test_proposal_factor_clamps():
     c = cfg(tol=1e-6)
-    assert proposal_factor(0.0, 1.0, c, 1) == 2.0
-    big = 1e6 * (c.atol + c.tol * 1.0)
-    assert proposal_factor(big, 1.0, c, 1) == 0.5
+    tol = c.atol + c.tol * 1.0
+    assert proposal_factor(0.0, tol, 1) == 2.0
+    assert proposal_factor(1e6 * tol, tol, 1) == 0.5
 
 
 def test_proposal_factor_rejects_nan():
     with pytest.raises(ValueError):
-        proposal_factor(math.nan, 1.0, cfg(), 1)
+        proposal_factor(math.nan, 1.0, 1)
 
 
 @pytest.mark.parametrize("bad", [complex(math.inf, 0.0),

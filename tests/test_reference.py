@@ -21,13 +21,14 @@ from scipy.integrate import solve_ivp
 
 from wkbmarch import (ContinuationError, WaveState, airy_pair,
                       global_error, make_pcf_problem, reference)
-from wkbmarch.reference import (AIRY_VALUE_SWITCH, _airy_continued,
-                                _ContinuationTable, _dd_add,
-                                _dd_deriv_coeffs, _dd_horner, _dd_mul_d,
-                                _dd_mul_dd, _dd_recip_int, _dd_series,
-                                _dd_shift_poly, airy_asymptotic,
+from wkbmarch.reference import (AIRY_VALUE_SWITCH, SERIES_TERMS,
+                                _airy_continued, _ContinuationTable,
+                                _dd_add, _dd_deriv_coeffs, _dd_horner,
+                                _dd_mul_d, _dd_mul_dd, _dd_recip_int,
+                                _dd_series, _dd_shift_poly, _dd_substep,
+                                _series_phase_cap, airy_asymptotic,
                                 airy_origin_values, asymptotic_coeffs,
-                                pcf_origin_values, taylor_continuation)
+                                pcf_origin_values)
 
 EPS_MACH = 2.220446049250313e-16
 
@@ -59,6 +60,54 @@ def test_asymptotic_coeffs_second():
 # ---------------------------------------------------------------------------
 # Taylor continuation
 # ---------------------------------------------------------------------------
+
+def taylor_continuation(q_coeffs, x0: float, w0, dw0, x1: float,
+                        terms: int = SERIES_TERMS):
+    """Continue the solution of w'' = q(x) w from x0 to x1.
+
+    The independent oracle of the checkpoint table: it marches the same
+    certified substeps (`_dd_substep`) from x0 straight to x1, keeps no
+    checkpoints and may use another series length.
+
+    Parameters
+    ----------
+    q_coeffs : sequence of float
+        Real polynomial coefficients of q, ascending powers.
+    x0, x1 : float
+        Start and target points.
+    w0, dw0 : float or complex
+        Initial value and derivative at x0.
+    terms : int
+        Series length per substep (>= 25). Substeps are at most 1 long and
+        shrink where |q| is large so the truncated series stays converged.
+
+    Returns
+    -------
+    (w, dw) at x1.
+
+    Raises
+    ------
+    ContinuationError
+        If the series tail fails the convergence certificate.
+
+    Notes
+    -----
+    The state is carried in compensated (double-double) arithmetic, so the
+    accumulated phase stays accurate to roughly one float64 ulp even after
+    tens of thousands of oscillations.
+    """
+    if terms < 25:
+        raise ValueError("need at least 25 series terms")
+    qpoly = [float(c) for c in q_coeffs]
+    phase_cap = _series_phase_cap(terms)
+    zero = w0 * 0.0
+    x = float(x0)
+    state = (w0, zero, dw0, zero)
+    while x != x1:
+        x, state = _dd_substep(qpoly, x, state, x1, phase_cap, terms)
+    wh, wl, dh, dl = state
+    return wh + wl, dh + dl
+
 
 def test_continuation_zero_coefficient():
     # w'' = 0 with w(0)=1, w'(0)=1 is w = 1 + x.

@@ -247,6 +247,10 @@ def test_U_round_trip(phi, dphi, x):
 def test_to_Z_zero_phase():
     z = to_Z((1.0 + 0.0j, 0.0j))
     assert z.theta == 0.0
+    # The rotation carried at the gauge point has the bits of exp(i 0).
+    rot = cmath.exp(1j * z.theta)
+    assert (z.rot.real.hex(), z.rot.imag.hex()) == (rot.real.hex(),
+                                                    rot.imag.hex())
     assert z.z1 == pytest.approx(1j / math.sqrt(2.0), abs=1e-15)
     assert z.z2 == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-15)
 
@@ -336,7 +340,7 @@ def march(problem, xs, order=2, theta=0.0):
     left = eval_bk(problem, xs[0])
     z = to_Z(to_U(problem, left, problem.exact(xs[0])))
     rot = cmath.exp(-1j * theta)
-    z = ZState(rot * z.z1, z.z2 / rot, theta)
+    z = ZState(rot * z.z1, z.z2 / rot, theta, cmath.exp(1j * theta))
     out = []
     for x1 in xs[1:]:
         right = eval_bk(problem, float(x1))
