@@ -200,6 +200,18 @@ def _score(method: str, y_low: WaveState, y_high: WaveState,
                      y_high)
 
 
+def _score_original(method: str, y_low: WaveState, y_high: WaveState,
+                    config: SolverConfig, k: int) -> Candidate:
+    """`_score` under the original rival controller: relative tolerance
+    only, square-root exponent whatever k, no ratio clamps."""
+    est = estimate_error(y_low, y_high)
+    if not math.isfinite(est):
+        return _rejected(method)
+    tol = config.tol * y_high.sup_norm()
+    theta = SAFETY * (tol / est) ** 0.5 if est != 0.0 else 10.0
+    return Candidate(method, est <= tol, theta, est, y_high)
+
+
 def _rejected(method: str) -> Candidate:
     return Candidate(method, False, THETA_MIN, math.inf, None)
 
@@ -237,36 +249,22 @@ def _pair(tag: str, problem, provider, state: WaveState, h: float, left,
 
 
 def _candidate(tag: str, problem, provider, state: WaveState, h: float,
-               left, right, config: SolverConfig) -> Candidate:
-    """Score one method's pair; an inadmissible or failed step, or an
-    oscillatory step without a record at either end, is rejected."""
+               left, right, config: SolverConfig, score) -> Candidate:
+    """Score one method's pair with `score`; an inadmissible or failed
+    step, or an oscillatory step without a record at either end, is
+    rejected."""
     if tag != TAG_RKF45 and (left is None or right is None):
         return _rejected(tag)
     try:
         y_low, y_high = _pair(tag, problem, provider, state, h, left, right)
     except (WKBInadmissibleError, SolverError):
         return _rejected(tag)
-    return _score(tag, y_low, y_high, config, ORDER_K[tag])
+    return score(tag, y_low, y_high, config, ORDER_K[tag])
 
 
 # ---------------------------------------------------------------------------
 # The driver
 # ---------------------------------------------------------------------------
-
-def _original_rescore(cand: Candidate, config: SolverConfig) -> Candidate:
-    """Rescore a candidate under the original rival controller: relative
-    tolerance only, square-root exponent, no ratio clamps."""
-    if cand.state is None:
-        return cand
-    y_norm = cand.state.sup_norm()
-    tol = config.tol * y_norm
-    accepted = cand.est <= tol
-    if cand.est == 0.0:
-        theta = 10.0
-    else:
-        theta = SAFETY * (tol / cand.est) ** 0.5
-    return Candidate(cand.method, accepted, theta, cand.est, cand.state)
-
 
 def _select_original(candidates) -> tuple[float, Optional[int]]:
     """(theta, index) of the candidate with a state and the least relative
@@ -289,6 +287,8 @@ def integrate(problem, config: SolverConfig) -> Trajectory:
     provider = None if config.method == "rkf45" else PhaseProvider(
         problem, config.phase)
     lead = CANDIDATES[config.method][0]  # the tag whose records are kept
+    score, select = ((_score_original, _select_original)
+                     if config.method == "rkwkb" else (_score, select_method))
     x = problem.x_start
     state = problem.initial
     left = _endpoint(problem, lead, x)
@@ -305,13 +305,9 @@ def integrate(problem, config: SolverConfig) -> Trajectory:
         right = _endpoint(problem, lead, x1)
 
         candidates = [_candidate(tag, problem, provider, state, h, left,
-                                 right, config)
+                                 right, config, score)
                       for tag in CANDIDATES[config.method]]
-        if config.method == "rkwkb":
-            candidates = [_original_rescore(c, config) for c in candidates]
-            theta, choice = _select_original(candidates)
-        else:
-            theta, choice = select_method(candidates)
+        theta, choice = select(candidates)
 
         if choice is not None:
             cand = candidates[choice]

@@ -11,6 +11,7 @@ linear benchmark, ~1e12 at the far end of the long runs).
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable
 
@@ -20,9 +21,8 @@ from .wkb_core import b_jet
 # Clenshaw-Curtis nodes of the cc phase mode.
 CC_NODES = 15
 
-_CC_NODE_CACHE: dict[int, tuple[tuple[float, ...], tuple[float, ...]]] = {}
 
-
+@functools.lru_cache(maxsize=None)
 def _cc_nodes_weights(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Chebyshev-Lobatto nodes and Clenshaw-Curtis weights on [-1, 1].
 
@@ -33,9 +33,6 @@ def _cc_nodes_weights(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     the left half is computed; the right half is its mirror image, so
     x_(n-j) = -x_j and w_(n-j) = w_j hold exactly.
     """
-    cached = _CC_NODE_CACHE.get(n)
-    if cached is not None:
-        return cached
     half = n // 2 + 1
     # cos(j pi / n) written as an odd function of n - 2j.
     nodes = [math.sin(math.pi * (n - 2 * j) / (2 * n)) for j in range(half)]
@@ -52,9 +49,7 @@ def _cc_nodes_weights(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     mirror = n + 1 - half
     nodes += [-x for x in reversed(nodes[:mirror])]
     weights += reversed(weights[:mirror])
-    out = (tuple(nodes), tuple(weights))
-    _CC_NODE_CACHE[n] = out
-    return out
+    return tuple(nodes), tuple(weights)
 
 
 def clenshaw_curtis(integrand: Callable[[float], float], a: float, b: float,

@@ -74,8 +74,9 @@ def test_solve_reference_columns_read_no_derivative(tmp_path, monkeypatch,
                                                     problem, eps, method):
     """Once the solve is done, the derivative series is forbidden: the
     reference columns and the error summary still come out, equal to the
-    values recomputed from the full exact(x). Checkpoints hold full states,
-    so the reference table is grown over the interval before that."""
+    values recomputed from the full exact(x). Growth forms each
+    checkpoint's derivative series, so the reference table is grown over
+    the interval before that."""
     solve, deriv_coeffs = cli.integrate, reference._dd_deriv_coeffs
     solved = []
 

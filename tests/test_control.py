@@ -14,7 +14,8 @@ from wkbmarch import (CoefficientField, PhaseProvider, Problem, SolverConfig,
                       make_polynomial_problem, march_fixed_grid, rkwkb,
                       wkb_core)
 from wkbmarch.control import (METHODS, Candidate, _rejected, _score,
-                              estimate_error, proposal_factor, select_method)
+                              _score_original, estimate_error,
+                              proposal_factor, select_method)
 
 
 def cfg(**kw):
@@ -72,25 +73,32 @@ def test_proposal_factor_rejects_nan():
         proposal_factor(math.nan, 1.0, 1)
 
 
+# The paper's rule and the original rival controller's rule.
+SCORERS = (_score, _score_original)
+
+
 @pytest.mark.parametrize("bad", [complex(math.inf, 0.0),
                                  complex(math.nan, 0.0),
                                  complex(0.0, -math.inf)])
 @pytest.mark.parametrize("member", ["low", "high"])
 def test_non_finite_pair_scores_as_rejected(bad, member):
     # A non-finite member is never accepted and never enlarges the step:
-    # it scores like an inadmissible candidate (rejected, theta 0.5).
+    # under either rule it scores like an inadmissible candidate
+    # (rejected, theta 0.5).
     good = WaveState(1.0, 0.3 + 0.4j, -1.0j)
     broken = WaveState(1.0, bad, -1.0j)
     y_low, y_high = (broken, good) if member == "low" else (good, broken)
-    cand = _score("M", y_low, y_high, cfg(), k=1)
-    assert cand == _rejected("M")
-    assert not cand.accepted and cand.theta == 0.5 and cand.state is None
+    for score in SCORERS:
+        cand = score("M", y_low, y_high, cfg(), k=1)
+        assert cand == _rejected("M")
+        assert not cand.accepted and cand.theta == 0.5 and cand.state is None
 
 
 def test_overflowing_estimate_scores_as_rejected():
     big = WaveState(1.0, 1.5e308 + 0j, 0j)
-    cand = _score("M", big, WaveState(1.0, -1.5e308 + 0j, 0j), cfg(), k=4)
-    assert cand == _rejected("M")
+    for score in SCORERS:
+        cand = score("M", big, WaveState(1.0, -1.5e308 + 0j, 0j), cfg(), k=4)
+        assert cand == _rejected("M")
 
 
 def test_select_method_case_table():

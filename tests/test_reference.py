@@ -104,7 +104,7 @@ def taylor_continuation(q_coeffs, x0: float, w0, dw0, x1: float,
     x = float(x0)
     state = (w0, zero, dw0, zero)
     while x != x1:
-        x, state = _dd_substep(qpoly, x, state, x1, phase_cap, terms)
+        x, state, *_ = _dd_substep(qpoly, x, state, x1, phase_cap, terms)
     wh, wl, dh, dl = state
     return wh + wl, dh + dl
 
@@ -460,22 +460,34 @@ def test_table_independent_of_query_order(name, data):
 
 
 @pytest.mark.parametrize("name", sorted(TABLES))
-def test_value_only_query_matches_full_state(name):
+def test_value_only_query_matches_full_state(monkeypatch, name):
     """state_at(x, deriv=False) is the head (wh, wl) of state_at(x) bit for
     bit, with NaN derivative slots, at checkpoint keys, at x0 and between
-    keys on both sides of x0, in a shuffled order that switches the memo
-    and mixes value-only and full queries on one checkpoint."""
+    keys on both sides of x0, in a shuffled order that mixes value-only and
+    full queries on one checkpoint. Once both tables have grown over the
+    points, a query hops over the series stored at growth: it forms no
+    series and writes nothing to the table."""
     q, seed, (lo, hi) = TABLES[name]
     ref = _ContinuationTable(q, 0.0, seed)
-    ref.state_at(lo)
-    ref.state_at(hi)
+    table = _ContinuationTable(q, 0.0, seed)
+    for t in (ref, table):
+        t.state_at(lo)
+        t.state_at(hi)
     keys = [d * k for d in (1.0, -1.0) for k in ref._sides[d][0]
             if lo <= d * k <= hi]
     assert len(keys) > 10
     between = [float(x) for x in np.linspace(lo, hi, 57)]
     xs = keys + between + [0.0]
     random.Random(name).shuffle(xs)
-    table = _ContinuationTable(q, 0.0, seed)
+
+    def forbidden(*args):
+        raise AssertionError("series formed on a query")
+
+    for helper in ("_dd_series", "_dd_shift_poly", "_dd_deriv_coeffs"):
+        monkeypatch.setattr(reference, helper, forbidden)
+    attrs = dict(vars(table))
+    sizes = {d: [len(part) for part in side]
+             for d, side in table._sides.items()}
     for n, x in enumerate(xs):
         full = ref.state_at(x)
         if n % 3 == 0:
@@ -484,6 +496,9 @@ def test_value_only_query_matches_full_state(name):
         assert repr(value[:2]) == repr(full[:2])
         assert cmath.isnan(value[2]) and cmath.isnan(value[3])
         assert type(value[2]) is type(full[2])
+    assert vars(table) == attrs
+    assert sizes == {d: [len(part) for part in side]
+                     for d, side in table._sides.items()}
 
 
 @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
@@ -565,7 +580,8 @@ def test_global_error_reads_no_derivative(monkeypatch, airy1, pcf6,
                                          airy_runs, pcf_runs):
     """Both norms succeed with the derivative series forbidden, and equal
     the norms recomputed from the full exact(x). That recomputation also
-    grows the tables, whose checkpoints hold full states, over the nodes."""
+    grows the tables over the nodes, and growth is where each checkpoint's
+    derivative series is formed, so a query forms none."""
     cases = [(airy_runs[1e-6], airy1), (pcf_runs["wkb+rkf45", 1e-6], pcf6)]
     expect = []
     for traj, p in cases:
