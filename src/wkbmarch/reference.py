@@ -44,6 +44,8 @@ SERIES_TERMS = 30
 # polynomial coefficients, so every operation below acts componentwise on the
 # real and imaginary parts; the error-free transformations therefore remain
 # valid when the state is complex (two solution channels packed into one).
+# The Airy reference keeps one real table per solution, as float hops are
+# cheaper (see _AI_TABLE); the tests compare it bit for bit with a complex one.
 
 _SPLIT = 134217729.0  # 2**27 + 1
 
@@ -211,10 +213,25 @@ def _dd_series(qhi, qlo, wh, wl, dh, dl, terms: int):
 
 def _dd_deriv_coeffs(chi, clo):
     """Double-double coefficients g_m = (m+1) c_(m+1) of the derivative
-    series."""
-    pairs = [_dd_mul_d(xh, xl, float(m))
-             for m, (xh, xl) in enumerate(zip(chi[1:], clo[1:]), 1)]
-    return [p[0] for p in pairs], [p[1] for p in pairs]
+    series: _dd_mul_d by float(m+1), written out with the multiplier split
+    once, so the result is bit-identical to the helper."""
+    ghi = []
+    glo = []
+    for m, (xh, xl) in enumerate(zip(chi[1:], clo[1:]), 1):
+        b = float(m)
+        t = _SPLIT * b
+        bh = t - (t - b)
+        bl = b - bh
+        p = xh * b
+        t = _SPLIT * xh
+        ah = t - (t - xh)
+        al = xh - ah
+        e = ((ah * bh - p) + ah * bl + al * bh) + al * bl + xl * b
+        s = p + e
+        z = s - p
+        ghi.append(s)
+        glo.append((p - (s - z)) + (e - z))
+    return ghi, glo
 
 
 def _dd_horner(hi, lo, h: float):
@@ -305,9 +322,9 @@ class _ContinuationTable:
     one Horner pass over the stored value series, and by a second over the
     stored derivative series only when the derivative is asked for; it
     forms no series and writes nothing. The stored series take about
-    0.67 MB for the Airy table up to t = 50 (131 checkpoints), 0.2 MB for
-    PCF at eps = 2^-6 and 2 MB at eps = 1.3e-3, near the smallest eps the
-    PCF factory accepts.
+    1.07 MB for the two real Airy tables up to t = 50 (131 checkpoints
+    each), 0.2 MB for PCF at eps = 2^-6 and 2 MB at eps = 1.3e-3, near the
+    smallest eps the PCF factory accepts.
 
     Growth runs under a lock and publishes each checkpoint's series and
     state before its key, so a concurrent reader only ever finds complete
@@ -373,7 +390,7 @@ class _ContinuationTable:
 # Airy functions on the oscillatory side
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AiryQuad:
     """Ai, Ai', Bi, Bi' evaluated at argument -t (t >= 0)."""
 
@@ -458,23 +475,23 @@ def airy_asymptotic(t: float, deriv: bool = True) -> AiryQuad:
 
 
 # Continuation checkpoints in the Airy variable y = -t, one per series
-# substep of the march from the origin (see _ContinuationTable). Both
-# real solutions ride in one complex channel, w = Ai + i Bi, which is valid
-# because the series recurrence is linear with real coefficients. The table
-# grows on first use; building it here costs only the origin values.
+# substep of the march from the origin (see _ContinuationTable), in one real
+# table per solution. Packing both into one complex channel, w = Ai + i Bi,
+# gives the same bits, but CPython specialises float arithmetic and not
+# complex: a value-only hop costs 15-21 us in a real table and 40-43 us in a
+# complex one (CPython 3.11, shared 2-vCPU x86 machine). The tables grow on
+# first use; building them here costs only the origin values.
 _AIRY_Q0 = airy_origin_values()
-_AIRY_TABLE = _ContinuationTable(
-    [0.0, 1.0], 0.0,
-    (complex(_AIRY_Q0.ai, _AIRY_Q0.bi), complex(_AIRY_Q0.aip, _AIRY_Q0.bip)))
+_AI_TABLE = _ContinuationTable([0.0, 1.0], 0.0, (_AIRY_Q0.ai, _AIRY_Q0.aip))
+_BI_TABLE = _ContinuationTable([0.0, 1.0], 0.0, (_AIRY_Q0.bi, _AIRY_Q0.bip))
 
 
 def _airy_continued(t: float, deriv: bool = True) -> AiryQuad:
     """Airy quad at -t by checkpointed continuation of w'' = y w; with
     deriv=False aip and bip are NaN."""
-    wh, wl, dh, dl = _AIRY_TABLE.state_at(-t, deriv)
-    w = wh + wl
-    dw = dh + dl
-    return AiryQuad(ai=w.real, aip=dw.real, bi=w.imag, bip=dw.imag)
+    ah, al, adh, adl = _AI_TABLE.state_at(-t, deriv)
+    bh, bl, bdh, bdl = _BI_TABLE.state_at(-t, deriv)
+    return AiryQuad(ai=ah + al, aip=adh + adl, bi=bh + bl, bip=bdh + bdl)
 
 
 def airy_pair(t: float, deriv: bool = True) -> AiryQuad:

@@ -18,7 +18,7 @@ from dataclasses import fields, is_dataclass
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from wkbmarch import PhaseProvider, StepRecord, WaveState, \
+from wkbmarch import AiryQuad, PhaseProvider, StepRecord, WaveState, \
     make_polynomial_problem
 from wkbmarch.control import Candidate
 from wkbmarch.rk45 import rkf45_step
@@ -277,6 +277,7 @@ STATE = WaveState(0.0, 1j, 0j)
     WKBBasis(1.0, 1j, -1j, 0j, 0j),
     STATE,
     StepRecord(0, 0.0, 0.1, "WKB", 0.0, 1.0, STATE),
+    AiryQuad(0.0, 0.0, 0.0, 0.0),
 ], ids=lambda r: type(r).__name__)
 def test_trial_records_are_slotted(record):
     # A record built per trial or per step has no instance dict; a

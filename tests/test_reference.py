@@ -501,6 +501,32 @@ def test_value_only_query_matches_full_state(monkeypatch, name):
                      for d, side in table._sides.items()}
 
 
+def test_airy_real_tables_match_complex_table():
+    """The two real Airy tables give the bits of one complex table seeded
+    with w = Ai + i Bi, the packed layout kept here as the reference, with
+    and without the derivative: at every checkpoint key up to t = 50, at the
+    origin, at the seam and between keys. Their states are float, so every
+    hop runs in float arithmetic."""
+    oracle = _ContinuationTable([0.0, 1.0], 0.0, _airy_seed())
+    oracle.state_at(-AIRY_VALUE_SWITCH)
+    keys = [k for k in oracle._sides[-1.0][0] if k <= AIRY_VALUE_SWITCH]
+    assert len(keys) > 100
+    rng = random.Random(0)
+    between = [rng.uniform(0.0, AIRY_VALUE_SWITCH) for _ in range(200)]
+    for t in keys + between + [0.0, AIRY_VALUE_SWITCH]:
+        for deriv in (True, False):
+            wh, wl, dh, dl = oracle.state_at(-t, deriv)
+            w, dw = wh + wl, dh + dl
+            quad = _airy_continued(t, deriv)
+            assert [x.hex() for x in (quad.ai, quad.aip, quad.bi,
+                                      quad.bip)] == \
+                [x.hex() for x in (w.real, dw.real, w.imag, dw.imag)], t
+    for table in (reference._AI_TABLE, reference._BI_TABLE):
+        for _, states, _ in table._sides.values():
+            assert all(type(part) is float
+                       for state in states for part in state)
+
+
 @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
 def test_table_rejects_non_finite_point(x):
     # A march towards an infinite point would never end.
