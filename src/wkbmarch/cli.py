@@ -202,13 +202,14 @@ def cmd_estimator_study(args) -> int:
     config = _config(args, args.method, args.tol)
     lo, hi, n = args.h_sweep
     hs = _geometric(hi, lo, n, "h-sweep")
+    # The sweep's single steps run first: a bad --x0 fails before the solve.
+    sweep_rows = estimator_h_sweep(problem, args.x0, hs,
+                                   CANDIDATES[config.method][0], config.phase)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = estimator_study(problem, config)
     _write_csv(out / "study.csv",
                ["x", "h", "method", "est", "true_lte", "deviation"], rows)
-    sweep_rows = estimator_h_sweep(problem, args.x0, hs,
-                                   CANDIDATES[config.method][0], config.phase)
     _write_csv(out / "hsweep.csv",
                ["h", "est", "true_lte", "deviation"], sweep_rows)
     manifest = {

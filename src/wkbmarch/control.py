@@ -334,23 +334,22 @@ def integrate(problem, config: SolverConfig) -> Trajectory:
 
 def march_fixed_grid(problem, xs, order: int = 2,
                      phase: str = "exact") -> list[WaveState]:
-    """Propagate the transform scheme of the given h-order over a fixed
-    grid starting at problem.x_start (= xs[0]); used for convergence-order
-    measurements. Z is gauged once at xs[0] and stepped across the grid."""
+    """Propagate the transform scheme of the given h-order (1 or 2) over a
+    fixed grid starting at problem.x_start (= xs[0]); used for
+    convergence-order measurements. Each step is integrate's WKB pair
+    (`_pair`) from the previous state."""
+    if order not in (1, 2):
+        raise ValueError(f"order must be 1 or 2, not {order!r}")
     xs = list(map(float, xs))
     if xs[0] != problem.x_start:
         raise ValueError("grid must start at problem.x_start")
     provider = PhaseProvider(problem, phase)
-    left = wkb_core.eval_bk(problem, xs[0])
-    z = to_Z(to_U(problem, left, problem.initial))
-    out = []
-    for x1 in xs[1:]:
-        right = wkb_core.eval_bk(problem, x1)
-        z1, z2 = wkb_step_pair(problem, provider, left, right, z)
-        z = z1 if order == 1 else z2
-        out.append(from_Z(problem, right, z))
-        left = right
-    return out
+    ends = [wkb_core.eval_bk(problem, x) for x in xs]
+    out = [problem.initial]
+    for left, right in zip(ends, ends[1:]):
+        out.append(_pair(TAG_WKB, problem, provider, out[-1],
+                         right.x - left.x, left, right)[order - 1])
+    return out[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -361,11 +360,16 @@ def _audit(problem, tag: str, x0: float, h: float,
            phase: str) -> tuple[float, float, float]:
     """(est, lte, deviation) of one pair over [x0, x0+h] restarted from the
     exact solution: lte is the lower member's defect against the exact
-    solution at x0 + h, and deviation is |est - lte| / lte."""
+    solution at x0 + h, and deviation is |est - lte| / lte. Raises
+    ValueError where the pair is inadmissible on the step."""
     provider = PhaseProvider(problem, phase)
-    y_low, y_high = _pair(tag, problem, provider, problem.exact(x0), h,
-                          _record(problem, tag, x0),
-                          _record(problem, tag, x0 + h))
+    try:
+        y_low, y_high = _pair(tag, problem, provider, problem.exact(x0), h,
+                              _record(problem, tag, x0),
+                              _record(problem, tag, x0 + h))
+    except WKBInadmissibleError as exc:
+        raise ValueError(f"{tag} step [{x0}, {x0 + h}] is inadmissible: "
+                         f"{exc}") from exc
     est = estimate_error(y_low, y_high)
     lte = estimate_error(y_low, problem.exact(x0 + h))
     return est, lte, abs(est - lte) / lte if lte > 0.0 else math.inf

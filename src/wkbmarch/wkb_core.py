@@ -9,12 +9,11 @@ pairs of complex scalars. Every matrix entry carries a factor built from the
 correction density b(x) and the derived coefficients b_k, so for constant
 a(x) both schemes propagate Z exactly.
 
-The factored-out oscillation exp(-i phase/eps) is gauged where Z is formed:
-`to_Z` sets the phase there to 0, each step adds its own increment s/eps
-modulo 2*pi, and `from_Z` rotates back by the phase the Z sample carries
-(`ZState.rot` = exp(i theta), formed once per step pair). The result does
-not depend on the gauge point, so the driver gauges Z afresh at the start
-of every step and no phase is carried from one step to the next.
+Every step forms Z at its own start, where the factored-out oscillation
+exp(-i phase/eps) is 1; the step's increment theta1 = s/eps modulo 2*pi is
+the phase at its end, and `from_Z` rotates back by `ZState.rot` =
+exp(i theta1), formed once per step pair. The scheme does not depend on
+where the phase is referenced, so no phase is carried between steps.
 
 Everything a step reads at a grid point x sits in one `Endpoint` record,
 which `control.integrate` builds once per run (`eval_bk` for this scheme);
@@ -71,14 +70,12 @@ class Endpoint:
 
 @dataclass(slots=True)
 class ZState:
-    """Transformed solution sample: the components z1, z2 of Z,
-    theta = (phase(x) - phase(gauge point))/eps modulo 2*pi, the phase
-    that Z has factored out since it was formed at the gauge point, and
-    rot = exp(i theta)."""
+    """Transformed solution sample: the components z1, z2 of Z and
+    rot = exp(i theta), theta the phase/eps that Z has factored out since
+    it was formed (modulo 2*pi)."""
 
     z1: complex
     z2: complex
-    theta: float
     rot: complex
 
 
@@ -220,10 +217,10 @@ def from_U(problem, end: Endpoint, U) -> WaveState:
 
 
 def to_Z(U) -> ZState:
-    """U -> Z = P U with P = [[i, 1], [1, i]]/sqrt(2), gauged where U is
+    """U -> Z = P U with P = [[i, 1], [1, i]]/sqrt(2), formed where U is
     taken (theta = 0, so the oscillation factor is 1 there)."""
     u1, u2 = U
-    return ZState((1j * u1 + u2) / SQRT2, (1j * u2 + u1) / SQRT2, 0.0, 1 + 0j)
+    return ZState((1j * u1 + u2) / SQRT2, (1j * u2 + u1) / SQRT2, 1 + 0j)
 
 
 def from_Z(problem, end: Endpoint, zstate: ZState) -> WaveState:
@@ -240,14 +237,13 @@ def from_Z(problem, end: Endpoint, zstate: ZState) -> WaveState:
 # ---------------------------------------------------------------------------
 
 def assemble_step_matrices(problem, provider, left: Endpoint,
-                           right: Endpoint, theta0: float):
+                           right: Endpoint):
     """The nonzero entries of (A1, A1_mod, A2) for the step [x0, x1]
-    between the records `left` and `right`, with the phase theta0
-    (phase/eps modulo 2*pi) at x0.
+    between the records `left` and `right`, with Z formed at x0.
 
     Returns ((A1_12, A1_21), (A1_mod_12, A1_mod_21), (A2_11, A2_22),
     theta1): the off-diagonals of A1 and A1_mod, the diagonal of A2, and
-    the phase at x1, theta0 + s/eps reduced to [-pi, pi]. Raises
+    the phase at x1, s/eps reduced to [-pi, pi]. Raises
     WKBInadmissibleError when the phase increment fails on the interval;
     the controller turns that into a rejected trial.
     """
@@ -256,10 +252,8 @@ def assemble_step_matrices(problem, provider, left: Endpoint,
     t1 = right.bk
     x0, x1 = left.x, right.x
     s = provider.increment(x0, x1)
-    theta1 = math.remainder(theta0 + math.fmod(s / eps, math.tau), math.tau)
-    e0p = cmath.exp(2j * theta0)
+    theta1 = math.remainder(s / eps, math.tau)
     e1p = cmath.exp(2j * theta1)
-    e0m = e0p.conjugate()
     e1m = e1p.conjugate()
     h1p, h2p = osc_kernels(2.0 * s / eps)
     h1m = h1p.conjugate()
@@ -270,20 +264,19 @@ def assemble_step_matrices(problem, provider, left: Endpoint,
     eps4 = eps3 * eps
     eps5 = eps4 * eps
 
-    delta12 = -1j * eps2 * (t0.b0 * e0m - t1.b0 * e1m)
-    delta21 = -1j * eps2 * (t1.b0 * e1p - t0.b0 * e0p)
+    delta12 = -1j * eps2 * (t0.b0 - t1.b0 * e1m)
+    delta21 = -1j * eps2 * (t1.b0 * e1p - t0.b0)
 
-    a1 = (eps3 * t1.b1 * e0m * h1m + delta12,
-          eps3 * t1.b1 * e0p * h1p + delta21)
+    a1 = (eps3 * t1.b1 * h1m + delta12, eps3 * t1.b1 * h1p + delta21)
 
     a1mod = (delta12
-             + eps3 * (t1.b1 * e1m - t0.b1 * e0m)
-             - 1j * eps4 * t1.b2 * e0m * h1m
-             - eps5 * t1.b3 * e0m * h2m,
+             + eps3 * (t1.b1 * e1m - t0.b1)
+             - 1j * eps4 * t1.b2 * h1m
+             - eps5 * t1.b3 * h2m,
              delta21
-             + eps3 * (t1.b1 * e1p - t0.b1 * e0p)
-             + 1j * eps4 * t1.b2 * e0p * h1p
-             - eps5 * t1.b3 * e0p * h2p)
+             + eps3 * (t1.b1 * e1p - t0.b1)
+             + 1j * eps4 * t1.b2 * h1p
+             - eps5 * t1.b3 * h2p)
 
     trap = 0.5 * (t1.b * t1.b0 + t0.b * t0.b0)
     a2 = (-1j * eps3 * (x1 - x0) * trap
@@ -301,14 +294,14 @@ def wkb_step_pair(problem, provider, left: Endpoint, right: Endpoint,
     x1 = right.x.
 
     Returns (first-order result, second-order result), both carrying the
-    phase theta1 = zn.theta + s/eps at x1 and its one rotation
-    exp(i theta1); the controller differences them for the error estimate
-    and propagates the second.
+    one rotation exp(i theta1) by the phase theta1 = s/eps at x1; the
+    controller differences them for the error estimate and propagates
+    the second.
     """
     (a12, a21), (m12, m21), (d11, d22), theta1 = assemble_step_matrices(
-        problem, provider, left, right, zn.theta)
+        problem, provider, left, right)
     rot = cmath.exp(1j * theta1)
     z1, z2 = zn.z1, zn.z2
-    return (ZState(z1 + a12 * z2, z2 + a21 * z1, theta1, rot),
-            ZState(z1 + (d11 * z1 + m12 * z2),
-                   z2 + (m21 * z1 + d22 * z2), theta1, rot))
+    return (ZState(z1 + a12 * z2, z2 + a21 * z1, rot),
+            ZState(z1 + (d11 * z1 + m12 * z2), z2 + (m21 * z1 + d22 * z2),
+                   rot))

@@ -391,6 +391,10 @@ def test_estimator_study_audits_the_methods_lead_pair(tmp_path):
      "--tol-range=-1e-3,1e-3"],
     ["sweep", "--problem", "airy", "--eps-list", "1",
      "--methods", "rkf45,euler"],
+    # Sweep steps from or to a point where the WKB step is inadmissible.
+    ["estimator-study", "--problem", "airy", "--x0", "0"],
+    ["estimator-study", "--problem", "pcf", "--x0", "1.995",
+     "--h-sweep", "1e-3,1e-2,3"],
 ])
 def test_bad_sweep_flags_exit_two_before_solving(tmp_path, capsys,
                                                  monkeypatch, args):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wkbmarch import (CoefficientField, PhaseProvider, Problem, SolverConfig,
-                      SolverError, WaveState, estimator_h_sweep,
+                      SolverError, WaveState, control, estimator_h_sweep,
                       estimator_study, global_error, integrate,
                       make_airy_problem, make_pcf_problem,
                       make_polynomial_problem, march_fixed_grid, rkwkb,
@@ -317,18 +317,34 @@ def test_phase_mode_resolution(airy1):
     assert PhaseProvider(p_poly, "auto").mode == "cc"
 
 
-def test_march_fixed_grid_orders():
-    # Controller disabled: h-orders of the two schemes on a fixed grid.
-    p = make_airy_problem(0.5, 1.0, 2.0)
-    orders = {}
-    for order in (1, 2):
-        errs = []
-        for n in (8, 16, 32, 64):
-            out = march_fixed_grid(p, np.linspace(1.0, 2.0, n + 1), order=order)
-            errs.append(max(abs(s.phi - p.exact(s.x).phi) for s in out))
-        orders[order] = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
-    assert all(0.8 <= r <= 1.3 for r in orders[1])
-    assert all(1.8 <= r <= 2.4 for r in orders[2])
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("phase", ["exact", "cc"])
+def test_march_fixed_grid_steps_through_pair(order, phase):
+    # The fixed-grid march takes integrate's one WKB step: a hand loop of
+    # control._pair from each previous state gives the same bits.
+    p = make_airy_problem(1.0, 1.0, 2.0)
+    xs = [1.0 + j / 8 for j in range(9)]
+    provider = PhaseProvider(p, phase)
+    state, left, want = p.initial, wkb_core.eval_bk(p, xs[0]), []
+    for x1 in xs[1:]:
+        right = wkb_core.eval_bk(p, x1)
+        state = control._pair(control.TAG_WKB, p, provider, state,
+                              x1 - left.x, left, right)[order - 1]
+        want.append(state)
+        left = right
+
+    def bits(states):
+        return [(s.x.hex(), s.phi.real.hex(), s.phi.imag.hex(),
+                 s.dphi.real.hex(), s.dphi.imag.hex()) for s in states]
+
+    assert bits(march_fixed_grid(p, xs, order, phase)) == bits(want)
+
+
+@pytest.mark.parametrize("order", [0, 3])
+def test_march_fixed_grid_rejects_other_orders(order):
+    p = make_airy_problem(1.0, 1.0, 2.0)
+    with pytest.raises(ValueError, match="order"):
+        march_fixed_grid(p, [1.0, 1.5, 2.0], order)
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,11 @@
 The reference implementations here are the generic truncated-Taylor-jet
 recursions (Cauchy products and quotients over lists of any order), a
 Fehlberg step that loops over its tableau, and a `from_Z` that forms its
-rotation exp(i theta) itself. `b_jet`, `eval_bk`, `wkb_basis`,
-`rkf45_step` and the WKB step pair unroll or share the same arithmetic in
-the same order, so every result must carry the same IEEE bits, signed
-zeros included, and every input must raise in both or in neither.
+rotation exp(i theta1) itself from the step's phase theta1. `b_jet`,
+`eval_bk`, `wkb_basis`, `rkf45_step` and the WKB step pair unroll or share
+the same arithmetic in the same order, so every result must carry the same
+IEEE bits, signed zeros included, and every input must raise in both or in
+neither.
 
 The per-trial records are slotted dataclasses; a test here keeps them so.
 """
@@ -25,8 +26,8 @@ from wkbmarch.rk45 import rkf45_step
 from wkbmarch.rkwkb import WKBBasis, wkb_basis
 from wkbmarch.state import SolverError, WKBInadmissibleError
 from wkbmarch.wkb_core import (PHASE_DERIV_GUARD, SQRT2, BkTable, Endpoint,
-                               ZState, b_jet, eval_bk, from_U, from_Z, to_U,
-                               to_Z, wkb_step_pair)
+                               ZState, assemble_step_matrices, b_jet, eval_bk,
+                               from_U, from_Z, to_U, to_Z, wkb_step_pair)
 
 FACTORIALS = tuple(float(math.factorial(j)) for j in range(6))
 
@@ -174,29 +175,38 @@ def tableau_rkf45_step(problem, state, h):
     return combine(B4), combine(B5)
 
 
-def reference_from_Z(problem, end, z):
-    """`from_Z` with its rotation formed from z.theta here."""
-    rot = cmath.exp(1j * z.theta)
+def reference_from_Z(problem, end, z, theta1):
+    """`from_Z` with its rotation formed here from the step's phase."""
+    rot = cmath.exp(1j * theta1)
     w1 = rot * z.z1
     w2 = z.z2 / rot
     return from_U(problem, end,
                   ((-1j * w1 + w2) / SQRT2, (w1 - 1j * w2) / SQRT2))
 
 
+def package_from_Z(problem, end, z, theta1):
+    """`from_Z`, which reads the rotation the step pair carries."""
+    return from_Z(problem, end, z)
+
+
 def wkb_march(problem, h, convert):
-    """Two transform step pairs from x_start, Z gauged once at x_start as in
-    march_fixed_grid, so the second pair starts from theta0 != 0; every
-    member is taken back to (phi, phi') by `convert`."""
+    """Two transform step pairs from x_start, each from Z formed at its own
+    start as in `control._pair`; every member is taken back to
+    (phi, phi') by `convert`, given the step's phase theta1 as
+    `assemble_step_matrices` returns it."""
     provider = PhaseProvider(problem, "cc")
     x = problem.x_start
     left = eval_bk(problem, x)
-    z = to_Z(to_U(problem, left, problem.initial))
+    state = problem.initial
     out = []
     for x1 in (x + h, x + 2.0 * h):
         right = eval_bk(problem, x1)
-        pair = wkb_step_pair(problem, provider, left, right, z)
-        out += [convert(problem, right, zk) for zk in pair]
-        left, z = right, pair[1]
+        theta1 = assemble_step_matrices(problem, provider, left, right)[3]
+        pair = wkb_step_pair(problem, provider, left, right,
+                             to_Z(to_U(problem, left, state)))
+        members = [convert(problem, right, zk, theta1) for zk in pair]
+        out += members
+        left, state = right, members[1]
     return out
 
 
@@ -258,7 +268,7 @@ def test_kernels_match_generic_forms_bit_for_bit(coeffs, x, eps, phi, dphi,
     assert outcome(wkb_basis, p, x) == outcome(generic_wkb_basis, p, x)
     assert outcome(rkf45_step, p, p.initial, h) == outcome(
         tableau_rkf45_step, p, p.initial, h)
-    assert outcome(wkb_march, p, h, from_Z) == outcome(
+    assert outcome(wkb_march, p, h, package_from_Z) == outcome(
         wkb_march, p, h, reference_from_Z)
 
 
@@ -270,7 +280,7 @@ STATE = WaveState(0.0, 1j, 0j)
 
 
 @pytest.mark.parametrize("record", [
-    ZState(1j, 0j, 0.0, 1 + 0j),
+    ZState(1j, 0j, 1 + 0j),
     Candidate("WKB", True, 1.0, 0.0, STATE),
     Endpoint(0.0, 1.0),
     BkTable(0.0, 0.0, 0.0, 0.0, 0.0),

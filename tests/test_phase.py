@@ -15,7 +15,7 @@ from wkbmarch import (PhaseProvider, WaveState, WKBInadmissibleError,
                       clenshaw_curtis, make_airy_problem, make_pcf_problem,
                       make_polynomial_problem)
 from wkbmarch.phase import _cc_nodes_weights
-from wkbmarch.wkb_core import b_jet, eval_bk, to_U, to_Z, wkb_step_pair
+from wkbmarch.wkb_core import assemble_step_matrices, b_jet, eval_bk
 
 # Closed-form pieces for the linear benchmark, written out independently of
 # the package internals.
@@ -201,11 +201,11 @@ def test_additivity_quadrature_polynomial():
 
 
 def test_reduced_exponential_argument(airy1):
-    # A step gauged at 0.1 carries phase(1.0)/eps modulo 2*pi to 1.0.
+    # A step from 0.1 reaches 1.0 with the phase increment over [0.1, 1]
+    # divided by eps, reduced modulo 2*pi.
     prov = PhaseProvider(airy1, "exact")
-    left = eval_bk(airy1, 0.1)
-    z0 = to_Z(to_U(airy1, left, airy1.initial))
-    arg = wkb_step_pair(airy1, prov, left, eval_bk(airy1, 1.0), z0)[1].theta
+    arg = assemble_step_matrices(airy1, prov, eval_bk(airy1, 0.1),
+                                 eval_bk(airy1, 1.0))[3]
     expect = AIRY_S_01_TO_1
     expect -= 2.0 * math.pi * round(expect / (2.0 * math.pi))
     assert arg == pytest.approx(expect, abs=1e-12)

@@ -14,11 +14,11 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from wkbmarch import (PhaseProvider, WaveState, WKBInadmissibleError,
-                      make_airy_problem, make_polynomial_problem)
+                      make_airy_problem, make_polynomial_problem,
+                      march_fixed_grid)
 from wkbmarch.rkwkb import wkb_basis
-from wkbmarch.wkb_core import (ZState, assemble_step_matrices, b_jet, eval_bk,
-                               from_U, from_Z, osc_kernels, to_U, to_Z,
-                               wkb_step_pair)
+from wkbmarch.wkb_core import (assemble_step_matrices, b_jet, eval_bk, from_U,
+                               from_Z, osc_kernels, to_U, to_Z, wkb_step_pair)
 
 finite_complex = st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3,
                                     allow_nan=False, allow_infinity=False)
@@ -244,11 +244,14 @@ def test_U_round_trip(phi, dphi, x):
     assert abs(back.dphi - dphi) <= 1e-14 * scale
 
 
-def test_to_Z_zero_phase():
+def test_to_Z_zero_phase(airy1):
     z = to_Z((1.0 + 0.0j, 0.0j))
-    assert z.theta == 0.0
-    # The rotation carried at the gauge point has the bits of exp(i 0).
-    rot = cmath.exp(1j * z.theta)
+    # Z is formed with the phase a step reaches over no distance: the
+    # rotation it carries has the bits of exp(i theta1) of the step [x, x].
+    end = eval_bk(airy1, 1.0)
+    theta1 = assemble_step_matrices(airy1, PhaseProvider(airy1, "exact"),
+                                    end, end)[3]
+    rot = cmath.exp(1j * theta1)
     assert (z.rot.real.hex(), z.rot.imag.hex()) == (rot.real.hex(),
                                                     rot.imag.hex())
     assert z.z1 == pytest.approx(1j / math.sqrt(2.0), abs=1e-15)
@@ -278,7 +281,7 @@ def test_step_matrices_hermitian(airy1):
         x1 = x0 + float(rng.uniform(0.01, 3.0))
         prov = PhaseProvider(airy1, "exact")
         a1, a1m, _, _ = assemble_step_matrices(
-            airy1, prov, eval_bk(airy1, x0), eval_bk(airy1, x1), 0.0)
+            airy1, prov, eval_bk(airy1, x0), eval_bk(airy1, x1))
         # Off-diagonal entries (upper, lower) of A1 and A1_mod.
         assert a1[1] == pytest.approx(a1[0].conjugate(), abs=1e-18)
         assert a1m[1] == pytest.approx(a1m[0].conjugate(), abs=1e-18)
@@ -333,41 +336,13 @@ def test_one_step_defect_orders(airy1):
         assert coarse / fine >= 7.0
 
 
-def march(problem, xs, order=2, theta=0.0):
-    """March Z over xs from the exact solution, starting with phase theta
-    (Z rotated to match, so the same U)."""
-    prov = PhaseProvider(problem, "exact")
-    left = eval_bk(problem, xs[0])
-    z = to_Z(to_U(problem, left, problem.exact(xs[0])))
-    rot = cmath.exp(-1j * theta)
-    z = ZState(rot * z.z1, z.z2 / rot, theta, cmath.exp(1j * theta))
-    out = []
-    for x1 in xs[1:]:
-        right = eval_bk(problem, float(x1))
-        z = wkb_step_pair(problem, prov, left, right, z)[order - 1]
-        out.append(from_Z(problem, right, z))
-        left = right
-    return out
-
-
-def test_gauge_invariance():
-    # Shifting the phase reference must leave the reconstruction unchanged.
-    p = make_airy_problem(1.0, 1.0, 2.0)
-    xs = np.linspace(1.0, 2.0, 9)
-    a = march(p, xs)
-    b = march(p, xs, theta=2.9)
-    for sa, sb in zip(a, b):
-        assert abs(sa.phi - sb.phi) / abs(sa.phi) < 1e-12
-        assert abs(sa.dphi - sb.dphi) / abs(sa.dphi) < 1e-12
-
-
 def test_epsilon_asymptotic_trend():
     # Fixed grid, shrinking eps: the second-order scheme's error decreases.
     errs = []
     for eps in (1e-1, 1e-2, 1e-3):
         p = make_airy_problem(eps, 1.0, 2.0)
         xs = np.linspace(1.0, 2.0, 17)
-        end = march(p, xs)[-1]
+        end = march_fixed_grid(p, xs)[-1]
         ex = p.exact(2.0)
         errs.append(abs(end.phi - ex.phi) / abs(ex.phi))
     assert errs[0] > errs[1] > errs[2]
