@@ -102,16 +102,17 @@ def _config_manifest(config: SolverConfig) -> dict:
 
 def _trajectory_rows(traj, problem):
     has_exact = problem.exact is not None
+    refs = (reference.exact_solution(problem, [r.x for r in traj.records])
+            if has_exact else [None] * len(traj.records))
     rows = []
-    for rec in traj.records:
+    for rec, ref in zip(traj.records, refs):
         row = [rec.index, rec.x, rec.h, rec.method, 1,
                rec.est, rec.theta, rec.state.phi.real, rec.state.phi.imag,
                rec.state.dphi.real, rec.state.dphi.imag]
         if has_exact:
-            ex = problem.exact(rec.x, deriv=False)
-            rel = abs(rec.state.phi - ex.phi) / abs(ex.phi) \
-                if ex.phi != 0 else math.inf
-            row += [ex.phi.real, ex.phi.imag, rel]
+            rel = abs(rec.state.phi - ref) / abs(ref) if ref != 0 \
+                else math.inf
+            row += [ref.real, ref.imag, rel]
         rows.append(row)
     header = ["step_index", "x", "h", "method", "accepted", "est", "theta",
               "re_phi", "im_phi", "re_dphi", "im_dphi"]

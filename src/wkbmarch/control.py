@@ -282,7 +282,7 @@ def integrate(problem, config: SolverConfig) -> Trajectory:
     """March from x_start to x_end under the configured controller.
 
     Raises SolverError after MAX_REJECTIONS consecutive rejected trials
-    or when the trial step underflows.
+    or when the trial step falls to 1e-14 |x|.
     """
     provider = None if config.method == "rkf45" else PhaseProvider(
         problem, config.phase)
@@ -292,14 +292,15 @@ def integrate(problem, config: SolverConfig) -> Trajectory:
     x = problem.x_start
     state = problem.initial
     left = _endpoint(problem, lead, x)
-    h_floor = 1e-14 * (problem.x_end - problem.x_start)
     h_trial = config.h0
     traj = Trajectory()
     consecutive = 0
     while x < problem.x_end:
         clamped = h_trial >= problem.x_end - x
         h = problem.x_end - x if clamped else h_trial
-        if h <= h_floor:
+        # A floor relative to x holds on intervals of any length, and any h
+        # above it advances x, whose ulp is at most 2.3e-16 |x|.
+        if h <= 1e-14 * abs(x):
             raise SolverError(f"step size underflow at x={x} (h={h})")
         x1 = problem.x_end if clamped else x + h
         right = _endpoint(problem, lead, x1)

@@ -81,9 +81,10 @@ class Problem:
     tau_guard: float = 1e-12
     # Optional closed-form antiderivative of sqrt(a) - eps^2 b.
     phase_antiderivative: Optional[Callable[[float], float]] = None
-    # Optional exact-solution provider (x, deriv=True) -> WaveState. With
-    # deriv=False it computes only phi and sets dphi to NaN.
-    exact: Optional[Callable[..., WaveState]] = None
+    # Optional exact-solution provider x -> WaveState. The benchmarks'
+    # providers also answer exact.phis(xs), phi alone at every x of xs in
+    # one batch query (see reference.exact_solution).
+    exact: Optional[Callable[[float], WaveState]] = None
     label: str = ""
 
     def __post_init__(self):
@@ -105,12 +106,12 @@ class Problem:
 # Airy benchmark: a(x) = x
 # ---------------------------------------------------------------------------
 
-def _airy_exact_provider(epsilon: float) -> Callable[..., WaveState]:
+def _airy_exact_provider(epsilon: float) -> Callable[[float], WaveState]:
     scale = epsilon ** (-2.0 / 3.0)
 
-    def exact(x: float, deriv: bool = True) -> WaveState:
+    def exact(x: float) -> WaveState:
         try:
-            quad = reference.airy_pair(x * scale, deriv)
+            quad = reference.airy_pair(x * scale)
         except ArithmeticError:  # the asymptotic series overflows
             raise ValueError(f"Airy reference overflows at x={x!r}, "
                              f"epsilon={epsilon!r}") from None
@@ -118,7 +119,24 @@ def _airy_exact_provider(epsilon: float) -> Callable[..., WaveState]:
         dphi = -scale * complex(quad.aip, quad.bip)
         return WaveState(x, phi, dphi)
 
+    def phis(xs) -> list[complex]:
+        try:
+            ai, bi = reference.airy_values([x * scale for x in xs])
+        except (ValueError, ArithmeticError):
+            _first_failure(exact, xs)
+            raise
+        return [complex(a, b) for a, b in zip(ai, bi)]
+
+    exact.phis = phis
     return exact
+
+
+def _first_failure(exact, xs) -> None:
+    """Query xs one point at a time with the full-state provider `exact`,
+    which raises the error of the first point that fails alone: the error
+    a failed batch reports."""
+    for x in xs:
+        exact(x)
 
 
 def make_airy_problem(epsilon: float, x_start: float = 0.1,
@@ -200,20 +218,36 @@ def make_pcf_problem(epsilon: float, x_start: float = 0.01,
     table = reference._ContinuationTable(
         [nu, 0.0, 0.25], 0.0, (u0, du0))
 
-    def exact(x: float, deriv: bool = True) -> WaveState:
-        z = z_scale * (1.0 - x)
+    def overflows(x: float) -> ValueError:
+        # Double-double splits overflow once U passes about 1e300.
+        return ValueError(f"PCF reference overflows at x={x!r}, "
+                          f"epsilon={epsilon!r}")
+
+    def exact(x: float) -> WaveState:
         try:
-            wh, wl, dh, dl = table.state_at(z, deriv)
+            wh, wl, dh, dl = table.state_at(z_scale * (1.0 - x))
         except ContinuationError:  # a non-finite series fails to certify
-            wh = wl = dh = dl = math.nan
+            raise overflows(x) from None
         u, du = wh + wl, dh + dl
-        if not math.isfinite(u) or deriv and not math.isfinite(du):
-            # Double-double splits overflow once U passes about 1e300.
-            raise ValueError(f"PCF reference overflows at x={x!r}, "
-                             f"epsilon={epsilon!r}")
-        phi = kappa * u
-        dphi = -kappa * z_scale * du
-        return WaveState(x, phi, dphi)
+        if not (math.isfinite(u) and math.isfinite(du)):
+            raise overflows(x)
+        return WaveState(x, kappa * u, -kappa * z_scale * du)
+
+    def phis(xs) -> list[complex]:
+        try:
+            (wh, wl), = table.values_at([z_scale * (1.0 - x) for x in xs])
+        except (ValueError, ContinuationError):
+            _first_failure(exact, xs)
+            raise
+        out = []
+        for x, h, l in zip(xs, wh, wl):
+            u = h + l
+            if not math.isfinite(u):
+                raise overflows(x)
+            out.append(kappa * u)
+        return out
+
+    exact.phis = phis
 
     return Problem(
         epsilon=epsilon,

@@ -25,7 +25,7 @@ import threading
 from dataclasses import dataclass
 from typing import Sequence
 
-from .state import ContinuationError, WaveState
+from .state import ContinuationError
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -234,13 +234,14 @@ def _dd_deriv_coeffs(chi, clo):
     return ghi, glo
 
 
-def _dd_horner(hi, lo, h: float):
+def _dd_horner(hi, lo, h):
     """Value (vh, vl) at t = h of the double-double series with
     coefficients hi_m + lo_m.
 
     Each Horner step is _dd_mul_d by h followed by _dd_add of the next
     coefficient, written out with h split once, so the result is
-    bit-identical to composing those helpers.
+    bit-identical to composing those helpers. It runs unchanged on numpy
+    arrays, h holding one hop per column of the coefficient rows.
     """
     t = _SPLIT * h
     hh = t - (t - h)
@@ -320,11 +321,10 @@ class _ContinuationTable:
     therefore depends only on its position, never on the order of earlier
     queries. A query hops from the checkpoint at or below x on its side by
     one Horner pass over the stored value series, and by a second over the
-    stored derivative series only when the derivative is asked for; it
-    forms no series and writes nothing. The stored series take about
-    1.07 MB for the two real Airy tables up to t = 50 (131 checkpoints
-    each), 0.2 MB for PCF at eps = 2^-6 and 2 MB at eps = 1.3e-3, near the
-    smallest eps the PCF factory accepts.
+    stored derivative series for the full state; it forms no series. The
+    stored series take about 1.07 MB for the two real Airy tables up to
+    t = 50 (131 checkpoints each), 0.2 MB for PCF at eps = 2^-6 and 2 MB at
+    eps = 1.3e-3, near the smallest eps the PCF factory accepts.
 
     Growth runs under a lock and publishes each checkpoint's series and
     state before its key, so a concurrent reader only ever finds complete
@@ -342,6 +342,9 @@ class _ContinuationTable:
         # the next).
         self._sides = {1.0: ([self.x0], [seed], []),
                        -1.0: ([-self.x0], [seed], [])}
+        # Direction d -> (count, hi, lo): the first `count` value series of
+        # that side stacked into two numpy arrays (see _stacked).
+        self._stacks = {1.0: (0, None, None), -1.0: (0, None, None)}
         self._lock = threading.Lock()
 
     def _grow(self, d: float, key: float) -> None:
@@ -357,9 +360,8 @@ class _ContinuationTable:
                 states.append(state)
                 keys.append(d * x)
 
-    def state_at(self, x: float, deriv: bool = True):
-        """Double-double state (wh, wl, dh, dl) at x. With deriv=False only
-        the value series is evaluated, and dh, dl are NaN."""
+    def state_at(self, x: float):
+        """Double-double state (wh, wl, dh, dl) at x."""
         if not math.isfinite(x):
             raise ValueError(f"continuation point must be finite, got {x!r}")
         d = 1.0 if x >= self.x0 else -1.0
@@ -369,21 +371,116 @@ class _ContinuationTable:
             self._grow(d, key)
         i = bisect.bisect_right(keys, key) - 1
         if keys[i] == key:
-            state = states[i]
-        else:
-            values, derivs = series[i]
-            # The tail certificate was checked for the full substep from
-            # this checkpoint when the table grew. It covers this shorter
-            # hop too, because tail/bulk rises with |h|: every tail term
-            # gains on every bulk term by a positive power of |h|.
-            h = x - d * keys[i]
-            state = _dd_horner(*values, h)
-            if deriv:
-                state += _dd_horner(*derivs, h)
-        if deriv:
-            return state
-        nan = state[0] * math.nan
-        return state[0], state[1], nan, nan
+            return states[i]
+        values, derivs = series[i]
+        # The tail certificate was checked for the full substep from this
+        # checkpoint when the table grew. It covers this shorter hop too,
+        # because tail/bulk rises with |h|: every tail term gains on every
+        # bulk term by a positive power of |h|.
+        h = x - d * keys[i]
+        return _dd_horner(*values, h) + _dd_horner(*derivs, h)
+
+    def _stacked(self, np, d: float):
+        """(hi, lo) arrays of side d's value series: one row per term, one
+        column per checkpoint that has a series. They are rebuilt only
+        after the side has grown, and published as one tuple, so a
+        concurrent reader that has grown the side finds every column it
+        needs."""
+        count, hi, lo = self._stacks[d]
+        series = self._sides[d][2]
+        if count < len(series):
+            count = len(series)
+            values = [v for v, _ in series[:count]]
+            hi = np.array([v[0] for v in values]).T.copy()
+            lo = np.array([v[1] for v in values]).T.copy()
+            self._stacks[d] = (count, hi, lo)
+        return hi, lo
+
+    def values_at(self, xs, *twins):
+        """Heads (wh, wl) of state_at(x) at every x of xs, bit for bit, for
+        this table and then each of `twins`, tables grown from the same q
+        and x0 (so on the same checkpoint keys) with other states. Returns
+        one (wh list, wl list) pair per table.
+
+        The points grow the tables as state_at would. A point on a
+        checkpoint reads its state; every other point is one hop over the
+        value series, and the hops of all points and tables run as one
+        _dd_horner call on numpy arrays: the error-free transforms are exact
+        in any IEEE elementwise arithmetic, and a hop multiplies only by
+        the real h, so each gives the bits of its scalar hop. Where numpy
+        cannot be imported, the hops run one point at a time.
+        """
+        tables = (self, *twins)
+        for x in xs:
+            if not math.isfinite(x):
+                raise ValueError(
+                    f"continuation point must be finite, got {x!r}")
+        out = [([0.0] * len(xs), [0.0] * len(xs)) for _ in tables]
+        up = [j for j, x in enumerate(xs) if x >= self.x0]
+        down = [j for j, x in enumerate(xs) if x < self.x0]
+        hops = []  # (side, points, their checkpoints, their hops h)
+        for d, points in ((1.0, up), (-1.0, down)):
+            if not points:
+                continue
+            top = max(d * xs[j] for j in points)
+            for table in tables:
+                if table._sides[d][0][-1] < top:
+                    table._grow(d, top)
+            keys = self._sides[d][0]
+            at, idx, hs = [], [], []
+            for j in points:
+                i = bisect.bisect_right(keys, d * xs[j]) - 1
+                h = xs[j] - d * keys[i]
+                if h == 0.0:  # on a checkpoint
+                    for table, (wh, wl) in zip(tables, out):
+                        wh[j], wl[j] = table._sides[d][1][i][:2]
+                else:
+                    at.append(j)
+                    idx.append(i)
+                    hs.append(h)
+            if at:
+                hops.append((d, at, idx, hs))
+        if not hops:
+            return out
+        np = _numpy()
+        if np is None:
+            for table, (wh, wl) in zip(tables, out):
+                for d, at, idx, hs in hops:
+                    series = table._sides[d][2]
+                    for j, i, h in zip(at, idx, hs):
+                        wh[j], wl[j] = _dd_horner(*series[i][0], h)
+            return out
+        hs = np.array([h for _, _, _, hs in hops for h in hs] * len(tables))
+        stacks = [(table._stacked(np, d), idx)
+                  for table in tables for d, _, idx, _ in hops]
+        # One column per hop, gathered straight into place.
+        hi = np.empty((SERIES_TERMS, len(hs)),
+                      np.result_type(*(s[0] for s, _ in stacks)))
+        lo = np.empty_like(hi)
+        k = 0
+        for (stack_hi, stack_lo), idx in stacks:
+            hi[:, k:k + len(idx)] = stack_hi[:, idx]
+            lo[:, k:k + len(idx)] = stack_lo[:, idx]
+            k += len(idx)
+        with np.errstate(all="ignore"):
+            vh, vl = _dd_horner(hi, lo, hs)
+        vh, vl = vh.tolist(), vl.tolist()
+        k = 0
+        for wh, wl in out:
+            for _, at, _, _ in hops:
+                for j, a, b in zip(at, vh[k:], vl[k:]):
+                    wh[j], wl[j] = a, b
+                k += len(at)
+        return out
+
+
+def _numpy():
+    """numpy, imported on first use, or None where it cannot be imported."""
+    try:
+        import numpy
+    except ImportError:
+        return None
+    return numpy
 
 
 # ---------------------------------------------------------------------------
@@ -431,14 +528,14 @@ def asymptotic_coeffs(k: int) -> tuple[float, float]:
     return _UV_CACHE[k]
 
 
-def airy_asymptotic(t: float, deriv: bool = True) -> AiryQuad:
+def airy_asymptotic(t: float) -> AiryQuad:
     """Large-argument expansion of the Airy quad at -t, truncated after
     index AIRY_ASYM_TERMS in each of the paired cosine and sine sums.
 
     The phase zeta = (2/3) t^(3/2) is formed and reduced modulo 2*pi in
     compensated arithmetic, so the only irreducible error left is the
-    quantization of t itself. With deriv=False the v sums are skipped and
-    aip, bip are NaN.
+    quantization of t itself. Raises OverflowError where that phase or the
+    sums overflow, from about t = 1e199 up.
     """
     if t <= 0.0:
         raise ValueError("asymptotic branch needs t > 0")
@@ -447,6 +544,9 @@ def airy_asymptotic(t: float, deriv: bool = True) -> AiryQuad:
     zh, zl = _dd_mul_d(sh, sl, t)
     zh, zl = _dd_mul_dd(zh, zl, _TWO_THIRDS_HI, _TWO_THIRDS_LO)
     zeta = zh + zl
+    if not math.isfinite(zeta):
+        # The Dekker splits overflow before zeta does, from about 1e200.
+        raise OverflowError(f"Airy phase overflows at t={t!r}")
     arg = _reduce_mod_2pi(zh, zl) - 0.25 * math.pi
     cosz = math.cos(arg)
     sinz = math.sin(arg)
@@ -457,20 +557,15 @@ def airy_asymptotic(t: float, deriv: bool = True) -> AiryQuad:
         u2k1, v2k1 = asymptotic_coeffs(2 * k + 1)
         even_u += sign * u2k / zeta ** (2 * k)
         odd_u += sign * u2k1 / zeta ** (2 * k + 1)
-        if deriv:
-            even_v += sign * v2k / zeta ** (2 * k)
-            odd_v += sign * v2k1 / zeta ** (2 * k + 1)
+        even_v += sign * v2k / zeta ** (2 * k)
+        odd_v += sign * v2k1 / zeta ** (2 * k + 1)
     amp = 1.0 / (SQRT_PI * t ** 0.25)
-    aip = bip = math.nan
-    if deriv:
-        damp = t ** 0.25 / SQRT_PI
-        aip = damp * (sinz * even_v - cosz * odd_v)
-        bip = damp * (cosz * even_v + sinz * odd_v)
+    damp = t ** 0.25 / SQRT_PI
     return AiryQuad(
         ai=amp * (cosz * even_u + sinz * odd_u),
-        aip=aip,
+        aip=damp * (sinz * even_v - cosz * odd_v),
         bi=amp * (-sinz * even_u + cosz * odd_u),
-        bip=bip,
+        bip=damp * (cosz * even_v + sinz * odd_v),
     )
 
 
@@ -479,34 +574,59 @@ def airy_asymptotic(t: float, deriv: bool = True) -> AiryQuad:
 # table per solution. Packing both into one complex channel, w = Ai + i Bi,
 # gives the same bits, but CPython specialises float arithmetic and not
 # complex: a value-only hop costs 15-21 us in a real table and 40-43 us in a
-# complex one (CPython 3.11, shared 2-vCPU x86 machine). The tables grow on
-# first use; building them here costs only the origin values.
+# complex one (CPython 3.11, shared 2-vCPU x86 machine). Both tables march
+# w'' = y w from the origin, so they share their checkpoint keys and a batch
+# hops both at once. They grow on first use; building them here costs only
+# the origin values.
 _AIRY_Q0 = airy_origin_values()
 _AI_TABLE = _ContinuationTable([0.0, 1.0], 0.0, (_AIRY_Q0.ai, _AIRY_Q0.aip))
 _BI_TABLE = _ContinuationTable([0.0, 1.0], 0.0, (_AIRY_Q0.bi, _AIRY_Q0.bip))
 
 
-def _airy_continued(t: float, deriv: bool = True) -> AiryQuad:
-    """Airy quad at -t by checkpointed continuation of w'' = y w; with
-    deriv=False aip and bip are NaN."""
-    ah, al, adh, adl = _AI_TABLE.state_at(-t, deriv)
-    bh, bl, bdh, bdl = _BI_TABLE.state_at(-t, deriv)
+def _airy_continued(t: float) -> AiryQuad:
+    """Airy quad at -t by checkpointed continuation of w'' = y w."""
+    ah, al, adh, adl = _AI_TABLE.state_at(-t)
+    bh, bl, bdh, bdl = _BI_TABLE.state_at(-t)
     return AiryQuad(ai=ah + al, aip=adh + adl, bi=bh + bl, bip=bdh + bdl)
 
 
-def airy_pair(t: float, deriv: bool = True) -> AiryQuad:
+def _check_oscillatory(t: float) -> None:
+    if not t >= 0.0:
+        raise ValueError(
+            f"only the oscillatory side t >= 0 is supported, got {t!r}")
+
+
+def airy_pair(t: float) -> AiryQuad:
     """Hybrid Airy quad at -t by one route: the continuation table for
     t <= AIRY_VALUE_SWITCH = 50, the asymptotic expansion above. Against
     mpmath, relative to the amplitude envelope, the expansion is within
     5e-16 on 30 <= t <= 500 (as is the table) and 1.8e-14 on 20 <= t <= 30,
-    so the seam leaves a margin and the table stops near t = 50. With
-    deriv=False only Ai and Bi are computed, and aip, bip are NaN."""
-    if not t >= 0.0:
-        raise ValueError(
-            f"only the oscillatory side t >= 0 is supported, got {t!r}")
+    so the seam leaves a margin and the table stops near t = 50."""
+    _check_oscillatory(t)
     if t <= AIRY_VALUE_SWITCH:
-        return _airy_continued(t, deriv)
-    return airy_asymptotic(t, deriv)
+        return _airy_continued(t)
+    return airy_asymptotic(t)
+
+
+def airy_values(ts) -> tuple[list[float], list[float]]:
+    """(Ai(-t), Bi(-t)) at every t of ts, each by the route airy_pair takes
+    and with the bits of its quad: the points at or below the seam in one
+    batch hop over both tables, those above it one at a time."""
+    ai = [0.0] * len(ts)
+    bi = [0.0] * len(ts)
+    low = []
+    for j, t in enumerate(ts):
+        _check_oscillatory(t)
+        if t <= AIRY_VALUE_SWITCH:
+            low.append(j)
+        else:
+            quad = airy_asymptotic(t)
+            ai[j], bi[j] = quad.ai, quad.bi
+    (ah, al), (bh, bl) = _AI_TABLE.values_at([-ts[j] for j in low],
+                                             _BI_TABLE)
+    for j, a1, a2, b1, b2 in zip(low, ah, al, bh, bl):
+        ai[j], bi[j] = a1 + a2, b1 + b2
+    return ai, bi
 
 
 # ---------------------------------------------------------------------------
@@ -543,12 +663,16 @@ def pcf_origin_values(nu: float) -> tuple[float, float]:
 # Error metrics
 # ---------------------------------------------------------------------------
 
-def exact_solution(problem, x: float, deriv: bool = True) -> WaveState:
-    """Exact (phi, phi') of a benchmark problem at x; with deriv=False only
-    phi is computed, and phi' is NaN."""
+def exact_solution(problem, xs) -> list[complex]:
+    """Exact phi of a benchmark problem at every x of xs, in one batch
+    query where the provider has one (`exact.phis`), else one full-state
+    query per point."""
     if problem.exact is None:
         raise ValueError("problem has no exact-solution provider")
-    return problem.exact(x, deriv)
+    phis = getattr(problem.exact, "phis", None)
+    if phis is None:
+        return [problem.exact(x).phi for x in xs]
+    return phis(xs)
 
 
 def global_error(trajectory, problem, norm: str = "sup"):
@@ -557,23 +681,23 @@ def global_error(trajectory, problem, norm: str = "sup"):
     norm="sup":   max over nodes of |phi_n - phi(x_n)| / |phi(x_n)|,
                   skipping nodes where the exact value vanishes.
     norm="l2rel": ||phi_n - phi(x_n)||_2 / ||phi(x_n)||_2 over the nodes.
+
+    The exact values of all nodes come from one exact_solution call.
     """
+    if norm not in ("sup", "l2rel"):
+        raise ValueError(f"unknown norm {norm!r}")
     states = list(getattr(trajectory, "states", trajectory))
     if not states:
         raise ValueError("empty trajectory")
+    refs = exact_solution(problem, [s.x for s in states])
     if norm == "sup":
         worst = 0.0
-        for s in states:
-            ref = exact_solution(problem, s.x, deriv=False).phi
+        for s, ref in zip(states, refs):
             if ref != 0:
                 worst = max(worst, abs(s.phi - ref) / abs(ref))
         return worst
-    if norm == "l2rel":
-        refs = [exact_solution(problem, s.x, deriv=False).phi
-                for s in states]
-        denom = math.hypot(*(abs(r) for r in refs))
-        if denom == 0.0:
-            raise ValueError("exact solution vanishes on all nodes")
-        err = math.hypot(*(abs(s.phi - r) for s, r in zip(states, refs)))
-        return err / denom
-    raise ValueError(f"unknown norm {norm!r}")
+    denom = math.hypot(*(abs(r) for r in refs))
+    if denom == 0.0:
+        raise ValueError("exact solution vanishes on all nodes")
+    err = math.hypot(*(abs(s.phi - r) for s, r in zip(states, refs)))
+    return err / denom

@@ -315,6 +315,8 @@ def test_malformed_json_spec_exits_two(tmp_path, capsys, text):
     (["--problem", "poly:inf", "--interval", "0,1"], "coeffs"),
     (["--problem", "json:{path}"], "initial"),
     (["--problem", "airy", "--eps", "1e-300"], "epsilon=1e-300"),
+    (["--problem", "airy", "--interval", "1e205,1e206"], "x=1e+205,"),
+    (["--problem", "airy", "--interval", "1e300,1e301"], "x=1e+300,"),
 ])
 def test_non_finite_problem_exits_two(tmp_path, capsys, args, match):
     path = tmp_path / "prob.json"
@@ -354,6 +356,16 @@ def test_cli_exit_code_property(tmp_path_factory, coeffs, interval, method,
                     f"--interval={interval}", "--method", method,
                     "--phase", phase, "--tol", "1e-4", "--out", str(out)])
     assert code in (0, 2, 3)
+
+
+def test_step_floor_follows_the_position(tmp_path):
+    # The step floor is 1e-14 |x|, not 1e-14 of the interval, which on
+    # [0.1, 1e15] would lie above h0 and end the run before its first trial.
+    out = tmp_path / "run"
+    assert run_cli(["solve", "--problem", "airy", "--interval", "0.1,1e15",
+                    "--tol", "1e-5", "--out", str(out)]) == 0
+    counters = json.loads((out / "manifest.json").read_text())["counters"]
+    assert (counters["accepted"], counters["rejected"]) == (81, 1)
 
 
 def test_eps_and_interval_override_json_spec(tmp_path):

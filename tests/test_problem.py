@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from wkbmarch import (CoefficientField, WaveState, make_airy_problem,
                       make_pcf_problem, make_polynomial_problem,
-                      problem_from_json)
+                      problem_from_json, reference)
 from wkbmarch.wkb_core import eval_bk
 
 
@@ -281,11 +282,20 @@ def test_finite_overflowing_coefficients_are_allowed():
     assert p.field(1.0) == math.inf
 
 
-def test_airy_reference_overflow_is_a_value_error():
+def test_airy_reference_overflow_is_a_value_error(airy1):
     # At eps = 1e-300 the initial state sits at t = 0.1 eps^(-2/3), where
-    # the asymptotic series overflows.
+    # the asymptotic series overflows. From t of about 1e200 up its phase
+    # overflows first, in the Dekker splits; either names the point, in a
+    # single query and in a batch.
     with pytest.raises(ValueError, match="epsilon=1e-300"):
         make_airy_problem(1e-300)
+    for x in (1e205, 1e300):
+        message = re.escape(
+            f"Airy reference overflows at x={x!r}, epsilon=1.0")
+        with pytest.raises(ValueError, match=message):
+            make_airy_problem(1.0, x, 2.0 * x)
+        with pytest.raises(ValueError, match=message):
+            reference.exact_solution(airy1, [1.0, 70.0, x, 3.0 * x])
 
 
 def test_poly_default_needs_positive_a():

@@ -6,7 +6,6 @@ the asymptotic expansions and the Taylor continuation, which share no code
 path beyond float arithmetic.
 """
 
-import cmath
 import math
 import random
 import sys
@@ -27,7 +26,8 @@ from wkbmarch.reference import (AIRY_VALUE_SWITCH, SERIES_TERMS,
                                 _dd_mul_d, _dd_mul_dd, _dd_recip_int,
                                 _dd_series, _dd_shift_poly, _dd_substep,
                                 _series_phase_cap, airy_asymptotic,
-                                airy_origin_values, asymptotic_coeffs,
+                                airy_origin_values, airy_values,
+                                asymptotic_coeffs, exact_solution,
                                 pcf_origin_values)
 
 EPS_MACH = 2.220446049250313e-16
@@ -161,6 +161,17 @@ def test_pcf_reference_overflow_names_x_and_epsilon():
     # the provider turns the failed certificate into a ValueError.
     with pytest.raises(ValueError, match=r"x=0\.01, epsilon=0\.0012"):
         make_pcf_problem(1.2e-3)
+    # At eps = 1.227055e-3 the continuation overflows on the side z > 0
+    # (x < 1) alone. A batch names the first point that fails alone, as
+    # that query does.
+    p = make_pcf_problem(1.227055e-3, 1.5, 1.9)
+    for xs in ([1.5, 0.5, 1.99, math.nan], [1.2, math.nan, 0.01],
+               [1.99, 1.0, 0.01, 0.5], [0.01, 1.99]):
+        kind, message = first_error(p.exact, xs)
+        assert "overflows" in message or "finite" in message
+        with pytest.raises(kind) as info:
+            exact_solution(p, xs)
+        assert str(info.value) == message
 
 
 # The series kernels are written out for speed; these compositions of the
@@ -296,11 +307,12 @@ def test_airy_pair_takes_one_route(monkeypatch):
                                math.nextafter(AIRY_VALUE_SWITCH, math.inf),
                                50.1, 400.0, 1e4])
 def test_airy_pair_value_only(t):
-    """deriv=False gives Ai and Bi of the full quad bit for bit on both
-    routes, and NaN, never a stale value, in the derivative slots."""
-    quad, value = airy_pair(t), airy_pair(t, deriv=False)
-    assert repr((value.ai, value.bi)) == repr((quad.ai, quad.bi))
-    assert math.isnan(value.aip) and math.isnan(value.bip)
+    """airy_values gives Ai and Bi of the full quad bit for bit on both
+    routes, alone and in one batch with points on both sides of the seam."""
+    quad = airy_pair(t)
+    for ts, j in (([t], 0), ([1.5, 60.0, t, 0.0, 1e3], 2)):
+        ai, bi = airy_values(ts)
+        assert [ai[j].hex(), bi[j].hex()] == [quad.ai.hex(), quad.bi.hex()]
 
 
 def test_airy_wronskian_identity():
@@ -324,9 +336,27 @@ def test_airy_leading_order_remainder_bound():
     assert scaled <= 2.0 * u1 / zeta
 
 
-def test_airy_rejects_negative_argument():
+def first_error(exact, xs):
+    """(type, message) of the first point of xs whose single full-state
+    query `exact(x)` raises."""
+    for x in xs:
+        try:
+            exact(x)
+        except Exception as exc:
+            return type(exc), str(exc)
+    raise AssertionError("no point fails")
+
+
+def test_airy_rejects_negative_argument(airy1):
     with pytest.raises(ValueError):
         airy_pair(-1.0)
+    # A batch names the first point that fails alone, as that query does.
+    for xs in ([1.0, -2.0, math.nan, 60.0], [70.0, math.nan, 0.5, -1.0],
+               [-3.0, 1e300]):
+        kind, message = first_error(airy1.exact, xs)
+        with pytest.raises(kind) as info:
+            exact_solution(airy1, xs)
+        assert str(info.value) == message
 
 
 def test_remark_floor_scaling():
@@ -461,66 +491,81 @@ def test_table_independent_of_query_order(name, data):
 
 @pytest.mark.parametrize("name", sorted(TABLES))
 def test_value_only_query_matches_full_state(monkeypatch, name):
-    """state_at(x, deriv=False) is the head (wh, wl) of state_at(x) bit for
-    bit, with NaN derivative slots, at checkpoint keys, at x0 and between
-    keys on both sides of x0, in a shuffled order that mixes value-only and
-    full queries on one checkpoint. Once both tables have grown over the
-    points, a query hops over the series stored at growth: it forms no
-    series and writes nothing to the table."""
+    """values_at(xs) gives the head (wh, wl) of state_at(x) bit for bit at
+    every x: at checkpoint keys, at x0 and between keys on both sides of
+    x0, in shuffled batches mixed with full queries on one table, with
+    numpy and with numpy unimportable. Once the tables have grown over the
+    points, a batch hops over the series stored at growth: it forms no
+    series and adds no checkpoint."""
     q, seed, (lo, hi) = TABLES[name]
     ref = _ContinuationTable(q, 0.0, seed)
-    table = _ContinuationTable(q, 0.0, seed)
-    for t in (ref, table):
-        t.state_at(lo)
-        t.state_at(hi)
+    for x in (lo, hi):
+        ref.state_at(x)
     keys = [d * k for d in (1.0, -1.0) for k in ref._sides[d][0]
             if lo <= d * k <= hi]
     assert len(keys) > 10
     between = [float(x) for x in np.linspace(lo, hi, 57)]
     xs = keys + between + [0.0]
     random.Random(name).shuffle(xs)
+    heads = {x: repr(ref.state_at(x)[:2]) for x in xs}
 
     def forbidden(*args):
         raise AssertionError("series formed on a query")
 
-    for helper in ("_dd_series", "_dd_shift_poly", "_dd_deriv_coeffs"):
-        monkeypatch.setattr(reference, helper, forbidden)
-    attrs = dict(vars(table))
-    sizes = {d: [len(part) for part in side]
-             for d, side in table._sides.items()}
-    for n, x in enumerate(xs):
-        full = ref.state_at(x)
-        if n % 3 == 0:
-            assert repr(table.state_at(x)) == repr(full)
-        value = table.state_at(x, deriv=False)
-        assert repr(value[:2]) == repr(full[:2])
-        assert cmath.isnan(value[2]) and cmath.isnan(value[3])
-        assert type(value[2]) is type(full[2])
-    assert vars(table) == attrs
-    assert sizes == {d: [len(part) for part in side]
+    for numpy in (np, None):
+        table = _ContinuationTable(q, 0.0, seed)
+        for x in (lo, hi):
+            table.state_at(x)
+        with monkeypatch.context() as m:
+            m.setitem(sys.modules, "numpy", numpy)
+            for helper in ("_dd_series", "_dd_shift_poly",
+                           "_dd_deriv_coeffs"):
+                m.setattr(reference, helper, forbidden)
+            attrs = dict(vars(table))
+            sizes = {d: [len(part) for part in side]
                      for d, side in table._sides.items()}
+            for start in range(0, len(xs), 7):
+                batch = xs[start:start + 7]
+                full = table.state_at(batch[0])
+                assert repr(full) == repr(ref.state_at(batch[0]))
+                (wh, wl), = table.values_at(batch)
+                assert [repr(v) for v in zip(wh, wl)] == \
+                    [heads[x] for x in batch]
+            (wh, wl), = table.values_at(xs)
+            assert [repr(v) for v in zip(wh, wl)] == [heads[x] for x in xs]
+            assert vars(table) == attrs
+            assert sizes == {d: [len(part) for part in side]
+                             for d, side in table._sides.items()}
 
 
-def test_airy_real_tables_match_complex_table():
+def test_airy_real_tables_match_complex_table(monkeypatch):
     """The two real Airy tables give the bits of one complex table seeded
-    with w = Ai + i Bi, the packed layout kept here as the reference, with
-    and without the derivative: at every checkpoint key up to t = 50, at the
-    origin, at the seam and between keys. Their states are float, so every
-    hop runs in float arithmetic."""
+    with w = Ai + i Bi, the packed layout kept here as the reference, in
+    full and value-only queries, the latter in one batch with and without
+    numpy: at every checkpoint key up to t = 50, at the origin, at the
+    seam and between keys. Their states are float, so every hop runs in
+    float arithmetic."""
     oracle = _ContinuationTable([0.0, 1.0], 0.0, _airy_seed())
     oracle.state_at(-AIRY_VALUE_SWITCH)
     keys = [k for k in oracle._sides[-1.0][0] if k <= AIRY_VALUE_SWITCH]
     assert len(keys) > 100
     rng = random.Random(0)
     between = [rng.uniform(0.0, AIRY_VALUE_SWITCH) for _ in range(200)]
-    for t in keys + between + [0.0, AIRY_VALUE_SWITCH]:
-        for deriv in (True, False):
-            wh, wl, dh, dl = oracle.state_at(-t, deriv)
-            w, dw = wh + wl, dh + dl
-            quad = _airy_continued(t, deriv)
-            assert [x.hex() for x in (quad.ai, quad.aip, quad.bi,
-                                      quad.bip)] == \
-                [x.hex() for x in (w.real, dw.real, w.imag, dw.imag)], t
+    ts = keys + between + [0.0, AIRY_VALUE_SWITCH]
+    heads = []
+    for t in ts:
+        wh, wl, dh, dl = oracle.state_at(-t)
+        w, dw = wh + wl, dh + dl
+        heads.append([w.real.hex(), w.imag.hex()])
+        quad = _airy_continued(t)
+        assert [x.hex() for x in (quad.ai, quad.aip, quad.bi,
+                                  quad.bip)] == \
+            [x.hex() for x in (w.real, dw.real, w.imag, dw.imag)], t
+    for numpy in (np, None):
+        with monkeypatch.context() as m:
+            m.setitem(sys.modules, "numpy", numpy)
+            ai, bi = airy_values(ts)
+        assert [[a.hex(), b.hex()] for a, b in zip(ai, bi)] == heads
     for table in (reference._AI_TABLE, reference._BI_TABLE):
         for _, states, _ in table._sides.values():
             assert all(type(part) is float
@@ -536,12 +581,16 @@ def test_table_rejects_non_finite_point(x):
 
 
 def test_table_concurrent_growth_matches_serial():
-    """Two threads growing one fresh table from opposite ends see the
-    serial table's states bit for bit."""
+    """Two threads growing one fresh table from opposite ends, and a third
+    issuing batch queries over both ends meanwhile, see the serial table's
+    states and heads bit for bit."""
     q, seed = [0.0, 1.0], _airy_seed()
     ys = [-float(t) for t in range(1, 59)]
     serial = _ContinuationTable(q, 0.0, seed)
     expect = {y: repr(serial.state_at(y)) for y in ys}
+    batches = [ys[k::7] + [-y for y in ys[k::11]] for k in range(7)]
+    expect_heads = [[repr(serial.state_at(y)[:2]) for y in batch]
+                    for batch in batches]
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -549,19 +598,27 @@ def test_table_concurrent_growth_matches_serial():
         for _ in range(5):
             table = _ContinuationTable(q, 0.0, seed)
             got = ({}, {})
+            got_heads = []
 
             def run(order, out):
                 for y in order:
                     out[y] = repr(table.state_at(y))
 
+            def run_batches():
+                for batch in batches:
+                    (wh, wl), = table.values_at(batch)
+                    got_heads.append([repr(v) for v in zip(wh, wl)])
+
             threads = [threading.Thread(target=run, args=(order, out))
                        for order, out in zip((ys, ys[::-1]), got)]
+            threads.append(threading.Thread(target=run_batches))
             for t in threads:
                 t.start()
             for t in threads:
                 t.join(timeout=120)
             assert not any(t.is_alive() for t in threads)
             assert got == (expect, expect)
+            assert got_heads == expect_heads
     finally:
         sys.setswitchinterval(old)
 

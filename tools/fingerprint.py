@@ -18,6 +18,12 @@ one JSON object:
   - `<problem>/<method>/<phase>`: Airy eps 1 on [0.1, 50] and PCF eps 2^-6
     on [0.01, 1.99] at Tol 1e-6, under every method and both phase modes.
   A run that raises `SolverError` hashes the error's name.
+* `verify`: for each `<workload>/<seed>` key above, over its runs, the
+  float.hex of `global_error` under `sup` and under `l2rel`, and a sha256
+  (first 16 hex digits) over float.hex of the exact phi at every accepted
+  node, read through `reference.exact_solution` as `global_error` reads
+  it: one batch call per run, or one value-only call per node in a
+  checkout whose `exact_solution` takes a single point.
 * `march`: `march_fixed_grid` on Airy eps 1 over 9 equally spaced points
   of [1, 2], orders 1 and 2, both phase modes; each node as float.hex of
   (x, phi, phi').
@@ -25,13 +31,14 @@ one JSON object:
 `--against DIR` runs the same on DIR in a fresh interpreter and prints,
 per key, whether the two agree; for the march, the number of nodes that
 moved and the largest relative move |d phi| / |phi| and |d phi'| / |phi'|.
-It exits 1 when an `integrate` fingerprint differs.
+It exits 1 when an `integrate` or a `verify` fingerprint differs.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import subprocess
 import sys
@@ -55,15 +62,27 @@ def collect(root: Path) -> dict:
     sys.dont_write_bytecode = True
     sys.path[:0] = [str(root / "src"), str(root / "bench")]
     from workloads import WORKLOADS
-    from wkbmarch import (SolverConfig, SolverError, integrate,
-                          make_airy_problem, make_pcf_problem,
-                          march_fixed_grid)
+    from wkbmarch import (SolverConfig, SolverError, global_error,
+                          integrate, make_airy_problem, make_pcf_problem,
+                          march_fixed_grid, reference)
 
-    def run(problem, config) -> list[str]:
+    if "deriv" in inspect.signature(reference.exact_solution).parameters:
+        def exact_phis(problem, xs):
+            return [reference.exact_solution(problem, x, deriv=False).phi
+                    for x in xs]
+    else:
+        exact_phis = reference.exact_solution
+
+    def solve(problem, config):
+        """The trajectory, or the name of the SolverError raised."""
         try:
-            traj = integrate(problem, config)
+            return integrate(problem, config)
         except SolverError as exc:
-            return [type(exc).__name__]
+            return type(exc).__name__
+
+    def lines(traj) -> list[str]:
+        if isinstance(traj, str):
+            return [traj]
         out = [str(traj.rejected)]
         for r in traj.records:
             s = r.state
@@ -72,15 +91,35 @@ def collect(root: Path) -> dict:
                     s.phi.imag.hex(), s.dphi.real.hex(), s.dphi.imag.hex()]
         return out
 
+    def run(problem, config) -> list[str]:
+        return lines(solve(problem, config))
+
+    def verify(problem, trajs) -> dict:
+        checks = {"sup": [], "l2rel": []}
+        phis = []
+        for traj in trajs:
+            if isinstance(traj, str):
+                phis.append([traj])
+                continue
+            for norm, values in checks.items():
+                values.append(global_error(traj, problem, norm).hex())
+            phis.append([part.hex() for phi in exact_phis(
+                problem, [s.x for s in traj.states])
+                for part in (phi.real, phi.imag)])
+        checks["phi"] = _digest(phis)
+        return checks
+
     prints = {}
+    verified = {}
     for name, w in WORKLOADS.items():
         problem = w.make_problem()
         for seed in SEEDS:
             factors = w.h0_factors(seed)
             if name == "long-cc" and seed:
                 factors = factors[::LONG_STRIDE]
-            prints[f"{name}/{seed}"] = _digest(
-                run(problem, w.config(f)) for f in factors)
+            trajs = [solve(problem, w.config(f)) for f in factors]
+            prints[f"{name}/{seed}"] = _digest(map(lines, trajs))
+            verified[f"{name}/{seed}"] = verify(problem, trajs)
     problems = {"airy": (make_airy_problem(1.0, 0.1, 50.0), 0.5),
                 "pcf": (make_pcf_problem(2.0 ** -6, 0.01, 1.99), 0.05)}
     for label, (problem, h0) in problems.items():
@@ -100,7 +139,7 @@ def collect(root: Path) -> dict:
                 [s.x.hex(), s.phi.real.hex(), s.phi.imag.hex(),
                  s.dphi.real.hex(), s.dphi.imag.hex()]
                 for s in march_fixed_grid(airy, xs, order, phase)]
-    return {"integrate": prints, "march": march}
+    return {"integrate": prints, "verify": verified, "march": march}
 
 
 def _complex(re_hex: str, im_hex: str) -> complex:
@@ -113,6 +152,10 @@ def compare(mine: dict, theirs: dict) -> int:
         same = theirs["integrate"].get(key) == value
         differs += not same
         print(f"integrate {key}: {'same' if same else 'DIFFERS'}")
+    for key, value in mine["verify"].items():
+        same = theirs["verify"].get(key) == value
+        differs += not same
+        print(f"verify {key}: {'same' if same else 'DIFFERS'}")
     for key, nodes in mine["march"].items():
         moved, rel_phi, rel_dphi = 0, 0.0, 0.0
         for a, b in zip(nodes, theirs["march"][key]):
