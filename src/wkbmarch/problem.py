@@ -81,9 +81,10 @@ class Problem:
     tau_guard: float = 1e-12
     # Optional closed-form antiderivative of sqrt(a) - eps^2 b.
     phase_antiderivative: Optional[Callable[[float], float]] = None
-    # Optional exact-solution provider x -> WaveState. The benchmarks'
-    # providers also answer exact.phis(xs), phi alone at every x of xs in
-    # one batch query (see reference.exact_solution).
+    # Optional exact-solution provider x -> WaveState. A provider may also
+    # answer exact.phis(xs), phi alone at every x of xs in one batch query,
+    # as the benchmarks' providers do; reference.exact_solution uses it
+    # where present and queries any other provider one point at a time.
     exact: Optional[Callable[[float], WaveState]] = None
     label: str = ""
 
@@ -121,11 +122,10 @@ def _airy_exact_provider(epsilon: float) -> Callable[[float], WaveState]:
 
     def phis(xs) -> list[complex]:
         try:
-            ai, bi = reference.airy_values([x * scale for x in xs])
+            return reference.airy_values([x * scale for x in xs])
         except (ValueError, ArithmeticError):
             _first_failure(exact, xs)
             raise
-        return [complex(a, b) for a, b in zip(ai, bi)]
 
     exact.phis = phis
     return exact
@@ -235,17 +235,18 @@ def make_pcf_problem(epsilon: float, x_start: float = 0.01,
 
     def phis(xs) -> list[complex]:
         try:
-            (wh, wl), = table.values_at([z_scale * (1.0 - x) for x in xs])
+            wh, wl = table.values_at([z_scale * (1.0 - x) for x in xs])
         except (ValueError, ContinuationError):
             _first_failure(exact, xs)
             raise
-        out = []
-        for x, h, l in zip(xs, wh, wl):
-            u = h + l
-            if not math.isfinite(u):
-                raise overflows(x)
-            out.append(kappa * u)
-        return out
+        us = [h + l for h, l in zip(wh, wl)]
+        bad = [x for x, u in zip(xs, us) if not math.isfinite(u)]
+        if bad:
+            # exact checks u too, so this raises at or before bad[0], and
+            # earlier where du alone overflows.
+            _first_failure(exact, xs)
+            raise overflows(bad[0])
+        return [kappa * u for u in us]
 
     exact.phis = phis
 

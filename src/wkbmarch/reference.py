@@ -44,8 +44,8 @@ SERIES_TERMS = 30
 # polynomial coefficients, so every operation below acts componentwise on the
 # real and imaginary parts; the error-free transformations therefore remain
 # valid when the state is complex (two solution channels packed into one).
-# The Airy reference keeps one real table per solution, as float hops are
-# cheaper (see _AI_TABLE); the tests compare it bit for bit with a complex one.
+# The Airy reference packs its two solutions into one complex channel
+# (see _AIRY_TABLE).
 
 _SPLIT = 134217729.0  # 2**27 + 1
 
@@ -322,8 +322,8 @@ class _ContinuationTable:
     queries. A query hops from the checkpoint at or below x on its side by
     one Horner pass over the stored value series, and by a second over the
     stored derivative series for the full state; it forms no series. The
-    stored series take about 1.07 MB for the two real Airy tables up to
-    t = 50 (131 checkpoints each), 0.2 MB for PCF at eps = 2^-6 and 2 MB at
+    stored series take about 0.68 MB for the complex Airy table up to
+    t = 50 (131 checkpoints), 0.2 MB for PCF at eps = 2^-6 and 2 MB at
     eps = 1.3e-3, near the smallest eps the PCF factory accepts.
 
     Growth runs under a lock and publishes each checkpoint's series and
@@ -396,82 +396,72 @@ class _ContinuationTable:
             self._stacks[d] = (count, hi, lo)
         return hi, lo
 
-    def values_at(self, xs, *twins):
-        """Heads (wh, wl) of state_at(x) at every x of xs, bit for bit, for
-        this table and then each of `twins`, tables grown from the same q
-        and x0 (so on the same checkpoint keys) with other states. Returns
-        one (wh list, wl list) pair per table.
+    def values_at(self, xs):
+        """Heads (wh, wl) of state_at(x) at every x of xs, bit for bit, as
+        a wh list and a wl list.
 
-        The points grow the tables as state_at would. A point on a
+        The points grow the table as state_at would. A point on a
         checkpoint reads its state; every other point is one hop over the
-        value series, and the hops of all points and tables run as one
-        _dd_horner call on numpy arrays: the error-free transforms are exact
-        in any IEEE elementwise arithmetic, and a hop multiplies only by
-        the real h, so each gives the bits of its scalar hop. Where numpy
-        cannot be imported, the hops run one point at a time.
+        value series, and the hops of all points run as one _dd_horner call
+        on numpy arrays: the error-free transforms are exact in any IEEE
+        elementwise arithmetic, and a hop multiplies only by the real h, so
+        each gives the bits of its scalar hop. Where numpy cannot be
+        imported, the hops run one point at a time.
         """
-        tables = (self, *twins)
         for x in xs:
             if not math.isfinite(x):
                 raise ValueError(
                     f"continuation point must be finite, got {x!r}")
-        out = [([0.0] * len(xs), [0.0] * len(xs)) for _ in tables]
+        wh = [0.0] * len(xs)
+        wl = [0.0] * len(xs)
+        hops = []  # (side, points, their checkpoints, their hops h)
         up = [j for j, x in enumerate(xs) if x >= self.x0]
         down = [j for j, x in enumerate(xs) if x < self.x0]
-        hops = []  # (side, points, their checkpoints, their hops h)
         for d, points in ((1.0, up), (-1.0, down)):
             if not points:
                 continue
+            keys, states, _ = self._sides[d]
             top = max(d * xs[j] for j in points)
-            for table in tables:
-                if table._sides[d][0][-1] < top:
-                    table._grow(d, top)
-            keys = self._sides[d][0]
+            if keys[-1] < top:
+                self._grow(d, top)
             at, idx, hs = [], [], []
             for j in points:
                 i = bisect.bisect_right(keys, d * xs[j]) - 1
                 h = xs[j] - d * keys[i]
                 if h == 0.0:  # on a checkpoint
-                    for table, (wh, wl) in zip(tables, out):
-                        wh[j], wl[j] = table._sides[d][1][i][:2]
+                    wh[j], wl[j] = states[i][:2]
                 else:
                     at.append(j)
                     idx.append(i)
                     hs.append(h)
             if at:
                 hops.append((d, at, idx, hs))
-        if not hops:
-            return out
-        np = _numpy()
+        np = _numpy() if hops else None
         if np is None:
-            for table, (wh, wl) in zip(tables, out):
-                for d, at, idx, hs in hops:
-                    series = table._sides[d][2]
-                    for j, i, h in zip(at, idx, hs):
-                        wh[j], wl[j] = _dd_horner(*series[i][0], h)
-            return out
-        hs = np.array([h for _, _, _, hs in hops for h in hs] * len(tables))
-        stacks = [(table._stacked(np, d), idx)
-                  for table in tables for d, _, idx, _ in hops]
+            for d, at, idx, hs in hops:
+                series = self._sides[d][2]
+                for j, i, h in zip(at, idx, hs):
+                    wh[j], wl[j] = _dd_horner(*series[i][0], h)
+            return wh, wl
+        stacks = [self._stacked(np, d) for d, *_ in hops]
+        hs = np.array([h for *_, hs in hops for h in hs])
         # One column per hop, gathered straight into place.
-        hi = np.empty((SERIES_TERMS, len(hs)),
-                      np.result_type(*(s[0] for s, _ in stacks)))
+        hi = np.empty((SERIES_TERMS, len(hs)), stacks[0][0].dtype)
         lo = np.empty_like(hi)
         k = 0
-        for (stack_hi, stack_lo), idx in stacks:
-            hi[:, k:k + len(idx)] = stack_hi[:, idx]
-            lo[:, k:k + len(idx)] = stack_lo[:, idx]
-            k += len(idx)
+        for (stack_hi, stack_lo), (_, at, idx, _) in zip(stacks, hops):
+            hi[:, k:k + len(at)] = stack_hi[:, idx]
+            lo[:, k:k + len(at)] = stack_lo[:, idx]
+            k += len(at)
         with np.errstate(all="ignore"):
             vh, vl = _dd_horner(hi, lo, hs)
         vh, vl = vh.tolist(), vl.tolist()
         k = 0
-        for wh, wl in out:
-            for _, at, _, _ in hops:
-                for j, a, b in zip(at, vh[k:], vl[k:]):
-                    wh[j], wl[j] = a, b
-                k += len(at)
-        return out
+        for _, at, _, _ in hops:
+            for j, a, b in zip(at, vh[k:], vl[k:]):
+                wh[j], wl[j] = a, b
+            k += len(at)
+        return wh, wl
 
 
 def _numpy():
@@ -570,24 +560,22 @@ def airy_asymptotic(t: float) -> AiryQuad:
 
 
 # Continuation checkpoints in the Airy variable y = -t, one per series
-# substep of the march from the origin (see _ContinuationTable), in one real
-# table per solution. Packing both into one complex channel, w = Ai + i Bi,
-# gives the same bits, but CPython specialises float arithmetic and not
-# complex: a value-only hop costs 15-21 us in a real table and 40-43 us in a
-# complex one (CPython 3.11, shared 2-vCPU x86 machine). Both tables march
-# w'' = y w from the origin, so they share their checkpoint keys and a batch
-# hops both at once. They grow on first use; building them here costs only
-# the origin values.
+# substep of the march from the origin (see _ContinuationTable), of one
+# complex solution w = Ai + i Bi: the recurrence has real coefficients, so
+# the real and imaginary parts march as Ai and Bi alone would, bit for bit.
+# The table grows on first use; building it here costs only the origin
+# values.
 _AIRY_Q0 = airy_origin_values()
-_AI_TABLE = _ContinuationTable([0.0, 1.0], 0.0, (_AIRY_Q0.ai, _AIRY_Q0.aip))
-_BI_TABLE = _ContinuationTable([0.0, 1.0], 0.0, (_AIRY_Q0.bi, _AIRY_Q0.bip))
+_AIRY_TABLE = _ContinuationTable(
+    [0.0, 1.0], 0.0, (complex(_AIRY_Q0.ai, _AIRY_Q0.bi),
+                      complex(_AIRY_Q0.aip, _AIRY_Q0.bip)))
 
 
 def _airy_continued(t: float) -> AiryQuad:
     """Airy quad at -t by checkpointed continuation of w'' = y w."""
-    ah, al, adh, adl = _AI_TABLE.state_at(-t)
-    bh, bl, bdh, bdl = _BI_TABLE.state_at(-t)
-    return AiryQuad(ai=ah + al, aip=adh + adl, bi=bh + bl, bip=bdh + bdl)
+    wh, wl, dh, dl = _AIRY_TABLE.state_at(-t)
+    w, dw = wh + wl, dh + dl
+    return AiryQuad(ai=w.real, aip=dw.real, bi=w.imag, bip=dw.imag)
 
 
 def _check_oscillatory(t: float) -> None:
@@ -608,12 +596,11 @@ def airy_pair(t: float) -> AiryQuad:
     return airy_asymptotic(t)
 
 
-def airy_values(ts) -> tuple[list[float], list[float]]:
-    """(Ai(-t), Bi(-t)) at every t of ts, each by the route airy_pair takes
-    and with the bits of its quad: the points at or below the seam in one
-    batch hop over both tables, those above it one at a time."""
-    ai = [0.0] * len(ts)
-    bi = [0.0] * len(ts)
+def airy_values(ts) -> list[complex]:
+    """Ai(-t) + i Bi(-t) at every t of ts, each by the route airy_pair
+    takes and with the bits of its quad: the points at or below the seam
+    in one batch hop over the table, those above it one at a time."""
+    out = [0j] * len(ts)
     low = []
     for j, t in enumerate(ts):
         _check_oscillatory(t)
@@ -621,12 +608,11 @@ def airy_values(ts) -> tuple[list[float], list[float]]:
             low.append(j)
         else:
             quad = airy_asymptotic(t)
-            ai[j], bi[j] = quad.ai, quad.bi
-    (ah, al), (bh, bl) = _AI_TABLE.values_at([-ts[j] for j in low],
-                                             _BI_TABLE)
-    for j, a1, a2, b1, b2 in zip(low, ah, al, bh, bl):
-        ai[j], bi[j] = a1 + a2, b1 + b2
-    return ai, bi
+            out[j] = complex(quad.ai, quad.bi)
+    wh, wl = _AIRY_TABLE.values_at([-ts[j] for j in low])
+    for j, h, l in zip(low, wh, wl):
+        out[j] = h + l
+    return out
 
 
 # ---------------------------------------------------------------------------

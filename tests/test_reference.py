@@ -6,6 +6,7 @@ the asymptotic expansions and the Taylor continuation, which share no code
 path beyond float arithmetic.
 """
 
+import dataclasses
 import math
 import random
 import sys
@@ -311,8 +312,8 @@ def test_airy_pair_value_only(t):
     routes, alone and in one batch with points on both sides of the seam."""
     quad = airy_pair(t)
     for ts, j in (([t], 0), ([1.5, 60.0, t, 0.0, 1e3], 2)):
-        ai, bi = airy_values(ts)
-        assert [ai[j].hex(), bi[j].hex()] == [quad.ai.hex(), quad.bi.hex()]
+        w = airy_values(ts)[j]
+        assert [w.real.hex(), w.imag.hex()] == [quad.ai.hex(), quad.bi.hex()]
 
 
 def test_airy_wronskian_identity():
@@ -528,10 +529,10 @@ def test_value_only_query_matches_full_state(monkeypatch, name):
                 batch = xs[start:start + 7]
                 full = table.state_at(batch[0])
                 assert repr(full) == repr(ref.state_at(batch[0]))
-                (wh, wl), = table.values_at(batch)
+                wh, wl = table.values_at(batch)
                 assert [repr(v) for v in zip(wh, wl)] == \
                     [heads[x] for x in batch]
-            (wh, wl), = table.values_at(xs)
+            wh, wl = table.values_at(xs)
             assert [repr(v) for v in zip(wh, wl)] == [heads[x] for x in xs]
             assert vars(table) == attrs
             assert sizes == {d: [len(part) for part in side]
@@ -539,37 +540,40 @@ def test_value_only_query_matches_full_state(monkeypatch, name):
 
 
 def test_airy_real_tables_match_complex_table(monkeypatch):
-    """The two real Airy tables give the bits of one complex table seeded
-    with w = Ai + i Bi, the packed layout kept here as the reference, in
-    full and value-only queries, the latter in one batch with and without
-    numpy: at every checkpoint key up to t = 50, at the origin, at the
-    seam and between keys. Their states are float, so every hop runs in
-    float arithmetic."""
-    oracle = _ContinuationTable([0.0, 1.0], 0.0, _airy_seed())
-    oracle.state_at(-AIRY_VALUE_SWITCH)
-    keys = [k for k in oracle._sides[-1.0][0] if k <= AIRY_VALUE_SWITCH]
+    """The complex Airy table, seeded with w = Ai + i Bi, gives the bits of
+    two real tables, one per solution, kept here as the reference: in full
+    queries and in value-only batches with and without numpy, at every
+    checkpoint key up to t = 50, at the origin, at the seam and between
+    keys. The recurrence has real coefficients, so each part of w marches
+    as its real table does."""
+    q0 = airy_origin_values()
+    real = [_ContinuationTable([0.0, 1.0], 0.0, seed)
+            for seed in ((q0.ai, q0.aip), (q0.bi, q0.bip))]
+    for table in real:
+        table.state_at(-AIRY_VALUE_SWITCH)
+    keys = [k for k in real[0]._sides[-1.0][0] if k <= AIRY_VALUE_SWITCH]
     assert len(keys) > 100
+    assert real[1]._sides[-1.0][0] == real[0]._sides[-1.0][0]
     rng = random.Random(0)
     between = [rng.uniform(0.0, AIRY_VALUE_SWITCH) for _ in range(200)]
     ts = keys + between + [0.0, AIRY_VALUE_SWITCH]
     heads = []
     for t in ts:
-        wh, wl, dh, dl = oracle.state_at(-t)
-        w, dw = wh + wl, dh + dl
-        heads.append([w.real.hex(), w.imag.hex()])
+        (ah, al, adh, adl), (bh, bl, bdh, bdl) = [table.state_at(-t)
+                                                  for table in real]
+        expect = [x.hex() for x in (ah + al, adh + adl, bh + bl, bdh + bdl)]
+        heads.append([expect[0], expect[2]])
         quad = _airy_continued(t)
         assert [x.hex() for x in (quad.ai, quad.aip, quad.bi,
-                                  quad.bip)] == \
-            [x.hex() for x in (w.real, dw.real, w.imag, dw.imag)], t
+                                  quad.bip)] == expect, t
     for numpy in (np, None):
         with monkeypatch.context() as m:
             m.setitem(sys.modules, "numpy", numpy)
-            ai, bi = airy_values(ts)
-        assert [[a.hex(), b.hex()] for a, b in zip(ai, bi)] == heads
-    for table in (reference._AI_TABLE, reference._BI_TABLE):
-        for _, states, _ in table._sides.values():
-            assert all(type(part) is float
-                       for state in states for part in state)
+            ws = airy_values(ts)
+        assert [[w.real.hex(), w.imag.hex()] for w in ws] == heads
+    for _, states, _ in reference._AIRY_TABLE._sides.values():
+        assert all(type(part) is complex
+                   for state in states for part in state)
 
 
 @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
@@ -606,7 +610,7 @@ def test_table_concurrent_growth_matches_serial():
 
             def run_batches():
                 for batch in batches:
-                    (wh, wl), = table.values_at(batch)
+                    wh, wl = table.values_at(batch)
                     got_heads.append([repr(v) for v in zip(wh, wl)])
 
             threads = [threading.Thread(target=run, args=(order, out))
@@ -664,7 +668,9 @@ def test_global_error_reads_no_derivative(monkeypatch, airy1, pcf6,
     """Both norms succeed with the derivative series forbidden, and equal
     the norms recomputed from the full exact(x). That recomputation also
     grows the tables over the nodes, and growth is where each checkpoint's
-    derivative series is formed, so a query forms none."""
+    derivative series is formed, so a query forms none. A problem whose
+    provider is a plain x -> WaveState callable, with no batch query, is
+    queried one point at a time and gives the same norms."""
     cases = [(airy_runs[1e-6], airy1), (pcf_runs["wkb+rkf45", 1e-6], pcf6)]
     expect = []
     for traj, p in cases:
@@ -678,8 +684,10 @@ def test_global_error_reads_no_derivative(monkeypatch, airy1, pcf6,
 
     monkeypatch.setattr(reference, "_dd_deriv_coeffs", forbidden)
     for (traj, p), (sup, l2rel) in zip(cases, expect):
-        assert global_error(traj, p, "sup") == sup
-        assert global_error(traj, p, "l2rel") == l2rel
+        plain = dataclasses.replace(p, exact=lambda x, f=p.exact: f(x))
+        for problem in (p, plain):
+            assert global_error(traj, problem, "sup") == sup
+            assert global_error(traj, problem, "l2rel") == l2rel
 
 
 def test_global_error_unknown_norm(airy1):
