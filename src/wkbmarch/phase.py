@@ -2,7 +2,8 @@
 
 The solver needs the per-step increment s = phase(x1) - phase(x0) of the
 phase integral int (sqrt(a) - eps^2 b). It comes either from a closed-form
-antiderivative or from Clenshaw-Curtis quadrature on the interval. Each
+antiderivative or from Clenshaw-Curtis quadrature on the interval, with
+`wkb_core.phase_rates` evaluating the integrand at all nodes in one call. Each
 step gauges its own phase at its start point, so only s/eps reduced modulo
 2*pi ever reaches an exponential; that quotient is where the phase rounding
 happens, while the raw phase grows without bound (about x^(3/2)/eps on the
@@ -13,10 +14,10 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Callable
+from typing import Callable, Sequence
 
 from .state import WKBInadmissibleError
-from .wkb_core import b_jet
+from .wkb_core import phase_rates
 
 # Clenshaw-Curtis nodes of the cc phase mode.
 CC_NODES = 15
@@ -52,12 +53,13 @@ def _cc_nodes_weights(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     return tuple(nodes), tuple(weights)
 
 
-def clenshaw_curtis(integrand: Callable[[float], float], a: float, b: float,
-                    nodes: int = CC_NODES) -> float:
+def clenshaw_curtis(integrand: Callable[[list[float]], Sequence[float]],
+                    a: float, b: float, nodes: int = CC_NODES) -> float:
     """Clenshaw-Curtis approximation of int_a^b integrand(x) dx.
 
     `nodes` counts the Chebyshev-Lobatto points; the rule is exact for
-    polynomials of degree <= nodes - 1.
+    polynomials of degree <= nodes - 1. `integrand` maps the list of nodes
+    [b, ..., a] to their values in one call, as in scipy's fixed_quad.
     """
     if nodes < 2:
         raise ValueError("need at least 2 quadrature nodes")
@@ -67,8 +69,7 @@ def clenshaw_curtis(integrand: Callable[[float], float], a: float, b: float,
     # The end nodes are b and a themselves; mid -/+ half can round past them.
     points = [b, *(mid + half * xi for xi in xs[1:-1]), a]
     total = 0.0
-    for x, wi in zip(points, ws):
-        val = integrand(x)
+    for x, wi, val in zip(points, ws, integrand(points), strict=True):
         if not math.isfinite(val):
             raise ValueError(f"non-finite integrand at x={x}")
         total += wi * val
@@ -98,9 +99,9 @@ class PhaseProvider:
         if x1 == x0:
             return 0.0
         if self.mode == "cc":
-            # b_jet rejects a non-finite integrand value itself.
+            # phase_rates rejects a non-finite integrand value itself.
             s = clenshaw_curtis(
-                lambda y: b_jet(self.problem, y, 0)[3][0], x0, x1)
+                functools.partial(phase_rates, self.problem), x0, x1)
         else:
             F = self.problem.phase_antiderivative
             try:

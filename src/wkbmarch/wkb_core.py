@@ -25,7 +25,8 @@ the rounding order of the generic recursions in tests/test_kernels.py;
 numerical differentiation is never used here (the schemes multiply b_3 by
 eps^5 h_2(2s/eps), so noise in the tower would be amplified badly at small
 eps). `b_jet` is the only place b, and the phase derivative
-sqrt(a) - eps^2 b with its guard, are built from the derivatives of a.
+sqrt(a) - eps^2 b with its guard, are built from the derivatives of a;
+`phase_rates` repeats its order-0 heads bit for bit (tests/test_kernels.py).
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ class ZState:
 
 def b_jet(problem, x: float, order: int):
     """The jets (a, sqrt(a), b, sqrt(a) - eps^2 b) at x, each to `order`
-    (at most 3), as lists of Taylor coefficients c_k = f^(k)(x)/k!.
+    (1 to 3), as lists of Taylor coefficients c_k = f^(k)(x)/k!.
 
     b(x) = -(a^(-1/4))'' / (2 a^(1/4)) is expanded through the chain rule as
     b = -(5/32) a'^2 a^(-5/2) + (1/8) a'' a^(-3/2), which reads a to
@@ -89,20 +90,19 @@ def b_jet(problem, x: float, order: int):
     jet is the phase derivative of the oscillatory factor; where it falls
     below PHASE_DERIV_GUARD * sqrt(a) or is not finite, x is inadmissible.
 
-    The order-0 heads come first (all the cc phase integrand reads), then
-    every coefficient to order 3; sums keep the generic recursion's 0.0 seed.
+    The order-0 heads, `phase_rates`'s arithmetic, come first, then every
+    coefficient to order 3; sums keep the generic recursion's 0.0 seed.
     """
-    if order == 0:
-        a0, a1, t2 = problem.field.jet(x, 2)
-    else:
-        a0, a1, t2, t3, t4, t5 = problem.field.jet(x, 5)
-    # b divides by a^(5/2), which underflows to 0 where a is still normal.
-    if a0 < problem.tau_guard or a0 * a0 * math.sqrt(a0) == 0.0:
+    a0, a1, t2, t3, t4, t5 = problem.field.jet(x, 5)
+    if a0 < problem.tau_guard:  # before sqrt(a), which a < 0 would fail
         raise WKBInadmissibleError(f"a({x}) = {a0} below tau guard")
     # Jets: s = sqrt(a), w = a^(3/2), aa = a^2, q = a^(5/2), d = a',
     # e = a'', m = a'^2, f = a'^2 / a^(5/2) and g = a'' / a^(3/2).
     s0, aa0, a2 = math.sqrt(a0), a0 * a0, t2 / 2.0
     q0, w0, e0 = aa0 * s0, a0 * s0, a2 * 2
+    # b divides by a^(5/2), which underflows to 0 where a is still normal.
+    if q0 == 0.0:
+        raise WKBInadmissibleError(f"a({x}) = {a0} below tau guard")
     f0, g0 = a1 * a1 / q0, e0 / w0
     b0 = -0.15625 * f0 + 0.125 * g0
     eps2 = problem.epsilon * problem.epsilon
@@ -110,8 +110,6 @@ def b_jet(problem, x: float, order: int):
     if not PHASE_DERIV_GUARD * s0 <= p0 < math.inf:
         raise WKBInadmissibleError(
             f"phase derivative {p0} degenerate or not finite at x={x}")
-    if order == 0:
-        return [a0], [s0], [b0], [p0]
     a3, a4, a5 = t3 / 6.0, t4 / 24.0, t5 / 120.0
     d1, d2, d3 = e0, a3 * 3, a4 * 4
     e1, e2, e3 = d2 * 2, d3 * 3, a5 * 5 * 4
@@ -142,6 +140,37 @@ def b_jet(problem, x: float, order: int):
     jets = ([a0, a1, a2, a3], [s0, s1, s2, s3], [b0, b1, b2, b3],
             [p0, s1 - eps2 * b1, s2 - eps2 * b2, s3 - eps2 * b3])
     return jets if order == 3 else tuple(j[:order + 1] for j in jets)
+
+
+def phase_rates(problem, xs) -> list[float]:
+    """The cc phase integrand b_jet(problem, x, 1)[3][0] at every x of xs,
+    bit for bit, raising b_jet's error at the first inadmissible x: its
+    order-0 heads in one loop, Horner on the field's tower, no call per x."""
+    pa, pd, pe = problem.field._jets[2]
+    tau, eps2 = problem.tau_guard, problem.epsilon * problem.epsilon
+    rates = []
+    for x in xs:
+        a0 = a1 = t2 = 0.0
+        for c in pa:
+            a0 = a0 * x + c
+        for c in pd:
+            a1 = a1 * x + c
+        for c in pe:
+            t2 = t2 * x + c
+        if a0 < tau:
+            raise WKBInadmissibleError(f"a({x}) = {a0} below tau guard")
+        s0 = math.sqrt(a0)
+        q0 = a0 * a0 * s0
+        if q0 == 0.0:
+            raise WKBInadmissibleError(f"a({x}) = {a0} below tau guard")
+        # a'' as b_jet forms it, through its Taylor coefficient a''/2.
+        p0 = s0 - eps2 * (-0.15625 * (a1 * a1 / q0)
+                          + 0.125 * (t2 / 2.0 * 2 / (a0 * s0)))
+        if not PHASE_DERIV_GUARD * s0 <= p0 < math.inf:
+            raise WKBInadmissibleError(
+                f"phase derivative {p0} degenerate or not finite at x={x}")
+        rates.append(p0)
+    return rates
 
 
 def eval_bk(problem, x: float) -> Endpoint:

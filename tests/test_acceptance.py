@@ -255,7 +255,8 @@ def test_criterion_9_phase_quadrature(long_run, long_run_cc, airy_long):
             s_exact = exact_prov.increment(x_prev, rec.x)
             eps2 = airy_long.epsilon ** 2
             s_cc = clenshaw_curtis(
-                lambda y: math.sqrt(y) - eps2 * (-(5.0 / 32.0) * y ** -2.5),
+                lambda ys: [math.sqrt(y) - eps2 * (-(5.0 / 32.0) * y ** -2.5)
+                            for y in ys],
                 x_prev, rec.x, 15)
             worst = max(worst, abs(s_cc - s_exact) / abs(s_exact))
         x_prev = rec.x

@@ -27,7 +27,8 @@ from wkbmarch.rkwkb import WKBBasis, wkb_basis
 from wkbmarch.state import SolverError, WKBInadmissibleError
 from wkbmarch.wkb_core import (PHASE_DERIV_GUARD, SQRT2, BkTable, Endpoint,
                                ZState, assemble_step_matrices, b_jet, eval_bk,
-                               from_U, from_Z, to_U, to_Z, wkb_step_pair)
+                               from_U, from_Z, phase_rates, to_U, to_Z,
+                               wkb_step_pair)
 
 FACTORIALS = tuple(float(math.factorial(j)) for j in range(6))
 
@@ -261,7 +262,7 @@ def test_kernels_match_generic_forms_bit_for_bit(coeffs, x, eps, phi, dphi,
     p = make_polynomial_problem(coeffs, eps, (x, x + 10.0),
                                 initial=WaveState(x, phi, dphi))
     assume(p.field(x) > 0.0)
-    for order in (0, 2, 3):
+    for order in (1, 2, 3):
         assert outcome(b_jet, p, x, order) == outcome(generic_b_jet, p, x,
                                                       order)
     assert outcome(eval_bk, p, x) == outcome(generic_eval_bk, p, x)
@@ -270,6 +271,44 @@ def test_kernels_match_generic_forms_bit_for_bit(coeffs, x, eps, phi, dphi,
         tableau_rkf45_step, p, p.initial, h)
     assert outcome(wkb_march, p, h, package_from_Z) == outcome(
         wkb_march, p, h, reference_from_Z)
+
+
+def rates_one_by_one(problem, xs):
+    """The cc integrand at each x of xs, as the head of b_jet's phase jet;
+    the first inadmissible x raises b_jet's error."""
+    return [b_jet(problem, x, 1)[3][0] for x in xs]
+
+
+def rates_outcome(fn, *args):
+    try:
+        return bits(fn(*args))
+    except WKBInadmissibleError as exc:
+        return str(exc)
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(coeffs=st.integers(1, 5).flatmap(
+           lambda d: st.lists(coefficient, min_size=d + 1, max_size=d + 1)),
+       xs=st.lists(st.one_of(st.sampled_from([0.0, -0.0]),
+                             st.floats(-3.0, 3.0)), min_size=1, max_size=15),
+       eps=st.floats(2.0 ** -10, 1.0),
+       tau=st.sampled_from([1e-12, 1e-300]))
+# -0.0 nodes; a negative a; a = 1e-130 whose a^(5/2) underflows to 0 above
+# the tau guard; and a'^2 / a^(5/2) overflowing, so b is not finite.
+@example(coeffs=[1.0, -0.0, -1.0, -0.0], xs=[-0.0, 0.0], eps=0.5,
+         tau=1e-12)
+@example(coeffs=[0.5, -1.0], xs=[0.1, 2.0, 0.2], eps=0.5, tau=1e-12)
+@example(coeffs=[1e-130, 0.0, 1.0], xs=[1.0, 0.0, 2.0], eps=1.0,
+         tau=1e-300)
+@example(coeffs=[1e-100, 1e200], xs=[0.0, 1.0], eps=1.0, tau=1e-300)
+def test_phase_rates_match_b_jet_bit_for_bit(coeffs, xs, eps, tau):
+    # The cc integrand's one pass repeats b_jet's order-0 head over all
+    # nodes: the same bits at every node, and the same error, naming the
+    # same first failing node.
+    p = make_polynomial_problem(coeffs, eps, (0.0, 1.0),
+                                initial=WaveState(0.0, 1j, 0j), tau_guard=tau)
+    assert rates_outcome(phase_rates, p, xs) == rates_outcome(
+        rates_one_by_one, p, xs)
 
 
 # ---------------------------------------------------------------------------

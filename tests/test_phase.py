@@ -15,7 +15,8 @@ from wkbmarch import (PhaseProvider, WaveState, WKBInadmissibleError,
                       clenshaw_curtis, make_airy_problem, make_pcf_problem,
                       make_polynomial_problem)
 from wkbmarch.phase import _cc_nodes_weights
-from wkbmarch.wkb_core import assemble_step_matrices, b_jet, eval_bk
+from wkbmarch.wkb_core import (assemble_step_matrices, b_jet, eval_bk,
+                               phase_rates)
 
 # Closed-form pieces for the linear benchmark, written out independently of
 # the package internals.
@@ -26,22 +27,28 @@ def airy_integrand(y, eps=1.0):
     return math.sqrt(y) - eps * eps * (-(5.0 / 32.0) * y ** -2.5)
 
 
+def batch(f):
+    """The scalar integrand f in the rule's batch convention."""
+    return lambda xs: [f(x) for x in xs]
+
+
 # ---------------------------------------------------------------------------
 # Clenshaw-Curtis
 # ---------------------------------------------------------------------------
 
 def test_cc_linear_exact():
-    assert clenshaw_curtis(lambda x: x, 0.0, 1.0, 15) == pytest.approx(0.5, abs=1e-15)
+    val = clenshaw_curtis(lambda xs: xs, 0.0, 1.0, 15)
+    assert val == pytest.approx(0.5, abs=1e-15)
 
 
 def test_cc_sine():
-    val = clenshaw_curtis(math.sin, 0.0, math.pi, 15)
+    val = clenshaw_curtis(batch(math.sin), 0.0, math.pi, 15)
     assert val == pytest.approx(2.0, abs=1e-13)
 
 
 def test_cc_airy_phase_integrand():
     exact = (2.0 / 3.0) * (2.0 ** 1.5 - 1.0) - (5.0 / 48.0) * (2.0 ** -1.5 - 1.0)
-    val = clenshaw_curtis(airy_integrand, 1.0, 2.0, 15)
+    val = clenshaw_curtis(batch(airy_integrand), 1.0, 2.0, 15)
     assert val == pytest.approx(exact, rel=1e-12)
 
 
@@ -74,14 +81,19 @@ def test_cc_rule_mirror_symmetric():
 @pytest.mark.parametrize("a, b", [(1e-20, 1.0), (0.1, 0.3), (-2.5, 7.0)])
 def test_cc_end_nodes_are_the_interval_ends(a, b):
     # mid -/+ half rounds to 0.0 instead of a = 1e-20, and 0.1 + 0.2 * 1
-    # overshoots b = 0.3; the rule must sample a and b themselves.
-    seen = []
+    # overshoots b = 0.3; the rule must sample a and b themselves. The
+    # integrand is called once per rule, on all nodes from b down to a.
+    calls = []
 
-    def record(x):
-        seen.append(x)
-        return 1.0
+    def record(xs):
+        calls.append(list(xs))
+        return [1.0] * len(xs)
 
     assert clenshaw_curtis(record, a, b) == pytest.approx(b - a)
+    assert len(calls) == 1
+    seen = calls[0]
+    assert len(seen) == 15
+    assert (seen[0], seen[-1]) == (b, a)
     assert (min(seen), max(seen)) == (a, b)
 
 
@@ -95,9 +107,9 @@ def test_cc_increment_stays_inside_admissible_interval():
 
 def test_cc_rejects_bad_input():
     with pytest.raises(ValueError):
-        clenshaw_curtis(lambda x: x, 0.0, 1.0, 1)
+        clenshaw_curtis(lambda xs: xs, 0.0, 1.0, 1)
     with pytest.raises(ValueError):
-        clenshaw_curtis(lambda x: math.inf, 0.0, 1.0, 5)
+        clenshaw_curtis(batch(lambda x: math.inf), 0.0, 1.0, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +149,7 @@ def test_quadrature_converges_geometrically(airy1):
     exact = pe.increment(0.5, 2.0)
     errs = []
     for n in (5, 7, 9, 11):
-        s = clenshaw_curtis(lambda y: b_jet(airy1, y, 0)[3][0], 0.5, 2.0, n)
+        s = clenshaw_curtis(lambda ys: phase_rates(airy1, ys), 0.5, 2.0, n)
         errs.append(abs(s - exact) / abs(exact))
     for coarse, fine in zip(errs, errs[1:]):
         assert fine <= 0.5 * coarse or fine < 1e-14
@@ -166,7 +178,7 @@ def closed_form_b(p, x):
 
 
 def test_integrand_b_matches_jet_pass():
-    # The cc integrand reads b from the jet pass at order 0; it agrees with
+    # The b of the cc integrand, the head of the jet pass, agrees with
     # b = -(5/32) a'^2 a^(-5/2) + (1/8) a'' a^(-3/2) in closed form.
     quartic = make_polynomial_problem([2.0, -1.0, 0.5, 0.3, -0.05], 0.1,
                                       (0.0, 3.0))
@@ -175,7 +187,7 @@ def test_integrand_b_matches_jet_pass():
              (quartic, (0.0, 0.8, 1.7, 2.9)))
     for p, xs in cases:
         for x in xs:
-            got = b_jet(p, x, 0)[2][0]
+            got = b_jet(p, x, 1)[2][0]
             assert got == pytest.approx(closed_form_b(p, x), rel=1e-14)
 
 

@@ -18,7 +18,8 @@ from wkbmarch import (PhaseProvider, WaveState, WKBInadmissibleError,
                       march_fixed_grid)
 from wkbmarch.rkwkb import wkb_basis
 from wkbmarch.wkb_core import (assemble_step_matrices, b_jet, eval_bk, from_U,
-                               from_Z, osc_kernels, to_U, to_Z, wkb_step_pair)
+                               from_Z, osc_kernels, phase_rates, to_U, to_Z,
+                               wkb_step_pair)
 
 finite_complex = st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3,
                                     allow_nan=False, allow_infinity=False)
@@ -71,10 +72,12 @@ def test_b_jet_carries_a_and_sqrt_a(pcf6):
 
 @pytest.mark.parametrize("x", [0.3, 0.7, 1.6])
 def test_b_jet_truncation_keeps_leading_entries(pcf6, x):
-    # A jet truncated at order k is the head of the order-3 jet, bit for bit.
+    # A jet truncated at order k is the head of the order-3 jet, bit for
+    # bit; the cc integrand at x is the head of the phase jet.
     full = b_jet(pcf6, x, 3)
-    for k in range(4):
+    for k in range(1, 4):
         assert [jet[:k + 1] for jet in full] == list(b_jet(pcf6, x, k))
+    assert phase_rates(pcf6, [x]) == [full[3][0]]
 
 
 def test_b_jet_phase_derivative_and_guard(pcf6):
@@ -85,9 +88,11 @@ def test_b_jet_phase_derivative_and_guard(pcf6):
     assert phase == [sk - pcf6.epsilon ** 2 * bk for sk, bk in zip(s, bj)]
     p = make_polynomial_problem([1e-10, 0.0, 1.0], 1.0, (-1.0, 1.0),
                                 initial=WaveState(-1.0, 1.0 + 0.0j, 0.0j))
-    for order in (0, 2):
+    for order in (1, 2):
         with pytest.raises(WKBInadmissibleError, match="phase derivative"):
             b_jet(p, 0.0, order)
+    with pytest.raises(WKBInadmissibleError, match="phase derivative"):
+        phase_rates(p, [0.0])
 
 
 def test_b_constant_zero():
@@ -131,7 +136,7 @@ def test_bk_pcf_vs_sympy(pcf6, x0):
 
 def test_guards_raise_inadmissible(airy1):
     with pytest.raises(WKBInadmissibleError):
-        b_jet(airy1, -1.0, 0)
+        phase_rates(airy1, [-1.0])
     with pytest.raises(WKBInadmissibleError):
         eval_bk(airy1, -1.0)
     with pytest.raises(WKBInadmissibleError):
