@@ -35,7 +35,8 @@ class CoefficientField:
     The derivative tower up to a^(5) is differentiated exactly, once, here,
     and kept in Horner order (highest power first), with the leading
     n + 1 polynomials of the tower stored for each jet order n; empty or
-    non-finite coefficients raise ValueError.
+    non-finite coefficients raise ValueError. The read-only `horner_heads`
+    is (a, a', a'') in that order and layout: the polynomials jet(x, 2) runs.
     """
 
     def __init__(self, coeffs: Sequence[float]):
@@ -50,6 +51,7 @@ class CoefficientField:
         horner = tuple(tuple(reversed(poly)) for poly in tower)
         self._value = horner[0]
         self._jets = tuple(horner[:n + 1] for n in range(len(horner)))
+        self.horner_heads = self._jets[2]
 
     def jet(self, x: float,
             n: int = MAX_DERIVATIVE_ORDER) -> tuple[float, ...]:

@@ -64,7 +64,7 @@ def wkb_basis(problem, x: float) -> Endpoint:
     """
     eps = problem.epsilon
     # ph1, ph2: the phase derivative sqrt(a) - eps^2 b and its derivative.
-    a, s, bj, (ph1, ph2, _, _) = b_jet(problem, x, 3)
+    a, s, bj, (ph1, ph2, _, _) = b_jet(problem, x)
     # Amplitude log: -(1/4) log a; only its derivatives are needed.
     a1 = a[1]
     a2 = 2.0 * a[2]

@@ -80,15 +80,15 @@ class ZState:
     rot: complex
 
 
-def b_jet(problem, x: float, order: int):
-    """The jets (a, sqrt(a), b, sqrt(a) - eps^2 b) at x, each to `order`
-    (1 to 3), as lists of Taylor coefficients c_k = f^(k)(x)/k!.
+def b_jet(problem, x: float):
+    """The jets (a, sqrt(a), b, sqrt(a) - eps^2 b) at x, each to order 3,
+    as lists of Taylor coefficients c_k = f^(k)(x)/k!.
 
     b(x) = -(a^(-1/4))'' / (2 a^(1/4)) is expanded through the chain rule as
     b = -(5/32) a'^2 a^(-5/2) + (1/8) a'' a^(-3/2), which reads a to
-    order + 2; the derivative tower reaches a^(5), hence the cap. The last
-    jet is the phase derivative of the oscillatory factor; where it falls
-    below PHASE_DERIV_GUARD * sqrt(a) or is not finite, x is inadmissible.
+    order 5, the top of the derivative tower. The last jet is the phase
+    derivative of the oscillatory factor; where it falls below
+    PHASE_DERIV_GUARD * sqrt(a) or is not finite, x is inadmissible.
 
     The order-0 heads, `phase_rates`'s arithmetic, come first, then every
     coefficient to order 3; sums keep the generic recursion's 0.0 seed.
@@ -137,16 +137,14 @@ def b_jet(problem, x: float, order: int):
     g3 = (e3 - (0.0 + w1 * g2 + w2 * g1 + w3 * g0)) / w0
     b1, b2, b3 = (-0.15625 * f1 + 0.125 * g1, -0.15625 * f2 + 0.125 * g2,
                   -0.15625 * f3 + 0.125 * g3)
-    jets = ([a0, a1, a2, a3], [s0, s1, s2, s3], [b0, b1, b2, b3],
+    return ([a0, a1, a2, a3], [s0, s1, s2, s3], [b0, b1, b2, b3],
             [p0, s1 - eps2 * b1, s2 - eps2 * b2, s3 - eps2 * b3])
-    return jets if order == 3 else tuple(j[:order + 1] for j in jets)
 
 
 def phase_rates(problem, xs) -> list[float]:
-    """The cc phase integrand b_jet(problem, x, 1)[3][0] at every x of xs,
-    bit for bit, raising b_jet's error at the first inadmissible x: its
-    order-0 heads in one loop, Horner on the field's tower, no call per x."""
-    pa, pd, pe = problem.field._jets[2]
+    """b_jet(problem, x)[3][0], the cc phase integrand, at every x of xs in
+    one loop, bit for bit, raising b_jet's error at the first failing x."""
+    pa, pd, pe = problem.field.horner_heads
     tau, eps2 = problem.tau_guard, problem.epsilon * problem.epsilon
     rates = []
     for x in xs:
@@ -181,7 +179,7 @@ def eval_bk(problem, x: float) -> Endpoint:
     derivative of b_k over twice the phase derivative, so b_k is needed to
     order 3 - k and b to order 3; the quotient recursions are written out.
     """
-    (a0, a1, _, _), _, (b, bd1, bd2, bd3), phase = b_jet(problem, x, 3)
+    (a0, a1, _, _), _, (b, bd1, bd2, bd3), phase = b_jet(problem, x)
     # ydk is the k-th Taylor coefficient of y; t is the 2 phase' jet.
     t0, t1, t2, t3 = [2.0 * p for p in phase]
     b0 = b / t0

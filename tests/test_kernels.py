@@ -262,9 +262,7 @@ def test_kernels_match_generic_forms_bit_for_bit(coeffs, x, eps, phi, dphi,
     p = make_polynomial_problem(coeffs, eps, (x, x + 10.0),
                                 initial=WaveState(x, phi, dphi))
     assume(p.field(x) > 0.0)
-    for order in (1, 2, 3):
-        assert outcome(b_jet, p, x, order) == outcome(generic_b_jet, p, x,
-                                                      order)
+    assert outcome(b_jet, p, x) == outcome(generic_b_jet, p, x, 3)
     assert outcome(eval_bk, p, x) == outcome(generic_eval_bk, p, x)
     assert outcome(wkb_basis, p, x) == outcome(generic_wkb_basis, p, x)
     assert outcome(rkf45_step, p, p.initial, h) == outcome(
@@ -276,7 +274,7 @@ def test_kernels_match_generic_forms_bit_for_bit(coeffs, x, eps, phi, dphi,
 def rates_one_by_one(problem, xs):
     """The cc integrand at each x of xs, as the head of b_jet's phase jet;
     the first inadmissible x raises b_jet's error."""
-    return [b_jet(problem, x, 1)[3][0] for x in xs]
+    return [b_jet(problem, x)[3][0] for x in xs]
 
 
 def rates_outcome(fn, *args):

@@ -187,7 +187,7 @@ def test_integrand_b_matches_jet_pass():
              (quartic, (0.0, 0.8, 1.7, 2.9)))
     for p, xs in cases:
         for x in xs:
-            got = b_jet(p, x, 1)[2][0]
+            got = b_jet(p, x)[2][0]
             assert got == pytest.approx(closed_form_b(p, x), rel=1e-14)
 
 

@@ -61,7 +61,7 @@ def test_b_pcf_center(pcf6):
 
 def test_b_jet_carries_a_and_sqrt_a(pcf6):
     # One jet pass per point: the a- and sqrt(a)-jets come with the b-jet.
-    a, s, bj, _ = b_jet(pcf6, 0.7, 3)
+    a, s, bj, _ = b_jet(pcf6, 0.7)
     tower = pcf6.field.jet(0.7)
     assert a[0] == pcf6.field(0.7) and a[1] == tower[1]
     assert a[2] == 0.5 * tower[2]
@@ -72,25 +72,21 @@ def test_b_jet_carries_a_and_sqrt_a(pcf6):
 
 @pytest.mark.parametrize("x", [0.3, 0.7, 1.6])
 def test_b_jet_truncation_keeps_leading_entries(pcf6, x):
-    # A jet truncated at order k is the head of the order-3 jet, bit for
-    # bit; the cc integrand at x is the head of the phase jet.
-    full = b_jet(pcf6, x, 3)
-    for k in range(1, 4):
-        assert [jet[:k + 1] for jet in full] == list(b_jet(pcf6, x, k))
-    assert phase_rates(pcf6, [x]) == [full[3][0]]
+    # The cc integrand at x is the leading entry of the phase jet, bit for
+    # bit.
+    assert phase_rates(pcf6, [x]) == [b_jet(pcf6, x)[3][0]]
 
 
 def test_b_jet_phase_derivative_and_guard(pcf6):
     # The fourth jet is sqrt(a) - eps^2 b, and b_jet itself applies its
     # guard: at the minimum of a = 1e-10 + x^2, eps^2 b = a''/(8 a^1.5)
     # dwarfs sqrt(a) while a stays above the tau guard.
-    _, s, bj, phase = b_jet(pcf6, 0.7, 3)
+    _, s, bj, phase = b_jet(pcf6, 0.7)
     assert phase == [sk - pcf6.epsilon ** 2 * bk for sk, bk in zip(s, bj)]
     p = make_polynomial_problem([1e-10, 0.0, 1.0], 1.0, (-1.0, 1.0),
                                 initial=WaveState(-1.0, 1.0 + 0.0j, 0.0j))
-    for order in (1, 2):
-        with pytest.raises(WKBInadmissibleError, match="phase derivative"):
-            b_jet(p, 0.0, order)
+    with pytest.raises(WKBInadmissibleError, match="phase derivative"):
+        b_jet(p, 0.0)
     with pytest.raises(WKBInadmissibleError, match="phase derivative"):
         phase_rates(p, [0.0])
 

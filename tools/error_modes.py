@@ -1,7 +1,6 @@
 """Split an Airy run's global error into amplitude, phase and second mode.
 
-    python3 tools/error_modes.py                  # criterion-2 run
-    python3 tools/error_modes.py --eps 0.01 --interval 0.1,50 --tol 1e-6
+    python3 tools/error_modes.py
 
 At every accepted node the error (phi - w, phi' - w') is written as
 alpha (w, w') + beta (conj w, conj w'), where w is the exact complex Airy
@@ -10,8 +9,8 @@ has no zeros) and conj w is the second solution. Re alpha is the relative
 amplitude error, Im alpha the phase error, and beta the part along the
 second mode; the relative error |phi - w| / |w| lies between
 |alpha| - |beta| and |alpha| + |beta| and swings between the two as the
-modes dephase. The default run is the acceptance suite's criterion-2 run:
-eps 1 on [0.1, 1e8], Tol 1e-5, h0 0.5, wkb+rkf45, exact phase.
+modes dephase. The run is the acceptance suite's criterion-2 run: eps 1 on
+[0.1, 1e8], Tol 1e-5, h0 0.5, wkb+rkf45, exact phase.
 
 The package is imported from `src/` of this checkout. Prints one line per
 accepted node: x, method, Re alpha, Im alpha, |beta| and the relative error.
@@ -19,11 +18,14 @@ accepted node: x, method, Re alpha, Im alpha, |beta| and the relative error.
 
 from __future__ import annotations
 
-import argparse
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+
+# The criterion-2 run of tests/test_acceptance.py.
+EPSILON, INTERVAL = 1.0, (0.1, 1e8)
+CONFIG = dict(tol=1e-5, h0=0.5, method="wkb+rkf45", phase="exact")
 
 
 def error_modes(problem, traj) -> list[tuple]:
@@ -45,24 +47,12 @@ def error_modes(problem, traj) -> list[tuple]:
     return out
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--eps", type=float, default=1.0)
-    parser.add_argument("--interval", default="0.1,1e8",
-                        help="'a,b' (default: 0.1,1e8)")
-    parser.add_argument("--tol", type=float, default=1e-5)
-    parser.add_argument("--h0", type=float, default=0.5)
-    parser.add_argument("--method", default="wkb+rkf45")
-    parser.add_argument("--phase", default="exact")
-    args = parser.parse_args(argv)
-    a, b = (float(v) for v in args.interval.split(","))
-
+def main() -> int:
     sys.path.insert(0, str(ROOT / "src"))
     from wkbmarch import SolverConfig, integrate, make_airy_problem
 
-    problem = make_airy_problem(args.eps, a, b)
-    traj = integrate(problem, SolverConfig(
-        tol=args.tol, h0=args.h0, method=args.method, phase=args.phase))
+    problem = make_airy_problem(EPSILON, *INTERVAL)
+    traj = integrate(problem, SolverConfig(**CONFIG))
     print(f"{'x':>12} {'method':>6} {'Re alpha':>11} {'Im alpha':>11} "
           f"{'|beta|':>10} {'rel err':>10}")
     for rec, alpha, beta, w in error_modes(problem, traj):
