@@ -9,8 +9,8 @@ is absorbed by the fitted coefficients). Whatever the basis order, the
 procedure is first order in the step size; its error estimate therefore
 differences two basis orders rather than two h-orders. Both orders are
 built from the same jets of a, sqrt(a) and b, so `wkb_basis` puts both
-bases, without their phase factor, in a point's endpoint record and
-`rkwkb_step` returns the two steps (order 2, order 3). Each step gauges
+bases in a point's endpoint record, each with the left-end part of its fit,
+and `rkwkb_step` returns the two steps (order 2, order 3). Each step gauges
 the phase at its start point; the fitted coefficients absorb the constant
 offset, so only the step's own increment is applied.
 """
@@ -32,57 +32,52 @@ DEGENERATE_DENOM = 1e-30
 
 @dataclass(slots=True)
 class WKBBasis:
-    """One basis pair f+- = exp(L+-) at a point, without its phase factor:
-    the real amplitude (a^(-1/4) times the order-3 correction) and the
-    log-derivatives L+-' and L+-''."""
+    """One basis pair f+- = exp(L+-) at a point, gauged so that its phase
+    vanishes there and f+- = amp, the real amplitude (a^(-1/4) times the
+    order-3 correction); L+-'; and, for a step from the point, f' = L' f,
+    f'' = (L'^2 + L'') f and the fit denominators of (f, f') and (f', f'')."""
 
     amp: float
     lp_plus: complex
     lp_minus: complex
-    lpp_plus: complex
-    lpp_minus: complex
+    df_plus: complex
+    df_minus: complex
+    d2f_plus: complex
+    d2f_minus: complex
+    den_f: complex
+    den_df: complex
 
-    def at(self, osc: complex):
-        """(f, f', f'') as (plus, minus) pairs, where osc = exp(i theta)
-        and theta is phase/eps at the point in the caller's gauge:
-        f+- = amp osc^(+-1), f' = L' f and f'' = (L'^2 + L'') f."""
-        f_plus = self.amp * osc
-        f_minus = self.amp / osc
-        return ((f_plus, f_minus),
-                (self.lp_plus * f_plus, self.lp_minus * f_minus),
-                ((self.lp_plus * self.lp_plus + self.lpp_plus) * f_plus,
-                 (self.lp_minus * self.lp_minus + self.lpp_minus) * f_minus))
+
+def _basis(x, amp, l1, l2, w1, w2) -> WKBBasis:
+    """The basis pair of amplitude amp, L+-' = l1 +- w1, L+-'' = l2 +- w2."""
+    lp_plus, lp_minus = l1 + w1, l1 - w1
+    lpp_plus, lpp_minus = l2 + w2, l2 - w2
+    # The minus entries are the conjugates of the plus ones.
+    if not (math.isfinite(amp) and cmath.isfinite(lp_plus)
+            and cmath.isfinite(lpp_plus)):
+        raise WKBInadmissibleError(f"non-finite record entry at x={x}")
+    df_plus, df_minus = lp_plus * amp, lp_minus * amp
+    d2f_plus = (lp_plus * lp_plus + lpp_plus) * amp
+    d2f_minus = (lp_minus * lp_minus + lpp_minus) * amp
+    return WKBBasis(amp, lp_plus, lp_minus, df_plus, df_minus, d2f_plus,
+                    d2f_minus, df_plus * amp - df_minus * amp,
+                    d2f_plus * df_minus - d2f_minus * df_plus)
 
 
 def wkb_basis(problem, x: float) -> Endpoint:
     """The basis-fit scheme's record at x: a(x) and the basis pairs of WKB
-    orders 2 and 3, from one jet pass.
-
-    Derivatives are produced analytically: with f = exp(L),
-    f' = L' f and f'' = (L'^2 + L'') f, where L collects the amplitude
-    log, the oscillatory phase and (order 3) the eps^2 phi3 correction.
-    """
+    orders 2 and 3, from one jet pass. L collects the amplitude log, the
+    oscillatory phase and (order 3) the eps^2 phi3 correction."""
     eps = problem.epsilon
     # ph1, ph2: the phase derivative sqrt(a) - eps^2 b and its derivative.
     a, s, bj, (ph1, ph2, _, _) = b_jet(problem, x)
     # Amplitude log: -(1/4) log a; only its derivatives are needed.
-    a1 = a[1]
-    a2 = 2.0 * a[2]
+    a1, a2 = a[1], 2.0 * a[2]
     amp1 = -0.25 * a1 / a[0]
     amp2 = -0.25 * (a2 / a[0] - (a1 / a[0]) ** 2)
     eps2 = eps * eps
     amp = a[0] ** -0.25
-
-    def basis(corr, c1, c2):
-        f = WKBBasis(amp * corr,
-                     amp1 + c1 + 1j * ph1 / eps, amp1 + c1 - 1j * ph1 / eps,
-                     amp2 + c2 + 1j * ph2 / eps, amp2 + c2 - 1j * ph2 / eps)
-        # The minus entries are the conjugates of the plus ones.
-        if not (math.isfinite(f.amp) and cmath.isfinite(f.lp_plus)
-                and cmath.isfinite(f.lpp_plus)):
-            raise WKBInadmissibleError(f"non-finite record entry at x={x}")
-        return f
-
+    w1, w2 = 1j * ph1 / eps, 1j * ph2 / eps
     # phi3 = b / (2 sqrt(a)) to order 2, the quotient recursion written out.
     t0, t1, t2 = 2.0 * s[0], 2.0 * s[1], 2.0 * s[2]
     p0 = bj[0] / t0
@@ -93,21 +88,11 @@ def wkb_basis(problem, x: float) -> Endpoint:
     except OverflowError as exc:  # large b over a tiny sqrt(a)
         raise WKBInadmissibleError(
             f"order-3 basis factor exp({eps2 * p0}) overflows") from exc
-    return Endpoint(x, a[0], basis=(basis(1.0, 0.0, 0.0), basis(
-        corr, eps2 * p1, eps2 * 2.0 * p2)))
-
-
-def _fit_pair(v0: complex, v1: complex, g, h):
-    """Coefficients (c+, c-) with c+ (g+, h+) + c- (g-, h-) = (v0, v1), for
-    basis values g and derivatives h given as (plus, minus) pairs."""
-    gp, gm = g
-    hp, hm = h
-    denom = hp * gm - hm * gp
-    if abs(denom) < DEGENERATE_DENOM:
-        raise WKBInadmissibleError("degenerate basis fit denominator")
-    coef_plus = (v1 * gm - v0 * hm) / denom
-    coef_minus = -(v1 * gp - v0 * hp) / denom
-    return coef_plus, coef_minus
+    # The order-2 correction terms are 0.0; adding them turns -0.0 to 0.0.
+    return Endpoint(x, a[0], basis=(
+        _basis(x, amp, amp1 + 0.0, amp2 + 0.0, w1, w2),
+        _basis(x, amp * corr, amp1 + eps2 * p1, amp2 + eps2 * 2.0 * p2,
+               w1, w2)))
 
 
 def rkwkb_step(problem, provider: PhaseProvider, left: Endpoint,
@@ -123,14 +108,28 @@ def rkwkb_step(problem, provider: PhaseProvider, left: Endpoint,
         raise ValueError("step size must be positive")
     theta1 = math.fmod(provider.increment(x0, x1) / problem.epsilon, math.tau)
     osc1 = cmath.exp(1j * theta1)
-    ddphi = -left.a * state.phi / problem.epsilon ** 2
-    out = []
-    for basis0, basis1 in zip(left.basis, right.basis):
-        f0, df0, d2f0 = basis0.at(1.0)
-        gamma_p, gamma_m = _fit_pair(state.phi, state.dphi, f0, df0)
-        delta_p, delta_m = _fit_pair(state.dphi, ddphi, df0, d2f0)
-        f1, df1, _ = basis1.at(osc1)
-        phi_next = gamma_p * f1[0] + gamma_m * f1[1]
-        dphi_next = delta_p * df1[0] + delta_m * df1[1]
-        out.append(WaveState(x1, complex(phi_next), complex(dphi_next)))
-    return out[0], out[1]
+    phi, dphi = state.phi, state.dphi
+    ddphi = -left.a * phi / problem.epsilon ** 2
+    (b2, b3), (r2, r3) = left.basis, right.basis
+    if (abs(b2.den_f) < DEGENERATE_DENOM or abs(b2.den_df) < DEGENERATE_DENOM
+            or abs(b3.den_f) < DEGENERATE_DENOM
+            or abs(b3.den_df) < DEGENERATE_DENOM):
+        raise WKBInadmissibleError("degenerate basis fit denominator")
+    # Per order: g+- fits (phi, phi') on (f, f'), d+- fits (phi', phi'') on
+    # (f', f''), and the fits at x1 carry phi and phi'.
+    v = dphi * b2.amp
+    gp = (v - phi * b2.df_minus) / b2.den_f
+    gm = -(v - phi * b2.df_plus) / b2.den_f
+    dp = (ddphi * b2.df_minus - dphi * b2.d2f_minus) / b2.den_df
+    dm = -(ddphi * b2.df_plus - dphi * b2.d2f_plus) / b2.den_df
+    fp, fm = r2.amp * osc1, r2.amp / osc1
+    order2 = WaveState(x1, gp * fp + gm * fm,
+                       dp * (r2.lp_plus * fp) + dm * (r2.lp_minus * fm))
+    v = dphi * b3.amp
+    gp = (v - phi * b3.df_minus) / b3.den_f
+    gm = -(v - phi * b3.df_plus) / b3.den_f
+    dp = (ddphi * b3.df_minus - dphi * b3.d2f_minus) / b3.den_df
+    dm = -(ddphi * b3.df_plus - dphi * b3.d2f_plus) / b3.den_df
+    fp, fm = r3.amp * osc1, r3.amp / osc1
+    return order2, WaveState(x1, gp * fp + gm * fm, dp * (r3.lp_plus * fp)
+                             + dm * (r3.lp_minus * fm))

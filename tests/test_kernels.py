@@ -2,19 +2,20 @@
 
 The reference implementations here are the generic truncated-Taylor-jet
 recursions (Cauchy products and quotients over lists of any order), a
-Fehlberg step that loops over its tableau, and a `from_Z` that forms its
-rotation exp(i theta1) itself from the step's phase theta1. `b_jet`,
-`eval_bk`, `wkb_basis`, `rkf45_step` and the WKB step pair unroll or share
-the same arithmetic in the same order, so every result must carry the same
-IEEE bits, signed zeros included, and every input must raise in both or in
-neither.
+Fehlberg step that loops over its tableau, a basis-fit step that evaluates
+both ends' bases and solves both fits of each order inside its loop, and a
+`from_Z` that forms its rotation exp(i theta1) itself from the step's phase
+theta1. `b_jet`, `eval_bk`, `wkb_basis`, `rkwkb_step`, `rkf45_step` and the
+WKB step pair unroll or share the same arithmetic in the same order, so
+every result must carry the same IEEE bits, signed zeros included, and
+every input must raise in both or in neither.
 
 The per-trial records are slotted dataclasses; a test here keeps them so.
 """
 
 import cmath
 import math
-from dataclasses import fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -23,7 +24,8 @@ from wkbmarch import AiryQuad, PhaseProvider, StepRecord, WaveState, \
     make_polynomial_problem
 from wkbmarch.control import Candidate
 from wkbmarch.rk45 import rkf45_step
-from wkbmarch.rkwkb import WKBBasis, wkb_basis
+from wkbmarch.rkwkb import (DEGENERATE_DENOM, WKBBasis, rkwkb_step,
+                            wkb_basis)
 from wkbmarch.state import SolverError, WKBInadmissibleError
 from wkbmarch.wkb_core import (PHASE_DERIV_GUARD, SQRT2, BkTable, Endpoint,
                                ZState, assemble_step_matrices, b_jet, eval_bk,
@@ -108,7 +110,46 @@ def generic_eval_bk(problem, x):
                     BkTable(bj[0], b0[0], b1[0], b2[0], b3[0]))
 
 
-def generic_wkb_basis(problem, x):
+@dataclass
+class GenericBasis:
+    """A basis pair without its phase factor, as the basis-fit scheme kept
+    it before its fits were precomputed: amp, L+-' and L+-''."""
+
+    amp: float
+    lp_plus: complex
+    lp_minus: complex
+    lpp_plus: complex
+    lpp_minus: complex
+
+    def at(self, osc):
+        """(f, f', f'') as (plus, minus) pairs with osc = exp(i theta)."""
+        f_plus = self.amp * osc
+        f_minus = self.amp / osc
+        return ((f_plus, f_minus),
+                (self.lp_plus * f_plus, self.lp_minus * f_minus),
+                ((self.lp_plus * self.lp_plus + self.lpp_plus) * f_plus,
+                 (self.lp_minus * self.lp_minus + self.lpp_minus) * f_minus))
+
+
+def fit_denominator(g, h):
+    """h+ g- - h- g+ for (plus, minus) pairs g and h."""
+    gp, gm = g
+    hp, hm = h
+    return hp * gm - hm * gp
+
+
+def generic_fit_pair(v0, v1, g, h):
+    """(c+, c-) with c+ (g+, h+) + c- (g-, h-) = (v0, v1)."""
+    gp, gm = g
+    hp, hm = h
+    denom = fit_denominator(g, h)
+    if abs(denom) < DEGENERATE_DENOM:
+        raise WKBInadmissibleError("degenerate basis fit denominator")
+    return (v1 * gm - v0 * hm) / denom, -(v1 * gp - v0 * hp) / denom
+
+
+def generic_bases(problem, x):
+    """a(x) and the two basis orders at x as GenericBasis records."""
     eps = problem.epsilon
     a, s, bj, (ph1, ph2, _) = generic_b_jet(problem, x, 2)
     a1 = a[1]
@@ -119,9 +160,11 @@ def generic_wkb_basis(problem, x):
     amp = a[0] ** -0.25
 
     def basis(corr, c1, c2):
-        f = WKBBasis(amp * corr,
-                     amp1 + c1 + 1j * ph1 / eps, amp1 + c1 - 1j * ph1 / eps,
-                     amp2 + c2 + 1j * ph2 / eps, amp2 + c2 - 1j * ph2 / eps)
+        f = GenericBasis(amp * corr,
+                         amp1 + c1 + 1j * ph1 / eps,
+                         amp1 + c1 - 1j * ph1 / eps,
+                         amp2 + c2 + 1j * ph2 / eps,
+                         amp2 + c2 - 1j * ph2 / eps)
         if not (math.isfinite(f.amp) and cmath.isfinite(f.lp_plus)
                 and cmath.isfinite(f.lpp_plus)):
             raise WKBInadmissibleError("non-finite record entry")
@@ -132,8 +175,47 @@ def generic_wkb_basis(problem, x):
         corr = math.exp(eps2 * p3[0])
     except OverflowError as exc:
         raise WKBInadmissibleError("order-3 basis factor") from exc
-    return Endpoint(x, a[0], basis=(basis(1.0, 0.0, 0.0), basis(
-        corr, eps2 * p3[1], eps2 * 2.0 * p3[2])))
+    return a[0], (basis(1.0, 0.0, 0.0),
+                  basis(corr, eps2 * p3[1], eps2 * 2.0 * p3[2]))
+
+
+def generic_wkb_basis(problem, x):
+    """`wkb_basis` from the generic bases: each record's left-end fit is
+    the basis at osc = 1 with the denominators of its two fits."""
+    a0, pair = generic_bases(problem, x)
+    records = []
+    for b in pair:
+        f, df, d2f = b.at(1.0)
+        records.append(WKBBasis(b.amp, b.lp_plus, b.lp_minus, *df, *d2f,
+                                fit_denominator(f, df),
+                                fit_denominator(df, d2f)))
+    return Endpoint(x, a0, basis=tuple(records))
+
+
+def generic_rkwkb_step(problem, provider, x0, x1, state):
+    """The basis-fit step from x0 to x1 with both ends' bases evaluated
+    and both 2x2 fits solved inside the step, one order after the other."""
+    a0, left = generic_bases(problem, x0)
+    _, right = generic_bases(problem, x1)
+    theta1 = math.fmod(provider.increment(x0, x1) / problem.epsilon, math.tau)
+    osc1 = cmath.exp(1j * theta1)
+    ddphi = -a0 * state.phi / problem.epsilon ** 2
+    out = []
+    for basis0, basis1 in zip(left, right):
+        f0, df0, d2f0 = basis0.at(1.0)
+        gamma_p, gamma_m = generic_fit_pair(state.phi, state.dphi, f0, df0)
+        delta_p, delta_m = generic_fit_pair(state.dphi, ddphi, df0, d2f0)
+        f1, df1, _ = basis1.at(osc1)
+        phi_next = gamma_p * f1[0] + gamma_m * f1[1]
+        dphi_next = delta_p * df1[0] + delta_m * df1[1]
+        out.append(WaveState(x1, complex(phi_next), complex(dphi_next)))
+    return out[0], out[1]
+
+
+def package_rkwkb_step(problem, provider, x0, x1, state):
+    """`rkwkb_step` between the records `wkb_basis` builds at x0 and x1."""
+    return rkwkb_step(problem, provider, wkb_basis(problem, x0),
+                      wkb_basis(problem, x1), state)
 
 
 # Fehlberg 4(5) tableau, looped over.
@@ -271,6 +353,32 @@ def test_kernels_match_generic_forms_bit_for_bit(coeffs, x, eps, phi, dphi,
         wkb_march, p, h, reference_from_Z)
 
 
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(coeffs=st.integers(1, 5).flatmap(
+           lambda d: st.lists(coefficient, min_size=d + 1, max_size=d + 1)),
+       x=st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-3.0, 3.0)),
+       eps=st.floats(2.0 ** -10, 1.0),
+       phi=complex_state, dphi=complex_state,
+       h=st.floats(1e-6, 2.0))
+# a = 4 from (1, 0): the (f, f') fit is degenerate at eps = 1e31 and the
+# (f', f'') fit at eps = 1e29.
+@example(coeffs=[4.0], x=0.0, eps=1e31, phi=1 + 0j, dphi=0j, h=0.5)
+@example(coeffs=[4.0], x=0.0, eps=1e29, phi=1 + 0j, dphi=0j, h=0.5)
+@example(coeffs=[1.0, -0.0, -1.0, -0.0], x=-0.0, eps=0.5, phi=0j, dphi=0j,
+         h=0.5)
+def test_rkwkb_step_matches_generic_form_bit_for_bit(coeffs, x, eps, phi,
+                                                      dphi, h):
+    # The written-out step reads the left record's precomputed fits; the
+    # generic form evaluates both bases and solves both fits per order.
+    p = make_polynomial_problem(coeffs, eps, (x, x + 10.0),
+                                initial=WaveState(x, phi, dphi))
+    assume(p.field(x) > 0.0)
+    provider = PhaseProvider(p, "cc")
+    assert outcome(package_rkwkb_step, p, provider, x, x + h,
+                   p.initial) == outcome(generic_rkwkb_step, p, provider, x,
+                                         x + h, p.initial)
+
+
 def rates_one_by_one(problem, xs):
     """The cc integrand at each x of xs, as the head of b_jet's phase jet;
     the first inadmissible x raises b_jet's error."""
@@ -321,7 +429,7 @@ STATE = WaveState(0.0, 1j, 0j)
     Candidate("WKB", True, 1.0, 0.0, STATE),
     Endpoint(0.0, 1.0),
     BkTable(0.0, 0.0, 0.0, 0.0, 0.0),
-    WKBBasis(1.0, 1j, -1j, 0j, 0j),
+    WKBBasis(1.0, 1j, -1j, 1j, -1j, -1 + 0j, -1 + 0j, -2j, -2j),
     STATE,
     StepRecord(0, 0.0, 0.1, "WKB", 0.0, 1.0, STATE),
     AiryQuad(0.0, 0.0, 0.0, 0.0),

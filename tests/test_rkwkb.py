@@ -9,7 +9,8 @@ from scipy.integrate import solve_ivp
 
 from wkbmarch import (PhaseProvider, WaveState, make_airy_problem,
                       make_polynomial_problem)
-from wkbmarch.rkwkb import _fit_pair, rkwkb_step, wkb_basis
+from wkbmarch.rkwkb import DEGENERATE_DENOM, rkwkb_step, wkb_basis
+from wkbmarch.state import WKBInadmissibleError
 from wkbmarch.wkb_core import eval_bk
 
 
@@ -30,10 +31,15 @@ def reference_flow(problem, state, x1):
 
 def bases(problem, x, theta):
     """Both basis orders at x as (order, f, f', f''), each value a (plus,
-    minus) pair, with phase theta at x; the record holds orders 2 and 3."""
+    minus) pair, with phase theta at x; the record holds orders 2 and 3,
+    each with f'' at phase 0."""
     osc = cmath.exp(1j * theta)
-    return [(order, *b.at(osc))
-            for order, b in zip((2, 3), wkb_basis(problem, x).basis)]
+    out = []
+    for order, b in zip((2, 3), wkb_basis(problem, x).basis):
+        f = (b.amp * osc, b.amp / osc)
+        out.append((order, f, (b.lp_plus * f[0], b.lp_minus * f[1]),
+                    (b.d2f_plus * osc, b.d2f_minus / osc)))
+    return out
 
 
 def step(problem, provider, state, h):
@@ -108,11 +114,13 @@ def test_exact_on_ansatz_span():
 
 
 def test_interpolation_property(airy1):
-    # gamma+ f+ + gamma- f- reproduces phi at the step start.
+    # gamma+ f+ + gamma- f- reproduces phi at the step start, with the fit
+    # of (phi, phi') on (f, f') solved from the order-3 record's entries.
     st = airy1.exact(5.0)
-    _, (_, f, df, _) = bases(airy1, 5.0, 0.0)
-    gp, gm = _fit_pair(st.phi, st.dphi, f, df)
-    recon = gp * f[0] + gm * f[1]
+    b = wkb_basis(airy1, 5.0).basis[1]
+    gp = (st.dphi * b.amp - st.phi * b.df_minus) / b.den_f
+    gm = -(st.dphi * b.amp - st.phi * b.df_plus) / b.den_f
+    recon = gp * b.amp + gm * b.amp
     assert abs(recon - st.phi) / abs(st.phi) < 1e-12
 
 
@@ -163,3 +171,19 @@ def test_step_guards(airy1):
     prov = PhaseProvider(airy1, "exact")
     with pytest.raises(ValueError):
         step(airy1, prov, airy1.exact(1.0), -0.5)
+
+
+@pytest.mark.parametrize("eps, tripped", [(1e31, "den_f"), (1e29, "den_df")])
+def test_degenerate_fit_rejects_step(eps, tripped):
+    # a = 4 from (1, 0): the (f, f') denominator scales as 1/eps and the
+    # (f', f'') one as 1/eps^3, so at eps = 1e31 the first is degenerate and
+    # at eps = 1e29 only the second.
+    p = make_polynomial_problem([4.0], eps, (0.0, 10.0),
+                                initial=WaveState(0.0, 1.0 + 0.0j, 0j))
+    fit = wkb_basis(p, 0.0).basis[0]
+    degenerate = [name for name in ("den_f", "den_df")
+                  if abs(getattr(fit, name)) < DEGENERATE_DENOM]
+    assert degenerate[0] == tripped
+    with pytest.raises(WKBInadmissibleError,
+                       match="degenerate basis fit denominator"):
+        step(p, PhaseProvider(p, "cc"), p.initial, 0.5)

@@ -31,7 +31,8 @@ one JSON object:
 `--against DIR` runs the same on DIR in a fresh interpreter and prints,
 per key, whether the two agree; for the march, the number of nodes that
 moved and the largest relative move |d phi| / |phi| and |d phi'| / |phi'|.
-It exits 1 when an `integrate` or a `verify` fingerprint differs.
+It exits 1 when an `integrate` or a `verify` fingerprint differs or a
+`march` node moved.
 """
 
 from __future__ import annotations
@@ -164,6 +165,7 @@ def compare(mine: dict, theirs: dict) -> int:
             da, db = _complex(*a[3:5]), _complex(*b[3:5])
             rel_phi = max(rel_phi, abs(pa - pb) / abs(pb))
             rel_dphi = max(rel_dphi, abs(da - db) / abs(db))
+        differs += moved
         print(f"march {key}: {moved} of {len(nodes)} nodes moved, "
               f"max rel move phi {rel_phi:.2e}, phi' {rel_dphi:.2e}")
     return 1 if differs else 0
