@@ -16,15 +16,15 @@ from .phase import PhaseProvider, clenshaw_curtis
 from .problem import (CoefficientField, Problem, make_airy_problem,
                       make_pcf_problem, make_polynomial_problem,
                       problem_from_json)
-from .reference import AiryQuad, airy_pair, global_error
+from .reference import airy_pair, global_error
 from .state import ContinuationError, SolverError, WaveState, \
     WKBInadmissibleError
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AiryQuad", "CoefficientField", "ContinuationError", "PhaseProvider",
-    "Problem", "SolverConfig", "SolverError", "StepRecord", "Trajectory",
+    "CoefficientField", "ContinuationError", "PhaseProvider", "Problem",
+    "SolverConfig", "SolverError", "StepRecord", "Trajectory",
     "WKBInadmissibleError", "WaveState", "airy_pair", "clenshaw_curtis",
     "estimator_h_sweep", "estimator_study", "global_error", "integrate",
     "make_airy_problem", "make_pcf_problem", "make_polynomial_problem",

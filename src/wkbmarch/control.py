@@ -338,18 +338,35 @@ def march_fixed_grid(problem, xs, order: int = 2,
     """Propagate the transform scheme of the given h-order (1 or 2) over a
     fixed grid starting at problem.x_start (= xs[0]); used for
     convergence-order measurements. Each step is integrate's WKB pair
-    (`_pair`) from the previous state."""
+    (`_pair`) from the previous state. Raises ValueError for a grid that
+    does not increase strictly, and where the scheme is inadmissible at a
+    grid point or on a step."""
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, not {order!r}")
     xs = list(map(float, xs))
-    if xs[0] != problem.x_start:
+    if not xs or xs[0] != problem.x_start:
         raise ValueError("grid must start at problem.x_start")
+    for x0, x1 in zip(xs, xs[1:]):
+        if not x0 < x1:
+            raise ValueError(f"grid must increase strictly, got {x1} "
+                             f"after {x0}")
     provider = PhaseProvider(problem, phase)
-    ends = [wkb_core.eval_bk(problem, x) for x in xs]
+    ends = []
+    for x in xs:
+        try:
+            ends.append(wkb_core.eval_bk(problem, x))
+        except WKBInadmissibleError as exc:
+            raise ValueError(f"{TAG_WKB} is inadmissible at grid point "
+                             f"x={x}: {exc}") from exc
     out = [problem.initial]
     for left, right in zip(ends, ends[1:]):
-        out.append(_pair(TAG_WKB, problem, provider, out[-1],
-                         right.x - left.x, left, right)[order - 1])
+        try:
+            pair = _pair(TAG_WKB, problem, provider, out[-1],
+                         right.x - left.x, left, right)
+        except WKBInadmissibleError as exc:
+            raise ValueError(f"{TAG_WKB} step [{left.x}, {right.x}] is "
+                             f"inadmissible: {exc}") from exc
+        out.append(pair[order - 1])
     return out[1:]
 
 

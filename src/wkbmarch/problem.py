@@ -33,10 +33,10 @@ class CoefficientField:
     """Polynomial coefficient a(x), from its ascending coefficients.
 
     The derivative tower up to a^(5) is differentiated exactly, once, here,
-    and kept in Horner order (highest power first), with the leading
-    n + 1 polynomials of the tower stored for each jet order n; empty or
-    non-finite coefficients raise ValueError. The read-only `horner_heads`
-    is (a, a', a'') in that order and layout: the polynomials jet(x, 2) runs.
+    and kept in Horner order (highest power first); empty or non-finite
+    coefficients raise ValueError. The read-only `horner_heads` is
+    (a, a', a'') in that order and layout: the first three polynomials
+    that jet runs.
     """
 
     def __init__(self, coeffs: Sequence[float]):
@@ -48,16 +48,14 @@ class CoefficientField:
         for _ in range(MAX_DERIVATIVE_ORDER):
             prev = tower[-1]
             tower.append([j * prev[j] for j in range(1, len(prev))])
-        horner = tuple(tuple(reversed(poly)) for poly in tower)
-        self._value = horner[0]
-        self._jets = tuple(horner[:n + 1] for n in range(len(horner)))
-        self.horner_heads = self._jets[2]
+        self._horner = tuple(tuple(reversed(poly)) for poly in tower)
+        self._value = self._horner[0]
+        self.horner_heads = self._horner[:3]
 
-    def jet(self, x: float,
-            n: int = MAX_DERIVATIVE_ORDER) -> tuple[float, ...]:
-        """(a(x), a'(x), ..., a^(n)(x)), n at most five."""
+    def jet(self, x: float) -> tuple[float, ...]:
+        """(a(x), a'(x), ..., a^(5)(x))."""
         out = []
-        for poly in self._jets[n]:
+        for poly in self._horner:
             acc = 0.0
             for c in poly:
                 acc = acc * x + c
@@ -114,13 +112,11 @@ def _airy_exact_provider(epsilon: float) -> Callable[[float], WaveState]:
 
     def exact(x: float) -> WaveState:
         try:
-            quad = reference.airy_pair(x * scale)
+            w, dw = reference.airy_pair(x * scale)
         except ArithmeticError:  # the asymptotic series overflows
             raise ValueError(f"Airy reference overflows at x={x!r}, "
                              f"epsilon={epsilon!r}") from None
-        phi = complex(quad.ai, quad.bi)
-        dphi = -scale * complex(quad.aip, quad.bip)
-        return WaveState(x, phi, dphi)
+        return WaveState(x, w, -scale * dw)
 
     def phis(xs) -> list[complex]:
         try:

@@ -22,7 +22,6 @@ import bisect
 import functools
 import math
 import threading
-from dataclasses import dataclass
 from typing import Sequence
 
 from .state import ContinuationError
@@ -477,29 +476,12 @@ def _numpy():
 # Airy functions on the oscillatory side
 # ---------------------------------------------------------------------------
 
-@dataclass(slots=True)
-class AiryQuad:
-    """Ai, Ai', Bi, Bi' evaluated at argument -t (t >= 0)."""
-
-    ai: float
-    aip: float
-    bi: float
-    bip: float
-
-    def wronskian(self) -> float:
-        return self.ai * self.bip - self.aip * self.bi
-
-
-def airy_origin_values() -> AiryQuad:
-    """Exact values of Ai, Ai', Bi, Bi' at the origin."""
+def airy_origin_values() -> tuple[complex, complex]:
+    """Exact (w, w') at the origin, w = Ai + i Bi."""
     g13 = math.gamma(1.0 / 3.0)
     g23 = math.gamma(2.0 / 3.0)
-    return AiryQuad(
-        ai=3.0 ** (-2.0 / 3.0) / g23,
-        aip=-(3.0 ** (-1.0 / 3.0)) / g13,
-        bi=3.0 ** (-1.0 / 6.0) / g23,
-        bip=3.0 ** (1.0 / 6.0) / g13,
-    )
+    return (complex(3.0 ** (-2.0 / 3.0) / g23, 3.0 ** (-1.0 / 6.0) / g23),
+            complex(-(3.0 ** (-1.0 / 3.0)) / g13, 3.0 ** (1.0 / 6.0) / g13))
 
 
 _UV_CACHE: list[tuple[float, float]] = [(1.0, 1.0)]
@@ -518,9 +500,9 @@ def asymptotic_coeffs(k: int) -> tuple[float, float]:
     return _UV_CACHE[k]
 
 
-def airy_asymptotic(t: float) -> AiryQuad:
-    """Large-argument expansion of the Airy quad at -t, truncated after
-    index AIRY_ASYM_TERMS in each of the paired cosine and sine sums.
+def airy_asymptotic(t: float) -> tuple[complex, complex]:
+    """Large-argument expansion of (w, w') at -t, w = Ai + i Bi, truncated
+    after index AIRY_ASYM_TERMS in each of the paired cosine and sine sums.
 
     The phase zeta = (2/3) t^(3/2) is formed and reduced modulo 2*pi in
     compensated arithmetic, so the only irreducible error left is the
@@ -551,12 +533,10 @@ def airy_asymptotic(t: float) -> AiryQuad:
         odd_v += sign * v2k1 / zeta ** (2 * k + 1)
     amp = 1.0 / (SQRT_PI * t ** 0.25)
     damp = t ** 0.25 / SQRT_PI
-    return AiryQuad(
-        ai=amp * (cosz * even_u + sinz * odd_u),
-        aip=damp * (sinz * even_v - cosz * odd_v),
-        bi=amp * (-sinz * even_u + cosz * odd_u),
-        bip=damp * (cosz * even_v + sinz * odd_v),
-    )
+    return (complex(amp * (cosz * even_u + sinz * odd_u),
+                    amp * (-sinz * even_u + cosz * odd_u)),
+            complex(damp * (sinz * even_v - cosz * odd_v),
+                    damp * (cosz * even_v + sinz * odd_v)))
 
 
 # Continuation checkpoints in the Airy variable y = -t, one per series
@@ -565,17 +545,13 @@ def airy_asymptotic(t: float) -> AiryQuad:
 # the real and imaginary parts march as Ai and Bi alone would, bit for bit.
 # The table grows on first use; building it here costs only the origin
 # values.
-_AIRY_Q0 = airy_origin_values()
-_AIRY_TABLE = _ContinuationTable(
-    [0.0, 1.0], 0.0, (complex(_AIRY_Q0.ai, _AIRY_Q0.bi),
-                      complex(_AIRY_Q0.aip, _AIRY_Q0.bip)))
+_AIRY_TABLE = _ContinuationTable([0.0, 1.0], 0.0, airy_origin_values())
 
 
-def _airy_continued(t: float) -> AiryQuad:
-    """Airy quad at -t by checkpointed continuation of w'' = y w."""
+def _airy_continued(t: float) -> tuple[complex, complex]:
+    """(w, w') at -t by checkpointed continuation of w'' = y w."""
     wh, wl, dh, dl = _AIRY_TABLE.state_at(-t)
-    w, dw = wh + wl, dh + dl
-    return AiryQuad(ai=w.real, aip=dw.real, bi=w.imag, bip=dw.imag)
+    return wh + wl, dh + dl
 
 
 def _check_oscillatory(t: float) -> None:
@@ -584,12 +560,13 @@ def _check_oscillatory(t: float) -> None:
             f"only the oscillatory side t >= 0 is supported, got {t!r}")
 
 
-def airy_pair(t: float) -> AiryQuad:
-    """Hybrid Airy quad at -t by one route: the continuation table for
-    t <= AIRY_VALUE_SWITCH = 50, the asymptotic expansion above. Against
-    mpmath, relative to the amplitude envelope, the expansion is within
-    5e-16 on 30 <= t <= 500 (as is the table) and 1.8e-14 on 20 <= t <= 30,
-    so the seam leaves a margin and the table stops near t = 50."""
+def airy_pair(t: float) -> tuple[complex, complex]:
+    """Hybrid (w, w') = (Ai(-t) + i Bi(-t), Ai'(-t) + i Bi'(-t)) by one
+    route: the continuation table for t <= AIRY_VALUE_SWITCH = 50, the
+    asymptotic expansion above. Against mpmath, relative to the amplitude
+    envelope, the expansion is within 5e-16 on 30 <= t <= 500 (as is the
+    table) and 1.8e-14 on 20 <= t <= 30, so the seam leaves a margin and
+    the table stops near t = 50."""
     _check_oscillatory(t)
     if t <= AIRY_VALUE_SWITCH:
         return _airy_continued(t)
@@ -598,7 +575,7 @@ def airy_pair(t: float) -> AiryQuad:
 
 def airy_values(ts) -> list[complex]:
     """Ai(-t) + i Bi(-t) at every t of ts, each by the route airy_pair
-    takes and with the bits of its quad: the points at or below the seam
+    takes and with the bits of its w: the points at or below the seam
     in one batch hop over the table, those above it one at a time."""
     out = [0j] * len(ts)
     low = []
@@ -607,8 +584,7 @@ def airy_values(ts) -> list[complex]:
         if t <= AIRY_VALUE_SWITCH:
             low.append(j)
         else:
-            quad = airy_asymptotic(t)
-            out[j] = complex(quad.ai, quad.bi)
+            out[j] = airy_asymptotic(t)[0]
     wh, wl = _AIRY_TABLE.values_at([-ts[j] for j in low])
     for j, h, l in zip(low, wh, wl):
         out[j] = h + l

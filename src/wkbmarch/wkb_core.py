@@ -93,7 +93,7 @@ def b_jet(problem, x: float):
     The order-0 heads, `phase_rates`'s arithmetic, come first, then every
     coefficient to order 3; sums keep the generic recursion's 0.0 seed.
     """
-    a0, a1, t2, t3, t4, t5 = problem.field.jet(x, 5)
+    a0, a1, t2, t3, t4, t5 = problem.field.jet(x)
     if a0 < problem.tau_guard:  # before sqrt(a), which a < 0 would fail
         raise WKBInadmissibleError(f"a({x}) = {a0} below tau guard")
     # Jets: s = sqrt(a), w = a^(3/2), aa = a^2, q = a^(5/2), d = a',

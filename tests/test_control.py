@@ -347,6 +347,29 @@ def test_march_fixed_grid_rejects_other_orders(order):
         march_fixed_grid(p, [1.0, 1.5, 2.0], order)
 
 
+@pytest.mark.parametrize("coeffs, xs, where", [
+    ([1.0, -1.0], [0.0, 0.5, 1.0, 1.5], "grid point x=1.0"),
+    ([1.0, -2.0, 1.0], [0.0, 0.5, 1.5], r"step \[0.5, 1.5\]"),
+])
+def test_march_fixed_grid_names_an_inadmissible_point(coeffs, xs, where):
+    # a vanishes at x = 1: on the grid, or at the middle cc node of a step.
+    p = make_polynomial_problem(coeffs, 0.1, (0.0, 2.0))
+    with pytest.raises(ValueError, match=f"{where}.*below tau guard"):
+        march_fixed_grid(p, xs, phase="cc")
+
+
+@pytest.mark.parametrize("xs, message", [
+    ([1.0, 1.5, 1.25], "increase strictly, got 1.25 after 1.5"),
+    ([1.0, 1.5, 1.5], "increase strictly"),
+    ([1.0, math.nan, 2.0], "increase strictly"),
+    ([], "start at problem.x_start"),
+])
+def test_march_fixed_grid_rejects_a_bad_grid(xs, message):
+    p = make_airy_problem(1.0, 1.0, 2.0)
+    with pytest.raises(ValueError, match=message):
+        march_fixed_grid(p, xs)
+
+
 # ---------------------------------------------------------------------------
 # estimator studies
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 import scipy.special as sp
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.integrate import solve_ivp
 
 from wkbmarch import (ContinuationError, WaveState, airy_pair,
@@ -133,14 +134,14 @@ def test_continuation_complex_state():
 def test_continuation_airy_vs_asymptotics_at_600():
     # The two routes are independent above the switch; with the compensated
     # state the agreement reaches the rounding of the outputs themselves.
-    q0 = airy_origin_values()
-    w, dw = taylor_continuation([0.0, 1.0], 0.0, q0.ai, q0.aip, -600.0)
-    wb, dwb = taylor_continuation([0.0, 1.0], 0.0, q0.bi, q0.bip, -600.0)
-    asym = airy_asymptotic(600.0)
-    assert abs(w - asym.ai) / abs(asym.ai) < 1e-14
-    assert abs(dw - asym.aip) / abs(asym.aip) < 1e-14
-    assert abs(wb - asym.bi) / abs(asym.bi) < 1e-14
-    assert abs(dwb - asym.bip) / abs(asym.bip) < 1e-14
+    w0, dw0 = airy_origin_values()
+    w, dw = taylor_continuation([0.0, 1.0], 0.0, w0.real, dw0.real, -600.0)
+    wb, dwb = taylor_continuation([0.0, 1.0], 0.0, w0.imag, dw0.imag, -600.0)
+    aw, adw = airy_asymptotic(600.0)
+    assert abs(w - aw.real) / abs(aw.real) < 1e-14
+    assert abs(dw - adw.real) / abs(adw.real) < 1e-14
+    assert abs(wb - aw.imag) / abs(aw.imag) < 1e-14
+    assert abs(dwb - adw.imag) / abs(adw.imag) < 1e-14
 
 
 def test_continuation_parameter_guards():
@@ -240,36 +241,75 @@ def test_dd_kernels_match_helper_oracle(q, kind, x0, terms):
                 _oracle_horner(ghi, glo, h))
 
 
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(data=st.data())
+def test_batch_horner_matches_scalar_on_complex_rows(data):
+    """_dd_horner on numpy arrays of complex (hi, lo) coefficient rows,
+    one real hop per column, gives the bits of the scalar _dd_horner of
+    every column. numpy's complex-by-complex multiply need not round as
+    CPython's does; a hop multiplies only by reals, and this keeps it so."""
+    shape = data.draw(st.tuples(st.integers(1, SERIES_TERMS),
+                                st.integers(1, 16)))
+
+    def rows(size):
+        return data.draw(hnp.arrays(np.complex128, shape, elements=(
+            st.complex_numbers(max_magnitude=size))))
+
+    hi, lo = rows(1e3), rows(1e-13)
+    hs = data.draw(hnp.arrays(np.float64, shape[1],
+                              elements=st.floats(-1.0, 1.0)))
+    with np.errstate(all="ignore"):
+        vh, vl = _dd_horner(hi, lo, hs)
+
+    def bits(*zs):
+        return [x.hex() for z in zs for x in (z.real, z.imag)]
+
+    for j, h in enumerate(hs.tolist()):
+        scalar = _dd_horner(hi[:, j].tolist(), lo[:, j].tolist(), h)
+        assert bits(vh[j].item(), vl[j].item()) == bits(*scalar), j
+
+
 # ---------------------------------------------------------------------------
 # Airy hybrid evaluator
 # ---------------------------------------------------------------------------
 
+def _parts(pair):
+    """(Ai, Ai', Bi, Bi') of an Airy pair (w, w'), w = Ai + i Bi."""
+    w, dw = pair
+    return w.real, dw.real, w.imag, dw.imag
+
+
+def _wronskian(pair):
+    """Ai Bi' - Ai' Bi of an Airy pair (w, w'), which is 1/pi."""
+    w, dw = pair
+    return w.real * dw.imag - dw.real * w.imag
+
+
 def test_airy_origin_values():
-    quad = airy_pair(0.0)
-    assert quad.ai == pytest.approx(0.35502805388781723, rel=1e-13)
-    assert quad.bi == pytest.approx(0.6149266274460007, rel=1e-13)
-    assert quad.aip == pytest.approx(-0.2588194037928068, rel=1e-13)
-    assert quad.bip == pytest.approx(0.4482883573538264, rel=1e-13)
+    w, dw = airy_pair(0.0)
+    assert w.real == pytest.approx(0.35502805388781723, rel=1e-13)
+    assert w.imag == pytest.approx(0.6149266274460007, rel=1e-13)
+    assert dw.real == pytest.approx(-0.2588194037928068, rel=1e-13)
+    assert dw.imag == pytest.approx(0.4482883573538264, rel=1e-13)
 
 
 @pytest.mark.parametrize("t", [0.3, 5.0, 123.456, 350.0, 499.0])
 def test_airy_matches_scipy_moderate(t):
-    quad = airy_pair(t)
+    w, dw = airy_pair(t)
     ai, aip, bi, bip = sp.airy(-t)
-    assert quad.ai == pytest.approx(ai, rel=2e-13)
-    assert quad.aip == pytest.approx(aip, rel=2e-13)
-    assert quad.bi == pytest.approx(bi, rel=2e-13)
-    assert quad.bip == pytest.approx(bip, rel=2e-13)
+    assert w.real == pytest.approx(ai, rel=2e-13)
+    assert dw.real == pytest.approx(aip, rel=2e-13)
+    assert w.imag == pytest.approx(bi, rel=2e-13)
+    assert dw.imag == pytest.approx(bip, rel=2e-13)
 
 
 @pytest.mark.parametrize("t", [49.9, 50.0, 50.1, 499.9, 500.1, 400.0,
                                400.05])
 def test_airy_seam_agreement(t):
     """Both branches agree at the one seam (t = 50) and further out."""
-    cont = _airy_continued(t)
-    asym = airy_asymptotic(t)
-    for name in ("ai", "aip", "bi", "bip"):
-        a, c = getattr(asym, name), getattr(cont, name)
+    cont = _parts(_airy_continued(t))
+    asym = _parts(airy_asymptotic(t))
+    for a, c in zip(asym, cont):
         assert abs(a - c) / abs(c) < 1e-12
 
 
@@ -278,10 +318,9 @@ def test_airy_continuation_asymptotics_cross_validation():
     ts = np.concatenate((np.geomspace(AIRY_VALUE_SWITCH, 500.0, 12),
                          np.geomspace(500.0, 2000.0, 12)))
     for t in ts:
-        cont = _airy_continued(float(t))
-        asym = airy_asymptotic(float(t))
-        for name in ("ai", "aip", "bi", "bip"):
-            a, c = getattr(asym, name), getattr(cont, name)
+        cont = _parts(_airy_continued(float(t)))
+        asym = _parts(airy_asymptotic(float(t)))
+        for name, a, c in zip(("ai", "aip", "bi", "bip"), asym, cont):
             assert abs(a - c) / abs(c) < 1e-12, (t, name)
 
 
@@ -308,20 +347,21 @@ def test_airy_pair_takes_one_route(monkeypatch):
                                math.nextafter(AIRY_VALUE_SWITCH, math.inf),
                                50.1, 400.0, 1e4])
 def test_airy_pair_value_only(t):
-    """airy_values gives Ai and Bi of the full quad bit for bit on both
-    routes, alone and in one batch with points on both sides of the seam."""
-    quad = airy_pair(t)
+    """airy_values gives the w of airy_pair bit for bit on both routes,
+    alone and in one batch with points on both sides of the seam."""
+    full = airy_pair(t)[0]
     for ts, j in (([t], 0), ([1.5, 60.0, t, 0.0, 1e3], 2)):
         w = airy_values(ts)[j]
-        assert [w.real.hex(), w.imag.hex()] == [quad.ai.hex(), quad.bi.hex()]
+        assert [w.real.hex(), w.imag.hex()] == [full.real.hex(),
+                                                full.imag.hex()]
 
 
 def test_airy_wronskian_identity():
     for t in np.geomspace(0.1, 2000.0, 50):
-        quad = airy_pair(float(t))
-        assert quad.wronskian() * math.pi == pytest.approx(1.0, rel=1e-10)
+        pair = airy_pair(float(t))
+        assert _wronskian(pair) * math.pi == pytest.approx(1.0, rel=1e-10)
     # Asymptotic branch alone, at a fixed large argument.
-    assert airy_asymptotic(1000.0).wronskian() * math.pi == \
+    assert _wronskian(airy_asymptotic(1000.0)) * math.pi == \
         pytest.approx(1.0, rel=1e-13)
 
 
@@ -330,10 +370,10 @@ def test_airy_leading_order_remainder_bound():
     # is controlled by the first dropped coefficient u1/zeta.
     t = 1000.0
     zeta = (2.0 / 3.0) * t ** 1.5
-    quad = airy_pair(t)
+    w, _ = airy_pair(t)
     leading = math.cos(zeta - 0.25 * math.pi) / (math.sqrt(math.pi) * t ** 0.25)
     u1, _ = asymptotic_coeffs(1)
-    scaled = abs(quad.ai - leading) * math.sqrt(math.pi) * t ** 0.25
+    scaled = abs(w.real - leading) * math.sqrt(math.pi) * t ** 0.25
     assert scaled <= 2.0 * u1 / zeta
 
 
@@ -366,10 +406,8 @@ def test_remark_floor_scaling():
     delta = 2.2e-16
     for eps, expect in ((1e-4, 7.78e-10), (1e-3, 7.78e-11)):
         scale = eps ** (-2.0 / 3.0)
-        q1 = airy_pair(50.0 * scale)
-        q2 = airy_pair((50.0 * (1.0 + delta)) * scale)
-        phi1 = complex(q1.ai, q1.bi)
-        phi2 = complex(q2.ai, q2.bi)
+        phi1 = airy_pair(50.0 * scale)[0]
+        phi2 = airy_pair((50.0 * (1.0 + delta)) * scale)[0]
         moved = abs(phi2 - phi1) / abs(phi1)
         assert expect / 2.0 <= moved <= expect * 2.0
 
@@ -451,14 +489,9 @@ def test_pcf_agrees_with_tight_ivp():
 # Continuation table
 # ---------------------------------------------------------------------------
 
-def _airy_seed():
-    q0 = airy_origin_values()
-    return complex(q0.ai, q0.bi), complex(q0.aip, q0.bip)
-
-
 # name -> (q coefficients, (w, w') at 0, query range)
 TABLES = {
-    "airy": ([0.0, 1.0], _airy_seed(), (-20.0, 3.0)),
+    "airy": ([0.0, 1.0], airy_origin_values(), (-20.0, 3.0)),
     "pcf": ([NU, 0.0, 0.25], pcf_origin_values(NU), (-9.5, 9.5)),
 }
 
@@ -546,9 +579,9 @@ def test_airy_real_tables_match_complex_table(monkeypatch):
     checkpoint key up to t = 50, at the origin, at the seam and between
     keys. The recurrence has real coefficients, so each part of w marches
     as its real table does."""
-    q0 = airy_origin_values()
+    w0, dw0 = airy_origin_values()
     real = [_ContinuationTable([0.0, 1.0], 0.0, seed)
-            for seed in ((q0.ai, q0.aip), (q0.bi, q0.bip))]
+            for seed in ((w0.real, dw0.real), (w0.imag, dw0.imag))]
     for table in real:
         table.state_at(-AIRY_VALUE_SWITCH)
     keys = [k for k in real[0]._sides[-1.0][0] if k <= AIRY_VALUE_SWITCH]
@@ -563,9 +596,7 @@ def test_airy_real_tables_match_complex_table(monkeypatch):
                                                   for table in real]
         expect = [x.hex() for x in (ah + al, adh + adl, bh + bl, bdh + bdl)]
         heads.append([expect[0], expect[2]])
-        quad = _airy_continued(t)
-        assert [x.hex() for x in (quad.ai, quad.aip, quad.bi,
-                                  quad.bip)] == expect, t
+        assert [x.hex() for x in _parts(_airy_continued(t))] == expect, t
     for numpy in (np, None):
         with monkeypatch.context() as m:
             m.setitem(sys.modules, "numpy", numpy)
@@ -579,7 +610,7 @@ def test_airy_real_tables_match_complex_table(monkeypatch):
 @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
 def test_table_rejects_non_finite_point(x):
     # A march towards an infinite point would never end.
-    table = _ContinuationTable([0.0, 1.0], 0.0, _airy_seed())
+    table = _ContinuationTable([0.0, 1.0], 0.0, airy_origin_values())
     with pytest.raises(ValueError):
         table.state_at(x)
 
@@ -588,7 +619,7 @@ def test_table_concurrent_growth_matches_serial():
     """Two threads growing one fresh table from opposite ends, and a third
     issuing batch queries over both ends meanwhile, see the serial table's
     states and heads bit for bit."""
-    q, seed = [0.0, 1.0], _airy_seed()
+    q, seed = [0.0, 1.0], airy_origin_values()
     ys = [-float(t) for t in range(1, 59)]
     serial = _ContinuationTable(q, 0.0, seed)
     expect = {y: repr(serial.state_at(y)) for y in ys}

@@ -24,6 +24,10 @@ one JSON object:
   node, read through `reference.exact_solution` as `global_error` reads
   it: one batch call per run, or one value-only call per node in a
   checkout whose `exact_solution` takes a single point.
+* `reference`: the full-state exact solution `problem.exact(x)` of Airy
+  eps 1 at fixed points on both routes (t <= 50 and t > 50, up to 1e8)
+  and of PCF eps 2^-6 at fixed points of [0.01, 1.99]; each point as
+  float.hex of (phi, phi').
 * `march`: `march_fixed_grid` on Airy eps 1 over 9 equally spaced points
   of [1, 2], orders 1 and 2, both phase modes; each node as float.hex of
   (x, phi, phi').
@@ -31,8 +35,8 @@ one JSON object:
 `--against DIR` runs the same on DIR in a fresh interpreter and prints,
 per key, whether the two agree; for the march, the number of nodes that
 moved and the largest relative move |d phi| / |phi| and |d phi'| / |phi'|.
-It exits 1 when an `integrate` or a `verify` fingerprint differs or a
-`march` node moved.
+It exits 1 when an `integrate`, a `verify` or a `reference` fingerprint
+differs or a `march` node moved.
 """
 
 from __future__ import annotations
@@ -50,6 +54,11 @@ SEEDS = (0, 1, 2)
 LONG_STRIDE = 16
 METHODS = ("wkb+rkf45", "rkwkbmod", "rkwkb", "rkf45")
 PHASES = ("exact", "cc")
+# Points of the `reference` key: Airy eps 1 (t = x) on both sides of the
+# seam at t = 50, and PCF eps 2^-6 inside its interval.
+AIRY_POINTS = (0.0, 0.1, 1.0, 17.3, 49.99, 50.0, 50.00000000000001, 50.1,
+               123.456, 1e3, 1e5, 1e6, 12345678.9, 1e8)
+PCF_POINTS = (0.01, 0.2, 0.5, 0.999, 1.0, 1.37, 1.8, 1.99)
 
 
 def _digest(runs) -> str:
@@ -131,6 +140,18 @@ def collect(root: Path) -> dict:
                 prints[f"{label}/{method}/{phase}"] = _digest(
                     [run(problem, config)])
 
+    def states(problem, xs) -> list[list[str]]:
+        out = []
+        for x in xs:
+            s = problem.exact(x)
+            out.append([s.phi.real.hex(), s.phi.imag.hex(),
+                        s.dphi.real.hex(), s.dphi.imag.hex()])
+        return out
+
+    reference_states = {
+        "airy": states(make_airy_problem(1.0, 0.1, 1e8), AIRY_POINTS),
+        "pcf": states(problems["pcf"][0], PCF_POINTS)}
+
     airy = make_airy_problem(1.0, 1.0, 2.0)
     xs = [1.0 + j / 8 for j in range(9)]
     march = {}
@@ -140,7 +161,8 @@ def collect(root: Path) -> dict:
                 [s.x.hex(), s.phi.real.hex(), s.phi.imag.hex(),
                  s.dphi.real.hex(), s.dphi.imag.hex()]
                 for s in march_fixed_grid(airy, xs, order, phase)]
-    return {"integrate": prints, "verify": verified, "march": march}
+    return {"integrate": prints, "verify": verified,
+            "reference": reference_states, "march": march}
 
 
 def _complex(re_hex: str, im_hex: str) -> complex:
@@ -157,6 +179,10 @@ def compare(mine: dict, theirs: dict) -> int:
         same = theirs["verify"].get(key) == value
         differs += not same
         print(f"verify {key}: {'same' if same else 'DIFFERS'}")
+    for key, value in mine["reference"].items():
+        same = theirs["reference"].get(key) == value
+        differs += not same
+        print(f"reference {key}: {'same' if same else 'DIFFERS'}")
     for key, nodes in mine["march"].items():
         moved, rel_phi, rel_dphi = 0, 0.0, 0.0
         for a, b in zip(nodes, theirs["march"][key]):
