@@ -313,6 +313,8 @@ def integrate(problem, config: SolverConfig) -> Trajectory:
         if choice is not None:
             cand = candidates[choice]
             state = cand.state
+            if state.x != x1:  # RKF45 lands at x + h, off a clamped x_end
+                state = WaveState(x1, state.phi, state.dphi)
             x = x1
             left = right
             traj.records.append(StepRecord(

@@ -83,8 +83,9 @@ class Problem:
     phase_antiderivative: Optional[Callable[[float], float]] = None
     # Optional exact-solution provider x -> WaveState. A provider may also
     # answer exact.phis(xs), phi alone at every x of xs in one batch query,
-    # as the benchmarks' providers do; reference.exact_solution uses it
-    # where present and queries any other provider one point at a time.
+    # as the benchmarks' providers do. reference.exact_solution uses it
+    # where present; it queries any other provider, and any failed batch,
+    # one point at a time, so a failure names the first point that fails.
     exact: Optional[Callable[[float], WaveState]] = None
     label: str = ""
 
@@ -119,22 +120,10 @@ def _airy_exact_provider(epsilon: float) -> Callable[[float], WaveState]:
         return WaveState(x, w, -scale * dw)
 
     def phis(xs) -> list[complex]:
-        try:
-            return reference.airy_values([x * scale for x in xs])
-        except (ValueError, ArithmeticError):
-            _first_failure(exact, xs)
-            raise
+        return reference.airy_values([x * scale for x in xs])
 
     exact.phis = phis
     return exact
-
-
-def _first_failure(exact, xs) -> None:
-    """Query xs one point at a time with the full-state provider `exact`,
-    which raises the error of the first point that fails alone: the error
-    a failed batch reports."""
-    for x in xs:
-        exact(x)
 
 
 def make_airy_problem(epsilon: float, x_start: float = 0.1,
@@ -232,18 +221,10 @@ def make_pcf_problem(epsilon: float, x_start: float = 0.01,
         return WaveState(x, kappa * u, -kappa * z_scale * du)
 
     def phis(xs) -> list[complex]:
-        try:
-            wh, wl = table.values_at([z_scale * (1.0 - x) for x in xs])
-        except (ValueError, ContinuationError):
-            _first_failure(exact, xs)
-            raise
+        wh, wl = table.values_at([z_scale * (1.0 - x) for x in xs])
         us = [h + l for h, l in zip(wh, wl)]
-        bad = [x for x, u in zip(xs, us) if not math.isfinite(u)]
-        if bad:
-            # exact checks u too, so this raises at or before bad[0], and
-            # earlier where du alone overflows.
-            _first_failure(exact, xs)
-            raise overflows(bad[0])
+        if not all(map(math.isfinite, us)):
+            raise OverflowError("PCF reference overflows")
         return [kappa * u for u in us]
 
     exact.phis = phis

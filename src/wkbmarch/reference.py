@@ -341,9 +341,9 @@ class _ContinuationTable:
         # the next).
         self._sides = {1.0: ([self.x0], [seed], []),
                        -1.0: ([-self.x0], [seed], [])}
-        # Direction d -> (count, hi, lo): the first `count` value series of
-        # that side stacked into two numpy arrays (see _stacked).
-        self._stacks = {1.0: (0, None, None), -1.0: (0, None, None)}
+        # (count per side) -> (hi, lo): the first `count` value series of
+        # each side stacked into two numpy arrays (see _stacked).
+        self._stacks = {}
         self._lock = threading.Lock()
 
     def _grow(self, d: float, key: float) -> None:
@@ -359,107 +359,95 @@ class _ContinuationTable:
                 states.append(state)
                 keys.append(d * x)
 
-    def state_at(self, x: float):
-        """Double-double state (wh, wl, dh, dl) at x."""
-        if not math.isfinite(x):
-            raise ValueError(f"continuation point must be finite, got {x!r}")
+    def _locate(self, x: float) -> tuple[float, int, float]:
+        """(d, i, h): the side d of x, the index i on that side of the
+        checkpoint at or below x, grown to where need be, and the hop
+        h = x - d * keys[i], which is 0.0 exactly on a checkpoint."""
         d = 1.0 if x >= self.x0 else -1.0
-        keys, states, series = self._sides[d]
+        keys = self._sides[d][0]
         key = d * x
-        if keys[-1] < key:
+        if not keys[-1] >= key:  # beyond the table, or not finite
+            if not math.isfinite(x):
+                raise ValueError(
+                    f"continuation point must be finite, got {x!r}")
             self._grow(d, key)
         i = bisect.bisect_right(keys, key) - 1
-        if keys[i] == key:
+        return d, i, x - d * keys[i]
+
+    def state_at(self, x: float):
+        """Double-double state (wh, wl, dh, dl) at x."""
+        d, i, h = self._locate(x)
+        _, states, series = self._sides[d]
+        if h == 0.0:
             return states[i]
         values, derivs = series[i]
         # The tail certificate was checked for the full substep from this
         # checkpoint when the table grew. It covers this shorter hop too,
         # because tail/bulk rises with |h|: every tail term gains on every
         # bulk term by a positive power of |h|.
-        h = x - d * keys[i]
         return _dd_horner(*values, h) + _dd_horner(*derivs, h)
 
-    def _stacked(self, np, d: float):
-        """(hi, lo) arrays of side d's value series: one row per term, one
-        column per checkpoint that has a series. They are rebuilt only
-        after the side has grown, and published as one tuple, so a
-        concurrent reader that has grown the side finds every column it
+    def _stacked(self, np):
+        """(up, hi, lo): the value series of both sides stacked into two
+        numpy arrays, one row per term and one column per checkpoint that
+        has a series, the `up` columns of side 1.0 first. They are rebuilt
+        only after a side has grown, and published as one dict entry, so a
+        concurrent reader that has grown a side finds every column it
         needs."""
-        count, hi, lo = self._stacks[d]
-        series = self._sides[d][2]
-        if count < len(series):
-            count = len(series)
-            values = [v for v, _ in series[:count]]
-            hi = np.array([v[0] for v in values]).T.copy()
-            lo = np.array([v[1] for v in values]).T.copy()
-            self._stacks[d] = (count, hi, lo)
-        return hi, lo
+        sides = [self._sides[d][2] for d in (1.0, -1.0)]
+        counts = tuple(len(series) for series in sides)
+        stack = self._stacks.get(counts)
+        if stack is None:
+            values = [v for series, n in zip(sides, counts)
+                      for v, _ in series[:n]]
+            stack = (np.array([v[0] for v in values]).T.copy(),
+                     np.array([v[1] for v in values]).T.copy())
+            self._stacks.clear()
+            self._stacks[counts] = stack
+        return (counts[0], *stack)
 
     def values_at(self, xs):
         """Heads (wh, wl) of state_at(x) at every x of xs, bit for bit, as
         a wh list and a wl list.
 
-        The points grow the table as state_at would. A point on a
-        checkpoint reads its state; every other point is one hop over the
-        value series, and the hops of all points run as one _dd_horner call
-        on numpy arrays: the error-free transforms are exact in any IEEE
-        elementwise arithmetic, and a hop multiplies only by the real h, so
-        each gives the bits of its scalar hop. Where numpy cannot be
-        imported, the hops run one point at a time.
+        Each point is located, and the table grown, as state_at does. A
+        point on a checkpoint reads its state; the hops of all other
+        points run as one _dd_horner call on numpy arrays, one column per
+        hop: the error-free transforms are exact in any IEEE elementwise
+        arithmetic, and a hop multiplies only by the real h, so each gives
+        the bits of its scalar hop. Where numpy cannot be imported, the
+        hops run one point at a time.
         """
-        for x in xs:
-            if not math.isfinite(x):
-                raise ValueError(
-                    f"continuation point must be finite, got {x!r}")
         wh = [0.0] * len(xs)
         wl = [0.0] * len(xs)
-        hops = []  # (side, points, their checkpoints, their hops h)
-        up = [j for j, x in enumerate(xs) if x >= self.x0]
-        down = [j for j, x in enumerate(xs) if x < self.x0]
-        for d, points in ((1.0, up), (-1.0, down)):
-            if not points:
-                continue
-            keys, states, _ = self._sides[d]
-            top = max(d * xs[j] for j in points)
-            if keys[-1] < top:
-                self._grow(d, top)
-            at, idx, hs = [], [], []
-            for j in points:
-                i = bisect.bisect_right(keys, d * xs[j]) - 1
-                h = xs[j] - d * keys[i]
-                if h == 0.0:  # on a checkpoint
-                    wh[j], wl[j] = states[i][:2]
-                else:
-                    at.append(j)
-                    idx.append(i)
-                    hs.append(h)
-            if at:
-                hops.append((d, at, idx, hs))
-        np = _numpy() if hops else None
+        hops = {1.0: ([], [], []), -1.0: ([], [], [])}  # side -> j, i, h
+        locate = self._locate
+        for j, x in enumerate(xs):
+            d, i, h = locate(x)
+            if h == 0.0:
+                wh[j], wl[j] = self._sides[d][1][i][:2]
+            else:
+                at, idx, hs = hops[d]
+                at.append(j)
+                idx.append(i)
+                hs.append(h)
+        (up_at, up_i, up_h), (down_at, down_i, down_h) = hops.values()
+        np = _numpy() if up_at or down_at else None
         if np is None:
-            for d, at, idx, hs in hops:
+            for d, (at, idx, hs) in hops.items():
                 series = self._sides[d][2]
                 for j, i, h in zip(at, idx, hs):
                     wh[j], wl[j] = _dd_horner(*series[i][0], h)
             return wh, wl
-        stacks = [self._stacked(np, d) for d, *_ in hops]
-        hs = np.array([h for *_, hs in hops for h in hs])
-        # One column per hop, gathered straight into place.
-        hi = np.empty((SERIES_TERMS, len(hs)), stacks[0][0].dtype)
-        lo = np.empty_like(hi)
-        k = 0
-        for (stack_hi, stack_lo), (_, at, idx, _) in zip(stacks, hops):
-            hi[:, k:k + len(at)] = stack_hi[:, idx]
-            lo[:, k:k + len(at)] = stack_lo[:, idx]
-            k += len(at)
+        up, hi, lo = self._stacked(np)
+        cols = up_i + [up + i for i in down_i]
+        # take, unlike [:, cols], gathers the columns in C order, so the
+        # Horner pass reads each term's row contiguously.
         with np.errstate(all="ignore"):
-            vh, vl = _dd_horner(hi, lo, hs)
-        vh, vl = vh.tolist(), vl.tolist()
-        k = 0
-        for _, at, _, _ in hops:
-            for j, a, b in zip(at, vh[k:], vl[k:]):
-                wh[j], wl[j] = a, b
-            k += len(at)
+            vh, vl = _dd_horner(hi.take(cols, 1), lo.take(cols, 1),
+                                np.array(up_h + down_h))
+        for j, a, b in zip(up_at + down_at, vh.tolist(), vl.tolist()):
+            wh[j], wl[j] = a, b
         return wh, wl
 
 
@@ -627,14 +615,18 @@ def pcf_origin_values(nu: float) -> tuple[float, float]:
 
 def exact_solution(problem, xs) -> list[complex]:
     """Exact phi of a benchmark problem at every x of xs, in one batch
-    query where the provider has one (`exact.phis`), else one full-state
-    query per point."""
+    query where the provider has one (`exact.phis`). A provider without
+    one, or a batch that fails, is queried one full-state point at a time,
+    so a failure names the first point that fails alone."""
     if problem.exact is None:
         raise ValueError("problem has no exact-solution provider")
     phis = getattr(problem.exact, "phis", None)
-    if phis is None:
-        return [problem.exact(x).phi for x in xs]
-    return phis(xs)
+    if phis is not None:
+        try:
+            return phis(xs)
+        except (ValueError, ArithmeticError, ContinuationError):
+            pass
+    return [problem.exact(x).phi for x in xs]
 
 
 def global_error(trajectory, problem, norm: str = "sup"):

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import random
 
 import numpy as np
 import pytest
@@ -133,6 +134,21 @@ def test_trajectory_monotone_and_clamped(airy_runs):
     xs = [r.x for r in traj.records]
     assert all(b > a for a, b in zip(xs, xs[1:]))
     assert xs[-1] == 50.0
+
+
+def test_clamped_rkf45_step_lands_on_x_end():
+    # x + (x_end - x) rounds an ulp off x_end on some intervals; the state
+    # of a clamped step must sit at its record's x = x_end all the same.
+    rng = random.Random(1)
+    domains = [(0.7060103544449752, 6.558643728767454)]
+    for _ in range(300):
+        x0 = rng.uniform(0.0, 5.0)
+        domains.append((x0, x0 + rng.uniform(0.1, 10.0)))
+    for domain in domains:
+        p = make_polynomial_problem([1e-6], 1.0, domain)
+        traj = integrate(p, cfg(tol=1e-6, h0=100.0, method="rkf45"))
+        assert all(r.x == r.state.x for r in traj.records)
+        assert traj.final_state.x == domain[1]
 
 
 def test_eps_acceptance_inequality(airy_runs):

@@ -400,6 +400,23 @@ def test_airy_rejects_negative_argument(airy1):
         assert str(info.value) == message
 
 
+@pytest.mark.parametrize("error", [ValueError, OverflowError,
+                                   ContinuationError])
+def test_failed_batch_falls_back_to_single_points(airy1, error):
+    # A batch that fails where every single point succeeds still answers,
+    # with each point's full-state phi.
+    def exact(x):
+        return airy1.exact(x)
+
+    def phis(xs):
+        raise error("batch fails")
+
+    exact.phis = phis
+    p = dataclasses.replace(airy1, exact=exact)
+    xs = [0.5, 1.0, 60.0, 1e3]
+    assert exact_solution(p, xs) == [airy1.exact(x).phi for x in xs]
+
+
 def test_remark_floor_scaling():
     """Perturbing x by one machine epsilon moves the oscillatory value by
     about eps * x^(3/2) / epsilon (the precision floor of any evaluator)."""
@@ -607,12 +624,16 @@ def test_airy_real_tables_match_complex_table(monkeypatch):
                    for state in states for part in state)
 
 
+@pytest.mark.parametrize("query", [
+    lambda table, x: table.state_at(x),
+    lambda table, x: table.values_at([0.5, x]),
+], ids=["state_at", "values_at"])
 @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
-def test_table_rejects_non_finite_point(x):
+def test_table_rejects_non_finite_point(x, query):
     # A march towards an infinite point would never end.
     table = _ContinuationTable([0.0, 1.0], 0.0, airy_origin_values())
-    with pytest.raises(ValueError):
-        table.state_at(x)
+    with pytest.raises(ValueError, match="must be finite"):
+        query(table, x)
 
 
 def test_table_concurrent_growth_matches_serial():

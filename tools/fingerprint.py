@@ -22,8 +22,7 @@ one JSON object:
   float.hex of `global_error` under `sup` and under `l2rel`, and a sha256
   (first 16 hex digits) over float.hex of the exact phi at every accepted
   node, read through `reference.exact_solution` as `global_error` reads
-  it: one batch call per run, or one value-only call per node in a
-  checkout whose `exact_solution` takes a single point.
+  it: one batch call per run.
 * `reference`: the full-state exact solution `problem.exact(x)` of Airy
   eps 1 at fixed points on both routes (t <= 50 and t > 50, up to 1e8)
   and of PCF eps 2^-6 at fixed points of [0.01, 1.99]; each point as
@@ -43,7 +42,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import inspect
 import json
 import subprocess
 import sys
@@ -76,13 +74,6 @@ def collect(root: Path) -> dict:
                           integrate, make_airy_problem, make_pcf_problem,
                           march_fixed_grid, reference)
 
-    if "deriv" in inspect.signature(reference.exact_solution).parameters:
-        def exact_phis(problem, xs):
-            return [reference.exact_solution(problem, x, deriv=False).phi
-                    for x in xs]
-    else:
-        exact_phis = reference.exact_solution
-
     def solve(problem, config):
         """The trajectory, or the name of the SolverError raised."""
         try:
@@ -113,7 +104,7 @@ def collect(root: Path) -> dict:
                 continue
             for norm, values in checks.items():
                 values.append(global_error(traj, problem, norm).hex())
-            phis.append([part.hex() for phi in exact_phis(
+            phis.append([part.hex() for phi in reference.exact_solution(
                 problem, [s.x for s in traj.states])
                 for part in (phi.real, phi.imag)])
         checks["phi"] = _digest(phis)
