@@ -11,21 +11,26 @@ tolerance ATol + RTol * ||Y||_inf with ATol = ETA * Tol and RTol = Tol
     theta = clamp(THETA_MIN, THETA_MAX, SAFETY * (tolerance / est)^(1/(k+1)))
 
 both resizes the step and arbitrates between methods: among accepted
-candidates the larger theta wins; if none is accepted the trial is redone
-with the shrunken step, at most MAX_REJECTIONS times in a row. A candidate
-whose transforms are inadmissible (turning-point guards) scores as rejected
-with theta THETA_MIN, which is what pushes the march onto the Runge-Kutta
-branch near turning points. A pair with a non-finite member or estimate
-scores the same way, so a NaN or Inf is never accepted and never enlarges
-the step. The controller constants are the paper's fixed values.
+candidates the larger theta wins, a tie going to the earlier candidate; if
+none is accepted the trial is redone with the step shrunk by the largest
+theta, at most MAX_REJECTIONS times in a row. A candidate whose transforms
+are inadmissible (turning-point guards) scores as rejected with theta
+THETA_MIN, which is what pushes the march onto the Runge-Kutta branch near
+turning points. A pair with a non-finite member or estimate scores the
+same way, so a NaN or Inf is never accepted and never enlarges the step.
+The controller constants are the paper's fixed values.
 
 The "original" rival controller differs deliberately: relative tolerance
 only, switching by the smaller relative estimate, and no ratio clamps.
 
-The run owns one endpoint record per grid point (`_endpoint`): the left
-one is kept across rejected trials, and each trial's right one becomes
-the next left one when the step is accepted. A point where a guard trips
-gets no record, and a step from or to it is rejected as inadmissible.
+`integrate` scores each candidate as soon as its pair returns and keeps
+only the running winner, under either rule, in one pass per trial.
+
+The run owns one endpoint record per grid point (`_endpoint`, from the
+builder it chooses once): the left one is kept across rejected trials, and
+each trial's right one becomes the next left one when the step is
+accepted. A point where a guard trips gets no record, and a step from or
+to it is rejected as inadmissible.
 """
 
 from __future__ import annotations
@@ -153,84 +158,26 @@ def proposal_factor(est: float, tol: float, k: int) -> float:
     return max(THETA_MIN, min(THETA_MAX, theta))
 
 
-@dataclass(slots=True)
-class Candidate:
-    """One method's scored trial result (state is None when rejected
-    as inadmissible or non-finite)."""
-
-    method: str
-    accepted: bool
-    theta: float
-    est: float
-    state: Optional[WaveState]
-
-
-def select_method(candidates) -> tuple[float, Optional[int]]:
-    """Largest-theta arbitration over scored candidates.
-
-    Returns (Theta, index of the chosen candidate) with index None when no
-    candidate was accepted (the caller retries with the shrunken step).
-    """
-    best_idx = None
-    best_theta = -1.0
-    for i, c in enumerate(candidates):
-        if c.accepted and c.theta > best_theta:
-            best_idx, best_theta = i, c.theta
-    if best_idx is not None:
-        return best_theta, best_idx
-    return max(c.theta for c in candidates), None
-
-
 # ---------------------------------------------------------------------------
-# Candidate evaluation
+# Records and pairs
 # ---------------------------------------------------------------------------
 
-def _score(method: str, y_low: WaveState, y_high: WaveState,
-           config: SolverConfig, k: int) -> Candidate:
-    """Score a pair; a non-finite member or estimate scores as rejected.
-
-    A non-finite member always makes the estimate non-finite (Inf or NaN),
-    so checking the estimate covers both.
-    """
-    est = estimate_error(y_low, y_high)
-    if not math.isfinite(est):
-        return _rejected(method)
-    tol = config.atol + config.tol * y_high.sup_norm()
-    return Candidate(method, est <= tol, proposal_factor(est, tol, k), est,
-                     y_high)
-
-
-def _score_original(method: str, y_low: WaveState, y_high: WaveState,
-                    config: SolverConfig, k: int) -> Candidate:
-    """`_score` under the original rival controller: relative tolerance
-    only, square-root exponent whatever k, no ratio clamps."""
-    est = estimate_error(y_low, y_high)
-    if not math.isfinite(est):
-        return _rejected(method)
-    tol = config.tol * y_high.sup_norm()
-    theta = SAFETY * (tol / est) ** 0.5 if est != 0.0 else 10.0
-    return Candidate(method, est <= tol, theta, est, y_high)
-
-
-def _rejected(method: str) -> Candidate:
-    return Candidate(method, False, THETA_MIN, math.inf, None)
-
-
-def _record(problem, tag: str, x: float) -> Optional[Endpoint]:
-    """The record at x of what method `tag` reads there (None for RKF45).
-    `eval_bk` and `wkb_basis` are looked up in their modules, where a
-    profiler that wraps them sees the calls."""
-    if tag == TAG_RKF45:
-        return None
+def _builder(tag: str):
+    """`build(problem, x)`, the record at x of what method `tag` reads there
+    (None for RKF45). `eval_bk` and `wkb_basis` are looked up in their
+    modules when the builder is chosen, where a profiler that wraps them
+    sees the calls."""
     if tag == TAG_WKB:
-        return wkb_core.eval_bk(problem, x)
-    return rkwkb.wkb_basis(problem, x)
+        return wkb_core.eval_bk
+    if tag == TAG_RKWKB:
+        return rkwkb.wkb_basis
+    return lambda problem, x: None
 
 
-def _endpoint(problem, tag: str, x: float) -> Optional[Endpoint]:
-    """`_record`, or None where a guard trips at x."""
+def _endpoint(build, problem, x: float) -> Optional[Endpoint]:
+    """`build(problem, x)`, or None where a guard trips at x."""
     try:
-        return _record(problem, tag, x)
+        return build(problem, x)
     except WKBInadmissibleError:
         return None
 
@@ -248,78 +195,90 @@ def _pair(tag: str, problem, provider, state: WaveState, h: float, left,
     return rkf45_step(problem, state, h)
 
 
-def _candidate(tag: str, problem, provider, state: WaveState, h: float,
-               left, right, config: SolverConfig, score) -> Candidate:
-    """Score one method's pair with `score`; an inadmissible or failed
-    step, or an oscillatory step without a record at either end, is
-    rejected."""
-    if tag != TAG_RKF45 and (left is None or right is None):
-        return _rejected(tag)
-    try:
-        y_low, y_high = _pair(tag, problem, provider, state, h, left, right)
-    except (WKBInadmissibleError, SolverError):
-        return _rejected(tag)
-    return score(tag, y_low, y_high, config, ORDER_K[tag])
-
-
 # ---------------------------------------------------------------------------
 # The driver
 # ---------------------------------------------------------------------------
 
-def _select_original(candidates) -> tuple[float, Optional[int]]:
-    """(theta, index) of the candidate with a state and the least relative
-    estimate est / ||y|| (inf at ||y|| = 0); index None if it was rejected."""
-    rel = {i: c.est / n if (n := c.state.sup_norm()) > 0.0 else math.inf
-           for i, c in enumerate(candidates) if c.state is not None}
-    if not rel:
-        return 0.5, None
-    best = min(rel, key=rel.get)
-    cand = candidates[best]
-    return cand.theta, (best if cand.accepted else None)
-
-
 def integrate(problem, config: SolverConfig) -> Trajectory:
     """March from x_start to x_end under the configured controller.
+
+    A candidate without a record at either end, whose step is inadmissible
+    or fails, or whose estimate is not finite (which every non-finite
+    member makes it) is not scored: it counts as rejected with theta
+    THETA_MIN, and its state is never kept.
 
     Raises SolverError after MAX_REJECTIONS consecutive rejected trials
     or when the trial step falls to 1e-14 |x|.
     """
     provider = None if config.method == "rkf45" else PhaseProvider(
         problem, config.phase)
-    lead = CANDIDATES[config.method][0]  # the tag whose records are kept
-    score, select = ((_score_original, _select_original)
-                     if config.method == "rkwkb" else (_score, select_method))
-    x = problem.x_start
+    tags = CANDIDATES[config.method]
+    build = _builder(tags[0])  # the first tag's records are kept
+    original = config.method == "rkwkb"
+    atol, rtol = config.atol, config.tol
+    x, x_end = problem.x_start, problem.x_end
     state = problem.initial
-    left = _endpoint(problem, lead, x)
+    left = _endpoint(build, problem, x)
     h_trial = config.h0
     traj = Trajectory()
+    records = traj.records
     consecutive = 0
-    while x < problem.x_end:
-        clamped = h_trial >= problem.x_end - x
-        h = problem.x_end - x if clamped else h_trial
+    while x < x_end:
+        clamped = h_trial >= x_end - x
+        h = x_end - x if clamped else h_trial
         # A floor relative to x holds on intervals of any length, and any h
         # above it advances x, whose ulp is at most 2.3e-16 |x|.
         if h <= 1e-14 * abs(x):
             raise SolverError(f"step size underflow at x={x} (h={h})")
-        x1 = problem.x_end if clamped else x + h
-        right = _endpoint(problem, lead, x1)
+        x1 = x_end if clamped else x + h
+        right = _endpoint(build, problem, x1)
 
-        candidates = [_candidate(tag, problem, provider, state, h, left,
-                                 right, config, score)
-                      for tag in CANDIDATES[config.method]]
-        theta, choice = select(candidates)
+        # The running winner: its high member, tag, estimate, theta and
+        # verdict. With no candidate scored the trial is rejected and the
+        # step shrinks by THETA_MIN.
+        won = None
+        theta = THETA_MIN
+        accepted = False
+        for tag in tags:
+            if tag != TAG_RKF45 and (left is None or right is None):
+                continue
+            try:
+                y_low, y_high = _pair(tag, problem, provider, state, h, left,
+                                      right)
+            except (WKBInadmissibleError, SolverError):
+                continue
+            est = estimate_error(y_low, y_high)
+            if not math.isfinite(est):
+                continue
+            norm = y_high.sup_norm()
+            if original:
+                # Relative tolerance, square-root exponent whatever k, no
+                # clamps; the least relative estimate wins, accepted or not.
+                tol = rtol * norm
+                th = SAFETY * (tol / est) ** 0.5 if est != 0.0 else 10.0
+                rel = est / norm if norm > 0.0 else math.inf
+                if won is not None and not rel < rel_won:
+                    continue
+                rel_won = rel
+                ok = est <= tol
+            else:
+                # An accepted candidate beats a rejected one, then the
+                # larger theta wins; a tie keeps the earlier tag.
+                tol = atol + rtol * norm
+                th = proposal_factor(est, tol, ORDER_K[tag])
+                ok = est <= tol
+                if not (ok > accepted or ok == accepted and th > theta):
+                    continue
+            won, tag_won, est_won, theta, accepted = y_high, tag, est, th, ok
 
-        if choice is not None:
-            cand = candidates[choice]
-            state = cand.state
+        if accepted:
+            state = won
             if state.x != x1:  # RKF45 lands at x + h, off a clamped x_end
                 state = WaveState(x1, state.phi, state.dphi)
             x = x1
             left = right
-            traj.records.append(StepRecord(
-                index=len(traj.records), x=x, h=h, method=cand.method,
-                est=cand.est, theta=theta, state=state))
+            records.append(StepRecord(len(records), x, h, tag_won, est_won,
+                                      theta, state))
             consecutive = 0
         else:
             traj.rejected += 1
@@ -383,10 +342,10 @@ def _audit(problem, tag: str, x0: float, h: float,
     solution at x0 + h, and deviation is |est - lte| / lte. Raises
     ValueError where the pair is inadmissible on the step."""
     provider = PhaseProvider(problem, phase)
+    build = _builder(tag)
     try:
         y_low, y_high = _pair(tag, problem, provider, problem.exact(x0), h,
-                              _record(problem, tag, x0),
-                              _record(problem, tag, x0 + h))
+                              build(problem, x0), build(problem, x0 + h))
     except WKBInadmissibleError as exc:
         raise ValueError(f"{tag} step [{x0}, {x0 + h}] is inadmissible: "
                          f"{exc}") from exc

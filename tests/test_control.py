@@ -14,9 +14,8 @@ from wkbmarch import (CoefficientField, PhaseProvider, Problem, SolverConfig,
                       make_airy_problem, make_pcf_problem,
                       make_polynomial_problem, march_fixed_grid, rkwkb,
                       wkb_core)
-from wkbmarch.control import (METHODS, Candidate, _rejected, _score,
-                              _score_original, estimate_error,
-                              proposal_factor, select_method)
+from wkbmarch.control import (CANDIDATES, METHODS, ORDER_K, THETA_MIN,
+                              estimate_error, proposal_factor)
 
 
 def cfg(**kw):
@@ -26,7 +25,7 @@ def cfg(**kw):
 
 
 # ---------------------------------------------------------------------------
-# estimate_error / proposal_factor / select_method
+# estimate_error / proposal_factor
 # ---------------------------------------------------------------------------
 
 def test_estimate_identical_states():
@@ -74,42 +73,155 @@ def test_proposal_factor_rejects_nan():
         proposal_factor(math.nan, 1.0, 1)
 
 
-# The paper's rule and the original rival controller's rule.
-SCORERS = (_score, _score_original)
+# ---------------------------------------------------------------------------
+# Arbitration, driven through integrate with designed pairs
+# ---------------------------------------------------------------------------
+
+# The methods that run the paper's rule and the original rival controller's
+# rule; each has an oscillatory candidate first and RKF45 second.
+RULES = ("wkb+rkf45", "rkwkb")
+ONE = (1.0 + 0j, 0j)  # (phi, phi') of a high member whose sup norm is 1
+H0 = 0.25
+
+
+def designed_run(monkeypatch, method, first):
+    """integrate on Airy eps 1 over [1, 2] from h = H0, with `control._pair`
+    stubbed. In the first trial, the pair of each tag in `first` is the
+    (low, high) pair of (phi, phi') values given there; every other pair
+    is (ONE, ONE), whose estimate is 0. Airy has records at every grid
+    point of [1, 2], so every candidate's pair runs in every trial."""
+    calls = []
+    first_trial = len(CANDIDATES[method])
+
+    def pair(tag, problem, provider, state, h, left, right):
+        calls.append(tag)
+        low, high = (first.get(tag, (ONE, ONE)) if len(calls) <= first_trial
+                     else (ONE, ONE))
+        return (WaveState(state.x + h, *low), WaveState(state.x + h, *high))
+
+    monkeypatch.setattr(control, "_pair", pair)
+    return integrate(make_airy_problem(1.0, 1.0, 2.0),
+                     cfg(h0=H0, method=method))
+
+
+def finite_records(traj):
+    return all(cmath.isfinite(r.state.phi) and cmath.isfinite(r.state.dphi)
+               for r in traj.records)
+
+
+def first_trial_outcome(traj):
+    """(rejected, tag, est, theta, h of the next trial) of the first trial:
+    its record's fields if it was accepted, None for them if not."""
+    if traj.rejected:
+        return True, None, None, None, traj.records[0].h
+    rec = traj.records[0]
+    return False, rec.method, rec.est, rec.theta, traj.records[1].h
+
+
+def off_by(d):
+    """A (low, high) pair about the norm-1 high member ONE, d apart."""
+    return (1.0 + d + 0j, 0j), ONE
+
+
+def scored(method, tag, d):
+    """(est, theta) the method's rule gives `off_by(d)` for `tag`."""
+    est = estimate_error(*(WaveState(1.0, *v) for v in off_by(d)))
+    c = cfg(method=method)
+    if method == "rkwkb":
+        return est, 0.9 * (c.tol / est) ** 0.5
+    return est, proposal_factor(est, c.atol + c.tol, ORDER_K[tag])
 
 
 @pytest.mark.parametrize("bad", [complex(math.inf, 0.0),
                                  complex(math.nan, 0.0),
                                  complex(0.0, -math.inf)])
 @pytest.mark.parametrize("member", ["low", "high"])
-def test_non_finite_pair_scores_as_rejected(bad, member):
+def test_non_finite_pair_scores_as_rejected(monkeypatch, bad, member):
     # A non-finite member is never accepted and never enlarges the step:
-    # under either rule it scores like an inadmissible candidate
-    # (rejected, theta 0.5).
-    good = WaveState(1.0, 0.3 + 0.4j, -1.0j)
-    broken = WaveState(1.0, bad, -1.0j)
-    y_low, y_high = (broken, good) if member == "low" else (good, broken)
-    for score in SCORERS:
-        cand = score("M", y_low, y_high, cfg(), k=1)
-        assert cand == _rejected("M")
-        assert not cand.accepted and cand.theta == 0.5 and cand.state is None
+    # under either rule it scores like an inadmissible candidate (rejected,
+    # theta 0.5), and its state never lands in a record.
+    good, broken = (0.3 + 0.4j, -1.0j), (bad, -1.0j)
+    pair = (broken, good) if member == "low" else (good, broken)
+    for method in RULES:
+        tags = CANDIDATES[method]
+        traj = designed_run(monkeypatch, method, dict.fromkeys(tags, pair))
+        assert traj.rejected == 1
+        assert traj.records[0].h == THETA_MIN * H0
+        assert finite_records(traj)
+        for i, tag in enumerate(tags):
+            other = tags[1 - i]
+            traj = designed_run(monkeypatch, method, {tag: pair})
+            assert traj.rejected == 0
+            assert traj.records[0].method == other
+            assert traj.records[0].est == 0.0
+            assert finite_records(traj)
 
 
-def test_overflowing_estimate_scores_as_rejected():
-    big = WaveState(1.0, 1.5e308 + 0j, 0j)
-    for score in SCORERS:
-        cand = score("M", big, WaveState(1.0, -1.5e308 + 0j, 0j), cfg(), k=4)
-        assert cand == _rejected("M")
+def test_overflowing_estimate_scores_as_rejected(monkeypatch):
+    # Finite members whose difference overflows: the estimate is Inf.
+    big = ((1.5e308 + 0j, 0j), (-1.5e308 + 0j, 0j))
+    for method in RULES:
+        tags = CANDIDATES[method]
+        traj = designed_run(monkeypatch, method, dict.fromkeys(tags, big))
+        assert traj.rejected == 1
+        assert traj.records[0].h == THETA_MIN * H0
+        assert all(r.state.sup_norm() < 1e308 for r in traj.records)
+    traj = designed_run(monkeypatch, "rkf45", {"RKF45": big})
+    assert traj.rejected == 1
+    assert traj.records[0].h == THETA_MIN * H0
 
 
-def test_select_method_case_table():
-    mk = lambda acc, th: Candidate("M", acc, th, 1.0, WaveState(0, 0j, 0j))
-    theta, idx = select_method([mk(True, 1.2), mk(True, 0.8)])
-    assert (theta, idx) == (1.2, 0)
-    theta, idx = select_method([mk(False, 0.7), mk(True, 0.9)])
-    assert (theta, idx) == (0.9, 1)
-    theta, idx = select_method([mk(False, 0.5), mk(False, 0.6)])
-    assert theta == 0.6 and idx is None
+def test_arbitration_case_table(monkeypatch):
+    # The paper's rule, with the two candidates' offsets as multiples of
+    # the tolerance ATol + RTol * 1 of a norm-1 high member.
+    c = cfg()
+    tol = c.atol + c.tol
+    cases = [
+        # The largest accepted theta wins, first or second.
+        ({"WKB": 0.5, "RKF45": 0.5}, "WKB"),
+        ({"WKB": 0.9, "RKF45": 0.125}, "RKF45"),
+        # A rejected candidate loses to an accepted one after it.
+        ({"WKB": 2.0, "RKF45": 0.9}, "RKF45"),
+        # None accepted: the largest theta shrinks the step.
+        ({"WKB": 2.0, "RKF45": 4.0}, None),
+        ({"WKB": 1.5, "RKF45": 4.0}, None),
+    ]
+    for ratios, winner in cases:
+        first = {tag: off_by(r * tol) for tag, r in ratios.items()}
+        scores = {tag: scored("wkb+rkf45", tag, r * tol)
+                  for tag, r in ratios.items()}
+        traj = designed_run(monkeypatch, "wkb+rkf45", first)
+        rejected, tag, est, theta, h_next = first_trial_outcome(traj)
+        if winner is None:
+            largest = max(th for _, th in scores.values())
+            assert (rejected, h_next) == (True, largest * H0)
+        else:
+            assert not rejected and tag == winner
+            assert (est, theta) == scores[winner]
+            assert h_next == theta * H0
+        assert traj.rejected == rejected
+
+
+def test_tie_goes_to_the_earlier_tag(monkeypatch):
+    # Both exact: a tie under either rule, won by the oscillatory candidate.
+    for method in RULES:
+        traj = designed_run(monkeypatch, method, {})
+        rejected, tag, est, theta, h_next = first_trial_outcome(traj)
+        assert (rejected, tag, est) == (False, CANDIDATES[method][0], 0.0)
+        assert theta == (10.0 if method == "rkwkb" else 2.0)
+        assert h_next == min(theta * H0, 0.75)
+    # Both at the THETA_MAX clamp: the paper's rule keeps the earlier tag
+    # although RKF45's estimate is smaller; the original rule, which picks
+    # by the relative estimate, takes RKF45.
+    tol = cfg().atol + cfg().tol
+    first = {"WKB": off_by(tol / 100), "RKF45": (ONE, ONE)}
+    traj = designed_run(monkeypatch, "wkb+rkf45", first)
+    assert first_trial_outcome(traj) == (False, "WKB",
+                                         *scored("wkb+rkf45", "WKB",
+                                                 tol / 100), 2.0 * H0)
+    first = {"RKWKB": off_by(tol / 100), "RKF45": (ONE, ONE)}
+    traj = designed_run(monkeypatch, "rkwkb", first)
+    assert first_trial_outcome(traj)[:4] == (False, "RKF45", 0.0, 10.0)
 
 
 def test_config_validation():

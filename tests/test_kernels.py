@@ -10,6 +10,11 @@ WKB step pair unroll or share the same arithmetic in the same order, so
 every result must carry the same IEEE bits, signed zeros included, and
 every input must raise in both or in neither.
 
+`integrate` scores its candidates in one pass per trial. It must give the
+same records, bit for bit, as the driver it replaced (`generic_integrate`),
+which built one `Candidate` record per candidate and chose in a second
+selection pass.
+
 The per-trial records are slotted dataclasses; a test here keeps them so.
 """
 
@@ -20,9 +25,12 @@ from dataclasses import dataclass, fields, is_dataclass
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from wkbmarch import PhaseProvider, StepRecord, WaveState, \
-    make_polynomial_problem
-from wkbmarch.control import Candidate
+from wkbmarch import (CoefficientField, PhaseProvider, Problem, SolverConfig,
+                      StepRecord, Trajectory, WaveState, control, integrate,
+                      make_polynomial_problem)
+from wkbmarch.control import (CANDIDATES, MAX_REJECTIONS, METHODS, ORDER_K,
+                              SAFETY, TAG_RKF45, THETA_MIN, estimate_error,
+                              proposal_factor)
 from wkbmarch.rk45 import rkf45_step
 from wkbmarch.rkwkb import (DEGENERATE_DENOM, WKBBasis, rkwkb_step,
                             wkb_basis)
@@ -418,6 +426,192 @@ def test_phase_rates_match_b_jet_bit_for_bit(coeffs, xs, eps, tau):
 
 
 # ---------------------------------------------------------------------------
+# The driver with candidate records and a second selection pass
+# ---------------------------------------------------------------------------
+
+@dataclass(slots=True)
+class Candidate:
+    """One method's scored trial result (state is None when rejected
+    as inadmissible or non-finite)."""
+
+    method: str
+    accepted: bool
+    theta: float
+    est: float
+    state: object
+
+
+def rejected(method):
+    return Candidate(method, False, THETA_MIN, math.inf, None)
+
+
+def score(method, y_low, y_high, config, k):
+    """The paper's rule; a non-finite estimate scores as rejected."""
+    est = estimate_error(y_low, y_high)
+    if not math.isfinite(est):
+        return rejected(method)
+    tol = config.atol + config.tol * y_high.sup_norm()
+    return Candidate(method, est <= tol, proposal_factor(est, tol, k), est,
+                     y_high)
+
+
+def score_original(method, y_low, y_high, config, k):
+    """The original rival rule: relative tolerance only, square-root
+    exponent whatever k, no ratio clamps."""
+    est = estimate_error(y_low, y_high)
+    if not math.isfinite(est):
+        return rejected(method)
+    tol = config.tol * y_high.sup_norm()
+    theta = SAFETY * (tol / est) ** 0.5 if est != 0.0 else 10.0
+    return Candidate(method, est <= tol, theta, est, y_high)
+
+
+def select(candidates):
+    """(theta, index): the largest accepted theta, or (largest theta,
+    None) when none is accepted."""
+    best_idx = None
+    best_theta = -1.0
+    for i, c in enumerate(candidates):
+        if c.accepted and c.theta > best_theta:
+            best_idx, best_theta = i, c.theta
+    if best_idx is not None:
+        return best_theta, best_idx
+    return max(c.theta for c in candidates), None
+
+
+def select_original(candidates):
+    """(theta, index) of the candidate with a state and the least relative
+    estimate est / ||y|| (inf at ||y|| = 0); index None if it was rejected."""
+    rel = {i: c.est / n if (n := c.state.sup_norm()) > 0.0 else math.inf
+           for i, c in enumerate(candidates) if c.state is not None}
+    if not rel:
+        return 0.5, None
+    best = min(rel, key=rel.get)
+    cand = candidates[best]
+    return cand.theta, (best if cand.accepted else None)
+
+
+def candidate(tag, problem, provider, state, h, left, right, config, rule):
+    if tag != TAG_RKF45 and (left is None or right is None):
+        return rejected(tag)
+    try:
+        y_low, y_high = control._pair(tag, problem, provider, state, h, left,
+                                      right)
+    except (WKBInadmissibleError, SolverError):
+        return rejected(tag)
+    return rule(tag, y_low, y_high, config, ORDER_K[tag])
+
+
+def generic_integrate(problem, config):
+    provider = None if config.method == "rkf45" else PhaseProvider(
+        problem, config.phase)
+    build = control._builder(CANDIDATES[config.method][0])
+    rule, choose = ((score_original, select_original)
+                    if config.method == "rkwkb" else (score, select))
+    x = problem.x_start
+    state = problem.initial
+    left = control._endpoint(build, problem, x)
+    h_trial = config.h0
+    traj = Trajectory()
+    consecutive = 0
+    while x < problem.x_end:
+        clamped = h_trial >= problem.x_end - x
+        h = problem.x_end - x if clamped else h_trial
+        if h <= 1e-14 * abs(x):
+            raise SolverError(f"step size underflow at x={x} (h={h})")
+        x1 = problem.x_end if clamped else x + h
+        right = control._endpoint(build, problem, x1)
+        candidates = [candidate(tag, problem, provider, state, h, left,
+                                right, config, rule)
+                      for tag in CANDIDATES[config.method]]
+        theta, choice = choose(candidates)
+        if choice is not None:
+            cand = candidates[choice]
+            state = cand.state
+            if state.x != x1:
+                state = WaveState(x1, state.phi, state.dphi)
+            x = x1
+            left = right
+            traj.records.append(StepRecord(
+                index=len(traj.records), x=x, h=h, method=cand.method,
+                est=cand.est, theta=theta, state=state))
+            consecutive = 0
+        else:
+            traj.rejected += 1
+            consecutive += 1
+            if consecutive > MAX_REJECTIONS:
+                raise SolverError(
+                    f"{consecutive} consecutive rejections at x={x}")
+        h_trial = theta * h
+    return traj
+
+
+def run_outcome(driver, problem, config):
+    """float.hex of every StepRecord field and the rejected count, or the
+    name of the error raised."""
+    try:
+        traj = driver(problem, config)
+    except (SolverError, ValueError, ArithmeticError) as exc:
+        return type(exc).__name__
+    return traj.rejected, bits(traj.records)
+
+
+def linear_phase(c0, c1, eps):
+    """The closed-form phase of a = c0 + c1 x: int sqrt(a) - eps^2 b with
+    b = -(5/32) c1^2 a^(-5/2), as the Airy problem's at c0 = 0, c1 = 1."""
+    def phase_F(x):
+        a = c0 + c1 * x
+        return (2.0 / (3.0 * c1)) * a ** 1.5 - (5.0 * eps * eps / 48.0) * c1 \
+            * a ** -1.5
+    return phase_F
+
+
+@settings(deadline=None, derandomize=True, max_examples=30)
+@given(coeffs=st.tuples(st.floats(-1.0, 4.0), st.lists(
+           st.floats(-2.0, 2.0), min_size=1, max_size=3)).map(
+           lambda c: [c[0], *c[1]]),
+       x0=st.floats(0.0, 1.0), length=st.floats(0.25, 2.0),
+       eps_exp=st.floats(-2.0, 0.0), tol_exp=st.floats(-8.0, -3.0),
+       h0=st.floats(1e-3, 2.0),
+       phi=st.complex_numbers(max_magnitude=2.0),
+       dphi=st.complex_numbers(max_magnitude=2.0))
+# A turning point inside; a zero state (||y|| = 0 in every trial); no
+# record at x_start; the rival's near-turning quadratic, with a missing
+# record and inadmissible steps; a = 1e308, whose RKF45 steps all overflow
+# until the rejection limit.
+@example(coeffs=[-0.5, 1.0], x0=0.0, length=1.0, eps_exp=-0.25, tol_exp=-6.0,
+         h0=0.5, phi=1 + 0j, dphi=-1j)
+@example(coeffs=[1.0, 1.0], x0=0.0, length=1.0, eps_exp=-0.25, tol_exp=-6.0,
+         h0=0.5, phi=0j, dphi=0j)
+@example(coeffs=[0.0, 1.0], x0=0.0, length=2.0, eps_exp=0.0, tol_exp=-6.0,
+         h0=0.5, phi=1 + 0j, dphi=0j)
+@example(coeffs=[1e-10, 0.0, 1.0], x0=-1.0, length=2.0, eps_exp=0.0,
+         tol_exp=-6.0, h0=1.0, phi=1 + 0j, dphi=-1e-5j)
+@example(coeffs=[1e308, 0.0], x0=0.0, length=1.0, eps_exp=0.0,
+         tol_exp=-6.0, h0=0.1, phi=1 + 0j, dphi=0j)
+def test_integrate_matches_generic_driver_bit_for_bit(coeffs, x0, length,
+                                                       eps_exp, tol_exp, h0,
+                                                       phi, dphi):
+    # A linear field carries its closed-form phase, so that both phase
+    # modes run; on the others the exact mode fails alike in both.
+    eps = 10.0 ** eps_exp
+    initial = WaveState(x0, phi, dphi)
+    if len(coeffs) == 2 and coeffs[1] != 0.0:
+        problem = Problem(epsilon=eps, field=CoefficientField(coeffs),
+                          x_start=x0, x_end=x0 + length, initial=initial,
+                          phase_antiderivative=linear_phase(*coeffs, eps))
+    else:
+        problem = make_polynomial_problem(coeffs, eps, (x0, x0 + length),
+                                          initial=initial)
+    for method in METHODS:
+        for phase in ("exact", "cc"):
+            config = SolverConfig(tol=10.0 ** tol_exp, h0=h0, method=method,
+                                  phase=phase)
+            assert run_outcome(integrate, problem, config) == run_outcome(
+                generic_integrate, problem, config)
+
+
+# ---------------------------------------------------------------------------
 # Slotted records
 # ---------------------------------------------------------------------------
 
@@ -426,7 +620,6 @@ STATE = WaveState(0.0, 1j, 0j)
 
 @pytest.mark.parametrize("record", [
     ZState(1j, 0j, 1 + 0j),
-    Candidate("WKB", True, 1.0, 0.0, STATE),
     Endpoint(0.0, 1.0),
     BkTable(0.0, 0.0, 0.0, 0.0, 0.0),
     WKBBasis(1.0, 1j, -1j, 1j, -1j, -1 + 0j, -1 + 0j, -2j, -2j),

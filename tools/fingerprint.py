@@ -17,7 +17,19 @@ one JSON object:
     variant of seeds 1-2;
   - `<problem>/<method>/<phase>`: Airy eps 1 on [0.1, 50] and PCF eps 2^-6
     on [0.01, 1.99] at Tol 1e-6, under every method and both phase modes.
-  A run that raises `SolverError` hashes the error's name.
+  - `edge/<case>/<method>/<phase>`: the rejection branches no key above
+    reaches, a grid point without a record and an inadmissible step, at
+    Tol 1e-6 under every method and both phase modes:
+    `airy-origin`, Airy eps 1 on [0, 10] from h0 0.5, with no record at
+    x = 0; `near-turning`, a = 1e-10 + x^2 on [-1, 1], eps 1, h0 1, the
+    CLI's `poly:1e-10,0,1` run (one grid point without a record, and two
+    inadmissible steps under `rkwkbmod`); `tiny-start`, a = x on
+    [1e-200, 1] with tau_guard 1e-300, initial (1, 0) and h0 0.5, with
+    Airy's closed-form phase (under `rkwkb`, 6 inadmissible steps and 18
+    rejected trials).
+  A run that raises `SolverError` or `ValueError` hashes the error's
+  name; `near-turning` has no closed-form phase, so its exact-phase runs
+  raise `ValueError`, but for `rkf45`, which reads no phase.
 * `verify`: for each `<workload>/<seed>` key above, over its runs, the
   float.hex of `global_error` under `sup` and under `l2rel`, and a sha256
   (first 16 hex digits) over float.hex of the exact phi at every accepted
@@ -41,6 +53,7 @@ differs or a `march` node moved.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import subprocess
@@ -70,15 +83,16 @@ def collect(root: Path) -> dict:
     sys.dont_write_bytecode = True
     sys.path[:0] = [str(root / "src"), str(root / "bench")]
     from workloads import WORKLOADS
-    from wkbmarch import (SolverConfig, SolverError, global_error,
-                          integrate, make_airy_problem, make_pcf_problem,
+    from wkbmarch import (SolverConfig, SolverError, WaveState,
+                          global_error, integrate, make_airy_problem,
+                          make_pcf_problem, make_polynomial_problem,
                           march_fixed_grid, reference)
 
     def solve(problem, config):
-        """The trajectory, or the name of the SolverError raised."""
+        """The trajectory, or the name of the error raised."""
         try:
             return integrate(problem, config)
-        except SolverError as exc:
+        except (SolverError, ValueError) as exc:
             return type(exc).__name__
 
     def lines(traj) -> list[str]:
@@ -123,7 +137,15 @@ def collect(root: Path) -> dict:
             verified[f"{name}/{seed}"] = verify(problem, trajs)
     problems = {"airy": (make_airy_problem(1.0, 0.1, 50.0), 0.5),
                 "pcf": (make_pcf_problem(2.0 ** -6, 0.01, 1.99), 0.05)}
-    for label, (problem, h0) in problems.items():
+    tiny = make_airy_problem(1.0, 1e-200, 1.0)
+    edges = {
+        "edge/airy-origin": (make_airy_problem(1.0, 0.0, 10.0), 0.5),
+        "edge/near-turning": (make_polynomial_problem(
+            [1e-10, 0.0, 1.0], 1.0, (-1.0, 1.0)), 1.0),
+        "edge/tiny-start": (dataclasses.replace(
+            tiny, initial=WaveState(tiny.x_start, 1.0 + 0j, 0j),
+            tau_guard=1e-300), 0.5)}
+    for label, (problem, h0) in {**problems, **edges}.items():
         for method in METHODS:
             for phase in PHASES:
                 config = SolverConfig(tol=1e-6, h0=h0, method=method,
