@@ -20,11 +20,8 @@ turning points. A pair with a non-finite member or estimate scores the
 same way, so a NaN or Inf is never accepted and never enlarges the step.
 The controller constants are the paper's fixed values.
 
-The "original" rival controller differs deliberately: relative tolerance
-only, switching by the smaller relative estimate, and no ratio clamps.
-
 `integrate` scores each candidate as soon as its pair returns and keeps
-only the running winner, under either rule, in one pass per trial.
+only the running winner, in one pass per trial.
 
 The run owns one endpoint record per grid point (`_endpoint`, from the
 builder it chooses once): the left one is kept across rejected trials, and
@@ -55,7 +52,6 @@ TAG_RKF45 = "RKF45"
 CANDIDATES = {
     "wkb+rkf45": (TAG_WKB, TAG_RKF45),
     "rkwkbmod": (TAG_RKWKB, TAG_RKF45),
-    "rkwkb": (TAG_RKWKB, TAG_RKF45),
     "rkf45": (TAG_RKF45,),
 }
 METHODS = tuple(CANDIDATES)
@@ -200,7 +196,8 @@ def _pair(tag: str, problem, provider, state: WaveState, h: float, left,
 # ---------------------------------------------------------------------------
 
 def integrate(problem, config: SolverConfig) -> Trajectory:
-    """March from x_start to x_end under the configured controller.
+    """March from x_start to x_end under the error-per-step controller,
+    with the configured method's candidates.
 
     A candidate without a record at either end, whose step is inadmissible
     or fails, or whose estimate is not finite (which every non-finite
@@ -214,7 +211,6 @@ def integrate(problem, config: SolverConfig) -> Trajectory:
         problem, config.phase)
     tags = CANDIDATES[config.method]
     build = _builder(tags[0])  # the first tag's records are kept
-    original = config.method == "rkwkb"
     atol, rtol = config.atol, config.tol
     x, x_end = problem.x_start, problem.x_end
     state = problem.initial
@@ -236,7 +232,6 @@ def integrate(problem, config: SolverConfig) -> Trajectory:
         # The running winner: its high member, tag, estimate, theta and
         # verdict. With no candidate scored the trial is rejected and the
         # step shrinks by THETA_MIN.
-        won = None
         theta = THETA_MIN
         accepted = False
         for tag in tags:
@@ -250,25 +245,13 @@ def integrate(problem, config: SolverConfig) -> Trajectory:
             est = estimate_error(y_low, y_high)
             if not math.isfinite(est):
                 continue
-            norm = y_high.sup_norm()
-            if original:
-                # Relative tolerance, square-root exponent whatever k, no
-                # clamps; the least relative estimate wins, accepted or not.
-                tol = rtol * norm
-                th = SAFETY * (tol / est) ** 0.5 if est != 0.0 else 10.0
-                rel = est / norm if norm > 0.0 else math.inf
-                if won is not None and not rel < rel_won:
-                    continue
-                rel_won = rel
-                ok = est <= tol
-            else:
-                # An accepted candidate beats a rejected one, then the
-                # larger theta wins; a tie keeps the earlier tag.
-                tol = atol + rtol * norm
-                th = proposal_factor(est, tol, ORDER_K[tag])
-                ok = est <= tol
-                if not (ok > accepted or ok == accepted and th > theta):
-                    continue
+            tol = atol + rtol * y_high.sup_norm()
+            th = proposal_factor(est, tol, ORDER_K[tag])
+            ok = est <= tol
+            # An accepted candidate beats a rejected one, then the larger
+            # theta wins; a tie keeps the earlier tag.
+            if not (ok > accepted or ok == accepted and th > theta):
+                continue
             won, tag_won, est_won, theta, accepted = y_high, tag, est, th, ok
 
         if accepted:

@@ -403,6 +403,10 @@ def test_estimator_study_audits_the_methods_lead_pair(tmp_path):
      "--tol-range=-1e-3,1e-3"],
     ["sweep", "--problem", "airy", "--eps-list", "1",
      "--methods", "rkf45,euler"],
+    # `rkwkb`, the rival under its original relative-error controller, is
+    # not a method.
+    ["sweep", "--problem", "airy", "--eps-list", "1",
+     "--methods", "rkwkbmod,rkwkb"],
     # Sweep steps from or to a point where the WKB step is inadmissible.
     ["estimator-study", "--problem", "airy", "--x0", "0"],
     ["estimator-study", "--problem", "pcf", "--x0", "1.995",

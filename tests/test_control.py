@@ -77,9 +77,9 @@ def test_proposal_factor_rejects_nan():
 # Arbitration, driven through integrate with designed pairs
 # ---------------------------------------------------------------------------
 
-# The methods that run the paper's rule and the original rival controller's
-# rule; each has an oscillatory candidate first and RKF45 second.
-RULES = ("wkb+rkf45", "rkwkb")
+# The methods with two candidates: an oscillatory one (WKB or RKWKB) first
+# and RKF45 second.
+RULES = ("wkb+rkf45", "rkwkbmod")
 ONE = (1.0 + 0j, 0j)  # (phi, phi') of a high member whose sup norm is 1
 H0 = 0.25
 
@@ -123,12 +123,10 @@ def off_by(d):
     return (1.0 + d + 0j, 0j), ONE
 
 
-def scored(method, tag, d):
-    """(est, theta) the method's rule gives `off_by(d)` for `tag`."""
+def scored(tag, d):
+    """(est, theta) the controller gives `off_by(d)` for `tag`."""
     est = estimate_error(*(WaveState(1.0, *v) for v in off_by(d)))
-    c = cfg(method=method)
-    if method == "rkwkb":
-        return est, 0.9 * (c.tol / est) ** 0.5
+    c = cfg()
     return est, proposal_factor(est, c.atol + c.tol, ORDER_K[tag])
 
 
@@ -138,8 +136,8 @@ def scored(method, tag, d):
 @pytest.mark.parametrize("member", ["low", "high"])
 def test_non_finite_pair_scores_as_rejected(monkeypatch, bad, member):
     # A non-finite member is never accepted and never enlarges the step:
-    # under either rule it scores like an inadmissible candidate (rejected,
-    # theta 0.5), and its state never lands in a record.
+    # under either oscillatory candidate it scores like an inadmissible
+    # candidate (rejected, theta 0.5), and its state never lands in a record.
     good, broken = (0.3 + 0.4j, -1.0j), (bad, -1.0j)
     pair = (broken, good) if member == "low" else (good, broken)
     for method in RULES:
@@ -188,8 +186,7 @@ def test_arbitration_case_table(monkeypatch):
     ]
     for ratios, winner in cases:
         first = {tag: off_by(r * tol) for tag, r in ratios.items()}
-        scores = {tag: scored("wkb+rkf45", tag, r * tol)
-                  for tag, r in ratios.items()}
+        scores = {tag: scored(tag, r * tol) for tag, r in ratios.items()}
         traj = designed_run(monkeypatch, "wkb+rkf45", first)
         rejected, tag, est, theta, h_next = first_trial_outcome(traj)
         if winner is None:
@@ -203,25 +200,20 @@ def test_arbitration_case_table(monkeypatch):
 
 
 def test_tie_goes_to_the_earlier_tag(monkeypatch):
-    # Both exact: a tie under either rule, won by the oscillatory candidate.
+    # Both exact: a tie, won by the oscillatory candidate.
     for method in RULES:
         traj = designed_run(monkeypatch, method, {})
         rejected, tag, est, theta, h_next = first_trial_outcome(traj)
         assert (rejected, tag, est) == (False, CANDIDATES[method][0], 0.0)
-        assert theta == (10.0 if method == "rkwkb" else 2.0)
+        assert theta == 2.0
         assert h_next == min(theta * H0, 0.75)
-    # Both at the THETA_MAX clamp: the paper's rule keeps the earlier tag
-    # although RKF45's estimate is smaller; the original rule, which picks
-    # by the relative estimate, takes RKF45.
+    # Both at the THETA_MAX clamp: the earlier tag keeps the step although
+    # RKF45's estimate is smaller.
     tol = cfg().atol + cfg().tol
     first = {"WKB": off_by(tol / 100), "RKF45": (ONE, ONE)}
     traj = designed_run(monkeypatch, "wkb+rkf45", first)
     assert first_trial_outcome(traj) == (False, "WKB",
-                                         *scored("wkb+rkf45", "WKB",
-                                                 tol / 100), 2.0 * H0)
-    first = {"RKWKB": off_by(tol / 100), "RKF45": (ONE, ONE)}
-    traj = designed_run(monkeypatch, "rkwkb", first)
-    assert first_trial_outcome(traj)[:4] == (False, "RKF45", 0.0, 10.0)
+                                         *scored("WKB", tol / 100), 2.0 * H0)
 
 
 def test_config_validation():
@@ -233,6 +225,10 @@ def test_config_validation():
             SolverConfig(tol=tol, h0=h0)
     with pytest.raises(ValueError):
         SolverConfig(tol=1e-6, h0=0.5, method="euler")
+    # `rkwkb`, the rival under its original relative-error controller, is
+    # not a method.
+    with pytest.raises(ValueError):
+        SolverConfig(tol=1e-6, h0=0.5, method="rkwkb")
     with pytest.raises(ValueError):
         SolverConfig(tol=1e-6, h0=0.5, phase="spectral")
 
@@ -427,16 +423,6 @@ def test_global_error_tracks_tolerance(airy1):
         errs.append(global_error(traj, airy1, "l2rel"))
     slope = np.polyfit(np.log10(tols), np.log10(errs), 1)[0]
     assert 0.4 <= slope <= 1.1
-
-
-def test_rkwkb_original_mode_runs(airy1):
-    traj = integrate(airy1, cfg(tol=1e-6, method="rkwkb"))
-    assert traj.final_state.x == 50.0
-    assert global_error(traj, airy1, "sup") < 1e-4
-    # Unclamped controller: ratios outside [0.5, 2] do occur.
-    hs = [r.h for r in traj.records[:-1]]
-    ratios = [b / a for a, b in zip(hs, hs[1:])]
-    assert max(ratios) > 2.0 or min(ratios) < 0.5
 
 
 def test_phase_mode_resolution(airy1):

@@ -29,7 +29,7 @@ from wkbmarch import (CoefficientField, PhaseProvider, Problem, SolverConfig,
                       StepRecord, Trajectory, WaveState, control, integrate,
                       make_polynomial_problem)
 from wkbmarch.control import (CANDIDATES, MAX_REJECTIONS, METHODS, ORDER_K,
-                              SAFETY, TAG_RKF45, THETA_MIN, estimate_error,
+                              TAG_RKF45, THETA_MIN, estimate_error,
                               proposal_factor)
 from wkbmarch.rk45 import rkf45_step
 from wkbmarch.rkwkb import (DEGENERATE_DENOM, WKBBasis, rkwkb_step,
@@ -455,17 +455,6 @@ def score(method, y_low, y_high, config, k):
                      y_high)
 
 
-def score_original(method, y_low, y_high, config, k):
-    """The original rival rule: relative tolerance only, square-root
-    exponent whatever k, no ratio clamps."""
-    est = estimate_error(y_low, y_high)
-    if not math.isfinite(est):
-        return rejected(method)
-    tol = config.tol * y_high.sup_norm()
-    theta = SAFETY * (tol / est) ** 0.5 if est != 0.0 else 10.0
-    return Candidate(method, est <= tol, theta, est, y_high)
-
-
 def select(candidates):
     """(theta, index): the largest accepted theta, or (largest theta,
     None) when none is accepted."""
@@ -479,19 +468,7 @@ def select(candidates):
     return max(c.theta for c in candidates), None
 
 
-def select_original(candidates):
-    """(theta, index) of the candidate with a state and the least relative
-    estimate est / ||y|| (inf at ||y|| = 0); index None if it was rejected."""
-    rel = {i: c.est / n if (n := c.state.sup_norm()) > 0.0 else math.inf
-           for i, c in enumerate(candidates) if c.state is not None}
-    if not rel:
-        return 0.5, None
-    best = min(rel, key=rel.get)
-    cand = candidates[best]
-    return cand.theta, (best if cand.accepted else None)
-
-
-def candidate(tag, problem, provider, state, h, left, right, config, rule):
+def candidate(tag, problem, provider, state, h, left, right, config):
     if tag != TAG_RKF45 and (left is None or right is None):
         return rejected(tag)
     try:
@@ -499,15 +476,13 @@ def candidate(tag, problem, provider, state, h, left, right, config, rule):
                                       right)
     except (WKBInadmissibleError, SolverError):
         return rejected(tag)
-    return rule(tag, y_low, y_high, config, ORDER_K[tag])
+    return score(tag, y_low, y_high, config, ORDER_K[tag])
 
 
 def generic_integrate(problem, config):
     provider = None if config.method == "rkf45" else PhaseProvider(
         problem, config.phase)
     build = control._builder(CANDIDATES[config.method][0])
-    rule, choose = ((score_original, select_original)
-                    if config.method == "rkwkb" else (score, select))
     x = problem.x_start
     state = problem.initial
     left = control._endpoint(build, problem, x)
@@ -522,9 +497,9 @@ def generic_integrate(problem, config):
         x1 = problem.x_end if clamped else x + h
         right = control._endpoint(build, problem, x1)
         candidates = [candidate(tag, problem, provider, state, h, left,
-                                right, config, rule)
+                                right, config)
                       for tag in CANDIDATES[config.method]]
-        theta, choice = choose(candidates)
+        theta, choice = select(candidates)
         if choice is not None:
             cand = candidates[choice]
             state = cand.state

@@ -22,11 +22,13 @@ one JSON object:
     Tol 1e-6 under every method and both phase modes:
     `airy-origin`, Airy eps 1 on [0, 10] from h0 0.5, with no record at
     x = 0; `near-turning`, a = 1e-10 + x^2 on [-1, 1], eps 1, h0 1, the
-    CLI's `poly:1e-10,0,1` run (one grid point without a record, and two
-    inadmissible steps under `rkwkbmod`); `tiny-start`, a = x on
-    [1e-200, 1] with tau_guard 1e-300, initial (1, 0) and h0 0.5, with
-    Airy's closed-form phase (under `rkwkb`, 6 inadmissible steps and 18
-    rejected trials).
+    CLI's `poly:1e-10,0,1` run (one grid point without a record, x = 0;
+    `near-turning/rkwkbmod/cc` is the key that reaches the
+    inadmissible-step branch, with 2 inadmissible RKWKB trials, 10
+    accepted and 5 rejected); `tiny-start`, a = x on [1e-200, 1] with
+    tau_guard 1e-300, initial (1, 0) and h0 0.5, with Airy's closed-form
+    phase (a start point without a record: under both oscillatory
+    methods, 5 accepted and 2 rejected trials, all RKF45).
   A run that raises `SolverError` or `ValueError` hashes the error's
   name; `near-turning` has no closed-form phase, so its exact-phase runs
   raise `ValueError`, but for `rkf45`, which reads no phase.
@@ -63,7 +65,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (0, 1, 2)
 LONG_STRIDE = 16
-METHODS = ("wkb+rkf45", "rkwkbmod", "rkwkb", "rkf45")
+METHODS = ("wkb+rkf45", "rkwkbmod", "rkf45")
 PHASES = ("exact", "cc")
 # Points of the `reference` key: Airy eps 1 (t = x) on both sides of the
 # seam at t = 50, and PCF eps 2^-6 inside its interval.
