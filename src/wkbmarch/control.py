@@ -23,25 +23,26 @@ The controller constants are the paper's fixed values.
 `integrate` scores each candidate as soon as its pair returns and keeps
 only the running winner, in one pass per trial.
 
-The run owns one endpoint record per grid point (`_endpoint`, from the
-builder it chooses once): the left one is kept across rejected trials, and
-each trial's right one becomes the next left one when the step is
-accepted. A point where a guard trips gets no record, and a step from or
-to it is rejected as inadmissible.
+The run owns one record per grid point (`_endpoint`, from the builder it
+chooses once): the flat `wkb_core.Endpoint` of the transform scheme, or
+the `rkwkb.BasisEndpoint` of the basis-fit one. The left record is kept
+across rejected trials, and each trial's right one becomes the next left
+one when the step is accepted. A point where a guard trips gets no
+record, and a step from or to it is rejected as inadmissible. A WKB
+candidate carries Z as two complex scalars and the step's one rotation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 from . import rkwkb, wkb_core
 from .phase import PhaseProvider
 from .rk45 import rkf45_step
 from .rkwkb import rkwkb_step
 from .state import SolverError, WaveState, WKBInadmissibleError
-from .wkb_core import Endpoint, from_Z, to_U, to_Z, wkb_step_pair
+from .wkb_core import from_Z, to_U, to_Z, wkb_step_pair
 
 # Tag strings recorded per accepted step.
 TAG_WKB = "WKB"
@@ -170,7 +171,7 @@ def _builder(tag: str):
     return lambda problem, x: None
 
 
-def _endpoint(build, problem, x: float) -> Optional[Endpoint]:
+def _endpoint(build, problem, x: float):
     """`build(problem, x)`, or None where a guard trips at x."""
     try:
         return build(problem, x)
@@ -183,9 +184,10 @@ def _pair(tag: str, problem, provider, state: WaveState, h: float, left,
     """The (low, high) members of one method's embedded pair from `state`:
     the oscillatory schemes step from record `left` to `right`, RKF45 by h."""
     if tag == TAG_WKB:
-        zn = to_Z(to_U(problem, left, state))
-        z_low, z_high = wkb_step_pair(problem, provider, left, right, zn)
-        return from_Z(problem, right, z_low), from_Z(problem, right, z_high)
+        z_low, z_high, rot = wkb_step_pair(problem, provider, left, right,
+                                           to_Z(to_U(problem, left, state)))
+        return (from_Z(problem, right, z_low, rot),
+                from_Z(problem, right, z_high, rot))
     if tag == TAG_RKWKB:
         return rkwkb_step(problem, provider, left, right, state)
     return rkf45_step(problem, state, h)
@@ -363,11 +365,16 @@ def estimator_h_sweep(problem, x0: float, h_values, method: str = TAG_WKB,
     """Single-step estimator audit from a fixed start as h varies.
 
     Returns rows (h, est, lte, deviation); the step restarts at the exact
-    solution for every h.
+    solution for every h. Raises ValueError, before any step, for an h
+    that is not finite and positive.
     """
     if method not in ORDER_K:
         raise ValueError(f"unknown method tag {method!r}")
     if problem.exact is None:
         raise ValueError("estimator sweep needs an exact solution")
-    return [(float(h), *_audit(problem, method, x0, float(h), phase))
-            for h in h_values]
+    hs = [float(h) for h in h_values]
+    for h in hs:
+        if not 0.0 < h < math.inf:
+            raise ValueError(f"step size must be finite and positive, got "
+                             f"h={h!r}")
+    return [(h, *_audit(problem, method, x0, h, phase)) for h in hs]

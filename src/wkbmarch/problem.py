@@ -255,6 +255,7 @@ def make_polynomial_problem(coeffs: Sequence[float], epsilon: float,
     phi = 1, eps phi' = -i sqrt(a(x_start)) is used; that requires
     a(x_start) > 0.
     """
+    _check_epsilon(epsilon)
     fld = CoefficientField(coeffs)
     x_start, x_end = float(domain[0]), float(domain[1])
     if initial is None:

@@ -9,10 +9,11 @@ is absorbed by the fitted coefficients). Whatever the basis order, the
 procedure is first order in the step size; its error estimate therefore
 differences two basis orders rather than two h-orders. Both orders are
 built from the same jets of a, sqrt(a) and b, so `wkb_basis` puts both
-bases in a point's endpoint record, each with the left-end part of its fit,
-and `rkwkb_step` returns the two steps (order 2, order 3). Each step gauges
-the phase at its start point; the fitted coefficients absorb the constant
-offset, so only the step's own increment is applied.
+bases, each with the left-end part of its fit, in one `BasisEndpoint`
+record per point, and `rkwkb_step` returns the two steps (order 2,
+order 3). Each step gauges the phase at its start point; the fitted
+coefficients absorb the constant offset, so only the step's own increment
+is applied.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 from .phase import PhaseProvider
 from .state import WaveState, WKBInadmissibleError
-from .wkb_core import Endpoint, b_jet
+from .wkb_core import b_jet
 
 # Below this magnitude the 2x2 fit denominators count as degenerate and the
 # step is rejected rather than evaluated.
@@ -48,6 +49,16 @@ class WKBBasis:
     den_df: complex
 
 
+@dataclass(slots=True)
+class BasisEndpoint:
+    """What a basis-fit step reads at x: a(x) and the basis pairs of WKB
+    orders 2 and 3."""
+
+    x: float
+    a: float
+    basis: tuple[WKBBasis, WKBBasis]
+
+
 def _basis(x, amp, l1, l2, w1, w2) -> WKBBasis:
     """The basis pair of amplitude amp, L+-' = l1 +- w1, L+-'' = l2 +- w2."""
     lp_plus, lp_minus = l1 + w1, l1 - w1
@@ -64,7 +75,7 @@ def _basis(x, amp, l1, l2, w1, w2) -> WKBBasis:
                     d2f_plus * df_minus - d2f_minus * df_plus)
 
 
-def wkb_basis(problem, x: float) -> Endpoint:
+def wkb_basis(problem, x: float) -> BasisEndpoint:
     """The basis-fit scheme's record at x: a(x) and the basis pairs of WKB
     orders 2 and 3, from one jet pass. L collects the amplitude log, the
     oscillatory phase and (order 3) the eps^2 phi3 correction."""
@@ -89,14 +100,14 @@ def wkb_basis(problem, x: float) -> Endpoint:
         raise WKBInadmissibleError(
             f"order-3 basis factor exp({eps2 * p0}) overflows") from exc
     # The order-2 correction terms are 0.0; adding them turns -0.0 to 0.0.
-    return Endpoint(x, a[0], basis=(
+    return BasisEndpoint(x, a[0], (
         _basis(x, amp, amp1 + 0.0, amp2 + 0.0, w1, w2),
         _basis(x, amp * corr, amp1 + eps2 * p1, amp2 + eps2 * 2.0 * p2,
                w1, w2)))
 
 
-def rkwkb_step(problem, provider: PhaseProvider, left: Endpoint,
-               right: Endpoint,
+def rkwkb_step(problem, provider: PhaseProvider, left: BasisEndpoint,
+               right: BasisEndpoint,
                state: WaveState) -> tuple[WaveState, WaveState]:
     """One basis-fit step from `state` at left.x to right.x, per order.
 

@@ -11,12 +11,13 @@ a(x) both schemes propagate Z exactly.
 
 Every step forms Z at its own start, where the factored-out oscillation
 exp(-i phase/eps) is 1; the step's increment theta1 = s/eps modulo 2*pi is
-the phase at its end, and `from_Z` rotates back by `ZState.rot` =
-exp(i theta1), formed once per step pair. The scheme does not depend on
-where the phase is referenced, so no phase is carried between steps.
+the phase at its end, and `from_Z` rotates back by rot = exp(i theta1),
+which `wkb_step_pair` forms once for both orders. The scheme does not
+depend on where the phase is referenced, so no phase is carried between
+steps.
 
-Everything a step reads at a grid point x sits in one `Endpoint` record,
-which `control.integrate` builds once per run (`eval_bk` for this scheme);
+Everything a step reads at a grid point x sits in one flat `Endpoint`
+record, which `control.integrate` builds once per grid point (`eval_bk`);
 a point where a guard trips gets no record, so a step never reads one.
 
 b and all b_k derivatives are expanded analytically through truncated
@@ -45,39 +46,18 @@ SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(slots=True)
-class BkTable:
-    """Values b(x) and b_0(x)..b_3(x) entering the marching matrices."""
+class Endpoint:
+    """What a transform step reads at x: the U factors a^(1/4) and
+    a'/(4 a^(5/4)), and b(x) with the derived coefficients b_0..b_3."""
 
+    x: float
+    root4: float
+    shift: float
     b: float
     b0: float
     b1: float
     b2: float
     b3: float
-
-
-@dataclass(slots=True)
-class Endpoint:
-    """What a step reads at x: a(x), plus the U factors a^(1/4) and
-    a'/(4 a^(5/4)) with the b_k table (transform scheme) or the basis
-    pairs (basis-fit scheme)."""
-
-    x: float
-    a: float
-    root4: float = math.nan
-    shift: float = math.nan
-    bk: BkTable | None = None
-    basis: tuple = ()
-
-
-@dataclass(slots=True)
-class ZState:
-    """Transformed solution sample: the components z1, z2 of Z and
-    rot = exp(i theta), theta the phase/eps that Z has factored out since
-    it was formed (modulo 2*pi)."""
-
-    z1: complex
-    z2: complex
-    rot: complex
 
 
 def b_jet(problem, x: float):
@@ -172,7 +152,7 @@ def phase_rates(problem, xs) -> list[float]:
 
 
 def eval_bk(problem, x: float) -> Endpoint:
-    """The transform scheme's record at x: a, the U factors, and b with the
+    """The transform scheme's record at x: the U factors, and b with the
     derived coefficients b_0..b_3, all from one jet pass.
 
     b_0 = b / (2 (sqrt(a) - eps^2 b)), and each next b_{k+1} is the
@@ -195,7 +175,7 @@ def eval_bk(problem, x: float) -> Endpoint:
     if not (isfinite(shift) and isfinite(b) and isfinite(b0)
             and isfinite(b1) and isfinite(b2) and isfinite(b3)):
         raise WKBInadmissibleError(f"non-finite record entry at x={x}")
-    return Endpoint(x, a0, a0 ** 0.25, shift, BkTable(b, b0, b1, b2, b3))
+    return Endpoint(x, a0 ** 0.25, shift, b, b0, b1, b2, b3)
 
 
 # ---------------------------------------------------------------------------
@@ -243,18 +223,19 @@ def from_U(problem, end: Endpoint, U) -> WaveState:
     return WaveState(end.x, complex(phi), complex(dphi))
 
 
-def to_Z(U) -> ZState:
+def to_Z(U) -> tuple[complex, complex]:
     """U -> Z = P U with P = [[i, 1], [1, i]]/sqrt(2), formed where U is
     taken (theta = 0, so the oscillation factor is 1 there)."""
     u1, u2 = U
-    return ZState((1j * u1 + u2) / SQRT2, (1j * u2 + u1) / SQRT2, 1 + 0j)
+    return (1j * u1 + u2) / SQRT2, (1j * u2 + u1) / SQRT2
 
 
-def from_Z(problem, end: Endpoint, zstate: ZState) -> WaveState:
-    """Z at end.x -> (phi, phi'), using U = P^H exp(i theta) Z."""
-    rot = zstate.rot
-    w1 = rot * zstate.z1
-    w2 = zstate.z2 / rot
+def from_Z(problem, end: Endpoint, Z, rot: complex) -> WaveState:
+    """Z at end.x -> (phi, phi'), using U = P^H exp(i theta) Z with
+    rot = exp(i theta)."""
+    z1, z2 = Z
+    w1 = rot * z1
+    w2 = z2 / rot
     return from_U(problem, end,
                   ((-1j * w1 + w2) / SQRT2, (w1 - 1j * w2) / SQRT2))
 
@@ -275,8 +256,6 @@ def assemble_step_matrices(problem, provider, left: Endpoint,
     the controller turns that into a rejected trial.
     """
     eps = problem.epsilon
-    t0 = left.bk
-    t1 = right.bk
     x0, x1 = left.x, right.x
     s = provider.increment(x0, x1)
     theta1 = math.remainder(s / eps, math.tau)
@@ -291,44 +270,42 @@ def assemble_step_matrices(problem, provider, left: Endpoint,
     eps4 = eps3 * eps
     eps5 = eps4 * eps
 
-    delta12 = -1j * eps2 * (t0.b0 - t1.b0 * e1m)
-    delta21 = -1j * eps2 * (t1.b0 * e1p - t0.b0)
+    delta12 = -1j * eps2 * (left.b0 - right.b0 * e1m)
+    delta21 = -1j * eps2 * (right.b0 * e1p - left.b0)
 
-    a1 = (eps3 * t1.b1 * h1m + delta12, eps3 * t1.b1 * h1p + delta21)
+    a1 = (eps3 * right.b1 * h1m + delta12, eps3 * right.b1 * h1p + delta21)
 
     a1mod = (delta12
-             + eps3 * (t1.b1 * e1m - t0.b1)
-             - 1j * eps4 * t1.b2 * h1m
-             - eps5 * t1.b3 * h2m,
+             + eps3 * (right.b1 * e1m - left.b1)
+             - 1j * eps4 * right.b2 * h1m
+             - eps5 * right.b3 * h2m,
              delta21
-             + eps3 * (t1.b1 * e1p - t0.b1)
-             + 1j * eps4 * t1.b2 * h1p
-             - eps5 * t1.b3 * h2p)
+             + eps3 * (right.b1 * e1p - left.b1)
+             + 1j * eps4 * right.b2 * h1p
+             - eps5 * right.b3 * h2p)
 
-    trap = 0.5 * (t1.b * t1.b0 + t0.b * t0.b0)
+    trap = 0.5 * (right.b * right.b0 + left.b * left.b0)
     a2 = (-1j * eps3 * (x1 - x0) * trap
-          - eps4 * t0.b0 * t1.b0 * h1m
-          + eps5 * t1.b1 * (t0.b0 - t1.b0) * h2m,
+          - eps4 * left.b0 * right.b0 * h1m
+          + eps5 * right.b1 * (left.b0 - right.b0) * h2m,
           1j * eps3 * (x1 - x0) * trap
-          - eps4 * t0.b0 * t1.b0 * h1p
-          - eps5 * t1.b1 * (t0.b0 - t1.b0) * h2p)
+          - eps4 * left.b0 * right.b0 * h1p
+          - eps5 * right.b1 * (left.b0 - right.b0) * h2p)
     return a1, a1mod, a2, theta1
 
 
-def wkb_step_pair(problem, provider, left: Endpoint, right: Endpoint,
-                  zn: ZState) -> tuple[ZState, ZState]:
-    """Both marching orders from the same Z_n at left.x over [left.x, x1],
-    x1 = right.x.
+def wkb_step_pair(problem, provider, left: Endpoint, right: Endpoint, Z):
+    """Both marching orders from the same Z_n = (z1, z2) at left.x over
+    [left.x, x1], x1 = right.x.
 
-    Returns (first-order result, second-order result), both carrying the
-    one rotation exp(i theta1) by the phase theta1 = s/eps at x1; the
-    controller differences them for the error estimate and propagates
-    the second.
+    Returns (first-order Z, second-order Z, rot), with the one rotation
+    rot = exp(i theta1) by the phase theta1 = s/eps at x1 that `from_Z`
+    applies to both; the controller differences the two results for the
+    error estimate and propagates the second.
     """
     (a12, a21), (m12, m21), (d11, d22), theta1 = assemble_step_matrices(
         problem, provider, left, right)
-    rot = cmath.exp(1j * theta1)
-    z1, z2 = zn.z1, zn.z2
-    return (ZState(z1 + a12 * z2, z2 + a21 * z1, rot),
-            ZState(z1 + (d11 * z1 + m12 * z2), z2 + (m21 * z1 + d22 * z2),
-                   rot))
+    z1, z2 = Z
+    return ((z1 + a12 * z2, z2 + a21 * z1),
+            (z1 + (d11 * z1 + m12 * z2), z2 + (m21 * z1 + d22 * z2)),
+            cmath.exp(1j * theta1))

@@ -317,6 +317,8 @@ def test_malformed_json_spec_exits_two(tmp_path, capsys, text):
     (["--problem", "airy", "--eps", "1e-300"], "epsilon=1e-300"),
     (["--problem", "airy", "--interval", "1e205,1e206"], "x=1e+205,"),
     (["--problem", "airy", "--interval", "1e300,1e301"], "x=1e+300,"),
+    (["--problem", "poly:1", "--interval", "0,1", "--eps", "0"],
+     "epsilon must be finite and positive"),
 ])
 def test_non_finite_problem_exits_two(tmp_path, capsys, args, match):
     path = tmp_path / "prob.json"
@@ -411,6 +413,9 @@ def test_estimator_study_audits_the_methods_lead_pair(tmp_path):
     ["estimator-study", "--problem", "airy", "--x0", "0"],
     ["estimator-study", "--problem", "pcf", "--x0", "1.995",
      "--h-sweep", "1e-3,1e-2,3"],
+    # A zero epsilon, which the polynomial's default initial data divides
+    # by.
+    ["sweep", "--problem", "poly:1", "--interval", "0,1", "--eps-list", "0"],
 ])
 def test_bad_sweep_flags_exit_two_before_solving(tmp_path, capsys,
                                                  monkeypatch, args):

@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -509,6 +510,22 @@ def test_estimator_h_sweep_rejects_unknown_tag(airy1, tag):
     # Only candidate tags name a pair; a method name is not one.
     with pytest.raises(ValueError):
         estimator_h_sweep(airy1, 10.0, [0.5], tag)
+
+
+@pytest.mark.parametrize("tag", ["WKB", "RKWKB", "RKF45"])
+@pytest.mark.parametrize("h", [-0.1, 0.0, math.nan, math.inf])
+def test_estimator_h_sweep_rejects_bad_step_before_any_step(airy1,
+                                                           monkeypatch, tag,
+                                                           h):
+    # A zero, backward or non-finite h is one ValueError naming it, for
+    # every tag, raised before the sweep audits any step, a good one first
+    # included.
+    def no_audit(*_):
+        raise AssertionError("a step was audited before h was checked")
+
+    monkeypatch.setattr(control, "_audit", no_audit)
+    with pytest.raises(ValueError, match=re.escape(f"h={h!r}")):
+        estimator_h_sweep(airy1, 10.0, [0.5, h], tag)
 
 
 def test_estimator_study_needs_exact():

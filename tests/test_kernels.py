@@ -32,13 +32,12 @@ from wkbmarch.control import (CANDIDATES, MAX_REJECTIONS, METHODS, ORDER_K,
                               TAG_RKF45, THETA_MIN, estimate_error,
                               proposal_factor)
 from wkbmarch.rk45 import rkf45_step
-from wkbmarch.rkwkb import (DEGENERATE_DENOM, WKBBasis, rkwkb_step,
-                            wkb_basis)
+from wkbmarch.rkwkb import (DEGENERATE_DENOM, BasisEndpoint, WKBBasis,
+                            rkwkb_step, wkb_basis)
 from wkbmarch.state import SolverError, WKBInadmissibleError
-from wkbmarch.wkb_core import (PHASE_DERIV_GUARD, SQRT2, BkTable, Endpoint,
-                               ZState, assemble_step_matrices, b_jet, eval_bk,
-                               from_U, from_Z, phase_rates, to_U, to_Z,
-                               wkb_step_pair)
+from wkbmarch.wkb_core import (PHASE_DERIV_GUARD, SQRT2, Endpoint,
+                               assemble_step_matrices, b_jet, eval_bk, from_U,
+                               from_Z, phase_rates, to_U, to_Z, wkb_step_pair)
 
 FACTORIALS = tuple(float(math.factorial(j)) for j in range(6))
 
@@ -114,8 +113,8 @@ def generic_eval_bk(problem, x):
     if not all(map(math.isfinite, (shift, bj[0], b0[0], b1[0], b2[0],
                                    b3[0]))):
         raise WKBInadmissibleError("non-finite record entry")
-    return Endpoint(x, a[0], a[0] ** 0.25, shift,
-                    BkTable(bj[0], b0[0], b1[0], b2[0], b3[0]))
+    return Endpoint(x, a[0] ** 0.25, shift, bj[0], b0[0], b1[0], b2[0],
+                    b3[0])
 
 
 @dataclass
@@ -197,7 +196,7 @@ def generic_wkb_basis(problem, x):
         records.append(WKBBasis(b.amp, b.lp_plus, b.lp_minus, *df, *d2f,
                                 fit_denominator(f, df),
                                 fit_denominator(df, d2f)))
-    return Endpoint(x, a0, basis=tuple(records))
+    return BasisEndpoint(x, a0, tuple(records))
 
 
 def generic_rkwkb_step(problem, provider, x0, x1, state):
@@ -266,25 +265,26 @@ def tableau_rkf45_step(problem, state, h):
     return combine(B4), combine(B5)
 
 
-def reference_from_Z(problem, end, z, theta1):
-    """`from_Z` with its rotation formed here from the step's phase."""
+def reference_from_Z(problem, end, z, theta1, _):
+    """`from_Z` with its rotation formed here from the step's phase, not
+    taken from the step pair."""
     rot = cmath.exp(1j * theta1)
-    w1 = rot * z.z1
-    w2 = z.z2 / rot
+    w1 = rot * z[0]
+    w2 = z[1] / rot
     return from_U(problem, end,
                   ((-1j * w1 + w2) / SQRT2, (w1 - 1j * w2) / SQRT2))
 
 
-def package_from_Z(problem, end, z, theta1):
-    """`from_Z`, which reads the rotation the step pair carries."""
-    return from_Z(problem, end, z)
+def package_from_Z(problem, end, z, _, rot):
+    """`from_Z` with the rotation the step pair returns."""
+    return from_Z(problem, end, z, rot)
 
 
 def wkb_march(problem, h, convert):
     """Two transform step pairs from x_start, each from Z formed at its own
     start as in `control._pair`; every member is taken back to
     (phi, phi') by `convert`, given the step's phase theta1 as
-    `assemble_step_matrices` returns it."""
+    `assemble_step_matrices` returns it and the pair's rotation."""
     provider = PhaseProvider(problem, "cc")
     x = problem.x_start
     left = eval_bk(problem, x)
@@ -293,9 +293,9 @@ def wkb_march(problem, h, convert):
     for x1 in (x + h, x + 2.0 * h):
         right = eval_bk(problem, x1)
         theta1 = assemble_step_matrices(problem, provider, left, right)[3]
-        pair = wkb_step_pair(problem, provider, left, right,
-                             to_Z(to_U(problem, left, state)))
-        members = [convert(problem, right, zk, theta1) for zk in pair]
+        *pair, rot = wkb_step_pair(problem, provider, left, right,
+                                   to_Z(to_U(problem, left, state)))
+        members = [convert(problem, right, zk, theta1, rot) for zk in pair]
         out += members
         left, state = right, members[1]
     return out
@@ -594,9 +594,8 @@ STATE = WaveState(0.0, 1j, 0j)
 
 
 @pytest.mark.parametrize("record", [
-    ZState(1j, 0j, 1 + 0j),
-    Endpoint(0.0, 1.0),
-    BkTable(0.0, 0.0, 0.0, 0.0, 0.0),
+    Endpoint(0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+    BasisEndpoint(0.0, 1.0, ()),
     WKBBasis(1.0, 1j, -1j, 1j, -1j, -1 + 0j, -1 + 0j, -2j, -2j),
     STATE,
     StepRecord(0, 0.0, 0.1, "WKB", 0.0, 1.0, STATE),
@@ -607,3 +606,11 @@ def test_trial_records_are_slotted(record):
     assert "__slots__" in vars(type(record))
     assert not hasattr(record, "__dict__")
     assert not type(record).__dataclass_params__.frozen
+
+
+def test_each_scheme_record_holds_only_its_own_fields():
+    # The transform record has no basis, and the basis-fit record has no
+    # U factors and no b_k coefficients.
+    assert [f.name for f in fields(Endpoint)] == [
+        "x", "root4", "shift", "b", "b0", "b1", "b2", "b3"]
+    assert [f.name for f in fields(BasisEndpoint)] == ["x", "a", "basis"]

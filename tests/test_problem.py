@@ -78,7 +78,7 @@ def test_poly_reproduces_benchmarks():
 
 def test_constant_field_b_vanishes():
     p = make_polynomial_problem([1.0], 1.0, (0.0, 1.0))
-    assert eval_bk(p, 0.5).bk.b == 0.0
+    assert eval_bk(p, 0.5).b == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +107,7 @@ def test_airy_b_at_one():
     second = fd_derivative(lambda x: fd_derivative(quarter, x, 1e-3), 1.0, 1e-3)
     oracle = -second / (2.0 * 1.0 ** 0.25)
     assert oracle == pytest.approx(-0.15625, rel=1e-6)
-    assert eval_bk(p, 1.0).bk.b == pytest.approx(-5.0 / 32.0, rel=1e-12)
+    assert eval_bk(p, 1.0).b == pytest.approx(-5.0 / 32.0, rel=1e-12)
 
 
 def test_airy_phase_antiderivative_consistency():
@@ -159,7 +159,7 @@ def test_pcf_b_at_center():
     second = fd_derivative(lambda x: fd_derivative(quarter, x, 1e-3), 1.0, 1e-3)
     oracle = -second / (2.0 * 0.5 ** 0.25)
     assert oracle == pytest.approx(-math.sqrt(2.0) / 4.0, rel=1e-6)
-    assert eval_bk(p, 1.0).bk.b == pytest.approx(-math.sqrt(2.0) / 4.0, rel=1e-12)
+    assert eval_bk(p, 1.0).b == pytest.approx(-math.sqrt(2.0) / 4.0, rel=1e-12)
 
 
 def test_pcf_phase_antiderivative_consistency():
@@ -190,9 +190,12 @@ def test_pcf_origin_overflow_is_value_error(eps):
         make_pcf_problem(eps)
 
 
-@pytest.mark.parametrize("eps", [math.nan, math.inf, -0.5])
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -0.5, 0.0])
 def test_non_finite_epsilon_is_value_error(eps):
-    for make in (make_airy_problem, make_pcf_problem):
+    # The polynomial factory's default initial data divides by epsilon, so
+    # it checks epsilon first, as the others do.
+    for make in (make_airy_problem, make_pcf_problem,
+                 lambda e: make_polynomial_problem([1.0], e, (0.0, 1.0))):
         with pytest.raises(ValueError, match="epsilon"):
             make(eps)
 

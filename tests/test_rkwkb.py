@@ -72,7 +72,7 @@ def test_basis_constant_coefficient_proportionality():
     p = make_polynomial_problem([4.0], 1.0, (0.0, 10.0))
     # theta = (phase(1) - phase(0))/eps = 2 with the phase gauged at 0.
     (_, f2, _, d2f2), (_, f3, _, d2f3) = bases(p, 1.0, 2.0)
-    factor = math.exp(eval_bk(p, 1.0).bk.b / (2.0 * math.sqrt(4.0)))
+    factor = math.exp(eval_bk(p, 1.0).b / (2.0 * math.sqrt(4.0)))
     assert f3[0] == pytest.approx(factor * f2[0], rel=1e-14)
     for f, d2f in ((f2, d2f2), (f3, d2f3)):
         residual = abs(d2f[0] + 4.0 * f[0])

@@ -51,12 +51,12 @@ def sympy_bk_tables(a_expr, x0, eps_val):
 # ---------------------------------------------------------------------------
 
 def test_b_airy_values(airy1):
-    assert eval_bk(airy1, 1.0).bk.b == pytest.approx(-0.15625, rel=1e-14)
-    assert eval_bk(airy1, 4.0).bk.b == pytest.approx(-5.0 / 1024.0, rel=1e-14)
+    assert eval_bk(airy1, 1.0).b == pytest.approx(-0.15625, rel=1e-14)
+    assert eval_bk(airy1, 4.0).b == pytest.approx(-5.0 / 1024.0, rel=1e-14)
 
 
 def test_b_pcf_center(pcf6):
-    assert eval_bk(pcf6, 1.0).bk.b == pytest.approx(-math.sqrt(2.0) / 4.0, rel=1e-14)
+    assert eval_bk(pcf6, 1.0).b == pytest.approx(-math.sqrt(2.0) / 4.0, rel=1e-14)
 
 
 def test_b_jet_carries_a_and_sqrt_a(pcf6):
@@ -67,7 +67,7 @@ def test_b_jet_carries_a_and_sqrt_a(pcf6):
     assert a[2] == 0.5 * tower[2]
     assert s[0] == pytest.approx(math.sqrt(a[0]), rel=1e-15)
     assert np.allclose(np.convolve(s, s)[:4], a, rtol=1e-14, atol=1e-15)
-    assert bj[0] == eval_bk(pcf6, 0.7).bk.b
+    assert bj[0] == eval_bk(pcf6, 0.7).b
 
 
 @pytest.mark.parametrize("x", [0.3, 0.7, 1.6])
@@ -93,29 +93,29 @@ def test_b_jet_phase_derivative_and_guard(pcf6):
 
 def test_b_constant_zero():
     p = make_polynomial_problem([7.0], 1.0, (0.0, 1.0))
-    assert eval_bk(p, 0.3).bk.b == 0.0
+    assert eval_bk(p, 0.3).b == 0.0
 
 
 def test_bk_constant_zero():
     p = make_polynomial_problem([7.0], 1.0, (0.0, 1.0))
-    t = eval_bk(p, 0.3).bk
+    t = eval_bk(p, 0.3)
     assert (t.b, t.b0, t.b1, t.b2, t.b3) == (0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 def test_bk_airy_b0_value(airy1):
     # b0(1) = b / (2 (sqrt(a) - eps^2 b)) = (-5/32) / (2 (1 + 5/32)).
-    assert eval_bk(airy1, 1.0).bk.b0 == pytest.approx(-5.0 / 74.0, rel=1e-14)
+    assert eval_bk(airy1, 1.0).b0 == pytest.approx(-5.0 / 74.0, rel=1e-14)
 
 
 def test_bk_small_eps_limit():
     p = make_airy_problem(1e-8)
-    assert eval_bk(p, 1.0).bk.b0 == pytest.approx(-5.0 / 64.0, rel=1e-12)
+    assert eval_bk(p, 1.0).b0 == pytest.approx(-5.0 / 64.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("x0", [0.8, 2.5, 17.3])
 def test_bk_airy_vs_sympy(airy1, x0):
     oracle = sympy_bk_tables(lambda x: x, x0, 1.0)
-    t = eval_bk(airy1, x0).bk
+    t = eval_bk(airy1, x0)
     assert t.b == pytest.approx(oracle[0], rel=1e-12)
     for got, want in zip((t.b0, t.b1, t.b2, t.b3), oracle[1:]):
         assert got == pytest.approx(want, rel=1e-11, abs=1e-18)
@@ -124,7 +124,7 @@ def test_bk_airy_vs_sympy(airy1, x0):
 @pytest.mark.parametrize("x0", [0.3, 1.0, 1.6])
 def test_bk_pcf_vs_sympy(pcf6, x0):
     oracle = sympy_bk_tables(lambda x: -x ** 2 / 2 + x, x0, 2.0 ** -6)
-    t = eval_bk(pcf6, x0).bk
+    t = eval_bk(pcf6, x0)
     assert t.b == pytest.approx(oracle[0], rel=1e-12)
     for got, want in zip((t.b0, t.b1, t.b2, t.b3), oracle[1:]):
         assert got == pytest.approx(want, rel=1e-11, abs=1e-18)
@@ -248,15 +248,17 @@ def test_U_round_trip(phi, dphi, x):
 def test_to_Z_zero_phase(airy1):
     z = to_Z((1.0 + 0.0j, 0.0j))
     # Z is formed with the phase a step reaches over no distance: the
-    # rotation it carries has the bits of exp(i theta1) of the step [x, x].
+    # rotation of the step [x, x] has the bits of exp(i theta1) and of 1,
+    # the oscillation factor Z carries where it is formed.
     end = eval_bk(airy1, 1.0)
-    theta1 = assemble_step_matrices(airy1, PhaseProvider(airy1, "exact"),
-                                    end, end)[3]
+    prov = PhaseProvider(airy1, "exact")
+    theta1 = assemble_step_matrices(airy1, prov, end, end)[3]
     rot = cmath.exp(1j * theta1)
-    assert (z.rot.real.hex(), z.rot.imag.hex()) == (rot.real.hex(),
-                                                    rot.imag.hex())
-    assert z.z1 == pytest.approx(1j / math.sqrt(2.0), abs=1e-15)
-    assert z.z2 == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-15)
+    step_rot = wkb_step_pair(airy1, prov, end, end, z)[2]
+    assert (step_rot.real.hex(), step_rot.imag.hex()) == (
+        rot.real.hex(), rot.imag.hex()) == ((1.0).hex(), (0.0).hex())
+    assert z[0] == pytest.approx(1j / math.sqrt(2.0), abs=1e-15)
+    assert z[1] == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-15)
 
 
 @settings(deadline=None, derandomize=True, max_examples=40)
@@ -265,9 +267,9 @@ def test_Z_norm_and_round_trip(u1, u2, x):
     p = make_airy_problem(1.0)
     z = to_Z((u1, u2))
     norm = math.hypot(abs(u1), abs(u2))
-    assert math.hypot(abs(z.z1), abs(z.z2)) == pytest.approx(norm, rel=1e-13)
+    assert math.hypot(abs(z[0]), abs(z[1])) == pytest.approx(norm, rel=1e-13)
     end = eval_bk(p, x)
-    back = to_U(p, end, from_Z(p, end, z))
+    back = to_U(p, end, from_Z(p, end, z, 1 + 0j))
     assert max(abs(back[0] - u1), abs(back[1] - u2)) <= 1e-13 * norm
 
 
@@ -294,9 +296,9 @@ def test_constant_coefficient_step_is_identity():
     st_ = WaveState(0.0, 0.3 + 0.4j, -0.2 + 0.9j)
     left = eval_bk(p, 0.0)
     z0 = to_Z(to_U(p, left, st_))
-    z1, z2 = wkb_step_pair(p, prov, left, eval_bk(p, 7.0), z0)
-    assert (z1.z1, z1.z2) == (z0.z1, z0.z2)
-    assert (z2.z1, z2.z2) == (z0.z1, z0.z2)
+    z1, z2, _ = wkb_step_pair(p, prov, left, eval_bk(p, 7.0), z0)
+    assert z1 == z0
+    assert z2 == z0
 
 
 def z_reference(problem, z0, x0, x1):
@@ -326,10 +328,11 @@ def test_one_step_defect_orders(airy1):
     z0 = to_Z(to_U(airy1, left, airy1.exact(x0)))
     defects = {1: [], 2: []}
     for h in (0.0625, 0.03125, 0.015625):
-        zref = z_reference(airy1, np.array([z0.z1, z0.z2]), x0, x0 + h)
-        z1, z2 = wkb_step_pair(airy1, prov, left, eval_bk(airy1, x0 + h), z0)
-        defects[1].append(max(abs(z1.z1 - zref[0]), abs(z1.z2 - zref[1])))
-        defects[2].append(max(abs(z2.z1 - zref[0]), abs(z2.z2 - zref[1])))
+        zref = z_reference(airy1, np.array(z0), x0, x0 + h)
+        z1, z2, _ = wkb_step_pair(airy1, prov, left, eval_bk(airy1, x0 + h),
+                                  z0)
+        defects[1].append(max(abs(z1[0] - zref[0]), abs(z1[1] - zref[1])))
+        defects[2].append(max(abs(z2[0] - zref[0]), abs(z2[1] - zref[1])))
     # Halving h cuts the defect by >= 3.5 (first order) and >= 7 (second).
     for coarse, fine in zip(defects[1], defects[1][1:]):
         assert coarse / fine >= 3.5
@@ -355,8 +358,8 @@ def test_pcf_step_matches_reference(pcf6):
     prov = PhaseProvider(pcf6, "exact")
     left, right = eval_bk(pcf6, 0.9), eval_bk(pcf6, 1.0)
     z0 = to_Z(to_U(pcf6, left, st0))
-    _, z2 = wkb_step_pair(pcf6, prov, left, right, z0)
-    got = from_Z(pcf6, right, z2)
+    _, z2, rot = wkb_step_pair(pcf6, prov, left, right, z0)
+    got = from_Z(pcf6, right, z2, rot)
     ex = pcf6.exact(1.0)
     assert abs(got.phi - ex.phi) / abs(ex.phi) < 1e-5
     assert abs(got.dphi - ex.dphi) / abs(ex.dphi) < 1e-5

@@ -44,12 +44,23 @@ one JSON object:
 * `march`: `march_fixed_grid` on Airy eps 1 over 9 equally spaced points
   of [1, 2], orders 1 and 2, both phase modes; each node as float.hex of
   (x, phi, phi').
+* `estimator`: a sha256 (first 16 hex digits) over float.hex of every
+  float of the rows (strings as they are), or the name of the error
+  raised, for
+  - `hsweep/<tag>/<phase>`: `estimator_h_sweep` on Airy eps 1 from
+    x0 = 10 over 13 geometric h in [1e-3, 1], for the tags `WKB`, `RKWKB`
+    and `RKF45` in both phase modes;
+  - `study/<method>/<phase>`: `estimator_study` on Airy eps 1 on
+    [0.1, 50] at Tol 1e-6 from h0 0.5, for `wkb+rkf45` and `rkwkbmod` in
+    both phase modes.
+  Both restart single steps from the exact solution through
+  `control._pair`, as `integrate` steps.
 
 `--against DIR` runs the same on DIR in a fresh interpreter and prints,
 per key, whether the two agree; for the march, the number of nodes that
 moved and the largest relative move |d phi| / |phi| and |d phi'| / |phi'|.
-It exits 1 when an `integrate`, a `verify` or a `reference` fingerprint
-differs or a `march` node moved.
+It exits 1 when an `integrate`, a `verify`, a `reference` or an
+`estimator` fingerprint differs or a `march` node moved.
 """
 
 from __future__ import annotations
@@ -67,6 +78,9 @@ SEEDS = (0, 1, 2)
 LONG_STRIDE = 16
 METHODS = ("wkb+rkf45", "rkwkbmod", "rkf45")
 PHASES = ("exact", "cc")
+# Single-step sizes of the `estimator` h sweep: 13 geometric in [1e-3, 1].
+SWEEP_H = tuple(10.0 ** (j / 4 - 3) for j in range(13))
+SWEEP_TAGS = ("WKB", "RKWKB", "RKF45")
 # Points of the `reference` key: Airy eps 1 (t = x) on both sides of the
 # seam at t = 50, and PCF eps 2^-6 inside its interval.
 AIRY_POINTS = (0.0, 0.1, 1.0, 17.3, 49.99, 50.0, 50.00000000000001, 50.1,
@@ -86,9 +100,10 @@ def collect(root: Path) -> dict:
     sys.path[:0] = [str(root / "src"), str(root / "bench")]
     from workloads import WORKLOADS
     from wkbmarch import (SolverConfig, SolverError, WaveState,
-                          global_error, integrate, make_airy_problem,
-                          make_pcf_problem, make_polynomial_problem,
-                          march_fixed_grid, reference)
+                          estimator_h_sweep, estimator_study, global_error,
+                          integrate, make_airy_problem, make_pcf_problem,
+                          make_polynomial_problem, march_fixed_grid,
+                          reference)
 
     def solve(problem, config):
         """The trajectory, or the name of the error raised."""
@@ -176,8 +191,30 @@ def collect(root: Path) -> dict:
                 [s.x.hex(), s.phi.real.hex(), s.phi.imag.hex(),
                  s.dphi.real.hex(), s.dphi.imag.hex()]
                 for s in march_fixed_grid(airy, xs, order, phase)]
+
+    def audit(fn, *args) -> str:
+        """The digest of fn's rows, or the name of the error raised."""
+        try:
+            rows = fn(*args)
+        except (SolverError, ValueError) as exc:
+            return type(exc).__name__
+        return _digest([v.hex() if isinstance(v, float) else v
+                        for v in row] for row in rows)
+
+    estimator = {}
+    for phase in PHASES:
+        for tag in SWEEP_TAGS:
+            estimator[f"hsweep/{tag}/{phase}"] = audit(
+                estimator_h_sweep, problems["airy"][0], 10.0, SWEEP_H, tag,
+                phase)
+        # An rkf45 run has no oscillatory step to audit.
+        for method in ("wkb+rkf45", "rkwkbmod"):
+            estimator[f"study/{method}/{phase}"] = audit(
+                estimator_study, problems["airy"][0],
+                SolverConfig(tol=1e-6, h0=0.5, method=method, phase=phase))
     return {"integrate": prints, "verify": verified,
-            "reference": reference_states, "march": march}
+            "reference": reference_states, "march": march,
+            "estimator": estimator}
 
 
 def _complex(re_hex: str, im_hex: str) -> complex:
@@ -186,18 +223,11 @@ def _complex(re_hex: str, im_hex: str) -> complex:
 
 def compare(mine: dict, theirs: dict) -> int:
     differs = 0
-    for key, value in mine["integrate"].items():
-        same = theirs["integrate"].get(key) == value
-        differs += not same
-        print(f"integrate {key}: {'same' if same else 'DIFFERS'}")
-    for key, value in mine["verify"].items():
-        same = theirs["verify"].get(key) == value
-        differs += not same
-        print(f"verify {key}: {'same' if same else 'DIFFERS'}")
-    for key, value in mine["reference"].items():
-        same = theirs["reference"].get(key) == value
-        differs += not same
-        print(f"reference {key}: {'same' if same else 'DIFFERS'}")
+    for kind in ("integrate", "verify", "reference", "estimator"):
+        for key, value in mine[kind].items():
+            same = theirs[kind].get(key) == value
+            differs += not same
+            print(f"{kind} {key}: {'same' if same else 'DIFFERS'}")
     for key, nodes in mine["march"].items():
         moved, rel_phi, rel_dphi = 0, 0.0, 0.0
         for a, b in zip(nodes, theirs["march"][key]):
