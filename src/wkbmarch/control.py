@@ -20,8 +20,11 @@ turning points. A pair with a non-finite member or estimate scores the
 same way, so a NaN or Inf is never accepted and never enlarges the step.
 The controller constants are the paper's fixed values.
 
-`integrate` scores each candidate as soon as its pair returns and keeps
-only the running winner, in one pass per trial.
+Every pair kernel returns four bare complex scalars, phi and phi' of the
+low member and then of the high one. `integrate` scores them where they
+land, with the rule written out, keeps only the running winner, and builds
+one `WaveState` per accepted step; `estimate_error` and `proposal_factor`
+are the rule's reference form, which the estimator audits use.
 
 The run owns one record per grid point (`_endpoint`, from the builder it
 chooses once): the flat `wkb_core.Endpoint` of the transform scheme, or
@@ -180,14 +183,14 @@ def _endpoint(build, problem, x: float):
 
 
 def _pair(tag: str, problem, provider, state: WaveState, h: float, left,
-          right) -> tuple[WaveState, WaveState]:
-    """The (low, high) members of one method's embedded pair from `state`:
-    the oscillatory schemes step from record `left` to `right`, RKF45 by h."""
+          right) -> tuple[complex, complex, complex, complex]:
+    """(phi_low, dphi_low, phi_high, dphi_high) of one method's pair from
+    `state`: oscillatory schemes step from `left` to `right`, RKF45 by h."""
     if tag == TAG_WKB:
         z_low, z_high, rot = wkb_step_pair(problem, provider, left, right,
                                            to_Z(to_U(problem, left, state)))
-        return (from_Z(problem, right, z_low, rot),
-                from_Z(problem, right, z_high, rot))
+        return (from_Z(problem, right, z_low, rot)
+                + from_Z(problem, right, z_high, rot))
     if tag == TAG_RKWKB:
         return rkwkb_step(problem, provider, left, right, state)
     return rkf45_step(problem, state, h)
@@ -213,7 +216,8 @@ def integrate(problem, config: SolverConfig) -> Trajectory:
         problem, config.phase)
     tags = CANDIDATES[config.method]
     build = _builder(tags[0])  # the first tag's records are kept
-    atol, rtol = config.atol, config.tol
+    cands = [(tag, 1.0 / (ORDER_K[tag] + 1)) for tag in tags]  # 1/(k+1)
+    atol, rtol, inf = config.atol, config.tol, math.inf
     x, x_end = problem.x_start, problem.x_end
     state = problem.initial
     left = _endpoint(build, problem, x)
@@ -231,36 +235,40 @@ def integrate(problem, config: SolverConfig) -> Trajectory:
         x1 = x_end if clamped else x + h
         right = _endpoint(build, problem, x1)
 
-        # The running winner: its high member, tag, estimate, theta and
-        # verdict. With no candidate scored the trial is rejected and the
-        # step shrinks by THETA_MIN.
+        # The running winner's high member, tag, estimate, theta and
+        # verdict; with none scored, the step shrinks by THETA_MIN.
         theta = THETA_MIN
         accepted = False
-        for tag in tags:
+        for tag, power in cands:
             if tag != TAG_RKF45 and (left is None or right is None):
                 continue
             try:
-                y_low, y_high = _pair(tag, problem, provider, state, h, left,
-                                      right)
+                phi_low, dphi_low, phi, dphi = _pair(
+                    tag, problem, provider, state, h, left, right)
             except (WKBInadmissibleError, SolverError):
                 continue
-            est = estimate_error(y_low, y_high)
-            if not math.isfinite(est):
+            # `estimate_error`, the blended tolerance and `proposal_factor`;
+            # a NaN or Inf in either member leaves the difference non-finite.
+            d_phi, d_dphi = abs(phi_low - phi), abs(dphi_low - dphi)
+            if not (d_phi < inf and d_dphi < inf):
                 continue
-            tol = atol + rtol * y_high.sup_norm()
-            th = proposal_factor(est, tol, ORDER_K[tag])
+            est = d_dphi if d_dphi > d_phi else d_phi
+            a_phi, a_dphi = abs(phi), abs(dphi)
+            tol = atol + rtol * (a_dphi if a_dphi > a_phi else a_phi)
+            th = SAFETY * (tol / est) ** power if est else THETA_MAX
+            th = ((th if th > THETA_MIN else THETA_MIN) if th < THETA_MAX
+                  else THETA_MAX)
             ok = est <= tol
             # An accepted candidate beats a rejected one, then the larger
             # theta wins; a tie keeps the earlier tag.
             if not (ok > accepted or ok == accepted and th > theta):
                 continue
-            won, tag_won, est_won, theta, accepted = y_high, tag, est, th, ok
+            phi_won, dphi_won, tag_won, est_won = phi, dphi, tag, est
+            theta, accepted = th, ok
 
         if accepted:
-            state = won
-            if state.x != x1:  # RKF45 lands at x + h, off a clamped x_end
-                state = WaveState(x1, state.phi, state.dphi)
             x = x1
+            state = WaveState(x, complex(phi_won), complex(dphi_won))
             left = right
             records.append(StepRecord(len(records), x, h, tag_won, est_won,
                                       theta, state))
@@ -312,7 +320,7 @@ def march_fixed_grid(problem, xs, order: int = 2,
         except WKBInadmissibleError as exc:
             raise ValueError(f"{TAG_WKB} step [{left.x}, {right.x}] is "
                              f"inadmissible: {exc}") from exc
-        out.append(pair[order - 1])
+        out.append(WaveState(right.x, *pair[2 * order - 2:2 * order]))
     return out[1:]
 
 
@@ -329,12 +337,13 @@ def _audit(problem, tag: str, x0: float, h: float,
     provider = PhaseProvider(problem, phase)
     build = _builder(tag)
     try:
-        y_low, y_high = _pair(tag, problem, provider, problem.exact(x0), h,
-                              build(problem, x0), build(problem, x0 + h))
+        pair = _pair(tag, problem, provider, problem.exact(x0), h,
+                     build(problem, x0), build(problem, x0 + h))
     except WKBInadmissibleError as exc:
         raise ValueError(f"{tag} step [{x0}, {x0 + h}] is inadmissible: "
                          f"{exc}") from exc
-    est = estimate_error(y_low, y_high)
+    y_low = WaveState(x0 + h, *pair[:2])
+    est = estimate_error(y_low, WaveState(x0 + h, *pair[2:]))
     lte = estimate_error(y_low, problem.exact(x0 + h))
     return est, lte, abs(est - lte) / lte if lte > 0.0 else math.inf
 

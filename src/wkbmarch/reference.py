@@ -633,10 +633,12 @@ def global_error(trajectory, problem, norm: str = "sup"):
     """Global error of an accepted trajectory against the exact solution.
 
     norm="sup":   max over nodes of |phi_n - phi(x_n)| / |phi(x_n)|,
-                  skipping nodes where the exact value vanishes.
+                  skipping nodes where the exact value vanishes; nan when
+                  a node's error is nan.
     norm="l2rel": ||phi_n - phi(x_n)||_2 / ||phi(x_n)||_2 over the nodes.
 
-    The exact values of all nodes come from one exact_solution call.
+    The exact values of all nodes come from one exact_solution call. Both
+    norms raise ValueError when the exact solution vanishes at every node.
     """
     if norm not in ("sup", "l2rel"):
         raise ValueError(f"unknown norm {norm!r}")
@@ -645,11 +647,11 @@ def global_error(trajectory, problem, norm: str = "sup"):
         raise ValueError("empty trajectory")
     refs = exact_solution(problem, [s.x for s in states])
     if norm == "sup":
-        worst = 0.0
-        for s, ref in zip(states, refs):
-            if ref != 0:
-                worst = max(worst, abs(s.phi - ref) / abs(ref))
-        return worst
+        rel = [abs(s.phi - ref) / abs(ref)
+               for s, ref in zip(states, refs) if ref != 0]
+        if not rel:
+            raise ValueError("exact solution vanishes on all nodes")
+        return math.nan if any(map(math.isnan, rel)) else max(rel)
     denom = math.hypot(*(abs(r) for r in refs))
     if denom == 0.0:
         raise ValueError("exact solution vanishes on all nodes")

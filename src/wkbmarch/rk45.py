@@ -2,7 +2,8 @@
 
 The step acts directly on Y = (phi, phi') with phi'' = -a(x) phi / eps^2,
 using the classical six-stage Fehlberg tableau, and returns the embedded
-pair of 4th- and 5th-order results for the error controller. Near turning
+pair of 4th- and 5th-order results for the error controller as four bare
+complex scalars, which the controller scores where they land. Near turning
 points the solution is smooth and this is the method of choice; in the
 oscillatory regime the controller hands over to the transformed steps.
 """
@@ -28,13 +29,12 @@ B51, B53, B54, B55, B56 = (16.0 / 135.0, 6656.0 / 12825.0,
                            28561.0 / 56430.0, -9.0 / 50.0, 2.0 / 55.0)
 
 
-def rkf45_step(problem, state: WaveState,
-               h: float) -> tuple[WaveState, WaveState]:
+def rkf45_step(problem, state: WaveState, h: float):
     """One Fehlberg 4(5) step of size h from `state`.
 
-    Returns (4th-order result, 5th-order result) at x + h. Raises
-    SolverError on a non-finite right-hand side (overflow or an invalid
-    coefficient evaluation).
+    Returns (phi4, dphi4, phi5, dphi5), the 4th- and 5th-order results at
+    x + h. Raises SolverError on a non-finite right-hand side (overflow or
+    an invalid coefficient evaluation).
     """
     if h <= 0.0:
         raise ValueError("step size must be positive")
@@ -72,14 +72,9 @@ def rkf45_step(problem, state: WaveState,
                         + w5 * k5) * inv_eps2)
     if not (isfinite(k6) and isfinite(l6)):
         raise SolverError(f"non-finite right-hand side near x={xi}")
-    x1 = x0 + h
-    return (WaveState(x1, complex(phi0 + h * (0.0 + B41 * k1 + B43 * k3
-                                              + B44 * k4 + B45 * k5)),
-                      complex(dphi0 + h * (0.0 + B41 * l1 + B43 * l3
-                                           + B44 * l4 + B45 * l5))),
-            WaveState(x1, complex(phi0 + h * (0.0 + B51 * k1 + B53 * k3
-                                              + B54 * k4 + B55 * k5
-                                              + B56 * k6)),
-                      complex(dphi0 + h * (0.0 + B51 * l1 + B53 * l3
-                                           + B54 * l4 + B55 * l5
-                                           + B56 * l6))))
+    return (phi0 + h * (0.0 + B41 * k1 + B43 * k3 + B44 * k4 + B45 * k5),
+            dphi0 + h * (0.0 + B41 * l1 + B43 * l3 + B44 * l4 + B45 * l5),
+            phi0 + h * (0.0 + B51 * k1 + B53 * k3 + B54 * k4 + B55 * k5
+                        + B56 * k6),
+            dphi0 + h * (0.0 + B51 * l1 + B53 * l3 + B54 * l4 + B55 * l5
+                         + B56 * l6))

@@ -11,9 +11,9 @@ differences two basis orders rather than two h-orders. Both orders are
 built from the same jets of a, sqrt(a) and b, so `wkb_basis` puts both
 bases, each with the left-end part of its fit, in one `BasisEndpoint`
 record per point, and `rkwkb_step` returns the two steps (order 2,
-order 3). Each step gauges the phase at its start point; the fitted
-coefficients absorb the constant offset, so only the step's own increment
-is applied.
+order 3) as bare complex scalars (phi2, dphi2, phi3, dphi3). Each step
+gauges the phase at its start point; the fitted coefficients absorb the
+constant offset, so only the step's own increment is applied.
 """
 
 from __future__ import annotations
@@ -107,12 +107,12 @@ def wkb_basis(problem, x: float) -> BasisEndpoint:
 
 
 def rkwkb_step(problem, provider: PhaseProvider, left: BasisEndpoint,
-               right: BasisEndpoint,
-               state: WaveState) -> tuple[WaveState, WaveState]:
+               right: BasisEndpoint, state: WaveState):
     """One basis-fit step from `state` at left.x to right.x, per order.
 
-    Returns (order-2 result, order-3 result). phi'' at the start is taken
-    from the differential equation itself, with a(x0) from `left`.
+    Returns (phi2, dphi2, phi3, dphi3), the order-2 and order-3 results.
+    phi'' at the start is taken from the differential equation itself,
+    with a(x0) from `left`.
     """
     x0, x1 = left.x, right.x
     if x1 <= x0:
@@ -134,13 +134,13 @@ def rkwkb_step(problem, provider: PhaseProvider, left: BasisEndpoint,
     dp = (ddphi * b2.df_minus - dphi * b2.d2f_minus) / b2.den_df
     dm = -(ddphi * b2.df_plus - dphi * b2.d2f_plus) / b2.den_df
     fp, fm = r2.amp * osc1, r2.amp / osc1
-    order2 = WaveState(x1, gp * fp + gm * fm,
-                       dp * (r2.lp_plus * fp) + dm * (r2.lp_minus * fm))
+    phi2 = gp * fp + gm * fm
+    dphi2 = dp * (r2.lp_plus * fp) + dm * (r2.lp_minus * fm)
     v = dphi * b3.amp
     gp = (v - phi * b3.df_minus) / b3.den_f
     gm = -(v - phi * b3.df_plus) / b3.den_f
     dp = (ddphi * b3.df_minus - dphi * b3.d2f_minus) / b3.den_df
     dm = -(ddphi * b3.df_plus - dphi * b3.d2f_plus) / b3.den_df
     fp, fm = r3.amp * osc1, r3.amp / osc1
-    return order2, WaveState(x1, gp * fp + gm * fm, dp * (r3.lp_plus * fp)
-                             + dm * (r3.lp_minus * fm))
+    return (phi2, dphi2, gp * fp + gm * fm,
+            dp * (r3.lp_plus * fp) + dm * (r3.lp_minus * fm))

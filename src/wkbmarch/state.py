@@ -36,6 +36,3 @@ class WaveState:
     x: float
     phi: complex
     dphi: complex
-
-    def sup_norm(self) -> float:
-        return max(abs(self.phi), abs(self.dphi))

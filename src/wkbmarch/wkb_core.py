@@ -14,7 +14,8 @@ exp(-i phase/eps) is 1; the step's increment theta1 = s/eps modulo 2*pi is
 the phase at its end, and `from_Z` rotates back by rot = exp(i theta1),
 which `wkb_step_pair` forms once for both orders. The scheme does not
 depend on where the phase is referenced, so no phase is carried between
-steps.
+steps. `from_Z` and `from_U` return (phi, phi') as bare complex scalars,
+and the controller builds a `WaveState` only for a step it accepts.
 
 Everything a step reads at a grid point x sits in one flat `Endpoint`
 record, which `control.integrate` builds once per grid point (`eval_bk`);
@@ -215,12 +216,10 @@ def to_U(problem, end: Endpoint, state: WaveState) -> tuple[complex, complex]:
     return u1, u2
 
 
-def from_U(problem, end: Endpoint, U) -> WaveState:
-    """Inverse of to_U at end.x."""
+def from_U(problem, end: Endpoint, U) -> tuple[complex, complex]:
+    """Inverse of to_U at end.x: (phi, phi')."""
     u1, u2 = U
-    phi = u1 / end.root4
-    dphi = u2 * end.root4 / problem.epsilon - end.shift * u1
-    return WaveState(end.x, complex(phi), complex(dphi))
+    return u1 / end.root4, u2 * end.root4 / problem.epsilon - end.shift * u1
 
 
 def to_Z(U) -> tuple[complex, complex]:
@@ -230,9 +229,9 @@ def to_Z(U) -> tuple[complex, complex]:
     return (1j * u1 + u2) / SQRT2, (1j * u2 + u1) / SQRT2
 
 
-def from_Z(problem, end: Endpoint, Z, rot: complex) -> WaveState:
-    """Z at end.x -> (phi, phi'), using U = P^H exp(i theta) Z with
-    rot = exp(i theta)."""
+def from_Z(problem, end: Endpoint, Z, rot: complex):
+    """Z at end.x -> the scalars (phi, phi'), using U = P^H exp(i theta) Z
+    with rot = exp(i theta)."""
     z1, z2 = Z
     w1 = rot * z1
     w2 = z2 / rot

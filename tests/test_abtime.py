@@ -1,0 +1,47 @@
+"""tools/abtime.py times two checkouts side by side in one process.
+
+An A/A run of this checkout against itself must load the package twice,
+under separate module objects, time every row on both sides and report a
+positive ratio per round. The run swaps `wkbmarch*` entries of
+`sys.modules`, so the test puts back the ones the session imported.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "abtime.py"
+ROWS = {f"{w}/{kind}" for w in ("airy-mixed", "pcf-rival", "long-cc")
+        for kind in ("integrate", "global_error")} | {
+    "eval_bk", "wkb_pair", "rkf45_step", "wkb_basis", "rkwkb_step"}
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("abtime", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_aa_run_times_every_row_on_separate_packages(monkeypatch):
+    abtime = load_tool()
+    root = TOOL.parents[1]
+    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
+    monkeypatch.setattr(abtime, "SAMPLE_S", 1e-3)
+    saved = {n: m for n, m in sys.modules.items()
+             if n.split(".")[0] in ("wkbmarch", "workloads")}
+    try:
+        first = abtime.load(root)
+        second = abtime.load(root)
+        assert first["wkbmarch.control"] is not second["wkbmarch.control"]
+        out = abtime.run(root, root, rounds=2)
+    finally:
+        for name in [n for n in sys.modules
+                     if n.split(".")[0] in ("wkbmarch", "workloads")]:
+            del sys.modules[name]
+        sys.modules.update(saved)
+    assert set(out["rows"]) == ROWS
+    for row in out["rows"].values():
+        assert row["rounds"] == len(row["ratios"]) == 2
+        assert all(q > 0.0 for q in row["ratios"])
+        assert 0 <= row["rounds_won"] <= 2

@@ -8,19 +8,27 @@ both ends' bases and solves both fits of each order inside its loop, and a
 theta1. `b_jet`, `eval_bk`, `wkb_basis`, `rkwkb_step`, `rkf45_step` and the
 WKB step pair unroll or share the same arithmetic in the same order, so
 every result must carry the same IEEE bits, signed zeros included, and
-every input must raise in both or in neither.
+every input must raise in both or in neither. The pair kernels return four
+bare complex scalars (phi and phi' of the low member, then of the high
+one), and the oracles return the same four.
 
-`integrate` scores its candidates in one pass per trial. It must give the
-same records, bit for bit, as the driver it replaced (`generic_integrate`),
-which built one `Candidate` record per candidate and chose in a second
+`integrate` scores its candidates in one pass per trial, with the rule
+written out where each pair's scalars land. It must give the same records,
+bit for bit, as the driver it replaced (`generic_integrate`), which built
+one `WaveState` per member and one `Candidate` record per candidate, scored
+them through `estimate_error` and `proposal_factor`, and chose in a second
 selection pass.
 
-The per-trial records are slotted dataclasses; a test here keeps them so.
+The per-trial records are slotted dataclasses, and `integrate` builds one
+`WaveState` and one `StepRecord` per accepted step; tests here keep both.
 """
 
 import cmath
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass, fields, is_dataclass
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -40,6 +48,7 @@ from wkbmarch.wkb_core import (PHASE_DERIV_GUARD, SQRT2, Endpoint,
                                from_Z, phase_rates, to_U, to_Z, wkb_step_pair)
 
 FACTORIALS = tuple(float(math.factorial(j)) for j in range(6))
+WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +224,8 @@ def generic_rkwkb_step(problem, provider, x0, x1, state):
         f1, df1, _ = basis1.at(osc1)
         phi_next = gamma_p * f1[0] + gamma_m * f1[1]
         dphi_next = delta_p * df1[0] + delta_m * df1[1]
-        out.append(WaveState(x1, complex(phi_next), complex(dphi_next)))
-    return out[0], out[1]
+        out += complex(phi_next), complex(dphi_next)
+    return tuple(out)
 
 
 def package_rkwkb_step(problem, provider, x0, x1, state):
@@ -257,12 +266,11 @@ def tableau_rkf45_step(problem, state, h):
         k_dphi.append(ddphi)
 
     def combine(weights):
-        return WaveState(
-            x0 + h,
+        return (
             complex(phi0 + h * sum(b * k for b, k in zip(weights, k_phi))),
             complex(dphi0 + h * sum(b * k for b, k in zip(weights, k_dphi))))
 
-    return combine(B4), combine(B5)
+    return combine(B4) + combine(B5)
 
 
 def reference_from_Z(problem, end, z, theta1, _):
@@ -284,7 +292,8 @@ def wkb_march(problem, h, convert):
     """Two transform step pairs from x_start, each from Z formed at its own
     start as in `control._pair`; every member is taken back to
     (phi, phi') by `convert`, given the step's phase theta1 as
-    `assemble_step_matrices` returns it and the pair's rotation."""
+    `assemble_step_matrices` returns it and the pair's rotation, and the
+    next step starts from the second-order member."""
     provider = PhaseProvider(problem, "cc")
     x = problem.x_start
     left = eval_bk(problem, x)
@@ -297,7 +306,7 @@ def wkb_march(problem, h, convert):
                                    to_Z(to_U(problem, left, state)))
         members = [convert(problem, right, zk, theta1, rot) for zk in pair]
         out += members
-        left, state = right, members[1]
+        left, state = right, WaveState(x1, *members[1])
     return out
 
 
@@ -450,7 +459,7 @@ def score(method, y_low, y_high, config, k):
     est = estimate_error(y_low, y_high)
     if not math.isfinite(est):
         return rejected(method)
-    tol = config.atol + config.tol * y_high.sup_norm()
+    tol = config.atol + config.tol * max(abs(y_high.phi), abs(y_high.dphi))
     return Candidate(method, est <= tol, proposal_factor(est, tol, k), est,
                      y_high)
 
@@ -472,10 +481,13 @@ def candidate(tag, problem, provider, state, h, left, right, config):
     if tag != TAG_RKF45 and (left is None or right is None):
         return rejected(tag)
     try:
-        y_low, y_high = control._pair(tag, problem, provider, state, h, left,
-                                      right)
+        pair = control._pair(tag, problem, provider, state, h, left, right)
     except (WKBInadmissibleError, SolverError):
         return rejected(tag)
+    # Each member as the state the kernels used to build: at x + h, with
+    # complex parts.
+    y_low, y_high = (WaveState(state.x + h, complex(phi), complex(dphi))
+                     for phi, dphi in (pair[:2], pair[2:]))
     return score(tag, y_low, y_high, config, ORDER_K[tag])
 
 
@@ -614,3 +626,33 @@ def test_each_scheme_record_holds_only_its_own_fields():
     assert [f.name for f in fields(Endpoint)] == [
         "x", "root4", "shift", "b", "b0", "b1", "b2", "b3"]
     assert [f.name for f in fields(BasisEndpoint)] == ["x", "a", "basis"]
+
+
+def load_workloads(monkeypatch):
+    """The bench's workload table, loaded from its file."""
+    spec = importlib.util.spec_from_file_location("bench_workloads",
+                                                  WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    # Its dataclass looks its own module up while the class is made.
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+@pytest.mark.parametrize("name", ["airy-mixed", "pcf-rival", "long-cc"])
+def test_integrate_builds_one_state_and_record_per_accepted_step(
+        monkeypatch, name):
+    # The pair kernels hand back bare scalars: a trial builds no state per
+    # candidate member, and a rejected trial builds neither record.
+    workload = load_workloads(monkeypatch)[name]
+    problem = workload.make_problem()
+    config = workload.config(workload.h0_factors(0)[0])
+    built = {WaveState: 0, StepRecord: 0}
+    for cls in built:
+        def counted(self, *args, _cls=cls, _init=cls.__init__, **kwargs):
+            built[_cls] += 1
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted)
+    traj = integrate(problem, config)
+    assert traj.rejected > 0
+    assert built == {WaveState: traj.accepted, StepRecord: traj.accepted}

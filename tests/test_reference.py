@@ -742,6 +742,25 @@ def test_global_error_reads_no_derivative(monkeypatch, airy1, pcf6,
             assert global_error(traj, problem, "l2rel") == l2rel
 
 
+def test_global_error_nan_node_reads_nan(airy1):
+    # A NaN node is not skipped by the sup norm: wherever it sits, both
+    # norms read nan.
+    good = [airy1.exact(x) for x in (0.5, 1.0, 2.0)]
+    bad = WaveState(1.5, complex(math.nan, 0.0), 0j)
+    for states in ([bad, *good], [good[0], bad, *good[1:]], [*good, bad]):
+        assert math.isnan(global_error(states, airy1, "sup"))
+        assert math.isnan(global_error(states, airy1, "l2rel"))
+
+
+def test_global_error_vanishing_exact_solution_raises(airy1):
+    # With no node left to measure, the sup norm raises as l2rel does.
+    zero = dataclasses.replace(airy1, exact=lambda x: WaveState(x, 0j, 0j))
+    states = [airy1.exact(x) for x in (0.5, 1.0)]
+    for norm in ("sup", "l2rel"):
+        with pytest.raises(ValueError, match="vanishes on all nodes"):
+            global_error(states, zero, norm)
+
+
 def test_global_error_unknown_norm(airy1):
     with pytest.raises(ValueError):
         global_error([airy1.exact(1.0)], airy1, "max")

@@ -16,15 +16,22 @@ def plane_wave_problem():
                                    initial=WaveState(0.0, 1.0 + 0.0j, 1.0j))
 
 
+def step(problem, state, h):
+    """rkf45_step's (phi4, dphi4, phi5, dphi5) as (y4, y5) at x + h."""
+    phi4, dphi4, phi5, dphi5 = rkf45_step(problem, state, h)
+    return (WaveState(state.x + h, phi4, dphi4),
+            WaveState(state.x + h, phi5, dphi5))
+
+
 def march(problem, state, h, n):
     for _ in range(n):
-        state = rkf45_step(problem, state, h)[1]
+        state = step(problem, state, h)[1]
     return state
 
 
 def march4(problem, state, h, n):
     for _ in range(n):
-        state = rkf45_step(problem, state, h)[0]
+        state = step(problem, state, h)[0]
     return state
 
 
@@ -32,16 +39,18 @@ def test_free_particle_exact():
     # a = 0 makes the solution linear in x; every RK stage is exact.
     p = make_polynomial_problem([0.0], 1.0, (0.0, 10.0),
                                 initial=WaveState(0.0, 1.0 + 0.0j, 2.0 + 1.0j))
-    y4, y5 = rkf45_step(p, p.initial, 0.7)
+    out = rkf45_step(p, p.initial, 0.7)
+    # Four bare complex scalars: phi and phi' of each order.
+    assert len(out) == 4 and all(type(v) is complex for v in out)
+    y4, y5 = step(p, p.initial, 0.7)
     expect = 1.0 + 0.7 * (2.0 + 1.0j)
     assert y4.phi == pytest.approx(expect, abs=1e-15)
     assert y5.phi == pytest.approx(expect, abs=1e-15)
-    assert y4.x == y5.x == 0.7
 
 
 def test_plane_wave_single_step():
     p = plane_wave_problem()
-    y4, y5 = rkf45_step(p, p.initial, 0.1)
+    y4, y5 = step(p, p.initial, 0.1)
     exact = cmath.exp(0.1j)
     assert abs(y5.phi - exact) <= 1e-9
     assert abs(y5.dphi - 1j * exact) <= 1e-9
@@ -80,9 +89,9 @@ def test_observed_global_orders():
                           allow_nan=False, allow_infinity=False))
 def test_linearity(alpha):
     p = plane_wave_problem()
-    base4, base5 = rkf45_step(p, p.initial, 0.2)
+    base4, base5 = step(p, p.initial, 0.2)
     scaled_state = WaveState(0.0, alpha * p.initial.phi, alpha * p.initial.dphi)
-    scaled4, scaled5 = rkf45_step(p, scaled_state, 0.2)
+    scaled4, scaled5 = step(p, scaled_state, 0.2)
     assert abs(scaled5.phi - alpha * base5.phi) <= 1e-14 * abs(alpha)
     assert abs(scaled4.dphi - alpha * base4.dphi) <= 1e-14 * abs(alpha)
 

@@ -43,9 +43,13 @@ def bases(problem, x, theta):
 
 
 def step(problem, provider, state, h):
-    """rkwkb_step from `state` over [state.x, state.x + h]."""
-    return rkwkb_step(problem, provider, wkb_basis(problem, state.x),
-                      wkb_basis(problem, state.x + h), state)
+    """rkwkb_step from `state` over [state.x, state.x + h], its
+    (phi2, dphi2, phi3, dphi3) as the (order 2, order 3) states."""
+    x1 = state.x + h
+    phi2, dphi2, phi3, dphi3 = rkwkb_step(
+        problem, provider, wkb_basis(problem, state.x), wkb_basis(problem, x1),
+        state)
+    return WaveState(x1, phi2, dphi2), WaveState(x1, phi3, dphi3)
 
 
 # ---------------------------------------------------------------------------
