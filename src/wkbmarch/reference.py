@@ -318,12 +318,14 @@ class _ContinuationTable:
     keeps the state at every substep end, with the value and derivative
     series that the substep away from it was formed with. A checkpoint
     therefore depends only on its position, never on the order of earlier
-    queries. A query hops from the checkpoint at or below x on its side by
-    one Horner pass over the stored value series, and by a second over the
-    stored derivative series for the full state; it forms no series. The
-    stored series take about 0.68 MB for the complex Airy table up to
-    t = 50 (131 checkpoints), 0.2 MB for PCF at eps = 2^-6 and 2 MB at
-    eps = 1.3e-3, near the smallest eps the PCF factory accepts.
+    queries, and a side grown to its farthest point at once holds the
+    checkpoints that growing it point by point leaves. A query hops from
+    the checkpoint at or below x on its side by one Horner pass over the
+    stored value series, and by a second over the stored derivative series
+    for the full state; it forms no series. The stored series take about
+    0.68 MB for the complex Airy table up to t = 50 (131 checkpoints),
+    0.2 MB for PCF at eps = 2^-6 and 2 MB at eps = 1.3e-3, near the
+    smallest eps the PCF factory accepts.
 
     Growth runs under a lock and publishes each checkpoint's series and
     state before its key, so a concurrent reader only ever finds complete
@@ -341,8 +343,8 @@ class _ContinuationTable:
         # the next).
         self._sides = {1.0: ([self.x0], [seed], []),
                        -1.0: ([-self.x0], [seed], [])}
-        # (count per side) -> (hi, lo): the first `count` value series of
-        # each side stacked into two numpy arrays (see _stacked).
+        # (series count per side) -> the numpy copy of both sides that
+        # values_at reads (see _stacked).
         self._stacks = {}
         self._lock = threading.Lock()
 
@@ -368,8 +370,7 @@ class _ContinuationTable:
         key = d * x
         if not keys[-1] >= key:  # beyond the table, or not finite
             if not math.isfinite(x):
-                raise ValueError(
-                    f"continuation point must be finite, got {x!r}")
+                raise _not_finite(x)
             self._grow(d, key)
         i = bisect.bisect_right(keys, key) - 1
         return d, i, x - d * keys[i]
@@ -388,20 +389,24 @@ class _ContinuationTable:
         return _dd_horner(*values, h) + _dd_horner(*derivs, h)
 
     def _stacked(self, np):
-        """(up, hi, lo): the value series of both sides stacked into two
-        numpy arrays, one row per term and one column per checkpoint that
-        has a series, the `up` columns of side 1.0 first. They are rebuilt
-        only after a side has grown, and published as one dict entry, so a
-        concurrent reader that has grown a side finds every column it
-        needs."""
-        sides = [self._sides[d][2] for d in (1.0, -1.0)]
-        counts = tuple(len(series) for series in sides)
+        """(up, hi, lo, keys): the value series of both sides stacked into
+        two numpy arrays, one row per term and one column per checkpoint
+        that has a series, the `up` columns of side 1.0 first, and keys
+        mapping each side d to a float array of its keys d*x up to the
+        last stacked column's far end. The counts are read from the keys,
+        which growth publishes after the series, so every stacked column is
+        complete. The arrays are rebuilt only after a side has grown, and
+        published as one dict entry, so a concurrent reader that has grown
+        a side finds every column and key it needs."""
+        counts = tuple(len(self._sides[d][0]) - 1 for d in (1.0, -1.0))
         stack = self._stacks.get(counts)
         if stack is None:
-            values = [v for series, n in zip(sides, counts)
-                      for v, _ in series[:n]]
+            values = [v for d, n in zip((1.0, -1.0), counts)
+                      for v, _ in self._sides[d][2][:n]]
             stack = (np.array([v[0] for v in values]).T.copy(),
-                     np.array([v[1] for v in values]).T.copy())
+                     np.array([v[1] for v in values]).T.copy(),
+                     {d: np.array(self._sides[d][0][:n + 1])
+                      for d, n in zip((1.0, -1.0), counts)})
             self._stacks.clear()
             self._stacks[counts] = stack
         return (counts[0], *stack)
@@ -410,45 +415,79 @@ class _ContinuationTable:
         """Heads (wh, wl) of state_at(x) at every x of xs, bit for bit, as
         a wh list and a wl list.
 
-        Each point is located, and the table grown, as state_at does. A
-        point on a checkpoint reads its state; the hops of all other
-        points run as one _dd_horner call on numpy arrays, one column per
-        hop: the error-free transforms are exact in any IEEE elementwise
-        arithmetic, and a hop multiplies only by the real h, so each gives
-        the bits of its scalar hop. Where numpy cannot be imported, the
-        hops run one point at a time.
+        With numpy the batch is located at once. The first point that is
+        not finite raises state_at's ValueError; each side with points is
+        grown once, to its farthest key; one searchsorted per side over the
+        key array of _stacked finds every checkpoint at or below its
+        point, and the hops h = x - d * keys[i] are formed elementwise, as
+        state_at forms each. A batch on one side of x0 takes no mask. A
+        point on a checkpoint reads its state; the hops of all other points
+        run as one _dd_horner call on numpy arrays, one column per hop: the
+        error-free transforms are exact in any IEEE elementwise arithmetic,
+        and a hop multiplies only by the real h, so each gives the bits of
+        its scalar hop. Where numpy cannot be imported, each point is
+        located as state_at does and hops alone.
         """
+        np = _numpy() if len(xs) else None
+        if np is None:
+            wh, wl = [], []
+            for x in xs:
+                d, i, h = self._locate(x)
+                _, states, series = self._sides[d]
+                vh, vl = (states[i][:2] if h == 0.0
+                          else _dd_horner(*series[i][0], h))
+                wh.append(vh)
+                wl.append(vl)
+            return wh, wl
+        x = np.array(xs, dtype=float)
+        lo, hi = float(x.min()), float(x.max())  # not finite if a point is not
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise _not_finite(xs[int(np.isfinite(x).argmin())])
+        sides = [d for d, has in ((1.0, hi >= self.x0), (-1.0, lo < self.x0))
+                 if has]
+        for d in sides:
+            self._grow(d, hi if d > 0 else -lo)
+        up, hi_s, lo_s, keys = self._stacked(np)
+
+        def locate(d, xd):
+            k = keys[d]
+            i = np.searchsorted(k, xd if d > 0 else -xd, side="right") - 1
+            return (i if d > 0 else i + up), xd - d * k[i]
+
+        def hop(cols, hops):
+            # take, unlike [:, cols], gathers the columns in C order, so
+            # the Horner pass reads each term's row contiguously.
+            with np.errstate(all="ignore"):
+                vh, vl = _dd_horner(hi_s.take(cols, 1), lo_s.take(cols, 1),
+                                    hops)
+            return vh.tolist(), vl.tolist()
+
+        if len(sides) == 1:
+            cols, hops = locate(sides[0], x)
+        else:
+            cols = np.empty(len(xs), dtype=np.intp)
+            hops = np.empty(len(xs))
+            mask = x >= self.x0
+            for d, m in ((1.0, mask), (-1.0, ~mask)):
+                cols[m], hops[m] = locate(d, x[m])
+        if hops.all():
+            return hop(cols, hops)
+        # Some points sit on a checkpoint: they read its state.
         wh = [0.0] * len(xs)
         wl = [0.0] * len(xs)
-        hops = {1.0: ([], [], []), -1.0: ([], [], [])}  # side -> j, i, h
-        locate = self._locate
-        for j, x in enumerate(xs):
-            d, i, h = locate(x)
-            if h == 0.0:
-                wh[j], wl[j] = self._sides[d][1][i][:2]
-            else:
-                at, idx, hs = hops[d]
-                at.append(j)
-                idx.append(i)
-                hs.append(h)
-        (up_at, up_i, up_h), (down_at, down_i, down_h) = hops.values()
-        np = _numpy() if up_at or down_at else None
-        if np is None:
-            for d, (at, idx, hs) in hops.items():
-                series = self._sides[d][2]
-                for j, i, h in zip(at, idx, hs):
-                    wh[j], wl[j] = _dd_horner(*series[i][0], h)
-            return wh, wl
-        up, hi, lo = self._stacked(np)
-        cols = up_i + [up + i for i in down_i]
-        # take, unlike [:, cols], gathers the columns in C order, so the
-        # Horner pass reads each term's row contiguously.
-        with np.errstate(all="ignore"):
-            vh, vl = _dd_horner(hi.take(cols, 1), lo.take(cols, 1),
-                                np.array(up_h + down_h))
-        for j, a, b in zip(up_at + down_at, vh.tolist(), vl.tolist()):
-            wh[j], wl[j] = a, b
+        on = hops == 0.0
+        for j, col in zip(np.flatnonzero(on).tolist(), cols[on].tolist()):
+            d = 1.0 if xs[j] >= self.x0 else -1.0
+            wh[j], wl[j] = self._sides[d][1][col if d > 0 else col - up][:2]
+        at = np.flatnonzero(~on)
+        if len(at):
+            for j, a, b in zip(at.tolist(), *hop(cols[at], hops[at])):
+                wh[j], wl[j] = a, b
         return wh, wl
+
+
+def _not_finite(x) -> ValueError:
+    return ValueError(f"continuation point must be finite, got {x!r}")
 
 
 def _numpy():

@@ -187,10 +187,16 @@ _H2_SERIES_CUT = 1e-4
 
 
 def osc_kernels(y: float) -> tuple[complex, complex]:
-    """(h1, h2) = (e^{iy} - 1, e^{iy} - 1 - iy) at full relative accuracy.
+    """(h1, h2) = (e^{iy} - 1, e^{iy} - 1 - iy).
 
-    h1 uses the cancellation-free identity cos(y) - 1 = -2 sin^2(y/2); h2
-    switches to its Taylor series below |y| = 1e-4.
+    h1 uses the cancellation-free identity cos(y) - 1 = -2 sin^2(y/2) and
+    is at full relative accuracy. h2 is at full relative accuracy only
+    below |y| = 1e-4, where it switches to its Taylor series. At and above
+    the cut, h2 = h1 - iy keeps the absolute rounding of sin(y), which
+    |h2| ~ y^2/2 does not scale down: against mpmath on 1e-4 <= |y| <= 1,
+    h2 is within eps |y| (eps = 2^-52), a relative error below 2 eps / |y|
+    (2.5e-13 at y = 1.0001e-4 and 8.5e-15 at y = 1e-2), and Im h2 =
+    sin(y) - y is within a relative 4 eps / y^2 (7.6e-9 at y = 1.0001e-4).
     """
     half = math.sin(0.5 * y)
     h1 = complex(-2.0 * half * half, math.sin(y))

@@ -589,6 +589,51 @@ def test_value_only_query_matches_full_state(monkeypatch, name):
                              for d, side in table._sides.items()}
 
 
+# name -> batch on a fresh table: PCF on both sides of x0, Airy on one.
+FRESH_BATCHES = {
+    "airy": [-0.37, -12.5, -4.0, -19.25, -0.001, -7.75, -3.0],
+    "pcf": [3.1, -8.9, 0.0, 9.4, -0.02, 5.5, -2.25, 0.75],
+}
+
+
+@pytest.mark.parametrize("on_keys", [False, True], ids=["between", "keys"])
+@pytest.mark.parametrize("name", sorted(FRESH_BATCHES))
+def test_batch_grows_fresh_table_as_serial_queries(monkeypatch, name,
+                                                   on_keys):
+    """A batch on a fresh table grows it itself. With numpy and with numpy
+    unimportable, its heads equal those of state_at in repr, and the table
+    holds the keys and states that serial state_at queries leave. With
+    numpy the batch makes no _locate call: it locates every point in one
+    lookup per side, on checkpoints too."""
+    q, seed, _ = TABLES[name]
+    xs = list(FRESH_BATCHES[name])
+    if on_keys:
+        grown = _ContinuationTable(q, 0.0, seed)
+        grown.state_at(max(xs))
+        grown.state_at(min(xs))
+        keys = [d * k for d in (1.0, -1.0) for k in grown._sides[d][0][1:4]
+                if min(xs) <= d * k <= max(xs)]
+        assert len(keys) == (3 if name == "airy" else 6)
+        xs += keys
+        random.Random(name).shuffle(xs)
+    serial = _ContinuationTable(q, 0.0, seed)
+    heads = [repr(serial.state_at(x)[:2]) for x in xs]
+    sides = repr(serial._sides)
+
+    def forbidden(*args):
+        raise AssertionError("_locate called by a numpy batch")
+
+    for numpy in (np, None):
+        table = _ContinuationTable(q, 0.0, seed)
+        with monkeypatch.context() as m:
+            m.setitem(sys.modules, "numpy", numpy)
+            if numpy is not None:
+                m.setattr(table, "_locate", forbidden)
+            wh, wl = table.values_at(xs)
+        assert [repr(v) for v in zip(wh, wl)] == heads
+        assert repr(table._sides) == sides
+
+
 def test_airy_real_tables_match_complex_table(monkeypatch):
     """The complex Airy table, seeded with w = Ai + i Bi, gives the bits of
     two real tables, one per solution, kept here as the reference: in full
@@ -624,16 +669,23 @@ def test_airy_real_tables_match_complex_table(monkeypatch):
                    for state in states for part in state)
 
 
-@pytest.mark.parametrize("query", [
-    lambda table, x: table.state_at(x),
-    lambda table, x: table.values_at([0.5, x]),
-], ids=["state_at", "values_at"])
+@pytest.mark.parametrize("query", ["state_at", "values_at",
+                                   "values_at_without_numpy"])
 @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
-def test_table_rejects_non_finite_point(x, query):
-    # A march towards an infinite point would never end.
+def test_table_rejects_non_finite_point(monkeypatch, x, query):
+    """A march towards an infinite point would never end. A batch with
+    points on both sides raises the ValueError of a single query at its
+    first non-finite point, not at a later one, with numpy and without."""
     table = _ContinuationTable([0.0, 1.0], 0.0, airy_origin_values())
-    with pytest.raises(ValueError, match="must be finite"):
-        query(table, x)
+    later = math.inf if math.isnan(x) else math.nan
+    if query == "values_at_without_numpy":
+        monkeypatch.setitem(sys.modules, "numpy", None)
+    with pytest.raises(ValueError) as info:
+        if query == "state_at":
+            table.state_at(x)
+        else:
+            table.values_at([0.5, -1.5, x, 2.0, later, -3.0])
+    assert str(info.value) == f"continuation point must be finite, got {x!r}"
 
 
 def test_table_concurrent_growth_matches_serial():

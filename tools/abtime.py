@@ -17,6 +17,9 @@ under either tree.
 * `<workload>/integrate`: one `integrate` of the workload's seed-0 setting.
 * `<workload>/global_error`: `global_error(..., "sup")` over that side's own
   trajectory of the same setting.
+* `<workload>/exact_solution`: `reference.exact_solution` at the nodes of
+  that same trajectory, the batch lookup that `global_error` makes, without
+  the norm.
 * Per-call kernels, on the `airy-mixed` problem (Airy eps 1, exact phase)
   and the `pcf-rival` one (PCF eps 2^-6, exact phase):
   `eval_bk` at x = 10; the WKB `control._pair` over [10, 10.25];
@@ -77,6 +80,7 @@ def rows_for(mods: dict, workloads) -> dict:
     """Each row's zero-argument callable on one side's package."""
     activate(mods)
     pkg, control = mods["wkbmarch"], mods["wkbmarch.control"]
+    reference = mods["wkbmarch.reference"]
     wkb_core, rkwkb = mods["wkbmarch.wkb_core"], mods["wkbmarch.rkwkb"]
     rk45, WaveState = mods["wkbmarch.rk45"], pkg.WaveState
     rows = {}
@@ -87,6 +91,9 @@ def rows_for(mods: dict, workloads) -> dict:
             lambda p=problem, c=config: pkg.integrate(p, c))
         rows[f"{name}/global_error"] = (
             lambda t=traj, p=problem: pkg.global_error(t, p, "sup"))
+        rows[f"{name}/exact_solution"] = (
+            lambda p=problem, xs=[s.x for s in traj.states]:
+            reference.exact_solution(p, xs))
     airy = workloads["airy-mixed"].make_problem()
     pcf = workloads["pcf-rival"].make_problem()
     airy_phase = pkg.PhaseProvider(airy, "exact")
