@@ -100,12 +100,20 @@ def _config_manifest(config: SolverConfig) -> dict:
     }
 
 
-def _trajectory_rows(traj, problem):
-    has_exact = problem.exact is not None
-    refs = (reference.exact_solution(problem, [r.x for r in traj.records])
-            if has_exact else [None] * len(traj.records))
+def _exact_values(traj, problem):
+    """The exact phi at every accepted node, in one batch, or None for a
+    problem without an exact solution; the steps.csv reference columns and
+    both error norms are formed from it."""
+    if problem.exact is None:
+        return None
+    return reference.exact_solution(problem, [r.x for r in traj.records])
+
+
+def _trajectory_rows(traj, refs):
+    has_exact = refs is not None
     rows = []
-    for rec, ref in zip(traj.records, refs):
+    for rec, ref in zip(traj.records,
+                        refs if has_exact else [None] * len(traj.records)):
         row = [rec.index, rec.x, rec.h, rec.method, 1,
                rec.est, rec.theta, rec.state.phi.real, rec.state.phi.imag,
                rec.state.dphi.real, rec.state.dphi.imag]
@@ -129,7 +137,8 @@ def cmd_solve(args) -> int:
     started = time.perf_counter()
     traj = integrate(problem, config)
     elapsed = time.perf_counter() - started
-    header, rows = _trajectory_rows(traj, problem)
+    refs = _exact_values(traj, problem)
+    header, rows = _trajectory_rows(traj, refs)
     _write_csv(out / "steps.csv", header, rows)
     final = traj.final_state
     manifest = {
@@ -144,10 +153,10 @@ def cmd_solve(args) -> int:
                   "im_phi": final.phi.imag, "re_dphi": final.dphi.real,
                   "im_dphi": final.dphi.imag},
     }
-    if problem.exact is not None:
+    if refs is not None:
         manifest["error_summary"] = {
-            "sup_rel": reference.global_error(traj, problem, "sup"),
-            "l2_rel": reference.global_error(traj, problem, "l2rel"),
+            "sup_rel": reference._error_norm(traj.states, refs, "sup"),
+            "l2_rel": reference._error_norm(traj.states, refs, "l2rel"),
         }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
     print(f"accepted {traj.accepted} steps "
@@ -174,9 +183,11 @@ def cmd_sweep(args) -> int:
                 started = time.perf_counter()
                 traj = integrate(problem, config)
                 elapsed = time.perf_counter() - started
-                if problem.exact is not None:
-                    l2 = reference.global_error(traj, problem, "l2rel")
-                    sup = reference.global_error(traj, problem, "sup")
+                refs = _exact_values(traj, problem)
+                if refs is not None:
+                    states = traj.states
+                    l2 = reference._error_norm(states, refs, "l2rel")
+                    sup = reference._error_norm(states, refs, "sup")
                 else:
                     l2 = sup = math.nan
                 rows.append([config.method, args.problem, eps, config.tol,

@@ -239,8 +239,9 @@ def _dd_horner(hi, lo, h):
 
     Each Horner step is _dd_mul_d by h followed by _dd_add of the next
     coefficient, written out with h split once, so the result is
-    bit-identical to composing those helpers. It runs unchanged on numpy
-    arrays, h holding one hop per column of the coefficient rows.
+    bit-identical to composing those helpers. This is the scalar kernel
+    (state_at, _dd_substep, values_at without numpy); _dd_horner_rows is
+    its batch form.
     """
     t = _SPLIT * h
     hh = t - (t - h)
@@ -262,6 +263,81 @@ def _dd_horner(hi, lo, h):
         vh = p + e
         z = vh - p
         vl = (p - (vh - z)) + (e - z)
+    return vh, vl
+
+
+def _dd_horner_rows(hi, lo, h, np):
+    """_dd_horner of every column of the numpy coefficient rows (hi, lo),
+    one row per term and one column per hop h, as two arrays (vh, vl).
+
+    Each of _dd_horner's operations runs in its order as one ufunc call
+    that writes into buffers allocated once per call. Complex rows are
+    read as interleaved real lanes, each hop repeated for the real and
+    imaginary part of its column: a hop multiplies only by the real h,
+    so the parts never mix. The operations are error-free transforms,
+    exact in any IEEE elementwise arithmetic, so each column gets the bits
+    of the scalar kernel; test_batch_horner_matches_scalar checks that on
+    rows where no product overflows, signed zeros included.
+    """
+    if hi.dtype.kind == "c":
+        vh, vl = _dd_horner_rows(hi.view(float), lo.view(float),
+                                 np.repeat(h, 2), np)
+        return vh.view(complex), vl.view(complex)
+    add, sub, mul = np.add, np.subtract, np.multiply
+    # Each buffer row starts on a 64-byte boundary: with AVX-512 a pass over
+    # rows that straddle cache lines ran about a quarter slower.
+    m = len(h)
+    stride = -(-m // 8) * 8
+    raw = np.empty(13 * stride + 8)
+    start = (-raw.ctypes.data % 64) // 8
+    t, w, u, ahi, alo, e, p, s, z, vh, vl, hh, hl = raw[
+        start:start + 13 * stride].reshape(13, stride)[:, :m]
+    mul(h, _SPLIT, t)
+    sub(t, h, w)
+    sub(t, w, hh)
+    sub(h, hh, hl)
+    mul(hi[0], 0.0, vh)
+    vl[:] = vh
+    for yh, yl in zip(hi[::-1], lo[::-1]):
+        # p + e = (vh + vl) * h
+        mul(vh, h, p)
+        mul(vh, _SPLIT, t)
+        sub(t, vh, w)
+        sub(t, w, ahi)
+        sub(vh, ahi, alo)
+        mul(ahi, hh, e)
+        sub(e, p, e)
+        mul(ahi, hl, w)
+        add(e, w, e)
+        mul(alo, hh, w)
+        add(e, w, e)
+        mul(alo, hl, w)
+        add(e, w, e)
+        mul(vl, h, w)
+        add(e, w, e)
+        # s + e = p + e, renormalized
+        add(p, e, s)
+        sub(s, p, z)
+        sub(s, z, w)
+        sub(p, w, w)
+        sub(e, z, e)
+        add(w, e, e)
+        # p + e = (s + e) + (yh + yl)
+        add(s, yh, p)
+        sub(p, s, z)
+        sub(p, z, w)
+        sub(s, w, w)
+        sub(yh, z, u)
+        add(w, u, w)
+        add(e, yl, e)
+        add(w, e, e)
+        # vh + vl = p + e, renormalized
+        add(p, e, vh)
+        sub(vh, p, z)
+        sub(vh, z, w)
+        sub(p, w, w)
+        sub(e, z, e)
+        add(w, e, vl)
     return vh, vl
 
 
@@ -422,11 +498,11 @@ class _ContinuationTable:
         point, and the hops h = x - d * keys[i] are formed elementwise, as
         state_at forms each. A batch on one side of x0 takes no mask. A
         point on a checkpoint reads its state; the hops of all other points
-        run as one _dd_horner call on numpy arrays, one column per hop: the
-        error-free transforms are exact in any IEEE elementwise arithmetic,
-        and a hop multiplies only by the real h, so each gives the bits of
-        its scalar hop. Where numpy cannot be imported, each point is
-        located as state_at does and hops alone.
+        run as one _dd_horner_rows pass over the gathered value series, one
+        column per hop, with complex rows read as real lanes and every
+        temporary in a fixed buffer, which gives each hop the bits of
+        _dd_horner. Where numpy cannot be imported, each point is located as
+        state_at does and hops alone through _dd_horner.
         """
         np = _numpy() if len(xs) else None
         if np is None:
@@ -458,8 +534,8 @@ class _ContinuationTable:
             # take, unlike [:, cols], gathers the columns in C order, so
             # the Horner pass reads each term's row contiguously.
             with np.errstate(all="ignore"):
-                vh, vl = _dd_horner(hi_s.take(cols, 1), lo_s.take(cols, 1),
-                                    hops)
+                vh, vl = _dd_horner_rows(hi_s.take(cols, 1),
+                                         lo_s.take(cols, 1), hops, np)
             return vh.tolist(), vl.tolist()
 
         if len(sides) == 1:
@@ -603,19 +679,31 @@ def airy_pair(t: float) -> tuple[complex, complex]:
 def airy_values(ts) -> list[complex]:
     """Ai(-t) + i Bi(-t) at every t of ts, each by the route airy_pair
     takes and with the bits of its w: the points at or below the seam
-    in one batch hop over the table, those above it one at a time."""
-    out = [0j] * len(ts)
-    low = []
-    for j, t in enumerate(ts):
-        _check_oscillatory(t)
-        if t <= AIRY_VALUE_SWITCH:
-            low.append(j)
-        else:
-            out[j] = airy_asymptotic(t)[0]
-    wh, wl = _AIRY_TABLE.values_at([-ts[j] for j in low])
-    for j, h, l in zip(low, wh, wl):
-        out[j] = h + l
-    return out
+    in one batch hop over the table, those above it one at a time. Every t
+    is checked before any is evaluated, and the first NaN or negative t
+    raises airy_pair's ValueError. With numpy the check and the route
+    split are one array pass."""
+    np = _numpy() if len(ts) else None
+    if np is None:
+        for t in ts:
+            _check_oscillatory(t)
+        high = [t > AIRY_VALUE_SWITCH for t in ts]
+        low = [-t for t, up in zip(ts, high) if not up]
+    else:
+        t = np.array(ts, dtype=float)
+        ok = t >= 0.0
+        if not ok.all():
+            _check_oscillatory(ts[int(ok.argmin())])
+        up = t > AIRY_VALUE_SWITCH
+        if not up.any():
+            wh, wl = _AIRY_TABLE.values_at(-t)
+            return [h + l for h, l in zip(wh, wl)]
+        high = up.tolist()
+        low = -t[~up]
+    wh, wl = _AIRY_TABLE.values_at(low)
+    table = (h + l for h, l in zip(wh, wl))
+    return [airy_asymptotic(t)[0] if up else next(table)
+            for t, up in zip(ts, high)]
 
 
 # ---------------------------------------------------------------------------
@@ -672,12 +760,12 @@ def global_error(trajectory, problem, norm: str = "sup"):
     """Global error of an accepted trajectory against the exact solution.
 
     norm="sup":   max over nodes of |phi_n - phi(x_n)| / |phi(x_n)|,
-                  skipping nodes where the exact value vanishes; nan when
-                  a node's error is nan.
+                  skipping nodes where the exact value vanishes.
     norm="l2rel": ||phi_n - phi(x_n)||_2 / ||phi(x_n)||_2 over the nodes.
 
     The exact values of all nodes come from one exact_solution call. Both
-    norms raise ValueError when the exact solution vanishes at every node.
+    norms read nan when a node's error is NaN, and raise ValueError when
+    the exact solution vanishes at every node.
     """
     if norm not in ("sup", "l2rel"):
         raise ValueError(f"unknown norm {norm!r}")
@@ -685,6 +773,12 @@ def global_error(trajectory, problem, norm: str = "sup"):
     if not states:
         raise ValueError("empty trajectory")
     refs = exact_solution(problem, [s.x for s in states])
+    return _error_norm(states, refs, norm)
+
+
+def _error_norm(states, refs, norm: str) -> float:
+    """global_error's `norm` of the states against their exact values refs,
+    so that a caller holding the exact values forms both norms from them."""
     if norm == "sup":
         rel = [abs(s.phi - ref) / abs(ref)
                for s, ref in zip(states, refs) if ref != 0]
@@ -694,5 +788,6 @@ def global_error(trajectory, problem, norm: str = "sup"):
     denom = math.hypot(*(abs(r) for r in refs))
     if denom == 0.0:
         raise ValueError("exact solution vanishes on all nodes")
-    err = math.hypot(*(abs(s.phi - r) for s, r in zip(states, refs)))
-    return err / denom
+    err = [abs(s.phi - r) for s, r in zip(states, refs)]
+    # hypot reads inf, not nan, once any error is inf.
+    return math.nan if any(map(math.isnan, err)) else math.hypot(*err) / denom

@@ -154,6 +154,54 @@ def test_sweep_schema_and_order(tmp_path):
         assert pairs[0][1] < pairs[-1][1]
 
 
+@pytest.mark.parametrize("args", [
+    ["solve", "--problem", "pcf", "--eps", "0.015625", "--tol", "1e-6"],
+    ["solve", "--problem", "airy", "--eps", "1", "--tol", "1e-6",
+     "--interval", "0.1,50", "--h0", "0.5"],
+    ["sweep", "--problem", "airy", "--eps-list", "1,0.01",
+     "--tol-range", "1e-6,1e-3", "--tol-points", "2",
+     "--methods", "wkb+rkf45,rkf45"],
+], ids=["solve-pcf", "solve-airy", "sweep-airy"])
+def test_one_exact_batch_per_run(tmp_path, monkeypatch, args):
+    """solve and sweep read the exact solution once per run, in one
+    exact_solution batch over its accepted nodes, and form the reference
+    columns and both norms from it. The written norms equal, in every
+    digit, those of global_error, which makes its own batch."""
+    batches, runs = [], []
+    exact_solution, solve = reference.exact_solution, cli.integrate
+
+    def counted(problem, xs):
+        batches.append(list(xs))
+        return exact_solution(problem, xs)
+
+    def kept(problem, config):
+        traj = solve(problem, config)
+        runs.append((traj, problem))
+        return traj
+
+    monkeypatch.setattr(reference, "exact_solution", counted)
+    monkeypatch.setattr(cli, "integrate", kept)
+    out = tmp_path / "run"
+    assert run_cli(args + ["--out", str(out)]) == 0
+    monkeypatch.undo()
+    assert batches == [[s.x for s in traj.states] for traj, _ in runs]
+    norms = [{norm: reference.global_error(traj, problem, norm)
+              for norm in ("sup", "l2rel")} for traj, problem in runs]
+    if args[0] == "solve":
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["error_summary"] == {"sup_rel": norms[0]["sup"],
+                                             "l2_rel": norms[0]["l2rel"]}
+        _, rows = read_csv(out / "steps.csv")
+        assert [row[11:13] for row in rows] == [
+            [cli._fmt(ref.real), cli._fmt(ref.imag)]
+            for ref in exact_solution(runs[0][1], batches[0])]
+    else:
+        _, rows = read_csv(out / "sweep.csv")
+        assert len(rows) == len(runs) == 8
+        assert sorted(row[6:8] for row in rows) == sorted(
+            [cli._fmt(n["l2rel"]), cli._fmt(n["sup"])] for n in norms)
+
+
 def test_estimator_study_outputs(tmp_path):
     out = tmp_path / "study"
     code = run_cli(["estimator-study", "--problem", "airy", "--tol", "1e-5",

@@ -25,8 +25,9 @@ from wkbmarch import (ContinuationError, WaveState, airy_pair,
 from wkbmarch.reference import (AIRY_VALUE_SWITCH, SERIES_TERMS,
                                 _airy_continued, _ContinuationTable,
                                 _dd_add, _dd_deriv_coeffs, _dd_horner,
-                                _dd_mul_d, _dd_mul_dd, _dd_recip_int,
-                                _dd_series, _dd_shift_poly, _dd_substep,
+                                _dd_horner_rows, _dd_mul_d, _dd_mul_dd,
+                                _dd_recip_int, _dd_series, _dd_shift_poly,
+                                _dd_substep,
                                 _series_phase_cap, airy_asymptotic,
                                 airy_origin_values, airy_values,
                                 asymptotic_coeffs, exact_solution,
@@ -241,25 +242,39 @@ def test_dd_kernels_match_helper_oracle(q, kind, x0, terms):
                 _oracle_horner(ghi, glo, h))
 
 
-@settings(deadline=None, derandomize=True, max_examples=60)
+# Exact edge values of the batch Horner property: signed zeros (the Airy
+# origin series has c_(3k+2) = 0), tiny, unit and large coefficients.
+HORNER_EDGES = [0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0, -2.5, 3e10]
+
+
+@settings(deadline=None, derandomize=True, max_examples=150)
 @given(data=st.data())
-def test_batch_horner_matches_scalar_on_complex_rows(data):
-    """_dd_horner on numpy arrays of complex (hi, lo) coefficient rows,
-    one real hop per column, gives the bits of the scalar _dd_horner of
-    every column. numpy's complex-by-complex multiply need not round as
-    CPython's does; a hop multiplies only by reals, and this keeps it so."""
+def test_batch_horner_matches_scalar(data):
+    """_dd_horner_rows on numpy (hi, lo) coefficient rows, real or
+    complex, one real hop of either sign per column, gives the bits of the
+    scalar _dd_horner of every column in float.hex, signed zeros included.
+    Complex rows run as interleaved real lanes, each multiplied only by
+    its column's real hop. Coefficients stay where no product overflows,
+    the range of every continuation table."""
+    kind = data.draw(st.sampled_from([float, complex]))
     shape = data.draw(st.tuples(st.integers(1, SERIES_TERMS),
-                                st.integers(1, 16)))
+                                st.integers(1, 60)))
 
     def rows(size):
-        return data.draw(hnp.arrays(np.complex128, shape, elements=(
-            st.complex_numbers(max_magnitude=size))))
+        def part():
+            return data.draw(hnp.arrays(np.float64, shape, elements=(
+                st.sampled_from(HORNER_EDGES) | st.floats(-size, size))))
+        if kind is float:
+            return part()
+        out = np.empty(shape, complex)
+        out.real, out.imag = part(), part()
+        return out
 
     hi, lo = rows(1e3), rows(1e-13)
     hs = data.draw(hnp.arrays(np.float64, shape[1],
                               elements=st.floats(-1.0, 1.0)))
-    with np.errstate(all="ignore"):
-        vh, vl = _dd_horner(hi, lo, hs)
+    vh, vl = _dd_horner_rows(hi, lo, hs, np)
+    assert vh.dtype == vl.dtype == hi.dtype
 
     def bits(*zs):
         return [x.hex() for z in zs for x in (z.real, z.imag)]
@@ -398,6 +413,25 @@ def test_airy_rejects_negative_argument(airy1):
         with pytest.raises(kind) as info:
             exact_solution(airy1, xs)
         assert str(info.value) == message
+
+
+@pytest.mark.parametrize("ts, bad", [
+    ([1.0, -2.0, math.nan, 60.0], -2.0),
+    ([70.0, 1e300, math.nan, 0.5, -1.0], math.nan),
+    ([-0.0, 3.0, -math.inf], -math.inf),
+])
+def test_airy_values_name_first_bad_argument(monkeypatch, ts, bad):
+    """airy_values checks every t before it evaluates any: the first NaN or
+    negative t raises airy_pair's ValueError, with numpy and without, even
+    where a point above the seam before it would overflow."""
+    with pytest.raises(ValueError) as single:
+        airy_pair(bad)
+    for numpy in (np, None):
+        with monkeypatch.context() as m:
+            m.setitem(sys.modules, "numpy", numpy)
+            with pytest.raises(ValueError) as info:
+                airy_values(ts)
+        assert str(info.value) == str(single.value)
 
 
 @pytest.mark.parametrize("error", [ValueError, OverflowError,
@@ -634,6 +668,28 @@ def test_batch_grows_fresh_table_as_serial_queries(monkeypatch, name,
         assert repr(table._sides) == sides
 
 
+@pytest.mark.parametrize("name", sorted(TABLES))
+def test_numpy_batch_calls_no_scalar_horner(monkeypatch, name):
+    """With numpy, a batch over a grown table hops through _dd_horner_rows
+    alone and never calls the scalar _dd_horner, on checkpoints and
+    between them, and its heads equal those of state_at in repr."""
+    q, seed, (lo, hi) = TABLES[name]
+    table = _ContinuationTable(q, 0.0, seed)
+    for x in (lo, hi):
+        table.state_at(x)
+    keys = [d * k for d in (1.0, -1.0) for k in table._sides[d][0][1:6]]
+    xs = keys + [float(x) for x in np.linspace(lo, hi, 41)]
+    random.Random(name).shuffle(xs)
+    heads = [repr(table.state_at(x)[:2]) for x in xs]
+
+    def forbidden(*args):
+        raise AssertionError("scalar _dd_horner called by a numpy batch")
+
+    monkeypatch.setattr(reference, "_dd_horner", forbidden)
+    wh, wl = table.values_at(xs)
+    assert [repr(v) for v in zip(wh, wl)] == heads
+
+
 def test_airy_real_tables_match_complex_table(monkeypatch):
     """The complex Airy table, seeded with w = Ai + i Bi, gives the bits of
     two real tables, one per solution, kept here as the reference: in full
@@ -802,6 +858,21 @@ def test_global_error_nan_node_reads_nan(airy1):
     for states in ([bad, *good], [good[0], bad, *good[1:]], [*good, bad]):
         assert math.isnan(global_error(states, airy1, "sup"))
         assert math.isnan(global_error(states, airy1, "l2rel"))
+
+
+def test_global_error_nan_node_reads_nan_beside_inf_node(airy1):
+    # math.hypot reads inf when one argument is inf and another nan; l2rel
+    # reads nan, as sup does, wherever the two nodes sit.
+    good = [airy1.exact(x) for x in (0.5, 1.0, 2.0)]
+    nan = WaveState(1.5, complex(math.nan, 0.0), 0j)
+    inf = WaveState(3.0, complex(math.inf, 0.0), 0j)
+    for states in ([nan, inf, *good], [*good, inf, nan],
+                   [good[0], inf, good[1], nan, good[2]]):
+        assert math.isnan(global_error(states, airy1, "sup"))
+        assert math.isnan(global_error(states, airy1, "l2rel"))
+    # An Inf node alone reads inf in both norms.
+    for norm in ("sup", "l2rel"):
+        assert global_error([*good, inf], airy1, norm) == math.inf
 
 
 def test_global_error_vanishing_exact_solution_raises(airy1):

@@ -20,6 +20,11 @@ under either tree.
 * `<workload>/exact_solution`: `reference.exact_solution` at the nodes of
   that same trajectory, the batch lookup that `global_error` makes, without
   the norm.
+* `airy-mixed/horner_batch` and `pcf-rival/horner_batch`: the batch
+  Horner kernel alone, on the coefficient columns and hops that this
+  exact_solution batch hands it (complex Airy rows, real PCF rows). The
+  kernel is `reference._dd_horner_rows`, or `_dd_horner` on numpy arrays
+  in a checkout that has no batch kernel of its own.
 * Per-call kernels, on the `airy-mixed` problem (Airy eps 1, exact phase)
   and the `pcf-rival` one (PCF eps 2^-6, exact phase):
   `eval_bk` at x = 10; the WKB `control._pair` over [10, 10.25];
@@ -76,6 +81,28 @@ def activate(mods: dict) -> None:
     sys.modules.update(mods)
 
 
+def horner_batch(reference, problem, xs):
+    """A zero-argument call of the side's batch Horner kernel on the
+    arguments that one exact_solution batch at xs hands it."""
+    name = ("_dd_horner_rows" if hasattr(reference, "_dd_horner_rows")
+            else "_dd_horner")
+    kernel, calls = getattr(reference, name), []
+
+    def record(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    setattr(reference, name, record)
+    try:
+        reference.exact_solution(problem, xs)
+    finally:
+        setattr(reference, name, kernel)
+    # Table growth calls _dd_horner with one float hop; the batch's first
+    # call with an array of hops is the kernel's entry.
+    args = next(a for a in calls if not isinstance(a[2], float))
+    return lambda: kernel(*args)
+
+
 def rows_for(mods: dict, workloads) -> dict:
     """Each row's zero-argument callable on one side's package."""
     activate(mods)
@@ -91,9 +118,12 @@ def rows_for(mods: dict, workloads) -> dict:
             lambda p=problem, c=config: pkg.integrate(p, c))
         rows[f"{name}/global_error"] = (
             lambda t=traj, p=problem: pkg.global_error(t, p, "sup"))
+        xs = [s.x for s in traj.states]
         rows[f"{name}/exact_solution"] = (
-            lambda p=problem, xs=[s.x for s in traj.states]:
-            reference.exact_solution(p, xs))
+            lambda p=problem, xs=xs: reference.exact_solution(p, xs))
+        if name in ("airy-mixed", "pcf-rival"):
+            rows[f"{name}/horner_batch"] = horner_batch(reference, problem,
+                                                        xs)
     airy = workloads["airy-mixed"].make_problem()
     pcf = workloads["pcf-rival"].make_problem()
     airy_phase = pkg.PhaseProvider(airy, "exact")
