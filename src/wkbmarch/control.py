@@ -204,10 +204,11 @@ def integrate(problem, config: SolverConfig) -> Trajectory:
     """March from x_start to x_end under the error-per-step controller,
     with the configured method's candidates.
 
-    A candidate without a record at either end, whose step is inadmissible
-    or fails, or whose estimate is not finite (which every non-finite
+    A candidate without a record at either end, whose step is
+    inadmissible, or whose estimate is not finite (which every non-finite
     member makes it) is not scored: it counts as rejected with theta
-    THETA_MIN, and its state is never kept.
+    THETA_MIN, and its state is never kept. This screen is the one
+    non-finite check of a pair; `rkf45_step` leaves its stages to it.
 
     Raises SolverError after MAX_REJECTIONS consecutive rejected trials
     or when the trial step falls to 1e-14 |x|.
@@ -245,7 +246,7 @@ def integrate(problem, config: SolverConfig) -> Trajectory:
             try:
                 phi_low, dphi_low, phi, dphi = _pair(
                     tag, problem, provider, state, h, left, right)
-            except (WKBInadmissibleError, SolverError):
+            except WKBInadmissibleError:
                 continue
             # `estimate_error`, the blended tolerance and `proposal_factor`;
             # a NaN or Inf in either member leaves the difference non-finite.
@@ -333,17 +334,20 @@ def _audit(problem, tag: str, x0: float, h: float,
     """(est, lte, deviation) of one pair over [x0, x0+h] restarted from the
     exact solution: lte is the lower member's defect against the exact
     solution at x0 + h, and deviation is |est - lte| / lte. Raises
-    ValueError where the pair is inadmissible on the step."""
+    ValueError where the pair is inadmissible on the step or, as
+    `integrate` screens it, its estimate is not finite."""
     provider = PhaseProvider(problem, phase)
     build = _builder(tag)
+    step = f"{tag} step [{x0}, {x0 + h}]"
     try:
         pair = _pair(tag, problem, provider, problem.exact(x0), h,
                      build(problem, x0), build(problem, x0 + h))
     except WKBInadmissibleError as exc:
-        raise ValueError(f"{tag} step [{x0}, {x0 + h}] is inadmissible: "
-                         f"{exc}") from exc
+        raise ValueError(f"{step} is inadmissible: {exc}") from exc
     y_low = WaveState(x0 + h, *pair[:2])
     est = estimate_error(y_low, WaveState(x0 + h, *pair[2:]))
+    if not est < math.inf:
+        raise ValueError(f"{step} is inadmissible: non-finite estimate")
     lte = estimate_error(y_low, problem.exact(x0 + h))
     return est, lte, abs(est - lte) / lte if lte > 0.0 else math.inf
 

@@ -24,9 +24,12 @@ MAX_DERIVATIVE_ORDER = 5
 
 
 def _check_epsilon(epsilon: float) -> None:
-    if not 0.0 < epsilon < math.inf:
+    # The steps divide by epsilon^2, so its square must be finite and
+    # nonzero too: epsilon from about 1.6e-162 to 1.3e154.
+    if not (0.0 < epsilon < math.inf and 0.0 < epsilon * epsilon < math.inf):
         raise ValueError(
-            f"epsilon must be finite and positive, got {epsilon!r}")
+            f"epsilon must be finite and positive, with a finite nonzero "
+            f"square (about 1.6e-162 to 1.3e154), got epsilon={epsilon!r}")
 
 
 class CoefficientField:
@@ -195,13 +198,15 @@ def make_pcf_problem(epsilon: float, x_start: float = 0.01,
 
     try:
         u0, du0 = reference.pcf_origin_values(nu)
+        # Past |nu| = 2^53 (epsilon below about 4e-17) nu reads as a gamma
+        # pole, both origin values are 0, and this divides by zero.
+        kappa = 2.0 / complex(u0, -math.sqrt(epsilon) * 2.0 ** 0.75 * du0)
     except ArithmeticError:
         # U(nu, 0) overflows below epsilon of about 1.18e-3; its
         # continuation already does below about 1.23e-3 (see exact).
         raise ValueError(
-            f"PCF origin values overflow for epsilon={epsilon!r} "
+            f"PCF origin values overflow or vanish for epsilon={epsilon!r} "
             f"(nu={nu!r})") from None
-    kappa = 2.0 / complex(u0, -math.sqrt(epsilon) * 2.0 ** 0.75 * du0)
     table = reference._ContinuationTable(
         [nu, 0.0, 0.25], 0.0, (u0, du0))
 

@@ -19,7 +19,9 @@ class WKBInadmissibleError(Exception):
 
 
 class SolverError(Exception):
-    """Unrecoverable integration failure (rejection limit, step underflow)."""
+    """A run that cannot go on, raised only by `integrate`: at the rejection
+    limit or the step floor. No pair kernel raises it; a non-finite pair is
+    a rejected candidate, not a failed run."""
 
 
 class ContinuationError(Exception):

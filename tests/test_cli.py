@@ -226,7 +226,8 @@ def test_bad_flags_exit_two(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("eps", ["1.2e-3", "1e-3", "1e-4"])
+# At 1e-17, past |nu| = 2^53, both origin values vanish at a gamma pole.
+@pytest.mark.parametrize("eps", ["1.2e-3", "1e-3", "1e-4", "1e-17"])
 def test_pcf_origin_overflow_exits_two(tmp_path, capsys, eps):
     code = run_cli(["solve", "--problem", "pcf", "--eps", eps,
                     "--out", str(tmp_path / "run")])
@@ -367,6 +368,14 @@ def test_malformed_json_spec_exits_two(tmp_path, capsys, text):
     (["--problem", "airy", "--interval", "1e300,1e301"], "x=1e+300,"),
     (["--problem", "poly:1", "--interval", "0,1", "--eps", "0"],
      "epsilon must be finite and positive"),
+    # An epsilon whose square overflows or underflows to 0, which the
+    # steps divide by.
+    (["--problem", "airy", "--eps", "1e300"], "epsilon=1e+300"),
+    (["--problem", "pcf", "--eps", "1e300"], "epsilon=1e+300"),
+    (["--problem", "poly:1", "--interval", "0,1", "--eps", "1e160"],
+     "epsilon=1e+160"),
+    (["--problem", "poly:1,0,1", "--interval", "0,1", "--eps", "1e-165"],
+     "epsilon=1e-165"),
 ])
 def test_non_finite_problem_exits_two(tmp_path, capsys, args, match):
     path = tmp_path / "prob.json"
@@ -441,6 +450,24 @@ def test_estimator_study_audits_the_methods_lead_pair(tmp_path):
     want = estimator_h_sweep(make_airy_problem(1.0), 10.0, [1.0, 0.1, 0.01],
                              "RKF45")
     assert rows == [[format(v, ".17g") for v in row] for row in want]
+
+
+def test_overflowing_rkf45_sweep_step_exits_two(tmp_path, capsys,
+                                                monkeypatch):
+    # A sweep step over which every Fehlberg stage overflows is an
+    # inadmissible step, named and reported before the run.
+    from wkbmarch import cli as cli_mod
+
+    def no_solve(*_):
+        raise AssertionError("a solve ran before the sweep failed")
+
+    monkeypatch.setattr(cli_mod, "estimator_study", no_solve)
+    code = run_cli(["estimator-study", "--problem", "airy", "--method",
+                    "rkf45", "--h-sweep", "1e150,1e150,1",
+                    "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        "error: RKF45 step [10.0, 1e+150] is inadmissible: non-finite")
 
 
 @pytest.mark.parametrize("args", [

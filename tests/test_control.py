@@ -17,6 +17,7 @@ from wkbmarch import (CoefficientField, PhaseProvider, Problem, SolverConfig,
                       wkb_core)
 from wkbmarch.control import (CANDIDATES, METHODS, ORDER_K, THETA_MIN,
                               estimate_error, proposal_factor)
+from wkbmarch.rk45 import rkf45_step
 
 
 def cfg(**kw):
@@ -529,6 +530,47 @@ def test_estimator_h_sweep_rejects_bad_step_before_any_step(airy1,
     monkeypatch.setattr(control, "_audit", no_audit)
     with pytest.raises(ValueError, match=re.escape(f"h={h!r}")):
         estimator_h_sweep(airy1, 10.0, [0.5, h], tag)
+
+
+def test_estimator_h_sweep_names_an_overflowing_rkf45_step(airy1):
+    # From x0 = 10 a step of 1e60 overflows every Fehlberg stage: the pair
+    # is not finite, which the audit screens as integrate does.
+    with pytest.raises(ValueError, match=re.escape(
+            "RKF45 step [10.0, 1e+60] is inadmissible: non-finite")):
+        estimator_h_sweep(airy1, 10.0, [1e60], "RKF45")
+
+
+@pytest.mark.parametrize("tag", ["WKB", "RKWKB", "RKF45"])
+@pytest.mark.parametrize("bad", [complex(math.inf, 0.0),
+                                 complex(0.0, math.nan)])
+def test_audit_screens_every_tag(airy1, monkeypatch, tag, bad):
+    # A non-finite member makes the estimate non-finite under any tag.
+    monkeypatch.setattr(control, "_pair", lambda *_: (bad, 0j, 1.0, 0j))
+    with pytest.raises(ValueError, match=re.escape(
+            f"{tag} step [10.0, 10.5] is inadmissible: non-finite")):
+        estimator_h_sweep(airy1, 10.0, [0.5], tag)
+
+
+@pytest.mark.parametrize("method", ["wkb+rkf45", "rkwkbmod"])
+def test_non_finite_rkf45_candidates_never_win(monkeypatch, method):
+    # a = 1 at eps 1e-60 overflows every Fehlberg stage: each RKF45 pair
+    # comes back with a non-finite difference and the oscillatory
+    # candidate carries every step.
+    pairs = []
+
+    def spy(*args):
+        pairs.append(rkf45_step(*args))
+        return pairs[-1]
+
+    monkeypatch.setattr(control, "rkf45_step", spy)
+    p = make_polynomial_problem([1.0], 1e-60, (0.0, 10.0))
+    traj = integrate(p, cfg(tol=1e-6, h0=1.0, method=method, phase="cc"))
+    assert (traj.accepted, traj.rejected) == (4, 0)
+    assert "RKF45" not in traj.method_counts()
+    assert len(pairs) == 4
+    for phi4, dphi4, phi5, dphi5 in pairs:
+        assert not (abs(phi4 - phi5) < math.inf
+                    and abs(dphi4 - dphi5) < math.inf)
 
 
 def test_estimator_study_needs_exact():

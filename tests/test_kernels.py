@@ -8,7 +8,9 @@ both ends' bases and solves both fits of each order inside its loop, and a
 theta1. `b_jet`, `eval_bk`, `wkb_basis`, `rkwkb_step`, `rkf45_step` and the
 WKB step pair unroll or share the same arithmetic in the same order, so
 every result must carry the same IEEE bits, signed zeros included, and
-every input must raise in both or in neither. The pair kernels return four
+every input must raise in both or in neither; the one exception is a
+non-finite Fehlberg stage, where the tableau step raises and `rkf45_step`
+returns a pair whose difference is not finite. The pair kernels return four
 bare complex scalars (phi and phi' of the low member, then of the high
 one), and the oracles return the same four.
 
@@ -337,7 +339,8 @@ def outcome(fn, *args):
 
 coefficient = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-4.0, 4.0))
 # Zero states and zero x make -0.0 products; the largest states overflow
-# the right-hand side, which both steps must reject.
+# the right-hand side, which the tableau step rejects and `rkf45_step`
+# leaves to the controller's screen.
 complex_state = st.one_of(
     st.sampled_from([0j, complex(-0.0, 0.0), complex(0.0, -0.0),
                      complex(1e300, -1e300)]),
@@ -356,6 +359,10 @@ complex_state = st.one_of(
 # that drops its 0.0 seed changes the sign of a zero.
 @example(coeffs=[1.0, -0.0, -1.0, -0.0], x=-0.0, eps=0.5, phi=0j, dphi=0j,
          h=0.5)
+# A non-finite stage where `rkf45_step` returns three finite members and a
+# NaN phi'_5.
+@example(coeffs=[0.0, -1.0], x=-3.0, eps=2.0 ** -5, phi=0j,
+         dphi=complex(1e300, -1e300), h=1.0)
 def test_kernels_match_generic_forms_bit_for_bit(coeffs, x, eps, phi, dphi,
                                                  h):
     p = make_polynomial_problem(coeffs, eps, (x, x + 10.0),
@@ -364,8 +371,15 @@ def test_kernels_match_generic_forms_bit_for_bit(coeffs, x, eps, phi, dphi,
     assert outcome(b_jet, p, x) == outcome(generic_b_jet, p, x, 3)
     assert outcome(eval_bk, p, x) == outcome(generic_eval_bk, p, x)
     assert outcome(wkb_basis, p, x) == outcome(generic_wkb_basis, p, x)
-    assert outcome(rkf45_step, p, p.initial, h) == outcome(
-        tableau_rkf45_step, p, p.initial, h)
+    want = outcome(tableau_rkf45_step, p, p.initial, h)
+    if want == "SolverError":
+        # `rkf45_step` leaves a non-finite stage to the controller's
+        # screen: its member difference is not finite.
+        phi4, dphi4, phi5, dphi5 = rkf45_step(p, p.initial, h)
+        assert not (abs(phi4 - phi5) < math.inf
+                    and abs(dphi4 - dphi5) < math.inf)
+    else:
+        assert outcome(rkf45_step, p, p.initial, h) == want
     assert outcome(wkb_march, p, h, package_from_Z) == outcome(
         wkb_march, p, h, reference_from_Z)
 

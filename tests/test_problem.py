@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wkbmarch import (CoefficientField, WaveState, make_airy_problem,
+from wkbmarch import (CoefficientField, SolverConfig, SolverError,
+                      WaveState, integrate, make_airy_problem,
                       make_pcf_problem, make_polynomial_problem,
                       problem_from_json, reference)
 from wkbmarch.wkb_core import eval_bk
@@ -183,20 +184,32 @@ def test_pcf_domain_validation():
         make_pcf_problem(0.1, x_start=0.5, x_end=2.5)
 
 
-@pytest.mark.parametrize("eps", [1.2e-3, 1e-3, 1e-4])
+@pytest.mark.parametrize("eps", [1.2e-3, 1e-3, 1e-4, 1e-17])
 def test_pcf_origin_overflow_is_value_error(eps):
     # Below eps of about 1.23e-3 U(nu, 0) or its continuation overflows.
+    # Below about 4e-17 |nu| passes 2^53, where every float is an integer:
+    # both origin values read a gamma pole and vanish instead.
     with pytest.raises(ValueError, match=f"epsilon={eps!r}"):
         make_pcf_problem(eps)
 
 
-@pytest.mark.parametrize("eps", [math.nan, math.inf, -0.5, 0.0])
+# The edges of the epsilon range, where epsilon * epsilon is the least
+# subnormal and the largest finite float.
+EPS_LOW, EPS_HIGH = 1.5717277847026288e-162, 1.3407807929942596e154
+
+
+@pytest.mark.parametrize("eps", [
+    math.nan, math.inf, -0.5, 0.0,
+    1e300, 1e160, math.nextafter(EPS_HIGH, math.inf),
+    1e-165, 1e-300, math.nextafter(EPS_LOW, 0.0)])
 def test_non_finite_epsilon_is_value_error(eps):
     # The polynomial factory's default initial data divides by epsilon, so
-    # it checks epsilon first, as the others do.
+    # it checks epsilon first, as the others do. The steps divide by
+    # epsilon^2, so an epsilon whose square overflows or underflows to 0
+    # is refused too.
     for make in (make_airy_problem, make_pcf_problem,
                  lambda e: make_polynomial_problem([1.0], e, (0.0, 1.0))):
-        with pytest.raises(ValueError, match="epsilon"):
+        with pytest.raises(ValueError, match=re.escape(f"epsilon={eps!r}")):
             make(eps)
 
 
@@ -278,16 +291,30 @@ def test_poly_default_initial_is_right_traveling():
     assert 0.5 * p.initial.dphi == pytest.approx(-2.0j)
 
 
+@pytest.mark.parametrize("eps", [EPS_LOW, 1e-160, 1e150, EPS_HIGH])
+@pytest.mark.parametrize("method", ["wkb+rkf45", "rkwkbmod", "rkf45"])
+def test_epsilon_range_edges_run(eps, method):
+    # Inside the range every method either marches or ends in SolverError.
+    p = make_polynomial_problem([1.0], eps, (0.0, 1.0))
+    try:
+        traj = integrate(p, SolverConfig(tol=1e-6, h0=0.1, method=method,
+                                         phase="cc"))
+    except SolverError:
+        return
+    assert traj.final_state.x == 1.0
+
+
 def test_finite_overflowing_coefficients_are_allowed():
     p = make_polynomial_problem([1e308, 1e308], 1.0, (0.0, 10.0))
     assert p.field(1.0) == math.inf
 
 
 def test_airy_reference_overflow_is_a_value_error(airy1):
-    # At eps = 1e-300 the initial state sits at t = 0.1 eps^(-2/3), where
-    # the asymptotic series overflows. From t of about 1e200 up its phase
-    # overflows first, in the Dekker splits; either names the point, in a
-    # single query and in a batch.
+    # At eps = 1e-300 the initial state would sit at t = 0.1 eps^(-2/3),
+    # where the asymptotic series overflows; the epsilon range now refuses
+    # that eps first, with the same error naming it. From t of about 1e200
+    # up the phase overflows first, in the Dekker splits; that names the
+    # point, in a single query and in a batch.
     with pytest.raises(ValueError, match="epsilon=1e-300"):
         make_airy_problem(1e-300)
     for x in (1e205, 1e300):

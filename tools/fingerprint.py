@@ -28,10 +28,15 @@ one JSON object:
     accepted and 5 rejected); `tiny-start`, a = x on [1e-200, 1] with
     tau_guard 1e-300, initial (1, 0) and h0 0.5, with Airy's closed-form
     phase (a start point without a record: under both oscillatory
-    methods, 5 accepted and 2 rejected trials, all RKF45).
+    methods, 5 accepted and 2 rejected trials, all RKF45); `stiff-rk`,
+    a = 1 on [0, 10] at eps 1e-60 from h0 1, the CLI's `poly:1` run, where
+    the RKF45 stages overflow and every RKF45 pair is non-finite (with the
+    cc phase, `wkb+rkf45` and `rkwkbmod` take 4 accepted and 0 rejected
+    trials, none of them won by RKF45, and `rkf45` ends in `SolverError`).
   A run that raises `SolverError` or `ValueError` hashes the error's
-  name; `near-turning` has no closed-form phase, so its exact-phase runs
-  raise `ValueError`, but for `rkf45`, which reads no phase.
+  name; `near-turning` and `stiff-rk` have no closed-form phase, so their
+  exact-phase runs raise `ValueError`, but for `rkf45`, which reads no
+  phase.
 * `verify`: for each `<workload>/<seed>` key above, over its runs, the
   float.hex of `global_error` under `sup` and under `l2rel`, and a sha256
   (first 16 hex digits) over float.hex of the exact phi at every accepted
@@ -161,7 +166,9 @@ def collect(root: Path) -> dict:
             [1e-10, 0.0, 1.0], 1.0, (-1.0, 1.0)), 1.0),
         "edge/tiny-start": (dataclasses.replace(
             tiny, initial=WaveState(tiny.x_start, 1.0 + 0j, 0j),
-            tau_guard=1e-300), 0.5)}
+            tau_guard=1e-300), 0.5),
+        "edge/stiff-rk": (make_polynomial_problem(
+            [1.0], 1e-60, (0.0, 10.0)), 1.0)}
     for label, (problem, h0) in {**problems, **edges}.items():
         for method in METHODS:
             for phase in PHASES:
