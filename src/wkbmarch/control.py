@@ -13,12 +13,14 @@ tolerance ATol + RTol * ||Y||_inf with ATol = ETA * Tol and RTol = Tol
 both resizes the step and arbitrates between methods: among accepted
 candidates the larger theta wins, a tie going to the earlier candidate; if
 none is accepted the trial is redone with the step shrunk by the largest
-theta, at most MAX_REJECTIONS times in a row. A candidate whose transforms
-are inadmissible (turning-point guards) scores as rejected with theta
-THETA_MIN, which is what pushes the march onto the Runge-Kutta branch near
-turning points. A pair with a non-finite member or estimate scores the
-same way, so a NaN or Inf is never accepted and never enlarges the step.
-The controller constants are the paper's fixed values.
+theta, at most MAX_REJECTIONS times in a row. A candidate accepted at
+THETA_MAX cannot be beaten, since a later one could at best tie, so the
+trial stops there and runs no later candidate's pair. A candidate whose
+transforms are inadmissible (turning-point guards) scores as rejected
+with theta THETA_MIN, which is what pushes the march onto the Runge-Kutta
+branch near turning points. A pair with a non-finite member or estimate
+scores the same way, so a NaN or Inf is never accepted and never enlarges
+the step. The controller constants are the paper's fixed values.
 
 Every pair kernel returns four bare complex scalars, phi and phi' of the
 low member and then of the high one. `integrate` scores them where they
@@ -137,11 +139,15 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 
 def estimate_error(y_low: WaveState, y_high: WaveState) -> float:
-    """Local truncation estimate: sup norm of the pair difference."""
+    """Local truncation estimate: sup norm of the pair difference; inf
+    where the modulus of a difference passes the largest float."""
     if y_low.x != y_high.x:
         raise ValueError("estimator needs both results at the same point")
-    d_phi = abs(y_low.phi - y_high.phi)
-    d_dphi = abs(y_low.dphi - y_high.dphi)
+    try:
+        d_phi = abs(y_low.phi - y_high.phi)
+        d_dphi = abs(y_low.dphi - y_high.dphi)
+    except OverflowError:
+        return math.inf
     if math.isnan(d_phi) or math.isnan(d_dphi):
         return math.nan
     return max(d_phi, d_dphi)
@@ -205,10 +211,12 @@ def integrate(problem, config: SolverConfig) -> Trajectory:
     with the configured method's candidates.
 
     A candidate without a record at either end, whose step is
-    inadmissible, or whose estimate is not finite (which every non-finite
-    member makes it) is not scored: it counts as rejected with theta
+    inadmissible, whose estimate is not finite (which every non-finite
+    member makes it), or whose member or difference has a modulus past the
+    largest float is not scored: it counts as rejected with theta
     THETA_MIN, and its state is never kept. This screen is the one
     non-finite check of a pair; `rkf45_step` leaves its stages to it.
+    A candidate accepted at THETA_MAX ends the trial's candidate loop.
 
     Raises SolverError after MAX_REJECTIONS consecutive rejected trials
     or when the trial step falls to 1e-14 |x|.
@@ -249,12 +257,16 @@ def integrate(problem, config: SolverConfig) -> Trajectory:
             except WKBInadmissibleError:
                 continue
             # `estimate_error`, the blended tolerance and `proposal_factor`;
-            # a NaN or Inf in either member leaves the difference non-finite.
-            d_phi, d_dphi = abs(phi_low - phi), abs(dphi_low - dphi)
+            # a NaN or Inf in either member leaves the difference non-finite,
+            # and a modulus past the largest float is screened the same way.
+            try:
+                d_phi, d_dphi = abs(phi_low - phi), abs(dphi_low - dphi)
+                a_phi, a_dphi = abs(phi), abs(dphi)
+            except OverflowError:
+                continue
             if not (d_phi < inf and d_dphi < inf):
                 continue
             est = d_dphi if d_dphi > d_phi else d_phi
-            a_phi, a_dphi = abs(phi), abs(dphi)
             tol = atol + rtol * (a_dphi if a_dphi > a_phi else a_phi)
             th = SAFETY * (tol / est) ** power if est else THETA_MAX
             th = ((th if th > THETA_MIN else THETA_MIN) if th < THETA_MAX
@@ -266,6 +278,10 @@ def integrate(problem, config: SolverConfig) -> Trajectory:
                 continue
             phi_won, dphi_won, tag_won, est_won = phi, dphi, tag, est
             theta, accepted = th, ok
+            # Accepted at the clamp: a later candidate can at best tie, and
+            # a tie keeps this one, so no later pair is run.
+            if ok and th == THETA_MAX:
+                break
 
         if accepted:
             x = x1

@@ -60,19 +60,26 @@ def clenshaw_curtis(integrand: Callable[[list[float]], Sequence[float]],
     `nodes` counts the Chebyshev-Lobatto points; the rule is exact for
     polynomials of degree <= nodes - 1. `integrand` maps the list of nodes
     [b, ..., a] to their values in one call, as in scipy's fixed_quad.
+    Raises ValueError, naming the first such node, where a value is not
+    finite; every weight is positive, so such a value leaves the sum not
+    finite, and only then are the values scanned.
     """
     if nodes < 2:
         raise ValueError("need at least 2 quadrature nodes")
     xs, ws = _cc_nodes_weights(nodes - 1)
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
+    points = [mid + half * xi for xi in xs]
     # The end nodes are b and a themselves; mid -/+ half can round past them.
-    points = [b, *(mid + half * xi for xi in xs[1:-1]), a]
+    points[0], points[-1] = b, a
+    vals = integrand(points)
     total = 0.0
-    for x, wi, val in zip(points, ws, integrand(points), strict=True):
-        if not math.isfinite(val):
-            raise ValueError(f"non-finite integrand at x={x}")
+    for wi, val in zip(ws, vals, strict=True):
         total += wi * val
+    if not math.isfinite(total):
+        for x, val in zip(points, vals):
+            if not math.isfinite(val):
+                raise ValueError(f"non-finite integrand at x={x}")
     return half * total
 
 
@@ -93,6 +100,7 @@ class PhaseProvider:
             raise ValueError("problem has no closed-form phase; use cc mode")
         self.problem = problem
         self.mode = mode
+        self._rates = functools.partial(phase_rates, problem)
 
     def increment(self, x0: float, x1: float) -> float:
         """s = phase(x1) - phase(x0)."""
@@ -100,8 +108,7 @@ class PhaseProvider:
             return 0.0
         if self.mode == "cc":
             # phase_rates rejects a non-finite integrand value itself.
-            s = clenshaw_curtis(
-                functools.partial(phase_rates, self.problem), x0, x1)
+            s = clenshaw_curtis(self._rates, x0, x1)
         else:
             F = self.problem.phase_antiderivative
             try:

@@ -387,6 +387,21 @@ def test_non_finite_problem_exits_two(tmp_path, capsys, args, match):
     assert err.startswith("error: ") and match in err
 
 
+@pytest.mark.parametrize("method", METHODS)
+def test_overflowing_initial_modulus_exits_two(tmp_path, capsys, method):
+    # Finite parts whose modulus passes the largest float, which the
+    # controller's tolerance takes: a spec error, not a crash in the run.
+    path = tmp_path / "prob.json"
+    path.write_text('{"type": "poly", "coeffs": [0], "domain": [0, 1], '
+                    '"initial": [1.3e308, 1.3e308, 0, 0]}')
+    code = run_cli(["solve", "--problem", f"json:{path}", "--tol", "1e-6",
+                    "--method", method, "--out", str(tmp_path / "run")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "finite modulus" in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_non_finite_cc_integrand_is_a_solver_failure(tmp_path, capsys):
     # a = 1e308 (1 + x) overflows: every candidate is rejected, none ends
     # the run with a spec error.

@@ -86,19 +86,22 @@ ONE = (1.0 + 0j, 0j)  # (phi, phi') of a high member whose sup norm is 1
 H0 = 0.25
 
 
-def designed_run(monkeypatch, method, first):
+def designed_run(monkeypatch, method, first, calls=None):
     """integrate on Airy eps 1 over [1, 2] from h = H0, with `control._pair`
     stubbed. In the first trial, the pair of each tag in `first` is the
     (low, high) pair of (phi, phi') values given there, returned as the
     four scalars (phi_low, dphi_low, phi_high, dphi_high); every other
     pair is (ONE, ONE), whose estimate is 0. Airy has records at every
-    grid point of [1, 2], so every candidate's pair runs in every trial."""
-    calls = []
-    first_trial = len(CANDIDATES[method])
+    grid point of [1, 2], so the first candidate's pair runs in every
+    trial and a trial begins with it; a later candidate's pair runs unless
+    an earlier one was accepted at THETA_MAX. `calls`, if given, receives
+    the tag of every pair run."""
+    calls = [] if calls is None else calls
+    head = CANDIDATES[method][0]
 
     def pair(tag, problem, provider, state, h, left, right):
         calls.append(tag)
-        low, high = (first.get(tag, (ONE, ONE)) if len(calls) <= first_trial
+        low, high = (first.get(tag, (ONE, ONE)) if calls.count(head) == 1
                      else (ONE, ONE))
         return (*low, *high)
 
@@ -135,10 +138,12 @@ def scored(tag, d):
 
 @pytest.mark.parametrize("bad", [complex(math.inf, 0.0),
                                  complex(math.nan, 0.0),
-                                 complex(0.0, -math.inf)])
+                                 complex(0.0, -math.inf),
+                                 complex(1.3e308, 1.3e308)])
 @pytest.mark.parametrize("member", ["low", "high"])
 def test_non_finite_pair_scores_as_rejected(monkeypatch, bad, member):
-    # A non-finite member is never accepted and never enlarges the step:
+    # A non-finite member, or one whose finite parts have a modulus past
+    # the largest float, is never accepted and never enlarges the step:
     # under either oscillatory candidate it scores like an inadmissible
     # candidate (rejected, theta 0.5), and its state never lands in a record.
     good, broken = (0.3 + 0.4j, -1.0j), (bad, -1.0j)
@@ -159,18 +164,21 @@ def test_non_finite_pair_scores_as_rejected(monkeypatch, bad, member):
 
 
 def test_overflowing_estimate_scores_as_rejected(monkeypatch):
-    # Finite members whose difference overflows: the estimate is Inf.
-    big = ((1.5e308 + 0j, 0j), (-1.5e308 + 0j, 0j))
-    for method in RULES:
-        tags = CANDIDATES[method]
-        traj = designed_run(monkeypatch, method, dict.fromkeys(tags, big))
+    # Finite members whose difference overflows: to an Inf part, or with
+    # finite parts to a modulus past the largest float. The estimate is Inf.
+    for big in (((1.5e308 + 0j, 0j), (-1.5e308 + 0j, 0j)),
+                ((0.65e308 + 0.65e308j, 0j), (-0.65e308 - 0.65e308j, 0j))):
+        for method in RULES:
+            tags = CANDIDATES[method]
+            traj = designed_run(monkeypatch, method,
+                                dict.fromkeys(tags, big))
+            assert traj.rejected == 1
+            assert traj.records[0].h == THETA_MIN * H0
+            assert all(max(abs(r.state.phi), abs(r.state.dphi)) < 1e308
+                       for r in traj.records)
+        traj = designed_run(monkeypatch, "rkf45", {"RKF45": big})
         assert traj.rejected == 1
         assert traj.records[0].h == THETA_MIN * H0
-        assert all(max(abs(r.state.phi), abs(r.state.dphi)) < 1e308
-                   for r in traj.records)
-    traj = designed_run(monkeypatch, "rkf45", {"RKF45": big})
-    assert traj.rejected == 1
-    assert traj.records[0].h == THETA_MIN * H0
 
 
 def test_arbitration_case_table(monkeypatch):
@@ -218,6 +226,32 @@ def test_tie_goes_to_the_earlier_tag(monkeypatch):
     traj = designed_run(monkeypatch, "wkb+rkf45", first)
     assert first_trial_outcome(traj) == (False, "WKB",
                                          *scored("WKB", tol / 100), 2.0 * H0)
+
+
+@pytest.mark.parametrize("method", RULES)
+def test_clamped_winner_ends_the_trial(monkeypatch, method):
+    # A first candidate accepted at THETA_MAX cannot be beaten, so the
+    # second candidate's pair is not run; accepted below the clamp or
+    # rejected, it leaves the second pair to run. Every later trial is
+    # exact under both, so RKF45 runs at most in the first trial.
+    osc, rk = CANDIDATES[method]
+    tol = cfg().atol + cfg().tol
+    for d, runs in ((0.0, False), (tol / 100, False), (tol / 2, True),
+                    (2.0 * tol, True)):
+        calls = []
+        traj = designed_run(monkeypatch, method, {osc: off_by(d)}, calls)
+        assert calls.count(rk) == runs
+        assert calls[:1 + runs] == [osc, rk][:1 + runs]
+        assert len(calls) == traj.accepted + traj.rejected + runs
+
+
+def test_estimate_of_an_overflowing_difference_is_inf():
+    big = complex(1.3e308, 1.3e308)
+    for a, b in ((big, 0j), (big / 2, -big / 2)):
+        assert estimate_error(WaveState(1.0, a, 0j),
+                              WaveState(1.0, b, 0j)) == math.inf
+        assert estimate_error(WaveState(1.0, 0j, a),
+                              WaveState(1.0, 0j, b)) == math.inf
 
 
 def test_config_validation():
@@ -542,20 +576,25 @@ def test_estimator_h_sweep_names_an_overflowing_rkf45_step(airy1):
 
 @pytest.mark.parametrize("tag", ["WKB", "RKWKB", "RKF45"])
 @pytest.mark.parametrize("bad", [complex(math.inf, 0.0),
-                                 complex(0.0, math.nan)])
+                                 complex(0.0, math.nan),
+                                 complex(1.3e308, 1.3e308)])
 def test_audit_screens_every_tag(airy1, monkeypatch, tag, bad):
-    # A non-finite member makes the estimate non-finite under any tag.
+    # A non-finite member, or a difference whose modulus passes the
+    # largest float, makes the estimate non-finite under any tag.
     monkeypatch.setattr(control, "_pair", lambda *_: (bad, 0j, 1.0, 0j))
     with pytest.raises(ValueError, match=re.escape(
             f"{tag} step [10.0, 10.5] is inadmissible: non-finite")):
         estimator_h_sweep(airy1, 10.0, [0.5], tag)
 
 
-@pytest.mark.parametrize("method", ["wkb+rkf45", "rkwkbmod"])
-def test_non_finite_rkf45_candidates_never_win(monkeypatch, method):
-    # a = 1 at eps 1e-60 overflows every Fehlberg stage: each RKF45 pair
-    # comes back with a non-finite difference and the oscillatory
-    # candidate carries every step.
+def stiff_rk():
+    """a = 1 at eps 1e-60: every Fehlberg stage overflows, so each RKF45
+    pair comes back with a non-finite difference."""
+    return make_polynomial_problem([1.0], 1e-60, (0.0, 10.0))
+
+
+def spy_rkf45(monkeypatch):
+    """The RKF45 pairs `integrate` runs, in a list."""
     pairs = []
 
     def spy(*args):
@@ -563,14 +602,55 @@ def test_non_finite_rkf45_candidates_never_win(monkeypatch, method):
         return pairs[-1]
 
     monkeypatch.setattr(control, "rkf45_step", spy)
-    p = make_polynomial_problem([1.0], 1e-60, (0.0, 10.0))
-    traj = integrate(p, cfg(tol=1e-6, h0=1.0, method=method, phase="cc"))
+    return pairs
+
+
+def non_finite(pair):
+    phi4, dphi4, phi5, dphi5 = pair
+    return not (abs(phi4 - phi5) < math.inf and abs(dphi4 - dphi5) < math.inf)
+
+
+@pytest.mark.parametrize("method", ["wkb+rkf45", "rkwkbmod"])
+def test_non_finite_rkf45_candidates_never_win(monkeypatch, method):
+    # The oscillatory candidate is exact on the stiff problem and accepted
+    # at THETA_MAX, which ends each trial before RKF45. With its low member
+    # moved off by half the tolerance it is accepted below the clamp, RKF45
+    # runs in every trial, and its non-finite pair never wins.
+    pairs = spy_rkf45(monkeypatch)
+    real_pair = control._pair
+    c = cfg(tol=1e-6, h0=1.0, method=method, phase="cc")
+
+    def pair(tag, problem, provider, state, h, left, right):
+        out = real_pair(tag, problem, provider, state, h, left, right)
+        if tag == "RKF45":
+            return out
+        _, _, phi, dphi = out
+        tol = c.atol + c.tol * max(abs(phi), abs(dphi))
+        return phi + 0.5 * tol, dphi, phi, dphi
+
+    monkeypatch.setattr(control, "_pair", pair)
+    traj = integrate(stiff_rk(), c)
+    assert traj.rejected == 0
+    assert all(r.theta < 2.0 for r in traj.records)
+    assert "RKF45" not in traj.method_counts()
+    assert len(pairs) == traj.accepted
+    assert all(map(non_finite, pairs))
+    # Unperturbed, every trial ends at its clamped oscillatory winner.
+    pairs.clear()
+    monkeypatch.setattr(control, "_pair", real_pair)
+    traj = integrate(stiff_rk(), c)
     assert (traj.accepted, traj.rejected) == (4, 0)
     assert "RKF45" not in traj.method_counts()
-    assert len(pairs) == 4
-    for phi4, dphi4, phi5, dphi5 in pairs:
-        assert not (abs(phi4 - phi5) < math.inf
-                    and abs(dphi4 - dphi5) < math.inf)
+    assert pairs == []
+
+
+def test_non_finite_rkf45_pairs_end_an_rkf45_run(monkeypatch):
+    # Alone, RKF45's non-finite pairs are rejected until the limit.
+    pairs = spy_rkf45(monkeypatch)
+    with pytest.raises(SolverError, match="26 consecutive rejections"):
+        integrate(stiff_rk(), cfg(tol=1e-6, h0=1.0, method="rkf45"))
+    assert len(pairs) == 26
+    assert all(map(non_finite, pairs))
 
 
 def test_estimator_study_needs_exact():

@@ -112,6 +112,37 @@ def test_cc_rejects_bad_input():
         clenshaw_curtis(batch(lambda x: math.inf), 0.0, 1.0, 5)
 
 
+def test_cc_overflowing_sum_of_finite_values_is_returned():
+    # Finite values whose weighted sum overflows: the rule returns the
+    # non-finite sum and raises nothing.
+    assert clenshaw_curtis(batch(lambda x: 1e308), 0.0, 1.0) == math.inf
+    assert clenshaw_curtis(batch(lambda x: -1e308), 0.0, 1.0) == -math.inf
+
+
+@pytest.mark.parametrize("n", [5, 15])
+def test_cc_names_first_non_finite_node(n):
+    # An inf at one interior node and a nan at a later one: the error names
+    # the node of the inf, the first in the order [b, ..., a].
+    calls = []
+
+    def values(xs):
+        calls.append(list(xs))
+        out = [1.0] * len(xs)
+        out[1], out[-2] = math.inf, math.nan
+        return out
+
+    with pytest.raises(ValueError) as info:
+        clenshaw_curtis(values, 0.0, 1.0, n)
+    assert str(info.value) == f"non-finite integrand at x={calls[0][1]}"
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("size", [14, 16])
+def test_cc_rejects_wrong_length_values(size):
+    with pytest.raises(ValueError):
+        clenshaw_curtis(lambda xs: [1.0] * size, 0.0, 1.0, 15)
+
+
 # ---------------------------------------------------------------------------
 # increments
 # ---------------------------------------------------------------------------

@@ -378,6 +378,11 @@ def test_problem_from_json_variants():
       "initial": [math.inf, 0, 0, 0]}, "initial state must be finite"),
     ({"type": "poly", "coeffs": [1], "domain": [0, 1],
       "initial": [1, 0, 0, math.nan]}, "initial state must be finite"),
+    # Finite parts whose modulus passes the largest float.
+    ({"type": "poly", "coeffs": [0], "domain": [0, 1],
+      "initial": [1.3e308, 1.3e308, 0, 0]}, "finite modulus"),
+    ({"type": "poly", "coeffs": [0], "domain": [0, 1],
+      "initial": [0, 0, -1.3e308, 1.3e308]}, "finite modulus"),
 ])
 def test_problem_from_json_rejects_malformed_specs(spec, match):
     with pytest.raises(ValueError, match=match):

@@ -30,6 +30,9 @@ under either tree.
   `eval_bk` at x = 10; the WKB `control._pair` over [10, 10.25];
   `rkf45_step` from x = 2 by 0.05; `wkb_basis` at x = 1 and `rkwkb_step`
   over [1, 1.001] on PCF, the basis-fit kernels of `rkwkbmod`.
+* `cc_increment`: `PhaseProvider(<long-cc problem>, "cc").increment` over
+  the last step of that side's seed-0 `long-cc` trajectory, one
+  Clenshaw-Curtis rule.
 Each sample repeats its call as often as this checkout needs for about
 SAMPLE_S seconds (the same count on both sides) and keeps the mean per
 call.
@@ -110,10 +113,11 @@ def rows_for(mods: dict, workloads) -> dict:
     reference = mods["wkbmarch.reference"]
     wkb_core, rkwkb = mods["wkbmarch.wkb_core"], mods["wkbmarch.rkwkb"]
     rk45, WaveState = mods["wkbmarch.rk45"], pkg.WaveState
-    rows = {}
+    rows, runs = {}, {}
     for name, w in workloads.items():
         problem, config = w.make_problem(), w.config(w.h0_factors(0)[0])
         traj = pkg.integrate(problem, config)
+        runs[name] = problem, traj
         rows[f"{name}/integrate"] = (
             lambda p=problem, c=config: pkg.integrate(p, c))
         rows[f"{name}/global_error"] = (
@@ -140,6 +144,10 @@ def rows_for(mods: dict, workloads) -> dict:
     rows["wkb_basis"] = lambda: rkwkb.wkb_basis(pcf, 1.0)
     rows["rkwkb_step"] = lambda: rkwkb.rkwkb_step(pcf, pcf_phase, b_left,
                                                   b_right, b_state)
+    long_cc, traj = runs["long-cc"]
+    cc_phase = pkg.PhaseProvider(long_cc, "cc")
+    x0, x1 = traj.records[-2].x, traj.records[-1].x
+    rows["cc_increment"] = lambda: cc_phase.increment(x0, x1)
     return rows
 
 
