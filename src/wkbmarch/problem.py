@@ -51,7 +51,6 @@ class CoefficientField:
             prev = tower[-1]
             tower.append([j * prev[j] for j in range(1, len(prev))])
         self._horner = tuple(tuple(reversed(poly)) for poly in tower)
-        self._value = self._horner[0]
         self.horner_heads = self._horner[:3]
 
     def jet(self, x: float) -> tuple[float, ...]:
@@ -66,7 +65,7 @@ class CoefficientField:
 
     def __call__(self, x: float) -> float:
         acc = 0.0
-        for c in self._value:
+        for c in self.horner_heads[0]:
             acc = acc * x + c
         return acc
 

@@ -391,21 +391,18 @@ class _ContinuationTable:
 
     Each side of x0 is one march away from x0 in full substeps of
     min(1, _series_phase_cap(SERIES_TERMS) / sqrt(1 + |q|)), and the table
-    keeps the state at every substep end, with the value and derivative
-    series that the substep away from it was formed with. A checkpoint
+    keeps the key of every substep end, with the value and derivative
+    series that the substep away from it was formed with, and the march
+    state at the side's last key alone, where growth resumes. A checkpoint
     therefore depends only on its position, never on the order of earlier
     queries, and a side grown to its farthest point at once holds the
     checkpoints that growing it point by point leaves. A query hops from
     the checkpoint at or below x on its side by one Horner pass over the
     stored value series, and by a second over the stored derivative series
-    for the full state; it forms no series. The stored series take about
-    0.68 MB for the complex Airy table up to t = 50 (131 checkpoints),
-    0.2 MB for PCF at eps = 2^-6 and 2 MB at eps = 1.3e-3, near the
-    smallest eps the PCF factory accepts.
+    for the full state, with h = 0.0 on a checkpoint; it forms no series.
 
-    Growth runs under a lock and publishes each checkpoint's series and
-    state before its key, so a concurrent reader only ever finds complete
-    checkpoints.
+    Growth runs under a lock and publishes each checkpoint's series before
+    its key, so a concurrent reader only ever finds complete checkpoints.
     """
 
     def __init__(self, q_coeffs, x0: float, state):
@@ -414,37 +411,37 @@ class _ContinuationTable:
         self._phase_cap = _series_phase_cap(SERIES_TERMS)
         zero = state[0] * 0.0
         seed = (state[0], zero, state[1], zero)
-        # Direction d -> (keys d*x in ascending order, states at those x,
-        # (value series, derivative series) of the substep from each x to
-        # the next).
-        self._sides = {1.0: ([self.x0], [seed], []),
-                       -1.0: ([-self.x0], [seed], [])}
+        # Direction d -> [keys d*x in ascending order, (value series,
+        # derivative series) of the substep from each x to the next, state
+        # at the last key].
+        self._sides = {1.0: [[self.x0], [], seed],
+                       -1.0: [[-self.x0], [], seed]}
         # (series count per side) -> the numpy copy of both sides that
         # values_at reads (see _stacked).
         self._stacks = {}
         self._lock = threading.Lock()
 
     def _grow(self, d: float, key: float) -> None:
-        keys, states, series = self._sides[d]
+        side = self._sides[d]
+        keys, series = side[0], side[1]
         with self._lock:
-            while keys[-1] < key:
+            while keys[-1] <= key:
                 x, state, values, derivs = _dd_substep(
-                    self.q, d * keys[-1], states[-1], d * math.inf,
+                    self.q, d * keys[-1], side[2], d * math.inf,
                     self._phase_cap, SERIES_TERMS)
-                # Series and state before key: readers bisect the keys
-                # unlocked.
+                # Series before key: readers bisect the keys unlocked.
                 series.append((values, derivs))
-                states.append(state)
+                side[2] = state
                 keys.append(d * x)
 
     def _locate(self, x: float) -> tuple[float, int, float]:
         """(d, i, h): the side d of x, the index i on that side of the
-        checkpoint at or below x, grown to where need be, and the hop
-        h = x - d * keys[i], which is 0.0 exactly on a checkpoint."""
+        checkpoint at or below x, grown to where need be so that a key lies
+        beyond x, and the hop h = x - d * keys[i]."""
         d = 1.0 if x >= self.x0 else -1.0
         keys = self._sides[d][0]
         key = d * x
-        if not keys[-1] >= key:  # beyond the table, or not finite
+        if not keys[-1] > key:  # at or beyond the table's end, or not finite
             if not math.isfinite(x):
                 raise _not_finite(x)
             self._grow(d, key)
@@ -454,10 +451,7 @@ class _ContinuationTable:
     def state_at(self, x: float):
         """Double-double state (wh, wl, dh, dl) at x."""
         d, i, h = self._locate(x)
-        _, states, series = self._sides[d]
-        if h == 0.0:
-            return states[i]
-        values, derivs = series[i]
+        values, derivs = self._sides[d][1][i]
         # The tail certificate was checked for the full substep from this
         # checkpoint when the table grew. It covers this shorter hop too,
         # because tail/bulk rises with |h|: every tail term gains on every
@@ -478,7 +472,7 @@ class _ContinuationTable:
         stack = self._stacks.get(counts)
         if stack is None:
             values = [v for d, n in zip((1.0, -1.0), counts)
-                      for v, _ in self._sides[d][2][:n]]
+                      for v, _ in self._sides[d][1][:n]]
             stack = (np.array([v[0] for v in values]).T.copy(),
                      np.array([v[1] for v in values]).T.copy(),
                      {d: np.array(self._sides[d][0][:n + 1])
@@ -493,25 +487,22 @@ class _ContinuationTable:
 
         With numpy the batch is located at once. The first point that is
         not finite raises state_at's ValueError; each side with points is
-        grown once, to its farthest key; one searchsorted per side over the
-        key array of _stacked finds every checkpoint at or below its
+        grown once, past its farthest key; one searchsorted per side over
+        the key array of _stacked finds every checkpoint at or below its
         point, and the hops h = x - d * keys[i] are formed elementwise, as
-        state_at forms each. A batch on one side of x0 takes no mask. A
-        point on a checkpoint reads its state; the hops of all other points
-        run as one _dd_horner_rows pass over the gathered value series, one
-        column per hop, with complex rows read as real lanes and every
-        temporary in a fixed buffer, which gives each hop the bits of
-        _dd_horner. Where numpy cannot be imported, each point is located as
-        state_at does and hops alone through _dd_horner.
+        state_at forms each. Every hop runs in one _dd_horner_rows pass
+        over the gathered value series, one column per hop, with complex
+        rows read as real lanes and every temporary in a fixed buffer,
+        which gives each hop the bits of _dd_horner. Where numpy cannot be
+        imported, each point is located as state_at does and hops alone
+        through _dd_horner.
         """
         np = _numpy() if len(xs) else None
         if np is None:
             wh, wl = [], []
             for x in xs:
                 d, i, h = self._locate(x)
-                _, states, series = self._sides[d]
-                vh, vl = (states[i][:2] if h == 0.0
-                          else _dd_horner(*series[i][0], h))
+                vh, vl = _dd_horner(*self._sides[d][1][i][0], h)
                 wh.append(vh)
                 wl.append(vl)
             return wh, wl
@@ -519,47 +510,25 @@ class _ContinuationTable:
         lo, hi = float(x.min()), float(x.max())  # not finite if a point is not
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise _not_finite(xs[int(np.isfinite(x).argmin())])
-        sides = [d for d, has in ((1.0, hi >= self.x0), (-1.0, lo < self.x0))
-                 if has]
-        for d in sides:
-            self._grow(d, hi if d > 0 else -lo)
+        if hi >= self.x0:
+            self._grow(1.0, hi)
+        if lo < self.x0:
+            self._grow(-1.0, -lo)
         up, hi_s, lo_s, keys = self._stacked(np)
-
-        def locate(d, xd):
-            k = keys[d]
-            i = np.searchsorted(k, xd if d > 0 else -xd, side="right") - 1
-            return (i if d > 0 else i + up), xd - d * k[i]
-
-        def hop(cols, hops):
-            # take, unlike [:, cols], gathers the columns in C order, so
-            # the Horner pass reads each term's row contiguously.
-            with np.errstate(all="ignore"):
-                vh, vl = _dd_horner_rows(hi_s.take(cols, 1),
-                                         lo_s.take(cols, 1), hops, np)
-            return vh.tolist(), vl.tolist()
-
-        if len(sides) == 1:
-            cols, hops = locate(sides[0], x)
-        else:
-            cols = np.empty(len(xs), dtype=np.intp)
-            hops = np.empty(len(xs))
-            mask = x >= self.x0
-            for d, m in ((1.0, mask), (-1.0, ~mask)):
-                cols[m], hops[m] = locate(d, x[m])
-        if hops.all():
-            return hop(cols, hops)
-        # Some points sit on a checkpoint: they read its state.
-        wh = [0.0] * len(xs)
-        wl = [0.0] * len(xs)
-        on = hops == 0.0
-        for j, col in zip(np.flatnonzero(on).tolist(), cols[on].tolist()):
-            d = 1.0 if xs[j] >= self.x0 else -1.0
-            wh[j], wl[j] = self._sides[d][1][col if d > 0 else col - up][:2]
-        at = np.flatnonzero(~on)
-        if len(at):
-            for j, a, b in zip(at.tolist(), *hop(cols[at], hops[at])):
-                wh[j], wl[j] = a, b
-        return wh, wl
+        cols = np.empty(len(xs), dtype=np.intp)
+        hops = np.empty(len(xs))
+        mask = x >= self.x0
+        for d, m in ((1.0, mask), (-1.0, ~mask)):
+            k, xd = keys[d], x[m]
+            i = np.searchsorted(k, d * xd, side="right") - 1
+            cols[m] = i if d > 0 else i + up
+            hops[m] = xd - d * k[i]
+        # take, unlike [:, cols], gathers the columns in C order, so the
+        # Horner pass reads each term's row contiguously.
+        with np.errstate(all="ignore"):
+            vh, vl = _dd_horner_rows(hi_s.take(cols, 1), lo_s.take(cols, 1),
+                                     hops, np)
+        return vh.tolist(), vl.tolist()
 
 
 def _not_finite(x) -> ValueError:

@@ -636,9 +636,9 @@ def test_batch_grows_fresh_table_as_serial_queries(monkeypatch, name,
                                                    on_keys):
     """A batch on a fresh table grows it itself. With numpy and with numpy
     unimportable, its heads equal those of state_at in repr, and the table
-    holds the keys and states that serial state_at queries leave. With
-    numpy the batch makes no _locate call: it locates every point in one
-    lookup per side, on checkpoints too."""
+    holds the keys, series and frontier states that serial state_at
+    queries leave. With numpy the batch makes no _locate call: it locates
+    every point in one lookup per side, on checkpoints too."""
     q, seed, _ = TABLES[name]
     xs = list(FRESH_BATCHES[name])
     if on_keys:
@@ -720,9 +720,42 @@ def test_airy_real_tables_match_complex_table(monkeypatch):
             m.setitem(sys.modules, "numpy", numpy)
             ws = airy_values(ts)
         assert [[w.real.hex(), w.imag.hex()] for w in ws] == heads
-    for _, states, _ in reference._AIRY_TABLE._sides.values():
-        assert all(type(part) is complex
-                   for state in states for part in state)
+    for _, series, frontier in reference._AIRY_TABLE._sides.values():
+        assert all(type(part) is complex for part in frontier)
+        assert all(type(c) is complex for pair in series for hi, lo in pair
+                   for part in (hi, lo) for c in part)
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
+def test_query_at_last_key_grows_one_substep(monkeypatch, name):
+    """A query exactly at a side's last key, on either side, grows that
+    side by one substep, since the last key has no series to hop over yet.
+    state_at and values_at, with numpy and without, then give the key the
+    bits of a table that was grown past it before the query."""
+    q, seed, (lo, hi) = TABLES[name]
+    grown = _ContinuationTable(q, 0.0, seed)
+    for x in (lo, hi):
+        grown.state_at(x)
+    for d in (1.0, -1.0):
+        before, key = (d * k for k in grown._sides[d][0][2:4])
+        expect = {"state_at": repr(grown.state_at(key))}
+        expect["values_at"] = expect["values_at_without_numpy"] = repr(
+            grown.state_at(key)[:2])
+        for query, want in expect.items():
+            table = _ContinuationTable(q, 0.0, seed)
+            table.state_at((before + key) / 2.0)
+            assert d * table._sides[d][0][-1] == key
+            with monkeypatch.context() as m:
+                if query == "values_at_without_numpy":
+                    m.setitem(sys.modules, "numpy", None)
+                if query == "state_at":
+                    got = repr(table.state_at(key))
+                else:
+                    wh, wl = table.values_at([key])
+                    got = repr((wh[0], wl[0]))
+            assert got == want, query
+            assert table._sides[d][0] == grown._sides[d][0][:5]
+            assert len(table._sides[d][1]) == 4
 
 
 @pytest.mark.parametrize("query", ["state_at", "values_at",

@@ -25,6 +25,10 @@ under either tree.
   exact_solution batch hands it (complex Airy rows, real PCF rows). The
   kernel is `reference._dd_horner_rows`, or `_dd_horner` on numpy arrays
   in a checkout that has no batch kernel of its own.
+* `airy-mixed/exact_state` and `pcf-rival/exact_state`: one full-state
+  query `problem.exact(x)` of the workload's problem, at x = 10 on Airy
+  and x = 1.3 on PCF: a value and a derivative Horner hop over the
+  continuation table.
 * Per-call kernels, on the `airy-mixed` problem (Airy eps 1, exact phase)
   and the `pcf-rival` one (PCF eps 2^-6, exact phase):
   `eval_bk` at x = 10; the WKB `control._pair` over [10, 10.25];
@@ -57,6 +61,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SAMPLE_S = 0.02  # long enough that timer resolution and jitter are small
+# Workload -> the point of its exact_state row.
+EXACT_STATE_AT = {"airy-mixed": 10.0, "pcf-rival": 1.3}
 
 
 def load(root: Path) -> dict:
@@ -125,9 +131,11 @@ def rows_for(mods: dict, workloads) -> dict:
         xs = [s.x for s in traj.states]
         rows[f"{name}/exact_solution"] = (
             lambda p=problem, xs=xs: reference.exact_solution(p, xs))
-        if name in ("airy-mixed", "pcf-rival"):
+        if name in EXACT_STATE_AT:
             rows[f"{name}/horner_batch"] = horner_batch(reference, problem,
                                                         xs)
+            rows[f"{name}/exact_state"] = (
+                lambda p=problem, x=EXACT_STATE_AT[name]: p.exact(x))
     airy = workloads["airy-mixed"].make_problem()
     pcf = workloads["pcf-rival"].make_problem()
     airy_phase = pkg.PhaseProvider(airy, "exact")
