@@ -84,9 +84,9 @@ class Problem:
     phase_antiderivative: Optional[Callable[[float], float]] = None
     # Optional exact-solution provider x -> WaveState. A provider may also
     # answer exact.phis(xs), phi alone at every x of xs in one batch query,
-    # as the benchmarks' providers do. reference.exact_solution uses it
-    # where present; it queries any other provider, and any failed batch,
-    # one point at a time, so a failure names the first point that fails.
+    # as the benchmarks' providers do from tables that answer in plain
+    # values. reference.exact_solution uses phis where present, and queries
+    # any other provider or failed batch pointwise, naming the first failure.
     exact: Optional[Callable[[float], WaveState]] = None
     label: str = ""
 
@@ -221,17 +221,15 @@ def make_pcf_problem(epsilon: float, x_start: float = 0.01,
 
     def exact(x: float) -> WaveState:
         try:
-            wh, wl, dh, dl = table.state_at(z_scale * (1.0 - x))
+            u, du = table.state_at(z_scale * (1.0 - x))
         except ContinuationError:  # a non-finite series fails to certify
             raise overflows(x) from None
-        u, du = wh + wl, dh + dl
         if not (math.isfinite(u) and math.isfinite(du)):
             raise overflows(x)
         return WaveState(x, kappa * u, -kappa * z_scale * du)
 
     def phis(xs) -> list[complex]:
-        wh, wl = table.values_at([z_scale * (1.0 - x) for x in xs])
-        us = [h + l for h, l in zip(wh, wl)]
+        us = table.values_at([z_scale * (1.0 - x) for x in xs])
         if not all(map(math.isfinite, us)):
             raise OverflowError("PCF reference overflows")
         return [kappa * u for u in us]

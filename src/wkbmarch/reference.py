@@ -398,8 +398,9 @@ class _ContinuationTable:
     queries, and a side grown to its farthest point at once holds the
     checkpoints that growing it point by point leaves. A query hops from
     the checkpoint at or below x on its side by one Horner pass over the
-    stored value series, and by a second over the stored derivative series
-    for the full state, with h = 0.0 on a checkpoint; it forms no series.
+    stored value series, and a second over the derivative series for the
+    full state, with h = 0.0 on a checkpoint. It forms no series, and it
+    answers in plain values: each pass's double-double pair is summed here.
 
     Growth runs under a lock and publishes each checkpoint's series before
     its key, so a concurrent reader only ever finds complete checkpoints.
@@ -449,14 +450,16 @@ class _ContinuationTable:
         return d, i, x - d * keys[i]
 
     def state_at(self, x: float):
-        """Double-double state (wh, wl, dh, dl) at x."""
+        """The state (w, w') at x, as plain floats or complex numbers."""
         d, i, h = self._locate(x)
         values, derivs = self._sides[d][1][i]
         # The tail certificate was checked for the full substep from this
         # checkpoint when the table grew. It covers this shorter hop too,
         # because tail/bulk rises with |h|: every tail term gains on every
         # bulk term by a positive power of |h|.
-        return _dd_horner(*values, h) + _dd_horner(*derivs, h)
+        wh, wl = _dd_horner(*values, h)
+        dh, dl = _dd_horner(*derivs, h)
+        return wh + wl, dh + dl
 
     def _stacked(self, np):
         """(up, hi, lo, keys): the value series of both sides stacked into
@@ -482,8 +485,7 @@ class _ContinuationTable:
         return (counts[0], *stack)
 
     def values_at(self, xs):
-        """Heads (wh, wl) of state_at(x) at every x of xs, bit for bit, as
-        a wh list and a wl list.
+        """The list of the w of state_at(x) at every x of xs, bit for bit.
 
         With numpy the batch is located at once. The first point that is
         not finite raises state_at's ValueError; each side with points is
@@ -491,21 +493,20 @@ class _ContinuationTable:
         the key array of _stacked finds every checkpoint at or below its
         point, and the hops h = x - d * keys[i] are formed elementwise, as
         state_at forms each. Every hop runs in one _dd_horner_rows pass
-        over the gathered value series, one column per hop, with complex
-        rows read as real lanes and every temporary in a fixed buffer,
-        which gives each hop the bits of _dd_horner. Where numpy cannot be
-        imported, each point is located as state_at does and hops alone
-        through _dd_horner.
+        over the gathered value series, one column per hop, which gives
+        each hop the bits of _dd_horner, and the pairs are summed in one
+        array add, which rounds each lane as a float or complex add does.
+        Where numpy cannot be imported, each point is located as state_at
+        does and hops alone through _dd_horner.
         """
         np = _numpy() if len(xs) else None
         if np is None:
-            wh, wl = [], []
+            ws = []
             for x in xs:
                 d, i, h = self._locate(x)
-                vh, vl = _dd_horner(*self._sides[d][1][i][0], h)
-                wh.append(vh)
-                wl.append(vl)
-            return wh, wl
+                wh, wl = _dd_horner(*self._sides[d][1][i][0], h)
+                ws.append(wh + wl)
+            return ws
         x = np.array(xs, dtype=float)
         lo, hi = float(x.min()), float(x.max())  # not finite if a point is not
         if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -528,7 +529,7 @@ class _ContinuationTable:
         with np.errstate(all="ignore"):
             vh, vl = _dd_horner_rows(hi_s.take(cols, 1), lo_s.take(cols, 1),
                                      hops, np)
-        return vh.tolist(), vl.tolist()
+            return (vh + vl).tolist()
 
 
 def _not_finite(x) -> ValueError:
@@ -620,12 +621,6 @@ def airy_asymptotic(t: float) -> tuple[complex, complex]:
 _AIRY_TABLE = _ContinuationTable([0.0, 1.0], 0.0, airy_origin_values())
 
 
-def _airy_continued(t: float) -> tuple[complex, complex]:
-    """(w, w') at -t by checkpointed continuation of w'' = y w."""
-    wh, wl, dh, dl = _AIRY_TABLE.state_at(-t)
-    return wh + wl, dh + dl
-
-
 def _check_oscillatory(t: float) -> None:
     if not t >= 0.0:
         raise ValueError(
@@ -634,24 +629,24 @@ def _check_oscillatory(t: float) -> None:
 
 def airy_pair(t: float) -> tuple[complex, complex]:
     """Hybrid (w, w') = (Ai(-t) + i Bi(-t), Ai'(-t) + i Bi'(-t)) by one
-    route: the continuation table for t <= AIRY_VALUE_SWITCH = 50, the
-    asymptotic expansion above. Against mpmath, relative to the amplitude
-    envelope, the expansion is within 5e-16 on 30 <= t <= 500 (as is the
-    table) and 1.8e-14 on 20 <= t <= 30, so the seam leaves a margin and
-    the table stops near t = 50."""
+    route: the continuation table's (w, w') at -t for t <= AIRY_VALUE_SWITCH
+    = 50, the asymptotic expansion above. Against mpmath, relative to the
+    amplitude envelope, the expansion is within 5e-16 on 30 <= t <= 500 (as
+    is the table) and 1.8e-14 on 20 <= t <= 30, so the seam leaves a margin
+    and the table stops near t = 50."""
     _check_oscillatory(t)
     if t <= AIRY_VALUE_SWITCH:
-        return _airy_continued(t)
+        return _AIRY_TABLE.state_at(-t)
     return airy_asymptotic(t)
 
 
 def airy_values(ts) -> list[complex]:
     """Ai(-t) + i Bi(-t) at every t of ts, each by the route airy_pair
-    takes and with the bits of its w: the points at or below the seam
-    in one batch hop over the table, those above it one at a time. Every t
-    is checked before any is evaluated, and the first NaN or negative t
-    raises airy_pair's ValueError. With numpy the check and the route
-    split are one array pass."""
+    takes and with the bits of its w: the points at or below the seam in
+    one values_at batch over the table, which answers their w as a list,
+    those above it one at a time. Every t is checked before any is
+    evaluated, and the first NaN or negative t raises airy_pair's
+    ValueError. With numpy the check and the route split are one pass."""
     np = _numpy() if len(ts) else None
     if np is None:
         for t in ts:
@@ -665,12 +660,10 @@ def airy_values(ts) -> list[complex]:
             _check_oscillatory(ts[int(ok.argmin())])
         up = t > AIRY_VALUE_SWITCH
         if not up.any():
-            wh, wl = _AIRY_TABLE.values_at(-t)
-            return [h + l for h, l in zip(wh, wl)]
+            return _AIRY_TABLE.values_at(-t)
         high = up.tolist()
         low = -t[~up]
-    wh, wl = _AIRY_TABLE.values_at(low)
-    table = (h + l for h, l in zip(wh, wl))
+    table = iter(_AIRY_TABLE.values_at(low))
     return [airy_asymptotic(t)[0] if up else next(table)
             for t, up in zip(ts, high)]
 

@@ -12,7 +12,8 @@ from pathlib import Path
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "abtime.py"
 ROWS = {f"{w}/{kind}" for w in ("airy-mixed", "pcf-rival", "long-cc")
-        for kind in ("integrate", "global_error", "exact_solution")} | {
+        for kind in ("integrate", "global_error", "exact_solution",
+                     "exact_solution_without_numpy")} | {
     "airy-mixed/horner_batch", "pcf-rival/horner_batch",
     "airy-mixed/exact_state", "pcf-rival/exact_state",
     "eval_bk", "wkb_pair", "rkf45_step", "wkb_basis", "rkwkb_step",

@@ -1,7 +1,9 @@
 """Command-line surface: file schemas, determinism, exit codes."""
 
 import json
+import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -109,6 +111,45 @@ def test_solve_reference_columns_read_no_derivative(tmp_path, monkeypatch,
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["error_summary"]["sup_rel"] == max(
         float(row[13]) for row in rows)
+
+
+@pytest.mark.parametrize("args", [
+    ["--problem", "airy", "--eps", "1", "--interval", "0.1,200"],
+    ["--problem", "pcf", "--eps", "0.015625", "--method", "rkwkbmod",
+     "--tol", "1e-6"],
+], ids=["airy-seam", "pcf-rkwkbmod"])
+def test_reference_columns_same_bits_without_numpy(tmp_path, monkeypatch,
+                                                   args):
+    """The steps.csv reference columns and both error norms have the same
+    bits whether numpy runs the verification batch or cannot be imported.
+    The Airy run puts nodes on both sides of the seam at t = x = 50, so
+    its batch takes the table and the asymptotic route."""
+    horner_rows, batches = reference._dd_horner_rows, []
+
+    def counted(*call):
+        batches.append(call)
+        return horner_rows(*call)
+
+    monkeypatch.setattr(reference, "_dd_horner_rows", counted)
+    runs = []
+    for numpy in (np, None):
+        out = tmp_path / ("numpy" if numpy else "without_numpy")
+        with monkeypatch.context() as m:
+            m.setitem(sys.modules, "numpy", numpy)
+            assert run_cli(["solve", *args, "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        runs.append(((out / "steps.csv").read_bytes(),
+                     {k: v.hex() for k, v in
+                      manifest["error_summary"].items()},
+                     len(batches)))
+    (with_np, norms, calls), (without_np, norms_without, calls_after) = runs
+    assert calls > 0 and calls_after == calls
+    assert with_np == without_np
+    assert norms == norms_without and set(norms) == {"sup_rel", "l2_rel"}
+    if args[1] == "airy":
+        xs = [float(line.split(",")[1])
+              for line in with_np.decode().splitlines()[1:]]
+        assert 0 < sum(x > 50.0 for x in xs) < len(xs)
 
 
 def test_solve_phase_flag(tmp_path):

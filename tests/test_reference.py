@@ -23,17 +23,21 @@ from scipy.integrate import solve_ivp
 from wkbmarch import (ContinuationError, WaveState, airy_pair,
                       global_error, make_pcf_problem, reference)
 from wkbmarch.reference import (AIRY_VALUE_SWITCH, SERIES_TERMS,
-                                _airy_continued, _ContinuationTable,
-                                _dd_add, _dd_deriv_coeffs, _dd_horner,
+                                _ContinuationTable, _dd_add, _dd_deriv_coeffs, _dd_horner,
                                 _dd_horner_rows, _dd_mul_d, _dd_mul_dd,
                                 _dd_recip_int, _dd_series, _dd_shift_poly,
-                                _dd_substep,
-                                _series_phase_cap, airy_asymptotic,
+                                _dd_substep, _series_phase_cap, airy_asymptotic,
                                 airy_origin_values, airy_values,
                                 asymptotic_coeffs, exact_solution,
                                 pcf_origin_values)
 
 EPS_MACH = 2.220446049250313e-16
+
+
+def _bits(*zs):
+    """float.hex of the real and the imaginary part of every z of zs, so
+    that a comparison of float or complex values is one of their bits."""
+    return [x.hex() for z in zs for x in (z.real, z.imag)]
 
 
 # ---------------------------------------------------------------------------
@@ -159,22 +163,25 @@ def test_continuation_non_finite_series_is_not_certified(w0, dw0):
         taylor_continuation([1.0], 0.0, w0, dw0, 3.0)
 
 
-def test_pcf_reference_overflow_names_x_and_epsilon():
+def test_pcf_reference_overflow_names_x_and_epsilon(monkeypatch):
     # At eps = 1.2e-3 U(nu, 0) is finite but its continuation overflows:
     # the provider turns the failed certificate into a ValueError.
     with pytest.raises(ValueError, match=r"x=0\.01, epsilon=0\.0012"):
         make_pcf_problem(1.2e-3)
     # At eps = 1.227055e-3 the continuation overflows on the side z > 0
     # (x < 1) alone. A batch names the first point that fails alone, as
-    # that query does.
+    # that query does, with numpy and without.
     p = make_pcf_problem(1.227055e-3, 1.5, 1.9)
-    for xs in ([1.5, 0.5, 1.99, math.nan], [1.2, math.nan, 0.01],
-               [1.99, 1.0, 0.01, 0.5], [0.01, 1.99]):
-        kind, message = first_error(p.exact, xs)
-        assert "overflows" in message or "finite" in message
-        with pytest.raises(kind) as info:
-            exact_solution(p, xs)
-        assert str(info.value) == message
+    for numpy in (np, None):
+        with monkeypatch.context() as m:
+            m.setitem(sys.modules, "numpy", numpy)
+            for xs in ([1.5, 0.5, 1.99, math.nan], [1.2, math.nan, 0.01],
+                       [1.99, 1.0, 0.01, 0.5], [0.01, 1.99]):
+                kind, message = first_error(p.exact, xs)
+                assert "overflows" in message or "finite" in message
+                with pytest.raises(kind) as info:
+                    exact_solution(p, xs)
+                assert str(info.value) == message, numpy
 
 
 # The series kernels are written out for speed; these compositions of the
@@ -275,13 +282,9 @@ def test_batch_horner_matches_scalar(data):
                               elements=st.floats(-1.0, 1.0)))
     vh, vl = _dd_horner_rows(hi, lo, hs, np)
     assert vh.dtype == vl.dtype == hi.dtype
-
-    def bits(*zs):
-        return [x.hex() for z in zs for x in (z.real, z.imag)]
-
     for j, h in enumerate(hs.tolist()):
         scalar = _dd_horner(hi[:, j].tolist(), lo[:, j].tolist(), h)
-        assert bits(vh[j].item(), vl[j].item()) == bits(*scalar), j
+        assert _bits(vh[j].item(), vl[j].item()) == _bits(*scalar), j
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +325,7 @@ def test_airy_matches_scipy_moderate(t):
                                400.05])
 def test_airy_seam_agreement(t):
     """Both branches agree at the one seam (t = 50) and further out."""
-    cont = _parts(_airy_continued(t))
+    cont = _parts(reference._AIRY_TABLE.state_at(-t))
     asym = _parts(airy_asymptotic(t))
     for a, c in zip(asym, cont):
         assert abs(a - c) / abs(c) < 1e-12
@@ -333,7 +336,7 @@ def test_airy_continuation_asymptotics_cross_validation():
     ts = np.concatenate((np.geomspace(AIRY_VALUE_SWITCH, 500.0, 12),
                          np.geomspace(500.0, 2000.0, 12)))
     for t in ts:
-        cont = _parts(_airy_continued(float(t)))
+        cont = _parts(reference._AIRY_TABLE.state_at(-float(t)))
         asym = _parts(airy_asymptotic(float(t)))
         for name, a, c in zip(("ai", "aip", "bi", "bip"), asym, cont):
             assert abs(a - c) / abs(c) < 1e-12, (t, name)
@@ -345,15 +348,24 @@ def test_airy_pair_takes_one_route(monkeypatch):
     def forbidden(t):
         raise AssertionError(f"wrong route at t={t}")
 
+    class Unreachable:
+        """An Airy table stand-in whose queries raise."""
+
+        def state_at(self, y):
+            forbidden(-y)
+
+        def values_at(self, ys):
+            forbidden([-y for y in ys])
+
     low = [0.0, 1.0, 30.0, 49.9, AIRY_VALUE_SWITCH]
     high = [math.nextafter(AIRY_VALUE_SWITCH, math.inf), 50.1, 400.0, 450.0,
             500.0, 1e4]
     with monkeypatch.context() as m:
         m.setattr(reference, "airy_asymptotic", forbidden)
         for t in low:
-            assert airy_pair(t) == _airy_continued(t)
+            assert airy_pair(t) == reference._AIRY_TABLE.state_at(-t)
     with monkeypatch.context() as m:
-        m.setattr(reference, "_airy_continued", forbidden)
+        m.setattr(reference, "_AIRY_TABLE", Unreachable())
         for t in high:
             assert airy_pair(t) == airy_asymptotic(t)
 
@@ -361,14 +373,16 @@ def test_airy_pair_takes_one_route(monkeypatch):
 @pytest.mark.parametrize("t", [0.0, 0.3, 17.0, AIRY_VALUE_SWITCH,
                                math.nextafter(AIRY_VALUE_SWITCH, math.inf),
                                50.1, 400.0, 1e4])
-def test_airy_pair_value_only(t):
+def test_airy_pair_value_only(monkeypatch, t):
     """airy_values gives the w of airy_pair bit for bit on both routes,
-    alone and in one batch with points on both sides of the seam."""
+    alone and in one batch with points on both sides of the seam, with
+    numpy and without."""
     full = airy_pair(t)[0]
-    for ts, j in (([t], 0), ([1.5, 60.0, t, 0.0, 1e3], 2)):
-        w = airy_values(ts)[j]
-        assert [w.real.hex(), w.imag.hex()] == [full.real.hex(),
-                                                full.imag.hex()]
+    for numpy in (np, None):
+        with monkeypatch.context() as m:
+            m.setitem(sys.modules, "numpy", numpy)
+            for ts, j in (([t], 0), ([1.5, 60.0, t, 0.0, 1e3], 2)):
+                assert _bits(airy_values(ts)[j]) == _bits(full), (numpy, ts)
 
 
 def test_airy_wronskian_identity():
@@ -403,16 +417,20 @@ def first_error(exact, xs):
     raise AssertionError("no point fails")
 
 
-def test_airy_rejects_negative_argument(airy1):
+def test_airy_rejects_negative_argument(monkeypatch, airy1):
     with pytest.raises(ValueError):
         airy_pair(-1.0)
-    # A batch names the first point that fails alone, as that query does.
-    for xs in ([1.0, -2.0, math.nan, 60.0], [70.0, math.nan, 0.5, -1.0],
-               [-3.0, 1e300]):
-        kind, message = first_error(airy1.exact, xs)
-        with pytest.raises(kind) as info:
-            exact_solution(airy1, xs)
-        assert str(info.value) == message
+    # A batch names the first point that fails alone, as that query does,
+    # with numpy and without.
+    for numpy in (np, None):
+        with monkeypatch.context() as m:
+            m.setitem(sys.modules, "numpy", numpy)
+            for xs in ([1.0, -2.0, math.nan, 60.0],
+                       [70.0, math.nan, 0.5, -1.0], [-3.0, 1e300]):
+                kind, message = first_error(airy1.exact, xs)
+                with pytest.raises(kind) as info:
+                    exact_solution(airy1, xs)
+                assert str(info.value) == message, numpy
 
 
 @pytest.mark.parametrize("ts, bad", [
@@ -474,8 +492,7 @@ def pcf_U(nu, z):
     """(U(nu, z), U'(nu, z)) from a checkpoint table seeded at the origin
     values, the route make_pcf_problem takes."""
     table = _ContinuationTable([nu, 0.0, 0.25], 0.0, pcf_origin_values(nu))
-    wh, wl, dh, dl = table.state_at(z)
-    return wh + wl, dh + dl
+    return table.state_at(z)
 
 
 # eps from the benchmark's 2^-6 down to the overflow onset of make_pcf_problem.
@@ -556,28 +573,29 @@ def test_table_independent_of_query_order(name, data):
     shuffled = data.draw(st.permutations(xs))
 
     def states(order, grow_first=()):
+        """The bits of each state_at(x) in order, and the table's sides."""
         table = _ContinuationTable(q, 0.0, (w0, dw0))
         for x in grow_first:
             table.state_at(x)
-        return {x: repr(table.state_at(x)) for x in order}
+        return ({x: _bits(*table.state_at(x)) for x in order},
+                repr(table._sides))
 
-    ascending = states(sorted(xs))
-    assert states(sorted(xs, reverse=True)) == ascending
-    assert states(shuffled) == ascending
-    assert states(xs, grow_first=(lo - 0.5, hi + 0.5)) == ascending
+    ascending, sides = states(sorted(xs))
+    assert states(sorted(xs, reverse=True)) == (ascending, sides)
+    assert states(shuffled) == (ascending, sides)
+    assert states(xs, grow_first=(lo - 0.5, hi + 0.5))[0] == ascending
     table = _ContinuationTable(q, 0.0, (w0, dw0))
     for x in xs:
-        wh, wl, dh, dl = table.state_at(x)
+        got, dgot = table.state_at(x)
         w, dw = taylor_continuation(q, 0.0, w0, dw0, x)
         scale = max(abs(w), abs(dw))
-        assert abs(wh + wl - w) <= 1e-14 * scale
-        assert abs(dh + dl - dw) <= 1e-14 * scale
+        assert abs(got - w) <= 1e-14 * scale
+        assert abs(dgot - dw) <= 1e-14 * scale
 
 
 @pytest.mark.parametrize("name", sorted(TABLES))
 def test_value_only_query_matches_full_state(monkeypatch, name):
-    """values_at(xs) gives the head (wh, wl) of state_at(x) bit for bit at
-    every x: at checkpoint keys, at x0 and between keys on both sides of
+    """values_at(xs) gives the w of state_at(x) bit for bit at every x: at checkpoint keys, at x0 and between keys on both sides of
     x0, in shuffled batches mixed with full queries on one table, with
     numpy and with numpy unimportable. Once the tables have grown over the
     points, a batch hops over the series stored at growth: it forms no
@@ -592,7 +610,7 @@ def test_value_only_query_matches_full_state(monkeypatch, name):
     between = [float(x) for x in np.linspace(lo, hi, 57)]
     xs = keys + between + [0.0]
     random.Random(name).shuffle(xs)
-    heads = {x: repr(ref.state_at(x)[:2]) for x in xs}
+    heads = {x: _bits(ref.state_at(x)[0]) for x in xs}
 
     def forbidden(*args):
         raise AssertionError("series formed on a query")
@@ -612,12 +630,11 @@ def test_value_only_query_matches_full_state(monkeypatch, name):
             for start in range(0, len(xs), 7):
                 batch = xs[start:start + 7]
                 full = table.state_at(batch[0])
-                assert repr(full) == repr(ref.state_at(batch[0]))
-                wh, wl = table.values_at(batch)
-                assert [repr(v) for v in zip(wh, wl)] == \
+                assert _bits(*full) == _bits(*ref.state_at(batch[0]))
+                assert [_bits(w) for w in table.values_at(batch)] == \
                     [heads[x] for x in batch]
-            wh, wl = table.values_at(xs)
-            assert [repr(v) for v in zip(wh, wl)] == [heads[x] for x in xs]
+            assert [_bits(w) for w in table.values_at(xs)] == \
+                [heads[x] for x in xs]
             assert vars(table) == attrs
             assert sizes == {d: [len(part) for part in side]
                              for d, side in table._sides.items()}
@@ -635,8 +652,8 @@ FRESH_BATCHES = {
 def test_batch_grows_fresh_table_as_serial_queries(monkeypatch, name,
                                                    on_keys):
     """A batch on a fresh table grows it itself. With numpy and with numpy
-    unimportable, its heads equal those of state_at in repr, and the table
-    holds the keys, series and frontier states that serial state_at
+    unimportable, its values equal the w of state_at in float.hex, and the
+    table holds the keys, series and frontier states that serial state_at
     queries leave. With numpy the batch makes no _locate call: it locates
     every point in one lookup per side, on checkpoints too."""
     q, seed, _ = TABLES[name]
@@ -651,7 +668,7 @@ def test_batch_grows_fresh_table_as_serial_queries(monkeypatch, name,
         xs += keys
         random.Random(name).shuffle(xs)
     serial = _ContinuationTable(q, 0.0, seed)
-    heads = [repr(serial.state_at(x)[:2]) for x in xs]
+    heads = [_bits(serial.state_at(x)[0]) for x in xs]
     sides = repr(serial._sides)
 
     def forbidden(*args):
@@ -663,8 +680,8 @@ def test_batch_grows_fresh_table_as_serial_queries(monkeypatch, name,
             m.setitem(sys.modules, "numpy", numpy)
             if numpy is not None:
                 m.setattr(table, "_locate", forbidden)
-            wh, wl = table.values_at(xs)
-        assert [repr(v) for v in zip(wh, wl)] == heads
+            ws = table.values_at(xs)
+        assert [_bits(w) for w in ws] == heads
         assert repr(table._sides) == sides
 
 
@@ -672,7 +689,7 @@ def test_batch_grows_fresh_table_as_serial_queries(monkeypatch, name,
 def test_numpy_batch_calls_no_scalar_horner(monkeypatch, name):
     """With numpy, a batch over a grown table hops through _dd_horner_rows
     alone and never calls the scalar _dd_horner, on checkpoints and
-    between them, and its heads equal those of state_at in repr."""
+    between them, and its values equal the w of state_at in float.hex."""
     q, seed, (lo, hi) = TABLES[name]
     table = _ContinuationTable(q, 0.0, seed)
     for x in (lo, hi):
@@ -680,14 +697,13 @@ def test_numpy_batch_calls_no_scalar_horner(monkeypatch, name):
     keys = [d * k for d in (1.0, -1.0) for k in table._sides[d][0][1:6]]
     xs = keys + [float(x) for x in np.linspace(lo, hi, 41)]
     random.Random(name).shuffle(xs)
-    heads = [repr(table.state_at(x)[:2]) for x in xs]
+    heads = [_bits(table.state_at(x)[0]) for x in xs]
 
     def forbidden(*args):
         raise AssertionError("scalar _dd_horner called by a numpy batch")
 
     monkeypatch.setattr(reference, "_dd_horner", forbidden)
-    wh, wl = table.values_at(xs)
-    assert [repr(v) for v in zip(wh, wl)] == heads
+    assert [_bits(w) for w in table.values_at(xs)] == heads
 
 
 def test_airy_real_tables_match_complex_table(monkeypatch):
@@ -710,11 +726,11 @@ def test_airy_real_tables_match_complex_table(monkeypatch):
     ts = keys + between + [0.0, AIRY_VALUE_SWITCH]
     heads = []
     for t in ts:
-        (ah, al, adh, adl), (bh, bl, bdh, bdl) = [table.state_at(-t)
-                                                  for table in real]
-        expect = [x.hex() for x in (ah + al, adh + adl, bh + bl, bdh + bdl)]
+        (a, da), (b, db) = [table.state_at(-t) for table in real]
+        expect = [x.hex() for x in (a, da, b, db)]
         heads.append([expect[0], expect[2]])
-        assert [x.hex() for x in _parts(_airy_continued(t))] == expect, t
+        assert [x.hex() for x in _parts(
+            reference._AIRY_TABLE.state_at(-t))] == expect, t
     for numpy in (np, None):
         with monkeypatch.context() as m:
             m.setitem(sys.modules, "numpy", numpy)
@@ -738,9 +754,9 @@ def test_query_at_last_key_grows_one_substep(monkeypatch, name):
         grown.state_at(x)
     for d in (1.0, -1.0):
         before, key = (d * k for k in grown._sides[d][0][2:4])
-        expect = {"state_at": repr(grown.state_at(key))}
-        expect["values_at"] = expect["values_at_without_numpy"] = repr(
-            grown.state_at(key)[:2])
+        expect = {"state_at": _bits(*grown.state_at(key))}
+        expect["values_at"] = expect["values_at_without_numpy"] = _bits(
+            grown.state_at(key)[0])
         for query, want in expect.items():
             table = _ContinuationTable(q, 0.0, seed)
             table.state_at((before + key) / 2.0)
@@ -749,10 +765,9 @@ def test_query_at_last_key_grows_one_substep(monkeypatch, name):
                 if query == "values_at_without_numpy":
                     m.setitem(sys.modules, "numpy", None)
                 if query == "state_at":
-                    got = repr(table.state_at(key))
+                    got = _bits(*table.state_at(key))
                 else:
-                    wh, wl = table.values_at([key])
-                    got = repr((wh[0], wl[0]))
+                    got = _bits(*table.values_at([key]))
             assert got == want, query
             assert table._sides[d][0] == grown._sides[d][0][:5]
             assert len(table._sides[d][1]) == 4
@@ -784,9 +799,9 @@ def test_table_concurrent_growth_matches_serial():
     q, seed = [0.0, 1.0], airy_origin_values()
     ys = [-float(t) for t in range(1, 59)]
     serial = _ContinuationTable(q, 0.0, seed)
-    expect = {y: repr(serial.state_at(y)) for y in ys}
+    expect = {y: _bits(*serial.state_at(y)) for y in ys}
     batches = [ys[k::7] + [-y for y in ys[k::11]] for k in range(7)]
-    expect_heads = [[repr(serial.state_at(y)[:2]) for y in batch]
+    expect_heads = [[_bits(serial.state_at(y)[0]) for y in batch]
                     for batch in batches]
 
     old = sys.getswitchinterval()
@@ -799,12 +814,12 @@ def test_table_concurrent_growth_matches_serial():
 
             def run(order, out):
                 for y in order:
-                    out[y] = repr(table.state_at(y))
+                    out[y] = _bits(*table.state_at(y))
 
             def run_batches():
                 for batch in batches:
-                    wh, wl = table.values_at(batch)
-                    got_heads.append([repr(v) for v in zip(wh, wl)])
+                    got_heads.append([_bits(w)
+                                      for w in table.values_at(batch)])
 
             threads = [threading.Thread(target=run, args=(order, out))
                        for order, out in zip((ys, ys[::-1]), got)]

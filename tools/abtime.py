@@ -20,6 +20,9 @@ under either tree.
 * `<workload>/exact_solution`: `reference.exact_solution` at the nodes of
   that same trajectory, the batch lookup that `global_error` makes, without
   the norm.
+* `<workload>/exact_solution_without_numpy`: the same batch with
+  `sys.modules["numpy"]` set to None for the call and restored after it,
+  so the reference layer takes its numpy-free path.
 * `airy-mixed/horner_batch` and `pcf-rival/horner_batch`: the batch
   Horner kernel alone, on the coefficient columns and hops that this
   exact_solution batch hands it (complex Airy rows, real PCF rows). The
@@ -112,6 +115,21 @@ def horner_batch(reference, problem, xs):
     return lambda: kernel(*args)
 
 
+def without_numpy(fn):
+    """`fn` as a call that runs with numpy unimportable."""
+    def call():
+        saved = sys.modules.get("numpy")
+        sys.modules["numpy"] = None
+        try:
+            return fn()
+        finally:
+            if saved is None:
+                del sys.modules["numpy"]
+            else:
+                sys.modules["numpy"] = saved
+    return call
+
+
 def rows_for(mods: dict, workloads) -> dict:
     """Each row's zero-argument callable on one side's package."""
     activate(mods)
@@ -131,6 +149,8 @@ def rows_for(mods: dict, workloads) -> dict:
         xs = [s.x for s in traj.states]
         rows[f"{name}/exact_solution"] = (
             lambda p=problem, xs=xs: reference.exact_solution(p, xs))
+        rows[f"{name}/exact_solution_without_numpy"] = without_numpy(
+            rows[f"{name}/exact_solution"])
         if name in EXACT_STATE_AT:
             rows[f"{name}/horner_batch"] = horner_batch(reference, problem,
                                                         xs)
@@ -258,10 +278,10 @@ def main(argv=None) -> int:
     if args.rounds < 1:
         parser.error("--rounds must be positive")
     out = run(args.root.resolve(), args.against.resolve(), args.rounds)
-    print(f"{'row':28} {'ratio':>7} {'won':>7} {'best this':>11} "
+    print(f"{'row':40} {'ratio':>7} {'won':>7} {'best this':>11} "
           f"{'best against':>13}  (us per call)")
     for name, row in out["rows"].items():
-        print(f"{name:28} {row['median_ratio']:7.3f} "
+        print(f"{name:40} {row['median_ratio']:7.3f} "
               f"{row['rounds_won']:>3}/{row['rounds']:<3} "
               f"{row['best_us']['this']:11.1f} "
               f"{row['best_us']['against']:13.1f}")
