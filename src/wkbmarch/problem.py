@@ -84,9 +84,10 @@ class Problem:
     phase_antiderivative: Optional[Callable[[float], float]] = None
     # Optional exact-solution provider x -> WaveState. A provider may also
     # answer exact.phis(xs), phi alone at every x of xs in one batch query,
-    # as the benchmarks' providers do from tables that answer in plain
-    # values. reference.exact_solution uses phis where present, and queries
-    # any other provider or failed batch pointwise, naming the first failure.
+    # as a list or a numpy complex array, as the benchmarks' providers do
+    # from tables that answer in plain values. reference.exact_solution and
+    # global_error use phis where present, and query any other provider or
+    # failed batch pointwise, naming the first failure.
     exact: Optional[Callable[[float], WaveState]] = None
     label: str = ""
 
@@ -126,8 +127,11 @@ def _airy_exact_provider(epsilon: float) -> Callable[[float], WaveState]:
                              f"epsilon={epsilon!r}") from None
         return WaveState(x, w, -scale * dw)
 
-    def phis(xs) -> list[complex]:
-        return reference.airy_values([x * scale for x in xs])
+    def phis(xs):
+        np = reference._numpy() if len(xs) else None
+        if np is None:
+            return reference.airy_values([x * scale for x in xs])
+        return reference.airy_values(np.asarray(xs, dtype=float) * scale)
 
     exact.phis = phis
     return exact
@@ -213,6 +217,10 @@ def make_pcf_problem(epsilon: float, x_start: float = 0.01,
             f"(nu={nu!r})") from None
     table = reference._ContinuationTable(
         [nu, 0.0, 0.25], 0.0, (u0, du0))
+    # phi = kappa * U as two real products, one per part, in the full-state
+    # query and in both batch forms, so all three give the same bits: numpy
+    # has no complex product that rounds as CPython's does.
+    kr, ki = kappa.real, kappa.imag
 
     def overflows(x: float) -> ValueError:
         # Double-double splits overflow once U passes about 1e300.
@@ -226,13 +234,22 @@ def make_pcf_problem(epsilon: float, x_start: float = 0.01,
             raise overflows(x) from None
         if not (math.isfinite(u) and math.isfinite(du)):
             raise overflows(x)
-        return WaveState(x, kappa * u, -kappa * z_scale * du)
+        return WaveState(x, complex(kr * u, ki * u), -kappa * z_scale * du)
 
-    def phis(xs) -> list[complex]:
-        us = table.values_at([z_scale * (1.0 - x) for x in xs])
-        if not all(map(math.isfinite, us)):
+    def phis(xs):
+        np = reference._numpy() if len(xs) else None
+        if np is None:
+            us = table.values_at([z_scale * (1.0 - x) for x in xs])
+            if not all(map(math.isfinite, us)):
+                raise OverflowError("PCF reference overflows")
+            return [complex(kr * u, ki * u) for u in us]
+        u = table.values_at(z_scale * (1.0 - np.asarray(xs, dtype=float)))
+        if not np.isfinite(u).all():
             raise OverflowError("PCF reference overflows")
-        return [kappa * u for u in us]
+        phi = np.empty(len(u), dtype=complex)
+        np.multiply(kr, u, out=phi.real)
+        np.multiply(ki, u, out=phi.imag)
+        return phi
 
     exact.phis = phis
 

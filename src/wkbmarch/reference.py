@@ -400,7 +400,12 @@ class _ContinuationTable:
     the checkpoint at or below x on its side by one Horner pass over the
     stored value series, and a second over the derivative series for the
     full state, with h = 0.0 on a checkpoint. It forms no series, and it
-    answers in plain values: each pass's double-double pair is summed here.
+    answers in plain values: the head of each pass's double-double pair.
+    The pass ends in a two-sum, so the head is what summing the pair
+    would give for every finite value; a non-finite head is returned as
+    it is, where the sum could read nan for inf. No head is -0.0: under
+    round to nearest, a sum of two terms is -0.0 only if both are, and
+    the pass's products and error terms never make both.
 
     Growth runs under a lock and publishes each checkpoint's series before
     its key, so a concurrent reader only ever finds complete checkpoints.
@@ -457,9 +462,7 @@ class _ContinuationTable:
         # checkpoint when the table grew. It covers this shorter hop too,
         # because tail/bulk rises with |h|: every tail term gains on every
         # bulk term by a positive power of |h|.
-        wh, wl = _dd_horner(*values, h)
-        dh, dl = _dd_horner(*derivs, h)
-        return wh + wl, dh + dl
+        return _dd_horner(*values, h)[0], _dd_horner(*derivs, h)[0]
 
     def _stacked(self, np):
         """(up, hi, lo, keys): the value series of both sides stacked into
@@ -485,7 +488,8 @@ class _ContinuationTable:
         return (counts[0], *stack)
 
     def values_at(self, xs):
-        """The list of the w of state_at(x) at every x of xs, bit for bit.
+        """The w of state_at(x) at every x of xs, bit for bit: a list, or
+        with numpy one array.
 
         With numpy the batch is located at once. The first point that is
         not finite raises state_at's ValueError; each side with points is
@@ -494,8 +498,7 @@ class _ContinuationTable:
         point, and the hops h = x - d * keys[i] are formed elementwise, as
         state_at forms each. Every hop runs in one _dd_horner_rows pass
         over the gathered value series, one column per hop, which gives
-        each hop the bits of _dd_horner, and the pairs are summed in one
-        array add, which rounds each lane as a float or complex add does.
+        each hop the bits of _dd_horner, and its heads are the answer.
         Where numpy cannot be imported, each point is located as state_at
         does and hops alone through _dd_horner.
         """
@@ -504,10 +507,9 @@ class _ContinuationTable:
             ws = []
             for x in xs:
                 d, i, h = self._locate(x)
-                wh, wl = _dd_horner(*self._sides[d][1][i][0], h)
-                ws.append(wh + wl)
+                ws.append(_dd_horner(*self._sides[d][1][i][0], h)[0])
             return ws
-        x = np.array(xs, dtype=float)
+        x = np.asarray(xs, dtype=float)
         lo, hi = float(x.min()), float(x.max())  # not finite if a point is not
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise _not_finite(xs[int(np.isfinite(x).argmin())])
@@ -527,9 +529,8 @@ class _ContinuationTable:
         # take, unlike [:, cols], gathers the columns in C order, so the
         # Horner pass reads each term's row contiguously.
         with np.errstate(all="ignore"):
-            vh, vl = _dd_horner_rows(hi_s.take(cols, 1), lo_s.take(cols, 1),
-                                     hops, np)
-            return (vh + vl).tolist()
+            return _dd_horner_rows(hi_s.take(cols, 1), lo_s.take(cols, 1),
+                                   hops, np)[0]
 
 
 def _not_finite(x) -> ValueError:
@@ -640,32 +641,35 @@ def airy_pair(t: float) -> tuple[complex, complex]:
     return airy_asymptotic(t)
 
 
-def airy_values(ts) -> list[complex]:
+def airy_values(ts):
     """Ai(-t) + i Bi(-t) at every t of ts, each by the route airy_pair
-    takes and with the bits of its w: the points at or below the seam in
-    one values_at batch over the table, which answers their w as a list,
-    those above it one at a time. Every t is checked before any is
-    evaluated, and the first NaN or negative t raises airy_pair's
-    ValueError. With numpy the check and the route split are one pass."""
+    takes and with the bits of its w: a list, or with numpy one complex
+    array. The points at or below the seam come from one values_at batch
+    over the table, those above it from the asymptotic expansion one at a
+    time. Every t is checked before any is evaluated, and the first NaN or
+    negative t raises airy_pair's ValueError. With numpy the check and the
+    route split are array passes, and the points above the seam are
+    written into the table's array."""
     np = _numpy() if len(ts) else None
     if np is None:
         for t in ts:
             _check_oscillatory(t)
         high = [t > AIRY_VALUE_SWITCH for t in ts]
-        low = [-t for t, up in zip(ts, high) if not up]
-    else:
-        t = np.array(ts, dtype=float)
-        ok = t >= 0.0
-        if not ok.all():
-            _check_oscillatory(ts[int(ok.argmin())])
-        up = t > AIRY_VALUE_SWITCH
-        if not up.any():
-            return _AIRY_TABLE.values_at(-t)
-        high = up.tolist()
-        low = -t[~up]
-    table = iter(_AIRY_TABLE.values_at(low))
-    return [airy_asymptotic(t)[0] if up else next(table)
-            for t, up in zip(ts, high)]
+        table = iter(_AIRY_TABLE.values_at(
+            [-t for t, up in zip(ts, high) if not up]))
+        return [airy_asymptotic(t)[0] if up else next(table)
+                for t, up in zip(ts, high)]
+    t = np.asarray(ts, dtype=float)
+    ok = t >= 0.0
+    if not ok.all():
+        _check_oscillatory(ts[int(ok.argmin())])
+    up = t > AIRY_VALUE_SWITCH
+    if not up.any():
+        return _AIRY_TABLE.values_at(-t)
+    w = np.empty(len(t), dtype=complex)
+    w[~up] = _AIRY_TABLE.values_at(-t[~up])
+    w[up] = [airy_asymptotic(x)[0] for x in t[up].tolist()]
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -702,11 +706,12 @@ def pcf_origin_values(nu: float) -> tuple[float, float]:
 # Error metrics
 # ---------------------------------------------------------------------------
 
-def exact_solution(problem, xs) -> list[complex]:
-    """Exact phi of a benchmark problem at every x of xs, in one batch
-    query where the provider has one (`exact.phis`). A provider without
-    one, or a batch that fails, is queried one full-state point at a time,
-    so a failure names the first point that fails alone."""
+def _exact_batch(problem, xs):
+    """Exact phi of a benchmark problem at every x of xs, as the provider
+    answers: one batch query where it has one (`exact.phis`), which may
+    answer with a numpy array. A provider without one, or a batch that
+    fails, is queried one full-state point at a time, so a failure names
+    the first point that fails alone."""
     if problem.exact is None:
         raise ValueError("problem has no exact-solution provider")
     phis = getattr(problem.exact, "phis", None)
@@ -718,6 +723,14 @@ def exact_solution(problem, xs) -> list[complex]:
     return [problem.exact(x).phi for x in xs]
 
 
+def exact_solution(problem, xs) -> list[complex]:
+    """Exact phi of a benchmark problem at every x of xs, in one batch
+    query where the provider has one (see _exact_batch), as a list of
+    Python complex."""
+    refs = _exact_batch(problem, xs)
+    return refs.tolist() if hasattr(refs, "tolist") else refs
+
+
 def global_error(trajectory, problem, norm: str = "sup"):
     """Global error of an accepted trajectory against the exact solution.
 
@@ -725,31 +738,61 @@ def global_error(trajectory, problem, norm: str = "sup"):
                   skipping nodes where the exact value vanishes.
     norm="l2rel": ||phi_n - phi(x_n)||_2 / ||phi(x_n)||_2 over the nodes.
 
-    The exact values of all nodes come from one exact_solution call. Both
-    norms read nan when a node's error is NaN, and raise ValueError when
-    the exact solution vanishes at every node.
+    The exact values of all nodes come from one batch query. Both norms
+    read nan when a node's error is NaN, and raise ValueError when the
+    exact solution vanishes at every node. A modulus beyond the largest
+    float reads inf, where abs(complex) raises OverflowError. With numpy,
+    "sup" is one array pass over the provider's batch (see _sup_norm),
+    with the bits of the list form.
     """
     if norm not in ("sup", "l2rel"):
         raise ValueError(f"unknown norm {norm!r}")
     states = list(getattr(trajectory, "states", trajectory))
     if not states:
         raise ValueError("empty trajectory")
-    refs = exact_solution(problem, [s.x for s in states])
-    return _error_norm(states, refs, norm)
+    xs = [s.x for s in states]
+    np = _numpy() if norm == "sup" else None
+    if np is None:
+        return _error_norm(states, exact_solution(problem, xs), norm)
+    return _sup_norm(np.array([s.phi for s in states], dtype=complex),
+                     np.asarray(_exact_batch(problem, xs), dtype=complex), np)
+
+
+def _modulus(z) -> float:
+    """abs(z), or inf where it passes the largest float (abs raises)."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
 
 
 def _error_norm(states, refs, norm: str) -> float:
     """global_error's `norm` of the states against their exact values refs,
     so that a caller holding the exact values forms both norms from them."""
     if norm == "sup":
-        rel = [abs(s.phi - ref) / abs(ref)
+        rel = [_modulus(s.phi - ref) / _modulus(ref)
                for s, ref in zip(states, refs) if ref != 0]
         if not rel:
             raise ValueError("exact solution vanishes on all nodes")
         return math.nan if any(map(math.isnan, rel)) else max(rel)
-    denom = math.hypot(*(abs(r) for r in refs))
+    denom = math.hypot(*map(_modulus, refs))
     if denom == 0.0:
         raise ValueError("exact solution vanishes on all nodes")
-    err = [abs(s.phi - r) for s, r in zip(states, refs)]
+    err = [_modulus(s.phi - r) for s, r in zip(states, refs)]
     # hypot reads inf, not nan, once any error is inf.
     return math.nan if any(map(math.isnan, err)) else math.hypot(*err) / denom
+
+
+def _sup_norm(phi, ref, np) -> float:
+    """_error_norm's sup norm of the complex arrays phi of the nodes and
+    ref of their exact values, bit for bit. np.hypot(z.real, z.imag) gives
+    abs(z) (np.abs of a complex array need not), and inf where abs raises;
+    the difference is elementwise IEEE, and the max reads nan if any ratio
+    does."""
+    with np.errstate(all="ignore"):
+        d = phi - ref
+        rel = (np.hypot(d.real, d.imag)
+               / np.hypot(ref.real, ref.imag))[ref != 0]
+    if not len(rel):
+        raise ValueError("exact solution vanishes on all nodes")
+    return float(rel.max())

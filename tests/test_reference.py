@@ -7,21 +7,23 @@ path beyond float arithmetic.
 """
 
 import dataclasses
+import importlib.util
 import math
 import random
 import sys
 import threading
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 import scipy.special as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.integrate import solve_ivp
 
 from wkbmarch import (ContinuationError, WaveState, airy_pair,
-                      global_error, make_pcf_problem, reference)
+                      global_error, integrate, make_pcf_problem, reference)
 from wkbmarch.reference import (AIRY_VALUE_SWITCH, SERIES_TERMS,
                                 _ContinuationTable, _dd_add, _dd_deriv_coeffs, _dd_horner,
                                 _dd_horner_rows, _dd_mul_d, _dd_mul_dd,
@@ -935,3 +937,161 @@ def test_global_error_vanishing_exact_solution_raises(airy1):
 def test_global_error_unknown_norm(airy1):
     with pytest.raises(ValueError):
         global_error([airy1.exact(1.0)], airy1, "max")
+
+
+def test_global_error_overflowing_modulus_reads_inf(monkeypatch, airy1):
+    """A node whose error has a modulus beyond the largest float reads inf
+    in both norms, with numpy and without: abs(complex) raises
+    OverflowError there, and the norms read inf as estimate_error does."""
+    states = [WaveState(1.0, 1.5e308 + 1.5e308j, 0j)]
+    with pytest.raises(OverflowError):
+        abs(states[0].phi - airy1.exact(1.0).phi)
+    for numpy in (np, None):
+        with monkeypatch.context() as m:
+            m.setitem(sys.modules, "numpy", numpy)
+            for norm in ("sup", "l2rel"):
+                assert global_error(states, airy1, norm) == math.inf, norm
+            good = [airy1.exact(x) for x in (0.5, 2.0)]
+            assert global_error([*good, *states], airy1, "l2rel") == math.inf
+
+
+# Parts of the random states and exact values below: plain values, zeros
+# of both signs, NaN, infinities, and parts near the overflow and
+# underflow edges of the modulus.
+_PARTS = st.one_of(
+    st.floats(-1e3, 1e3), st.sampled_from(
+        [0.0, -0.0, math.nan, math.inf, -math.inf, 1.5e308, -1.2e308,
+         5e-324, 1e-310]),
+    st.floats(allow_nan=False, allow_infinity=False))
+_COMPLEX = st.builds(complex, _PARTS, _PARTS)
+
+
+# On these two nodes np.abs of the difference and of the exact value each
+# differ from abs in the last bit, and so does the ratio they give.
+@example(pairs=[(0.8825389674564839 + 0.5803500161908991j,
+                 0.09151670328235219 + 0.6701043548284794j),
+                (1.3700723413337117 - 1.4603812011954127j,
+                 -0.5963695117707888 - 0.32124391928619556j)])
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(pairs=st.lists(st.tuples(_COMPLEX, st.one_of(
+    _COMPLEX, st.sampled_from([0j, complex(-0.0, 0.0), complex(0.0, -0.0)]))),
+    min_size=1, max_size=12))
+def test_array_sup_norm_matches_list_norm(pairs):
+    """The array sup norm of global_error gives the list norm's float.hex
+    over random nodes and exact values, with NaN, infinite and zero exact
+    values among them and values where np.abs differs from abs, and raises
+    the same ValueError when every exact value is zero."""
+    states = [WaveState(float(j), phi, 0j) for j, (phi, _) in enumerate(pairs)]
+    refs = [ref for _, ref in pairs]
+    try:
+        expect = reference._error_norm(states, refs, "sup").hex()
+    except ValueError as exc:
+        expect = str(exc)
+    try:
+        got = reference._sup_norm(np.array([p for p, _ in pairs]),
+                                  np.array(refs, dtype=complex), np).hex()
+    except ValueError as exc:
+        got = str(exc)
+    assert got == expect
+
+
+def _bench_workloads():
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module.WORKLOADS
+
+
+@pytest.mark.parametrize("name", ["airy-mixed", "pcf-rival", "long-cc"])
+def test_global_error_same_bits_without_numpy(monkeypatch, name):
+    """global_error under "sup" gives the same float.hex with numpy, where
+    it is one array pass, and with numpy unimportable, where it is the list
+    norm, on the seed-0 trajectory of each benchmark workload."""
+    w = _bench_workloads()[name]
+    problem = w.make_problem()
+    traj = integrate(problem, w.config(w.h0_factors(0)[0]))
+    got = {}
+    for numpy in (np, None):
+        with monkeypatch.context() as m:
+            m.setitem(sys.modules, "numpy", numpy)
+            got[numpy] = global_error(traj, problem, "sup").hex()
+    assert got[np] == got[None]
+
+
+@pytest.mark.parametrize("numpy", [np, None], ids=["numpy", "without_numpy"])
+def test_exact_solution_returns_python_complex(monkeypatch, airy1, pcf6,
+                                               numpy):
+    """exact_solution answers a list of Python complex, on both Airy routes
+    and on PCF, though the providers answer in arrays with numpy."""
+    monkeypatch.setitem(sys.modules, "numpy", numpy)
+    for p, xs in ((airy1, [0.5, 30.0, 60.0]), (pcf6, [0.3, 1.0, 1.7])):
+        refs = exact_solution(p, xs)
+        assert type(refs) is list
+        assert all(type(r) is complex for r in refs)
+        assert _bits(*refs) == _bits(*(p.exact(x).phi for x in xs))
+
+
+@pytest.mark.parametrize("numpy", [np, None], ids=["numpy", "without_numpy"])
+def test_global_error_failed_batch_names_first_failing_point(
+        monkeypatch, airy1, numpy):
+    """Where the batch fails, both norms fall back to single full-state
+    queries and raise the error of the first point that fails alone."""
+    monkeypatch.setitem(sys.modules, "numpy", numpy)
+
+    def exact(x):
+        if x > 2.0:
+            raise ValueError(f"no reference at x={x!r}")
+        return airy1.exact(x)
+
+    def phis(xs):
+        raise OverflowError("batch fails")
+
+    exact.phis = phis
+    p = dataclasses.replace(airy1, exact=exact)
+    states = [airy1.exact(x) for x in (0.5, 2.5, 1.0, 3.0)]
+    for norm in ("sup", "l2rel"):
+        with pytest.raises(ValueError, match=r"^no reference at x=2\.5$"):
+            global_error(states, p, norm)
+    assert global_error(states[:1], p, "sup") == 0.0
+
+
+def test_queries_return_the_horner_head(monkeypatch):
+    """The table answers the head of each hop's double-double pair, in
+    state_at and in values_at with numpy and without: the low part is never
+    read. The pass ends in a two-sum, so for every finite head the sum of
+    the pair gives the head's bits, and no head is -0.0 (a sum of two terms
+    is -0.0 only if both are), over series with zeros of both signs and
+    parts near the float range's edges. A non-finite head is returned as it
+    is: where the last renormalization overflows, the head reads inf and
+    the sum nan."""
+    parts = [0.0, -0.0, 1.0, -2.5, 5e-324, -1e-300, 1e300, -1e-160]
+    for hi in ([a, b] for a in parts for b in parts):
+        for lo in ([0.0, -0.0], [1e-17, -5e-324]):
+            for h in (0.0, -0.0, 0.5, -1.0, 1e-300, -5e-324):
+                vh, vl = _dd_horner(hi, lo, h)
+                assert math.copysign(1.0, vh) > 0.0 or vh != 0.0, (hi, h)
+                if math.isfinite(vh):
+                    assert (vh + vl).hex() == vh.hex(), (hi, lo, h)
+    vh, vl = _dd_horner([sys.float_info.max], [2e292], 0.0)
+    assert vh == math.inf and math.isnan(vh + vl)
+
+    q, seed, (lo, hi) = TABLES["pcf"]
+    table = _ContinuationTable(q, 0.0, seed)
+    xs = [lo, -1.3, 0.0, 2.2, hi]
+    expect = [_bits(*table.state_at(x)) for x in xs]
+    kernel, rows = reference._dd_horner, reference._dd_horner_rows
+    monkeypatch.setattr(reference, "_dd_horner",
+                        lambda *a: (kernel(*a)[0], math.nan))
+    monkeypatch.setattr(reference, "_dd_horner_rows",
+                        lambda *a: (rows(*a)[0], None))
+    assert [_bits(*table.state_at(x)) for x in xs] == expect
+    for numpy in (np, None):
+        with monkeypatch.context() as m:
+            m.setitem(sys.modules, "numpy", numpy)
+            assert [_bits(w) for w in table.values_at(xs)] == \
+                [e[:2] for e in expect]

@@ -17,6 +17,13 @@ under either tree.
 * `<workload>/integrate`: one `integrate` of the workload's seed-0 setting.
 * `<workload>/global_error`: `global_error(..., "sup")` over that side's own
   trajectory of the same setting.
+* `<workload>/global_error_without_numpy`: the same with
+  `sys.modules["numpy"]` set to None for the call and restored after it,
+  so the batch and the norm take their numpy-free paths.
+* `<workload>/exact_batch`: the provider's batch `problem.exact.phis(xs)`
+  at the nodes of that trajectory, as the sup norm receives it (a complex
+  array with numpy, where the provider answers in arrays), without the
+  conversion to a list that `exact_solution` adds.
 * `<workload>/exact_solution`: `reference.exact_solution` at the nodes of
   that same trajectory, the batch lookup that `global_error` makes, without
   the norm.
@@ -146,7 +153,10 @@ def rows_for(mods: dict, workloads) -> dict:
             lambda p=problem, c=config: pkg.integrate(p, c))
         rows[f"{name}/global_error"] = (
             lambda t=traj, p=problem: pkg.global_error(t, p, "sup"))
+        rows[f"{name}/global_error_without_numpy"] = without_numpy(
+            rows[f"{name}/global_error"])
         xs = [s.x for s in traj.states]
+        rows[f"{name}/exact_batch"] = lambda p=problem, xs=xs: p.exact.phis(xs)
         rows[f"{name}/exact_solution"] = (
             lambda p=problem, xs=xs: reference.exact_solution(p, xs))
         rows[f"{name}/exact_solution_without_numpy"] = without_numpy(

@@ -42,6 +42,9 @@ one JSON object:
   (first 16 hex digits) over float.hex of the exact phi at every accepted
   node, read through `reference.exact_solution` as `global_error` reads
   it: one batch call per run.
+* `verify_without_numpy`: the same, computed with `sys.modules["numpy"]`
+  set to None, so the reference layer and the norms take their numpy-free
+  paths. It must equal `verify` key for key.
 * `reference`: the full-state exact solution `problem.exact(x)` of Airy
   eps 1 at fixed points on both routes (t <= 50 and t > 50, up to 1e8)
   and of PCF eps 2^-6 at fixed points of [0.01, 1.99]; each point as
@@ -65,7 +68,9 @@ one JSON object:
 per key, whether the two agree; for the march, the number of nodes that
 moved and the largest relative move |d phi| / |phi| and |d phi'| / |phi'|.
 It exits 1 when an `integrate`, a `verify`, a `reference` or an
-`estimator` fingerprint differs or a `march` node moved.
+`estimator` fingerprint differs or a `march` node moved. Either way it
+exits 1 when `verify_without_numpy` differs from `verify`, and names the
+keys.
 """
 
 from __future__ import annotations
@@ -146,8 +151,20 @@ def collect(root: Path) -> dict:
         checks["phi"] = _digest(phis)
         return checks
 
+    def without_numpy(fn, *args):
+        saved = sys.modules.get("numpy")
+        sys.modules["numpy"] = None
+        try:
+            return fn(*args)
+        finally:
+            if saved is None:
+                del sys.modules["numpy"]
+            else:
+                sys.modules["numpy"] = saved
+
     prints = {}
     verified = {}
+    verified_without_numpy = {}
     for name, w in WORKLOADS.items():
         problem = w.make_problem()
         for seed in SEEDS:
@@ -157,6 +174,8 @@ def collect(root: Path) -> dict:
             trajs = [solve(problem, w.config(f)) for f in factors]
             prints[f"{name}/{seed}"] = _digest(map(lines, trajs))
             verified[f"{name}/{seed}"] = verify(problem, trajs)
+            verified_without_numpy[f"{name}/{seed}"] = without_numpy(
+                verify, problem, trajs)
     problems = {"airy": (make_airy_problem(1.0, 0.1, 50.0), 0.5),
                 "pcf": (make_pcf_problem(2.0 ** -6, 0.01, 1.99), 0.05)}
     tiny = make_airy_problem(1.0, 1e-200, 1.0)
@@ -220,6 +239,7 @@ def collect(root: Path) -> dict:
                 estimator_study, problems["airy"][0],
                 SolverConfig(tol=1e-6, h0=0.5, method=method, phase=phase))
     return {"integrate": prints, "verify": verified,
+            "verify_without_numpy": verified_without_numpy,
             "reference": reference_states, "march": march,
             "estimator": estimator}
 
@@ -249,6 +269,16 @@ def compare(mine: dict, theirs: dict) -> int:
     return 1 if differs else 0
 
 
+def numpy_free_differs(mine: dict) -> int:
+    """1 when a `verify_without_numpy` key differs from its `verify` key."""
+    differs = [key for key, value in mine["verify"].items()
+               if mine["verify_without_numpy"].get(key) != value]
+    for key in differs:
+        print(f"verify_without_numpy {key}: DIFFERS from verify",
+              file=sys.stderr)
+    return 1 if differs else 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--root", type=Path, default=ROOT,
@@ -259,11 +289,15 @@ def main(argv=None) -> int:
     mine = collect(args.root.resolve())
     if args.against is None:
         print(json.dumps(mine, indent=1))
-        return 0
-    theirs = json.loads(subprocess.run(
+        return numpy_free_differs(mine)
+    # The other checkout's own numpy-free check does not decide this run.
+    other = subprocess.run(
         [sys.executable, __file__, "--root", str(args.against.resolve())],
-        check=True, capture_output=True, text=True).stdout)
-    return compare(mine, theirs)
+        capture_output=True, text=True)
+    if not other.stdout:
+        raise SystemExit(other.stderr)
+    theirs = json.loads(other.stdout)
+    return compare(mine, theirs) | numpy_free_differs(mine)
 
 
 if __name__ == "__main__":
