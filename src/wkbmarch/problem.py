@@ -85,7 +85,10 @@ class Problem:
     # Optional exact-solution provider x -> WaveState. A provider may also
     # answer exact.phis(xs), phi alone at every x of xs in one batch query,
     # as a list or a numpy complex array, as the benchmarks' providers do
-    # from tables that answer in plain values. reference.exact_solution and
+    # from tables that answer in plain values. A batch value need not have
+    # the bits of exact(x).phi: the benchmarks' batches read the tables'
+    # plain Horner pass, exact(x) the compensated one (see
+    # reference._ContinuationTable). reference.exact_solution and
     # global_error use phis where present, and query any other provider or
     # failed batch pointwise, naming the first failure.
     exact: Optional[Callable[[float], WaveState]] = None
@@ -218,8 +221,9 @@ def make_pcf_problem(epsilon: float, x_start: float = 0.01,
     table = reference._ContinuationTable(
         [nu, 0.0, 0.25], 0.0, (u0, du0))
     # phi = kappa * U as two real products, one per part, in the full-state
-    # query and in both batch forms, so all three give the same bits: numpy
-    # has no complex product that rounds as CPython's does.
+    # query and in both batch forms, so the two batch forms give the same
+    # bits and all three round kappa * U alike: numpy has no complex
+    # product that rounds as CPython's does.
     kr, ki = kappa.real, kappa.imag
 
     def overflows(x: float) -> ValueError:

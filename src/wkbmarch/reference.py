@@ -239,9 +239,8 @@ def _dd_horner(hi, lo, h):
 
     Each Horner step is _dd_mul_d by h followed by _dd_add of the next
     coefficient, written out with h split once, so the result is
-    bit-identical to composing those helpers. This is the scalar kernel
-    (state_at, _dd_substep, values_at without numpy); _dd_horner_rows is
-    its batch form.
+    bit-identical to composing those helpers. state_at and table growth
+    (_dd_substep) hop with it.
     """
     t = _SPLIT * h
     hh = t - (t - h)
@@ -266,79 +265,39 @@ def _dd_horner(hi, lo, h):
     return vh, vl
 
 
-def _dd_horner_rows(hi, lo, h, np):
-    """_dd_horner of every column of the numpy coefficient rows (hi, lo),
-    one row per term and one column per hop h, as two arrays (vh, vl).
+def _horner(hi, h):
+    """Value at t = h of the series with plain coefficients hi_m: one
+    Horner pass v = v * h + c from the last coefficient, in double. A
+    complex series runs the pass on each part, as _horner_rows reads
+    complex rows, so no complex product is formed. This is the scalar
+    kernel of values_at without numpy; _horner_rows is its batch form."""
+    v = hi[-1]
+    if type(v) is complex:
+        vr, vi = v.real, v.imag
+        for c in hi[-2::-1]:
+            vr = vr * h + c.real
+            vi = vi * h + c.imag
+        return complex(vr, vi)
+    for c in hi[-2::-1]:
+        v = v * h + c
+    return v
 
-    Each of _dd_horner's operations runs in its order as one ufunc call
-    that writes into buffers allocated once per call. Complex rows are
-    read as interleaved real lanes, each hop repeated for the real and
-    imaginary part of its column: a hop multiplies only by the real h,
-    so the parts never mix. The operations are error-free transforms,
-    exact in any IEEE elementwise arithmetic, so each column gets the bits
-    of the scalar kernel; test_batch_horner_matches_scalar checks that on
-    rows where no product overflows, signed zeros included.
-    """
+
+def _horner_rows(hi, h, np):
+    """_horner of every column of the numpy coefficient rows hi, one row
+    per term and one column per hop h, as one array: an in-place multiply
+    and add per term. Complex rows are read as interleaved real lanes,
+    each hop repeated for the real and imaginary part of its column, so
+    each part is multiplied only by the real h. Each column takes the
+    scalar kernel's IEEE operations in its order, and so its bits."""
     if hi.dtype.kind == "c":
-        vh, vl = _dd_horner_rows(hi.view(float), lo.view(float),
-                                 np.repeat(h, 2), np)
-        return vh.view(complex), vl.view(complex)
-    add, sub, mul = np.add, np.subtract, np.multiply
-    # Each buffer row starts on a 64-byte boundary: with AVX-512 a pass over
-    # rows that straddle cache lines ran about a quarter slower.
-    m = len(h)
-    stride = -(-m // 8) * 8
-    raw = np.empty(13 * stride + 8)
-    start = (-raw.ctypes.data % 64) // 8
-    t, w, u, ahi, alo, e, p, s, z, vh, vl, hh, hl = raw[
-        start:start + 13 * stride].reshape(13, stride)[:, :m]
-    mul(h, _SPLIT, t)
-    sub(t, h, w)
-    sub(t, w, hh)
-    sub(h, hh, hl)
-    mul(hi[0], 0.0, vh)
-    vl[:] = vh
-    for yh, yl in zip(hi[::-1], lo[::-1]):
-        # p + e = (vh + vl) * h
-        mul(vh, h, p)
-        mul(vh, _SPLIT, t)
-        sub(t, vh, w)
-        sub(t, w, ahi)
-        sub(vh, ahi, alo)
-        mul(ahi, hh, e)
-        sub(e, p, e)
-        mul(ahi, hl, w)
-        add(e, w, e)
-        mul(alo, hh, w)
-        add(e, w, e)
-        mul(alo, hl, w)
-        add(e, w, e)
-        mul(vl, h, w)
-        add(e, w, e)
-        # s + e = p + e, renormalized
-        add(p, e, s)
-        sub(s, p, z)
-        sub(s, z, w)
-        sub(p, w, w)
-        sub(e, z, e)
-        add(w, e, e)
-        # p + e = (s + e) + (yh + yl)
-        add(s, yh, p)
-        sub(p, s, z)
-        sub(p, z, w)
-        sub(s, w, w)
-        sub(yh, z, u)
-        add(w, u, w)
-        add(e, yl, e)
-        add(w, e, e)
-        # vh + vl = p + e, renormalized
-        add(p, e, vh)
-        sub(vh, p, z)
-        sub(vh, z, w)
-        sub(p, w, w)
-        sub(e, z, e)
-        add(w, e, vl)
-    return vh, vl
+        return _horner_rows(hi.view(float), np.repeat(h, 2),
+                            np).view(complex)
+    v = hi[-1].copy()
+    for c in hi[-2::-1]:
+        v *= h
+        v += c
+    return v
 
 
 def _check_tail(chi, h: float, x: float) -> None:
@@ -397,15 +356,28 @@ class _ContinuationTable:
     therefore depends only on its position, never on the order of earlier
     queries, and a side grown to its farthest point at once holds the
     checkpoints that growing it point by point leaves. A query hops from
-    the checkpoint at or below x on its side by one Horner pass over the
-    stored value series, and a second over the derivative series for the
-    full state, with h = 0.0 on a checkpoint. It forms no series, and it
-    answers in plain values: the head of each pass's double-double pair.
-    The pass ends in a two-sum, so the head is what summing the pair
-    would give for every finite value; a non-finite head is returned as
-    it is, where the sum could read nan for inf. No head is -0.0: under
-    round to nearest, a sum of two terms is -0.0 only if both are, and
-    the pass's products and error terms never make both.
+    the checkpoint at or below x on its side over the series stored there,
+    with h = 0.0 on a checkpoint, forms no series, and answers in plain
+    values. What each query promises:
+
+    * state_at, like growth, runs the compensated pass _dd_horner over the
+      value and the derivative series and answers the head of each
+      double-double pair. The pass ends in a two-sum, so the head is what
+      summing the pair would give for every finite value; a non-finite
+      head is returned as it is, where the sum could read nan for inf. No
+      head is -0.0: under round to nearest, a sum of two terms is -0.0
+      only if both are, and the pass's products and error terms never
+      make both. A problem's initial data comes from state_at, so these
+      bits fix its trajectories.
+    * values_at, the verification batch, runs one plain Horner pass over
+      the high parts c_k of the value series alone. Per real lane, barring
+      underflow and overflow, it is within gamma_2n * sum |c_k| |h|^k of
+      state_at's w, with n the number of terms and gamma_m = m u /
+      (1 - m u), u = 2**-53. Higham's bound for the pass itself is
+      gamma_2(n-1), for the degree n - 1 (Accuracy and Stability of
+      Numerical Algorithms, 2nd ed., 5.1); the extra 2u covers the low
+      parts that the pass leaves out and state_at's own rounding. The
+      list and numpy forms give the same bits.
 
     Growth runs under a lock and publishes each checkpoint's series before
     its key, so a concurrent reader only ever finds complete checkpoints.
@@ -465,22 +437,20 @@ class _ContinuationTable:
         return _dd_horner(*values, h)[0], _dd_horner(*derivs, h)[0]
 
     def _stacked(self, np):
-        """(up, hi, lo, keys): the value series of both sides stacked into
-        two numpy arrays, one row per term and one column per checkpoint
-        that has a series, the `up` columns of side 1.0 first, and keys
-        mapping each side d to a float array of its keys d*x up to the
-        last stacked column's far end. The counts are read from the keys,
-        which growth publishes after the series, so every stacked column is
-        complete. The arrays are rebuilt only after a side has grown, and
-        published as one dict entry, so a concurrent reader that has grown
-        a side finds every column and key it needs."""
+        """(up, stack, keys): the high parts of the value series of both
+        sides stacked into one numpy array, one row per term and one column per
+        checkpoint that has a series, the `up` columns of side 1.0 first,
+        and keys mapping each side d to a float array of its keys d*x up to
+        the last stacked column's far end. The counts are read from the
+        keys, which growth publishes after the series, so every stacked
+        column is complete. The arrays are rebuilt only after a side has
+        grown, and published as one dict entry, so a concurrent reader that
+        has grown a side finds every column and key it needs."""
         counts = tuple(len(self._sides[d][0]) - 1 for d in (1.0, -1.0))
         stack = self._stacks.get(counts)
         if stack is None:
-            values = [v for d, n in zip((1.0, -1.0), counts)
-                      for v, _ in self._sides[d][1][:n]]
-            stack = (np.array([v[0] for v in values]).T.copy(),
-                     np.array([v[1] for v in values]).T.copy(),
+            stack = (np.array([v[0] for d, n in zip((1.0, -1.0), counts)
+                               for v, _ in self._sides[d][1][:n]]).T.copy(),
                      {d: np.array(self._sides[d][0][:n + 1])
                       for d, n in zip((1.0, -1.0), counts)})
             self._stacks.clear()
@@ -488,26 +458,25 @@ class _ContinuationTable:
         return (counts[0], *stack)
 
     def values_at(self, xs):
-        """The w of state_at(x) at every x of xs, bit for bit: a list, or
-        with numpy one array.
+        """The w at every x of xs by the plain Horner pass (see the class
+        docstring): a list, or with numpy one array.
 
         With numpy the batch is located at once. The first point that is
         not finite raises state_at's ValueError; each side with points is
         grown once, past its farthest key; one searchsorted per side over
         the key array of _stacked finds every checkpoint at or below its
         point, and the hops h = x - d * keys[i] are formed elementwise, as
-        state_at forms each. Every hop runs in one _dd_horner_rows pass
-        over the gathered value series, one column per hop, which gives
-        each hop the bits of _dd_horner, and its heads are the answer.
-        Where numpy cannot be imported, each point is located as state_at
-        does and hops alone through _dd_horner.
+        state_at forms each. Every hop runs in one _horner_rows pass over
+        the gathered high parts, one column per hop, which gives each hop
+        the bits of _horner. Where numpy cannot be imported, each point is
+        located as state_at does and hops alone through _horner.
         """
         np = _numpy() if len(xs) else None
         if np is None:
             ws = []
             for x in xs:
                 d, i, h = self._locate(x)
-                ws.append(_dd_horner(*self._sides[d][1][i][0], h)[0])
+                ws.append(_horner(self._sides[d][1][i][0][0], h))
             return ws
         x = np.asarray(xs, dtype=float)
         lo, hi = float(x.min()), float(x.max())  # not finite if a point is not
@@ -517,7 +486,7 @@ class _ContinuationTable:
             self._grow(1.0, hi)
         if lo < self.x0:
             self._grow(-1.0, -lo)
-        up, hi_s, lo_s, keys = self._stacked(np)
+        up, stack, keys = self._stacked(np)
         cols = np.empty(len(xs), dtype=np.intp)
         hops = np.empty(len(xs))
         mask = x >= self.x0
@@ -529,8 +498,7 @@ class _ContinuationTable:
         # take, unlike [:, cols], gathers the columns in C order, so the
         # Horner pass reads each term's row contiguously.
         with np.errstate(all="ignore"):
-            return _dd_horner_rows(hi_s.take(cols, 1), lo_s.take(cols, 1),
-                                   hops, np)[0]
+            return _horner_rows(stack.take(cols, 1), hops, np)
 
 
 def _not_finite(x) -> ValueError:
@@ -643,13 +611,14 @@ def airy_pair(t: float) -> tuple[complex, complex]:
 
 def airy_values(ts):
     """Ai(-t) + i Bi(-t) at every t of ts, each by the route airy_pair
-    takes and with the bits of its w: a list, or with numpy one complex
-    array. The points at or below the seam come from one values_at batch
-    over the table, those above it from the asymptotic expansion one at a
-    time. Every t is checked before any is evaluated, and the first NaN or
-    negative t raises airy_pair's ValueError. With numpy the check and the
-    route split are array passes, and the points above the seam are
-    written into the table's array."""
+    takes: a list, or with numpy one complex array. The points at or below
+    the seam come from one values_at batch over the table, so each is
+    within that batch's bound of airy_pair's w (see _ContinuationTable);
+    those above it come from the asymptotic expansion one at a time, with
+    the bits of airy_pair's w. Every t is checked before any is
+    evaluated, and the first NaN or negative t raises airy_pair's
+    ValueError. With numpy the check and the route split are array passes,
+    and the points above the seam are written into the table's array."""
     np = _numpy() if len(ts) else None
     if np is None:
         for t in ts:
@@ -726,7 +695,10 @@ def _exact_batch(problem, xs):
 def exact_solution(problem, xs) -> list[complex]:
     """Exact phi of a benchmark problem at every x of xs, in one batch
     query where the provider has one (see _exact_batch), as a list of
-    Python complex."""
+    Python complex. A batch value is a reference in double precision, not
+    the bits of the full-state query problem.exact(x): the benchmarks'
+    providers read the table's plain Horner pass (_ContinuationTable's
+    values_at), within its stated bound of the full query."""
     refs = _exact_batch(problem, xs)
     return refs.tolist() if hasattr(refs, "tolist") else refs
 

@@ -8,6 +8,7 @@ positive ratio per round. The run swaps `wkbmarch*` entries of
 
 import importlib.util
 import sys
+import types
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "abtime.py"
@@ -50,3 +51,31 @@ def test_aa_run_times_every_row_on_separate_packages(monkeypatch):
         assert row["rounds"] == len(row["ratios"]) == 2
         assert all(q > 0.0 for q in row["ratios"])
         assert 0 <= row["rounds_won"] <= 2
+
+
+def test_horner_batch_times_the_kernel_each_side_calls():
+    """The horner_batch row replays the batch kernel that the side's
+    exact_solution calls, with that call's arguments: here the plain pass
+    _horner_rows, which answers the Airy batch itself; in a checkout that
+    has only the compensated _dd_horner_rows, that kernel."""
+    abtime = load_tool()
+    from wkbmarch import make_airy_problem, reference
+    problem = make_airy_problem(1.0, 0.1, 50.0)
+    xs = [0.1 + 0.37 * k for k in range(100)]
+    got = abtime.horner_batch(reference, problem, xs)()
+    assert got.tolist() == problem.exact.phis(xs).tolist()
+
+    calls = []
+    parent = types.SimpleNamespace()
+
+    def dd_rows(*args):
+        calls.append(args)
+
+    def exact_solution(problem, xs):
+        parent._dd_horner_rows("hi", "lo", xs, None)
+
+    parent._dd_horner_rows, parent.exact_solution = dd_rows, exact_solution
+    replay = abtime.horner_batch(parent, problem, (0.5, 1.5))
+    assert parent._dd_horner_rows is dd_rows
+    replay()
+    assert calls == [("hi", "lo", (0.5, 1.5), None)] * 2

@@ -76,9 +76,10 @@ def test_solve_reference_columns_read_no_derivative(tmp_path, monkeypatch,
                                                     problem, eps, method):
     """Once the solve is done, the derivative series is forbidden: the
     reference columns and the error summary still come out, equal to the
-    values recomputed from the full exact(x). Growth forms each
-    checkpoint's derivative series, so the reference table is grown over
-    the interval before that."""
+    values recomputed from one batch exact_solution over the nodes, and
+    within 1e-12 of the full exact(x) relative to the largest |phi|.
+    Growth forms each checkpoint's derivative series, so the reference
+    table is grown over the interval before that."""
     solve, deriv_coeffs = cli.integrate, reference._dd_deriv_coeffs
     solved = []
 
@@ -102,12 +103,16 @@ def test_solve_reference_columns_read_no_derivative(tmp_path, monkeypatch,
     monkeypatch.undo()
     header, rows = read_csv(out / "steps.csv")
     assert header == STEP_HEADER and len(rows) == solved[0].accepted
-    exact = cli._build_problem(problem, float(eps), None).exact
-    for row in rows:
-        ref = exact(float(row[1])).phi
+    built = cli._build_problem(problem, float(eps), None)
+    xs = [float(row[1]) for row in rows]
+    refs = reference.exact_solution(built, xs)
+    full = [built.exact(x).phi for x in xs]
+    scale = max(map(abs, full))
+    for row, ref, f in zip(rows, refs, full):
         phi = complex(float(row[7]), float(row[8]))
         assert row[11:] == [cli._fmt(ref.real), cli._fmt(ref.imag),
                             cli._fmt(abs(phi - ref) / abs(ref))]
+        assert abs(ref - f) <= 1e-12 * scale
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["error_summary"]["sup_rel"] == max(
         float(row[13]) for row in rows)
@@ -124,13 +129,13 @@ def test_reference_columns_same_bits_without_numpy(tmp_path, monkeypatch,
     bits whether numpy runs the verification batch or cannot be imported.
     The Airy run puts nodes on both sides of the seam at t = x = 50, so
     its batch takes the table and the asymptotic route."""
-    horner_rows, batches = reference._dd_horner_rows, []
+    horner_rows, batches = reference._horner_rows, []
 
     def counted(*call):
         batches.append(call)
         return horner_rows(*call)
 
-    monkeypatch.setattr(reference, "_dd_horner_rows", counted)
+    monkeypatch.setattr(reference, "_horner_rows", counted)
     runs = []
     for numpy in (np, None):
         out = tmp_path / ("numpy" if numpy else "without_numpy")

@@ -12,6 +12,7 @@ import math
 import random
 import sys
 import threading
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
@@ -26,7 +27,7 @@ from wkbmarch import (ContinuationError, WaveState, airy_pair,
                       global_error, integrate, make_pcf_problem, reference)
 from wkbmarch.reference import (AIRY_VALUE_SWITCH, SERIES_TERMS,
                                 _ContinuationTable, _dd_add, _dd_deriv_coeffs, _dd_horner,
-                                _dd_horner_rows, _dd_mul_d, _dd_mul_dd,
+                                _dd_mul_d, _dd_mul_dd, _horner, _horner_rows,
                                 _dd_recip_int, _dd_series, _dd_shift_poly,
                                 _dd_substep, _series_phase_cap, airy_asymptotic,
                                 airy_origin_values, airy_values,
@@ -252,41 +253,111 @@ def test_dd_kernels_match_helper_oracle(q, kind, x0, terms):
 
 
 # Exact edge values of the batch Horner property: signed zeros (the Airy
-# origin series has c_(3k+2) = 0), tiny, unit and large coefficients.
-HORNER_EDGES = [0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0, -2.5, 3e10]
+# origin series has c_(3k+2) = 0), infinities, tiny, unit and large
+# coefficients.
+HORNER_EDGES = [0.0, -0.0, math.inf, -math.inf, 1e-300, -1e-300, 1.0, -1.0,
+                -2.5, 3e10]
 
 
 @settings(deadline=None, derandomize=True, max_examples=150)
 @given(data=st.data())
 def test_batch_horner_matches_scalar(data):
-    """_dd_horner_rows on numpy (hi, lo) coefficient rows, real or
-    complex, one real hop of either sign per column, gives the bits of the
-    scalar _dd_horner of every column in float.hex, signed zeros included.
-    Complex rows run as interleaved real lanes, each multiplied only by
-    its column's real hop. Coefficients stay where no product overflows,
-    the range of every continuation table."""
+    """_horner_rows on numpy coefficient rows, real or complex, one real
+    hop of either sign per column, gives the bits of the scalar _horner of
+    every column in float.hex, signed zeros and infinities included.
+    Complex rows run as interleaved real lanes, and the scalar kernel runs
+    each part alone, so neither forms a complex product."""
     kind = data.draw(st.sampled_from([float, complex]))
     shape = data.draw(st.tuples(st.integers(1, SERIES_TERMS),
                                 st.integers(1, 60)))
 
-    def rows(size):
-        def part():
-            return data.draw(hnp.arrays(np.float64, shape, elements=(
-                st.sampled_from(HORNER_EDGES) | st.floats(-size, size))))
-        if kind is float:
-            return part()
-        out = np.empty(shape, complex)
-        out.real, out.imag = part(), part()
-        return out
+    def part():
+        return data.draw(hnp.arrays(np.float64, shape, elements=(
+            st.sampled_from(HORNER_EDGES) | st.floats(-1e3, 1e3))))
 
-    hi, lo = rows(1e3), rows(1e-13)
-    hs = data.draw(hnp.arrays(np.float64, shape[1],
-                              elements=st.floats(-1.0, 1.0)))
-    vh, vl = _dd_horner_rows(hi, lo, hs, np)
-    assert vh.dtype == vl.dtype == hi.dtype
+    if kind is float:
+        hi = part()
+    else:
+        hi = np.empty(shape, complex)
+        hi.real, hi.imag = part(), part()
+    hs = data.draw(hnp.arrays(np.float64, shape[1], elements=(
+        st.sampled_from([0.0, -0.0, 1.0, -1.0]) | st.floats(-1.0, 1.0))))
+    with np.errstate(all="ignore"):
+        v = _horner_rows(hi, hs, np)
+    assert v.dtype == hi.dtype and v.shape == hs.shape
     for j, h in enumerate(hs.tolist()):
-        scalar = _dd_horner(hi[:, j].tolist(), lo[:, j].tolist(), h)
-        assert _bits(vh[j].item(), vl[j].item()) == _bits(*scalar), j
+        assert _bits(v[j].item()) == _bits(_horner(hi[:, j].tolist(), h)), j
+
+
+U_ROUND = 2.0 ** -53
+
+
+def _plain_bound(series, h):
+    """values_at's bound gamma_2n * sum |c_k| |h|^k on each real lane
+    (real, imaginary) of a hop h over the n plain coefficients c_k of
+    series, exactly, as Fractions; gamma_m = m u / (1 - m u)."""
+    m = 2 * len(series) * Fraction(U_ROUND)
+    gamma = m / (1 - m)
+    habs = abs(Fraction(h))
+    bounds = []
+    for lane in ("real", "imag"):
+        total = Fraction(0)
+        for c in reversed(series):
+            total = total * habs + abs(Fraction(getattr(c, lane)))
+        bounds.append(gamma * total)
+    return bounds
+
+
+def _assert_within_bound(got, head, series, h):
+    """got, a plain Horner answer, lies within _plain_bound of the head
+    of the compensated pass, on each real lane, in exact arithmetic."""
+    for lane, bound in zip(("real", "imag"), _plain_bound(series, h)):
+        g, w = float(getattr(got, lane)), float(getattr(head, lane))
+        assert abs(Fraction(g) - Fraction(w)) <= bound, (lane, g, w, h)
+
+
+def _assert_table_bound(table, ys, ws):
+    """Each w of ws, the values_at answer at y of ys, is within the bound
+    of state_at(y)'s w, over the series and hop that y's query reads."""
+    for y, w in zip(ys, ws):
+        d, i, h = table._locate(y)
+        _assert_within_bound(w, table.state_at(y)[0],
+                             table._sides[d][1][i][0][0], h)
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(data=st.data())
+def test_plain_horner_within_bound_of_compensated_head(data):
+    """On random normalized double-double series, real or complex, of 1 to
+    SERIES_TERMS terms, the plain pass over the high parts, in both the
+    scalar and the batch kernel, is within gamma_2n * sum |c_k| |h|^k of
+    _dd_horner's head on each real lane, for hops of either sign."""
+    kind = data.draw(st.sampled_from([float, complex]))
+    n = data.draw(st.integers(1, SERIES_TERMS))
+    magnitude = st.floats(1e-8, 1e8) | st.just(0.0)
+
+    def value():
+        re = data.draw(magnitude) * data.draw(st.sampled_from([1.0, -1.0]))
+        if kind is float:
+            return re
+        return complex(re, data.draw(magnitude)
+                       * data.draw(st.sampled_from([1.0, -1.0])))
+
+    def pair():
+        c = value()
+        tail = data.draw(st.floats(-1.0, 1.0)) * U_ROUND
+        return _dd_add(c, c * 0.0, c * tail, c * 0.0)
+
+    pairs = [pair() for _ in range(n)]
+    hi, lo = [c for c, _ in pairs], [e for _, e in pairs]
+    hs = [data.draw(st.just(0.0) | st.floats(1e-6, 1.0))
+          * data.draw(st.sampled_from([1.0, -1.0])) for _ in range(4)]
+    rows = _horner_rows(np.array(hi).reshape(n, 1).repeat(len(hs), 1),
+                        np.array(hs), np)
+    for h, batch in zip(hs, rows.tolist()):
+        plain = _horner(hi, h)
+        assert _bits(batch) == _bits(plain)
+        _assert_within_bound(plain, _dd_horner(hi, lo, h)[0], hi, h)
 
 
 # ---------------------------------------------------------------------------
@@ -376,15 +447,23 @@ def test_airy_pair_takes_one_route(monkeypatch):
                                math.nextafter(AIRY_VALUE_SWITCH, math.inf),
                                50.1, 400.0, 1e4])
 def test_airy_pair_value_only(monkeypatch, t):
-    """airy_values gives the w of airy_pair bit for bit on both routes,
-    alone and in one batch with points on both sides of the seam, with
-    numpy and without."""
+    """airy_values gives one set of bits at t, alone and in one batch with
+    points on both sides of the seam, with numpy and without. Above the
+    seam they are the bits of airy_pair's w; at or below it, the table's
+    plain pass, within its bound of airy_pair's w."""
     full = airy_pair(t)[0]
+    got = set()
     for numpy in (np, None):
         with monkeypatch.context() as m:
             m.setitem(sys.modules, "numpy", numpy)
             for ts, j in (([t], 0), ([1.5, 60.0, t, 0.0, 1e3], 2)):
-                assert _bits(airy_values(ts)[j]) == _bits(full), (numpy, ts)
+                got.add(tuple(_bits(airy_values(ts)[j])))
+    assert len(got) == 1
+    w = complex(*(float.fromhex(x) for x in got.pop()))
+    if t > AIRY_VALUE_SWITCH:
+        assert _bits(w) == _bits(full)
+    else:
+        _assert_table_bound(reference._AIRY_TABLE, [-t], [w])
 
 
 def test_airy_wronskian_identity():
@@ -597,9 +676,12 @@ def test_table_independent_of_query_order(name, data):
 
 @pytest.mark.parametrize("name", sorted(TABLES))
 def test_value_only_query_matches_full_state(monkeypatch, name):
-    """values_at(xs) gives the w of state_at(x) bit for bit at every x: at checkpoint keys, at x0 and between keys on both sides of
-    x0, in shuffled batches mixed with full queries on one table, with
-    numpy and with numpy unimportable. Once the tables have grown over the
+    """values_at(xs) is within the plain-pass bound of the w of
+    state_at(x) at every x: at checkpoint keys, at x0 and between keys on
+    both sides of x0. Shuffled batches mixed with full queries on one
+    table, with numpy and with numpy unimportable, give the bits of one
+    batch over all the points on another table, and the full queries give
+    that table's bits. Once the tables have grown over the
     points, a batch hops over the series stored at growth: it forms no
     series and adds no checkpoint."""
     q, seed, (lo, hi) = TABLES[name]
@@ -612,7 +694,9 @@ def test_value_only_query_matches_full_state(monkeypatch, name):
     between = [float(x) for x in np.linspace(lo, hi, 57)]
     xs = keys + between + [0.0]
     random.Random(name).shuffle(xs)
-    heads = {x: _bits(ref.state_at(x)[0]) for x in xs}
+    plain = ref.values_at(xs)
+    _assert_table_bound(ref, xs, plain)
+    heads = {x: _bits(w) for x, w in zip(xs, plain)}
 
     def forbidden(*args):
         raise AssertionError("series formed on a query")
@@ -654,10 +738,12 @@ FRESH_BATCHES = {
 def test_batch_grows_fresh_table_as_serial_queries(monkeypatch, name,
                                                    on_keys):
     """A batch on a fresh table grows it itself. With numpy and with numpy
-    unimportable, its values equal the w of state_at in float.hex, and the
-    table holds the keys, series and frontier states that serial state_at
-    queries leave. With numpy the batch makes no _locate call: it locates
-    every point in one lookup per side, on checkpoints too."""
+    unimportable, its values equal in float.hex those of the same batch on
+    a table grown first by serial state_at queries, and lie within the
+    plain-pass bound of state_at's w; the table holds the keys, series and
+    frontier states that the serial queries leave. With numpy the batch
+    makes no _locate call: it locates every point in one lookup per side,
+    on checkpoints too."""
     q, seed, _ = TABLES[name]
     xs = list(FRESH_BATCHES[name])
     if on_keys:
@@ -670,8 +756,12 @@ def test_batch_grows_fresh_table_as_serial_queries(monkeypatch, name,
         xs += keys
         random.Random(name).shuffle(xs)
     serial = _ContinuationTable(q, 0.0, seed)
-    heads = [_bits(serial.state_at(x)[0]) for x in xs]
+    for x in xs:
+        serial.state_at(x)
     sides = repr(serial._sides)
+    plain = serial.values_at(xs)
+    _assert_table_bound(serial, xs, plain)
+    heads = [_bits(w) for w in plain]
 
     def forbidden(*args):
         raise AssertionError("_locate called by a numpy batch")
@@ -689,9 +779,11 @@ def test_batch_grows_fresh_table_as_serial_queries(monkeypatch, name,
 
 @pytest.mark.parametrize("name", sorted(TABLES))
 def test_numpy_batch_calls_no_scalar_horner(monkeypatch, name):
-    """With numpy, a batch over a grown table hops through _dd_horner_rows
-    alone and never calls the scalar _dd_horner, on checkpoints and
-    between them, and its values equal the w of state_at in float.hex."""
+    """With numpy, a batch over a grown table hops through _horner_rows
+    alone and never calls the scalar _horner or the compensated
+    _dd_horner, on checkpoints and between them. Its values equal those of
+    the numpy-free batch in float.hex and lie within the plain-pass bound
+    of state_at's w."""
     q, seed, (lo, hi) = TABLES[name]
     table = _ContinuationTable(q, 0.0, seed)
     for x in (lo, hi):
@@ -699,22 +791,28 @@ def test_numpy_batch_calls_no_scalar_horner(monkeypatch, name):
     keys = [d * k for d in (1.0, -1.0) for k in table._sides[d][0][1:6]]
     xs = keys + [float(x) for x in np.linspace(lo, hi, 41)]
     random.Random(name).shuffle(xs)
-    heads = [_bits(table.state_at(x)[0]) for x in xs]
+    with monkeypatch.context() as m:
+        m.setitem(sys.modules, "numpy", None)
+        plain = table.values_at(xs)
+    _assert_table_bound(table, xs, plain)
 
     def forbidden(*args):
-        raise AssertionError("scalar _dd_horner called by a numpy batch")
+        raise AssertionError("scalar kernel called by a numpy batch")
 
+    monkeypatch.setattr(reference, "_horner", forbidden)
     monkeypatch.setattr(reference, "_dd_horner", forbidden)
-    assert [_bits(w) for w in table.values_at(xs)] == heads
+    assert [_bits(w) for w in table.values_at(xs)] == \
+        [_bits(w) for w in plain]
 
 
 def test_airy_real_tables_match_complex_table(monkeypatch):
     """The complex Airy table, seeded with w = Ai + i Bi, gives the bits of
     two real tables, one per solution, kept here as the reference: in full
-    queries and in value-only batches with and without numpy, at every
-    checkpoint key up to t = 50, at the origin, at the seam and between
-    keys. The recurrence has real coefficients, so each part of w marches
-    as its real table does."""
+    queries, and in value-only batches with and without numpy against the
+    real tables' own batches, at every checkpoint key up to t = 50, at the
+    origin, at the seam and between keys. The recurrence has real
+    coefficients, so each part of w marches as its real table does, and
+    the plain pass runs each part as a real lane."""
     w0, dw0 = airy_origin_values()
     real = [_ContinuationTable([0.0, 1.0], 0.0, seed)
             for seed in ((w0.real, dw0.real), (w0.imag, dw0.imag))]
@@ -726,18 +824,18 @@ def test_airy_real_tables_match_complex_table(monkeypatch):
     rng = random.Random(0)
     between = [rng.uniform(0.0, AIRY_VALUE_SWITCH) for _ in range(200)]
     ts = keys + between + [0.0, AIRY_VALUE_SWITCH]
-    heads = []
     for t in ts:
         (a, da), (b, db) = [table.state_at(-t) for table in real]
         expect = [x.hex() for x in (a, da, b, db)]
-        heads.append([expect[0], expect[2]])
         assert [x.hex() for x in _parts(
             reference._AIRY_TABLE.state_at(-t))] == expect, t
     for numpy in (np, None):
         with monkeypatch.context() as m:
             m.setitem(sys.modules, "numpy", numpy)
             ws = airy_values(ts)
-        assert [[w.real.hex(), w.imag.hex()] for w in ws] == heads
+            parts = [table.values_at([-t for t in ts]) for table in real]
+        assert [[w.real.hex(), w.imag.hex()] for w in ws] == \
+            [[a.hex(), b.hex()] for a, b in zip(*parts)]
     for _, series, frontier in reference._AIRY_TABLE._sides.values():
         assert all(type(part) is complex for part in frontier)
         assert all(type(c) is complex for pair in series for hi, lo in pair
@@ -797,13 +895,13 @@ def test_table_rejects_non_finite_point(monkeypatch, x, query):
 def test_table_concurrent_growth_matches_serial():
     """Two threads growing one fresh table from opposite ends, and a third
     issuing batch queries over both ends meanwhile, see the serial table's
-    states and heads bit for bit."""
+    states and batch values bit for bit."""
     q, seed = [0.0, 1.0], airy_origin_values()
     ys = [-float(t) for t in range(1, 59)]
     serial = _ContinuationTable(q, 0.0, seed)
     expect = {y: _bits(*serial.state_at(y)) for y in ys}
     batches = [ys[k::7] + [-y for y in ys[k::11]] for k in range(7)]
-    expect_heads = [[_bits(serial.state_at(y)[0]) for y in batch]
+    expect_heads = [[_bits(w) for w in serial.values_at(batch)]
                     for batch in batches]
 
     old = sys.getswitchinterval()
@@ -876,26 +974,37 @@ def test_global_error_single_node_scaling(airy1):
 def test_global_error_reads_no_derivative(monkeypatch, airy1, pcf6,
                                          airy_runs, pcf_runs):
     """Both norms succeed with the derivative series forbidden, and equal
-    the norms recomputed from the full exact(x). That recomputation also
-    grows the tables over the nodes, and growth is where each checkpoint's
-    derivative series is formed, so a query forms none. A problem whose
+    the norms recomputed from the batch exact_solution. A problem whose
     provider is a plain x -> WaveState callable, with no batch query, is
-    queried one point at a time and gives the same norms."""
+    queried one point at a time and gives the norms recomputed from the
+    full exact(x); that recomputation also grows the tables over the
+    nodes, and growth is where each checkpoint's derivative series is
+    formed, so a query forms none. The batch reads the plain Horner pass
+    and the full query the compensated one, so the two sets of norms agree
+    to 1e-6 of themselves, not in every bit."""
     cases = [(airy_runs[1e-6], airy1), (pcf_runs["wkb+rkf45", 1e-6], pcf6)]
+
+    def norms(states, refs):
+        errs = [abs(s.phi - r) for s, r in zip(states, refs)]
+        return (max(e / abs(r) for e, r in zip(errs, refs) if r != 0),
+                math.hypot(*errs) / math.hypot(*map(abs, refs)))
+
     expect = []
     for traj, p in cases:
-        refs = [p.exact(s.x).phi for s in traj.states]
-        errs = [abs(s.phi - r) for s, r in zip(traj.states, refs)]
-        expect.append((max(e / abs(r) for e, r in zip(errs, refs) if r != 0),
-                       math.hypot(*errs) / math.hypot(*map(abs, refs))))
+        full = norms(traj.states, [p.exact(s.x).phi for s in traj.states])
+        batch = norms(traj.states,
+                      exact_solution(p, [s.x for s in traj.states]))
+        for a, b in zip(full, batch):
+            assert a == pytest.approx(b, rel=1e-6, abs=0.0)
+        expect.append((batch, full))
 
     def forbidden(*args):
         raise AssertionError("derivative series evaluated")
 
     monkeypatch.setattr(reference, "_dd_deriv_coeffs", forbidden)
-    for (traj, p), (sup, l2rel) in zip(cases, expect):
+    for (traj, p), pair in zip(cases, expect):
         plain = dataclasses.replace(p, exact=lambda x, f=p.exact: f(x))
-        for problem in (p, plain):
+        for problem, (sup, l2rel) in zip((p, plain), pair):
             assert global_error(traj, problem, "sup") == sup
             assert global_error(traj, problem, "l2rel") == l2rel
 
@@ -1023,17 +1132,54 @@ def test_global_error_same_bits_without_numpy(monkeypatch, name):
     assert got[np] == got[None]
 
 
+@pytest.mark.parametrize("name", ["airy-mixed", "pcf-rival", "long-cc"])
+def test_reference_within_bound_at_workload_nodes(name):
+    """At every seed-0 node of each benchmark workload that a continuation
+    table answers, the batch value is within the plain-pass bound of the
+    full-state query's w on each real lane. The tables are the ones the
+    providers read: the Airy table at -x (epsilon 1), and a PCF table
+    seeded as make_pcf_problem seeds its own, at z_scale * (1 - x)."""
+    w = _bench_workloads()[name]
+    problem = w.make_problem()
+    xs = [s.x for s in integrate(problem, w.config(1.0)).states]
+    if name == "pcf-rival":
+        nu = -1.0 / (math.sqrt(8.0) * problem.epsilon)
+        z_scale = 2.0 ** 0.25 / math.sqrt(problem.epsilon)
+        table = _ContinuationTable([nu, 0.0, 0.25], 0.0,
+                                   pcf_origin_values(nu))
+        ys = [z_scale * (1.0 - x) for x in xs]
+    else:
+        assert problem.epsilon == 1.0
+        table = reference._AIRY_TABLE
+        ys = [-x for x in xs if x <= AIRY_VALUE_SWITCH]
+    assert len(ys) == {"airy-mixed": 856, "pcf-rival": 1394,
+                       "long-cc": 36}[name]
+    _assert_table_bound(table, ys, table.values_at(ys))
+
+
 @pytest.mark.parametrize("numpy", [np, None], ids=["numpy", "without_numpy"])
 def test_exact_solution_returns_python_complex(monkeypatch, airy1, pcf6,
                                                numpy):
     """exact_solution answers a list of Python complex, on both Airy routes
-    and on PCF, though the providers answer in arrays with numpy."""
+    and on PCF, though the providers answer in arrays with numpy. Its
+    values are the provider's numpy-free batch in float.hex: on the Airy
+    asymptotic route the bits of the full exact(x), on the tables the
+    plain Horner pass, within 1e-14 of the full exact(x) at these
+    points."""
+    cases = ((airy1, [0.5, 30.0, 60.0]), (pcf6, [0.3, 1.0, 1.7]))
+    with monkeypatch.context() as m:
+        m.setitem(sys.modules, "numpy", None)
+        lists = [p.exact.phis(xs) for p, xs in cases]
     monkeypatch.setitem(sys.modules, "numpy", numpy)
-    for p, xs in ((airy1, [0.5, 30.0, 60.0]), (pcf6, [0.3, 1.0, 1.7])):
+    for (p, xs), expect in zip(cases, lists):
         refs = exact_solution(p, xs)
         assert type(refs) is list
         assert all(type(r) is complex for r in refs)
-        assert _bits(*refs) == _bits(*(p.exact(x).phi for x in xs))
+        assert _bits(*refs) == _bits(*expect)
+        full = [p.exact(x).phi for x in xs]
+        for r, f in zip(refs, full):
+            assert abs(r - f) <= 1e-14 * abs(f)
+    assert _bits(lists[0][2]) == _bits(airy1.exact(60.0).phi)
 
 
 @pytest.mark.parametrize("numpy", [np, None], ids=["numpy", "without_numpy"])
@@ -1061,9 +1207,10 @@ def test_global_error_failed_batch_names_first_failing_point(
 
 
 def test_queries_return_the_horner_head(monkeypatch):
-    """The table answers the head of each hop's double-double pair, in
-    state_at and in values_at with numpy and without: the low part is never
-    read. The pass ends in a two-sum, so for every finite head the sum of
+    """state_at answers the head of each hop's double-double pair: the low
+    part is never read. values_at, with numpy and without, runs no
+    compensated pass at all, so its answers keep their bits when that low
+    part reads nan. The pass ends in a two-sum, so for every finite head the sum of
     the pair gives the head's bits, and no head is -0.0 (a sum of two terms
     is -0.0 only if both are), over series with zeros of both signs and
     parts near the float range's edges. A non-finite head is returned as it
@@ -1084,14 +1231,12 @@ def test_queries_return_the_horner_head(monkeypatch):
     table = _ContinuationTable(q, 0.0, seed)
     xs = [lo, -1.3, 0.0, 2.2, hi]
     expect = [_bits(*table.state_at(x)) for x in xs]
-    kernel, rows = reference._dd_horner, reference._dd_horner_rows
+    plain = [_bits(w) for w in table.values_at(xs)]
+    kernel = reference._dd_horner
     monkeypatch.setattr(reference, "_dd_horner",
                         lambda *a: (kernel(*a)[0], math.nan))
-    monkeypatch.setattr(reference, "_dd_horner_rows",
-                        lambda *a: (rows(*a)[0], None))
     assert [_bits(*table.state_at(x)) for x in xs] == expect
     for numpy in (np, None):
         with monkeypatch.context() as m:
             m.setitem(sys.modules, "numpy", numpy)
-            assert [_bits(w) for w in table.values_at(xs)] == \
-                [e[:2] for e in expect]
+            assert [_bits(w) for w in table.values_at(xs)] == plain

@@ -31,10 +31,12 @@ under either tree.
   `sys.modules["numpy"]` set to None for the call and restored after it,
   so the reference layer takes its numpy-free path.
 * `airy-mixed/horner_batch` and `pcf-rival/horner_batch`: the batch
-  Horner kernel alone, on the coefficient columns and hops that this
-  exact_solution batch hands it (complex Airy rows, real PCF rows). The
-  kernel is `reference._dd_horner_rows`, or `_dd_horner` on numpy arrays
-  in a checkout that has no batch kernel of its own.
+  Horner kernel alone, on the coefficient rows and hops that this
+  exact_solution batch hands it (complex Airy rows, real PCF rows). Each
+  side times the kernel it calls: the plain pass `reference._horner_rows`
+  where it exists, else the compensated `_dd_horner_rows`, else
+  `_dd_horner` on numpy arrays in a checkout that has no batch kernel of
+  its own. So the pair compares the two kernels.
 * `airy-mixed/exact_state` and `pcf-rival/exact_state`: one full-state
   query `problem.exact(x)` of the workload's problem, at x = 10 on Airy
   and x = 1.3 on PCF: a value and a derivative Horner hop over the
@@ -103,8 +105,8 @@ def activate(mods: dict) -> None:
 def horner_batch(reference, problem, xs):
     """A zero-argument call of the side's batch Horner kernel on the
     arguments that one exact_solution batch at xs hands it."""
-    name = ("_dd_horner_rows" if hasattr(reference, "_dd_horner_rows")
-            else "_dd_horner")
+    name = next(n for n in ("_horner_rows", "_dd_horner_rows", "_dd_horner")
+                if hasattr(reference, n))
     kernel, calls = getattr(reference, name), []
 
     def record(*args):
@@ -117,8 +119,9 @@ def horner_batch(reference, problem, xs):
     finally:
         setattr(reference, name, kernel)
     # Table growth calls _dd_horner with one float hop; the batch's first
-    # call with an array of hops is the kernel's entry.
-    args = next(a for a in calls if not isinstance(a[2], float))
+    # call with no float argument is the kernel's entry.
+    args = next(a for a in calls
+                if not any(isinstance(x, float) for x in a))
     return lambda: kernel(*args)
 
 
