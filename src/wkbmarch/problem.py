@@ -31,14 +31,34 @@ def _check_epsilon(epsilon: float) -> None:
             f"square (about 1.6e-162 to 1.3e154), got epsilon={epsilon!r}")
 
 
+# A written-out Horner polynomial nests one parenthesis per coefficient and
+# the parser takes at most 200, so a longer one goes on in a new statement.
+_HORNER_CHUNK = 100
+
+
+def _horner_code(name: str, poly: Sequence[float]) -> tuple[list, str]:
+    """The loop `acc = 0.0; for c in poly: acc = acc * x + c` written out,
+    as (statements, expression) doing the same operations in the same
+    order; between chunks the running value is the local `name`."""
+    lines, acc = [], "0.0"
+    for k in range(0, len(poly), _HORNER_CHUNK):
+        if k:
+            lines.append(f"    {name} = {acc}")
+            acc = name
+        for c in poly[k:k + _HORNER_CHUNK]:
+            acc = f"({acc} * x + {c!r})"  # repr reads back bit for bit
+    return lines, acc
+
+
 class CoefficientField:
     """Polynomial coefficient a(x), from its ascending coefficients.
 
-    The derivative tower up to a^(5) is differentiated exactly, once, here,
-    and kept in Horner order (highest power first); empty or non-finite
-    coefficients raise ValueError. The read-only `horner_heads` is
-    (a, a', a'') in that order and layout: the first three polynomials
-    that jet runs.
+    The derivative tower up to a^(5) is differentiated exactly, once, here
+    (an entry may overflow to inf); empty or non-finite coefficients raise
+    ValueError. The tower is then compiled into three functions of x that
+    run its Horner loops written out, with the coefficients as literals:
+    `value` gives a(x), `heads` (a, a', a'') and `jet` all six entries.
+    A field pickles and copies as its coefficients.
     """
 
     def __init__(self, coeffs: Sequence[float]):
@@ -50,24 +70,32 @@ class CoefficientField:
         for _ in range(MAX_DERIVATIVE_ORDER):
             prev = tower[-1]
             tower.append([j * prev[j] for j in range(1, len(prev))])
-        self._horner = tuple(tuple(reversed(poly)) for poly in tower)
-        self.horner_heads = self._horner[:3]
+        self._coeffs = tuple(tower[0])
+        source = []
+        for fname, count in (("value", 1), ("heads", 3), ("jet", 6)):
+            body, exprs = [], []
+            for k, poly in enumerate(tower[:count]):
+                lines, expr = _horner_code(f"p{k}", poly[::-1])
+                body += lines
+                exprs.append(expr)
+            ret = exprs[0] if count == 1 else f"({', '.join(exprs)})"
+            source += [f"def {fname}(x):", *body, f"    return {ret}"]
+        # The source holds no input text, only reprs of floats; a tower
+        # entry that overflowed reads back as the name inf.
+        kernels = {"inf": math.inf}
+        exec("\n".join(source), kernels)
+        self.value, self.heads = kernels["value"], kernels["heads"]
+        self._jet = kernels["jet"]
+
+    def __reduce__(self):
+        return CoefficientField, (self._coeffs,)
 
     def jet(self, x: float) -> tuple[float, ...]:
         """(a(x), a'(x), ..., a^(5)(x))."""
-        out = []
-        for poly in self._horner:
-            acc = 0.0
-            for c in poly:
-                acc = acc * x + c
-            out.append(acc)
-        return tuple(out)
+        return self._jet(x)
 
     def __call__(self, x: float) -> float:
-        acc = 0.0
-        for c in self.horner_heads[0]:
-            acc = acc * x + c
-        return acc
+        return self.value(x)
 
 
 @dataclass(frozen=True)

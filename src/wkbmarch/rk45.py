@@ -37,44 +37,28 @@ def rkf45_step(problem, state: WaveState, h: float):
     if h <= 0.0:
         raise ValueError("step size must be positive")
     inv_eps2 = 1.0 / problem.epsilon ** 2
-    # a(xi) at each stage by the Horner loop of `CoefficientField.__call__`.
-    poly = problem.field.horner_heads[0]
+    # a(xi) at each stage by the field's written-out Horner value.
+    a_at = problem.field.value
     x0, phi0, dphi0 = state.x, state.phi, state.dphi
     xi = x0 + 0.0 * h  # C1 = 0, kept: it maps x0 = -0.0 to 0.0
-    a = 0.0
-    for c in poly:
-        a = a * xi + c
-    k1, l1 = dphi0, -a * phi0 * inv_eps2
+    k1, l1 = dphi0, -a_at(xi) * phi0 * inv_eps2
     xi, w1 = x0 + C2 * h, h * A21
-    a = 0.0
-    for c in poly:
-        a = a * xi + c
-    k2, l2 = dphi0 + w1 * l1, -a * (phi0 + w1 * k1) * inv_eps2
+    k2, l2 = dphi0 + w1 * l1, -a_at(xi) * (phi0 + w1 * k1) * inv_eps2
     xi, w1, w2 = x0 + C3 * h, h * A31, h * A32
-    a = 0.0
-    for c in poly:
-        a = a * xi + c
     k3 = dphi0 + w1 * l1 + w2 * l2
-    l3 = -a * (phi0 + w1 * k1 + w2 * k2) * inv_eps2
+    l3 = -a_at(xi) * (phi0 + w1 * k1 + w2 * k2) * inv_eps2
     xi, w1, w2, w3 = x0 + C4 * h, h * A41, h * A42, h * A43
-    a = 0.0
-    for c in poly:
-        a = a * xi + c
     k4 = dphi0 + w1 * l1 + w2 * l2 + w3 * l3
-    l4 = -a * (phi0 + w1 * k1 + w2 * k2 + w3 * k3) * inv_eps2
+    l4 = -a_at(xi) * (phi0 + w1 * k1 + w2 * k2 + w3 * k3) * inv_eps2
     xi, w1, w2, w3, w4 = x0 + h, h * A51, h * A52, h * A53, h * A54
-    a = 0.0
-    for c in poly:
-        a = a * xi + c
     k5 = dphi0 + w1 * l1 + w2 * l2 + w3 * l3 + w4 * l4
-    l5 = -a * (phi0 + w1 * k1 + w2 * k2 + w3 * k3 + w4 * k4) * inv_eps2
+    l5 = (-a_at(xi) * (phi0 + w1 * k1 + w2 * k2 + w3 * k3 + w4 * k4)
+          * inv_eps2)
     xi = x0 + C6 * h
     w1, w2, w3, w4, w5 = h * A61, h * A62, h * A63, h * A64, h * A65
-    a = 0.0
-    for c in poly:
-        a = a * xi + c
     k6 = dphi0 + w1 * l1 + w2 * l2 + w3 * l3 + w4 * l4 + w5 * l5
-    l6 = (-a * (phi0 + w1 * k1 + w2 * k2 + w3 * k3 + w4 * k4 + w5 * k5)
+    l6 = (-a_at(xi)
+          * (phi0 + w1 * k1 + w2 * k2 + w3 * k3 + w4 * k4 + w5 * k5)
           * inv_eps2)
     return (phi0 + h * (0.0 + B41 * k1 + B43 * k3 + B44 * k4 + B45 * k5),
             dphi0 + h * (0.0 + B41 * l1 + B43 * l3 + B44 * l4 + B45 * l5),

@@ -124,18 +124,13 @@ def b_jet(problem, x: float):
 
 def phase_rates(problem, xs) -> list[float]:
     """b_jet(problem, x)[3][0], the cc phase integrand, at every x of xs in
-    one loop, bit for bit, raising b_jet's error at the first failing x."""
-    pa, pd, pe = problem.field.horner_heads
+    one loop, bit for bit, raising b_jet's error at the first failing x.
+    Each node is one call, to the field's written-out heads (a, a', a'')."""
+    heads = problem.field.heads
     tau, eps2 = problem.tau_guard, problem.epsilon * problem.epsilon
     rates = []
     for x in xs:
-        a0 = a1 = t2 = 0.0
-        for c in pa:
-            a0 = a0 * x + c
-        for c in pd:
-            a1 = a1 * x + c
-        for c in pe:
-            t2 = t2 * x + c
+        a0, a1, t2 = heads(x)
         if a0 < tau:
             raise WKBInadmissibleError(f"a({x}) = {a0} below tau guard")
         s0 = math.sqrt(a0)

@@ -19,7 +19,7 @@ ROWS = {f"{w}/{kind}" for w in ("airy-mixed", "pcf-rival", "long-cc")
     "airy-mixed/horner_batch", "pcf-rival/horner_batch",
     "airy-mixed/exact_state", "pcf-rival/exact_state",
     "eval_bk", "wkb_pair", "rkf45_step", "wkb_basis", "rkwkb_step",
-    "cc_increment"}
+    "field_jet", "cc_increment", "phase_rates"}
 
 
 def load_tool():

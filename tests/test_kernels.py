@@ -21,6 +21,10 @@ one `WaveState` per member and one `Candidate` record per candidate, scored
 them through `estimate_error` and `proposal_factor`, and chose in a second
 selection pass.
 
+The coefficient field's compiled `value`, `heads` and `jet` are the plain
+Horner loop over its derivative tower written out, so they must give the
+bits of that loop (`loop_jet`) too, non-finite entries and points included.
+
 The per-trial records are slotted dataclasses, and `integrate` builds one
 `WaveState` and one `StepRecord` per accepted step; tests here keep both.
 """
@@ -51,6 +55,29 @@ from wkbmarch.wkb_core import (PHASE_DERIV_GUARD, SQRT2, Endpoint,
 
 FACTORIALS = tuple(float(math.factorial(j)) for j in range(6))
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+
+
+# ---------------------------------------------------------------------------
+# The Horner loop over the derivative tower, as the field's compiled
+# evaluators write it out.
+# ---------------------------------------------------------------------------
+
+def horner(poly, x):
+    """The plain Horner loop over ascending coefficients, from 0.0."""
+    acc = 0.0
+    for c in reversed(poly):
+        acc = acc * x + c
+    return acc
+
+
+def loop_jet(coeffs, x):
+    """(a, a', ..., a^(5)) at x: the tower differentiated as lists, each
+    entry j * c_j (which may overflow to inf), then one loop per entry."""
+    tower = [[float(c) for c in coeffs]]
+    for _ in range(5):
+        prev = tower[-1]
+        tower.append([j * prev[j] for j in range(1, len(prev))])
+    return tuple(horner(poly, x) for poly in tower)
 
 
 # ---------------------------------------------------------------------------
@@ -446,6 +473,47 @@ def test_phase_rates_match_b_jet_bit_for_bit(coeffs, xs, eps, tau):
                                 initial=WaveState(0.0, 1j, 0j), tau_guard=tau)
     assert rates_outcome(phase_rates, p, xs) == rates_outcome(
         rates_one_by_one, p, xs)
+
+
+# Signed zeros, subnormals and +-1e308, whose derivatives overflow the tower.
+SPECIAL_COEFFICIENTS = (0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e308, -1e308)
+
+
+def coefficient_list(n, rng):
+    """n ascending coefficients, about a third of them special."""
+    return [rng.choice(SPECIAL_COEFFICIENTS) if rng.random() < 0.3
+            else rng.uniform(-4.0, 4.0) * 10.0 ** rng.randint(-8, 8)
+            for _ in range(n)]
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(coeffs=st.one_of(
+           st.lists(st.one_of(st.sampled_from(SPECIAL_COEFFICIENTS),
+                              st.floats(allow_nan=False,
+                                        allow_infinity=False)),
+                    min_size=1, max_size=12),
+           st.builds(coefficient_list, st.integers(1, 1000),
+                     st.randoms(use_true_random=False))),
+       x=st.one_of(st.sampled_from([0.0, -0.0, math.inf, -math.inf,
+                                    math.nan]),
+                   st.floats(-2.0, 2.0),
+                   st.floats(allow_nan=False, allow_infinity=False)))
+# 201 coefficients nest past the parser's 200 parentheses in one
+# expression; the last 1e308 makes a tower whose entries overflow to inf,
+# which repr writes as a name.
+@example(coeffs=[1.0] * 201, x=0.5)
+@example(coeffs=[(-1.0) ** k / (k + 1) for k in range(1000)], x=-0.75)
+@example(coeffs=[0.0, 0.0, 0.0, 0.0, 0.0, 1e308], x=2.0)
+@example(coeffs=[0.0, 0.0, 0.0, 0.0, 0.0, -1e308], x=-0.0)
+@example(coeffs=[1.0, -0.0, -1.0, -0.0], x=-0.0)
+def test_field_evaluators_match_horner_loop_bit_for_bit(coeffs, x):
+    # The compiled value, heads and jet are the plain Horner loop over the
+    # tower, written out: the same bits, signed zeros, inf and nan included.
+    fld = CoefficientField(coeffs)
+    want = loop_jet(coeffs, x)
+    assert bits(fld.jet(x)) == bits(want)
+    assert bits(fld.heads(x)) == bits(want[:3])
+    assert bits(fld(x)) == bits(fld.value(x)) == bits(want[0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Problem construction: coefficient towers, benchmark data, JSON loading."""
 
+import copy
 import json
 import math
+import pickle
 import re
 
 import mpmath
@@ -61,6 +63,31 @@ def test_field_value_is_the_jet_head(coeffs, x):
     # The field's value is the first entry of its jet, bit for bit.
     fld = CoefficientField(coeffs)
     assert fld(x) == fld.jet(x)[0]
+
+
+@pytest.mark.parametrize("coeffs", [
+    [0.3, -1.0, 2.5, -0.0], [0.0, 0.0, 0.0, 0.0, 0.0, 1e308],
+    [1.0 / (k + 1) for k in range(250)]])
+def test_field_and_poly_problem_round_trip(coeffs):
+    # A field reduces to its coefficients, so a pickled or copied field,
+    # and a poly problem holding one, evaluate with the same bits.
+    spec = {"type": "poly", "epsilon": 0.1, "domain": [0.0, 1.0],
+            "coeffs": coeffs, "initial": [1.0, 0.0, 0.0, 1.0]}
+    problem = problem_from_json(spec)
+    fields = [problem.field, pickle.loads(pickle.dumps(problem.field)),
+              copy.deepcopy(problem.field), copy.copy(problem.field)]
+    for other in (pickle.loads(pickle.dumps(problem)),
+                  copy.deepcopy(problem)):
+        assert (other.epsilon, other.x_start, other.x_end, other.initial) \
+            == (problem.epsilon, problem.x_start, problem.x_end,
+                problem.initial)
+        fields.append(other.field)
+    assert len({id(f) for f in fields}) == len(fields)
+    for x in (0.0, -0.0, 0.37, -1.5, 3.0, math.inf, math.nan):
+        want = [v.hex() for v in problem.field.jet(x)]
+        for fld in fields:
+            assert [v.hex() for v in fld.jet(x)] == want
+            assert fld(x).hex() == want[0]
 
 
 def test_airy_field_is_linear():

@@ -45,10 +45,14 @@ under either tree.
   and the `pcf-rival` one (PCF eps 2^-6, exact phase):
   `eval_bk` at x = 10; the WKB `control._pair` over [10, 10.25];
   `rkf45_step` from x = 2 by 0.05; `wkb_basis` at x = 1 and `rkwkb_step`
-  over [1, 1.001] on PCF, the basis-fit kernels of `rkwkbmod`.
+  over [1, 1.001] on PCF, the basis-fit kernels of `rkwkbmod`;
+  `field_jet`, the PCF coefficient field's `jet` at x = 1.
 * `cc_increment`: `PhaseProvider(<long-cc problem>, "cc").increment` over
   the last step of that side's seed-0 `long-cc` trajectory, one
   Clenshaw-Curtis rule.
+* `phase_rates`: `wkb_core.phase_rates` on the 15 nodes of that rule, as
+  that side's `clenshaw_curtis` hands them to its integrand: the cc phase
+  integrand alone.
 Each sample repeats its call as often as this checkout needs for about
 SAMPLE_S seconds (the same count on both sides) and keeps the mean per
 call.
@@ -185,10 +189,15 @@ def rows_for(mods: dict, workloads) -> dict:
     rows["wkb_basis"] = lambda: rkwkb.wkb_basis(pcf, 1.0)
     rows["rkwkb_step"] = lambda: rkwkb.rkwkb_step(pcf, pcf_phase, b_left,
                                                   b_right, b_state)
+    rows["field_jet"] = lambda: pcf.field.jet(1.0)
     long_cc, traj = runs["long-cc"]
     cc_phase = pkg.PhaseProvider(long_cc, "cc")
     x0, x1 = traj.records[-2].x, traj.records[-1].x
     rows["cc_increment"] = lambda: cc_phase.increment(x0, x1)
+    nodes = []
+    pkg.clenshaw_curtis(lambda xs: nodes.extend(xs) or [0.0] * len(xs),
+                        x0, x1)
+    rows["phase_rates"] = lambda: wkb_core.phase_rates(long_cc, nodes)
     return rows
 
 
