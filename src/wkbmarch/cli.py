@@ -249,7 +249,8 @@ def _add_shared(sub) -> None:
     sub.add_argument("--problem", required=True,
                      help="airy | pcf | poly:<c0,c1,..> | json:<file>")
     sub.add_argument("--interval", type=_parse_interval, default=None,
-                     help="a,b: overrides the problem's domain")
+                     help="a,b: overrides the problem's domain; write "
+                     "a negative a as --interval=-1,1")
     sub.add_argument("--h0", type=float, default=None)
     sub.add_argument("--phase", default="auto",
                      choices=("auto", "exact", "cc"))

@@ -87,8 +87,14 @@ class PhaseProvider:
     """Phase increments of one problem in one mode: "exact", "cc", or
     "auto", which picks the closed form when the problem has one.
 
-    Holds no per-run state: `increment` is a pure function of its
-    interval, so one provider may serve any number of steps and solves.
+    `increment` gives the same bits as a fresh provider on any interval,
+    so one provider may serve any number of steps and solves. Its one
+    piece of state is an exact-mode memo, `(x1, F(x1))` of the last call,
+    kept as one tuple so that no reader pairs one call's x with another's
+    F: the step after an accepted one starts where its predecessor ended
+    and reads F there from the memo, so a march evaluates the closed form
+    F once per grid point. A rejected trial's x0 misses and is evaluated
+    again, and a call where F raises leaves the memo as it was.
     """
 
     def __init__(self, problem, mode: str = "exact"):
@@ -101,6 +107,7 @@ class PhaseProvider:
         self.problem = problem
         self.mode = mode
         self._rates = functools.partial(phase_rates, problem)
+        self._last = (math.nan, 0.0)  # NaN equals no x0: the first call misses
 
     def increment(self, x0: float, x1: float) -> float:
         """s = phase(x1) - phase(x0)."""
@@ -111,11 +118,17 @@ class PhaseProvider:
             s = clenshaw_curtis(self._rates, x0, x1)
         else:
             F = self.problem.phase_antiderivative
+            last_x, last_F = self._last
             try:
-                s = F(x1) - F(x0)
+                F1 = F(x1)
+                # Equal floats have equal bits except for 0.0 and -0.0, so a
+                # zero x0 never reads the memo.
+                F0 = last_F if x0 == last_x != 0.0 else F(x0)
             except (ValueError, ZeroDivisionError, OverflowError) as exc:
                 raise WKBInadmissibleError(
                     f"closed-form phase undefined on [{x0}, {x1}]") from exc
+            self._last = (x1, F1)
+            s = F1 - F0
         if not isinstance(s, float) or not math.isfinite(s):
             raise WKBInadmissibleError(
                 f"phase increment not finite on [{x0}, {x1}]")

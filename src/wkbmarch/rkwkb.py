@@ -63,7 +63,10 @@ def _basis(x, amp, l1, l2, w1, w2) -> WKBBasis:
     """The basis pair of amplitude amp, L+-' = l1 +- w1, L+-'' = l2 +- w2."""
     lp_plus, lp_minus = l1 + w1, l1 - w1
     lpp_plus, lpp_minus = l2 + w2, l2 - w2
-    # The minus entries are the conjugates of the plus ones.
+    # The minus entries are the conjugates of the plus ones up to the sign
+    # of zero, so the plus ones alone are checked. They keep their own
+    # arithmetic, the generic form's bits: with l1 = -0.0, l1 - w1 has the
+    # real part -0.0 where the conjugate of l1 + w1 has 0.0.
     if not (math.isfinite(amp) and cmath.isfinite(lp_plus)
             and cmath.isfinite(lpp_plus)):
         raise WKBInadmissibleError(f"non-finite record entry at x={x}")
@@ -81,7 +84,7 @@ def wkb_basis(problem, x: float) -> BasisEndpoint:
     oscillatory phase and (order 3) the eps^2 phi3 correction."""
     eps = problem.epsilon
     # ph1, ph2: the phase derivative sqrt(a) - eps^2 b and its derivative.
-    a, s, bj, (ph1, ph2, _, _) = b_jet(problem, x)
+    a, s, bj, (ph1, ph2) = b_jet(problem, x, 2)
     # Amplitude log: -(1/4) log a; only its derivatives are needed.
     a1, a2 = a[1], 2.0 * a[2]
     amp1 = -0.25 * a1 / a[0]

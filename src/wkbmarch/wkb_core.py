@@ -61,18 +61,22 @@ class Endpoint:
     b3: float
 
 
-def b_jet(problem, x: float):
-    """The jets (a, sqrt(a), b, sqrt(a) - eps^2 b) at x, each to order 3,
-    as lists of Taylor coefficients c_k = f^(k)(x)/k!.
+def b_jet(problem, x: float, order: int):
+    """The jets (a, sqrt(a), b, sqrt(a) - eps^2 b) at x as lists of Taylor
+    coefficients c_k = f^(k)(x)/k!: at order 3 (`eval_bk`) each to order 3,
+    and at order 2 (`wkb_basis`) a, sqrt(a) and b to order 2 and the last
+    jet to order 1, what the basis fit reads.
 
     b(x) = -(a^(-1/4))'' / (2 a^(1/4)) is expanded through the chain rule as
-    b = -(5/32) a'^2 a^(-5/2) + (1/8) a'' a^(-3/2), which reads a to
-    order 5, the top of the derivative tower. The last jet is the phase
-    derivative of the oscillatory factor; where it falls below
-    PHASE_DERIV_GUARD * sqrt(a) or is not finite, x is inadmissible.
+    b = -(5/32) a'^2 a^(-5/2) + (1/8) a'' a^(-3/2), so b to order n reads
+    a to order n + 2. The last jet is the phase derivative of the
+    oscillatory factor; where it falls below PHASE_DERIV_GUARD * sqrt(a) or
+    is not finite, x is inadmissible.
 
     The order-0 heads, `phase_rates`'s arithmetic, come first, then every
-    coefficient to order 3; sums keep the generic recursion's 0.0 seed.
+    coefficient to order 2; order 2 returns there, so its lists are the
+    heads of order 3's, bit for bit. Sums keep the generic recursion's 0.0
+    seed.
     """
     a0, a1, t2, t3, t4, t5 = problem.field.jet(x)
     if a0 < problem.tau_guard:  # before sqrt(a), which a < 0 would fail
@@ -91,39 +95,44 @@ def b_jet(problem, x: float):
     if not PHASE_DERIV_GUARD * s0 <= p0 < math.inf:
         raise WKBInadmissibleError(
             f"phase derivative {p0} degenerate or not finite at x={x}")
-    a3, a4, a5 = t3 / 6.0, t4 / 24.0, t5 / 120.0
+    a3, a4 = t3 / 6.0, t4 / 24.0
     d1, d2, d3 = e0, a3 * 3, a4 * 4
-    e1, e2, e3 = d2 * 2, d3 * 3, a5 * 5 * 4
+    e1, e2 = d2 * 2, d3 * 3
     two_s0 = 2.0 * s0
     s1 = a1 / two_s0
     s2 = (a2 - s1 * s1) / two_s0
-    s3 = (a3 - (0.0 + s1 * s2 + s2 * s1)) / two_s0
     w1 = 0.0 + a0 * s1 + a1 * s0
     w2 = 0.0 + a0 * s2 + a1 * s1 + a2 * s0
-    w3 = 0.0 + a0 * s3 + a1 * s2 + a2 * s1 + a3 * s0
     aa1 = 0.0 + a0 * a1 + a1 * a0
     aa2 = 0.0 + a0 * a2 + a1 * a1 + a2 * a0
-    aa3 = 0.0 + a0 * a3 + a1 * a2 + a2 * a1 + a3 * a0
     q1 = 0.0 + aa0 * s1 + aa1 * s0
     q2 = 0.0 + aa0 * s2 + aa1 * s1 + aa2 * s0
-    q3 = 0.0 + aa0 * s3 + aa1 * s2 + aa2 * s1 + aa3 * s0
     m1 = 0.0 + a1 * d1 + d1 * a1
     m2 = 0.0 + a1 * d2 + d1 * d1 + d2 * a1
-    m3 = 0.0 + a1 * d3 + d1 * d2 + d2 * d1 + d3 * a1
     f1 = (m1 - (0.0 + q1 * f0)) / q0
     f2 = (m2 - (0.0 + q1 * f1 + q2 * f0)) / q0
-    f3 = (m3 - (0.0 + q1 * f2 + q2 * f1 + q3 * f0)) / q0
     g1 = (e1 - (0.0 + w1 * g0)) / w0
     g2 = (e2 - (0.0 + w1 * g1 + w2 * g0)) / w0
+    b1, b2 = -0.15625 * f1 + 0.125 * g1, -0.15625 * f2 + 0.125 * g2
+    p1 = s1 - eps2 * b1
+    if order == 2:
+        return [a0, a1, a2], [s0, s1, s2], [b0, b1, b2], [p0, p1]
+    a5 = t5 / 120.0
+    e3 = a5 * 5 * 4
+    s3 = (a3 - (0.0 + s1 * s2 + s2 * s1)) / two_s0
+    w3 = 0.0 + a0 * s3 + a1 * s2 + a2 * s1 + a3 * s0
+    aa3 = 0.0 + a0 * a3 + a1 * a2 + a2 * a1 + a3 * a0
+    q3 = 0.0 + aa0 * s3 + aa1 * s2 + aa2 * s1 + aa3 * s0
+    m3 = 0.0 + a1 * d3 + d1 * d2 + d2 * d1 + d3 * a1
+    f3 = (m3 - (0.0 + q1 * f2 + q2 * f1 + q3 * f0)) / q0
     g3 = (e3 - (0.0 + w1 * g2 + w2 * g1 + w3 * g0)) / w0
-    b1, b2, b3 = (-0.15625 * f1 + 0.125 * g1, -0.15625 * f2 + 0.125 * g2,
-                  -0.15625 * f3 + 0.125 * g3)
+    b3 = -0.15625 * f3 + 0.125 * g3
     return ([a0, a1, a2, a3], [s0, s1, s2, s3], [b0, b1, b2, b3],
-            [p0, s1 - eps2 * b1, s2 - eps2 * b2, s3 - eps2 * b3])
+            [p0, p1, s2 - eps2 * b2, s3 - eps2 * b3])
 
 
 def phase_rates(problem, xs) -> list[float]:
-    """b_jet(problem, x)[3][0], the cc phase integrand, at every x of xs in
+    """b_jet(problem, x, order)[3][0], the cc phase integrand, at every x of xs in
     one loop, bit for bit, raising b_jet's error at the first failing x.
     Each node is one call, to the field's written-out heads (a, a', a'')."""
     heads = problem.field.heads
@@ -155,7 +164,7 @@ def eval_bk(problem, x: float) -> Endpoint:
     derivative of b_k over twice the phase derivative, so b_k is needed to
     order 3 - k and b to order 3; the quotient recursions are written out.
     """
-    (a0, a1, _, _), _, (b, bd1, bd2, bd3), phase = b_jet(problem, x)
+    (a0, a1, _, _), _, (b, bd1, bd2, bd3), phase = b_jet(problem, x, 3)
     # ydk is the k-th Taylor coefficient of y; t is the 2 phase' jet.
     t0, t1, t2, t3 = [2.0 * p for p in phase]
     b0 = b / t0

@@ -12,7 +12,10 @@ every input must raise in both or in neither; the one exception is a
 non-finite Fehlberg stage, where the tableau step raises and `rkf45_step`
 returns a pair whose difference is not finite. The pair kernels return four
 bare complex scalars (phi and phi' of the low member, then of the high
-one), and the oracles return the same four.
+one), and the oracles return the same four. `b_jet` is checked at both
+orders it is called at: order 3 against the generic order-3 jets, and
+order 2 against the generic order-2 jets with the phase jet cut to
+order 1.
 
 `integrate` scores its candidates in one pass per trial, with the rule
 written out where each pair's scalars land. It must give the same records,
@@ -138,6 +141,13 @@ def generic_b_jet(problem, x, order):
     if not PHASE_DERIV_GUARD * s[0] <= phase[0] < math.inf:
         raise WKBInadmissibleError("phase derivative")
     return a[:n + 1], s, b, phase
+
+
+def generic_basis_jet(problem, x):
+    """`generic_b_jet` at order 2 with the phase jet cut to order 1: what
+    `b_jet` gives the basis fit at order 2."""
+    a, s, b, phase = generic_b_jet(problem, x, 2)
+    return a, s, b, phase[:2]
 
 
 def generic_eval_bk(problem, x):
@@ -395,7 +405,8 @@ def test_kernels_match_generic_forms_bit_for_bit(coeffs, x, eps, phi, dphi,
     p = make_polynomial_problem(coeffs, eps, (x, x + 10.0),
                                 initial=WaveState(x, phi, dphi))
     assume(p.field(x) > 0.0)
-    assert outcome(b_jet, p, x) == outcome(generic_b_jet, p, x, 3)
+    assert outcome(b_jet, p, x, 3) == outcome(generic_b_jet, p, x, 3)
+    assert outcome(b_jet, p, x, 2) == outcome(generic_basis_jet, p, x)
     assert outcome(eval_bk, p, x) == outcome(generic_eval_bk, p, x)
     assert outcome(wkb_basis, p, x) == outcome(generic_wkb_basis, p, x)
     want = outcome(tableau_rkf45_step, p, p.initial, h)
@@ -440,7 +451,7 @@ def test_rkwkb_step_matches_generic_form_bit_for_bit(coeffs, x, eps, phi,
 def rates_one_by_one(problem, xs):
     """The cc integrand at each x of xs, as the head of b_jet's phase jet;
     the first inadmissible x raises b_jet's error."""
-    return [b_jet(problem, x)[3][0] for x in xs]
+    return [b_jet(problem, x, 3)[3][0] for x in xs]
 
 
 def rates_outcome(fn, *args):

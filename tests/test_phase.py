@@ -1,9 +1,11 @@
 """Phase increments, Clenshaw-Curtis quadrature, the per-step phase."""
 
+import dataclasses
 import math
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -218,7 +220,7 @@ def test_integrand_b_matches_jet_pass():
              (quartic, (0.0, 0.8, 1.7, 2.9)))
     for p, xs in cases:
         for x in xs:
-            got = b_jet(p, x)[2][0]
+            got = b_jet(p, x, 3)[2][0]
             assert got == pytest.approx(closed_form_b(p, x), rel=1e-14)
 
 
@@ -226,6 +228,102 @@ def test_exact_mode_requires_antiderivative():
     p = make_polynomial_problem([1.0], 1.0, (0.0, 1.0))
     with pytest.raises(ValueError):
         PhaseProvider(p, "exact")
+
+
+def increment_outcome(provider, x0, x1):
+    """The increment's bits, or its error's message."""
+    try:
+        return provider.increment(x0, x1).hex()
+    except WKBInadmissibleError as exc:
+        return str(exc)
+
+
+def counted_phase(problem, calls):
+    """`problem` with its closed-form phase appending each x to `calls`."""
+    F = problem.phase_antiderivative
+
+    def counted(x):
+        calls.append(x)
+        return F(x)
+    return dataclasses.replace(problem, phase_antiderivative=counted)
+
+
+# Interval sequences as a march makes them: accepted steps, each from the
+# last one's end; a rejected trial and its retry from the same x0; and a
+# step where the closed form raises (x^1.5 overflows on Airy, and the PCF
+# form is undefined at x = 2), then its retry and one more step.
+MEMO_MARCHES = {
+    "airy": (lambda: make_airy_problem(2.0 ** -3),
+             [(0.1, 0.4), (0.4, 1.3), (0.4, 0.8), (0.8, 1e301),
+              (0.8, 1.5), (1.5, 3.0)]),
+    "pcf": (lambda: make_pcf_problem(2.0 ** -6),
+            [(0.01, 0.5), (0.5, 1.7), (0.5, 1.2), (1.2, 2.0), (1.2, 1.9),
+             (1.9, 1.95)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MEMO_MARCHES))
+def test_exact_memo_gives_fresh_provider_bits(case):
+    # One provider over the whole sequence gives, interval by interval, the
+    # bits or the error of a fresh provider, also after the raising call.
+    # It evaluates the closed form once per interval, plus once more on the
+    # first and on the retry after the rejected trial.
+    make, intervals = MEMO_MARCHES[case]
+    calls = []
+    p = counted_phase(make(), calls)
+    prov = PhaseProvider(p, "exact")
+    got = [increment_outcome(prov, x0, x1) for x0, x1 in intervals]
+    assert len(calls) == len(intervals) + 2
+    want = [increment_outcome(PhaseProvider(p, "exact"), x0, x1)
+            for x0, x1 in intervals]
+    assert got == want
+    assert any(w.startswith("closed-form phase undefined") for w in want)
+
+
+def test_exact_memo_keeps_the_sign_of_zero():
+    # F = 0 x is a zero of either sign at x = +-0.0, which compare equal: a
+    # memo read at one for the other would flip the increment's sign of
+    # zero, so a zero x0 is always evaluated.
+    p = dataclasses.replace(make_airy_problem(1.0),
+                            phase_antiderivative=lambda x: 0.0 * x)
+    intervals = [(-1.0, 0.0), (-0.0, -1.0), (-1.0, -0.0), (0.0, -1.0)]
+    prov = PhaseProvider(p, "exact")
+    got = [increment_outcome(prov, x0, x1) for x0, x1 in intervals]
+    assert got == [increment_outcome(PhaseProvider(p, "exact"), x0, x1)
+                   for x0, x1 in intervals]
+
+
+def test_exact_memo_shared_by_threads_gives_fresh_bits():
+    """Four threads marching one provider from staggered starts, with a
+    short switch interval, each see a fresh provider's bits at every step:
+    no reader pairs one call's x with another call's F."""
+    p = make_pcf_problem(2.0 ** -6)
+    xs = [0.01 + 0.009 * k for k in range(200)]
+    intervals = list(zip(xs, xs[1:]))
+    want = [increment_outcome(PhaseProvider(p, "exact"), *iv)
+            for iv in intervals]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(40):
+            prov = PhaseProvider(p, "exact")
+            got = [None] * 4
+
+            def run(t):
+                order = intervals[50 * t:] + intervals[:50 * t]
+                out = {iv: increment_outcome(prov, *iv) for iv in order}
+                got[t] = [out[iv] for iv in intervals]
+
+            threads = [threading.Thread(target=run, args=(t,))
+                       for t in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+            assert got == [want] * 4
+    finally:
+        sys.setswitchinterval(old)
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,11 @@ under either tree.
   `eval_bk` at x = 10; the WKB `control._pair` over [10, 10.25];
   `rkf45_step` from x = 2 by 0.05; `wkb_basis` at x = 1 and `rkwkb_step`
   over [1, 1.001] on PCF, the basis-fit kernels of `rkwkbmod`;
-  `field_jet`, the PCF coefficient field's `jet` at x = 1.
+  `field_jet`, the PCF coefficient field's `jet` at x = 1. The WKB pair
+  and `rkwkb_step` rows repeat one interval, so every call misses the
+  exact-phase memo of `PhaseProvider` and evaluates the closed form at
+  both ends; a march reads it once per grid point, and only the
+  `<workload>/integrate` rows time that.
 * `cc_increment`: `PhaseProvider(<long-cc problem>, "cc").increment` over
   the last step of that side's seed-0 `long-cc` trajectory, one
   Clenshaw-Curtis rule.
