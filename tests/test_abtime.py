@@ -18,6 +18,7 @@ ROWS = {f"{w}/{kind}" for w in ("airy-mixed", "pcf-rival", "long-cc")
                      "exact_solution", "exact_solution_without_numpy")} | {
     "airy-mixed/horner_batch", "pcf-rival/horner_batch",
     "airy-mixed/exact_state", "pcf-rival/exact_state",
+    "long-cc/asymptotic_values", "airy_asymptotic",
     "eval_bk", "wkb_pair", "rkf45_step", "wkb_basis", "rkwkb_step",
     "field_jet", "cc_increment", "phase_rates"}
 

@@ -27,12 +27,12 @@ from wkbmarch import (ContinuationError, WaveState, airy_pair,
                       global_error, integrate, make_pcf_problem, reference)
 from wkbmarch.reference import (AIRY_VALUE_SWITCH, SERIES_TERMS,
                                 _ContinuationTable, _dd_add, _dd_deriv_coeffs, _dd_horner,
-                                _dd_mul_d, _dd_mul_dd, _horner, _horner_rows,
+                                _dd_mul_d, _horner, _horner_rows,
                                 _dd_recip_int, _dd_series, _dd_shift_poly,
                                 _dd_substep, _series_phase_cap, airy_asymptotic,
                                 airy_origin_values, airy_values,
                                 asymptotic_coeffs, exact_solution,
-                                pcf_origin_values)
+                                pcf_origin_values, _two_prod, _two_sum)
 
 EPS_MACH = 2.220446049250313e-16
 
@@ -189,6 +189,12 @@ def test_pcf_reference_overflow_names_x_and_epsilon(monkeypatch):
 
 # The series kernels are written out for speed; these compositions of the
 # double-double helpers are the arithmetic they must reproduce bit for bit.
+
+def _dd_mul_dd(xh, xl, yh, yl):
+    p, e = _two_prod(xh, yh)
+    e = e + (xh * yl + xl * yh)
+    return _two_sum(p, e)
+
 
 def _oracle_series(qhi, qlo, wh, wl, dh, dl, terms):
     chi, clo = [wh, dh], [wl, dl]
@@ -485,6 +491,130 @@ def test_airy_leading_order_remainder_bound():
     u1, _ = asymptotic_coeffs(1)
     scaled = abs(w.real - leading) * math.sqrt(math.pi) * t ** 0.25
     assert scaled <= 2.0 * u1 / zeta
+
+
+# The asymptotic route is written out for speed; this composition of the
+# double-double helpers, with its sums in a loop over asymptotic_coeffs, is
+# the arithmetic that _airy_phase, _airy_w and airy_asymptotic must
+# reproduce bit for bit.
+
+def _dd_sqrt(x):
+    sh = math.sqrt(x)
+    p, e = _two_prod(sh, sh)
+    return sh, ((x - p) - e) / (2.0 * sh)
+
+
+def _reduce_mod_2pi(xh, xl):
+    n = round(xh / reference._TWO_PI_HI)
+    if n != 0:
+        ph, pe = _two_prod(float(n), reference._TWO_PI_HI)
+        xh, xl = _dd_add(xh, xl, -ph, -(pe + n * reference._TWO_PI_LO))
+    return xh + xl
+
+
+def _oracle_airy_asymptotic(t):
+    if t <= 0.0:
+        raise ValueError("asymptotic branch needs t > 0")
+    sh, sl = _dd_sqrt(t)
+    zh, zl = _dd_mul_d(sh, sl, t)
+    zh, zl = _dd_mul_dd(zh, zl, reference._TWO_THIRDS_HI,
+                        reference._TWO_THIRDS_LO)
+    zeta = zh + zl
+    if not math.isfinite(zeta):
+        raise OverflowError(f"Airy phase overflows at t={t!r}")
+    arg = _reduce_mod_2pi(zh, zl) - 0.25 * math.pi
+    cosz = math.cos(arg)
+    sinz = math.sin(arg)
+    even_u = odd_u = even_v = odd_v = 0.0
+    for k in range(4):
+        sign = -1.0 if k % 2 else 1.0
+        u2k, v2k = asymptotic_coeffs(2 * k)
+        u2k1, v2k1 = asymptotic_coeffs(2 * k + 1)
+        even_u += sign * u2k / zeta ** (2 * k)
+        odd_u += sign * u2k1 / zeta ** (2 * k + 1)
+        even_v += sign * v2k / zeta ** (2 * k)
+        odd_v += sign * v2k1 / zeta ** (2 * k + 1)
+    amp = 1.0 / (reference.SQRT_PI * t ** 0.25)
+    damp = t ** 0.25 / reference.SQRT_PI
+    return (complex(amp * (cosz * even_u + sinz * odd_u),
+                    amp * (-sinz * even_u + cosz * odd_u)),
+            complex(damp * (sinz * even_v - cosz * odd_v),
+                    damp * (cosz * even_v + sinz * odd_v)))
+
+
+def _outcome(fn, t):
+    """float.hex of every part fn(t) returns, or the type of what it
+    raises."""
+    try:
+        out = fn(t)
+    except Exception as exc:
+        return type(exc)
+    return _bits(*(out if isinstance(out, tuple) else (out,)))
+
+
+# The expansion answers up to _EDGE and raises from the next float up,
+# where zeta ** 7 overflows in its sums.
+_EDGE = float.fromhex("0x1.e24c968ffd534p+97")  # 2.9852872821457974e29
+
+
+@example(t=math.nextafter(AIRY_VALUE_SWITCH, math.inf))
+@example(t=1e29)
+@example(t=_EDGE)
+@example(t=math.nextafter(_EDGE, math.inf))
+@example(t=3e29)
+@example(t=1.0)  # zeta < pi: the reduction's n is 0
+@example(t=1e-32)  # zeta ** 2 underflows: ZeroDivisionError in the sums
+@settings(deadline=None, derandomize=True, max_examples=400)
+@given(t=st.one_of(
+    st.floats(AIRY_VALUE_SWITCH, 3e29, exclude_min=True),
+    st.floats(0.0, AIRY_VALUE_SWITCH, exclude_min=True),
+    st.builds(lambda e: 10.0 ** e, st.floats(1.7, 29.47))))
+def test_asymptotic_route_matches_helper_oracle(t):
+    """airy_asymptotic and the value kernel _airy_w of _airy_phase give the
+    helper oracle's float.hex, or raise the same exception type: over t in
+    (50, 3e29], log-uniform too, and below the seam, where the full-state
+    route still answers; at the overflow edge and on both sides of it."""
+    expect = _outcome(_oracle_airy_asymptotic, t)
+    assert _outcome(airy_asymptotic, t) == expect
+    value = _outcome(lambda x: reference._airy_w(x, *reference._airy_phase(x)),
+                     t)
+    assert value == (expect[:2] if isinstance(expect, list) else expect)
+
+
+def test_asymptotic_overflow_edge_names_t(monkeypatch):
+    """From t of about 2.985e29 up, zeta ** 7 overflows in the sums. Below
+    that edge airy_pair and airy_values answer; above it both raise an
+    OverflowError naming t, with numpy and without."""
+    message = "Airy expansion overflows at t=4e+29"
+    assert all(map(math.isfinite, _parts(airy_pair(1e29))))
+    with pytest.raises(OverflowError) as info:
+        airy_pair(4e29)
+    assert str(info.value) == message
+    for numpy in (np, None):
+        with monkeypatch.context() as m:
+            m.setitem(sys.modules, "numpy", numpy)
+            assert _bits(airy_values([1.0, 1e29])[1]) == \
+                _bits(airy_pair(1e29)[0])
+            with pytest.raises(OverflowError) as info:
+                airy_values([1.0, 4e29])
+            assert str(info.value) == message, numpy
+
+
+def test_airy_asymptotic_accuracy_against_mpmath():
+    """Against mpmath at 60 digits, at the float t, the expansion's w is
+    within 1e-15 of |w| on 50 < t <= 1e10. The largest of these points
+    reads 4.0e-16, so the bound has a margin of about 2.5. Further out
+    zeta's own double-double rounding takes over: 4.0e-15 at t = 1e12 and
+    2.7e-12 at 1e14, so no bound of this size holds there."""
+    rng = random.Random(0)
+    ts = [10.0 ** rng.uniform(math.log10(AIRY_VALUE_SWITCH), 10.0)
+          for _ in range(100)] + [1e8, 1e10]
+    with mpmath.workdps(60):
+        for t in ts:
+            ref = mpmath.mpc(mpmath.airyai(-mpmath.mpf(t)),
+                             mpmath.airybi(-mpmath.mpf(t)))
+            err = abs(mpmath.mpc(airy_asymptotic(t)[0]) - ref) / abs(ref)
+            assert err <= 1e-15, t
 
 
 def first_error(exact, xs):
@@ -1130,6 +1260,36 @@ def test_global_error_same_bits_without_numpy(monkeypatch, name):
             m.setitem(sys.modules, "numpy", numpy)
             got[numpy] = global_error(traj, problem, "sup").hex()
     assert got[np] == got[None]
+
+
+@pytest.mark.parametrize("numpy", [np, None], ids=["numpy", "without_numpy"])
+def test_verification_batch_takes_no_full_state_route(monkeypatch, numpy):
+    """On the seed-0 long-cc trajectory, whose nodes above the seam take
+    the asymptotic expansion, both norms of global_error and the batch
+    exact_solution keep their bits with airy_asymptotic forbidden, with
+    numpy and without: the batch answers those nodes from the value-only
+    kernel and forms no w'. Mirrors test_global_error_reads_no_derivative
+    on the table side."""
+    w = _bench_workloads()["long-cc"]
+    problem = w.make_problem()
+    traj = integrate(problem, w.config(w.h0_factors(0)[0]))
+    xs = [s.x for s in traj.states]
+    assert problem.epsilon == 1.0
+    assert sum(x > AIRY_VALUE_SWITCH for x in xs) == 22
+
+    def results():
+        return (global_error(traj, problem, "sup").hex(),
+                global_error(traj, problem, "l2rel").hex(),
+                _bits(*exact_solution(problem, xs)))
+
+    def forbidden(t):
+        raise AssertionError(f"full-state route at t={t}")
+
+    with monkeypatch.context() as m:
+        m.setitem(sys.modules, "numpy", numpy)
+        expect = results()
+        m.setattr(reference, "airy_asymptotic", forbidden)
+        assert results() == expect
 
 
 @pytest.mark.parametrize("name", ["airy-mixed", "pcf-rival", "long-cc"])

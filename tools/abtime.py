@@ -41,6 +41,13 @@ under either tree.
   query `problem.exact(x)` of the workload's problem, at x = 10 on Airy
   and x = 1.3 on PCF: a value and a derivative Horner hop over the
   continuation table.
+* `long-cc/asymptotic_values`: `reference.airy_values` over the nodes of
+  that side's seed-0 `long-cc` trajectory above the seam
+  `AIRY_VALUE_SWITCH` (epsilon is 1 there, so t = x), as a list: the
+  Airy points of its `global_error` that take the asymptotic expansion.
+  Each side times its own route for them.
+* `airy_asymptotic`: one full-state call `reference.airy_asymptotic` at
+  t = 1234.5, (w, w') by the expansion.
 * Per-call kernels, on the `airy-mixed` problem (Airy eps 1, exact phase)
   and the `pcf-rival` one (PCF eps 2^-6, exact phase):
   `eval_bk` at x = 10; the WKB `control._pair` over [10, 10.25];
@@ -195,6 +202,9 @@ def rows_for(mods: dict, workloads) -> dict:
                                                   b_right, b_state)
     rows["field_jet"] = lambda: pcf.field.jet(1.0)
     long_cc, traj = runs["long-cc"]
+    ts = [s.x for s in traj.states if s.x > reference.AIRY_VALUE_SWITCH]
+    rows["long-cc/asymptotic_values"] = lambda: reference.airy_values(ts)
+    rows["airy_asymptotic"] = lambda: reference.airy_asymptotic(1234.5)
     cc_phase = pkg.PhaseProvider(long_cc, "cc")
     x0, x1 = traj.records[-2].x, traj.records[-1].x
     rows["cc_increment"] = lambda: cc_phase.increment(x0, x1)
