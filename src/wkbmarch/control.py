@@ -25,8 +25,10 @@ the step. The controller constants are the paper's fixed values.
 Every pair kernel returns four bare complex scalars, phi and phi' of the
 low member and then of the high one. `integrate` scores them where they
 land, with the rule written out, keeps only the running winner, and builds
-one `WaveState` per accepted step; `estimate_error` and `proposal_factor`
-are the rule's reference form, which the estimator audits use.
+one `WaveState` per accepted step, which the next trial reads, and one
+packed row of the `Trajectory` table; `estimate_error` and
+`proposal_factor` are the rule's reference form, which the estimator
+audits use.
 
 The run owns one record per grid point (`_endpoint`, from the builder it
 chooses once): the flat `wkb_core.Endpoint` of the transform scheme, or
@@ -40,7 +42,9 @@ candidate carries Z as two complex scalars and the step's one rotation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import struct
+from array import array
+from dataclasses import dataclass
 
 from . import rkwkb, wkb_core
 from .phase import PhaseProvider
@@ -108,29 +112,98 @@ class StepRecord:
     state: WaveState
 
 
-@dataclass
-class Trajectory:
-    """Accepted steps of one run plus bookkeeping counters."""
+# One accepted step is one row of `Trajectory.table`: x, h, est, theta and
+# the real and imaginary parts of phi and phi', in that order.
+ROW = struct.Struct("8d")
+_WIDTH = 8
 
-    records: list[StepRecord] = field(default_factory=list)
-    rejected: int = 0
+
+class Trajectory:
+    """Accepted steps of one run, by column, plus the rejected count.
+
+    `append` packs one step as one row of eight floats (see ROW) into
+    `rows` and its method tag into `methods`. `table` is the rows as one
+    flat float array, each column a stride of it, and `xs` and `phis` slice
+    the x column and the phi parts out as float arrays, with no per-step
+    Python. `records`, `states`, `final_state` and `method_counts()` are
+    read-only views built from the columns on each access, with the bits
+    that were appended (-0.0 and NaN parts included); writing to them
+    changes nothing.
+
+    The rows stay separate bytes objects until `table` is first read, which
+    joins them in one pass: inside `integrate`, packing a row into a list
+    costs about what building a `StepRecord` did, and writing it into one
+    growing array about 40% more.
+    """
+
+    __slots__ = ("rows", "methods", "rejected")
+
+    def __init__(self):
+        # Packed rows in step order: one bytes object per accepted step, or
+        # fewer, longer ones once `table` has joined them.
+        self.rows: list[bytes] = []
+        self.methods: list[str] = []
+        self.rejected = 0
+
+    def append(self, x: float, h: float, method: str, est: float,
+               theta: float, phi: complex, dphi: complex) -> None:
+        """Record one accepted step; `integrate` writes this out."""
+        self.rows.append(ROW.pack(x, h, est, theta, phi.real, phi.imag,
+                                  dphi.real, dphi.imag))
+        self.methods.append(method)
+
+    @property
+    def table(self) -> array:
+        """Every accepted step as one row of ROW, in one float array."""
+        rows = self.rows
+        if len(rows) > 1:
+            rows[:] = [b"".join(rows)]
+        return array("d", rows[0] if rows else b"")
 
     @property
     def accepted(self) -> int:
-        return len(self.records)
+        return len(self.methods)
+
+    @property
+    def xs(self) -> array:
+        """The x of every accepted step."""
+        return self.table[0::_WIDTH]
+
+    @property
+    def phis(self) -> array:
+        """Real and imaginary parts of every accepted phi, interleaved: the
+        buffer of a complex array."""
+        t = self.table
+        out = array("d", bytes(16 * len(self.methods)))
+        out[0::2] = t[4::_WIDTH]
+        out[1::2] = t[5::_WIDTH]
+        return out
 
     @property
     def states(self) -> list[WaveState]:
-        return [r.state for r in self.records]
+        t = self.table
+        return list(map(WaveState, t[0::_WIDTH],
+                        map(complex, t[4::_WIDTH], t[5::_WIDTH]),
+                        map(complex, t[6::_WIDTH], t[7::_WIDTH])))
+
+    @property
+    def records(self) -> list[StepRecord]:
+        t = self.table
+        return list(map(StepRecord, range(len(self.methods)), t[0::_WIDTH],
+                        t[1::_WIDTH], self.methods, t[2::_WIDTH],
+                        t[3::_WIDTH], self.states))
 
     @property
     def final_state(self) -> WaveState:
-        return self.records[-1].state
+        if not self.methods:
+            raise IndexError("no accepted step")
+        x, _, _, _, re, im, d_re, d_im = ROW.unpack(self.rows[-1][-ROW.size:])
+        return WaveState(x, complex(re, im), complex(d_re, d_im))
 
     def method_counts(self) -> dict[str, int]:
         counts: dict[str, int] = {}
-        for r in self.records:
-            counts[r.method] = counts.get(r.method, 0) + 1
+        for method in self.methods:
+            counts[method] = counts.get(method, 0) + 1
         return counts
 
 
@@ -232,7 +305,8 @@ def integrate(problem, config: SolverConfig) -> Trajectory:
     left = _endpoint(build, problem, x)
     h_trial = config.h0
     traj = Trajectory()
-    records = traj.records
+    # Trajectory.append written out: one packed row and one tag per step.
+    store, tags, pack = traj.rows.append, traj.methods.append, ROW.pack
     consecutive = 0
     while x < x_end:
         clamped = h_trial >= x_end - x
@@ -285,10 +359,12 @@ def integrate(problem, config: SolverConfig) -> Trajectory:
 
         if accepted:
             x = x1
-            state = WaveState(x, complex(phi_won), complex(dphi_won))
+            phi_won, dphi_won = complex(phi_won), complex(dphi_won)
+            state = WaveState(x, phi_won, dphi_won)
             left = right
-            records.append(StepRecord(len(records), x, h, tag_won, est_won,
-                                      theta, state))
+            store(pack(x, h, est_won, theta, phi_won.real, phi_won.imag,
+                       dphi_won.real, dphi_won.imag))
+            tags(tag_won)
             consecutive = 0
         else:
             traj.rejected += 1

@@ -22,6 +22,7 @@ import bisect
 import functools
 import math
 import threading
+from array import array
 from typing import Sequence
 
 from .state import ContinuationError
@@ -636,10 +637,12 @@ def airy_asymptotic(t: float) -> tuple[complex, complex]:
     double-double, yet its rounding still grows with zeta. Against mpmath
     (60 digits) at the float t, the error of w relative to |w| is 7.7e-17
     at t = 1e8 and 1.6e-16 at 1e10, 4.0e-15 at 1e12 and 2.7e-12 at 1e14,
-    and 3.9e-9 at 1e16 and 1.1e-6 at 1e18. Raises OverflowError naming t
-    from about t = 2.985e29 up, where zeta ** 7 overflows in the sums.
+    and 3.9e-9 at 1e16 and 1.1e-6 at 1e18. Raises ValueError for a t that
+    is not positive, NaN included, and OverflowError naming t from about
+    t = 2.985e29 up, where zeta ** 7 overflows in the sums, and at t = inf,
+    where the phase does.
     """
-    if t <= 0.0:
+    if not t > 0.0:
         raise ValueError("asymptotic branch needs t > 0")
     zeta, cosz, sinz = _airy_phase(t)
     w = _airy_w(t, zeta, cosz, sinz)
@@ -779,24 +782,45 @@ def global_error(trajectory, problem, norm: str = "sup"):
                   skipping nodes where the exact value vanishes.
     norm="l2rel": ||phi_n - phi(x_n)||_2 / ||phi(x_n)||_2 over the nodes.
 
-    The exact values of all nodes come from one batch query. Both norms
-    read nan when a node's error is NaN, and raise ValueError when the
-    exact solution vanishes at every node. A modulus beyond the largest
-    float reads inf, where abs(complex) raises OverflowError. With numpy,
-    "sup" is one array pass over the provider's batch (see _sup_norm),
+    `trajectory` is a control.Trajectory, whose x and phi columns are read
+    as they are, or a sequence of WaveState, read into the same two columns
+    (see _nodes). The exact values of all nodes come from one batch query
+    at the x column. Both norms read nan when a node's error is NaN, and
+    raise ValueError when the exact solution vanishes at every node. A
+    modulus beyond the largest float reads inf, where abs(complex) raises
+    OverflowError. With numpy, "sup" is one array pass over the provider's
+    batch and the phi column viewed as a complex array (see _sup_norm),
     with the bits of the list form.
     """
     if norm not in ("sup", "l2rel"):
         raise ValueError(f"unknown norm {norm!r}")
-    states = list(getattr(trajectory, "states", trajectory))
-    if not states:
+    xs, phis = _nodes(trajectory)
+    if not xs:
         raise ValueError("empty trajectory")
-    xs = [s.x for s in states]
     np = _numpy() if norm == "sup" else None
     if np is None:
-        return _error_norm(states, exact_solution(problem, xs), norm)
-    return _sup_norm(np.array([s.phi for s in states], dtype=complex),
+        return _error_norm(_complexes(phis), exact_solution(problem, xs),
+                           norm)
+    return _sup_norm(np.frombuffer(phis, dtype=complex),
                      np.asarray(_exact_batch(problem, xs), dtype=complex), np)
+
+
+def _nodes(trajectory) -> tuple[array, array]:
+    """(xs, phis) of global_error's nodes as float arrays: the x of each,
+    and the real and imaginary parts of each phi, interleaved. A trajectory
+    with columns hands them over; a sequence of states is read into them."""
+    if hasattr(trajectory, "phis"):
+        return trajectory.xs, trajectory.phis
+    states = list(trajectory)
+    return (array("d", [s.x for s in states]),
+            array("d", [part for s in states
+                        for part in (s.phi.real, s.phi.imag)]))
+
+
+def _complexes(parts) -> list[complex]:
+    """The complex numbers whose real and imaginary parts `parts`
+    interleaves, with their bits."""
+    return list(map(complex, parts[0::2], parts[1::2]))
 
 
 def _modulus(z) -> float:
@@ -807,19 +831,20 @@ def _modulus(z) -> float:
         return math.inf
 
 
-def _error_norm(states, refs, norm: str) -> float:
-    """global_error's `norm` of the states against their exact values refs,
-    so that a caller holding the exact values forms both norms from them."""
+def _error_norm(phis, refs, norm: str) -> float:
+    """global_error's `norm` of the node values phis (complex, in node
+    order) against their exact values refs, so that a caller holding the
+    exact values forms both norms from them."""
     if norm == "sup":
-        rel = [_modulus(s.phi - ref) / _modulus(ref)
-               for s, ref in zip(states, refs) if ref != 0]
+        rel = [_modulus(phi - ref) / _modulus(ref)
+               for phi, ref in zip(phis, refs) if ref != 0]
         if not rel:
             raise ValueError("exact solution vanishes on all nodes")
         return math.nan if any(map(math.isnan, rel)) else max(rel)
     denom = math.hypot(*map(_modulus, refs))
     if denom == 0.0:
         raise ValueError("exact solution vanishes on all nodes")
-    err = [_modulus(s.phi - r) for s, r in zip(states, refs)]
+    err = [_modulus(phi - r) for phi, r in zip(phis, refs)]
     # hypot reads inf, not nan, once any error is inf.
     return math.nan if any(map(math.isnan, err)) else math.hypot(*err) / denom
 

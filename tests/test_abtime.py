@@ -3,7 +3,8 @@
 An A/A run of this checkout against itself must load the package twice,
 under separate module objects, time every row on both sides and report a
 positive ratio per round. The run swaps `wkbmarch*` entries of
-`sys.modules`, so the test puts back the ones the session imported.
+`sys.modules` and imports the bench's workload table and calibration
+kernel, so the test puts back the modules the session had.
 """
 
 import importlib.util
@@ -13,7 +14,7 @@ from pathlib import Path
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "abtime.py"
 ROWS = {f"{w}/{kind}" for w in ("airy-mixed", "pcf-rival", "long-cc")
-        for kind in ("integrate", "global_error",
+        for kind in ("integrate", "global_error", "global_error_cold",
                      "global_error_without_numpy", "exact_batch",
                      "exact_solution", "exact_solution_without_numpy")} | {
     "airy-mixed/horner_batch", "pcf-rival/horner_batch",
@@ -21,6 +22,8 @@ ROWS = {f"{w}/{kind}" for w in ("airy-mixed", "pcf-rival", "long-cc")
     "long-cc/asymptotic_values", "airy_asymptotic",
     "eval_bk", "wkb_pair", "rkf45_step", "wkb_basis", "rkwkb_step",
     "field_jet", "cc_increment", "phase_rates"}
+# Top-level modules that a run imports or swaps in sys.modules.
+SWAPPED = ("wkbmarch", "workloads", "calibrate")
 
 
 def load_tool():
@@ -36,7 +39,7 @@ def test_aa_run_times_every_row_on_separate_packages(monkeypatch):
     monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
     monkeypatch.setattr(abtime, "SAMPLE_S", 1e-3)
     saved = {n: m for n, m in sys.modules.items()
-             if n.split(".")[0] in ("wkbmarch", "workloads")}
+             if n.split(".")[0] in SWAPPED}
     try:
         first = abtime.load(root)
         second = abtime.load(root)
@@ -44,7 +47,7 @@ def test_aa_run_times_every_row_on_separate_packages(monkeypatch):
         out = abtime.run(root, root, rounds=2)
     finally:
         for name in [n for n in sys.modules
-                     if n.split(".")[0] in ("wkbmarch", "workloads")]:
+                     if n.split(".")[0] in SWAPPED]:
             del sys.modules[name]
         sys.modules.update(saved)
     assert set(out["rows"]) == ROWS

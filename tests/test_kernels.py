@@ -28,8 +28,11 @@ The coefficient field's compiled `value`, `heads` and `jet` are the plain
 Horner loop over its derivative tower written out, so they must give the
 bits of that loop (`loop_jet`) too, non-finite entries and points included.
 
-The per-trial records are slotted dataclasses, and `integrate` builds one
-`WaveState` and one `StepRecord` per accepted step; tests here keep both.
+The per-trial records are slotted dataclasses. `integrate` builds one
+`WaveState` per accepted step and writes the step as one row of the
+trajectory's table, building no `StepRecord`; the trajectory's views
+rebuild the records with the bits that were appended. Tests here keep all
+three.
 """
 
 import cmath
@@ -612,9 +615,8 @@ def generic_integrate(problem, config):
                 state = WaveState(x1, state.phi, state.dphi)
             x = x1
             left = right
-            traj.records.append(StepRecord(
-                index=len(traj.records), x=x, h=h, method=cand.method,
-                est=cand.est, theta=theta, state=state))
+            traj.append(x, h, cand.method, cand.est, theta, state.phi,
+                        state.dphi)
             consecutive = 0
         else:
             traj.rejected += 1
@@ -634,6 +636,39 @@ def run_outcome(driver, problem, config):
     except (SolverError, ValueError, ArithmeticError) as exc:
         return type(exc).__name__
     return traj.rejected, bits(traj.records)
+
+
+def test_trajectory_views_give_back_the_appended_values():
+    """Every view of a trajectory rebuilds the values appended to it, in
+    float.hex: signed zeros, NaN and infinite parts included, and the tags
+    in order. The x and phi columns are the same values as float arrays,
+    and a view is built afresh on each access."""
+    steps = [(0.5, 0.5, "RKF45", 0.0, 2.0, complex(-0.0, 0.0),
+              complex(0.0, -0.0)),
+             (1.25, 0.75, "WKB", 1e-9, 0.5, complex(1.5, -2.5),
+              complex(-0.0, -0.0)),
+             (2.0, 0.75, "WKB", 5e-324, 1.0,
+              complex(math.inf, math.nan), complex(-1e308, 2.0 ** -1074))]
+    traj = Trajectory()
+    assert (traj.accepted, traj.records, traj.states) == (0, [], [])
+    with pytest.raises(IndexError):
+        traj.final_state
+    for step in steps:
+        traj.append(*step)
+    traj.rejected = 3
+    expect = [StepRecord(i, x, h, tag, est, theta, WaveState(x, phi, dphi))
+              for i, (x, h, tag, est, theta, phi, dphi) in enumerate(steps)]
+    assert bits(traj.records) == bits(expect)
+    assert bits(traj.states) == bits([r.state for r in expect])
+    assert bits(traj.final_state) == bits(expect[-1].state)
+    assert traj.accepted == 3 and traj.rejected == 3
+    assert traj.method_counts() == {"RKF45": 1, "WKB": 2}
+    assert list(traj.xs) == [0.5, 1.25, 2.0]
+    assert bits(list(traj.phis)) == bits(
+        [part for *_, phi, _ in steps for part in (phi.real, phi.imag)])
+    traj.records.clear()
+    traj.states[0].x = 9.0
+    assert bits(traj.records) == bits(expect)
 
 
 def linear_phase(c0, c1, eps):
@@ -736,7 +771,8 @@ def load_workloads(monkeypatch):
 def test_integrate_builds_one_state_and_record_per_accepted_step(
         monkeypatch, name):
     # The pair kernels hand back bare scalars: a trial builds no state per
-    # candidate member, and a rejected trial builds neither record.
+    # candidate member, and a rejected trial builds no state. An accepted
+    # step's record is its row of the trajectory's table, not a StepRecord.
     workload = load_workloads(monkeypatch)[name]
     problem = workload.make_problem()
     config = workload.config(workload.h0_factors(0)[0])
@@ -748,4 +784,4 @@ def test_integrate_builds_one_state_and_record_per_accepted_step(
         monkeypatch.setattr(cls, "__init__", counted)
     traj = integrate(problem, config)
     assert traj.rejected > 0
-    assert built == {WaveState: traj.accepted, StepRecord: traj.accepted}
+    assert built == {WaveState: traj.accepted, StepRecord: 0}

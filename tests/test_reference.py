@@ -23,7 +23,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.integrate import solve_ivp
 
-from wkbmarch import (ContinuationError, WaveState, airy_pair,
+from wkbmarch import (ContinuationError, Trajectory, WaveState, airy_pair,
                       global_error, integrate, make_pcf_problem, reference)
 from wkbmarch.reference import (AIRY_VALUE_SWITCH, SERIES_TERMS,
                                 _ContinuationTable, _dd_add, _dd_deriv_coeffs, _dd_horner,
@@ -513,7 +513,7 @@ def _reduce_mod_2pi(xh, xl):
 
 
 def _oracle_airy_asymptotic(t):
-    if t <= 0.0:
+    if not t > 0.0:
         raise ValueError("asymptotic branch needs t > 0")
     sh, sl = _dd_sqrt(t)
     zh, zl = _dd_mul_d(sh, sl, t)
@@ -579,6 +579,18 @@ def test_asymptotic_route_matches_helper_oracle(t):
     value = _outcome(lambda x: reference._airy_w(x, *reference._airy_phase(x)),
                      t)
     assert value == (expect[:2] if isinstance(expect, list) else expect)
+
+
+def test_asymptotic_rejects_nan_and_names_inf():
+    """airy_asymptotic refuses a NaN t as it refuses one that is not
+    positive, with its ValueError, not as a phase overflow; at t = inf the
+    phase does overflow, and the OverflowError names t."""
+    for t in (math.nan, -math.nan, 0.0, -0.0, -1.0, -math.inf):
+        with pytest.raises(ValueError, match="needs t > 0"):
+            airy_asymptotic(t)
+    with pytest.raises(OverflowError) as info:
+        airy_asymptotic(math.inf)
+    assert str(info.value) == "Airy phase overflows at t=inf"
 
 
 def test_asymptotic_overflow_edge_names_t(monkeypatch):
@@ -1220,14 +1232,14 @@ def test_array_sup_norm_matches_list_norm(pairs):
     over random nodes and exact values, with NaN, infinite and zero exact
     values among them and values where np.abs differs from abs, and raises
     the same ValueError when every exact value is zero."""
-    states = [WaveState(float(j), phi, 0j) for j, (phi, _) in enumerate(pairs)]
+    phis = [phi for phi, _ in pairs]
     refs = [ref for _, ref in pairs]
     try:
-        expect = reference._error_norm(states, refs, "sup").hex()
+        expect = reference._error_norm(phis, refs, "sup").hex()
     except ValueError as exc:
         expect = str(exc)
     try:
-        got = reference._sup_norm(np.array([p for p, _ in pairs]),
+        got = reference._sup_norm(np.array(phis),
                                   np.array(refs, dtype=complex), np).hex()
     except ValueError as exc:
         got = str(exc)
@@ -1290,6 +1302,37 @@ def test_verification_batch_takes_no_full_state_route(monkeypatch, numpy):
         expect = results()
         m.setattr(reference, "airy_asymptotic", forbidden)
         assert results() == expect
+
+
+@pytest.mark.parametrize("name", ["airy-mixed", "pcf-rival"])
+def test_global_error_reads_only_the_columns(monkeypatch, name):
+    """On the seed-0 trajectory of each workload, both norms of
+    global_error, with numpy and without, keep their bits with
+    Trajectory.records and .states replaced by properties that raise: x
+    and phi come from the trajectory's columns, and no per-step record or
+    state is rebuilt. They equal, in float.hex, global_error of the list of
+    the trajectory's states, which takes the same adapter into columns.
+    Mirrors test_verification_batch_takes_no_full_state_route."""
+    w = _bench_workloads()[name]
+    problem = w.make_problem()
+    traj = integrate(problem, w.config(w.h0_factors(0)[0]))
+    states = traj.states
+
+    def results(nodes):
+        return [global_error(nodes, problem, norm).hex()
+                for norm in ("sup", "l2rel")]
+
+    def forbidden(self):
+        raise AssertionError("per-step view built")
+
+    for numpy in (np, None):
+        with monkeypatch.context() as m:
+            m.setitem(sys.modules, "numpy", numpy)
+            expect = results(traj)
+            assert results(states) == expect
+            m.setattr(Trajectory, "records", property(forbidden))
+            m.setattr(Trajectory, "states", property(forbidden))
+            assert results(traj) == expect
 
 
 @pytest.mark.parametrize("name", ["airy-mixed", "pcf-rival", "long-cc"])

@@ -17,11 +17,17 @@ under either tree.
 * `<workload>/integrate`: one `integrate` of the workload's seed-0 setting.
 * `<workload>/global_error`: `global_error(..., "sup")` over that side's own
   trajectory of the same setting.
+* `<workload>/global_error_cold`: the same call on a fresh trajectory,
+  as `bench/run.py` times `verify_s`: before each timed call, untimed, the
+  side integrates the setting afresh and runs one pass of this checkout's
+  `bench/calibrate.py` `kernel()`, as a bench op runs one calibration
+  sample between its solve and its verify. One call per sample.
 * `<workload>/global_error_without_numpy`: the same with
   `sys.modules["numpy"]` set to None for the call and restored after it,
   so the batch and the norm take their numpy-free paths.
 * `<workload>/exact_batch`: the provider's batch `problem.exact.phis(xs)`
-  at the nodes of that trajectory, as the sup norm receives it (a complex
+  at the nodes of that trajectory, with xs its x column where the side's
+  trajectory has one, as the sup norm receives it (a complex
   array with numpy, where the provider answers in arrays), without the
   conversion to a list that `exact_solution` adds.
 * `<workload>/exact_solution`: `reference.exact_solution` at the nodes of
@@ -66,7 +72,7 @@ under either tree.
   integrand alone.
 Each sample repeats its call as often as this checkout needs for about
 SAMPLE_S seconds (the same count on both sides) and keeps the mean per
-call.
+call; a cold row's sample is one call.
 Every row is warmed once per side before the first round, so table growth
 in the reference layer is not timed. The cyclic garbage collector is off
 while a sample runs, as in `timeit`.
@@ -85,6 +91,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from typing import Callable
 
 ROOT = Path(__file__).resolve().parents[1]
 SAMPLE_S = 0.02  # long enough that timer resolution and jitter are small
@@ -140,6 +147,30 @@ def horner_batch(reference, problem, xs):
     return lambda: kernel(*args)
 
 
+class Cold:
+    """A row whose every timed call is set up untimed: `prepare()` runs
+    first and returns the zero-argument call to time."""
+
+    def __init__(self, prepare: Callable[[], Callable[[], object]]):
+        self.prepare = prepare
+
+
+def cold_verify(pkg, problem, config, kernel) -> Cold:
+    """`global_error(..., "sup")` after a fresh `integrate` and one
+    calibration kernel pass, as a bench op reaches its verify stage."""
+    def prepare():
+        traj = pkg.integrate(problem, config)
+        kernel()
+        return lambda: pkg.global_error(traj, problem, "sup")
+    return Cold(prepare)
+
+
+def node_xs(traj):
+    """The x of every accepted node: the trajectory's x column, or its
+    states' x in a checkout whose trajectory has no columns."""
+    return traj.xs if hasattr(traj, "xs") else [s.x for s in traj.states]
+
+
 def without_numpy(fn):
     """`fn` as a call that runs with numpy unimportable."""
     def call():
@@ -155,8 +186,9 @@ def without_numpy(fn):
     return call
 
 
-def rows_for(mods: dict, workloads) -> dict:
-    """Each row's zero-argument callable on one side's package."""
+def rows_for(mods: dict, workloads, kernel) -> dict:
+    """Each row's zero-argument callable, or its `Cold` setup, on one
+    side's package; `kernel` is the calibration kernel of the cold rows."""
     activate(mods)
     pkg, control = mods["wkbmarch"], mods["wkbmarch.control"]
     reference = mods["wkbmarch.reference"]
@@ -171,9 +203,11 @@ def rows_for(mods: dict, workloads) -> dict:
             lambda p=problem, c=config: pkg.integrate(p, c))
         rows[f"{name}/global_error"] = (
             lambda t=traj, p=problem: pkg.global_error(t, p, "sup"))
+        rows[f"{name}/global_error_cold"] = cold_verify(pkg, problem, config,
+                                                        kernel)
         rows[f"{name}/global_error_without_numpy"] = without_numpy(
             rows[f"{name}/global_error"])
-        xs = [s.x for s in traj.states]
+        xs = node_xs(traj)
         rows[f"{name}/exact_batch"] = lambda p=problem, xs=xs: p.exact.phis(xs)
         rows[f"{name}/exact_solution"] = (
             lambda p=problem, xs=xs: reference.exact_solution(p, xs))
@@ -202,11 +236,12 @@ def rows_for(mods: dict, workloads) -> dict:
                                                   b_right, b_state)
     rows["field_jet"] = lambda: pcf.field.jet(1.0)
     long_cc, traj = runs["long-cc"]
-    ts = [s.x for s in traj.states if s.x > reference.AIRY_VALUE_SWITCH]
+    xs = node_xs(traj)
+    ts = [x for x in xs if x > reference.AIRY_VALUE_SWITCH]
     rows["long-cc/asymptotic_values"] = lambda: reference.airy_values(ts)
     rows["airy_asymptotic"] = lambda: reference.airy_asymptotic(1234.5)
     cc_phase = pkg.PhaseProvider(long_cc, "cc")
-    x0, x1 = traj.records[-2].x, traj.records[-1].x
+    x0, x1 = xs[-2], xs[-1]
     rows["cc_increment"] = lambda: cc_phase.increment(x0, x1)
     nodes = []
     pkg.clenshaw_curtis(lambda xs: nodes.extend(xs) or [0.0] * len(xs),
@@ -215,14 +250,23 @@ def rows_for(mods: dict, workloads) -> dict:
     return rows
 
 
-def sample(fn, repeat: int) -> float:
-    """Mean seconds per call over `repeat` calls, collector off."""
+def sample(row, repeat: int) -> float:
+    """Mean seconds per call over `repeat` calls of a row, collector off;
+    a `Cold` row's setup runs untimed before each call."""
     enabled = gc.isenabled()
     gc.disable()
     try:
+        if isinstance(row, Cold):
+            total = 0.0
+            for _ in range(repeat):
+                call = row.prepare()
+                start = time.perf_counter()
+                call()
+                total += time.perf_counter() - start
+            return total / repeat
         start = time.perf_counter()
         for _ in range(repeat):
-            fn()
+            row()
         return (time.perf_counter() - start) / repeat
     finally:
         if enabled:
@@ -259,22 +303,24 @@ def run(root: Path, against: Path, rounds: int) -> dict:
     sys.dont_write_bytecode = True
     sys.path.insert(0, str(root / "bench"))
     try:
+        from calibrate import kernel
         from workloads import WORKLOADS
     finally:
         sys.path.remove(str(root / "bench"))
     mine_mods = load(root)
-    mine = rows_for(mine_mods, WORKLOADS)
+    mine = rows_for(mine_mods, WORKLOADS, kernel)
     theirs_mods = load(against)
-    theirs = rows_for(theirs_mods, WORKLOADS)
+    theirs = rows_for(theirs_mods, WORKLOADS, kernel)
     sides = ((mine_mods, mine), (theirs_mods, theirs))
     repeats = {}
     for name in mine:
         for mods, rows in sides:  # warm both sides
             activate(mods)
-            rows[name]()
+            sample(rows[name], 1)
         activate(mine_mods)
         once = sample(mine[name], 1)
-        repeats[name] = max(1, math.ceil(SAMPLE_S / max(once, 1e-9)))
+        repeats[name] = 1 if isinstance(mine[name], Cold) else max(
+            1, math.ceil(SAMPLE_S / max(once, 1e-9)))
     times = {name: ([], []) for name in mine}
     for r in range(rounds):
         order = (0, 1) if r % 2 == 0 else (1, 0)

@@ -145,9 +145,11 @@ def collect(root: Path) -> dict:
                 continue
             for norm, values in checks.items():
                 values.append(global_error(traj, problem, norm).hex())
+            # The x column; a checkout without columns reads the states.
+            xs = (traj.xs if hasattr(traj, "xs")
+                  else [s.x for s in traj.states])
             phis.append([part.hex() for phi in reference.exact_solution(
-                problem, [s.x for s in traj.states])
-                for part in (phi.real, phi.imag)])
+                problem, xs) for part in (phi.real, phi.imag)])
         checks["phi"] = _digest(phis)
         return checks
 
